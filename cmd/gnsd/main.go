@@ -19,8 +19,9 @@
 //
 // In serve mode gnsd prints the replica address grid, one shard per line,
 // and blocks until SIGINT/SIGTERM. Clients route with cluster.NewClient
-// over exactly that grid. In soak mode the full experiment readout is
-// printed and the exit status reports convergence.
+// over exactly that grid, and Close the client to release its pooled
+// sockets. In soak mode the full experiment readout is printed and the exit
+// status reports convergence.
 package main
 
 import (

@@ -119,6 +119,7 @@ func RunGNSClusterObserved(seed int64, quick bool, o *GNSClusterObs) (GNSCluster
 		BreakerCooldown: max(8, names/64),
 		CacheLimit:      2 * names, // bounded, but ample: degraded mode must hold every name
 	})
+	defer cl.Close()
 	cl.SetMetrics(m, 2*names)
 	cl.Timeout = 25 * time.Millisecond
 	cl.HedgeDelay = 10 * time.Millisecond

@@ -2,10 +2,8 @@ package gns
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -14,72 +12,17 @@ import (
 	"locind/internal/reliable"
 )
 
-// Exchange performs one request/response datagram exchange with the server
-// at addr under policy p: each attempt dials, writes the request, and waits
-// for a reply within the attempt's deadline. A structured error response is
-// converted into its sentinel error (wire.go); permanent codes (not-found,
-// bad-request) come back wrapped in reliable.Permanent so the retry loop
-// stops immediately instead of burning its budget re-sending a request the
-// server has already authoritatively rejected. The attempt count made is
-// returned alongside.
-//
-// Exchange is the shared transport leg of gns.Client and the cluster
-// client; req.Trace should already carry the caller's span context.
-func Exchange(ctx context.Context, addr string, req Request, p reliable.Policy) (Response, int, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return Response{}, 0, err
-	}
-	var resp Response
-	attempts, err := p.Do(ctx, func(ctx context.Context) error {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "udp", addr)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		if dl, ok := ctx.Deadline(); ok {
-			conn.SetDeadline(dl) //nolint:errcheck
-		}
-		if _, err := conn.Write(payload); err != nil {
-			return err
-		}
-		buf := make([]byte, maxDatagram+1)
-		n, err := conn.Read(buf)
-		if err != nil {
-			return err
-		}
-		var r Response
-		if err := json.Unmarshal(buf[:n], &r); err != nil {
-			return err
-		}
-		if !r.OK {
-			wireErr := r.AsError()
-			if r.Code.Permanent() {
-				return reliable.Permanent(wireErr)
-			}
-			// Transient server-side failures (quorum loss, internal
-			// errors) re-enter the retry loop: replicas recover.
-			return wireErr
-		}
-		resp = r
-		return nil
-	})
-	if err != nil {
-		return Response{}, attempts, err
-	}
-	return resp, attempts, nil
-}
-
 // Client is the resolver side of the UDP protocol. Datagrams vanish on
 // lossy paths, so every round trip runs under a reliable.Policy:
 // per-attempt timeouts, exponential backoff with deterministic jitter, an
 // optional shared retry budget, and — for lookups — graceful degradation to
 // the last known binding when the network stays down (the stale-mapping
-// operating regime of loc/ID caches).
+// operating regime of loc/ID caches). A Client keeps idle sockets to its
+// server between calls (see Transport); Close releases them.
 type Client struct {
 	ServerAddr string
-	// Timeout bounds each attempt (dial + round trip).
+	// Timeout bounds each attempt (round trip, and dial when no idle socket
+	// is at hand).
 	Timeout time.Duration
 	// Retries is how many extra attempts follow a failed one.
 	Retries int
@@ -107,9 +50,10 @@ type Client struct {
 	// span nests under that instead of starting a new trace.
 	Tracer *obs.Tracer
 
-	cache    reliable.Cache[string, Record]
-	attempts atomic.Int64
-	stale    atomic.Int64
+	transport Transport
+	cache     reliable.Cache[string, Record]
+	attempts  atomic.Int64
+	stale     atomic.Int64
 }
 
 // NewClient builds a client with sane defaults: 500ms per attempt, 3
@@ -122,6 +66,9 @@ func NewClient(serverAddr string) *Client {
 		Backoff:    reliable.Backoff{Base: 50 * time.Millisecond, Max: time.Second},
 	}
 }
+
+// Close releases the client's idle sockets; calls made after it fail.
+func (c *Client) Close() { c.transport.Close() }
 
 // BoundStaleCache caps the last-known-good cache at limit entries with
 // epoch-flush eviction, counting flushed entries into ctr (which may be
@@ -160,7 +107,7 @@ func (c *Client) startSpan(ctx context.Context, name string, labels ...string) *
 
 func (c *Client) roundTrip(ctx context.Context, req Request, span *obs.Span) (Response, error) {
 	req.Trace = span.Context().Encode()
-	resp, attempts, err := Exchange(ctx, c.ServerAddr, req, c.policy(span))
+	resp, attempts, err := c.transport.Exchange(ctx, c.ServerAddr, req, c.policy(span))
 	c.attempts.Add(int64(attempts))
 	if err != nil {
 		if reliable.IsPermanent(err) {

@@ -61,6 +61,7 @@ func runChaosScenario(t *testing.T, seed int64) chaosOutcome {
 	defer c.Close()
 
 	cl := NewClient(c.Addrs(), ClientConfig{Origin: 1, BreakerCooldown: 4})
+	defer cl.Close()
 	// No per-leg retries: a dropped datagram fails the leg over to the next
 	// replica instead of burning a second timeout, and the driver-level
 	// mustUpdate loop re-commits anything that misses quorum.
@@ -178,6 +179,7 @@ func runFaultFree(t *testing.T) chaosOutcome {
 	}
 	defer c.Close()
 	cl := NewClient(c.Addrs(), ClientConfig{Origin: 1})
+	defer cl.Close()
 	cl.Timeout = time.Second
 	for i := 0; i < chaosNames; i++ {
 		if _, err := cl.Update(ctx, chaosName(i), []netaddr.Addr{chaosAddr(i, 1)}); err != nil {

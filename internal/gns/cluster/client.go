@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,8 +43,12 @@ type cachedRec struct {
 // passed over. When every replica is unreachable the client degrades to
 // the last-known-good binding, flagged Record.Stale — resolution keeps
 // working through a dead shard, just on old mappings.
+//
+// Every replica leg goes through one gns.Transport, which keeps idle
+// sockets to the replicas between operations; Close releases them.
 type Client struct {
-	// Timeout bounds each non-primary attempt (dial + round trip).
+	// Timeout bounds each non-primary attempt (round trip, and dial when no
+	// idle socket to the replica is at hand).
 	Timeout time.Duration
 	// HedgeDelay bounds the primary lookup attempt: how long the primary
 	// may stay silent before the lookup hedges to the next replica. Zero
@@ -78,9 +80,10 @@ type Client struct {
 	breakers [][]*reliable.Breaker
 	repMet   [][]*ReplicaMetrics // resolved by SetMetrics; nil rows no-op
 
-	cache    reliable.Cache[string, cachedRec]
-	attempts atomic.Int64
-	stale    atomic.Int64
+	transport gns.Transport
+	cache     reliable.Cache[string, cachedRec]
+	attempts  atomic.Int64
+	stale     atomic.Int64
 
 	// nameMu stripes the per-name read-modify-write update path: two
 	// goroutines bumping the same name must serialise (or they would derive
@@ -96,10 +99,10 @@ type Client struct {
 const updateStripes = 64
 
 // nameLock returns the stripe lock serialising updates to name.
+//
+//lint:zeroalloc per call
 func (c *Client) nameLock(name string) *sync.Mutex {
-	h := fnv.New64a()
-	h.Write([]byte(name)) //lint:allow errflow fnv hash writes cannot fail
-	return &c.nameMu[h.Sum64()%updateStripes]
+	return &c.nameMu[fnvString(fnvOffset64, name)%updateStripes]
 }
 
 // ClientConfig sizes a Client.
@@ -186,6 +189,10 @@ func (c *Client) replicaMetrics(shard, replica int) *ReplicaMetrics {
 	return c.repMet[shard][replica]
 }
 
+// Close releases the client's idle sockets; operations started after it
+// fail as if every replica were unreachable.
+func (c *Client) Close() { c.transport.Close() }
+
 // Attempts returns the total network attempts made — the determinism
 // quantity chaos tests compare across same-seed runs.
 func (c *Client) Attempts() int64 { return c.attempts.Load() }
@@ -225,27 +232,37 @@ func majority(r int) int { return r/2 + 1 }
 // preference order: every client computes the same stable primary for a
 // name, and read load spreads across replicas name by name.
 func replicaOrder(name string, replicas int) []int {
-	type weight struct {
-		idx int
-		w   uint64
+	order := make([]int, replicas)
+	orderReplicas(name, order)
+	return order
+}
+
+// stackReplicas is the largest replica set orderReplicas ranks without
+// allocating scratch space for the weights.
+const stackReplicas = 16
+
+// orderReplicas fills order with the indices 0..len(order)-1 by descending
+// rendezvous weight — the FNV-1a hash of "name#replica" — ties to the lower
+// index. An insertion sort: replica sets are a handful of nodes.
+//
+//lint:zeroalloc per call for replica sets up to stackReplicas
+func orderReplicas(name string, order []int) {
+	var stack [stackReplicas]uint64
+	weights := stack[:]
+	if len(order) > len(stack) {
+		weights = make([]uint64, len(order)) // oversize sets only; every deployed one fits the stack array
 	}
-	ws := make([]weight, replicas)
-	for i := 0; i < replicas; i++ {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s#%d", name, i)
-		ws[i] = weight{idx: i, w: h.Sum64()}
-	}
-	sort.Slice(ws, func(a, b int) bool {
-		if ws[a].w != ws[b].w {
-			return ws[a].w > ws[b].w
+	prefix := (fnvString(fnvOffset64, name) ^ '#') * fnvPrime64
+	for i := range order {
+		w := fnvIndex(prefix, i)
+		// Indices arrive ascending, so stopping at the first weight not
+		// below w leaves equal weights in index order.
+		j := i
+		for ; j > 0 && weights[j-1] < w; j-- {
+			weights[j], order[j] = weights[j-1], order[j-1]
 		}
-		return ws[a].idx < ws[b].idx
-	})
-	out := make([]int, replicas)
-	for i := range ws {
-		out[i] = ws[i].idx
+		weights[j], order[j] = w, i
 	}
-	return out
 }
 
 // startSpan opens the operation's root span: nested under the span carried
@@ -258,7 +275,7 @@ func (c *Client) startSpan(ctx context.Context, name string, labels ...string) *
 }
 
 // exchange runs one replica leg: a child span, a bounded retry loop, and
-// the shared gns.Exchange transport. timeout bounds each attempt.
+// the client's pooled gns.Transport. timeout bounds each attempt.
 func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, parent *obs.Span, timeout time.Duration, shard, replica int) (gns.Response, error) {
 	leg := parent.Child("replica", "shard", strconv.Itoa(shard), "r", strconv.Itoa(replica))
 	defer leg.End()
@@ -273,7 +290,7 @@ func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, par
 		Metrics:     c.RetryMetrics,
 		TraceSpan:   leg,
 	}
-	resp, attempts, err := gns.Exchange(ctx, addr, req, p)
+	resp, attempts, err := c.transport.Exchange(ctx, addr, req, p)
 	c.attempts.Add(int64(attempts))
 	c.replicaMetrics(shard, replica).Legs.Inc()
 	return resp, err
@@ -425,20 +442,20 @@ func (c *Client) Lookup(ctx context.Context, name string) (gns.Record, error) {
 		}
 		br.Success()
 		answered = true
-		rec := gns.Record{Name: resp.Name, Version: resp.Version}
-		for _, sa := range resp.Addrs {
-			a, aerr := netaddr.ParseAddr(sa)
-			if aerr != nil {
-				lastErr = aerr
-				continue
-			}
-			rec.Addrs = append(rec.Addrs, a)
+		// A reply this client cannot parse in full is a failed leg, never a
+		// shorter record: what is returned here is also cached as the
+		// read-your-writes floor.
+		addrs, aerr := parseAddrs(resp.Addrs)
+		if aerr != nil {
+			lastErr = aerr
+			continue
 		}
 		vv, perr := ParseVV(resp.VV)
 		if perr != nil {
 			lastErr = perr
 			continue
 		}
+		rec := gns.Record{Name: resp.Name, Addrs: addrs, Version: resp.Version}
 		if hasCached && vv.Compare(cached.vv) == Before {
 			// A lagging replica: it answered with history older than what
 			// this client has already seen committed. Keep hedging.

@@ -136,7 +136,7 @@ func startCluster(t *testing.T, shards, replicas int, seed int64) (*Cluster, *Cl
 	cl.HedgeDelay = 80 * time.Millisecond
 	cl.Retries = 0
 	cl.Backoff = reliable.Backoff{}
-	t.Cleanup(func() { c.Close(); cancel() })
+	t.Cleanup(func() { cl.Close(); c.Close(); cancel() })
 	return c, cl, cancel
 }
 
@@ -348,6 +348,7 @@ func TestClusterUpdateRebasesAfterCacheLoss(t *testing.T) {
 	// history but loses the tiebreak (shorter), so replicas refuse it and
 	// the client must rebase onto the observed history to commit.
 	cl2 := NewClient(c.Addrs(), ClientConfig{Origin: 2})
+	defer cl2.Close()
 	cl2.Timeout = 250 * time.Millisecond
 	cl2.Retries = 0
 	b := []netaddr.Addr{netaddr.MustParseAddr("10.4.4.4")}
@@ -412,4 +413,106 @@ func replicaDigest(c *Cluster, shard, replica int) string {
 	var b strings.Builder
 	c.Node(shard, replica).Store.Digest(&b, newFNV64Writer())
 	return b.String()
+}
+
+// stubReplica answers every vget with the given response (the request's ID
+// echoed), standing in for a replica that serves a record no client can
+// parse.
+func stubReplica(t *testing.T, resp gns.Response) string {
+	t.Helper()
+	srv, err := gns.Serve(context.Background(), stubBackend{resp}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr()
+}
+
+type stubBackend struct{ resp gns.Response }
+
+func (stubBackend) Lookup(string) (gns.Record, error)             { return gns.Record{}, gns.ErrNotFound }
+func (stubBackend) Update(string, []netaddr.Addr) (uint64, error) { return 0, gns.ErrBadRequest }
+func (b stubBackend) HandleOp(gns.Request) (gns.Response, bool)   { return b.resp, true }
+
+// TestClusterLookupRejectsUnparsableAddress: a reply with an address the
+// client cannot parse is a failed leg. It used to come back as a success
+// with that address silently missing, and the truncated record became the
+// name's read-your-writes floor.
+func TestClusterLookupRejectsUnparsableAddress(t *testing.T) {
+	good := netaddr.MustParseAddr("10.0.0.9")
+	bad := stubReplica(t, gns.Response{OK: true, Name: "n", Addrs: []string{"10.0.0.1", "nope"}, Version: 1, VV: "1:1"})
+	ok := stubReplica(t, gns.Response{OK: true, Name: "n", Addrs: []string{good.String()}, Version: 1, VV: "1:1"})
+	ctx := context.Background()
+
+	// Every replica serves the bad record: the lookup fails, and says why.
+	cl := NewClient([][]string{{bad}}, ClientConfig{Origin: 1})
+	defer cl.Close()
+	cl.Retries = 0
+	if rec, err := cl.Lookup(ctx, "n"); !errors.Is(err, gns.ErrNoQuorum) || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("lookup served by an unparsable replica: rec %+v, err %v", rec, err)
+	}
+	if _, cached := cl.cache.Get("n"); cached {
+		t.Fatal("the unparsable reply was cached as the read-your-writes floor")
+	}
+
+	// With a healthy replica last in the name's order, behind two bad ones,
+	// the lookup hedges its way to it.
+	order := replicaOrder("n", 3)
+	grid := make([]string, 3)
+	grid[order[0]], grid[order[1]], grid[order[2]] = bad, bad, ok
+	cl2 := NewClient([][]string{grid}, ClientConfig{Origin: 1})
+	defer cl2.Close()
+	cl2.Retries = 0
+	rec, err := cl2.Lookup(ctx, "n")
+	if err != nil || len(rec.Addrs) != 1 || rec.Addrs[0] != good {
+		t.Fatalf("lookup past two unparsable replicas: rec %+v, err %v", rec, err)
+	}
+	if got := cl2.Attempts(); got != 3 {
+		t.Fatalf("%d attempts, want one per replica", got)
+	}
+}
+
+// TestClusterConcurrentUpdatesRespectIdleCap: goroutines updating distinct
+// names share the client's transport; however many sockets are in flight
+// at once, no replica address ever has more than the cap idle.
+func TestClusterConcurrentUpdatesRespectIdleCap(t *testing.T) {
+	c, cl, _ := startCluster(t, 2, 3, 11)
+	ctx := context.Background()
+	const writers = 64
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		w := w
+		go func() {
+			name := fmt.Sprintf("writer-%02d.test", w)
+			for round := 1; round <= 5; round++ {
+				if _, err := cl.Update(ctx, name, []netaddr.Addr{netaddr.MakeAddr(10, byte(w), byte(round), 1)}); err != nil {
+					errs <- fmt.Errorf("%s round %d: %w", name, round, err)
+					return
+				}
+				for _, row := range c.Addrs() {
+					for _, addr := range row {
+						if n := cl.transport.IdleSockets(addr); n > gns.MaxIdlePerAddr {
+							errs <- fmt.Errorf("%d idle sockets for %s, cap %d", n, addr, gns.MaxIdlePerAddr)
+							return
+						}
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	idle := 0
+	for _, row := range c.Addrs() {
+		for _, addr := range row {
+			idle += cl.transport.IdleSockets(addr)
+		}
+	}
+	if idle == 0 {
+		t.Fatal("no idle sockets after 320 updates: the transport is not pooling")
+	}
 }

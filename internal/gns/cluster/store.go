@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -152,18 +151,9 @@ func (s *Store) Digest(b *strings.Builder, h *fnv64Writer) {
 // fnv64Writer accumulates an FNV-1a hash over digest lines.
 type fnv64Writer struct{ h uint64 }
 
-func newFNV64Writer() *fnv64Writer {
-	h := fnv.New64a()
-	return &fnv64Writer{h: h.Sum64()}
-}
+func newFNV64Writer() *fnv64Writer { return &fnv64Writer{h: fnvOffset64} }
 
-func (w *fnv64Writer) WriteString(s string) {
-	const prime64 = 1099511628211
-	for i := 0; i < len(s); i++ {
-		w.h ^= uint64(s[i])
-		w.h *= prime64
-	}
-}
+func (w *fnv64Writer) WriteString(s string) { w.h = fnvString(w.h, s) }
 
 // Sum returns the accumulated hash.
 func (w *fnv64Writer) Sum() uint64 { return w.h }
@@ -191,13 +181,9 @@ func (s *Store) HandleOp(req gns.Request) (gns.Response, bool) {
 		if len(vv) == 0 {
 			return errResp(fmt.Errorf("%w: vput requires a version vector", gns.ErrBadRequest)), true
 		}
-		addrs := make([]netaddr.Addr, 0, len(req.Addrs))
-		for _, sa := range req.Addrs {
-			a, err := netaddr.ParseAddr(sa)
-			if err != nil {
-				return errResp(fmt.Errorf("%w: bad address: %v", gns.ErrBadRequest, err)), true
-			}
-			addrs = append(addrs, a)
+		addrs, err := parseAddrs(req.Addrs)
+		if err != nil {
+			return errResp(fmt.Errorf("%w: bad address: %v", gns.ErrBadRequest, err)), true
 		}
 		s.Put(VRecord{Name: req.Name, Addrs: addrs, VV: vv})
 		// Acknowledge with the now-stored history: on the fast path the
@@ -207,6 +193,19 @@ func (s *Store) HandleOp(req gns.Request) (gns.Response, bool) {
 		return gns.Response{OK: true, Name: req.Name, Version: stored.VV.Sum(), VV: stored.VV.Encode()}, true
 	}
 	return gns.Response{}, false
+}
+
+// parseAddrs parses a wire address list: all of it or an error.
+func parseAddrs(wire []string) ([]netaddr.Addr, error) {
+	addrs := make([]netaddr.Addr, 0, len(wire))
+	for _, sa := range wire {
+		a, err := netaddr.ParseAddr(sa)
+		if err != nil {
+			return nil, err
+		}
+		addrs = append(addrs, a)
+	}
+	return addrs, nil
 }
 
 // errResp mirrors the server's structured-error form for extension ops.

@@ -155,13 +155,21 @@ func (v VV) Encode() string {
 }
 
 // ParseVV decodes the Encode form. The empty string is the empty history.
+// Whatever it accepts it returns canonical — origins strictly ascending, no
+// zero counters (an absent origin already counts as zero) — so Encode of
+// the result is a fixed point and equal histories hold equal bytes however
+// a peer spelled them; an origin listed twice has no such reading and is an
+// error. Input already in Encode's order, the only kind this module's own
+// writers produce, is parsed in one pass without sorting.
 func ParseVV(s string) (VV, error) {
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	out := make(VV, 0, len(parts))
-	for _, p := range parts {
+	out := make(VV, 0, strings.Count(s, ",")+1)
+	ascending := true
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ",")
 		o, c, ok := strings.Cut(p, ":")
 		if !ok {
 			return nil, fmt.Errorf("cluster: bad vv entry %q", p)
@@ -174,9 +182,22 @@ func ParseVV(s string) (VV, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: bad vv counter %q: %v", c, err)
 		}
+		if ctr == 0 {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].Origin >= origin {
+			ascending = false
+		}
 		out = append(out, VVEntry{Origin: origin, Ctr: ctr})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+	if !ascending {
+		sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+		for i := 1; i < len(out); i++ {
+			if out[i].Origin == out[i-1].Origin {
+				return nil, fmt.Errorf("cluster: vv origin %d listed twice", out[i].Origin)
+			}
+		}
+	}
 	return out, nil
 }
 

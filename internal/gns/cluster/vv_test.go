@@ -112,3 +112,49 @@ func TestVVSupersedesAndTiebreak(t *testing.T) {
 		t.Fatal("longer concurrent history should win the tiebreak")
 	}
 }
+
+func TestParseVVCanonicalises(t *testing.T) {
+	for in, want := range map[string]string{
+		"":                 "",
+		"1:1":              "1:1",
+		"3:1,1:2":          "1:2,3:1",
+		"1:0":              "",
+		"2:5,1:0,4:1":      "2:5,4:1",
+		"4294967296:7,1:1": "1:1,4294967296:7",
+	} {
+		vv, err := ParseVV(in)
+		if err != nil || vv.Encode() != want {
+			t.Errorf("ParseVV(%q) = %q, %v; want %q", in, vv.Encode(), err, want)
+		}
+	}
+	for _, bad := range []string{"1", "1:", ":1", "1:1,", ",1:1", "a:1", "1:b", "1:1,1:2", "2:1,1:1,2:3", "-1:1", "1:1;2:2"} {
+		if vv, err := ParseVV(bad); err == nil {
+			t.Errorf("ParseVV(%q) = %v, want an error", bad, vv)
+		}
+	}
+}
+
+// FuzzParseVV: ParseVV never panics, and what it accepts is canonical:
+// origins strictly ascending, no zero counters, and Encode of it parses
+// back to the same vector and the same bytes.
+func FuzzParseVV(f *testing.F) {
+	for _, s := range []string{"", "1:1", "1:2,4294967296:1", "3:1,1:2", "1:0", "1:1,1:2", "18446744073709551615:18446744073709551615", "1:1,", "a:b", "1:18446744073709551616"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		vv, err := ParseVV(s)
+		if err != nil {
+			return
+		}
+		for i, e := range vv {
+			if e.Ctr == 0 || (i > 0 && vv[i-1].Origin >= e.Origin) {
+				t.Fatalf("ParseVV(%q) = %v: not canonical", s, vv)
+			}
+		}
+		enc := vv.Encode()
+		back, err := ParseVV(enc)
+		if err != nil || back.Compare(vv) != Equal || back.Encode() != enc {
+			t.Fatalf("ParseVV(%q) encodes to %q, which parses to %v (%v)", s, enc, back, err)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package gns
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -97,6 +96,7 @@ func (s *Server) loop() {
 	// peer sent an oversized (or kernel-truncated) request, which gets a
 	// structured rejection instead of a silently mangled parse.
 	buf := make([]byte, maxDatagram+1)
+	var out []byte // reply encoding, reused from one datagram to the next
 	m := s.m()
 	for {
 		n, peer, err := s.conn.ReadFrom(buf)
@@ -122,27 +122,24 @@ func (s *Server) loop() {
 			m.Latency.Observe((m.Clock() - start).Seconds())
 		}
 		m.Inflight.Add(-1)
-		out, err := json.Marshal(resp)
-		if err != nil {
-			// A response that cannot be marshalled still deserves an
-			// answer the client can parse, not a silent drop.
-			out = []byte(`{"ok":false,"code":5,"err":"gns: internal marshal failure"}`)
-		}
+		out = appendResponse(out[:0], &resp)
 		s.conn.WriteTo(out, peer) //nolint:errcheck // lost replies look like drops; the client retries
 	}
 }
 
 // handle dispatches one request. A panic in request handling is converted
 // into a structured error response so one malformed request can never kill
-// the serve loop.
+// the serve loop. Every reply — success, error or converted panic — echoes
+// the request's transaction ID, as far as the request could be parsed.
 func (s *Server) handle(raw []byte) (resp Response) {
+	var req Request
 	defer func() {
 		if r := recover(); r != nil {
 			resp = errorResponse(fmt.Errorf("%w: %v", ErrInternal, r))
 		}
+		resp.ID = req.ID
 	}()
-	var req Request
-	if err := json.Unmarshal(raw, &req); err != nil {
+	if err := decodeRequest(raw, &req); err != nil {
 		return errorResponse(fmt.Errorf("%w: %v", ErrBadRequest, err))
 	}
 	// Continue the client's trace: the serve span parents onto the client

@@ -64,6 +64,7 @@ func TestChaosLookupCausalTree(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.Addr())
+	defer c.Close()
 	c.Timeout = 15 * time.Millisecond
 	c.Retries = 15
 	c.Backoff = reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5}

@@ -8,6 +8,12 @@ import (
 
 // Request is a UDP resolution-protocol message.
 type Request struct {
+	// ID is the transaction ID the Transport stamps on each attempt; the
+	// server echoes it in the reply, and the client discards any reply whose
+	// ID is not the one it is waiting for. It demultiplexes replies on a
+	// reused socket; it is not a secret. Absent (0) from a client that does
+	// not match replies.
+	ID    uint64   `json:"id,omitempty"`
 	Op    string   `json:"op"` // "lookup", "update", or an extension op
 	Name  string   `json:"name"`
 	Addrs []string `json:"addrs,omitempty"`
@@ -51,7 +57,10 @@ const (
 
 // Response is the UDP reply.
 type Response struct {
-	OK bool `json:"ok"`
+	// ID echoes the request's ID (0, absent on the wire, when the request
+	// carried none or could not be parsed far enough to read it).
+	ID uint64 `json:"id,omitempty"`
+	OK bool   `json:"ok"`
 	// Code classifies the error when OK is false; CodeOK (absent on the
 	// wire) otherwise. Err keeps the human-readable detail.
 	Code    Code     `json:"code,omitempty"`

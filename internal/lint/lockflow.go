@@ -22,8 +22,8 @@ import (
 //  2. Locks held across blocking operations: between a Lock/RLock and its
 //     Unlock (or to function end, for defer), no channel send/receive, no
 //     default-less select, and no call into the blocking watchlist —
-//     net dials/reads, time.Sleep, sync.WaitGroup.Wait, gns.Exchange,
-//     reliable.Policy.Do — directly or through a same-package helper that
+//     net dials/reads, time.Sleep, sync.WaitGroup.Wait, gns.Exchange and
+//     gns.Transport.Exchange, reliable.Policy.Do — directly or through a same-package helper that
 //     transitively blocks. A lock held across a network round trip turns
 //     one slow replica into a convoy of every caller.
 //
@@ -289,6 +289,9 @@ func blockingWatchlist(fn *types.Func) string {
 		}
 	case "locind/internal/gns":
 		if name == "Exchange" {
+			if fn.Type().(*types.Signature).Recv() != nil {
+				return "gns.Transport.Exchange (a network round trip with retries, on a pooled socket)"
+			}
 			return "gns.Exchange (a network round trip with retries)"
 		}
 	case "locind/internal/reliable":

@@ -1,11 +1,13 @@
 // Package lockdirty is the dirty arm of the lockflow fixtures: lock
-// copies, blocking operations under a held mutex, a self-deadlock, and an
-// AB/BA acquisition-order inversion.
+// copies, blocking operations under a held mutex (the gns exchanges
+// included), a self-deadlock, and an AB/BA acquisition-order inversion.
 package lockdirty
 
 import (
 	"sync"
 	"time"
+
+	"locind/internal/gns"
 )
 
 // Reg guards a map and a channel.
@@ -30,6 +32,22 @@ func (r *Reg) Wait() {
 	r.mu.Lock()
 	time.Sleep(time.Millisecond) // want `time.Sleep called while holding r.mu`
 	r.mu.Unlock()
+}
+
+// Resolver holds its lock across both gns round trips: the one-shot free
+// function and the pooled Transport method.
+type Resolver struct {
+	mu sync.Mutex
+	tr gns.Transport
+}
+
+func (r *Resolver) Resolve(addr string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := gns.Exchange(addr); err != nil { // want `gns.Exchange \(a network round trip with retries\) called while holding r.mu`
+		return err
+	}
+	return r.tr.Exchange(addr) // want `gns.Transport.Exchange \(a network round trip with retries, on a pooled socket\) called while holding r.mu`
 }
 
 // Push sends on a channel under a deferred unlock.
