@@ -1,49 +1,33 @@
 package asgraph
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard. The heap's
-// only legitimate allocation is growing its backing array, so each
-// measurement warms the array to capacity first and then requires repeated
-// push/pop cycles to be absolutely allocation-free.
+// its measurement, consumed by the generated TestAllocGuard. A reused
+// RouteTable's only legitimate allocations are its arrays and scratch
+// growing to fit the graph, so the measurement first runs every destination
+// once and then requires a second pass over all of them to be absolutely
+// allocation-free.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
-	const frontier = 256
-	warm := func() asHeap {
-		var h asHeap
-		for i := 0; i < frontier; i++ {
-			h.push(asItem{as: int32(i), dist: int32(frontier - i)})
-		}
-		for len(h) > 0 {
-			h.pop()
-		}
-		return h
-	}
 	return map[string]func(t *testing.T) float64{
-		"asHeap.push": func(t *testing.T) float64 {
-			h := warm()
-			return testing.AllocsPerRun(100, func() {
-				for i := 0; i < frontier; i++ {
-					h.push(asItem{as: int32(i), dist: int32(i % 7)})
+		"Graph.RoutesToInto": func(t *testing.T) float64 {
+			cfg := DefaultSynthConfig()
+			cfg.Tier2, cfg.Stubs = 20, 100
+			g, err := Synthesize(cfg, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rt RouteTable
+			pass := func() {
+				for d := 0; d < g.N(); d++ {
+					g.RoutesToInto(&rt, d)
 				}
-				h = h[:0]
-			})
-		},
-		"asHeap.pop": func(t *testing.T) float64 {
-			h := warm()
-			return testing.AllocsPerRun(100, func() {
-				for i := 0; i < frontier; i++ {
-					h.push(asItem{as: int32(i), dist: int32(frontier - i)})
-				}
-				prev := int32(-1 << 30)
-				for len(h) > 0 {
-					it := h.pop()
-					if it.dist < prev {
-						t.Fatal("pop order violated the min-heap invariant")
-					}
-					prev = it.dist
-				}
-			})
+			}
+			pass()
+			return testing.AllocsPerRun(10, pass)
 		},
 	}
 }

@@ -228,6 +228,12 @@ type RouteTable struct {
 	class  []RouteClass
 	dist   []int32
 	parent []int32
+
+	// Scratch of the computation, kept so a reused table (RoutesToInto)
+	// allocates nothing: stage 1's BFS frontiers and stage 3's ASes by
+	// distance.
+	frontier, next []int32
+	level          [][]int32
 }
 
 // Class returns the selected route class at AS x (ClassNone if unreachable).
@@ -293,22 +299,37 @@ func (rt *RouteTable) AppendPath(dst []int, x int) []int {
 // The computation runs in three stages:
 //  1. customer routes — BFS from d along customer→provider edges,
 //  2. peer routes — one peer hop into an AS that selected a customer route,
-//  3. provider routes — Dijkstra down provider→customer edges seeded with
-//     every AS that already selected a route (an AS exports its selected
-//     route, whatever its class, to its customers).
+//  3. provider routes — shortest paths down provider→customer edges seeded
+//     with every AS that already selected a route (an AS exports its
+//     selected route, whatever its class, to its customers).
 func (g *Graph) RoutesTo(d int) *RouteTable {
+	rt := &RouteTable{}
+	g.RoutesToInto(rt, d)
+	return rt
+}
+
+// RoutesToInto is RoutesTo into a caller-held table: rt is overwritten with
+// the routes toward d, reusing its arrays when they already fit g. Callers
+// that compute one table per destination and keep nothing of the last one —
+// bgp.BuildCollectors runs one per prefix origin — hold one RouteTable for
+// the whole pass. The zero RouteTable is ready for use.
+//
+//lint:zeroalloc per destination once rt's arrays and scratch have grown to fit the graph
+func (g *Graph) RoutesToInto(rt *RouteTable, d int) {
 	if d < 0 || d >= g.n {
-		panic(fmt.Sprintf("asgraph: destination %d out of range", d))
+		panic(fmt.Sprintf("asgraph: destination %d out of range", d)) //lint:allow allocflow a caller's bug, not the steady state
 	}
-	rt := &RouteTable{
-		Dest:   d,
-		class:  make([]RouteClass, g.n),
-		dist:   make([]int32, g.n),
-		parent: make([]int32, g.n),
+	rt.Dest = d
+	if cap(rt.class) < g.n {
+		rt.class = make([]RouteClass, g.n)
+		rt.dist = make([]int32, g.n)
+		rt.parent = make([]int32, g.n)
 	}
-	for i := range rt.parent {
-		rt.parent[i] = -1
+	rt.class, rt.dist, rt.parent = rt.class[:g.n], rt.dist[:g.n], rt.parent[:g.n]
+	for i := range rt.class {
+		rt.class[i] = ClassNone
 		rt.dist[i] = -1
+		rt.parent[i] = -1
 	}
 	rt.class[d] = ClassSelf
 	rt.dist[d] = 0
@@ -318,9 +339,9 @@ func (g *Graph) RoutesTo(d int) *RouteTable {
 	// customer c has a customer route (or is d), x hears it. Within the
 	// class, shorter paths first (BFS level order), tie-break on lowest
 	// next-hop ID by scanning candidates per level.
-	frontier := []int32{int32(d)}
+	frontier, next := append(rt.frontier[:0], int32(d)), rt.next[:0]
 	for len(frontier) > 0 {
-		var next []int32
+		next = next[:0]
 		for _, cv := range frontier {
 			for _, pr := range g.providers[cv] {
 				if rt.class[pr] == ClassNone {
@@ -333,148 +354,74 @@ func (g *Graph) RoutesTo(d int) *RouteTable {
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
+	rt.frontier, rt.next = frontier, next
 
 	// Stage 2: peer routes. x hears from peer p iff p selected a customer
-	// route (or p is d); x uses it only if x has no customer route.
-	type peerCand struct {
-		dist   int32
-		parent int32
-	}
-	peerBest := make(map[int32]peerCand)
+	// route (or p is d); x uses it only if x has no customer route. The
+	// result is written in place: a peer route is never an exporting class
+	// here, so an x already given one changes nothing for a later x.
 	for x := 0; x < g.n; x++ {
 		if rt.class[x] != ClassNone {
 			continue
 		}
 		for _, p := range g.peers[x] {
-			var pd int32
-			switch rt.class[p] {
-			case ClassSelf:
-				pd = 0
-			case ClassCustomer:
-				pd = rt.dist[p]
-			default:
+			if c := rt.class[p]; c != ClassSelf && c != ClassCustomer {
 				continue
 			}
-			cand := peerCand{dist: pd + 1, parent: p}
-			if cur, ok := peerBest[int32(x)]; !ok || cand.dist < cur.dist ||
-				(cand.dist == cur.dist && cand.parent < cur.parent) {
-				peerBest[int32(x)] = cand
+			pd := rt.dist[p] + 1
+			if rt.class[x] == ClassNone || pd < rt.dist[x] || (pd == rt.dist[x] && p < rt.parent[x]) {
+				rt.class[x] = ClassPeer
+				rt.dist[x] = pd
+				rt.parent[x] = p
 			}
 		}
-	}
-	for x, cand := range peerBest {
-		rt.class[x] = ClassPeer
-		rt.dist[x] = cand.dist
-		rt.parent[x] = cand.parent
 	}
 
 	// Stage 3: provider routes. Every AS with a selected route exports it to
 	// its customers; a customer lacking customer/peer routes selects the
-	// shortest such provider route. Dijkstra over provider→customer edges.
-	pq := make(asHeap, 0, g.n)
+	// shortest such provider route. Every provider→customer edge costs one
+	// hop, so visiting ASes in order of distance — level[k] holds those at
+	// distance k — finds shortest paths without a priority queue: a customer
+	// first reached from level k is at distance k+1 and no later level can
+	// improve on that. Among the level-k providers that reach it the lowest
+	// ID wins, and a minimum does not depend on the order they are visited.
+	for k := range rt.level {
+		rt.level[k] = rt.level[k][:0]
+	}
 	for x := 0; x < g.n; x++ {
 		if rt.class[x] != ClassNone {
-			pq.push(asItem{as: int32(x), dist: rt.dist[x]})
+			rt.addLevel(rt.dist[x], int32(x))
 		}
 	}
-	for len(pq) > 0 {
-		it := pq.pop()
-		x := it.as
-		if it.dist > rt.dist[x] {
-			continue // stale entry
-		}
-		for _, c := range g.customers[x] {
-			nd := rt.dist[x] + 1
-			switch rt.class[c] {
-			case ClassNone:
-				rt.class[c] = ClassProvider
-				rt.dist[c] = nd
-				rt.parent[c] = x
-				pq.push(asItem{as: c, dist: nd})
-			case ClassProvider:
-				if nd < rt.dist[c] || (nd == rt.dist[c] && x < rt.parent[c]) {
-					if nd < rt.dist[c] {
-						rt.dist[c] = nd
-						rt.parent[c] = x
-						pq.push(asItem{as: c, dist: nd})
-					} else {
+	for k := 0; k < len(rt.level); k++ {
+		// addLevel may grow rt.level[k+1] (and rt.level itself) during the
+		// scan, never rt.level[k].
+		for _, x := range rt.level[k] {
+			for _, c := range g.customers[x] {
+				switch rt.class[c] {
+				case ClassNone:
+					rt.class[c] = ClassProvider
+					rt.dist[c] = int32(k) + 1
+					rt.parent[c] = x
+					rt.addLevel(int32(k)+1, c)
+				case ClassProvider:
+					if rt.dist[c] == int32(k)+1 && x < rt.parent[c] {
 						rt.parent[c] = x
 					}
 				}
 			}
 		}
 	}
-	return rt
 }
 
-type asItem struct {
-	as   int32
-	dist int32
-}
-
-// less orders the Dijkstra frontier by (dist, as). The tuple is a total
-// order over distinct items, so pop order — and with it route selection —
-// does not depend on insertion order or heap internals.
-func (a asItem) less(b asItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
+// addLevel files AS x under distance k for stage 3.
+func (rt *RouteTable) addLevel(k, x int32) {
+	for int(k) >= len(rt.level) {
+		rt.level = append(rt.level, nil)
 	}
-	return a.as < b.as
-}
-
-// asHeap is a hand-rolled binary min-heap. container/heap funnels every
-// Push/Pop through interface{}, boxing one asItem per operation — at
-// WorldBuild scale (one Dijkstra per prefix origin) that boxing alone was a
-// top-three allocator. A typed sift keeps the frontier allocation-free
-// beyond the backing array itself.
-type asHeap []asItem
-
-// push sifts it into the heap.
-//
-//lint:zeroalloc per op once the backing array has grown to capacity
-func (h *asHeap) push(it asItem) {
-	s := append(*h, it)
-	*h = s
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[i].less(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// pop removes and returns the minimum item.
-//
-//lint:zeroalloc per op
-func (h *asHeap) pop() asItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s[r].less(s[l]) {
-			m = r
-		}
-		if !s[m].less(s[i]) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
+	rt.level[k] = append(rt.level[k], x)
 }
 
 // ShortestUndirectedHops ignores policy entirely and returns the hop

@@ -98,21 +98,20 @@ func RIPESpecs() []Spec {
 // computation, so building the RouteViews and RIPE sets together costs the
 // same as building either alone.
 func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
+	all := pt.All()
 	cols := make([]*Collector, 0, len(specs))
 	for _, spec := range specs {
 		c, err := newCollector(g, spec, rng)
 		if err != nil {
 			return nil, err
 		}
-		// Every announced prefix will land in every collector's RIB.
-		c.RIB = NewRIBSized(len(pt.All()))
 		cols = append(cols, c)
 	}
 
 	// Group announced prefixes by origin so each origin's route table is
 	// computed exactly once.
 	byOrigin := map[int][]PrefixOrigin{}
-	for _, po := range pt.All() {
+	for _, po := range all {
 		byOrigin[po.Origin] = append(byOrigin[po.Origin], po)
 	}
 	// Collectors overlap heavily on feed peers (every well-fed collector
@@ -122,21 +121,39 @@ func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.
 	// fresh per origin because the RIBs retain the ASPath slices forever.
 	peerIdx := map[int]int{}
 	var peers []int
-	for _, c := range cols {
-		for _, s := range c.Sessions {
-			if _, ok := peerIdx[s.PeerAS]; !ok {
-				peerIdx[s.PeerAS] = len(peers)
+	// pathOf[ci][si] is the index into paths of collector ci's session si.
+	pathOf := make([][]int, len(cols))
+	for ci, c := range cols {
+		pathOf[ci] = make([]int, len(c.Sessions))
+		for si, s := range c.Sessions {
+			idx, ok := peerIdx[s.PeerAS]
+			if !ok {
+				idx = len(peers)
+				peerIdx[s.PeerAS] = idx
 				peers = append(peers, s.PeerAS)
 			}
+			pathOf[ci][si] = idx
 		}
 	}
+	// Every announced prefix lands in every collector's RIB with at most
+	// one candidate per session, so one slab per collector holds all its
+	// routes. A prefix's candidates are written back to back, in session
+	// order, and entered in the map once as a capacity-clipped sub-slice:
+	// a later RIB.Add on that prefix must reallocate, not run into the
+	// next prefix's candidates. pt announces each prefix once.
+	routeSlabs := make([][]Route, len(cols))
+	for ci, c := range cols {
+		c.RIB = NewRIBSized(len(all))
+		routeSlabs[ci] = make([]Route, 0, len(all)*len(c.Sessions))
+	}
 	paths := make([][]int, len(peers))
+	var rt asgraph.RouteTable
 	for origin := 0; origin < g.N(); origin++ {
 		pos := byOrigin[origin]
 		if len(pos) == 0 {
 			continue
 		}
-		rt := g.RoutesTo(origin)
+		g.RoutesToInto(&rt, origin)
 		need := 0
 		for _, p := range peers {
 			if rt.Has(p) {
@@ -153,22 +170,28 @@ func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.
 			slab = rt.AppendPath(slab, p)
 			paths[i] = slab[lo:len(slab):len(slab)]
 		}
-		for _, c := range cols {
-			for _, s := range c.Sessions {
-				path := paths[peerIdx[s.PeerAS]]
-				if path == nil {
-					continue
-				}
-				for _, po := range pos {
-					c.RIB.AddHint(Route{
+		for ci, c := range cols {
+			routes := routeSlabs[ci]
+			for _, po := range pos {
+				lo := len(routes)
+				for si, s := range c.Sessions {
+					path := paths[pathOf[ci][si]]
+					if path == nil {
+						continue
+					}
+					routes = append(routes, Route{
 						Prefix:  po.Prefix,
 						NextHop: s.PeerAS,
 						MED:     s.MED,
 						ASPath:  path,
 						Rel:     s.Rel,
-					}, len(c.Sessions))
+					})
+				}
+				if len(routes) > lo {
+					c.RIB.byPrefix[po.Prefix] = routes[lo:len(routes):len(routes)]
 				}
 			}
+			routeSlabs[ci] = routes
 		}
 	}
 	for _, c := range cols {
@@ -208,7 +231,7 @@ func newCollector(g *asgraph.Graph, spec Spec, rng *rand.Rand) (*Collector, erro
 		return nil, fmt.Errorf("bgp: no transit ASes available for collector %q", spec.Name)
 	}
 	host := local[rng.Intn(len(local))]
-	c := &Collector{Name: spec.Name, Region: spec.Region, HostAS: host, RIB: NewRIB()}
+	c := &Collector{Name: spec.Name, Region: spec.Region, HostAS: host}
 	seen := map[int]bool{host: true}
 	// Every real collector's first and steadiest feeds are the large
 	// transit networks: seed the session list with the regional mega (and,

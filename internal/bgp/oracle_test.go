@@ -1,0 +1,158 @@
+package bgp
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"locind/internal/asgraph"
+	"locind/internal/netaddr"
+)
+
+// addHint is the per-route insert BuildCollectors used before candidates
+// were slabbed: a map read, a right-sized make on a prefix's first route,
+// and a map write for every route.
+func addHint(r *RIB, rt Route, hint int) {
+	rs, ok := r.byPrefix[rt.Prefix]
+	if !ok && hint > 1 {
+		rs = make([]Route, 0, hint)
+	}
+	r.byPrefix[rt.Prefix] = append(rs, rt)
+}
+
+// buildCollectorsByRoute is that build, kept as the oracle for the slab
+// build: collector → session → prefix, one addHint per route, a fresh
+// RoutesTo per origin. It draws from rng exactly as BuildCollectors does.
+func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
+	cols := make([]*Collector, 0, len(specs))
+	for _, spec := range specs {
+		c, err := newCollector(g, spec, rng)
+		if err != nil {
+			return nil, err
+		}
+		c.RIB = NewRIBSized(len(pt.All()))
+		cols = append(cols, c)
+	}
+	byOrigin := map[int][]PrefixOrigin{}
+	for _, po := range pt.All() {
+		byOrigin[po.Origin] = append(byOrigin[po.Origin], po)
+	}
+	for origin := 0; origin < g.N(); origin++ {
+		pos := byOrigin[origin]
+		if len(pos) == 0 {
+			continue
+		}
+		rt := g.RoutesTo(origin)
+		for _, c := range cols {
+			for _, s := range c.Sessions {
+				path := rt.Path(s.PeerAS)
+				if path == nil {
+					continue
+				}
+				for _, po := range pos {
+					addHint(c.RIB, Route{
+						Prefix:  po.Prefix,
+						NextHop: s.PeerAS,
+						MED:     s.MED,
+						ASPath:  path,
+						Rel:     s.Rel,
+					}, len(c.Sessions))
+				}
+			}
+		}
+	}
+	for _, c := range cols {
+		c.FIB = c.RIB.DeriveFIB()
+	}
+	return cols, nil
+}
+
+type fibEntry struct {
+	Prefix netaddr.Prefix
+	Route  Route
+}
+
+func fibEntries(f *FIB) []fibEntry {
+	var out []fibEntry
+	f.Walk(func(p netaddr.Prefix, rt Route) bool {
+		out = append(out, fibEntry{p, rt})
+		return true
+	})
+	return out
+}
+
+// TestBuildCollectorsMatchesByRouteOracle builds all 25 collectors both
+// ways on three internets and requires the same sessions, the same
+// candidates in the same order for every prefix, the same FIB walk, and a
+// byte-identical RIB dump.
+func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
+	specs := append(RouteViewsSpecs(), RIPESpecs()...)
+	for _, seed := range []int64{4, 5, 6} {
+		g, pt := testInternet(t, seed)
+		got, err := BuildCollectors(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildCollectorsByRoute(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			c := got[i]
+			if c.Name != w.Name || c.HostAS != w.HostAS || !reflect.DeepEqual(c.Sessions, w.Sessions) {
+				t.Fatalf("seed %d: collector %s: identity or sessions differ from the oracle", seed, w.Name)
+			}
+			if c.RIB.NumPrefixes() != w.RIB.NumPrefixes() {
+				t.Fatalf("seed %d: %s: %d RIB prefixes, oracle has %d", seed, w.Name, c.RIB.NumPrefixes(), w.RIB.NumPrefixes())
+			}
+			for _, p := range w.RIB.Prefixes() {
+				if !reflect.DeepEqual(c.RIB.Routes(p), w.RIB.Routes(p)) {
+					t.Fatalf("seed %d: %s: candidates for %v differ from the oracle\n got %v\nwant %v",
+						seed, w.Name, p, c.RIB.Routes(p), w.RIB.Routes(p))
+				}
+			}
+			if !reflect.DeepEqual(fibEntries(c.FIB), fibEntries(w.FIB)) {
+				t.Fatalf("seed %d: %s: FIB walk differs from the oracle", seed, w.Name)
+			}
+			var gb, wb bytes.Buffer
+			if err := WriteRIB(&gb, c.Name, c.RIB); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteRIB(&wb, w.Name, w.RIB); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("seed %d: %s: RIB dump differs from the oracle", seed, w.Name)
+			}
+		}
+	}
+}
+
+// TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone adds a second route for
+// one prefix of a batch-built RIB — every prefix in turn — and requires
+// every other prefix's candidates to stay as they were. The batch build
+// packs all candidates of a collector into one slab; a sub-slice left with
+// spare capacity would let the append write over the next prefix's first
+// candidate.
+func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
+	g, pt := testInternet(t, 4)
+	cols, err := BuildCollectors(g, pt, RouteViewsSpecs()[:2], rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rib := cols[0].RIB
+	before := map[netaddr.Prefix][]Route{}
+	for _, p := range rib.Prefixes() {
+		before[p] = append([]Route(nil), rib.Routes(p)...)
+	}
+	for _, p := range rib.Prefixes() {
+		rib.Add(Route{Prefix: p, NextHop: -7, ASPath: []int{-7}, Rel: asgraph.RelProvider})
+	}
+	for p, want := range before {
+		got := rib.Routes(p)
+		if len(got) != len(want)+1 || !reflect.DeepEqual(got[:len(want)], want) || got[len(want)].NextHop != -7 {
+			t.Fatalf("candidates of %v changed under Add on other prefixes:\n got %v\nwant %v + the added route", p, got, want)
+		}
+	}
+}

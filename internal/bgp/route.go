@@ -97,19 +97,6 @@ func (r *RIB) Add(rt Route) {
 	r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], rt)
 }
 
-// AddHint is Add with a capacity hint for the prefix's candidate list: a
-// prefix's first insert allocates room for hint routes up front. Collector
-// builds know the exact ceiling (one candidate per feed session), which
-// turns the per-prefix append-growth reallocations into a single right-sized
-// allocation.
-func (r *RIB) AddHint(rt Route, hint int) {
-	rs, ok := r.byPrefix[rt.Prefix]
-	if !ok && hint > 1 {
-		rs = make([]Route, 0, hint)
-	}
-	r.byPrefix[rt.Prefix] = append(rs, rt)
-}
-
 // NumPrefixes returns the number of distinct prefixes with at least one
 // route.
 func (r *RIB) NumPrefixes() int { return len(r.byPrefix) }

@@ -80,13 +80,14 @@ func Build(g *asgraph.Graph, targets []int, numTraces int, rng *rand.Rand) *Pred
 	if len(targets) == 0 || numTraces <= 0 {
 		return p
 	}
+	var rt asgraph.RouteTable // one table for all traces; only the path is kept
 	for i := 0; i < numTraces; i++ {
 		dst := targets[rng.Intn(len(targets))]
 		src := targets[rng.Intn(len(targets))]
 		if src == dst {
 			continue
 		}
-		rt := g.RoutesTo(dst)
+		g.RoutesToInto(&rt, dst)
 		path := rt.Path(src)
 		if len(path) < 2 {
 			continue

@@ -1,15 +1,21 @@
 package netaddr
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
-// FuzzLPMLookup drives the radix trie with an arbitrary insert/remove
+// FuzzLPMLookup drives the radix trie with an arbitrary insert/remove/grow
 // script and cross-checks every lookup against a naive linear scan over a
-// reference map: the trie must agree with the definition of longest-prefix
-// match on every script the fuzzer invents.
+// reference map, and the walk against the sorted reference: the trie must
+// agree with the definition of longest-prefix match, and visit exactly its
+// prefixes in order, on every script the fuzzer invents.
 //
 // Script encoding: each 5-byte chunk is one operation — four address
 // octets, then a control byte whose value mod 33 is the prefix length and
-// whose high bit selects remove instead of insert.
+// whose high bit selects remove instead of insert. A control byte with bit
+// 0x40 set and the high bit clear is instead Grow by the first octet: it
+// must change nothing observable, whatever slots Remove has freed.
 func FuzzLPMLookup(f *testing.F) {
 	// One default route, nested /8 /24 /32 around one address, a removal.
 	f.Add([]byte{
@@ -26,6 +32,9 @@ func FuzzLPMLookup(f *testing.F) {
 		10, 0, 0, 0, 8,
 		10, 0, 0, 129, 32,
 	})
+	// testdata/fuzz/FuzzLPMLookup holds the seeds for the value table: a
+	// freed slot reused under a different prefix, with Grow re-cutting the
+	// table while the slot is free.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tr Trie[int]
 		ref := map[Prefix]int{}
@@ -35,6 +44,10 @@ func FuzzLPMLookup(f *testing.F) {
 			ctl := data[i+4]
 			p := MakePrefix(a, int(ctl%33))
 			queries = append(queries, a)
+			if ctl&0xC0 == 0x40 {
+				tr.Grow(int(data[i]))
+				continue
+			}
 			if ctl&0x80 != 0 {
 				_, present := ref[p]
 				if removed := tr.Remove(p); removed != present {
@@ -56,6 +69,22 @@ func FuzzLPMLookup(f *testing.F) {
 			if got, ok := tr.Get(p); !ok || got != v {
 				t.Fatalf("Get(%v) = %d, %v; reference holds %d", p, got, ok, v)
 			}
+		}
+		sorted := make([]Prefix, 0, len(ref))
+		for p := range ref {
+			sorted = append(sorted, p)
+		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
+		visited := 0
+		tr.Walk(func(p Prefix, v int) bool {
+			if visited >= len(sorted) || p != sorted[visited] || v != ref[p] {
+				t.Fatalf("Walk visit %d = %v, %d; sorted reference holds %v", visited, p, v, sorted)
+			}
+			visited++
+			return true
+		})
+		if visited != len(sorted) {
+			t.Fatalf("Walk visited %d prefixes, reference holds %d", visited, len(sorted))
 		}
 		queries = append(queries, 0, 1<<31, ^Addr(0))
 		for _, q := range queries {

@@ -6,49 +6,57 @@ package netaddr
 //
 // The implementation is a straightforward path-per-bit binary trie: lookups
 // cost at most 32 node visits, which is plenty for FIBs with a few hundred
-// thousand entries and keeps the code auditable. Nodes are allocated from a
-// flat slice to keep the structure compact and GC-friendly.
+// thousand entries and keeps the code auditable. Most nodes are interior, so
+// values live out of line: nodes are 12 bytes whatever V is, and a lookup
+// reads the value table once, at the end.
 type Trie[V any] struct {
-	nodes []trieNode[V]
-	size  int
+	nodes []trieNode // nodes[0] is the root
+	vals  []V        // value table: one slot per stored prefix, plus the vacated slots in free
+	free  []int32    // slots of vals vacated by Remove; Insert drains these first
 }
 
-type trieNode[V any] struct {
+type trieNode struct {
 	child [2]int32 // index into nodes, 0 = none (node 0 is the root)
-	val   V
-	set   bool
+	val   int32    // index into vals plus one, 0 = no prefix ends here
 }
+
+// growNodesPerPrefix is Grow's node estimate. The synthesized tables use 5.0
+// nodes per prefix at every world size (a /16 per AS plus /24 more-specifics
+// share long stems; DESIGN.md §5 has the counts); 8 leaves headroom without
+// reserving several times what the table will hold.
+const growNodesPerPrefix = 8
 
 func (t *Trie[V]) root() int32 {
 	if len(t.nodes) == 0 {
-		t.nodes = append(t.nodes, trieNode[V]{})
+		t.nodes = append(t.nodes, trieNode{})
 	}
 	return 0
 }
 
 // Len returns the number of prefixes stored in the trie.
-func (t *Trie[V]) Len() int { return t.size }
+func (t *Trie[V]) Len() int { return len(t.vals) - len(t.free) }
 
-// Grow pre-sizes the node arena for roughly n additional prefixes, so bulk
-// builders (FIB derivation inserts every prefix of a RIB in one pass) avoid
-// the append-doubling reallocations of growing the arena a node at a time.
-// The estimate charges each prefix its full bit depth minus the shared stem;
-// it only ever reserves capacity, never shrinks.
+// Grow pre-sizes the trie for n additional prefixes, so bulk builders (FIB
+// derivation inserts every prefix of a RIB in one pass) avoid the
+// append-doubling reallocations of growing a slot at a time. The value table
+// is reserved exactly; the node arena by estimate, and a table that outgrows
+// the estimate falls back to append growth. Grow only ever reserves
+// capacity, never shrinks.
 func (t *Trie[V]) Grow(n int) {
 	if n <= 0 {
 		return
 	}
 	t.root()
-	// Prefixes in one table share long stems; 24 nodes per prefix is a
-	// generous estimate that still stays within small multiples of the
-	// final size for realistic FIBs.
-	need := len(t.nodes) + n*24
-	if cap(t.nodes) >= need {
-		return
+	if need := len(t.vals) + n - len(t.free); need > cap(t.vals) {
+		vs := make([]V, len(t.vals), need)
+		copy(vs, t.vals)
+		t.vals = vs
 	}
-	ns := make([]trieNode[V], len(t.nodes), need)
-	copy(ns, t.nodes)
-	t.nodes = ns
+	if need := len(t.nodes) + n*growNodesPerPrefix; need > cap(t.nodes) {
+		ns := make([]trieNode, len(t.nodes), need)
+		copy(ns, t.nodes)
+		t.nodes = ns
+	}
 }
 
 // Insert associates v with prefix p, replacing any existing value. It reports
@@ -59,62 +67,69 @@ func (t *Trie[V]) Insert(p Prefix, v V) bool {
 	for i := 0; i < p.Bits(); i++ {
 		b := a.Bit(i)
 		if t.nodes[n].child[b] == 0 {
-			t.nodes = append(t.nodes, trieNode[V]{})
+			t.nodes = append(t.nodes, trieNode{})
 			t.nodes[n].child[b] = int32(len(t.nodes) - 1)
 		}
 		n = t.nodes[n].child[b]
 	}
-	fresh := !t.nodes[n].set
-	t.nodes[n].val = v
-	t.nodes[n].set = true
-	if fresh {
-		t.size++
+	if slot := t.nodes[n].val; slot != 0 {
+		t.vals[slot-1] = v
+		return false
 	}
-	return fresh
+	if k := len(t.free); k > 0 {
+		slot := t.free[k-1]
+		t.free = t.free[:k-1]
+		t.vals[slot] = v
+		t.nodes[n].val = slot + 1
+	} else {
+		t.vals = append(t.vals, v)
+		t.nodes[n].val = int32(len(t.vals))
+	}
+	return true
+}
+
+// find returns the node at the end of p's bit path, or false when the path
+// leaves the trie. The node may hold no value.
+func (t *Trie[V]) find(p Prefix) (int32, bool) {
+	if len(t.nodes) == 0 {
+		return 0, false
+	}
+	n := int32(0)
+	a := p.Addr()
+	for i := 0; i < p.Bits(); i++ {
+		n = t.nodes[n].child[a.Bit(i)]
+		if n == 0 {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // Get returns the value stored for exactly prefix p.
 func (t *Trie[V]) Get(p Prefix) (V, bool) {
+	if n, ok := t.find(p); ok && t.nodes[n].val != 0 {
+		return t.vals[t.nodes[n].val-1], true
+	}
 	var zero V
-	if len(t.nodes) == 0 {
-		return zero, false
-	}
-	n := int32(0)
-	a := p.Addr()
-	for i := 0; i < p.Bits(); i++ {
-		n = t.nodes[n].child[a.Bit(i)]
-		if n == 0 {
-			return zero, false
-		}
-	}
-	if !t.nodes[n].set {
-		return zero, false
-	}
-	return t.nodes[n].val, true
+	return zero, false
 }
 
-// Remove deletes the exact prefix p, reporting whether it was present. Nodes
-// are not physically reclaimed (the trie is append-only internally), which is
-// fine for our workloads where removals are rare.
+// Remove deletes the exact prefix p, reporting whether it was present. The
+// value slot is zeroed and handed to the next Insert, so tables that flap
+// (BGP withdraw/re-announce, intradomain host routes) hold one slot per live
+// prefix. Nodes are not reclaimed: an emptied bit path stays for the next
+// insert under it, which is fine for our workloads where removals are rare
+// and re-announce the same prefixes.
 func (t *Trie[V]) Remove(p Prefix) bool {
-	if len(t.nodes) == 0 {
+	n, ok := t.find(p)
+	if !ok || t.nodes[n].val == 0 {
 		return false
 	}
-	n := int32(0)
-	a := p.Addr()
-	for i := 0; i < p.Bits(); i++ {
-		n = t.nodes[n].child[a.Bit(i)]
-		if n == 0 {
-			return false
-		}
-	}
-	if !t.nodes[n].set {
-		return false
-	}
+	slot := t.nodes[n].val - 1
 	var zero V
-	t.nodes[n].set = false
-	t.nodes[n].val = zero
-	t.size--
+	t.vals[slot] = zero
+	t.free = append(t.free, slot)
+	t.nodes[n].val = 0
 	return true
 }
 
@@ -123,76 +138,63 @@ func (t *Trie[V]) Remove(p Prefix) bool {
 //
 //lint:zeroalloc per probe; sits on the innermost loop of every strategy replay
 func (t *Trie[V]) Lookup(a Addr) (V, bool) {
-	var best V
-	found := false
-	if len(t.nodes) == 0 {
-		return best, false
+	nodes := t.nodes
+	if len(nodes) == 0 {
+		var zero V
+		return zero, false
 	}
 	n := int32(0)
-	if t.nodes[0].set {
-		best, found = t.nodes[0].val, true
-	}
+	best := nodes[0].val
 	for i := 0; i < 32; i++ {
-		n = t.nodes[n].child[a.Bit(i)]
+		n = nodes[n].child[a.Bit(i)]
 		if n == 0 {
 			break
 		}
-		if t.nodes[n].set {
-			best, found = t.nodes[n].val, true
+		if v := nodes[n].val; v != 0 {
+			best = v
 		}
 	}
-	return best, found
+	if best == 0 {
+		var zero V
+		return zero, false
+	}
+	return t.vals[best-1], true
 }
 
 // LookupPrefix is like Lookup but also returns the matching prefix itself.
 func (t *Trie[V]) LookupPrefix(a Addr) (Prefix, V, bool) {
-	var bestV V
-	var bestP Prefix
-	found := false
-	if len(t.nodes) == 0 {
-		return bestP, bestV, false
-	}
-	n := int32(0)
-	if t.nodes[0].set {
-		bestP, bestV, found = MakePrefix(0, 0), t.nodes[0].val, true
-	}
-	for i := 0; i < 32; i++ {
-		n = t.nodes[n].child[a.Bit(i)]
-		if n == 0 {
-			break
-		}
-		if t.nodes[n].set {
-			bestP, bestV, found = MakePrefix(a, i+1), t.nodes[n].val, true
-		}
-	}
-	return bestP, bestV, found
+	return t.longest(a, 32)
 }
 
 // Parent returns the value of the longest strict ancestor prefix of p that is
 // present in the trie, i.e. what an address in p would match if p itself were
 // removed.
 func (t *Trie[V]) Parent(p Prefix) (Prefix, V, bool) {
-	var bestV V
-	var bestP Prefix
-	found := false
-	if len(t.nodes) == 0 {
-		return bestP, bestV, false
+	return t.longest(p.Addr(), p.Bits()-1)
+}
+
+// longest returns the most specific stored prefix of at most maxBits bits
+// covering a; maxBits < 0 matches nothing.
+func (t *Trie[V]) longest(a Addr, maxBits int) (Prefix, V, bool) {
+	var zero V
+	if len(t.nodes) == 0 || maxBits < 0 {
+		return Prefix{}, zero, false
 	}
 	n := int32(0)
-	if t.nodes[0].set && p.Bits() > 0 {
-		bestP, bestV, found = MakePrefix(0, 0), t.nodes[0].val, true
-	}
-	a := p.Addr()
-	for i := 0; i < p.Bits()-1; i++ {
+	best, bestBits := t.nodes[0].val, 0
+	for i := 0; i < maxBits; i++ {
 		n = t.nodes[n].child[a.Bit(i)]
 		if n == 0 {
 			break
 		}
-		if t.nodes[n].set {
-			bestP, bestV, found = MakePrefix(a, i+1), t.nodes[n].val, true
+		if v := t.nodes[n].val; v != 0 {
+			best, bestBits = v, i+1
 		}
 	}
-	return bestP, bestV, found
+	if best == 0 {
+		return Prefix{}, zero, false
+	}
+	return MakePrefix(a, bestBits), t.vals[best-1], true
 }
 
 // Walk visits every stored prefix in lexicographic (address, then length)
@@ -205,9 +207,9 @@ func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
 }
 
 func (t *Trie[V]) walk(n int32, addr Addr, depth int, fn func(Prefix, V) bool) bool {
-	nd := &t.nodes[n]
-	if nd.set {
-		if !fn(MakePrefix(addr, depth), nd.val) {
+	nd := t.nodes[n]
+	if nd.val != 0 {
+		if !fn(MakePrefix(addr, depth), t.vals[nd.val-1]) {
 			return false
 		}
 	}
@@ -229,7 +231,7 @@ func (t *Trie[V]) walk(n int32, addr Addr, depth int, fn func(Prefix, V) bool) b
 
 // Prefixes returns all stored prefixes in walk order.
 func (t *Trie[V]) Prefixes() []Prefix {
-	out := make([]Prefix, 0, t.size)
+	out := make([]Prefix, 0, t.Len())
 	t.Walk(func(p Prefix, _ V) bool {
 		out = append(out, p)
 		return true

@@ -276,3 +276,69 @@ func TestTrieGrowPreservesEntries(t *testing.T) {
 		t.Fatalf("post-Grow insert broken: %d", v)
 	}
 }
+
+// TestTrieRemoveReusesValueSlots flaps 64 prefixes ten thousand times, the
+// way BGP withdraw/re-announce and intradomain host routes do: with values
+// out of line, a Remove that did not hand its slot to the next Insert would
+// leave one dead value behind per flap.
+func TestTrieRemoveReusesValueSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	prefixes := make([]Prefix, 64)
+	for i := range prefixes {
+		prefixes[i] = MakePrefix(MakeAddr(byte(i), byte(rng.Intn(256)), 0, 0), 16+rng.Intn(9))
+	}
+	var tr Trie[int]
+	live := map[Prefix]int{}
+	for i := 0; i < 10000; i++ {
+		p := prefixes[rng.Intn(len(prefixes))]
+		if _, ok := live[p]; ok {
+			tr.Remove(p)
+			delete(live, p)
+		} else {
+			tr.Insert(p, i)
+			live[p] = i
+		}
+	}
+	if len(tr.vals) > len(prefixes) {
+		t.Fatalf("value table holds %d slots after flapping %d prefixes; removed slots are not reused", len(tr.vals), len(prefixes))
+	}
+	if tr.Len() != len(live) {
+		t.Fatalf("Len() = %d, %d prefixes are live", tr.Len(), len(live))
+	}
+	for p, v := range live {
+		if got, ok := tr.Get(p); !ok || got != v {
+			t.Fatalf("Get(%v) = %d, %v; want %d", p, got, ok, v)
+		}
+	}
+	for _, p := range prefixes {
+		if _, ok := live[p]; !ok {
+			if _, ok := tr.Get(p); ok {
+				t.Fatalf("removed prefix %v still answers Get", p)
+			}
+		}
+	}
+}
+
+// TestTrieGrowReservesExactly pins what Grow promises bulk builders: room
+// for exactly n values, and a node arena that a table shaped like the
+// synthesized address plan (a /16 and one /24 per AS) fills without
+// regrowing or leaving more than half of it empty.
+func TestTrieGrowReservesExactly(t *testing.T) {
+	const ases = 792
+	var tr Trie[int]
+	tr.Grow(2 * ases)
+	if cap(tr.vals) != 2*ases {
+		t.Fatalf("Grow(%d) reserved %d values", 2*ases, cap(tr.vals))
+	}
+	reserved := cap(tr.nodes)
+	for as := 0; as < ases; as++ {
+		tr.Insert(MakePrefix(Addr(uint32(as)<<16), 16), as)
+		tr.Insert(MakePrefix(Addr(uint32(as)<<16), 24), as)
+	}
+	if cap(tr.nodes) != reserved || cap(tr.vals) != 2*ases {
+		t.Fatalf("table outgrew its reservation: nodes %d -> %d, values %d -> %d", reserved, cap(tr.nodes), 2*ases, cap(tr.vals))
+	}
+	if len(tr.nodes)*2 < reserved {
+		t.Fatalf("Grow reserved %d nodes for a table that uses %d", reserved, len(tr.nodes))
+	}
+}
