@@ -13,12 +13,9 @@ import (
 // comparison is the outcome of diffing two snapshots, separated so the
 // regression gate can render and gate on it independently.
 type comparison struct {
-	rows        []compareRow
-	memoOld     float64
-	memoNew     float64
-	memoDropped bool
-	added       []string
-	removed     []string
+	rows    []compareRow
+	added   []string
+	removed []string
 }
 
 type compareRow struct {
@@ -29,18 +26,13 @@ type compareRow struct {
 	regression bool
 }
 
-// memoHitRateSlack is how far the memo hit rate may drop before the gate
-// flags it. The rate is a workload property under a fixed seed, so any real
-// drop means the memo itself changed; the slack only absorbs float
-// rendering differences.
-const memoHitRateSlack = 0.005
-
 // compare diffs two BENCH_<n>.json snapshots and renders a report to w.
 // A benchmark regresses when its ns/op grew by more than thresholdPct
-// percent; the memo hit rate regresses when it dropped by more than
-// memoHitRateSlack. With annotate set, each regression also emits a GitHub
-// Actions ::warning line so CI surfaces it without failing the build.
-// It returns the number of regressions.
+// percent. The memo hit rate is printed and never gated: it describes a
+// mechanism, and a change that takes lookups away from the memo lowers it
+// while making every outcome better. With annotate set, each regression
+// also emits a GitHub Actions ::warning line. It returns the number of
+// regressions.
 func compare(out io.Writer, oldPath, newPath string, thresholdPct float64, annotate bool) (int, error) {
 	oldSnap, err := loadSnapshot(oldPath)
 	if err != nil {
@@ -76,15 +68,7 @@ func compare(out io.Writer, oldPath, newPath string, thresholdPct float64, annot
 	for _, n := range c.removed {
 		fmt.Fprintf(w, "%-40s %15s %15s %9s\n", n, "gone", "-", "")
 	}
-	fmt.Fprintf(w, "\nmemo hit rate: %.3f -> %.3f", c.memoOld, c.memoNew)
-	if c.memoDropped {
-		regressions++
-		fmt.Fprint(w, "  <-- REGRESSION")
-		if annotate {
-			fmt.Fprintf(w, "\n::warning title=memo regression::memo hit rate dropped %.3f -> %.3f", c.memoOld, c.memoNew)
-		}
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "\nmemo hit rate: %.3f -> %.3f (reported, not gated)\n", oldSnap.Memo.HitRate, newSnap.Memo.HitRate)
 	if regressions > 0 {
 		fmt.Fprintf(w, "%d regression(s) beyond the gate\n", regressions)
 	} else {
@@ -107,8 +91,7 @@ func diff(oldSnap, newSnap *snapshot, thresholdPct float64) comparison {
 	for _, b := range newSnap.Benchmarks {
 		newBy[b.Name] = b
 	}
-	c := comparison{memoOld: oldSnap.Memo.HitRate, memoNew: newSnap.Memo.HitRate}
-	c.memoDropped = c.memoOld-c.memoNew > memoHitRateSlack
+	var c comparison
 	for name, ob := range oldBy {
 		nb, ok := newBy[name]
 		if !ok {

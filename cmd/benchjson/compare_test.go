@@ -90,6 +90,8 @@ func TestCompareCleanRun(t *testing.T) {
 	}
 }
 
+// A lower memo hit rate is printed but is not a regression: the rate is a
+// property of how the evaluator is built, not of what it delivers.
 func TestCompareMemoHitRateDrop(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeSnap(t, dir, "old.json", snapWith([]benchResult{{Name: "BenchmarkX", NsPerOp: 100}}, 0.90))
@@ -99,8 +101,8 @@ func TestCompareMemoHitRateDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || !strings.Contains(b.String(), "memo hit rate: 0.900 -> 0.800  <-- REGRESSION") {
-		t.Fatalf("memo drop not flagged (n=%d):\n%s", n, b.String())
+	if n != 0 || !strings.Contains(b.String(), "memo hit rate: 0.900 -> 0.800 (reported, not gated)\nno regressions") {
+		t.Fatalf("memo drop must be reported and not gated (n=%d):\n%s", n, b.String())
 	}
 }
 

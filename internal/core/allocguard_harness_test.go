@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"locind/internal/cdn"
@@ -68,6 +69,18 @@ func allocGuardHarness() map[string]func(t *testing.T) float64 {
 						t.Fatal("pooled replay saw no events")
 					}
 				})
+			}
+			// A second pass over the pool inside one call finds the scratch
+			// warm: it may cost what Timeline.Walk allocates for its own
+			// buffers and nothing on top.
+			walkAllocs := testing.AllocsPerRun(10, func() {
+				for i := range small {
+					small[i].Walk(func(cdn.Event, []netaddr.Addr, []netaddr.Addr) {})
+				}
+			})
+			twice := slices.Concat(small, small)
+			if extra := poolAllocs(twice) - poolAllocs(small) - walkAllocs; extra != 0 {
+				t.Errorf("second pass over the pool allocates %.1f times beyond Timeline.Walk's own", extra)
 			}
 			return poolAllocs(large) - poolAllocs(small)
 		},

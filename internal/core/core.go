@@ -239,28 +239,61 @@ func (s *StrategyStats) Add(o StrategyStats) {
 	s.Union.Add(o.Union)
 }
 
-// fusedEval is the reusable scratch of the fused replay: two ping-pong
-// sorted port sets and the cumulative union set, all plain int slices. The
-// map-and-string-key formulation this replaces allocated a port-set map, an
-// output slice, and a canonical string per event; the slice formulation
-// allocates only while the buffers warm up, so a shard of timelines replays
-// with a constant allocation count no matter how many events it holds.
+// resolved is what one address contributes at one router: the output port
+// and AS-path length of its selected route, or ok == false for no route.
+type resolved struct {
+	port, pathLen int
+	ok            bool
+}
+
+// fusedEval is the reusable scratch of the fused replay. res holds one
+// resolution per address of the current set, in Timeline.Walk's sorted
+// order, so the router is asked about an address once, when it enters the
+// set, not at every event the address lives through; the port sets (two
+// ping-pong buffers and the cumulative union) are read from res alone.
+// Everything is a plain slice that allocates only while it warms up, so a
+// shard of timelines replays with an allocation count independent of its
+// events.
 type fusedEval struct {
+	res, next          []resolved
 	ports, prev, union []int
 }
 
-// appendPortSet writes the sorted, deduplicated eligible-port set of addrs
-// into buf (reusing its capacity) — PortSet without the map and the fresh
-// output slice.
-func appendPortSet(r PortLookup, addrs []netaddr.Addr, buf []int) []int {
-	buf = buf[:0]
-	for _, a := range addrs {
-		if p, ok := r.Port(a); ok {
-			buf = append(buf, p)
+// advance moves the evaluator from the sorted set before, which f.res is
+// aligned with, to the sorted set after: one ordered merge in which an
+// address that stayed keeps its entry and an address that entered is
+// resolved (r must answer the same for an address for as long as the replay
+// runs). It leaves after's sorted, deduplicated eligible ports in f.ports and
+// returns its best port in BestPortOf's order — whose last tie-break, the
+// address, never decides the port: two routes tied on (path length, next
+// hop) leave through the same one.
+func (f *fusedEval) advance(r RouteLookup, before, after []netaddr.Addr) (best int, ok bool) {
+	f.next, f.ports = f.next[:0], f.ports[:0]
+	var i, bestLen int
+	for _, a := range after {
+		for i < len(before) && before[i] < a {
+			i++
+		}
+		var e resolved
+		if i < len(before) && before[i] == a {
+			e = f.res[i]
+		} else {
+			rt, routed := r.RouteFor(a)
+			e = resolved{port: rt.NextHop, pathLen: rt.PathLen(), ok: routed}
+		}
+		f.next = append(f.next, e)
+		if !e.ok {
+			continue
+		}
+		f.ports = append(f.ports, e.port)
+		if !ok || e.pathLen < bestLen || (e.pathLen == bestLen && e.port < best) {
+			best, bestLen, ok = e.port, e.pathLen, true
 		}
 	}
-	slices.Sort(buf)
-	return slices.Compact(buf)
+	f.res, f.next = f.next, f.res
+	slices.Sort(f.ports)
+	f.ports = slices.Compact(f.ports)
+	return best, ok
 }
 
 // unionAdd merges the sorted port set into the sorted cumulative union,
@@ -280,22 +313,21 @@ func (f *fusedEval) unionAdd(ports []int) bool {
 	return grew
 }
 
-// replay is one timeline's fused walk; union state resets per timeline.
+// replay is one timeline's fused walk; resolutions and union state start
+// over with every timeline.
 func (f *fusedEval) replay(r RouteLookup, tl *cdn.Timeline) StrategyStats {
 	var out StrategyStats
 	primed := false
 	var prevBest int
 	var prevBestOK bool
-	f.union = f.union[:0]
 	tl.Walk(func(_ cdn.Event, before, after []netaddr.Addr) {
 		if !primed {
-			f.prev = appendPortSet(r, before, f.prev)
-			prevBest, prevBestOK = BestPortOf(r, before)
+			prevBest, prevBestOK = f.advance(r, nil, before)
+			f.ports, f.prev = f.prev, f.ports
 			f.union = append(f.union[:0], f.prev...)
 			primed = true
 		}
-		f.ports = appendPortSet(r, after, f.ports)
-		best, bestOK := BestPortOf(r, after)
+		best, bestOK := f.advance(r, before, after)
 
 		out.BestPort.Events++
 		if prevBestOK && bestOK && prevBest != best {
@@ -316,11 +348,11 @@ func (f *fusedEval) replay(r RouteLookup, tl *cdn.Timeline) StrategyStats {
 }
 
 // ContentUpdateStatsFused replays a timeline once and evaluates all three
-// §3.3.1 strategies in that single Timeline.Walk. Each event's after-set is
-// resolved exactly once and carried into the next event as its before-set,
-// so a timeline of n events costs n+1 set resolutions instead of the ~6n a
-// strategy-at-a-time replay pays. The counts are identical to running
-// ContentUpdateStats once per strategy.
+// §3.3.1 strategies in that single Timeline.Walk. Each address is resolved
+// once, when it enters the set, so a timeline costs one route lookup per
+// initial address plus one per address an event adds, where a
+// strategy-at-a-time replay pays ~6 per address per event. The counts are
+// identical to running ContentUpdateStats once per strategy.
 //
 //lint:zeroalloc per event after the evaluator's scratch warms up
 func ContentUpdateStatsFused(r RouteLookup, tl *cdn.Timeline) StrategyStats {
@@ -330,10 +362,10 @@ func ContentUpdateStatsFused(r RouteLookup, tl *cdn.Timeline) StrategyStats {
 
 // ContentUpdateStatsAllFused pools ContentUpdateStatsFused over many
 // timelines (union state is per timeline, as in ContentUpdateStatsAll),
-// sharing one scratch evaluator so the whole pool replays with a constant
-// number of allocations.
+// sharing one scratch evaluator: once it is warm, a further timeline costs
+// only what Timeline.Walk allocates for its own buffers.
 //
-//lint:zeroalloc per event; one shared scratch across the whole pool
+//lint:zeroalloc per event, and per timeline beyond Timeline.Walk's own buffers
 func ContentUpdateStatsAllFused(r RouteLookup, tls []cdn.Timeline) StrategyStats {
 	var f fusedEval
 	var s StrategyStats

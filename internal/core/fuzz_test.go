@@ -36,6 +36,11 @@ func (fuzzTable) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
 // Encoding: up to four initial 4-byte addresses, then event chunks of one
 // control byte (hour advance, removal and addition counts) followed by one
 // pool-index byte per removal and four address octets per addition.
+//
+// testdata/fuzz/FuzzTimelineWalk holds the cases the carry-forward merge has
+// to get right and random bytes rarely spell: an address removed and re-added
+// in one event, an initial set that repeats an address, and addresses
+// fuzzTable has no route for.
 func FuzzTimelineWalk(f *testing.F) {
 	f.Add([]byte{
 		22, 33, 44, 55, 10, 0, 0, 1, 96, 0, 0, 2, 64, 0, 0, 3,

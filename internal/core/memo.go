@@ -16,11 +16,8 @@ import (
 const memoStripes = 64
 
 // memoStripe is one lock-striped shard of the cache: an ordinary Go map
-// under an RWMutex. Plain maps store memoEntry values inline, so the hot
-// hit path is a read-lock plus one map probe with no interface boxing —
-// the sync.Map formulation this replaces allocated an interface header per
-// store and funneled every insert through one shared dirty map, which is
-// exactly the contention the flat Fig11b parallel curve measured. The pad
+// under an RWMutex. Plain maps store memoEntry values inline, so the hit
+// path is a read-lock plus one map probe with no interface boxing. The pad
 // keeps adjacent stripes' mutexes off one another's cache lines.
 type memoStripe struct {
 	mu sync.RWMutex
@@ -28,12 +25,13 @@ type memoStripe struct {
 	_  [24]byte
 }
 
-// Memo wraps a RouteLookup with a per-router addr → route cache. The
-// evaluation replays the same address sets against the same FIB millions of
-// times (every timeline event re-resolves its before/after sets), and the
-// underlying LPM lookup is pure, so the first resolution of each address can
-// serve all later ones — the same move as the Loc/ID mapping caches the
-// literature analyzes for resolution-based architectures.
+// Memo wraps a RouteLookup with a per-router addr → route cache, for
+// evaluations that meet the same address again with nowhere to keep its
+// answer: the device drivers, which resolve both ends of every move event.
+// (The fused content evaluator keeps resolutions beside the set it walks and
+// needs no memo.) The underlying LPM lookup is pure, so the first resolution
+// of an address can serve all later ones — the same move as the Loc/ID
+// mapping caches the literature analyzes for resolution-based architectures.
 //
 // Memo is safe for concurrent use; parallel workers sharing one router
 // simply share its cache. A racing pair of first lookups both consult the

@@ -2,12 +2,9 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 
-	"locind/internal/asgraph"
-	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/core"
 	"locind/internal/par"
@@ -85,13 +82,37 @@ func (p *collectorProgress) shardDone(ci int) {
 	}
 }
 
-// RunFig11bc computes Figure 11(b) or 11(c) depending on class. The work
-// fans out over (collector × timeline-shard) pairs: every collector shares
-// one striped route Memo across its shards and replays each shard's
-// timelines in a single fused walk that evaluates both strategies at once.
-// Shards are oversubscribed (par.ShardsFor) because timeline weight is
-// heavy-tailed. Per-shard partial counts are integer totals summed in shard
-// order, so the figure is bit-identical at every parallelism degree.
+// fusedPerCollector replays tls against every RouteViews collector's FIB
+// and returns one fused total per collector. The work fans out over
+// (collector × timeline-shard) pairs — collectors alone are too few and too
+// unequal to keep a pool busy, and shards are oversubscribed (par.ShardsFor)
+// because timeline weight is heavy-tailed. The evaluator resolves an address
+// once per timeline it enters, so the FIB is read directly and the tasks
+// share nothing but it. Per-shard partials are integer totals summed in
+// shard order (union state is per timeline, never crossing a shard
+// boundary), so the totals are bit-identical at every parallelism degree.
+func fusedPerCollector(w *World, tls []cdn.Timeline) []core.StrategyStats {
+	cols := w.RouteViews
+	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
+	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
+	partial := make([]core.StrategyStats, len(cols)*len(shards))
+	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
+		ci, si := t/len(shards), t%len(shards)
+		sh := shards[si]
+		partial[t] = core.ContentUpdateStatsAllFused(cols[ci].FIB, tls[sh[0]:sh[1]])
+		prog.shardDone(ci)
+	})
+	tot := make([]core.StrategyStats, len(cols))
+	for ci := range tot {
+		for _, p := range partial[ci*len(shards) : (ci+1)*len(shards)] {
+			tot[ci].Add(p)
+		}
+	}
+	return tot
+}
+
+// RunFig11bc computes Figure 11(b) or 11(c) depending on class; both
+// strategies come out of fusedPerCollector's single walk.
 func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 	popular, unpopular := w.TimelinesByClass()
 	tls := popular
@@ -99,27 +120,12 @@ func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 		tls = unpopular
 	}
 	cols := w.RouteViews
-	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
-	memos := make([]*core.Memo, len(cols))
-	for i, c := range cols {
-		memos[i] = w.Cfg.memo(c.FIB)
-	}
-	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
-	partial := make([]core.StrategyStats, len(cols)*len(shards))
-	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
-		ci, si := t/len(shards), t%len(shards)
-		sh := shards[si]
-		partial[t] = core.ContentUpdateStatsAllFused(memos[ci], tls[sh[0]:sh[1]])
-		prog.shardDone(ci)
-	})
+	tots := fusedPerCollector(w, tls)
 	res := Fig11bcResult{Class: class}
 	res.BestPort = make([]RouterRate, len(cols))
 	res.Flooding = make([]RouterRate, len(cols))
 	for ci, c := range cols {
-		var tot core.StrategyStats
-		for si := 0; si < len(shards); si++ {
-			tot.Add(partial[ci*len(shards)+si])
-		}
+		tot := tots[ci]
 		// Every collector replays the same timelines, so the event totals
 		// must agree; a mismatch means a sharding bug lost or double-counted
 		// events, which must not be papered over by keeping the last count.
@@ -129,12 +135,11 @@ func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 			panic(fmt.Sprintf("expt: collector %q saw %d events, %q saw %d — shard accounting bug",
 				c.Name, tot.BestPort.Events, cols[0].Name, res.Events))
 		}
-		res.BestPort[ci] = RouterRate{
-			Name: c.Name, Rate: tot.BestPort.Rate(), NextHopDegree: c.FIB.NextHopDegree(), Sessions: len(c.Sessions),
-		}
-		res.Flooding[ci] = RouterRate{
-			Name: c.Name, Rate: tot.Flooding.Rate(), NextHopDegree: c.FIB.NextHopDegree(), Sessions: len(c.Sessions),
-		}
+		rr := RouterRate{Name: c.Name, NextHopDegree: c.FIB.NextHopDegree(), Sessions: len(c.Sessions)}
+		rr.Rate = tot.BestPort.Rate()
+		res.BestPort[ci] = rr
+		rr.Rate = tot.Flooding.Rate()
+		res.Flooding[ci] = rr
 	}
 	w.Cfg.Obs.rows(len(res.BestPort) + len(res.Flooding))
 	return res
@@ -247,36 +252,12 @@ type AblationResult struct {
 
 // RunStrategyAblation evaluates all three strategies at the most-impacted
 // RouteViews collector (highest controlled-flooding rate, first on ties).
-// One fused walk per collector yields all three strategy totals at once, so
-// finding the argmax no longer triggers repeated BestPort/UnionFlooding
-// replays every time a new flooding maximum appears. Like RunFig11bc the
-// fan-out is (collector × timeline-shard) — collectors alone are too few
-// and too unequal to keep a pool busy — and the per-collector reduction
-// sums integer partials in shard order, so the result is bit-identical at
-// every parallelism degree (union state is per timeline, never crossing a
-// shard boundary).
+// fusedPerCollector yields all three strategy totals per collector at once,
+// so finding the argmax triggers no further replay.
 func RunStrategyAblation(w *World) AblationResult {
 	popular, _ := w.TimelinesByClass()
 	cols := w.RouteViews
-	shards := par.ShardsFor(len(popular), w.Cfg.Parallel)
-	memos := make([]*core.Memo, len(cols))
-	for i, c := range cols {
-		memos[i] = w.Cfg.memo(c.FIB)
-	}
-	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
-	partial := make([]core.StrategyStats, len(cols)*len(shards))
-	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
-		ci, si := t/len(shards), t%len(shards)
-		sh := shards[si]
-		partial[t] = core.ContentUpdateStatsAllFused(memos[ci], popular[sh[0]:sh[1]])
-		prog.shardDone(ci)
-	})
-	sets := make([]core.StrategyStats, len(cols))
-	for ci := range cols {
-		for si := 0; si < len(shards); si++ {
-			sets[ci].Add(partial[ci*len(shards)+si])
-		}
-	}
+	sets := fusedPerCollector(w, popular)
 	best := -1
 	for i := range sets {
 		if best < 0 || sets[i].Flooding.Rate() > sets[best].Flooding.Rate() {
@@ -303,78 +284,5 @@ func (r AblationResult) Render() string {
 	fmt.Fprintf(&b, "  controlled flooding : %6.2f%% of events update the router\n", r.Flooding*100)
 	fmt.Fprintf(&b, "  best-port           : %6.2f%%\n", r.BestPort*100)
 	fmt.Fprintf(&b, "  union-of-past-addrs : %6.2f%%  (update cost → 0 as the location set saturates)\n", r.Union*100)
-	return b.String()
-}
-
-// SessionSweepResult is the collector-design ablation: how a collector's
-// feed count drives its device update rate — the mechanism behind Figure
-// 8's spread, isolated.
-type SessionSweepResult struct {
-	Points []struct {
-		Sessions int
-		Rate     float64
-	}
-}
-
-// RunSessionSweep rebuilds one synthetic collector at increasing session
-// counts and measures its device update rate. Each count derives its own RNG
-// from the master seed, so the sweep points are independent and evaluated in
-// parallel without perturbing each other.
-func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
-	events := w.Devices.MoveEvents()
-	type point struct {
-		rate float64
-		err  error
-	}
-	pts := par.Map(w.Cfg.Parallel, len(counts), func(i int) point {
-		col, err := buildSweepCollector(w, counts[i], int64(i))
-		if err != nil {
-			return point{err: err}
-		}
-		return point{rate: core.DeviceUpdateStats(w.Cfg.memo(col.FIB), events).Rate()}
-	})
-	var res SessionSweepResult
-	for i, p := range pts {
-		if p.err != nil {
-			return res, p.err
-		}
-		w.Cfg.Obs.rows(1)
-		res.Points = append(res.Points, struct {
-			Sessions int
-			Rate     float64
-		}{counts[i], p.rate})
-	}
-	return res, nil
-}
-
-// buildSweepCollector synthesizes one extra NorthAmerica collector with the
-// requested session count, reusing the world's graph and address plan.
-func buildSweepCollector(w *World, sessions int, salt int64) (*bgp.Collector, error) {
-	spec := bgp.Spec{
-		Name:       fmt.Sprintf("sweep-%d", sessions),
-		Region:     asgraph.NorthAmerica,
-		NumSess:    sessions,
-		GlobalFrac: 0.35,
-	}
-	cols, err := bgp.BuildCollectors(w.Graph, w.Prefixes, []bgp.Spec{spec}, rand.New(rand.NewSource(w.Cfg.Seed+100+salt)))
-	if err != nil {
-		return nil, err
-	}
-	return cols[0], nil
-}
-
-// Render prints the sweep.
-func (r SessionSweepResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation — collector feed count vs device update rate\n")
-	max := 0.0
-	for _, p := range r.Points {
-		if p.Rate > max {
-			max = p.Rate
-		}
-	}
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "  %3d sessions: %6.2f%%  %s\n", p.Sessions, p.Rate*100, stats.Bar(p.Rate, max, 30))
-	}
 	return b.String()
 }

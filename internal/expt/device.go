@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/core"
 	"locind/internal/iplane"
@@ -140,24 +141,10 @@ func RunFig8(w *World) Fig8Result {
 }
 
 // Max returns the largest per-router rate.
-func (r Fig8Result) Max() float64 {
-	max := 0.0
-	for _, rr := range r.Routers {
-		if rr.Rate > max {
-			max = rr.Rate
-		}
-	}
-	return max
-}
+func (r Fig8Result) Max() float64 { return maxRate(r.Routers) }
 
 // Median returns the median per-router rate.
-func (r Fig8Result) Median() float64 {
-	xs := make([]float64, 0, len(r.Routers))
-	for _, rr := range r.Routers {
-		xs = append(xs, rr.Rate)
-	}
-	return stats.NewCDF(xs).Median()
-}
+func (r Fig8Result) Median() float64 { return medianRate(r.Routers) }
 
 // Render prints the Figure 8 bar chart.
 func (r Fig8Result) Render() string {
@@ -410,5 +397,78 @@ func (r EnvelopeResult) Render() string {
 		r.MeasuredEventMean, r.MeasuredUpdateFrac*100, r.DeviceMeanLoad)
 	fmt.Fprintf(&b, "  1B content names × 2/day × 0.5%% ⇒ %.0f updates/sec (paper: ≤100/sec order)\n", r.ContentLoad)
 	fmt.Fprintf(&b, "  displaced FIB entries: %.2f%% of devices (paper: ≈1%%)\n", r.ExtraFIBFrac*100)
+	return b.String()
+}
+
+// SessionSweepResult is the collector-design ablation: how a collector's
+// feed count drives its device update rate — the mechanism behind Figure
+// 8's spread, isolated.
+type SessionSweepResult struct {
+	Points []struct {
+		Sessions int
+		Rate     float64
+	}
+}
+
+// RunSessionSweep rebuilds one synthetic collector at increasing session
+// counts and measures its device update rate. Each count derives its own RNG
+// from the master seed, so the sweep points are independent and evaluated in
+// parallel without perturbing each other.
+func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
+	events := w.Devices.MoveEvents()
+	type point struct {
+		rate float64
+		err  error
+	}
+	pts := par.Map(w.Cfg.Parallel, len(counts), func(i int) point {
+		col, err := buildSweepCollector(w, counts[i], int64(i))
+		if err != nil {
+			return point{err: err}
+		}
+		return point{rate: core.DeviceUpdateStats(w.Cfg.memo(col.FIB), events).Rate()}
+	})
+	var res SessionSweepResult
+	for i, p := range pts {
+		if p.err != nil {
+			return res, p.err
+		}
+		w.Cfg.Obs.rows(1)
+		res.Points = append(res.Points, struct {
+			Sessions int
+			Rate     float64
+		}{counts[i], p.rate})
+	}
+	return res, nil
+}
+
+// buildSweepCollector synthesizes one extra NorthAmerica collector with the
+// requested session count, reusing the world's graph and address plan.
+func buildSweepCollector(w *World, sessions int, salt int64) (*bgp.Collector, error) {
+	spec := bgp.Spec{
+		Name:       fmt.Sprintf("sweep-%d", sessions),
+		Region:     asgraph.NorthAmerica,
+		NumSess:    sessions,
+		GlobalFrac: 0.35,
+	}
+	cols, err := bgp.BuildCollectors(w.Graph, w.Prefixes, []bgp.Spec{spec}, rand.New(rand.NewSource(w.Cfg.Seed+100+salt)))
+	if err != nil {
+		return nil, err
+	}
+	return cols[0], nil
+}
+
+// Render prints the sweep.
+func (r SessionSweepResult) Render() string {
+	var b strings.Builder
+	b.WriteString("Ablation — collector feed count vs device update rate\n")
+	max := 0.0
+	for _, p := range r.Points {
+		if p.Rate > max {
+			max = p.Rate
+		}
+	}
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "  %3d sessions: %6.2f%%  %s\n", p.Sessions, p.Rate*100, stats.Bar(p.Rate, max, 30))
+	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"locind/internal/bgp"
 	"locind/internal/cdn"
@@ -42,8 +43,14 @@ func ExportAll(w *World, dir string) error {
 			if _, err := fmt.Fprintln(f, "series,x,y"); err != nil {
 				return err
 			}
-			for name, pts := range series {
-				for _, p := range pts {
+			// Name order, not map order: two runs must write the same bytes.
+			names := make([]string, 0, len(series))
+			for name := range series {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				for _, p := range series[name] {
 					if _, err := fmt.Fprintf(f, "%s,%g,%g\n", name, p.X, p.Y); err != nil {
 						return err
 					}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -394,6 +395,39 @@ func TestExportAll(t *testing.T) {
 		p2, _ := fib.Port(a)
 		if p1 != p2 {
 			t.Fatalf("reloaded FIB diverges at AS%d", as)
+		}
+	}
+}
+
+// Two exports of one world must be the same bytes, file for file. Map
+// iteration changes between two ranges of the same map in one process, so a
+// writer that ranges over one fails here without a second binary.
+func TestExportAllIsByteStable(t *testing.T) {
+	w := quickWorld(t)
+	a, b := t.TempDir(), t.TempDir()
+	for _, dir := range []string{a, b} {
+		if err := ExportAll(w, dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := os.ReadDir(b); err != nil || len(other) != len(files) {
+		t.Fatalf("exports hold %d and %d files (%v)", len(files), len(other), err)
+	}
+	for _, f := range files {
+		x, err := os.ReadFile(filepath.Join(a, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(b, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Errorf("%s differs between two exports of the same world", f.Name())
 		}
 	}
 }

@@ -77,9 +77,8 @@ func TestParallelDriversMatchSequential(t *testing.T) {
 	}
 }
 
-// The memoized fan-out must match a direct unmemoized strategy-at-a-time
-// evaluation of the same figure — the "Memo changes nothing" guarantee at
-// the figure level, not just per lookup.
+// The sharded fused fan-out must match a direct strategy-at-a-time
+// evaluation of the same figure, collector by collector.
 func TestFig11bcMatchesUnmemoizedReference(t *testing.T) {
 	w := quickWorld(t)
 	got := RunFig11bc(w, cdn.Unpopular)
