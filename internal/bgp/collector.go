@@ -108,94 +108,90 @@ func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.
 		cols = append(cols, c)
 	}
 
-	// Group announced prefixes by origin so each origin's route table is
-	// computed exactly once.
-	byOrigin := map[int][]PrefixOrigin{}
-	for _, po := range all {
-		byOrigin[po.Origin] = append(byOrigin[po.Origin], po)
-	}
 	// Collectors overlap heavily on feed peers (every well-fed collector
-	// seeds the same mega-transits), so walk each distinct peer's AS path
-	// once per origin and let all sessions share it. The paths for one
-	// origin are carved from a single exactly-sized slab; the slab must be
-	// fresh per origin because the RIBs retain the ASPath slices forever.
-	peerIdx := map[int]int{}
+	// seeds the same mega-transits), so each distinct peer's AS path is walked
+	// once per origin, into the one path table the collectors of this call
+	// share. peerOf[ci][si] indexes peers for collector ci's session si.
+	peerIdx := map[int]int32{}
 	var peers []int
-	// pathOf[ci][si] is the index into paths of collector ci's session si.
-	pathOf := make([][]int, len(cols))
+	peerOf := make([][]int32, len(cols))
 	for ci, c := range cols {
-		pathOf[ci] = make([]int, len(c.Sessions))
+		peerOf[ci] = make([]int32, len(c.Sessions))
 		for si, s := range c.Sessions {
 			idx, ok := peerIdx[s.PeerAS]
 			if !ok {
-				idx = len(peers)
+				idx = int32(len(peers))
 				peerIdx[s.PeerAS] = idx
 				peers = append(peers, s.PeerAS)
 			}
-			pathOf[ci][si] = idx
+			peerOf[ci][si] = idx
 		}
 	}
+	paths := &pathTable{stride: len(peers) + 1, chunks: make([][]int, 0, g.N())}
+	paths.off = make([]int32, 0, g.N()*paths.stride)
 	// Every announced prefix lands in every collector's RIB with at most
 	// one candidate per session, so one slab per collector holds all its
-	// routes. A prefix's candidates are written back to back, in session
+	// candidates. A prefix's candidates are written back to back, in session
 	// order, and entered in the map once as a capacity-clipped sub-slice:
 	// a later RIB.Add on that prefix must reallocate, not run into the
 	// next prefix's candidates. pt announces each prefix once.
-	routeSlabs := make([][]Route, len(cols))
+	slabs := make([][]cand, len(cols))
 	for ci, c := range cols {
 		c.RIB = NewRIBSized(len(all))
-		routeSlabs[ci] = make([]Route, 0, len(all)*len(c.Sessions))
+		c.RIB.shared = paths
+		for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
+			c.RIB.attr(attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel})
+		}
+		slabs[ci] = make([]cand, 0, len(all)*len(c.Sessions))
+		c.FIB = &FIB{}
+		c.FIB.trie.Grow(len(all))
 	}
-	paths := make([][]int, len(peers))
+	// pt lists an origin's prefixes together, so each run all[lo:hi] of one
+	// origin costs one route computation and one chunk of paths; the runs
+	// come in the same order on every call, and so do the FIB inserts.
 	var rt asgraph.RouteTable
-	for origin := 0; origin < g.N(); origin++ {
-		pos := byOrigin[origin]
-		if len(pos) == 0 {
-			continue
+	for lo, hi := 0, 0; lo < len(all); lo = hi {
+		for hi = lo + 1; hi < len(all) && all[hi].Origin == all[lo].Origin; hi++ {
 		}
-		g.RoutesToInto(&rt, origin)
-		need := 0
-		for _, p := range peers {
-			if rt.Has(p) {
-				need += rt.PathLen(p) + 1
+		g.RoutesToInto(&rt, all[lo].Origin)
+		base := paths.add(&rt, peers)
+		for ci, c := range cols {
+			// The prefixes of one origin have the same candidates: write them
+			// once, picking the best as they go by, and copy the run for each
+			// further prefix. A path has an element, so bestLen 0 means none yet.
+			cands := slabs[ci]
+			first := len(cands)
+			var best Session
+			var bestPath, bestLen int32
+			for si, s := range c.Sessions {
+				path := base + peerOf[ci][si]
+				n := paths.off[path+1] - paths.off[path]
+				if n == 0 {
+					continue // the peer has no route to this origin
+				}
+				cands = append(cands, cand{attr: int32(si), path: path})
+				// Better with LocalPref equal: class, path length, MED, peer.
+				if bestLen == 0 || s.Rel < best.Rel || s.Rel == best.Rel && (n < bestLen ||
+					n == bestLen && (s.MED < best.MED || s.MED == best.MED && s.PeerAS < best.PeerAS)) {
+					best, bestPath, bestLen = s, path, n
+				}
 			}
-		}
-		slab := make([]int, 0, need)
-		for i, p := range peers {
-			if !rt.Has(p) {
-				paths[i] = nil
+			k := len(cands) - first
+			if k == 0 {
 				continue
 			}
-			lo := len(slab)
-			slab = rt.AppendPath(slab, p)
-			paths[i] = slab[lo:len(slab):len(slab)]
-		}
-		for ci, c := range cols {
-			routes := routeSlabs[ci]
-			for _, po := range pos {
-				lo := len(routes)
-				for si, s := range c.Sessions {
-					path := paths[pathOf[ci][si]]
-					if path == nil {
-						continue
-					}
-					routes = append(routes, Route{
-						Prefix:  po.Prefix,
-						NextHop: s.PeerAS,
-						MED:     s.MED,
-						ASPath:  path,
-						Rel:     s.Rel,
-					})
+			sel := Route{NextHop: best.PeerAS, MED: best.MED, ASPath: paths.at(bestPath), Rel: best.Rel}
+			for i, po := range all[lo:hi] {
+				if i > 0 {
+					cands = append(cands, cands[first:first+k]...)
 				}
-				if len(routes) > lo {
-					c.RIB.byPrefix[po.Prefix] = routes[lo:len(routes):len(routes)]
-				}
+				end := len(cands)
+				c.RIB.byPrefix[po.Prefix] = cands[end-k : end : end]
+				sel.Prefix = po.Prefix
+				c.FIB.trie.Insert(po.Prefix, sel)
 			}
-			routeSlabs[ci] = routes
+			slabs[ci] = cands
 		}
-	}
-	for _, c := range cols {
-		c.FIB = c.RIB.DeriveFIB()
 	}
 	return cols, nil
 }
@@ -300,10 +296,3 @@ func stableMED(peer int) int {
 	h.Write(buf[:])
 	return int(h.Sum32() % 4)
 }
-
-// Synthesized feeds carry MED 0, matching what the paper found in the
-// RouteViews dumps ("the numerical value of local_preference is uniformly
-// 0"; MEDs are likewise rarely decisive). Path-length ties therefore break
-// on the lowest next-hop AS, a consistent preference that concentrates
-// ports on the most widely peered session — the behaviour real collector
-// tables exhibit. The MED rule itself stays implemented and unit-tested.

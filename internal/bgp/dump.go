@@ -27,14 +27,23 @@ func WriteRIB(w io.Writer, name string, rib *RIB) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# locind-rib v1 name=%s prefixes=%d routes=%d\n",
 		name, rib.NumPrefixes(), rib.NumRoutes())
+	var line []byte // one route's line, reused
 	for _, p := range rib.Prefixes() {
-		for _, rt := range rib.Routes(p) {
-			path := make([]string, len(rt.ASPath))
-			for i, as := range rt.ASPath {
-				path[i] = strconv.Itoa(as)
+		prefix := p.String()
+		for _, c := range rib.byPrefix[p] {
+			rt := rib.route(p, c)
+			line = append(line[:0], prefix...)
+			for _, v := range [...]int{rt.NextHop, rt.LocalPref, rt.MED} {
+				line = strconv.AppendInt(append(line, '|'), int64(v), 10)
 			}
-			fmt.Fprintf(bw, "%s|%d|%d|%d|%s|%s\n",
-				rt.Prefix, rt.NextHop, rt.LocalPref, rt.MED, rt.Rel, strings.Join(path, " "))
+			line = append(append(append(line, '|'), rt.Rel.String()...), '|')
+			for i, as := range rt.ASPath {
+				if i > 0 {
+					line = append(line, ' ')
+				}
+				line = strconv.AppendInt(line, int64(as), 10)
+			}
+			bw.Write(append(line, '\n'))
 		}
 	}
 	return bw.Flush()

@@ -1,7 +1,10 @@
 package bgp
 
 import (
+	"bufio"
+	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,4 +89,88 @@ func TestReadRIBErrors(t *testing.T) {
 			t.Errorf("ReadRIB(%q) should fail", c)
 		}
 	}
+}
+
+// FuzzReadRIB holds ReadRIB to checkDump on arbitrary bytes. The committed
+// corpus (testdata/fuzz/FuzzReadRIB) has negative numbers, an AS above 2³¹,
+// two routes from one next hop for one prefix and a comment between routes.
+func FuzzReadRIB(f *testing.F) {
+	f.Add([]byte("# locind-rib v1 name=x prefixes=1 routes=2\n0.42.0.0/16|17|0|1|peer|17 204 298\n0.42.0.0/16|9|0|0|customer|9 298\n"))
+	f.Fuzz(func(t *testing.T, data []byte) { checkDump(t, data) })
+}
+
+// TestReadRIBMegabyteLine runs the fuzz target's checks on a line just under
+// the scanner's 1 MiB limit, which must load, and one just over, which must
+// be refused. They are not fuzz seeds: mutating a megabyte input stalls the
+// ten-second CI smoke.
+func TestReadRIBMegabyteLine(t *testing.T) {
+	long := "0.7.0.0/16|5|0|0|provider|5" + strings.Repeat(" 7", (1<<19)-20)
+	if !checkDump(t, []byte(long+"\n0.7.0.0/24|5|0|0|provider|5 7\n")) {
+		t.Error("a line of 1 MiB less 13 bytes was refused")
+	}
+	if checkDump(t, []byte(long+strings.Repeat(" 7", 20)+"\n")) {
+		t.Error("a line of 1 MiB plus 27 bytes was accepted")
+	}
+}
+
+// checkDump reports whether ReadRIB accepts data, and fails the test unless
+// (1) the store hands back, prefix by prefix and in line order, exactly what
+// parseRouteLine made of each line — every field, every path element — so
+// interning attribute sets and paths loses nothing, whatever integers the
+// dump carries; (2) Best and DeriveFIB select what Better selects over those
+// lines; (3) WriteRIB's output reads back and writes the same bytes again.
+func checkDump(t *testing.T, data []byte) bool {
+	rib, err := ReadRIB(bytes.NewReader(data))
+	if err != nil {
+		return false
+	}
+	want := map[netaddr.Prefix][]Route{}
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		rt, err := parseRouteLine(line)
+		if err != nil {
+			t.Fatalf("ReadRIB accepted a dump whose line %q does not parse: %v", line, err)
+		}
+		want[rt.Prefix] = append(want[rt.Prefix], rt)
+	}
+	if rib.NumPrefixes() != len(want) {
+		t.Fatalf("%d prefixes stored, %d in the dump", rib.NumPrefixes(), len(want))
+	}
+	fib := rib.DeriveFIB()
+	for p, ws := range want {
+		if got := rib.Routes(p); !reflect.DeepEqual(got, ws) {
+			t.Fatalf("%v: stored %v, the lines say %v", p, got, ws)
+		}
+		best := ws[0]
+		for _, w := range ws[1:] {
+			if Better(w, best) {
+				best = w
+			}
+		}
+		b, ok := rib.Best(p)
+		sel, _ := fib.trie.Get(p)
+		if !ok || !reflect.DeepEqual(b, best) || !reflect.DeepEqual(sel, best) {
+			t.Fatalf("%v: Best %v, FIB %v, Better over the lines selects %v", p, b, sel, best)
+		}
+	}
+	var once, twice bytes.Buffer
+	if err := WriteRIB(&once, "x", rib); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadRIB(bytes.NewReader(once.Bytes()))
+	if err != nil {
+		t.Fatalf("WriteRIB's output does not read back: %v", err)
+	}
+	if err := WriteRIB(&twice, "x", back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+		t.Fatalf("WriteRIB(ReadRIB(x)) is not a fixed point:\n%s\n---\n%s", once.Bytes(), twice.Bytes())
+	}
+	return true
 }

@@ -109,7 +109,8 @@ func (lc *LiveCollector) Apply(m UpdateMsg) (bestChanges int, err error) {
 		if err != nil {
 			return bestChanges, err
 		}
-		lc.replaceLocked(rt)
+		lc.rib.withdraw(rt.Prefix, rt.NextHop) // BGP implicit withdraw
+		lc.rib.Add(rt)
 		touched[rt.Prefix] = true
 	}
 	for _, ps := range m.Withdraw {
@@ -117,7 +118,7 @@ func (lc *LiveCollector) Apply(m UpdateMsg) (bestChanges int, err error) {
 		if err != nil {
 			return bestChanges, fmt.Errorf("bgp: bad withdraw prefix %q: %w", ps, err)
 		}
-		lc.withdrawLocked(p, m.Peer)
+		lc.rib.withdraw(p, m.Peer)
 		touched[p] = true
 	}
 	for p := range touched {
@@ -127,34 +128,6 @@ func (lc *LiveCollector) Apply(m UpdateMsg) (bestChanges int, err error) {
 	}
 	lc.applied++
 	return bestChanges, nil
-}
-
-// replaceLocked installs the route, replacing any previous route from the
-// same peer for the same prefix (BGP implicit withdraw).
-func (lc *LiveCollector) replaceLocked(rt Route) {
-	routes := lc.rib.byPrefix[rt.Prefix]
-	for i, r := range routes {
-		if r.NextHop == rt.NextHop {
-			routes[i] = rt
-			return
-		}
-	}
-	lc.rib.byPrefix[rt.Prefix] = append(routes, rt)
-}
-
-func (lc *LiveCollector) withdrawLocked(p netaddr.Prefix, peer int) {
-	routes := lc.rib.byPrefix[p]
-	out := routes[:0]
-	for _, r := range routes {
-		if r.NextHop != peer {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		delete(lc.rib.byPrefix, p)
-	} else {
-		lc.rib.byPrefix[p] = out
-	}
 }
 
 // refreshFIBLocked recomputes the forwarding entry for p, reporting whether

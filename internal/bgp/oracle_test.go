@@ -10,20 +10,13 @@ import (
 	"locind/internal/netaddr"
 )
 
-// addHint is the per-route insert BuildCollectors used before candidates
-// were slabbed: a map read, a right-sized make on a prefix's first route,
-// and a map write for every route.
-func addHint(r *RIB, rt Route, hint int) {
-	rs, ok := r.byPrefix[rt.Prefix]
-	if !ok && hint > 1 {
-		rs = make([]Route, 0, hint)
-	}
-	r.byPrefix[rt.Prefix] = append(rs, rt)
-}
-
-// buildCollectorsByRoute is that build, kept as the oracle for the slab
-// build: collector → session → prefix, one addHint per route, a fresh
-// RoutesTo per origin. It draws from rng exactly as BuildCollectors does.
+// buildCollectorsByRoute is the build BuildCollectors replaced, kept as its
+// oracle: collector → session → prefix, one public RIB.Add per route, a
+// fresh RoutesTo and a fresh path per (origin, session), the FIB derived
+// afterwards. It draws from rng exactly as BuildCollectors does. Because it
+// goes through Add, the one test below holds the batch store (session
+// attribute table, shared path table, fused best selection) and the
+// interning store (attribute map, own paths, DeriveFIB) to the same answer.
 func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
 	cols := make([]*Collector, 0, len(specs))
 	for _, spec := range specs {
@@ -31,7 +24,7 @@ func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng
 		if err != nil {
 			return nil, err
 		}
-		c.RIB = NewRIBSized(len(pt.All()))
+		c.RIB = NewRIB()
 		cols = append(cols, c)
 	}
 	byOrigin := map[int][]PrefixOrigin{}
@@ -51,13 +44,13 @@ func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng
 					continue
 				}
 				for _, po := range pos {
-					addHint(c.RIB, Route{
+					c.RIB.Add(Route{
 						Prefix:  po.Prefix,
 						NextHop: s.PeerAS,
 						MED:     s.MED,
 						ASPath:  path,
 						Rel:     s.Rel,
-					}, len(c.Sessions))
+					})
 				}
 			}
 		}
@@ -88,7 +81,7 @@ func fibEntries(f *FIB) []fibEntry {
 // byte-identical RIB dump.
 func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 	specs := append(RouteViewsSpecs(), RIPESpecs()...)
-	for _, seed := range []int64{4, 5, 6} {
+	for _, seed := range []int64{20140817, 7, 424242} {
 		g, pt := testInternet(t, seed)
 		got, err := BuildCollectors(g, pt, specs, rand.New(rand.NewSource(seed+100)))
 		if err != nil {
@@ -115,18 +108,20 @@ func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 			if !reflect.DeepEqual(fibEntries(c.FIB), fibEntries(w.FIB)) {
 				t.Fatalf("seed %d: %s: FIB walk differs from the oracle", seed, w.Name)
 			}
-			var gb, wb bytes.Buffer
-			if err := WriteRIB(&gb, c.Name, c.RIB); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteRIB(&wb, w.Name, w.RIB); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+			if !bytes.Equal(dumpBytes(t, c), dumpBytes(t, w)) {
 				t.Fatalf("seed %d: %s: RIB dump differs from the oracle", seed, w.Name)
 			}
 		}
 	}
+}
+
+func dumpBytes(t *testing.T, c *Collector) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := WriteRIB(&b, c.Name, c.RIB); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone adds a second route for
@@ -134,17 +129,20 @@ func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 // every other prefix's candidates to stay as they were. The batch build
 // packs all candidates of a collector into one slab; a sub-slice left with
 // spare capacity would let the append write over the next prefix's first
-// candidate.
+// candidate. It then re-announces and withdraws on the same RIB, as a live
+// feed would, and requires the other collector of the build — which reads the
+// same path table — to dump the same bytes and walk the same FIB as before.
 func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 	g, pt := testInternet(t, 4)
 	cols, err := BuildCollectors(g, pt, RouteViewsSpecs()[:2], rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rib := cols[0].RIB
+	rib, other := cols[0].RIB, cols[1]
+	otherDump, otherFIB := dumpBytes(t, other), fibEntries(other.FIB)
 	before := map[netaddr.Prefix][]Route{}
 	for _, p := range rib.Prefixes() {
-		before[p] = append([]Route(nil), rib.Routes(p)...)
+		before[p] = rib.Routes(p)
 	}
 	for _, p := range rib.Prefixes() {
 		rib.Add(Route{Prefix: p, NextHop: -7, ASPath: []int{-7}, Rel: asgraph.RelProvider})
@@ -153,6 +151,35 @@ func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 		got := rib.Routes(p)
 		if len(got) != len(want)+1 || !reflect.DeepEqual(got[:len(want)], want) || got[len(want)].NextHop != -7 {
 			t.Fatalf("candidates of %v changed under Add on other prefixes:\n got %v\nwant %v + the added route", p, got, want)
+		}
+	}
+
+	// What a live feed does: re-announce every prefix's first candidate with
+	// a longer path (an implicit withdraw, then an add) and withdraw the peer
+	// of its second.
+	for p, want := range before {
+		again, gone := want[0], want[1].NextHop
+		again.ASPath = append([]int{again.NextHop, -9}, again.ASPath[1:]...)
+		rib.withdraw(p, again.NextHop)
+		rib.Add(again)
+		rib.withdraw(p, gone)
+		got := rib.Routes(p)
+		if n := len(want); len(got) != n || !reflect.DeepEqual(got[:n-2], want[2:]) || got[n-2].NextHop != -7 || !reflect.DeepEqual(got[n-1], again) {
+			t.Fatalf("re-announce + withdraw AS%d on %v:\n got %v\nfrom %v", gone, p, got, want)
+		}
+	}
+	if !bytes.Equal(dumpBytes(t, other), otherDump) {
+		t.Fatalf("%s: dump changed under writes to %s's RIB", other.Name, cols[0].Name)
+	}
+	if !reflect.DeepEqual(fibEntries(other.FIB), otherFIB) {
+		t.Fatalf("%s: FIB walk changed under writes to %s's RIB", other.Name, cols[0].Name)
+	}
+	// The other collector can take writes of its own without seeing these.
+	for _, p := range other.RIB.Prefixes()[:3] {
+		n := len(other.RIB.Routes(p))
+		other.RIB.Add(Route{Prefix: p, NextHop: -8, ASPath: []int{-8}, Rel: asgraph.RelProvider})
+		if got := other.RIB.Routes(p); len(got) != n+1 || !reflect.DeepEqual(got[n].ASPath, []int{-8}) {
+			t.Fatalf("%s: Add after the neighbour's writes stored %v", other.Name, got)
 		}
 	}
 }

@@ -76,25 +76,124 @@ func Better(a, b Route) bool {
 }
 
 // RIB is a routing information base: for each prefix, the set of candidate
-// routes heard from the collector's sessions.
+// routes heard from the collector's sessions. A candidate is stored as two
+// indices (DESIGN.md §5); Route is what the accessors materialise from them.
 type RIB struct {
-	byPrefix map[netaddr.Prefix][]Route
+	byPrefix map[netaddr.Prefix][]cand
+	attrs    []attrSet // this RIB's own; one entry per session after a batch build
+	attrIdx  map[attrSet]int32
+	shared   *pathTable // the batch build's paths; other collectors read it, Add never writes it
+	own      [][]int    // paths that arrived through Add; candidates name slot k as ^k
+	free     []int32    // path indices vacated by withdraw
+}
+
+// cand is a stored candidate route. Only the indices are narrow: the tables
+// keep int fields, because a dump may carry any integer.
+type cand struct{ attr, path int32 }
+
+// attrSet is what a route carries besides its prefix and path.
+type attrSet struct {
+	NextHop, LocalPref, MED int
+	Rel                     asgraph.Rel
+}
+
+// pathTable is the AS-path store the collectors of one BuildCollectors call
+// share. The paths of one origin lie back to back in one exactly-sized chunk:
+// path i is chunks[i/stride][off[i]:off[i+1]], empty where the peer has no
+// route. A chunk is never grown once a slice of it is out, so a Route that
+// outlives the build pins its origin's chunk and nothing else.
+type pathTable struct {
+	stride int // offsets per chunk: one per peer, plus the chunk's end
+	off    []int32
+	chunks [][]int
+}
+
+// add appends the paths from every peer to rt's destination as one chunk and
+// returns the index of the first.
+func (t *pathTable) add(rt *asgraph.RouteTable, peers []int) int32 {
+	need := 0
+	for _, p := range peers {
+		need += rt.PathLen(p) + 1 // PathLen is -1 where p has no route
+	}
+	chunk := make([]int, 0, need)
+	for _, p := range peers {
+		t.off = append(t.off, int32(len(chunk)))
+		chunk = rt.AppendPath(chunk, p)
+	}
+	t.off = append(t.off, int32(len(chunk)))
+	t.chunks = append(t.chunks, chunk)
+	return int32(len(t.off) - t.stride)
+}
+
+func (t *pathTable) at(i int32) []int {
+	lo, hi := t.off[i], t.off[i+1]
+	return t.chunks[int(i)/t.stride][lo:hi:hi]
 }
 
 // NewRIB returns an empty RIB.
-func NewRIB() *RIB {
-	return &RIB{byPrefix: map[netaddr.Prefix][]Route{}}
-}
+func NewRIB() *RIB { return NewRIBSized(0) }
 
 // NewRIBSized returns an empty RIB pre-sized for about n prefixes, sparing
 // bulk loaders the incremental map growth of NewRIB.
 func NewRIBSized(n int) *RIB {
-	return &RIB{byPrefix: make(map[netaddr.Prefix][]Route, n)}
+	return &RIB{byPrefix: make(map[netaddr.Prefix][]cand, n), attrIdx: map[attrSet]int32{}}
 }
 
-// Add inserts a candidate route.
+// route materialises a stored candidate of prefix p. Its ASPath is a view of
+// the shared table or the slice Add was given, so this allocates nothing.
+func (r *RIB) route(p netaddr.Prefix, c cand) Route {
+	a := r.attrs[c.attr]
+	rt := Route{Prefix: p, NextHop: a.NextHop, LocalPref: a.LocalPref, MED: a.MED, Rel: a.Rel}
+	if c.path < 0 {
+		rt.ASPath = r.own[^c.path]
+	} else {
+		rt.ASPath = r.shared.at(c.path)
+	}
+	return rt
+}
+
+// attr interns a in the RIB's attribute table.
+func (r *RIB) attr(a attrSet) int32 {
+	i, ok := r.attrIdx[a]
+	if !ok {
+		i = int32(len(r.attrs))
+		r.attrs = append(r.attrs, a)
+		r.attrIdx[a] = i
+	}
+	return i
+}
+
+// Add inserts a candidate route. Its attribute set and path go into the RIB's
+// own tables, never into the path table it shares with other collectors.
 func (r *RIB) Add(rt Route) {
-	r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], rt)
+	c := cand{attr: r.attr(attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel})}
+	if n := len(r.free); n > 0 {
+		c.path, r.free = r.free[n-1], r.free[:n-1]
+		r.own[^c.path] = rt.ASPath
+	} else {
+		c.path = ^int32(len(r.own))
+		r.own = append(r.own, rt.ASPath)
+	}
+	r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], c)
+}
+
+// withdraw drops peer's candidate for p, and p itself with its last one.
+func (r *RIB) withdraw(p netaddr.Prefix, peer int) {
+	cs := r.byPrefix[p]
+	out := cs[:0]
+	for _, c := range cs {
+		if r.attrs[c.attr].NextHop != peer {
+			out = append(out, c)
+		} else if c.path < 0 { // an own path: free its slot for the next Add
+			r.own[^c.path] = nil
+			r.free = append(r.free, c.path)
+		}
+	}
+	if len(out) == 0 {
+		delete(r.byPrefix, p)
+	} else {
+		r.byPrefix[p] = out
+	}
 }
 
 // NumPrefixes returns the number of distinct prefixes with at least one
@@ -104,29 +203,41 @@ func (r *RIB) NumPrefixes() int { return len(r.byPrefix) }
 // NumRoutes returns the total number of candidate routes.
 func (r *RIB) NumRoutes() int {
 	total := 0
-	for _, rs := range r.byPrefix {
-		total += len(rs)
+	for _, cs := range r.byPrefix {
+		total += len(cs)
 	}
 	return total
 }
 
-// Routes returns the candidate routes for prefix p (nil if none). The slice
-// must not be modified.
-func (r *RIB) Routes(p netaddr.Prefix) []Route { return r.byPrefix[p] }
-
-// Best runs the decision process over the candidates for p.
-func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
-	rs := r.byPrefix[p]
-	if len(rs) == 0 {
-		return Route{}, false
+// Routes returns the candidate routes for prefix p in the order they were
+// added (nil if none). The slice is materialised for the caller and is its
+// own; each ASPath is a view of the RIB's path store and must not be modified.
+func (r *RIB) Routes(p netaddr.Prefix) []Route {
+	var rs []Route
+	for _, c := range r.byPrefix[p] {
+		rs = append(rs, r.route(p, c))
 	}
-	best := rs[0]
-	for _, rt := range rs[1:] {
-		if Better(rt, best) {
+	return rs
+}
+
+// best runs the decision process over cs, the non-empty candidates of p.
+func (r *RIB) best(p netaddr.Prefix, cs []cand) Route {
+	best := r.route(p, cs[0])
+	for _, c := range cs[1:] {
+		if rt := r.route(p, c); Better(rt, best) {
 			best = rt
 		}
 	}
-	return best, true
+	return best
+}
+
+// Best runs the decision process over the candidates for p.
+func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
+	cs := r.byPrefix[p]
+	if len(cs) == 0 {
+		return Route{}, false
+	}
+	return r.best(p, cs), true
 }
 
 // Prefixes returns all prefixes in deterministic (Compare) order.
@@ -140,18 +251,13 @@ func (r *RIB) Prefixes() []netaddr.Prefix {
 }
 
 // DeriveFIB computes the forwarding table: the best route's next-hop AS per
-// prefix, in a longest-prefix-match trie.
+// prefix, in a longest-prefix-match trie. BuildCollectors fills its FIBs as
+// it writes the candidates; this is for RIBs that were loaded or fed.
 func (r *RIB) DeriveFIB() *FIB {
 	f := &FIB{}
 	f.trie.Grow(len(r.byPrefix))
-	for p, rs := range r.byPrefix {
-		best := rs[0]
-		for _, rt := range rs[1:] {
-			if Better(rt, best) {
-				best = rt
-			}
-		}
-		f.trie.Insert(p, best)
+	for p, cs := range r.byPrefix {
+		f.trie.Insert(p, r.best(p, cs))
 	}
 	return f
 }
