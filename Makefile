@@ -3,15 +3,6 @@
 
 GO ?= go
 
-# BENCH_SET picks which benchmarks `make bench` records. The default is the
-# sequential-vs-parallel driver pairs plus the world build — the numbers the
-# evaluation engine's speedup claims rest on — and the nomad event engine,
-# whose events/op throughput the million-device soak claims rest on.
-# Override for a full sweep:
-#
-#   make bench BENCH_SET='.'
-BENCH_SET ?= WorldBuild|Fig8(Sequential|Parallel)|Fig11[bc](Sequential|Parallel)|StrategyAblation(Sequential|Parallel)|Timelines(Sequential|Parallel)|NomadEngine|SamplerTick
-
 .PHONY: all build test race lint allocguard bench clean
 
 all: build lint test
@@ -35,12 +26,12 @@ lint:
 allocguard:
 	$(GO) run ./cmd/allocguard ./...
 
-# bench runs the selected benchmarks once and records the result as the
-# next free BENCH_<n>.json in the repo root, together with an obs snapshot
-# of the route-memo hit rate (see cmd/benchjson). The trajectory of
-# BENCH_*.json files is append-only: successive runs add new indices.
+# bench runs the repository benchmark (BENCHMARK.json): five closed-loop
+# workloads, four gated end-to-end metrics each, results in bench/out/. Its
+# in-run correctness checks fail the command. BENCH_0..4.json in the repo
+# root are the history of the harness this replaced.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -benchtime 1x -count 1 . | $(GO) run ./cmd/benchjson
+	$(GO) run ./bench
 
 clean:
 	$(GO) clean ./...

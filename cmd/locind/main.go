@@ -16,9 +16,9 @@
 //	-quick       run at ~1/10 scale (fast; used by CI)
 //	-parallel N  evaluation worker count (0 = GOMAXPROCS); any value
 //	             produces bit-identical output
-//	-obs.addr    serve /metrics, /debug/vars, /debug/pprof and
-//	             /debug/traces on this address (empty = disabled;
-//	             output is byte-identical either way, DESIGN.md §8)
+//	-obs.addr    serve /metrics, /debug/pprof and /debug/traces on
+//	             this address (empty = disabled; output is
+//	             byte-identical either way, DESIGN.md §8)
 //	-obs.linger  keep the introspection endpoint up this long after
 //	             the experiments finish
 //	-report DIR  write a per-phase run profile (RUNREPORT.md +
@@ -49,7 +49,7 @@ func main() {
 	flag.BoolVar(&o.quick, "quick", false, "run at reduced scale")
 	flag.StringVar(&o.out, "out", "", "directory to export raw data (trace CSV, RIB dumps, figure series)")
 	flag.IntVar(&o.parallel, "parallel", 0, "evaluation worker count (0 = GOMAXPROCS); output is identical for any value")
-	flag.StringVar(&o.obsAddr, "obs.addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/traces on this address (empty = disabled)")
+	flag.StringVar(&o.obsAddr, "obs.addr", "", "serve /metrics, /debug/pprof and /debug/traces on this address (empty = disabled)")
 	flag.DurationVar(&o.obsLinger, "obs.linger", 0, "keep the introspection endpoint up this long after the experiments finish (lets scrapers reach a batch run)")
 	flag.StringVar(&o.report, "report", "", "directory to write the per-phase run profile into (RUNREPORT.md + runreport.json + timeseries.json; empty = disabled)")
 	flag.Usage = usage

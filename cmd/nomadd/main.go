@@ -1,17 +1,17 @@
 // Command nomadd demonstrates the NomadLog measurement pipeline end to end.
 //
-// In its default mode it starts the IP-echo/upload backend on a real TCP
-// port, synthesizes a device fleet, replays every device's mobility trace
-// through goroutine-per-device agents (one tiny /ip request per
+// In its default mode it starts the upload backend on a real TCP port,
+// synthesizes a device fleet, replays every device's mobility trace through
+// one event-heap engine (internal/nomad/engine: a record buffered per
 // connectivity event, batched /upload flushes whenever the device sits on
 // WiFi long enough to be "plugged in"), and reports what landed in the log
 // store.
 //
-// With -soak it instead drives the million-device event-heap engine
-// (internal/nomad/engine): sharded engines stream the fleet day by day,
-// upload through a faultnet chaos listener into the constant-memory
-// streaming server, and the run reports flat-memory/flat-queue evidence
-// plus a digest line that is byte-identical across same-seed soaks.
+// With -soak it instead shards the engine over a million devices: engines
+// stream the fleet day by day, upload through a faultnet chaos listener
+// into the constant-memory streaming server, and the run reports
+// flat-memory/flat-queue evidence plus a digest line that is
+// byte-identical across same-seed soaks.
 //
 // Usage:
 //
@@ -48,11 +48,11 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address for the backend")
-	users := flag.Int("users", 40, "devices in the fleet (agent mode)")
-	days := flag.Int("days", 5, "days of mobility to replay (agent mode)")
+	users := flag.Int("users", 40, "devices in the fleet (default mode)")
+	days := flag.Int("days", 5, "days of mobility to replay (default mode)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	obsAddr := flag.String("obs.addr", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
-	soak := flag.Bool("soak", false, "run the event-engine chaos soak instead of the agent fleet")
+	soak := flag.Bool("soak", false, "run the sharded event-engine chaos soak instead of the small fleet")
 	soakQuick := flag.Bool("soak.quick", false, "CI preset: a small, fast soak (implies -soak)")
 	soakDevices := flag.Int("soak.devices", 1000000, "devices in the soak fleet")
 	soakDays := flag.Int("soak.days", 2, "days of mobility in the soak")
@@ -87,7 +87,7 @@ func main() {
 		}
 		err = runSoak(ctx, cfg, reg, *obsAddr, *soakSeries, *obsLinger)
 	} else {
-		err = runAgents(ctx, *addr, *users, *days, *seed, *obsAddr, reg)
+		err = runFleet(ctx, *addr, *users, *days, *seed, *obsAddr, reg)
 	}
 	writeFinalMetrics(reg)
 	switch {
@@ -180,8 +180,21 @@ func runSoak(ctx context.Context, cfg engine.SoakConfig, reg *obs.Registry, obsA
 	return err
 }
 
-// runAgents is the original agent-fleet demonstration.
-func runAgents(ctx context.Context, addr string, users, days int, seed int64, obsAddr string, reg *obs.Registry) error {
+// spanUploader roots one span per upload attempt and hands it to the client
+// in ctx, so the server's store span parents onto it in /debug/traces.
+type spanUploader struct {
+	engine.Uploader
+	tracer *obs.Tracer
+}
+
+func (u spanUploader) Upload(ctx context.Context, batchID string, batch []nomad.Entry) error {
+	span := u.tracer.Start("nomad-upload", "batch", batchID)
+	defer span.End()
+	return u.Uploader.Upload(obs.ContextWith(ctx, span), batchID, batch)
+}
+
+// runFleet is the small real-socket demonstration: one engine, one backend.
+func runFleet(ctx context.Context, addr string, users, days int, seed int64, obsAddr string, reg *obs.Registry) error {
 	// Substrate: a small internetwork and address plan for the fleet.
 	acfg := asgraph.DefaultSynthConfig()
 	acfg.Tier2 = 80
@@ -202,11 +215,10 @@ func runAgents(ctx context.Context, addr string, users, days int, seed int64, ob
 		return err
 	}
 
-	// Observability: fleet-wide retry counters, upload-outcome counters,
-	// upload traces, time-series sampling for /debug/dash, and the
-	// flight-recorder log on an introspection port.
-	fleetMetrics := reliable.NewMetrics(reg, "nomad")
-	agentMetrics := nomad.NewAgentMetrics(reg)
+	// Observability: retry counters, engine counters, upload traces,
+	// time-series sampling for /debug/dash, and the flight-recorder log on
+	// an introspection port.
+	met := engine.NewMetrics(reg)
 	tracer := obs.NewTracer(seed, 0)
 	begin := time.Now()
 	tracer.SetNow(func() time.Duration { return time.Since(begin) })
@@ -242,15 +254,30 @@ func runAgents(ctx context.Context, addr string, users, days int, seed int64, ob
 	if err != nil {
 		return err
 	}
-	defer ln.Close()
-	go http.Serve(ln, srv) //nolint:errcheck // server dies with the process
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
+	go hs.Serve(ln) //nolint:errcheck // ErrServerClosed once Shutdown runs
+	defer func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		hs.Shutdown(sctx) //nolint:errcheck // the process is exiting
+	}()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("nomadd: backend listening on %s\n", base)
 
-	uploaded, err := nomad.RunFleetObserved(ctx, base, trace, 8, fleetMetrics, agentMetrics, tracer)
+	eng, err := engine.New(engine.Config{
+		Trace:           trace,
+		Uploader:        spanUploader{nomad.NewClient(base), tracer},
+		RetryMetrics:    reliable.NewMetrics(reg, "nomad"),
+		GracefulUploads: true,
+		Metrics:         met,
+	})
 	if err != nil {
 		return err
 	}
+	if err := eng.Run(ctx); err != nil {
+		return err
+	}
+	uploaded := met.EntriesUploaded.Value()
 	fmt.Printf("nomadd: fleet of %d devices replayed %d days\n", users, days)
 	fmt.Printf("nomadd: %d records uploaded, %d devices in store\n",
 		uploaded, len(srv.Store.Devices()))

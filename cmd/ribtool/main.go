@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
@@ -157,10 +158,14 @@ func serve(rib *bgp.RIB, peer int) error {
 	// Poll until ingested.
 	want := rib.NumPrefixes()
 	for {
+		if errs := lc.Errs(); len(errs) > 0 {
+			return errs[0]
+		}
 		prefixes, _, _ := lc.Snapshot()
 		if prefixes >= want {
 			break
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	prefixes, routes, applied := lc.Snapshot()
 	fmt.Printf("ribtool: streamed %d prefixes (%d routes) in %d updates\n", prefixes, routes, applied)

@@ -99,25 +99,31 @@ func NewLiveCollector(name string) *LiveCollector {
 
 // Apply ingests one update message, returning how many prefixes changed
 // their selected best route (the collector-side update cost of the
-// message).
+// message). The whole message is parsed before the tables are touched, so a
+// message with one bad route changes nothing: RIB and FIB never diverge.
 func (lc *LiveCollector) Apply(m UpdateMsg) (bestChanges int, err error) {
+	announce := make([]Route, len(m.Announce))
+	for i, wr := range m.Announce {
+		if announce[i], err = wireToRoute(m.Peer, wr); err != nil {
+			return 0, err
+		}
+	}
+	withdraw := make([]netaddr.Prefix, len(m.Withdraw))
+	for i, ps := range m.Withdraw {
+		if withdraw[i], err = netaddr.ParsePrefix(ps); err != nil {
+			return 0, fmt.Errorf("bgp: bad withdraw prefix %q: %w", ps, err)
+		}
+	}
+
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	touched := map[netaddr.Prefix]bool{}
-	for _, wr := range m.Announce {
-		rt, err := wireToRoute(m.Peer, wr)
-		if err != nil {
-			return bestChanges, err
-		}
+	for _, rt := range announce {
 		lc.rib.withdraw(rt.Prefix, rt.NextHop) // BGP implicit withdraw
 		lc.rib.Add(rt)
 		touched[rt.Prefix] = true
 	}
-	for _, ps := range m.Withdraw {
-		p, err := netaddr.ParsePrefix(ps)
-		if err != nil {
-			return bestChanges, fmt.Errorf("bgp: bad withdraw prefix %q: %w", ps, err)
-		}
+	for _, p := range withdraw {
 		lc.rib.withdraw(p, m.Peer)
 		touched[p] = true
 	}

@@ -80,6 +80,36 @@ func TestLiveCollectorApplyErrors(t *testing.T) {
 	}
 }
 
+// TestLiveCollectorApplyIsAllOrNothing: a message whose second announce or
+// whose withdraw does not parse must leave the collector as it found it. It
+// used to return after adding the first route to the RIB and before
+// refreshing the FIB, so Snapshot counted a route Port could not find.
+func TestLiveCollectorApplyIsAllOrNothing(t *testing.T) {
+	good := WireRoute{Prefix: "10.1.0.0/16", Rel: "peer", ASPath: []int{7, 3}}
+	for name, m := range map[string]UpdateMsg{
+		"second announce bad": {Peer: 7, Announce: []WireRoute{good, {Prefix: "bogus", Rel: "peer", ASPath: []int{7}}}},
+		"withdraw bad":        {Peer: 7, Announce: []WireRoute{good}, Withdraw: []string{"nope"}},
+	} {
+		lc := NewLiveCollector("test")
+		if _, err := lc.Apply(m); err == nil {
+			t.Fatalf("%s: Apply accepted the message", name)
+		}
+		prefixes, routes, applied := lc.Snapshot()
+		_, forwards := lc.Port(netaddr.MustParsePrefix("10.1.0.0/16").Nth(5))
+		if prefixes != 0 || routes != 0 || applied != 0 || forwards {
+			t.Fatalf("%s: rejected message left %d prefixes, %d routes, %d applied, forwards=%v",
+				name, prefixes, routes, applied, forwards)
+		}
+		// The same routes in a well-formed message land in RIB and FIB alike.
+		if _, err := lc.Apply(UpdateMsg{Peer: 7, Announce: []WireRoute{good}}); err != nil {
+			t.Fatal(err)
+		}
+		if port, ok := lc.Port(netaddr.MustParsePrefix("10.1.0.0/16").Nth(5)); !ok || port != 7 {
+			t.Fatalf("%s: well-formed follow-up forwards to %d, %v", name, port, ok)
+		}
+	}
+}
+
 // TestLivePathMatchesBatchPath streams a synthesized collector's full table
 // over real TCP sessions and checks the live FIB forwards identically to
 // the batch-built one.

@@ -50,10 +50,7 @@ func observedStats(m *faultnet.Metrics) faultnet.Stats {
 // server whose transport injects faults, returning the observed outcome.
 func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitterSeed int64) chaosResult {
 	t.Helper()
-	svc, err := New(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newMapBackend()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +210,7 @@ func TestChaosInjectedEqualsObserved(t *testing.T) {
 // with AllowStale degrades to the last known binding instead of failing —
 // the stale-mapping operating regime.
 func TestLookupStaleFallback(t *testing.T) {
-	svc, _ := New(3, 2)
+	svc := newMapBackend()
 	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +274,7 @@ func TestClientContextCancellationMidRetry(t *testing.T) {
 // TestServerRejectsOversizedDatagram: a datagram beyond the protocol bound
 // gets a structured error response, not a mangled parse or silence.
 func TestServerOversizedDatagram(t *testing.T) {
-	svc, _ := New(3, 2)
+	svc := newMapBackend()
 	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +314,7 @@ func TestServerRecoverGuard(t *testing.T) {
 	}
 
 	// End to end: the same poisoned request must not kill a live loop.
-	svc, _ := New(3, 2)
+	svc := newMapBackend()
 	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package cluster turns the single-box gns service into a sharded,
-// replicated name-mapping cluster: N consistent-hash shards of the name
+// Package cluster is the store behind package gns's UDP front end: a sharded,
+// replicated name-mapping cluster of N consistent-hash shards of the name
 // space, each owned by R independent gns.Server replicas, with quorum
 // writes, read-your-writes on the owning shard, per-replica health-checked
 // failover (half-open circuit breakers), hedged lookups, anti-entropy

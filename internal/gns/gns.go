@@ -1,26 +1,21 @@
-// Package gns implements the extra-network name-resolution service that the
-// name-resolution architecture of §2 depends on (DNS today, or a
-// next-generation global name service like MobilityFirst's GNS [49]): a
-// replicated name→addresses store where a mobility event costs exactly one
+// Package gns implements the front of the extra-network name-resolution
+// service that the name-resolution architecture of §2 depends on (DNS
+// today, or a next-generation global name service like MobilityFirst's GNS
+// [49]): a name→addresses store where a mobility event costs exactly one
 // update, absorbed by a horizontally scaled service instead of the routing
 // fabric.
 //
-// Names are placed on K of N replicas by rendezvous (highest-random-weight)
-// hashing; updates require a majority of a name's replica set and carry
-// monotonically increasing versions; lookups read the newest version among
-// reachable replicas. Replica failures can be injected to exercise quorum
-// behaviour. A UDP front end (server.go) exposes the service the way a
-// resolver would see it.
+// This package holds what every node and client of that service shares: the
+// Record, the one-datagram-per-request wire protocol and its append codec
+// (wire.go, codec.go), the UDP front end that exposes a Backend the way a
+// resolver would see it (server.go), the pooled client Transport
+// (transport.go) and a single-server Client. The store itself — sharding,
+// K-of-N replication, quorum writes, version vectors, anti-entropy repair —
+// is package cluster, whose Store is the one production Backend; tests here
+// put a map behind the Server.
 package gns
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sort"
-	"sync"
-
-	"locind/internal/netaddr"
-)
+import "locind/internal/netaddr"
 
 // Record is one name binding.
 type Record struct {
@@ -31,212 +26,4 @@ type Record struct {
 	// authoritative service was unreachable — the degraded operating mode.
 	// A fresh resolution always has Stale false.
 	Stale bool
-}
-
-// Service is the replicated resolution service.
-type Service struct {
-	replicas []*replica
-	k        int
-
-	mu      sync.Mutex
-	nextVer uint64
-	updates uint64
-	lookups uint64
-}
-
-type replica struct {
-	mu   sync.Mutex
-	down bool
-	recs map[string]Record
-}
-
-// New creates a service with n replicas, each name stored on k of them.
-func New(n, k int) (*Service, error) {
-	if n < 1 || k < 1 || k > n {
-		return nil, fmt.Errorf("gns: bad replication (n=%d, k=%d)", n, k)
-	}
-	s := &Service{k: k}
-	for i := 0; i < n; i++ {
-		s.replicas = append(s.replicas, &replica{recs: map[string]Record{}})
-	}
-	return s, nil
-}
-
-// NumReplicas returns the replica count.
-func (s *Service) NumReplicas() int { return len(s.replicas) }
-
-// Fail marks replica i unreachable; Recover brings it back (it will be
-// repaired lazily by subsequent updates).
-func (s *Service) Fail(i int) {
-	r := s.replicas[i]
-	r.mu.Lock()
-	r.down = true
-	r.mu.Unlock()
-}
-
-// Recover brings replica i back online.
-func (s *Service) Recover(i int) {
-	r := s.replicas[i]
-	r.mu.Lock()
-	r.down = false
-	r.mu.Unlock()
-}
-
-// ReplicasFor returns the k replica indices responsible for name, in
-// rendezvous-hash order (stable under replica-set growth: adding a replica
-// moves only the names it wins).
-func (s *Service) ReplicasFor(name string) []int {
-	type weight struct {
-		idx int
-		w   uint64
-	}
-	ws := make([]weight, len(s.replicas))
-	for i := range s.replicas {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%d", name, i)
-		ws[i] = weight{idx: i, w: h.Sum64()}
-	}
-	sort.Slice(ws, func(a, b int) bool {
-		if ws[a].w != ws[b].w {
-			return ws[a].w > ws[b].w
-		}
-		return ws[a].idx < ws[b].idx
-	})
-	out := make([]int, s.k)
-	for i := 0; i < s.k; i++ {
-		out[i] = ws[i].idx
-	}
-	return out
-}
-
-func majority(k int) int { return k/2 + 1 }
-
-// Update installs a new binding for name, succeeding iff a majority of the
-// name's replica set is reachable. It returns the new version.
-func (s *Service) Update(name string, addrs []netaddr.Addr) (uint64, error) {
-	s.mu.Lock()
-	s.nextVer++
-	ver := s.nextVer
-	s.updates++
-	s.mu.Unlock()
-
-	rec := Record{Name: name, Addrs: append([]netaddr.Addr(nil), addrs...), Version: ver}
-	acks := 0
-	for _, idx := range s.ReplicasFor(name) {
-		r := s.replicas[idx]
-		r.mu.Lock()
-		if !r.down {
-			if cur, ok := r.recs[name]; !ok || cur.Version < ver {
-				r.recs[name] = rec
-			}
-			acks++
-		}
-		r.mu.Unlock()
-	}
-	if acks < majority(s.k) {
-		return 0, fmt.Errorf("%w: %d/%d acks for %q", ErrNoQuorum, acks, s.k, name)
-	}
-	return ver, nil
-}
-
-// Lookup resolves name, reading from a majority of its replica set and
-// returning the newest version seen (so a lookup never observes a binding
-// older than the last majority-committed update).
-func (s *Service) Lookup(name string) (Record, error) {
-	s.mu.Lock()
-	s.lookups++
-	s.mu.Unlock()
-
-	var best Record
-	found := false
-	reached := 0
-	for _, idx := range s.ReplicasFor(name) {
-		r := s.replicas[idx]
-		r.mu.Lock()
-		if !r.down {
-			reached++
-			if rec, ok := r.recs[name]; ok && (!found || rec.Version > best.Version) {
-				best = rec
-				found = true
-			}
-		}
-		r.mu.Unlock()
-		if reached >= majority(s.k) {
-			break
-		}
-	}
-	if reached < majority(s.k) {
-		return Record{}, fmt.Errorf("%w: reached %d/%d replicas for %q", ErrNoQuorum, reached, s.k, name)
-	}
-	if !found {
-		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return best, nil
-}
-
-// Stats returns the number of updates and lookups served — the quantities
-// behind the paper's point that this aggregate load is "straightforward to
-// handle by distributing it across a large number of DNS servers".
-func (s *Service) Stats() (updates, lookups uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.updates, s.lookups
-}
-
-// LoadPerReplica estimates each replica's share of a global update load of
-// eventsPerSec, assuming names spread evenly: k/n of the events land on any
-// given replica.
-func (s *Service) LoadPerReplica(eventsPerSec float64) float64 {
-	return eventsPerSec * float64(s.k) / float64(len(s.replicas))
-}
-
-// Repair runs one anti-entropy pass: for every name any replica knows, the
-// newest version among reachable members of its replica set is written back
-// to every reachable member that lags. It returns the number of
-// replica-records repaired. Recovered replicas call this to catch up on
-// updates they missed while down.
-func (s *Service) Repair() int {
-	// Collect the union of known names.
-	names := map[string]bool{}
-	for _, r := range s.replicas {
-		r.mu.Lock()
-		if !r.down {
-			for n := range r.recs {
-				names[n] = true
-			}
-		}
-		r.mu.Unlock()
-	}
-	repaired := 0
-	for name := range names {
-		var best Record
-		found := false
-		members := s.ReplicasFor(name)
-		for _, idx := range members {
-			r := s.replicas[idx]
-			r.mu.Lock()
-			if !r.down {
-				if rec, ok := r.recs[name]; ok && (!found || rec.Version > best.Version) {
-					best = rec
-					found = true
-				}
-			}
-			r.mu.Unlock()
-		}
-		if !found {
-			continue
-		}
-		for _, idx := range members {
-			r := s.replicas[idx]
-			r.mu.Lock()
-			if !r.down {
-				if cur, ok := r.recs[name]; !ok || cur.Version < best.Version {
-					r.recs[name] = best
-					repaired++
-				}
-			}
-			r.mu.Unlock()
-		}
-	}
-	return repaired
 }

@@ -2,9 +2,6 @@ package gns
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,183 +16,8 @@ func addrs(ss ...string) []netaddr.Addr {
 	return out
 }
 
-func TestNewValidation(t *testing.T) {
-	for _, bad := range [][2]int{{0, 1}, {3, 0}, {3, 4}} {
-		if _, err := New(bad[0], bad[1]); err == nil {
-			t.Errorf("New(%d,%d) should fail", bad[0], bad[1])
-		}
-	}
-	s, err := New(5, 3)
-	if err != nil || s.NumReplicas() != 5 {
-		t.Fatalf("New = %v %v", s, err)
-	}
-}
-
-func TestReplicasForProperties(t *testing.T) {
-	s, _ := New(7, 3)
-	seen := map[int]int{}
-	for i := 0; i < 200; i++ {
-		name := fmt.Sprintf("host%d.example", i)
-		rs := s.ReplicasFor(name)
-		if len(rs) != 3 {
-			t.Fatalf("replica set size %d", len(rs))
-		}
-		dup := map[int]bool{}
-		for _, r := range rs {
-			if dup[r] {
-				t.Fatalf("duplicate replica for %q: %v", name, rs)
-			}
-			dup[r] = true
-			seen[r]++
-		}
-		// Stability.
-		again := s.ReplicasFor(name)
-		for j := range rs {
-			if rs[j] != again[j] {
-				t.Fatalf("unstable placement for %q", name)
-			}
-		}
-	}
-	// Every replica should get a fair share of names.
-	for r := 0; r < 7; r++ {
-		if seen[r] < 30 {
-			t.Errorf("replica %d underloaded: %d placements", r, seen[r])
-		}
-	}
-}
-
-func TestUpdateLookupRoundTrip(t *testing.T) {
-	s, _ := New(5, 3)
-	v1, err := s.Update("alice.phone", addrs("10.0.0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := s.Lookup("alice.phone")
-	if err != nil || rec.Version != v1 || rec.Addrs[0] != netaddr.MustParseAddr("10.0.0.1") {
-		t.Fatalf("lookup = %+v, %v", rec, err)
-	}
-	// A mobility event: one update, monotone version.
-	v2, err := s.Update("alice.phone", addrs("20.0.0.9"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 <= v1 {
-		t.Fatal("versions must increase")
-	}
-	rec, _ = s.Lookup("alice.phone")
-	if rec.Addrs[0] != netaddr.MustParseAddr("20.0.0.9") {
-		t.Fatal("lookup must observe the newest binding")
-	}
-	if _, err := s.Lookup("nobody"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing name error = %v", err)
-	}
-	up, lk := s.Stats()
-	if up != 2 || lk != 3 {
-		t.Fatalf("stats = %d, %d", up, lk)
-	}
-}
-
-func TestQuorumBehaviour(t *testing.T) {
-	s, _ := New(5, 3)
-	name := "bob.phone"
-	rs := s.ReplicasFor(name)
-
-	// One replica down: majority (2 of 3) still holds.
-	s.Fail(rs[0])
-	if _, err := s.Update(name, addrs("10.0.0.2")); err != nil {
-		t.Fatalf("update with 2/3 replicas should succeed: %v", err)
-	}
-	if _, err := s.Lookup(name); err != nil {
-		t.Fatalf("lookup with 2/3 replicas should succeed: %v", err)
-	}
-
-	// Two replicas down: no quorum.
-	s.Fail(rs[1])
-	if _, err := s.Update(name, addrs("10.0.0.3")); !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("update without quorum should fail, got %v", err)
-	}
-	if _, err := s.Lookup(name); !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("lookup without quorum should fail, got %v", err)
-	}
-
-	// Recovery: the stale replica returns, but lookups still see the
-	// majority-committed version.
-	s.Recover(rs[0])
-	s.Recover(rs[1])
-	rec, err := s.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Addrs[0] != netaddr.MustParseAddr("10.0.0.2") {
-		t.Fatalf("lookup after recovery = %v, want last committed", rec.Addrs)
-	}
-}
-
-func TestStaleReplicaNeverWins(t *testing.T) {
-	s, _ := New(3, 3)
-	name := "carol.phone"
-	rs := s.ReplicasFor(name)
-	if _, err := s.Update(name, addrs("10.0.0.1")); err != nil {
-		t.Fatal(err)
-	}
-	// Replica rs[0] misses the second update...
-	s.Fail(rs[0])
-	if _, err := s.Update(name, addrs("20.0.0.2")); err != nil {
-		t.Fatal(err)
-	}
-	s.Recover(rs[0])
-	// ...and although it answers first in rendezvous order, the version
-	// comparison must surface the newer binding.
-	for i := 0; i < 5; i++ {
-		rec, err := s.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Addrs[0] != netaddr.MustParseAddr("20.0.0.2") {
-			t.Fatalf("stale binding surfaced: %v", rec.Addrs)
-		}
-	}
-}
-
-func TestConcurrentUpdates(t *testing.T) {
-	s, _ := New(5, 3)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				name := fmt.Sprintf("dev%d", i%10)
-				if _, err := s.Update(name, addrs(fmt.Sprintf("10.%d.%d.1", w, i))); err != nil {
-					t.Errorf("update: %v", err)
-					return
-				}
-				if _, err := s.Lookup(name); err != nil && !errors.Is(err, ErrNotFound) {
-					t.Errorf("lookup: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	up, _ := s.Stats()
-	if up != 400 {
-		t.Fatalf("updates = %d", up)
-	}
-}
-
-func TestLoadPerReplica(t *testing.T) {
-	s, _ := New(100, 3)
-	// The §6.2.2 point: 2.1K global updates/sec spread across 100 replicas
-	// at k=3 is ~63 updates/sec each — trivial.
-	got := s.LoadPerReplica(2100)
-	if got < 60 || got > 66 {
-		t.Fatalf("per-replica load = %v", got)
-	}
-}
-
 func TestUDPServerRoundTrip(t *testing.T) {
-	svc, _ := New(5, 3)
+	svc := newMapBackend()
 	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +50,7 @@ func TestUDPServerRoundTrip(t *testing.T) {
 }
 
 func TestUDPServerBadInput(t *testing.T) {
-	svc, _ := New(3, 2)
+	svc := newMapBackend()
 	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -252,54 +74,5 @@ func TestClientUnreachable(t *testing.T) {
 	c.Timeout = 50 * time.Millisecond
 	if _, err := c.Lookup(context.Background(), "x"); err == nil {
 		t.Fatal("unreachable server should error")
-	}
-}
-
-func BenchmarkUpdateLookup(b *testing.B) {
-	s, _ := New(9, 3)
-	a := addrs("10.0.0.1")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := fmt.Sprintf("dev%d", i%1000)
-		s.Update(name, a) //nolint:errcheck
-		s.Lookup(name)    //nolint:errcheck
-	}
-}
-
-// TestRepairAntiEntropy verifies that a recovered replica catches up: after
-// Repair, even a lookup served exclusively by the once-stale replica
-// returns the latest committed binding.
-func TestRepairAntiEntropy(t *testing.T) {
-	s, _ := New(3, 3)
-	name := "eve.phone"
-	rs := s.ReplicasFor(name)
-	if _, err := s.Update(name, addrs("10.0.0.1")); err != nil {
-		t.Fatal(err)
-	}
-	s.Fail(rs[2])
-	if _, err := s.Update(name, addrs("20.0.0.2")); err != nil {
-		t.Fatal(err)
-	}
-	s.Recover(rs[2])
-
-	repaired := s.Repair()
-	if repaired == 0 {
-		t.Fatal("stale replica should have been repaired")
-	}
-	// Now isolate the once-stale replica as the only survivor... with k=3,
-	// majority needs 2, so instead verify directly: every replica stores
-	// the latest version.
-	for _, idx := range rs {
-		r := s.replicas[idx]
-		r.mu.Lock()
-		rec, ok := r.recs[name]
-		r.mu.Unlock()
-		if !ok || rec.Addrs[0] != netaddr.MustParseAddr("20.0.0.2") {
-			t.Fatalf("replica %d still stale: %+v", idx, rec)
-		}
-	}
-	// Idempotence: a second pass repairs nothing.
-	if again := s.Repair(); again != 0 {
-		t.Fatalf("second repair pass touched %d records", again)
 	}
 }

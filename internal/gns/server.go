@@ -11,9 +11,8 @@ import (
 	"locind/internal/obs"
 )
 
-// Backend is the resolution store a Server fronts. *Service implements it;
-// the cluster package's replica stores implement it too, so one UDP serve
-// loop fronts both the single-box service and a cluster replica.
+// Backend is the resolution store a Server fronts: in production one
+// cluster replica's Store (package cluster), in this package's tests a map.
 type Backend interface {
 	Lookup(name string) (Record, error)
 	Update(name string, addrs []netaddr.Addr) (uint64, error)

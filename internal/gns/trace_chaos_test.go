@@ -42,10 +42,7 @@ func exportChrome(t *testing.T, tr *obs.Tracer) []chromeSpan {
 // onto the client request span — the walk below reads only the exported
 // Chrome trace JSON, exactly what an operator sees in the viewer.
 func TestChaosLookupCausalTree(t *testing.T) {
-	svc, err := New(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newMapBackend()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

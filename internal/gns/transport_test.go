@@ -69,7 +69,7 @@ var oneAttempt = reliable.Policy{MaxAttempts: 1, PerAttempt: 2 * time.Second}
 // request k+1 goes out. Without the transaction-ID check request k+1 would
 // be answered with name k's record.
 func TestTransportDiscardsDuplicatedReplies(t *testing.T) {
-	svc, _ := New(3, 2)
+	svc := newMapBackend()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestTransportRejectsOversizedRequest(t *testing.T) {
 // TestServerEchoesTransactionID: every kind of reply carries the request's
 // ID, and a request without one still gets a well-formed reply without one.
 func TestServerEchoesTransactionID(t *testing.T) {
-	svc, _ := New(3, 2)
+	svc := newMapBackend()
 	if _, err := svc.Update("x", addrs("10.0.0.1")); err != nil {
 		t.Fatal(err)
 	}

@@ -145,8 +145,8 @@ func (h *HomeAgent) Where(ep string) (int, bool) {
 }
 
 // Resolver abstracts the extra-network service the resolution architecture
-// queries (satisfied by a map in tests and by gns.Service via a thin
-// adapter).
+// queries (a map here; the tests also put a loopback gns cluster behind
+// it).
 type Resolver interface {
 	ResolveUpdate(name string, router int) error
 	ResolveLookup(name string) (int, error)

@@ -1,12 +1,17 @@
 package netsim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"locind/internal/analytic"
-	"locind/internal/gns"
+	"locind/internal/faultnet"
+	"locind/internal/gns/cluster"
+	"locind/internal/netaddr"
+	"locind/internal/obs"
 	"locind/internal/topology"
 )
 
@@ -340,17 +345,49 @@ func TestBreadcrumbScenario(t *testing.T) {
 		mPure.HandoffSuccess, mPure.HandoffStretch, mCrumbs.HandoffSuccess, mCrumbs.HandoffStretch)
 }
 
+// clusterResolver puts the real name service — a loopback gns cluster behind
+// its quorum-writing, hedging client — under the Resolution architecture's
+// Resolver. Router locators are encoded as addresses in a reserved /8.
+type clusterResolver struct{ cl *cluster.Client }
+
+func (r clusterResolver) ResolveUpdate(name string, router int) error {
+	loc := netaddr.MakeAddr(127, byte(router>>16), byte(router>>8), byte(router))
+	_, err := r.cl.Update(context.Background(), name, []netaddr.Addr{loc})
+	return err
+}
+
+func (r clusterResolver) ResolveLookup(name string) (int, error) {
+	rec, err := r.cl.Lookup(context.Background(), name)
+	if err != nil {
+		return 0, err
+	}
+	_, b, c, d := rec.Addrs[0].Octets()
+	return int(b)<<16 | int(c)<<8 | int(d), nil
+}
+
 // TestResolutionOverGNS runs the resolution architecture through the real
 // replicated name service: mobility still costs one (quorum) update, data
 // paths stay direct, and a replica failure inside the quorum is invisible
 // to senders.
 func TestResolutionOverGNS(t *testing.T) {
 	net := mustNet(t, topology.Chain(9))
-	svc, err := gns.New(5, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	svc, err := cluster.Start(ctx, cluster.Config{Shards: 2, Replicas: 3}, faultnet.NewEnv(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewResolution(net, GNSResolver{Svc: svc})
+	defer svc.Close()
+	newClient := func(origin uint64) *cluster.Client {
+		cl := cluster.NewClient(svc.Addrs(), cluster.ClientConfig{Origin: origin, BreakerCooldown: 1})
+		cl.Timeout, cl.HedgeDelay, cl.Retries = 100*time.Millisecond, 40*time.Millisecond, 0
+		t.Cleanup(cl.Close)
+		return cl
+	}
+	m := cluster.NewClientMetrics(obs.NewRegistry())
+	cl := newClient(1)
+	cl.SetMetrics(m, 0)
+	res := NewResolution(net, clusterResolver{cl})
 
 	if got := res.Attach("u", 0); got != 1 {
 		t.Fatalf("attach cost = %d", got)
@@ -361,21 +398,21 @@ func TestResolutionOverGNS(t *testing.T) {
 		t.Fatalf("delivery = %+v", d)
 	}
 	// One replica of the name's set fails: the architecture keeps working.
-	rs := svc.ReplicasFor("u")
-	svc.Fail(rs[0])
+	shard := cluster.ShardOf("u", 2)
+	svc.KillReplica(shard, 0)
 	res.Move("u", 4)
 	d = res.Send(2, "u")
 	if !d.Delivered || d.Hops != 2 {
 		t.Fatalf("delivery with degraded service = %+v", d)
 	}
-	// Quorum loss surfaces as failed sends, not wrong deliveries.
-	svc.Fail(rs[1])
-	d = res.Send(2, "u")
+	// Losing the whole replica set surfaces as failed sends to a sender that
+	// never resolved the name, not as wrong deliveries.
+	svc.KillShard(shard)
+	d = NewResolution(net, clusterResolver{newClient(2)}).Send(2, "u")
 	if d.Delivered {
-		t.Fatal("no-quorum lookup must not deliver")
+		t.Fatal("a lookup no replica answers must not deliver")
 	}
-	updates, lookups := svc.Stats()
-	if updates != 3 || lookups == 0 {
+	if updates, lookups := m.Updates.Value(), m.Lookups.Value(); updates != 3 || lookups == 0 {
 		t.Fatalf("service stats = %d updates, %d lookups", updates, lookups)
 	}
 }

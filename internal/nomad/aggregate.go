@@ -13,8 +13,8 @@ import (
 // scale: instead of retaining every record, the server folds each accepted
 // batch into per-device running aggregates — O(devices), not O(records).
 // Exactly-once ingestion keys on the batch ID's per-device sequence number:
-// agents seal and upload batches oldest-first with monotonically increasing
-// sequence numbers (the Agent contract since PR 1, preserved by the event
+// devices seal and upload batches oldest-first with monotonically increasing
+// sequence numbers (the upload contract since PR 1, kept by the event
 // engine), so "seq <= last applied" recognises every replay without keeping
 // a set of all batch IDs ever seen.
 type Aggregates struct {
@@ -66,7 +66,7 @@ func fnv1a(h uint64, s string) uint64 {
 
 const fnvOffset = 14695981039346656037
 
-// splitBatchID separates an Agent-form batch ID ("<device>-b%06d") into its
+// splitBatchID separates a device-form batch ID ("<device>-b%06d") into its
 // device prefix and sequence number.
 func splitBatchID(batchID string) (device string, seq uint32, ok bool) {
 	i := strings.LastIndex(batchID, "-b")

@@ -1,13 +1,19 @@
-package nomad
+package engine
+
+// The goroutine-per-device Agent the engine replaced, kept as the reference
+// TestEngineEquivalentToAgents replays against: it left internal/nomad
+// verbatim but for package qualifiers and its fleet-shared AgentMetrics
+// handle (three counters no comparison reads). Nothing outside this
+// package's tests may use it.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"locind/internal/mobility"
+	"locind/internal/nomad"
 	"locind/internal/obs"
 	"locind/internal/reliable"
 )
@@ -19,7 +25,7 @@ import (
 // a failed /upload can neither lose nor duplicate records.
 type batch struct {
 	id      string
-	entries []Entry
+	entries []nomad.Entry
 }
 
 // Agent replays one device's mobility trace through the measurement
@@ -29,7 +35,7 @@ type batch struct {
 // (§4's battery/data conservation rule), which we approximate as any WiFi
 // dwell of at least MinUploadDwell hours.
 type Agent struct {
-	Client *Client
+	Client *nomad.Client
 	// MinUploadDwell is the minimum WiFi dwell (hours) treated as
 	// "plugged in at home/work" and therefore safe to upload during.
 	MinUploadDwell float64
@@ -47,17 +53,14 @@ type Agent struct {
 	// Metrics, when non-nil, counts the retry loop's activity into obs
 	// handles shared across the fleet.
 	Metrics *reliable.Metrics
-	// Obs, when non-nil, counts upload outcomes (batches/entries stored,
-	// opportunities given up) into fleet-shared obs handles.
-	Obs *AgentMetrics
 	// Tracer, when non-nil, records one span per batch-upload opportunity
 	// (with per-attempt children) and propagates its TraceContext in the
 	// upload headers so the server's store span parents onto it.
 	Tracer *obs.Tracer
 
 	deviceID string
-	pending  []Entry // records not yet sealed into a batch
-	queue    []batch // sealed batches awaiting upload, oldest first
+	pending  []nomad.Entry // records not yet sealed into a batch
+	queue    []batch       // sealed batches awaiting upload, oldest first
 	seq      int
 	// UploadFailures counts upload opportunities that exhausted retries.
 	UploadFailures int
@@ -68,13 +71,13 @@ type Agent struct {
 
 // NewAgent creates an agent for the raw device identifier (hashed before it
 // ever leaves the device).
-func NewAgent(client *Client, rawDeviceID string) *Agent {
+func NewAgent(client *nomad.Client, rawDeviceID string) *Agent {
 	return &Agent{
 		Client:         client,
 		MinUploadDwell: 2.0,
 		UploadRetries:  2,
 		Backoff:        reliable.Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second},
-		deviceID:       HashDeviceID(rawDeviceID),
+		deviceID:       nomad.HashDeviceID(rawDeviceID),
 	}
 }
 
@@ -135,12 +138,9 @@ func (a *Agent) drainQueue(ctx context.Context) (int, error) {
 				return uploaded, ctxErr
 			}
 			a.UploadFailures++
-			a.m().UploadFailures.Inc()
 			return uploaded, nil // keep the batch queued; not fatal
 		}
 		uploaded += len(b.entries)
-		a.m().BatchesUploaded.Inc()
-		a.m().EntriesUploaded.Add(int64(len(b.entries)))
 		a.queue = a.queue[1:]
 	}
 	return uploaded, nil
@@ -170,7 +170,7 @@ func (a *Agent) Replay(ctx context.Context, u *mobility.UserTrace) (int, error) 
 		if err != nil {
 			return uploaded, fmt.Errorf("nomad: device %s ip-echo: %w", a.deviceID, err)
 		}
-		a.pending = append(a.pending, Entry{
+		a.pending = append(a.pending, nomad.Entry{
 			DeviceID: a.deviceID,
 			Time:     v.Start,
 			IPAddr:   ip,
@@ -197,49 +197,4 @@ func (a *Agent) Replay(ctx context.Context, u *mobility.UserTrace) (int, error) 
 func (a *Agent) Flush(ctx context.Context) (int, error) {
 	a.seal()
 	return a.drainQueue(ctx)
-}
-
-// RunFleet replays every user in the trace concurrently against the server
-// at baseURL, with at most parallel agents in flight. It returns the total
-// number of uploaded records. ctx cancels the whole fleet.
-func RunFleet(ctx context.Context, baseURL string, dt *mobility.DeviceTrace, parallel int) (int, error) {
-	return RunFleetObserved(ctx, baseURL, dt, parallel, nil, nil, nil)
-}
-
-// RunFleetObserved is RunFleet with shared retry-loop metrics, upload
-// outcome counters, and an upload tracer attached to every agent; m, am,
-// and tr may be nil for an unobserved fleet.
-func RunFleetObserved(ctx context.Context, baseURL string, dt *mobility.DeviceTrace, parallel int, m *reliable.Metrics, am *AgentMetrics, tr *obs.Tracer) (int, error) {
-	if parallel < 1 {
-		parallel = 1
-	}
-	sem := make(chan struct{}, parallel)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		total    int
-		firstErr error
-	)
-	for i := range dt.Users {
-		u := &dt.Users[i]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			agent := NewAgent(NewClient(baseURL), fmt.Sprintf("device-%d", u.ID))
-			agent.Metrics = m
-			agent.Obs = am
-			agent.Tracer = tr
-			n, err := agent.Replay(ctx, u)
-			mu.Lock()
-			defer mu.Unlock()
-			total += n
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}()
-	}
-	wg.Wait()
-	return total, firstErr
 }

@@ -1,10 +1,10 @@
-// Package engine is the million-device replacement for nomad's
-// goroutine-per-device agents: a single-threaded event-heap scheduler that
-// walks every device's mobility trace in one virtual-time order. Each
-// device is a ~100-byte slab entry plus its pending-record buffer; the only
-// goroutine is the caller's, so a shard costs no stacks, no channels, and —
-// once its buffers have grown to steady-state capacity — zero allocations
-// per scheduled event (pinned by the generated allocguard test).
+// Package engine is the device side of the NomadLog pipeline at every scale
+// (nomadd's forty devices, the million-device soak): a single-threaded
+// event-heap scheduler that walks every device's mobility trace in one
+// virtual-time order. Each device is a ~100-byte slab entry plus its
+// pending-record buffer; the only goroutine is the caller's, so a shard costs
+// no stacks, no channels, and — once its buffers reach steady-state capacity
+// — zero allocations per scheduled event (pinned by the allocguard test).
 //
 // Scale-out is sharding, not concurrency within a shard: devices partition
 // into contiguous index ranges, one Engine per range, driven in parallel
@@ -12,14 +12,14 @@
 // every device's trace independent of shard count, so the records a device
 // uploads are identical at any parallelism degree.
 //
-// The upload path preserves the Agent contract exactly: records buffer
-// per device, a long-enough WiFi dwell seals them into a batch with the
-// next "<hashedID>-b%06d" identity, and sealed batches drain oldest-first,
-// stopping at the first batch that exhausts its retries. Backpressure is
-// explicit where the Agent's was absent: MaxPending bounds loose records
-// per device (overflow forces an early seal), MaxQueuedBatches bounds
-// sealed batches per device (overflow evicts the oldest batch, counted as
-// DroppedBatches — the engine's only source of data loss).
+// "The Agent" below is the goroutine-per-device implementation the engine
+// replaced, now its test oracle (agent_test.go). The upload path preserves
+// the Agent contract exactly: records buffer per device, a long-enough WiFi
+// dwell seals them into a batch with the next "<hashedID>-b%06d" identity,
+// and sealed batches drain oldest-first, stopping at the first batch that
+// exhausts its retries. Backpressure is explicit: MaxPending bounds loose
+// records per device (overflow forces an early seal), MaxQueuedBatches bounds
+// sealed batches (overflow evicts the oldest, counted as DroppedBatches).
 //
 // One deliberate divergence: the Agent asks the server to echo its address
 // before logging each record (/ip). In simulation the server echoes the
@@ -96,7 +96,7 @@ type deviceState struct {
 
 // Config configures an Engine. Exactly one of Fleet and Trace must be set:
 // Fleet streams each device day by day at bounded memory (the soak mode),
-// Trace replays pre-generated visits (the equivalence-test mode).
+// Trace replays pre-generated visits (nomadd's default mode, the tests).
 type Config struct {
 	// Fleet generates device days on demand; UserBase+i is device i's
 	// user index, so shards cover disjoint contiguous user ranges.
@@ -118,7 +118,7 @@ type Config struct {
 	// MaxPending bounds loose records per device: reaching it forces a
 	// seal even without an upload opportunity. 0 = unbounded (the Agent's
 	// behaviour, and the setting that keeps batch identities
-	// legacy-identical).
+	// identical to the Agent's).
 	MaxPending int
 	// MaxQueuedBatches bounds sealed batches per device: sealing past it
 	// evicts the oldest batch (counted, never silent). 0 = unbounded.

@@ -1,15 +1,15 @@
 // Package nomad reimplements the paper's NomadLog measurement pipeline (§4)
-// as a working client/server system: device agents that observe connectivity
-// events, an IP-echo server the device contacts to learn its public-facing
-// address, store-and-forward batching of log records (uploads happen only
-// when the device is "connected to power and WiFi"), and an append-only log
-// store standing in for the paper's postgres database.
+// as a working client/server system: the server side (an IP-echo endpoint a
+// device contacts to learn its public-facing address, idempotent batch
+// uploads, an append-only log store standing in for the paper's postgres
+// database, streaming aggregates) and the HTTP client a device uploads
+// through. The device side — connectivity events buffered per device,
+// store-and-forward batching (uploads happen only when the device is
+// "connected to power and WiFi") — is package engine.
 //
 // In production the server would echo the TCP peer address; in simulation
-// every agent connects over loopback, so the agent states its
-// workload-assigned address in a header and the server echoes that. The
-// observable behaviour — one tiny request per connectivity event, batched
-// uploads, the paper's log-record schema — is identical.
+// every device connects over loopback, so a device states its
+// workload-assigned address in a header and the server echoes that.
 package nomad
 
 import (
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -267,16 +268,12 @@ func (c *Client) PublicIP(ctx context.Context, simulatedAddr string) (string, er
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("nomad: /ip returned %s", resp.Status)
 	}
-	var b strings.Builder
-	buf := make([]byte, 64)
-	for {
-		n, err := resp.Body.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
+	// An address is a few dozen bytes; never buffer more of a reply than that.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 256))
+	if err != nil {
+		return "", err
 	}
-	return b.String(), nil
+	return string(body), nil
 }
 
 // Upload posts a sealed batch of entries. batchID, when non-empty, makes

@@ -2,16 +2,9 @@ package nomad
 
 import (
 	"context"
-	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"locind/internal/asgraph"
-	"locind/internal/bgp"
-	"locind/internal/mobility"
-	"locind/internal/reliable"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -135,90 +128,6 @@ func TestLogStoreQueries(t *testing.T) {
 	}
 }
 
-func smallTrace(t *testing.T) *mobility.DeviceTrace {
-	t.Helper()
-	cfg := asgraph.DefaultSynthConfig()
-	cfg.Tier2 = 60
-	cfg.Stubs = 500
-	g, err := asgraph.Synthesize(cfg, rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := bgp.NewPrefixTable(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcfg := mobility.DefaultDeviceConfig()
-	dcfg.Users = 12
-	dcfg.Days = 3
-	dt, err := mobility.GenerateDeviceTrace(g, pt, dcfg, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt
-}
-
-// TestAgentPipeline runs the full measurement loop for one device and checks
-// the records landing in the store match the trace.
-func TestAgentPipeline(t *testing.T) {
-	s, ts := newTestServer(t)
-	dt := smallTrace(t)
-	u := &dt.Users[0]
-	agent := NewAgent(NewClient(ts.URL), "device-0")
-	uploaded, err := agent.Replay(context.Background(), u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uploaded+agent.Pending() != len(u.Visits) {
-		t.Fatalf("uploaded %d + pending %d != %d visits", uploaded, agent.Pending(), len(u.Visits))
-	}
-	stored := s.Store.ByDevice(agent.DeviceID())
-	if len(stored) != uploaded {
-		t.Fatalf("store has %d, uploaded %d", len(stored), uploaded)
-	}
-	// Stored records must be a prefix of the visit sequence with matching
-	// addresses and net types.
-	for i, e := range stored {
-		v := u.Visits[i]
-		if e.IPAddr != v.Loc.Addr.String() {
-			t.Fatalf("record %d addr %q != visit addr %q", i, e.IPAddr, v.Loc.Addr)
-		}
-		if e.NetType != v.Loc.Net.String() {
-			t.Fatalf("record %d net %q != %q", i, e.NetType, v.Loc.Net)
-		}
-		if e.Time != v.Start {
-			t.Fatalf("record %d time %v != %v", i, e.Time, v.Start)
-		}
-	}
-	// At least one upload must have happened (every user sleeps at home on
-	// WiFi for more than MinUploadDwell).
-	if uploaded == 0 {
-		t.Fatal("no records uploaded despite long home dwells")
-	}
-}
-
-func TestRunFleet(t *testing.T) {
-	s, ts := newTestServer(t)
-	dt := smallTrace(t)
-	total, err := RunFleet(context.Background(), ts.URL, dt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Fatal("fleet uploaded nothing")
-	}
-	if s.Store.Len() != total {
-		t.Fatalf("store %d != uploaded %d", s.Store.Len(), total)
-	}
-	if got := len(s.Store.Devices()); got != len(dt.Users) {
-		t.Fatalf("devices in store = %d, want %d", got, len(dt.Users))
-	}
-	// parallel < 1 is clamped, not an error.
-	if _, err := RunFleet(context.Background(), ts.URL, &mobility.DeviceTrace{}, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClientErrors(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1") // nothing listens here
 	if _, err := c.PublicIP(context.Background(), "1.2.3.4"); err == nil {
@@ -226,73 +135,5 @@ func TestClientErrors(t *testing.T) {
 	}
 	if err := c.Upload(context.Background(), "", []Entry{{DeviceID: "dev-x", IPAddr: "1.2.3.4"}}); err == nil {
 		t.Fatal("unreachable upload should error")
-	}
-}
-
-// flakyHandler fails every upload until `failures` attempts have been
-// consumed, then behaves normally.
-func TestAgentUploadRetryAndStoreAndForward(t *testing.T) {
-	s := NewServer()
-	failuresLeft := 3
-	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/upload" && failuresLeft > 0 {
-			failuresLeft--
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		s.ServeHTTP(w, r)
-	})
-	ts := httptest.NewServer(flaky)
-	defer ts.Close()
-
-	dt := smallTrace(t)
-	u := &dt.Users[0]
-	agent := NewAgent(NewClient(ts.URL), "device-0")
-	agent.UploadRetries = 5            // absorb all three transient failures in one dwell
-	agent.Backoff = reliable.Backoff{} // no waiting in tests
-	uploaded, err := agent.Replay(context.Background(), u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agent.UploadFailures != 0 {
-		t.Fatalf("retries should have absorbed transient failures, got %d permanent", agent.UploadFailures)
-	}
-	if uploaded+agent.Pending() != len(u.Visits) {
-		t.Fatalf("records lost: %d uploaded + %d pending != %d visits", uploaded, agent.Pending(), len(u.Visits))
-	}
-	// Nothing duplicated in the store despite the failures.
-	if got := len(s.Store.ByDevice(agent.DeviceID())); got != uploaded {
-		t.Fatalf("store has %d records for %d uploads", got, uploaded)
-	}
-}
-
-// With retries exhausted at every opportunity, no records are lost — they
-// stay buffered (the device was simply never able to phone home).
-func TestAgentUploadTotalOutage(t *testing.T) {
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/upload" {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
-		}
-		NewServer().ServeHTTP(w, r) // /ip still answers
-	}))
-	defer down.Close()
-
-	dt := smallTrace(t)
-	u := &dt.Users[1]
-	agent := NewAgent(NewClient(down.URL), "device-1")
-	agent.UploadRetries = 0
-	uploaded, err := agent.Replay(context.Background(), u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uploaded != 0 {
-		t.Fatalf("uploads should all fail, got %d", uploaded)
-	}
-	if agent.Pending() != len(u.Visits) {
-		t.Fatalf("buffer lost records: %d of %d", agent.Pending(), len(u.Visits))
-	}
-	if agent.UploadFailures == 0 {
-		t.Fatal("outage must be counted")
 	}
 }

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -88,8 +86,8 @@ func formatFloat(f float64) string {
 }
 
 // Snapshot returns the registry as a plain map for programmatic inspection
-// (the expvar bridge and BENCH_*.json emitters use this). Histograms report
-// count and sum under derived keys.
+// (the run profiler's counter deltas use this). Histograms report count and
+// sum under derived keys.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	if r == nil {
@@ -110,19 +108,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-var expvarOnce sync.Once
-
-// BridgeExpvar publishes the registry under the expvar name "locind_obs",
-// so /debug/vars carries the same numbers as /metrics. expvar names are
-// process-global and Publish panics on reuse, so only the first bridged
-// registry wins; later calls are no-ops (the daemons bridge exactly one).
-func BridgeExpvar(r *Registry) {
-	if r == nil {
-		return
-	}
-	expvarOnce.Do(func() {
-		expvar.Publish("locind_obs", expvar.Func(func() any { return r.Snapshot() }))
-	})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -30,7 +29,6 @@ func Handler(reg *Registry, tr *Tracer, log *Ring) http.Handler {
 // NewHandler mounts the introspection surface on a private mux:
 //
 //	/metrics           Prometheus text exposition of Reg
-//	/debug/vars        expvar JSON (Reg is bridged in under "locind_obs")
 //	/debug/pprof/*     the standard runtime profiles
 //	/debug/traces      Tracer's retained spans as JSON; ?format=chrome
 //	                   renders Chrome trace_event JSON (404 when nil)
@@ -47,7 +45,6 @@ func Handler(reg *Registry, tr *Tracer, log *Ring) http.Handler {
 // handlers in one process.
 func NewHandler(o HandlerOpts) http.Handler {
 	reg, tr, log, sampler := o.Reg, o.Tracer, o.Log, o.Sampler
-	BridgeExpvar(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var b strings.Builder
@@ -55,7 +52,6 @@ func NewHandler(o HandlerOpts) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write([]byte(b.String())) //nolint:errcheck // a dead scraper is its own problem
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -43,17 +42,6 @@ func TestIntrospectionEndpoint(t *testing.T) {
 	code, body := get(t, base+"/metrics")
 	if code != 200 || !strings.Contains(body, "locind_test_requests_total 7") {
 		t.Fatalf("/metrics = %d:\n%s", code, body)
-	}
-	code, body = get(t, base+"/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := vars["locind_obs"]; !ok {
-		t.Fatalf("/debug/vars missing bridged registry; keys: %v", body)
 	}
 	code, body = get(t, base+"/debug/traces")
 	if code != 200 || !strings.Contains(body, `"name":"probe"`) {
