@@ -16,9 +16,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The last step lists internal packages that no command, example or the
+# benchmark links: only the analyzers' fixture harness (imported by their
+# tests alone) may appear. A package with no production importer is deleted,
+# not kept.
 lint:
 	$(GO) run ./cmd/lintlocind ./...
 	$(GO) run ./cmd/allocguard -check ./...
+	@orphans=$$(bash -c 'comm -13 <($(GO) list -deps ./cmd/... ./examples/... ./bench | grep "^locind/internal" | sort -u) <($(GO) list ./internal/... | sort -u)'); \
+	test "$$orphans" = locind/internal/lint/linttest || { echo "internal packages that nothing links:"; echo "$$orphans"; exit 1; }
 
 # allocguard regenerates the //lint:zeroalloc guard tests
 # (allocguard_gen_test.go in each annotated package) after annotations

@@ -319,51 +319,6 @@ func TestRegionsQueries(t *testing.T) {
 	}
 }
 
-func TestInferRelationships(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultSynthConfig()
-	cfg.Tier2, cfg.Stubs = 60, 500
-	g, err := Synthesize(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect paths from many vantage ASes to many destinations, as the
-	// paper does with RIB dumps.
-	var paths [][]int
-	stubStart := cfg.Tier1 + cfg.Tier2
-	for d := stubStart; d < stubStart+80; d++ {
-		rt := g.RoutesTo(d)
-		for v := 0; v < g.N(); v += 7 {
-			if p := rt.Path(v); len(p) > 1 {
-				paths = append(paths, p)
-			}
-		}
-	}
-	inf := InferRelationships(paths, 1.5)
-	if len(inf) == 0 {
-		t.Fatal("no edges classified")
-	}
-	acc := g.InferenceAccuracy(inf)
-	if acc < 0.75 {
-		t.Fatalf("inference accuracy %.2f < 0.75 over %d edges", acc, len(inf))
-	}
-	t.Logf("inference accuracy %.2f over %d edges", acc, len(inf))
-}
-
-func TestInferRelationshipsEdgeCases(t *testing.T) {
-	if got := InferRelationships(nil, 0); len(got) != 0 {
-		t.Error("no paths should classify nothing")
-	}
-	inf := InferRelationships([][]int{{1}}, 1.5)
-	if len(inf) != 0 {
-		t.Error("single-AS path classifies nothing")
-	}
-	g := NewGraph(2)
-	if g.InferenceAccuracy(nil) != 0 {
-		t.Error("empty inference accuracy should be 0")
-	}
-}
-
 func TestRelString(t *testing.T) {
 	if RelCustomer.String() != "customer" || RelPeer.String() != "peer" || RelProvider.String() != "provider" {
 		t.Error("Rel names wrong")

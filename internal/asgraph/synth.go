@@ -3,7 +3,6 @@ package asgraph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // SynthConfig parameterizes Internet synthesis. The defaults produce a
@@ -250,147 +249,4 @@ func (g *Graph) ASesInRegion(r Region) []int {
 		}
 	}
 	return out
-}
-
-// EdgeKey identifies an undirected AS adjacency with A < B.
-type EdgeKey struct{ A, B int }
-
-// MakeEdgeKey normalizes (a, b) into an EdgeKey.
-func MakeEdgeKey(a, b int) EdgeKey {
-	if a > b {
-		a, b = b, a
-	}
-	return EdgeKey{A: a, B: b}
-}
-
-// InferredRel is the output of relationship inference for one adjacency:
-// either a peering, or a transit edge whose Provider field names the
-// provider side.
-type InferredRel struct {
-	Peer     bool
-	Provider int
-}
-
-// InferRelationships applies the degree-based heuristic of Gao (2001), which
-// the paper uses to rank routes when local preference is unavailable
-// (§6.2.1 rule 1): in each AS path, the highest-degree AS is the top of the
-// hill; edges before it are customer→provider and edges after are
-// provider→customer. Adjacent-to-top edges whose endpoint degrees are within
-// ratio peerRatio of each other, and which received conflicting transit
-// votes, are classified as peerings. Degrees are computed from the path set
-// itself.
-func InferRelationships(paths [][]int, peerRatio float64) map[EdgeKey]InferredRel {
-	if peerRatio <= 1 {
-		peerRatio = 1.5
-	}
-	// Degree from observed adjacencies.
-	adj := map[int]map[int]bool{}
-	addAdj := func(a, b int) {
-		if adj[a] == nil {
-			adj[a] = map[int]bool{}
-		}
-		adj[a][b] = true
-	}
-	for _, p := range paths {
-		for i := 0; i+1 < len(p); i++ {
-			addAdj(p[i], p[i+1])
-			addAdj(p[i+1], p[i])
-		}
-	}
-	deg := func(a int) int { return len(adj[a]) }
-
-	// Transit votes: votes[edge][provider] counts.
-	votes := map[EdgeKey]map[int]int{}
-	topAdjacent := map[EdgeKey]bool{}
-	for _, p := range paths {
-		if len(p) < 2 {
-			continue
-		}
-		top := 0
-		for i := 1; i < len(p); i++ {
-			if deg(p[i]) > deg(p[top]) {
-				top = i
-			}
-		}
-		for i := 0; i+1 < len(p); i++ {
-			var provider int
-			if i < top {
-				provider = p[i+1] // ascending toward the top
-			} else {
-				provider = p[i] // descending away from the top
-			}
-			k := MakeEdgeKey(p[i], p[i+1])
-			if votes[k] == nil {
-				votes[k] = map[int]int{}
-			}
-			votes[k][provider]++
-			if i == top || i+1 == top {
-				topAdjacent[k] = true
-			}
-		}
-	}
-
-	out := make(map[EdgeKey]InferredRel, len(votes))
-	for k, v := range votes {
-		va, vb := v[k.A], v[k.B]
-		da, db := float64(deg(k.A)), float64(deg(k.B))
-		similar := da <= db*peerRatio && db <= da*peerRatio
-		conflicted := va > 0 && vb > 0
-		if topAdjacent[k] && similar && (conflicted || va == vb) {
-			out[k] = InferredRel{Peer: true}
-			continue
-		}
-		if va >= vb {
-			out[k] = InferredRel{Provider: k.A}
-		} else {
-			out[k] = InferredRel{Provider: k.B}
-		}
-	}
-	return out
-}
-
-// InferenceAccuracy scores an inference result against the ground-truth
-// graph, returning the fraction of classified edges whose class (peer vs
-// transit, and transit direction) matches.
-func (g *Graph) InferenceAccuracy(inf map[EdgeKey]InferredRel) float64 {
-	if len(inf) == 0 {
-		return 0
-	}
-	keys := make([]EdgeKey, 0, len(inf))
-	for k := range inf {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
-	correct, total := 0, 0
-	for _, k := range keys {
-		rel, ok := g.RelOf(k.A, k.B)
-		if !ok {
-			continue
-		}
-		total++
-		got := inf[k]
-		switch rel {
-		case RelPeer:
-			if got.Peer {
-				correct++
-			}
-		case RelCustomer: // k.B is k.A's customer => provider is k.A
-			if !got.Peer && got.Provider == k.A {
-				correct++
-			}
-		case RelProvider:
-			if !got.Peer && got.Provider == k.B {
-				correct++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
 }

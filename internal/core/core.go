@@ -166,7 +166,7 @@ func BestPortOf(r RouteLookup, addrs []netaddr.Addr) (int, bool) {
 
 // ContentUpdated implements the §3.3.1 update-cost definition for a single
 // mobility event Addrs(d, t1) -> Addrs(d, t2) under the given strategy
-// (UnionFlooding is stateful; use ContentUpdateStats for it).
+// (UnionFlooding is stateful; use ContentUpdateStatsFused for it).
 func ContentUpdated(r RouteLookup, before, after []netaddr.Addr, st Strategy) bool {
 	switch st {
 	case BestPort:
@@ -180,49 +180,6 @@ func ContentUpdated(r RouteLookup, before, after []netaddr.Addr, st Strategy) bo
 	default:
 		panic("core: ContentUpdated does not support stateful strategies")
 	}
-}
-
-// ContentUpdateStats replays a content timeline against router r and counts
-// mobility events inducing an update — the per-collector quantity of
-// Figures 11b/11c. For UnionFlooding it tracks the cumulative port set.
-func ContentUpdateStats(r RouteLookup, tl *cdn.Timeline, st Strategy) UpdateStats {
-	var s UpdateStats
-	union := map[int]bool{}
-	if st == UnionFlooding {
-		for _, p := range PortSet(r, tl.Initial) {
-			union[p] = true
-		}
-	}
-	tl.Walk(func(_ cdn.Event, before, after []netaddr.Addr) {
-		s.Events++
-		switch st {
-		case UnionFlooding:
-			updated := false
-			for _, p := range PortSet(r, after) {
-				if !union[p] {
-					union[p] = true
-					updated = true
-				}
-			}
-			if updated {
-				s.Updates++
-			}
-		default:
-			if ContentUpdated(r, before, after, st) {
-				s.Updates++
-			}
-		}
-	})
-	return s
-}
-
-// ContentUpdateStatsAll pools ContentUpdateStats over many timelines.
-func ContentUpdateStatsAll(r RouteLookup, tls []cdn.Timeline, st Strategy) UpdateStats {
-	var s UpdateStats
-	for i := range tls {
-		s.Add(ContentUpdateStats(r, &tls[i], st))
-	}
-	return s
 }
 
 // StrategyStats bundles the per-strategy totals of one fused replay.
@@ -352,7 +309,8 @@ func (f *fusedEval) replay(r RouteLookup, tl *cdn.Timeline) StrategyStats {
 // once, when it enters the set, so a timeline costs one route lookup per
 // initial address plus one per address an event adds, where a
 // strategy-at-a-time replay pays ~6 per address per event. The counts are
-// identical to running ContentUpdateStats once per strategy.
+// identical to running the per-strategy replay (ContentUpdateStats in
+// strategy_oracle_test.go) once per strategy.
 //
 //lint:zeroalloc per event after the evaluator's scratch warms up
 func ContentUpdateStatsFused(r RouteLookup, tl *cdn.Timeline) StrategyStats {
@@ -361,7 +319,7 @@ func ContentUpdateStatsFused(r RouteLookup, tl *cdn.Timeline) StrategyStats {
 }
 
 // ContentUpdateStatsAllFused pools ContentUpdateStatsFused over many
-// timelines (union state is per timeline, as in ContentUpdateStatsAll),
+// timelines (union state starts over with every timeline),
 // sharing one scratch evaluator: once it is warm, a further timeline costs
 // only what Timeline.Walk allocates for its own buffers.
 //

@@ -171,6 +171,16 @@ func TestFusedMatchesSeparateWalks(t *testing.T) {
 			t.Fatalf("fused union %+v != separate %+v", fused.Union, un)
 		}
 	}
+
+	// The fused walk resolves an address when it enters a set and carries
+	// the answer for as long as it stays: a.com's one initial address and
+	// three additions, b.com's two and one, quiet.org never replayed — seven
+	// lookups, read off a memo's counters.
+	ms := NewMemoMetrics(obs.NewRegistry())
+	ContentUpdateStatsAllFused(NewMemoObserved(r, 0, ms), tls)
+	if asked := ms.Hits.Value() + ms.Misses.Value(); asked != 7 {
+		t.Fatalf("fused walk asked the router %d times, want 7: a carried resolution was looked up again", asked)
+	}
 }
 
 // A memoized router must leave DeviceUpdateStats untouched.

@@ -66,20 +66,15 @@ func gnsClusterScale(quick bool) (names, shards, replicas int) {
 	return 1_000_000, 4, 3
 }
 
-// RunGNSCluster boots the cluster on loopback under seeded per-datagram
-// faults, runs the chaos schedule, and verifies convergence against the
-// in-memory fault-free reference.
-func RunGNSCluster(seed int64, quick bool) (GNSClusterResult, error) {
-	return RunGNSClusterObserved(seed, quick, nil)
-}
-
-// RunGNSClusterObserved is RunGNSCluster with observability wired through:
-// the cluster metrics land on o.Registry and o.Sampler is ticked at fixed
-// points in the schedule (per phase, and every few hundred names inside the
-// sweeps), so the dashboard's per-replica series fill in while the soak
-// runs. Sampling is schedule-driven, not clock-driven: the same seed takes
-// the same number of ticks, and the soak's digest output is byte-identical
-// with observability on or off.
+// RunGNSClusterObserved boots the cluster on loopback under seeded
+// per-datagram faults, runs the chaos schedule, and verifies convergence
+// against the in-memory fault-free reference. Observability is wired
+// through when o is non-nil: the cluster metrics land on o.Registry and
+// o.Sampler is ticked at fixed points in the schedule (per phase, and every
+// few hundred names inside the sweeps), so the dashboard's per-replica
+// series fill in while the soak runs. Sampling is schedule-driven, not
+// clock-driven: the same seed takes the same number of ticks, and the
+// soak's digest output is byte-identical with observability on or off.
 func RunGNSClusterObserved(seed int64, quick bool, o *GNSClusterObs) (GNSClusterResult, error) {
 	names, shards, replicas := gnsClusterScale(quick)
 	res := GNSClusterResult{Seed: seed, Names: names, Shards: shards, Replicas: replicas}

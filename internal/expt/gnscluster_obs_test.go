@@ -44,7 +44,7 @@ func TestGNSClusterObservedDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("observed soak: %v", err)
 	}
-	plainRes, err := RunGNSCluster(7, true)
+	plainRes, err := RunGNSClusterObserved(7, true, nil)
 	if err != nil {
 		t.Fatalf("plain soak: %v", err)
 	}

@@ -77,8 +77,10 @@ func TestParallelDriversMatchSequential(t *testing.T) {
 	}
 }
 
-// The sharded fused fan-out must match a direct strategy-at-a-time
-// evaluation of the same figure, collector by collector.
+// The sharded fused fan-out must match one unsharded fused pass over the
+// same timelines straight off the FIB, collector by collector (the fused
+// evaluator itself is checked against the strategy-at-a-time oracle in
+// internal/core).
 func TestFig11bcMatchesUnmemoizedReference(t *testing.T) {
 	w := quickWorld(t)
 	got := RunFig11bc(w, cdn.Unpopular)
@@ -87,8 +89,8 @@ func TestFig11bcMatchesUnmemoizedReference(t *testing.T) {
 		t.Fatalf("rates for %d of %d collectors", len(got.BestPort), len(w.RouteViews))
 	}
 	for i, c := range w.RouteViews {
-		bp := core.ContentUpdateStatsAll(c.FIB, unpopular, core.BestPort).Rate()
-		fl := core.ContentUpdateStatsAll(c.FIB, unpopular, core.ControlledFlooding).Rate()
+		ref := core.ContentUpdateStatsAllFused(c.FIB, unpopular)
+		bp, fl := ref.BestPort.Rate(), ref.Flooding.Rate()
 		if got.BestPort[i].Rate != bp {
 			t.Errorf("%s: best-port %v != reference %v", c.Name, got.BestPort[i].Rate, bp)
 		}

@@ -67,13 +67,15 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faults, faults), sm)
 	defer srv.Close()
 
-	c := NewClient(srv.Addr())
-	c.Timeout = 15 * time.Millisecond // localhost RTT is microseconds; this only caps the wait on drops
-	c.Retries = 15
-	c.Backoff = reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5}
-	c.Rand = rand.New(rand.NewSource(jitterSeed))
-	c.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	c.Metrics = reliable.NewMetrics(reg, "gns")
+	c := newWireClient(srv.Addr())
+	c.policy = reliable.Policy{
+		MaxAttempts: 16,
+		PerAttempt:  15 * time.Millisecond, // localhost RTT is microseconds; this only caps the wait on drops
+		Backoff:     reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5},
+		Rand:        rand.New(rand.NewSource(jitterSeed)),
+		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
+		Metrics:     reliable.NewMetrics(reg, "gns"),
+	}
 
 	ctx := context.Background()
 	res := chaosResult{
@@ -87,7 +89,7 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 		"erin.phone", "frank.car", "grace.drone", "heidi.sensor"}
 	for round := 0; round < 2; round++ {
 		for i, name := range names {
-			ver, err := c.Update(ctx, name, addrs(fmt.Sprintf("10.%d.%d.1", round, i)))
+			ver, err := c.update(ctx, name, addrs(fmt.Sprintf("10.%d.%d.1", round, i)))
 			if err != nil {
 				t.Fatalf("chaos update %q round %d: %v", name, round, err)
 			}
@@ -95,7 +97,7 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 		}
 	}
 	for _, name := range names {
-		rec, err := c.Lookup(ctx, name)
+		rec, err := c.lookup(ctx, name)
 		if err != nil {
 			t.Fatalf("chaos lookup %q: %v", name, err)
 		}
@@ -104,12 +106,12 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 		}
 		res.finalVer[name] = rec.Version
 	}
-	res.attempts = c.Attempts()
+	res.attempts = c.attempts
 	res.trace = env.Trace()
 	res.injected = env.Stats()
 	res.observed = observedStats(fm)
 	res.srv = sm
-	res.cli = c.Metrics
+	res.cli = c.policy.Metrics
 	return res
 }
 
@@ -206,65 +208,26 @@ func TestChaosInjectedEqualsObserved(t *testing.T) {
 	}
 }
 
-// TestLookupStaleFallback: when the service becomes unreachable, a client
-// with AllowStale degrades to the last known binding instead of failing —
-// the stale-mapping operating regime.
-func TestLookupStaleFallback(t *testing.T) {
-	svc := newMapBackend()
-	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	c := NewClient(srv.Addr())
-	c.AllowStale = true
-	c.Timeout = 50 * time.Millisecond
-	c.Retries = 1
-	c.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	if _, err := c.Update(ctx, "x.phone", addrs("10.0.0.1")); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := c.Lookup(ctx, "x.phone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	stale, err := c.Lookup(ctx, "x.phone")
-	if err != nil {
-		t.Fatalf("stale fallback should mask the outage: %v", err)
-	}
-	if stale.Version != fresh.Version || stale.Addrs[0] != fresh.Addrs[0] {
-		t.Fatalf("stale record %+v != cached %+v", stale, fresh)
-	}
-	if c.StaleServed() != 1 {
-		t.Fatalf("StaleServed = %d", c.StaleServed())
-	}
-	// A name never resolved still fails.
-	if _, err := c.Lookup(ctx, "never.seen"); err == nil {
-		t.Fatal("uncached name must surface the outage")
-	}
-}
-
 // TestClientContextCancellationMidRetry is the regression test that the
 // retry loop honours ctx: cancelling during the inter-attempt pause aborts
 // promptly instead of draining the remaining retries.
 func TestClientContextCancellationMidRetry(t *testing.T) {
-	c := NewClient("127.0.0.1:1") // nothing listens here
-	c.Timeout = 20 * time.Millisecond
-	c.Retries = 100
-	c.Backoff = reliable.Backoff{Base: time.Hour} // would take forever if ignored
+	c := newWireClient("127.0.0.1:1") // nothing listens here
+	c.policy.PerAttempt = 20 * time.Millisecond
+	c.policy.MaxAttempts = 101
+	c.policy.Backoff = reliable.Backoff{Base: time.Hour} // would take forever if ignored
 	ctx, cancel := context.WithCancel(context.Background())
-	c.Sleep = func(ctx context.Context, d time.Duration) error {
+	c.policy.Sleep = func(ctx context.Context, d time.Duration) error {
 		cancel() // cancellation lands exactly mid-retry
 		return ctx.Err()
 	}
 	start := time.Now()
-	_, err := c.Lookup(ctx, "x")
+	_, err := c.lookup(ctx, "x")
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
 	}
-	if c.Attempts() > 2 {
-		t.Fatalf("cancellation ignored: %d attempts", c.Attempts())
+	if c.attempts > 2 {
+		t.Fatalf("cancellation ignored: %d attempts", c.attempts)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancellation did not abort promptly")
@@ -274,12 +237,7 @@ func TestClientContextCancellationMidRetry(t *testing.T) {
 // TestServerRejectsOversizedDatagram: a datagram beyond the protocol bound
 // gets a structured error response, not a mangled parse or silence.
 func TestServerOversizedDatagram(t *testing.T) {
-	svc := newMapBackend()
-	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveLoopback(t, newMapBackend())
 	conn, err := net.Dial("udp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -314,18 +272,13 @@ func TestServerRecoverGuard(t *testing.T) {
 	}
 
 	// End to end: the same poisoned request must not kill a live loop.
-	svc := newMapBackend()
-	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveLoopback(t, newMapBackend())
 	ctx := context.Background()
-	c := NewClient(srv.Addr())
-	if _, err := c.Update(ctx, "x.phone", addrs("10.0.0.1")); err != nil {
+	c := newWireClient(srv.Addr())
+	if _, err := c.update(ctx, "x.phone", addrs("10.0.0.1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lookup(ctx, "x.phone"); err != nil {
+	if _, err := c.lookup(ctx, "x.phone"); err != nil {
 		t.Fatalf("server loop should still serve: %v", err)
 	}
 }

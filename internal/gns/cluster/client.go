@@ -132,7 +132,7 @@ func NewClient(addrs [][]string, cfg ClientConfig) *Client {
 		origin:     cfg.Origin,
 	}
 	for si := range addrs {
-		row := make([]*reliable.Breaker, len(addrs[0]))
+		row := make([]*reliable.Breaker, len(addrs[si]))
 		for ri := range row {
 			si, ri := si, ri
 			b := &reliable.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
@@ -265,6 +265,20 @@ func orderReplicas(name string, order []int) {
 	}
 }
 
+// replicasOf returns name's owning shard and that shard's replica
+// addresses. The grid may come from operator config, so it may be empty or
+// hold an empty row; a name with no replica to go to cannot reach a quorum.
+func (c *Client) replicasOf(op, name string) (int, []string, error) {
+	if len(c.shards) == 0 {
+		return 0, nil, fmt.Errorf("%w: %s %q: the replica grid has no shards", gns.ErrNoQuorum, op, name)
+	}
+	shard := ShardOf(name, len(c.shards))
+	if len(c.shards[shard]) == 0 {
+		return shard, nil, fmt.Errorf("%w: %s %q: shard %d has no replicas", gns.ErrNoQuorum, op, name, shard)
+	}
+	return shard, c.shards[shard], nil
+}
+
 // startSpan opens the operation's root span: nested under the span carried
 // by ctx when there is one, else fresh on c.Tracer.
 func (c *Client) startSpan(ctx context.Context, name string, labels ...string) *obs.Span {
@@ -309,7 +323,11 @@ func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, par
 func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) (VV, error) {
 	m := c.Metrics.orNop()
 	m.Updates.Inc()
-	shard := ShardOf(name, len(c.shards))
+	shard, replicas, err := c.replicasOf("update", name)
+	if err != nil {
+		m.QuorumFailures.Inc()
+		return nil, err
+	}
 	span := c.startSpan(ctx, "gnsc-update", "name", name, "shard", strconv.Itoa(shard))
 	defer span.End()
 
@@ -330,7 +348,6 @@ func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) 
 		req.Addrs = append(req.Addrs, a.String())
 	}
 
-	replicas := c.shards[shard]
 	order := replicaOrder(name, len(replicas))
 	var lastErr error
 	staleExhausted := false
@@ -402,12 +419,14 @@ func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) 
 func (c *Client) Lookup(ctx context.Context, name string) (gns.Record, error) {
 	m := c.Metrics.orNop()
 	m.Lookups.Inc()
-	shard := ShardOf(name, len(c.shards))
+	shard, replicas, err := c.replicasOf("lookup", name)
+	if err != nil {
+		return gns.Record{}, err
+	}
 	span := c.startSpan(ctx, "gnsc-lookup", "name", name, "shard", strconv.Itoa(shard))
 	defer span.End()
 
 	cached, hasCached := c.cache.Get(name)
-	replicas := c.shards[shard]
 	req := gns.Request{Op: "vget", Name: name}
 	var notFound, lastErr error
 	legs, answered := 0, false

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -420,10 +421,11 @@ func replicaDigest(c *Cluster, shard, replica int) string {
 // parse.
 func stubReplica(t *testing.T, resp gns.Response) string {
 	t.Helper()
-	srv, err := gns.Serve(context.Background(), stubBackend{resp}, "127.0.0.1:0")
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := gns.ServePacketConnObserved(context.Background(), stubBackend{resp}, pc, nil)
 	t.Cleanup(func() { srv.Close() })
 	return srv.Addr()
 }
@@ -514,5 +516,41 @@ func TestClusterConcurrentUpdatesRespectIdleCap(t *testing.T) {
 	}
 	if idle == 0 {
 		t.Fatal("no idle sockets after 320 updates: the transport is not pooling")
+	}
+}
+
+// TestClientRaggedAndEmptyGrid: the grid may come from operator config, so
+// its rows need not be equally long and it may be empty. Every replica of a
+// longer later row is reachable, and a name with no replica to go to is a
+// quorum failure, not a panic.
+func TestClientRaggedAndEmptyGrid(t *testing.T) {
+	c, _, _ := startCluster(t, 2, 3, 1)
+	ragged := [][]string{c.ShardAddrs(0)[:1], c.ShardAddrs(1)}
+	cl := NewClient(ragged, ClientConfig{Origin: 2})
+	defer cl.Close()
+	ctx := context.Background()
+	for shard := range ragged {
+		name := nameOn(t, 2, shard)
+		a := netaddr.MustParseAddr(fmt.Sprintf("10.9.0.%d", shard+1))
+		if _, err := cl.Update(ctx, name, []netaddr.Addr{a}); err != nil {
+			t.Fatalf("update %q on shard %d of a ragged grid: %v", name, shard, err)
+		}
+		if rec, err := cl.Lookup(ctx, name); err != nil || len(rec.Addrs) != 1 || rec.Addrs[0] != a {
+			t.Fatalf("lookup %q on a ragged grid: %+v, %v", name, rec, err)
+		}
+	}
+	if st := cl.BreakerState(1, 2); st != reliable.BreakerClosed {
+		t.Fatalf("breaker of the longer row's last replica is %v", st)
+	}
+
+	for _, grid := range [][][]string{nil, {{}}, {{}, {}}} {
+		cl := NewClient(grid, ClientConfig{Origin: 1})
+		if _, err := cl.Update(ctx, "n", nil); !errors.Is(err, gns.ErrNoQuorum) {
+			t.Fatalf("update on grid %v: %v, want ErrNoQuorum", grid, err)
+		}
+		if _, err := cl.Lookup(ctx, "n"); !errors.Is(err, gns.ErrNoQuorum) {
+			t.Fatalf("lookup on grid %v: %v, want ErrNoQuorum", grid, err)
+		}
+		cl.Close()
 	}
 }

@@ -8,11 +8,12 @@
 // This package holds what every node and client of that service shares: the
 // Record, the one-datagram-per-request wire protocol and its append codec
 // (wire.go, codec.go), the UDP front end that exposes a Backend the way a
-// resolver would see it (server.go), the pooled client Transport
-// (transport.go) and a single-server Client. The store itself — sharding,
-// K-of-N replication, quorum writes, version vectors, anti-entropy repair —
-// is package cluster, whose Store is the one production Backend; tests here
-// put a map behind the Server.
+// resolver would see it (server.go) and the pooled client Transport
+// (transport.go). The store itself — sharding, K-of-N replication, quorum
+// writes, version vectors, anti-entropy repair — is package cluster, whose
+// Store is the one production Backend and whose Client is the one production
+// caller of the Transport; tests here put a map behind the Server and a bare
+// Transport under a reliable.Policy in front of it.
 package gns
 
 import "locind/internal/netaddr"

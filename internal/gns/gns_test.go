@@ -17,23 +17,18 @@ func addrs(ss ...string) []netaddr.Addr {
 }
 
 func TestUDPServerRoundTrip(t *testing.T) {
-	svc := newMapBackend()
-	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveLoopback(t, newMapBackend())
 
 	ctx := context.Background()
-	c := NewClient(srv.Addr())
-	ver, err := c.Update(ctx, "dave.phone", addrs("10.1.2.3", "10.4.5.6"))
+	c := newWireClient(srv.Addr())
+	ver, err := c.update(ctx, "dave.phone", addrs("10.1.2.3", "10.4.5.6"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ver == 0 {
 		t.Fatal("version must be assigned")
 	}
-	rec, err := c.Lookup(ctx, "dave.phone")
+	rec, err := c.lookup(ctx, "dave.phone")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +36,16 @@ func TestUDPServerRoundTrip(t *testing.T) {
 		t.Fatalf("lookup = %+v", rec)
 	}
 	// Errors surface through the protocol.
-	if _, err := c.Lookup(ctx, "missing"); err == nil {
+	if _, err := c.lookup(ctx, "missing"); err == nil {
 		t.Fatal("missing name should error")
 	}
-	if _, err := c.Update(ctx, "x", []netaddr.Addr{}); err != nil {
+	if _, err := c.update(ctx, "x", []netaddr.Addr{}); err != nil {
 		t.Fatalf("empty update should be legal: %v", err)
 	}
 }
 
 func TestUDPServerBadInput(t *testing.T) {
-	svc := newMapBackend()
-	srv, err := Serve(context.Background(), svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveLoopback(t, newMapBackend())
 	// Unknown op and malformed addrs produce protocol errors, not hangs.
 	if resp := srv.handle([]byte(`{"op":"destroy"}`)); resp.OK || resp.Err == "" {
 		t.Fatal("unknown op must error")
@@ -69,10 +59,10 @@ func TestUDPServerBadInput(t *testing.T) {
 }
 
 func TestClientUnreachable(t *testing.T) {
-	c := NewClient("127.0.0.1:1")
-	c.Retries = 0
-	c.Timeout = 50 * time.Millisecond
-	if _, err := c.Lookup(context.Background(), "x"); err == nil {
+	c := newWireClient("127.0.0.1:1")
+	c.policy.MaxAttempts = 1
+	c.policy.PerAttempt = 50 * time.Millisecond
+	if _, err := c.lookup(context.Background(), "x"); err == nil {
 		t.Fatal("unreachable server should error")
 	}
 }

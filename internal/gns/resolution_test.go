@@ -333,6 +333,37 @@ func TestAllReplicasFailed(t *testing.T) {
 	}
 }
 
+// TestLookupStaleFallback: when the service becomes unreachable, a client
+// degrades to the last binding it resolved instead of failing — the
+// stale-mapping operating regime of loc/ID caches — and says so.
+func TestLookupStaleFallback(t *testing.T) {
+	c := startCluster(t, 1, 3)
+	cl := newClient(t, c, 1)
+	ctx := context.Background()
+	if _, err := cl.Update(ctx, "x.phone", addr("10.0.0.1")); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cl.Lookup(ctx, "x.phone")
+	if err != nil || fresh.Stale {
+		t.Fatalf("fresh lookup: %+v err=%v", fresh, err)
+	}
+	c.KillShard(0)
+	stale, err := cl.Lookup(ctx, "x.phone")
+	if err != nil {
+		t.Fatalf("stale fallback should mask the outage: %v", err)
+	}
+	if !stale.Stale || stale.Version != fresh.Version || stale.Addrs[0] != fresh.Addrs[0] {
+		t.Fatalf("stale record %+v != cached %+v flagged stale", stale, fresh)
+	}
+	if cl.StaleServed() != 1 {
+		t.Fatalf("StaleServed = %d", cl.StaleServed())
+	}
+	// A name never resolved still fails.
+	if _, err := cl.Lookup(ctx, "never.seen"); !errors.Is(err, gns.ErrNoQuorum) {
+		t.Fatalf("uncached name must surface the outage: %v", err)
+	}
+}
+
 func TestQuorumLossMidUpdate(t *testing.T) {
 	c := startCluster(t, 1, 3)
 	cl := newClient(t, c, 1)

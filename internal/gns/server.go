@@ -39,26 +39,11 @@ type Server struct {
 	closeErr  error
 }
 
-// Serve starts a UDP server for svc on addr ("127.0.0.1:0" for tests). It
-// returns once the socket is bound; handling proceeds in the background
-// until Close is called or ctx is cancelled.
-func Serve(ctx context.Context, svc Backend, addr string) (*Server, error) {
-	conn, err := net.ListenPacket("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return ServePacketConn(ctx, svc, conn), nil
-}
-
-// ServePacketConn serves svc on an already-bound packet transport — the
-// seam where fault-injecting wrappers plug in. Cancelling ctx shuts the
-// server down as if Close had been called.
-func ServePacketConn(ctx context.Context, svc Backend, conn net.PacketConn) *Server {
-	return ServePacketConnObserved(ctx, svc, conn, nil)
-}
-
-// ServePacketConnObserved is ServePacketConn with serve-loop metrics
-// attached; m may be nil for an unobserved server.
+// ServePacketConnObserved serves svc on an already-bound packet transport —
+// the seam where fault-injecting wrappers plug in — with serve-loop metrics
+// attached; m may be nil for an unobserved server. It returns at once;
+// handling proceeds in the background until Close is called or ctx is
+// cancelled, which shuts the server down as if Close had been called.
 func ServePacketConnObserved(ctx context.Context, svc Backend, conn net.PacketConn, m *ServerMetrics) *Server {
 	s := &Server{svc: svc, conn: conn, done: make(chan struct{}), metrics: m}
 	go s.loop()

@@ -60,21 +60,32 @@ func TestChaosLookupCausalTree(t *testing.T) {
 	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faults, faults), sm)
 	defer srv.Close()
 
-	c := NewClient(srv.Addr())
-	defer c.Close()
-	c.Timeout = 15 * time.Millisecond
-	c.Retries = 15
-	c.Backoff = reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5}
-	c.Rand = rand.New(rand.NewSource(3))
-	c.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	c.Tracer = tr
-
-	ctx := context.Background()
-	if _, err := c.Update(ctx, "alice.phone", addrs("10.0.0.1")); err != nil {
-		t.Fatalf("update under chaos: %v", err)
+	c := newWireClient(srv.Addr())
+	defer c.transport.Close()
+	c.policy = reliable.Policy{
+		MaxAttempts: 16,
+		PerAttempt:  15 * time.Millisecond,
+		Backoff:     reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5},
+		Rand:        rand.New(rand.NewSource(3)),
+		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}
-	if _, err := c.Lookup(ctx, "alice.phone"); err != nil {
-		t.Fatalf("lookup under chaos: %v", err)
+
+	// The caller's side of the tracing contract: one request span per call,
+	// handed to the policy (per-attempt child spans) and carried in the
+	// request framing (server-side spans parent onto it).
+	ctx := context.Background()
+	for _, req := range []Request{
+		{Op: "update", Name: "alice.phone", Addrs: []string{"10.0.0.1"}},
+		{Op: "lookup", Name: "alice.phone"},
+	} {
+		span := tr.Start("gns-"+req.Op, "name", req.Name)
+		c.policy.TraceSpan = span
+		req.Trace = span.Context().Encode()
+		_, err := c.exchange(ctx, req)
+		span.End()
+		if err != nil {
+			t.Fatalf("%s under chaos: %v", req.Op, err)
+		}
 	}
 
 	events := exportChrome(t, tr)

@@ -58,8 +58,8 @@ type Transport struct {
 // server has already authoritatively rejected. The attempt count made is
 // returned alongside.
 //
-// Exchange is the shared transport leg of gns.Client and the cluster
-// client; req.Trace should already carry the caller's span context.
+// Exchange is the transport leg of the cluster client; req.Trace should
+// already carry the caller's span context.
 func (t *Transport) Exchange(ctx context.Context, addr string, req Request, p reliable.Policy) (Response, int, error) {
 	var resp Response
 	attempts, err := p.Do(ctx, func(ctx context.Context) error {

@@ -3,13 +3,16 @@ package engine
 // The goroutine-per-device Agent the engine replaced, kept as the reference
 // TestEngineEquivalentToAgents replays against: it left internal/nomad
 // verbatim but for package qualifiers and its fleet-shared AgentMetrics
-// handle (three counters no comparison reads). Nothing outside this
+// handle (three counters no comparison reads), with the /ip request
+// nomad.Client.PublicIP made for it (publicIP below). Nothing outside this
 // package's tests may use it.
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"time"
 
 	"locind/internal/mobility"
@@ -146,6 +149,31 @@ func (a *Agent) drainQueue(ctx context.Context) (int, error) {
 	return uploaded, nil
 }
 
+// publicIP asks the server what public address this device appears from.
+// simulatedAddr is the workload-assigned address the agent is pretending to
+// hold. ctx bounds the request.
+func publicIP(ctx context.Context, c *nomad.Client, simulatedAddr string) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/ip", nil)
+	if err != nil {
+		return "", err
+	}
+	req.Header.Set("X-Nomad-Simulated-Addr", simulatedAddr)
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("nomad: /ip returned %s", resp.Status)
+	}
+	// An address is a few dozen bytes; never buffer more of a reply than that.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 256))
+	if err != nil {
+		return "", err
+	}
+	return string(body), nil
+}
+
 // Replay runs the whole trace through the pipeline. It returns the number
 // of records uploaded. Records still buffered at the end of the trace stay
 // queued (exactly like a device that was never plugged in); Flush drains
@@ -161,7 +189,7 @@ func (a *Agent) Replay(ctx context.Context, u *mobility.UserTrace) (int, error) 
 		// request on a flaky link.
 		var ip string
 		_, err := a.policy(nil).Do(ctx, func(ctx context.Context) error {
-			got, err := a.Client.PublicIP(ctx, v.Loc.Addr.String())
+			got, err := publicIP(ctx, a.Client, v.Loc.Addr.String())
 			if err == nil {
 				ip = got
 			}

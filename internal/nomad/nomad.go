@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -235,7 +234,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// Client is the device side of the IP-echo and upload protocol.
+// Client is the device side of the upload protocol.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -247,33 +246,6 @@ func NewClient(baseURL string) *Client {
 		BaseURL: strings.TrimRight(baseURL, "/"),
 		HTTP:    &http.Client{Timeout: 10 * time.Second},
 	}
-}
-
-// PublicIP asks the server what public address this device appears from.
-// simulatedAddr, when non-empty, is the workload-assigned address the agent
-// is pretending to hold. ctx bounds the request.
-func (c *Client) PublicIP(ctx context.Context, simulatedAddr string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/ip", nil)
-	if err != nil {
-		return "", err
-	}
-	if simulatedAddr != "" {
-		req.Header.Set(simulatedAddrHeader, simulatedAddr)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("nomad: /ip returned %s", resp.Status)
-	}
-	// An address is a few dozen bytes; never buffer more of a reply than that.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256))
-	if err != nil {
-		return "", err
-	}
-	return string(body), nil
 }
 
 // Upload posts a sealed batch of entries. batchID, when non-empty, makes

@@ -22,7 +22,7 @@ import (
 //     pass a shape assertion.
 type SeriesCheck interface {
 	// Kind returns the check's short kind tag ("flat", "monotone",
-	// "bounded", "max-rate") for reports.
+	// "bounded") for reports.
 	Kind() string
 	// Eval judges the samples (oldest first).
 	Eval(samples []float64) (ok bool, detail string)
@@ -129,26 +129,4 @@ func (b Bounded) Eval(samples []float64) (bool, string) {
 		}
 	}
 	return true, fmt.Sprintf("%d samples within [%g, %g]", len(samples), b.Min, b.Max)
-}
-
-// MaxRate asserts the series never climbs by more than PerSample between
-// consecutive samples — a growth-rate ceiling (decreases are always fine).
-type MaxRate struct {
-	PerSample float64
-}
-
-// Kind implements SeriesCheck.
-func (MaxRate) Kind() string { return "max-rate" }
-
-// Eval implements SeriesCheck.
-func (m MaxRate) Eval(samples []float64) (bool, string) {
-	if ok, detail := checkFinite(samples); !ok {
-		return false, detail
-	}
-	for i := 1; i < len(samples); i++ {
-		if d := samples[i] - samples[i-1]; d > m.PerSample {
-			return false, fmt.Sprintf("grew %g at index %d, limit %g per sample", d, i, m.PerSample)
-		}
-	}
-	return true, fmt.Sprintf("max growth within %g per sample", m.PerSample)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -120,6 +121,31 @@ func TestBounded(t *testing.T) {
 	if ok, _ := b.Eval([]float64{-0.5}); ok {
 		t.Fatal("below Min must fail")
 	}
+}
+
+// MaxRate asserts the series never climbs by more than PerSample between
+// consecutive samples — a growth-rate ceiling (decreases are always fine).
+// No experiment or daemon ever attached one, so it left check.go; it stays
+// here, verbatim, as the SeriesCheck a caller writes for itself, held to the
+// same non-finite rule as the checks the package ships.
+type MaxRate struct {
+	PerSample float64
+}
+
+// Kind implements SeriesCheck.
+func (MaxRate) Kind() string { return "max-rate" }
+
+// Eval implements SeriesCheck.
+func (m MaxRate) Eval(samples []float64) (bool, string) {
+	if ok, detail := checkFinite(samples); !ok {
+		return false, detail
+	}
+	for i := 1; i < len(samples); i++ {
+		if d := samples[i] - samples[i-1]; d > m.PerSample {
+			return false, fmt.Sprintf("grew %g at index %d, limit %g per sample", d, i, m.PerSample)
+		}
+	}
+	return true, fmt.Sprintf("max growth within %g per sample", m.PerSample)
 }
 
 func TestMaxRate(t *testing.T) {

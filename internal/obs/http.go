@@ -19,13 +19,6 @@ type HandlerOpts struct {
 	Sampler *Sampler
 }
 
-// Handler mounts the introspection surface for the common trio; it is
-// NewHandler without a sampler, kept for callers that predate the
-// time-series layer.
-func Handler(reg *Registry, tr *Tracer, log *Ring) http.Handler {
-	return NewHandler(HandlerOpts{Reg: reg, Tracer: tr, Log: log})
-}
-
 // NewHandler mounts the introspection surface on a private mux:
 //
 //	/metrics           Prometheus text exposition of Reg
@@ -133,7 +126,7 @@ type Server struct {
 	closeErr  error
 }
 
-// Serve binds addr and serves h (Handler(reg, tr) normally) in the
+// Serve binds addr and serves h (a NewHandler normally) in the
 // background until Close or ctx cancellation. It returns once the socket
 // is bound, so callers can immediately advertise Addr.
 func Serve(ctx context.Context, addr string, h http.Handler) (*Server, error) {

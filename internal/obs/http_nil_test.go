@@ -9,7 +9,7 @@ import (
 func TestHandlerNilSourcesReturn404(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", Handler(NewRegistry(), nil, nil))
+	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: NewRegistry()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestHandlerChromeFormat(t *testing.T) {
 	req.End()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", Handler(NewRegistry(), tr, NewRing(256)))
+	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: NewRegistry(), Tracer: tr, Log: NewRing(256)}))
 	if err != nil {
 		t.Fatal(err)
 	}

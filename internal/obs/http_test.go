@@ -32,7 +32,7 @@ func TestIntrospectionEndpoint(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", Handler(reg, tr, log))
+	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: reg, Tracer: tr, Log: log}))
 	if err != nil {
 		t.Fatal(err)
 	}
