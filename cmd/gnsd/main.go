@@ -99,18 +99,7 @@ func run(shards, replicas int, seed int64, soak, quick bool, obsAddr string) err
 		smp := obs.NewSampler(reg, 0)
 		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
-		go func() {
-			tick := time.NewTicker(smp.Interval())
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					smp.Tick()
-				}
-			}
-		}()
+		go smp.Run(ctx)
 		srv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Sampler: smp}))
 		if err != nil {
 			return err

@@ -157,20 +157,9 @@ func run(args []string, o runOpts) error {
 		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
 		gnsObs = &expt.GNSClusterObs{Registry: reg, Sampler: smp}
-		sampStop := make(chan struct{})
-		defer close(sampStop)
-		go func() {
-			tick := time.NewTicker(smp.Interval())
-			defer tick.Stop()
-			for {
-				select {
-				case <-sampStop:
-					return
-				case <-tick.C:
-					smp.Tick()
-				}
-			}
-		}()
+		sampCtx, sampStop := context.WithCancel(context.Background())
+		defer sampStop()
+		go smp.Run(sampCtx)
 		if obsAddr != "" {
 			ring = obs.NewRing(0)
 			tracer = obs.NewTracer(cfg.Seed, 0)

@@ -158,24 +158,10 @@ func runSoak(ctx context.Context, cfg engine.SoakConfig, reg *obs.Registry, obsA
 	}
 	if err == nil && linger > 0 && obsAddr != "" {
 		fmt.Printf("nomadd: lingering %v for dashboard scrapes\n", linger)
-		every := cfg.SampleEvery
-		if every <= 0 {
-			every = 200 * time.Millisecond
-		}
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		deadline := time.NewTimer(linger)
-		defer deadline.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-deadline.C:
-				return nil
-			case <-tick.C:
-				smp.Tick()
-			}
-		}
+		lingerCtx, cancel := context.WithTimeout(ctx, linger)
+		defer cancel()
+		smp.Run(lingerCtx) // at the interval RunSoak recorded
+		return ctx.Err()
 	}
 	return err
 }
@@ -225,20 +211,9 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	smp := obs.NewSampler(reg, 0)
 	smp.SetInterval(200 * time.Millisecond)
 	smp.Pre(obs.RuntimeSampler(reg))
-	sampStop := make(chan struct{})
-	defer close(sampStop)
-	go func() {
-		tick := time.NewTicker(smp.Interval())
-		defer tick.Stop()
-		for {
-			select {
-			case <-sampStop:
-				return
-			case <-tick.C:
-				smp.Tick()
-			}
-		}
-	}()
+	sampCtx, sampStop := context.WithCancel(ctx)
+	defer sampStop()
+	go smp.Run(sampCtx)
 	closeObs, err := serveObs(ctx, obsAddr, reg, tracer, smp)
 	if err != nil {
 		return err

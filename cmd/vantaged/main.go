@@ -81,20 +81,9 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		smp := obs.NewSampler(reg, 0)
 		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
-		sampStop := make(chan struct{})
-		defer close(sampStop)
-		go func() {
-			tick := time.NewTicker(smp.Interval())
-			defer tick.Stop()
-			for {
-				select {
-				case <-sampStop:
-					return
-				case <-tick.C:
-					smp.Tick()
-				}
-			}
-		}()
+		sampCtx, sampStop := context.WithCancel(ctx)
+		defer sampStop()
+		go smp.Run(sampCtx)
 		osrv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Log: ring, Sampler: smp}))
 		if err != nil {
 			return err

@@ -317,7 +317,7 @@ func (g *Graph) RoutesTo(d int) *RouteTable {
 //lint:zeroalloc per destination once rt's arrays and scratch have grown to fit the graph
 func (g *Graph) RoutesToInto(rt *RouteTable, d int) {
 	if d < 0 || d >= g.n {
-		panic(fmt.Sprintf("asgraph: destination %d out of range", d)) //lint:allow allocflow a caller's bug, not the steady state
+		panic(fmt.Sprintf("asgraph: destination %d out of range", d))
 	}
 	rt.Dest = d
 	if cap(rt.class) < g.n {

@@ -154,7 +154,7 @@ func (w *setWalker) runTo(tl *Timeline, hour int) {
 func (tl *Timeline) SetAt(hour int) []netaddr.Addr {
 	var w setWalker
 	w.runTo(tl, hour)
-	return slices.Clone(w.cur) //lint:allow allocflow the retained return copy is the function's contract
+	return slices.Clone(w.cur)
 }
 
 // Walk replays the timeline, calling fn with the before/after sets of every
@@ -421,7 +421,7 @@ func CompleteTable(tls []Timeline, hour int) map[names.Name][]netaddr.Addr {
 	var w setWalker
 	for i := range tls {
 		w.runTo(&tls[i], hour)
-		out[tls[i].Site.Name] = slices.Clone(w.cur) //lint:allow allocflow one retained set per name is the function's contract
+		out[tls[i].Site.Name] = slices.Clone(w.cur)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"strings"
 )
 
@@ -21,12 +22,9 @@ const directiveCheck = "lintdirective"
 
 var knownChecks = map[string]bool{
 	"determinism": true,
-	"seedflow":    true,
 	"errflow":     true,
 	"ctxflow":     true,
-	"allocflow":   true,
 	"lockflow":    true,
-	"atomicflow":  true,
 	"all":         true,
 }
 
@@ -72,14 +70,27 @@ func collectAllows(pkg *Package) (*allowIndex, []Diagnostic) {
 	for _, f := range pkg.Files {
 		pos := pkg.Fset.Position(f.Package)
 		filename, pkgLine := pos.Filename, pos.Line
+		annotating := map[*ast.CommentGroup]bool{} // doc comments ZeroallocFuncs reads an annotation from
+		for _, af := range ZeroallocFuncs(f) {
+			annotating[af.Decl.Doc] = true
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				kind, rest, ok := cutDirective(c.Text)
 				if !ok {
 					// A //lint: comment that is neither an allow form nor a
-					// zeroalloc annotation is a typo'd directive: report it,
-					// or it would silently annotate nothing.
-					if _, zok := ParseZeroalloc(c.Text); !zok && strings.HasPrefix(c.Text, "//lint:") {
+					// zeroalloc annotation is a typo'd directive, and a
+					// zeroalloc outside a function's doc comment is one
+					// ZeroallocFuncs never sees: report both, or they would
+					// silently annotate nothing.
+					_, zok := ParseZeroalloc(c.Text)
+					switch {
+					case zok && !annotating[cg]:
+						malformed = append(malformed, Diagnostic{
+							Pos: pkg.Fset.Position(c.Pos()), Check: directiveCheck,
+							Message: "//lint:zeroalloc is not the doc comment of a function declaration; it annotates nothing",
+						})
+					case !zok && strings.HasPrefix(c.Text, "//lint:"):
 						malformed = append(malformed, Diagnostic{
 							Pos: pkg.Fset.Position(c.Pos()), Check: directiveCheck,
 							Message: fmt.Sprintf("unknown //lint: directive %q", firstField(c.Text)),

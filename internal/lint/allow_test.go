@@ -21,7 +21,7 @@ func parseAllowPkg(t *testing.T, src string) *Package {
 func TestAllowScopes(t *testing.T) {
 	pkg := parseAllowPkg(t, `// Package fix exercises every directive scope.
 //
-//lint:allow seedflow promoted to package scope from above the package clause
+//lint:allow lockflow promoted to package scope from above the package clause
 package fix
 
 //lint:file-allow errflow this file writes nowhere durable
@@ -42,9 +42,9 @@ func f() {
 			Check: check,
 		})
 	}
-	// Package scope: seedflow anywhere.
-	if !at(1, "seedflow") || !at(11, "seedflow") {
-		t.Error("package-promoted allow did not suppress seedflow")
+	// Package scope: lockflow anywhere.
+	if !at(1, "lockflow") || !at(11, "lockflow") {
+		t.Error("package-promoted allow did not suppress lockflow")
 	}
 	// File scope: errflow anywhere in fix.go.
 	if !at(2, "errflow") || !at(10, "errflow") {
@@ -79,7 +79,7 @@ func f() {
 	if len(malformed) != 0 {
 		t.Fatalf("malformed = %v, want none", malformed)
 	}
-	for _, check := range []string{"determinism", "seedflow", "errflow", "ctxflow"} {
+	for _, check := range []string{"determinism", "errflow", "ctxflow", "lockflow"} {
 		if !ai.suppressed(Diagnostic{Pos: token.Position{Filename: "fix.go", Line: 5}, Check: check}) {
 			t.Errorf("allow all did not suppress %s", check)
 		}
@@ -114,5 +114,49 @@ func f() {}
 	// A malformed directive must not register any suppression.
 	if ai.suppressed(Diagnostic{Pos: token.Position{Filename: "fix.go", Line: 4}, Check: "errflow"}) {
 		t.Error("reason-less directive still suppressed errflow")
+	}
+}
+
+// TestFloatingZeroalloc pins the one property the deleted allocflow analyzer
+// carried that AllocsPerRun cannot measure: a //lint:zeroalloc that is not a
+// function's doc comment reaches neither ZeroallocFuncs nor TestAllocGuard,
+// so it is reported; one that is a doc comment is not. A //lint:allow naming
+// a deleted analyzer is an unknown check like any other.
+func TestFloatingZeroalloc(t *testing.T) {
+	pkg := parseAllowPkg(t, `package fix
+
+// Process replays events.
+//
+//lint:zeroalloc per event
+func Process() {}
+
+//lint:zeroalloc dangling: attached to a var, not a function
+var sink int
+
+func g() {
+	//lint:zeroalloc inside a body
+	_ = sink //lint:allow allocflow the analyzer is gone
+}
+`)
+	_, malformed := collectAllows(pkg)
+	want := []struct {
+		line int
+		frag string
+	}{
+		{8, "annotates nothing"},
+		{12, "annotates nothing"},
+		{13, `unknown check "allocflow"`},
+	}
+	if len(malformed) != len(want) {
+		t.Fatalf("got %d diagnostics %v, want %d", len(malformed), malformed, len(want))
+	}
+	for i, w := range want {
+		d := malformed[i]
+		if d.Check != directiveCheck || d.Pos.Line != w.line || !strings.Contains(d.Message, w.frag) {
+			t.Errorf("malformed[%d] = %v, want %s at line %d mentioning %q", i, d, directiveCheck, w.line, w.frag)
+		}
+	}
+	if got := ZeroallocFuncs(pkg.Files[0]); len(got) != 1 || got[0].Symbol != "Process" {
+		t.Errorf("ZeroallocFuncs = %v, want exactly Process", got)
 	}
 }

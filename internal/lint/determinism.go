@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Determinism flags the three ways nondeterminism has actually leaked into
@@ -17,9 +18,12 @@ import (
 //     call chain so that a seed fully determines the run.
 //  3. Map iteration feeding order-sensitive sinks: a `range` over a map
 //     whose body appends to a slice (without a subsequent sort), sends on a
-//     channel, or draws from an RNG. This is the exact shape of the
+//     channel, draws from an RNG, or writes to an io.Writer (fmt.Fprint*,
+//     a Write/WriteString method). The RNG case is the exact shape of the
 //     topology.PreferentialAttachment regression, where per-node RNG draws
-//     followed map order and every run grew a different graph.
+//     followed map order and every run grew a different graph; the writer
+//     case is expt.Export's, whose fig6/7/9.csv row groups came out in map
+//     order until PR 16.
 //  4. Ordering or branching decisions keyed on trace identity
 //     (obs.TraceContext IDs, Span.ID) in locind/internal/... packages.
 //     Span IDs exist only when a tracer is attached, so a comparison on
@@ -123,10 +127,24 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt, stack []ast.Node) {
 				if isRandPkg(funcPkgPath(fn)) {
 					p.Reportf(n.Pos(), "RNG draw inside range over map consumes randomness in map iteration order (the PreferentialAttachment regression); iterate sorted keys instead")
 				}
+				if isWriterSink(fn) {
+					p.Reportf(n.Pos(), "%s inside range over map writes bytes in map iteration order (the fig6.csv regression); iterate sorted keys instead", fn.Name())
+				}
 			}
 		}
 		return true
 	})
+}
+
+// isWriterSink reports whether fn puts bytes on an output in call order:
+// fmt.Fprint*, whose first argument is the writer, or any Write/WriteString
+// method (io.Writer, *os.File, *bufio.Writer, strings.Builder, csv.Writer,
+// hash.Hash — order reaches each of them).
+func isWriterSink(fn *types.Func) bool {
+	if fn.Type().(*types.Signature).Recv() != nil {
+		return fn.Name() == "Write" || fn.Name() == "WriteString"
+	}
+	return funcPkgPath(fn) == "fmt" && strings.HasPrefix(fn.Name(), "Fprint")
 }
 
 // sortedAfter reports whether obj is passed to a sorting call after the

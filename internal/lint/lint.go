@@ -8,28 +8,25 @@
 // `go list -json -deps` and type-checked bottom-up, which gives every pass
 // full type information without the x/tools loader.
 //
-// The analyzers encode invariants the repo has already been bitten by:
+// The analyzers encode invariants the repo has already been bitten by; an
+// analyzer stays for what it has caught (DESIGN.md §7 keeps the count), and
+// one whose lifetime output is zero findings is deleted, not kept:
 //
 //	determinism  wall-clock reads, global math/rand state, and map-iteration
 //	             order leaking into simulation output (the
 //	             topology.PreferentialAttachment regression class)
-//	seedflow     *rand.Rand constructed from seeds with no provenance
 //	errflow      discarded errors from internal/stats, internal/core, and
 //	             io/encoding sinks (the expt.RunSensitivity regression class)
 //	ctxflow      exported gns/nomad/vantage/reliable entry points that spawn
 //	             goroutines or touch the network without a context.Context
-//	allocflow    always-allocating idioms inside //lint:zeroalloc-annotated
-//	             hot paths and everything they statically call in the module
-//	             (the Timeline.Walk / fused-scratch / Memo zero-alloc class)
 //	lockflow     mutexes copied by value, locks held across blocking
 //	             operations, and inconsistent lock acquisition order
-//	atomicflow   fields accessed through sync/atomic somewhere must be
-//	             accessed atomically everywhere
 //
 // Findings are suppressed with `//lint:allow <check> <reason>` comments; see
 // allow.go for the three scopes (line, file, package). The companion
-// //lint:zeroalloc annotation (zeroalloc.go) both arms allocflow and drives
-// cmd/allocguard's generated AllocsPerRun tests.
+// //lint:zeroalloc annotation (zeroalloc.go) has one enforcer, the one that
+// measures: cmd/allocguard's generated AllocsPerRun tests. No analyzer reads
+// it; collectAllows only reports one that annotates nothing.
 package lint
 
 import (
@@ -40,15 +37,11 @@ import (
 	"sort"
 )
 
-// An Analyzer describes one named check. Exactly one of Run and RunModule
-// is set: Run is invoked once per package, RunModule once per lint.Run call
-// with every loaded package in view — the shape allocflow needs, whose
-// //lint:zeroalloc closures cross package boundaries.
+// An Analyzer describes one named check; Run is invoked once per package.
 type Analyzer struct {
-	Name      string // short lower-case identifier, used in //lint:allow directives
-	Doc       string // one-paragraph description of the invariant
-	Run       func(*Pass) error
-	RunModule func(*ModulePass) error
+	Name string // short lower-case identifier, used in //lint:allow directives
+	Doc  string // one-paragraph description of the invariant
+	Run  func(*Pass) error
 }
 
 // A Pass presents one package to one analyzer.
@@ -83,34 +76,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// A ModulePass presents every loaded package to a module-scope analyzer at
-// once. Diagnostics are attributed to the package they are reported
-// against, so per-package //lint:allow directives suppress them exactly as
-// they do per-package findings.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Pkgs     []*Package
-
-	diags *[]moduleDiag
-}
-
-type moduleDiag struct {
-	pkg *Package
-	d   Diagnostic
-}
-
-// Reportf records a finding at pos inside pkg.
-func (mp *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	*mp.diags = append(*mp.diags, moduleDiag{pkg: pkg, d: Diagnostic{
-		Pos:     pkg.Fset.Position(pos),
-		Check:   mp.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	}})
-}
-
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Seedflow, Errflow, Ctxflow, Allocflow, Lockflow, Atomicflow}
+	return []*Analyzer{Determinism, Errflow, Ctxflow, Lockflow}
 }
 
 // A Report is the outcome of one Run: the surviving diagnostics plus an
@@ -130,25 +98,10 @@ type Report struct {
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Report, error) {
 	var diags []Diagnostic
 	rep := &Report{SuppressedByCheck: map[string]int{}}
-	suppress := func(allows *allowIndex, raw []Diagnostic) {
-		for _, d := range raw {
-			if allows.suppressed(d) {
-				rep.Suppressed++
-				rep.SuppressedByCheck[d.Check]++
-				continue
-			}
-			diags = append(diags, d)
-		}
-	}
-	allowsFor := make(map[*Package]*allowIndex, len(pkgs))
 	for _, pkg := range pkgs {
 		allows, malformed := collectAllows(pkg)
-		allowsFor[pkg] = allows
 		diags = append(diags, malformed...)
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			var raw []Diagnostic
 			pass := &Pass{
 				Analyzer:  a,
@@ -161,20 +114,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Report, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 			}
-			suppress(allows, raw)
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		var raw []moduleDiag
-		mp := &ModulePass{Analyzer: a, Pkgs: pkgs, diags: &raw}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-		}
-		for _, md := range raw {
-			suppress(allowsFor[md.pkg], []Diagnostic{md.d})
+			for _, d := range raw {
+				if allows.suppressed(d) {
+					rep.Suppressed++
+					rep.SuppressedByCheck[d.Check]++
+					continue
+				}
+				diags = append(diags, d)
+			}
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

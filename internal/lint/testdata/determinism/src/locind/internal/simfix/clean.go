@@ -1,6 +1,8 @@
 package simfix
 
 import (
+	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"time"
@@ -37,4 +39,26 @@ func SimTime(nowNanos int64) int64 { return nowNanos + int64(time.Millisecond) }
 func startupStamp() int64 {
 	//lint:allow determinism startup banner timestamp, not simulation state
 	return time.Now().UnixNano()
+}
+
+// SortedCurves is the same closure as it stands today: names collected,
+// sorted, then written — the map range feeds only the sorted slice.
+func SortedCurves(f *os.File, series map[string][]Point) error {
+	if _, err := fmt.Fprintln(f, "series,x,y"); err != nil {
+		return err
+	}
+	// Name order, not map order: two runs must write the same bytes.
+	names := make([]string, 0, len(series))
+	for name := range series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, p := range series[name] {
+			if _, err := fmt.Fprintf(f, "%s,%g,%g\n", name, p.X, p.Y); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -15,19 +15,13 @@ import (
 // optional — it documents what "steady state" means for this function
 // (per event, per lookup, per heap op).
 //
-// The annotation is load-bearing twice over:
-//
-//   - The allocflow analyzer statically checks the annotated function and
-//     everything it statically calls within the module for always-allocating
-//     idioms (fmt formatting, map construction in the per-event path,
-//     per-iteration composite literals and closures — see allocflow.go).
-//   - cmd/allocguard generates a testing.AllocsPerRun-based
-//     allocguard_gen_test.go per annotated package, so the same annotation
-//     that turns the static check on also pins the runtime measurement; the
-//     two can never disagree about which functions are covered.
-//
-// A deliberate allocation inside an annotated closure is suppressed in
-// place with `//lint:allow allocflow <reason>`, like any other finding.
+// The annotation has one enforcer, the one that measures: cmd/allocguard
+// generates a testing.AllocsPerRun-based allocguard_gen_test.go per annotated
+// package, and TestAllocGuard fails by symbol and count when an annotated
+// function — or anything its harness drives, across package boundaries —
+// starts allocating, or when annotations and harnesses disagree (DESIGN.md
+// §7). A directive that is not a function's doc comment annotates nothing;
+// collectAllows reports it under the unsuppressible lintdirective check.
 
 // zeroallocDirective is the comment prefix of the annotation.
 const zeroallocDirective = "//lint:zeroalloc"
@@ -108,29 +102,4 @@ func recvTypeName(e ast.Expr) string {
 			return ""
 		}
 	}
-}
-
-// zeroallocDecls maps each annotated declaration in pkg to its symbol, and
-// returns the set of doc-comment positions consumed by annotations so
-// allocflow can flag dangling directives (a //lint:zeroalloc floating in a
-// comment that is not a function's doc comment annotates nothing and would
-// otherwise rot silently).
-func zeroallocDecls(pkg *Package) (map[*ast.FuncDecl]string, map[*ast.Comment]bool) {
-	decls := map[*ast.FuncDecl]string{}
-	consumed := map[*ast.Comment]bool{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if _, ok := ParseZeroalloc(c.Text); ok {
-					decls[fd] = FuncSymbol(fd)
-					consumed[c] = true
-				}
-			}
-		}
-	}
-	return decls, consumed
 }

@@ -237,9 +237,8 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	// Time-series sampling: a rollup pre-hook sums the per-shard gauges
 	// into the unlabeled fleet series (the ones the flatness checks watch)
 	// and derives per-shard events/s from counter deltas; the runtime hook
-	// records heap. The soak owns the ticker — the sampler itself is
-	// clock-free — so nomadd's mounted sampler ticks exactly while the
-	// pipeline runs.
+	// records heap. The soak starts and joins Sampler.Run, so nomadd's
+	// mounted sampler ticks exactly while the pipeline runs.
 	rollQE := reg.Gauge(soakQueueSeries, "device-buffered records awaiting store")
 	rollQB := reg.Gauge("locind_nomad_engine_queue_batches", "sealed batches awaiting upload")
 	evRate := make([]*obs.Gauge, len(engines))
@@ -271,23 +270,13 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	smp.Check(SoakQueueCheck, soakQueueSeries,
 		obs.Flatness{EarlyQuarter: 1, LateQuarter: 3, RelSlack: 1, AbsSlack: 1024})
 
-	var (
-		stop = make(chan struct{})
-		smWG sync.WaitGroup
-	)
+	smpCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	var smWG sync.WaitGroup
 	smWG.Add(1)
 	go func() {
 		defer smWG.Done()
-		tick := time.NewTicker(cfg.SampleEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				smp.Tick()
-			}
-		}
+		smp.Run(smpCtx)
 	}()
 
 	// The soak proper: every shard to completion, then flush rounds until
@@ -332,7 +321,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 		}
 		ph.End()
 	}
-	close(stop)
+	stop()
 	smWG.Wait()
 	if runErr != nil {
 		return rep, runErr

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"time"
@@ -8,10 +9,10 @@ import (
 
 // Sampler periodically snapshots a Registry into fixed-capacity Series
 // rings — the time-series layer behind /debug/timeseries, the /debug/dash
-// sparklines, and the SeriesCheck health assertions. It owns no clock: the
-// caller drives Tick (a daemon from a time.Ticker goroutine, a test by
-// hand), keeping this package clock-free and tests deterministic, exactly
-// like the tracer's injected now.
+// sparklines, and the SeriesCheck health assertions. Tick is clock-free: a
+// test drives it by hand and stays deterministic, exactly like the tracer's
+// injected now. Run is the one ticker the daemons share, a time.Ticker loop
+// over Tick at the recorded Interval.
 //
 // Memory model: every registry series costs one ring of Capacity float64s
 // (histograms cost five: _count, _sum, and the interpolated _p50/_p95/_p99
@@ -78,8 +79,8 @@ func NewSampler(reg *Registry, capacity int) *Sampler {
 	return &Sampler{reg: reg, capacity: capacity, byKey: map[string]*Series{}}
 }
 
-// SetInterval records the nominal tick period for reports and dumps; the
-// sampler itself never sleeps (the caller owns the ticker).
+// SetInterval records the nominal tick period: the one Run ticks at and
+// reports and dumps quote. Tick itself never sleeps.
 func (s *Sampler) SetInterval(d time.Duration) {
 	if s == nil {
 		return
@@ -145,6 +146,26 @@ func (s *Sampler) Tick() {
 	s.sync()
 	s.snapshot()
 	s.ticks++
+}
+
+// Run calls Tick every Interval until ctx is done, then returns: the
+// sampling loop of every daemon, run in a goroutine the caller joins if it
+// needs the last sample ordered. The interval must have been set. A nil
+// sampler returns at once.
+func (s *Sampler) Run(ctx context.Context) {
+	if s == nil {
+		return
+	}
+	tick := time.NewTicker(s.Interval())
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			s.Tick()
+		}
+	}
 }
 
 // Ticks returns how many samples each (fully synced) ring has received.

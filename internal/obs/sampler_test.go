@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -25,6 +27,31 @@ func TestSamplerNilSafe(t *testing.T) {
 	}
 	if NewSampler(nil, 16) != nil {
 		t.Fatal("NewSampler(nil) must return nil (disabled)")
+	}
+	s.Run(context.Background()) // returns at once: nothing to tick
+}
+
+// TestSamplerRunTicksUntilDone: Run samples at the recorded interval and
+// returns when ctx is done, so a caller that joins it knows no tick is in
+// flight — what RunSoak relies on before its final hand-driven Tick.
+func TestSamplerRunTicksUntilDone(t *testing.T) {
+	reg := NewRegistry()
+	s := NewSampler(reg, 16)
+	s.SetInterval(time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := make(chan struct{})
+	var once sync.Once
+	s.Pre(func() { once.Do(func() { close(seen) }) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(ctx)
+	}()
+	<-seen
+	cancel()
+	<-done
+	if got := s.Ticks(); got < 1 {
+		t.Fatalf("Run ticked %d times before cancel, want at least 1", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -64,8 +65,8 @@ type Span struct {
 // frames) as the Encode form, so spans recorded by different processes
 // assemble into one causal tree. Like span IDs, both fields are
 // deterministic under a fixed seed; they identify causality and must never
-// feed seeds or ordering decisions (the seedflow/determinism analyzers
-// police this).
+// feed seeds or ordering decisions (the determinism analyzer polices the
+// latter).
 type TraceContext struct {
 	TraceID uint64 `json:"trace"`
 	SpanID  uint64 `json:"span"`
@@ -86,16 +87,17 @@ func (tc TraceContext) Encode() string {
 
 // ParseTraceContext decodes the Encode form. Anything malformed — wrong
 // length, bad hex, zero IDs — returns ok=false; propagation is best-effort
-// and a mangled context must never fail a request.
+// and a mangled context must never fail a request. Each half goes through
+// strconv.ParseUint, which takes exactly sixteen hex digits and nothing
+// else (no sign, space or underscore), so ok implies Encode gives s back.
 func ParseTraceContext(s string) (TraceContext, bool) {
 	if len(s) != 33 || s[16] != '-' {
 		return TraceContext{}, false
 	}
-	var tc TraceContext
-	if _, err := fmt.Sscanf(s, "%016x-%016x", &tc.TraceID, &tc.SpanID); err != nil {
-		return TraceContext{}, false
-	}
-	if !tc.Valid() {
+	trace, terr := strconv.ParseUint(s[:16], 16, 64)
+	span, serr := strconv.ParseUint(s[17:], 16, 64)
+	tc := TraceContext{TraceID: trace, SpanID: span}
+	if terr != nil || serr != nil || !tc.Valid() {
 		return TraceContext{}, false
 	}
 	return tc, true

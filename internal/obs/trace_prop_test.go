@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -77,6 +78,29 @@ func TestTraceContextRejectsMalformed(t *testing.T) {
 	if (TraceContext{}).Encode() != "" {
 		t.Fatal("invalid context must encode to the empty string")
 	}
+}
+
+// FuzzParseTraceContext: the parser reads wire input (gns Request.Trace,
+// X-Nomad-Trace, vantage hello frames) and never panics; what it accepts is
+// a valid context in exactly the form Encode writes, letter case aside. The
+// committed corpus holds two space-carrying inputs fmt.Sscanf used to take.
+func FuzzParseTraceContext(f *testing.F) {
+	for _, s := range []string{"", "deadbeefcafef00d-0123456789abcdef", "DEADBEEFCAFEF00D-0123456789ABCDEF",
+		"+000000000000001-0000000000000002", "0000000000000001-0x00000000000002", "0000_00000000001-0000000000000002"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceContext(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("ParseTraceContext(%q) rejected but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() || tc.Encode() != strings.ToLower(s) {
+			t.Fatalf("ParseTraceContext(%q) = %+v, which encodes to %q", s, tc, tc.Encode())
+		}
+	})
 }
 
 func TestRootSpanBeginsOwnTrace(t *testing.T) {
