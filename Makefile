@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build test race lint allocguard bench clean
+.PHONY: all build test race lint allocguard examples bench clean
 
-all: build lint test
+all: build lint test examples
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ lint:
 # change; `make lint` verifies they are current.
 allocguard:
 	$(GO) run ./cmd/allocguard ./...
+
+# examples runs every program under examples/ to the end; `go build ./...`
+# only compiles them.
+examples:
+	for e in examples/*/; do $(GO) run "./$$e" > /dev/null || exit 1; done
 
 # bench runs the repository benchmark (BENCHMARK.json): five closed-loop
 # workloads, four gated end-to-end metrics each, results in bench/out/. Its

@@ -141,7 +141,6 @@ func run(args []string, o runOpts) error {
 	// the engine to that), so flipping -obs.addr or -report on can never
 	// change a result.
 	var tracer *obs.Tracer
-	var ring *obs.Ring
 	var profiler *obs.Profiler
 	var smp *obs.Sampler
 	var gnsObs *expt.GNSClusterObs
@@ -161,11 +160,10 @@ func run(args []string, o runOpts) error {
 		defer sampStop()
 		go smp.Run(sampCtx)
 		if obsAddr != "" {
-			ring = obs.NewRing(0)
 			tracer = obs.NewTracer(cfg.Seed, 0)
 			tracer.SetNow(func() time.Duration { return time.Since(begin) })
 			srv, err := obs.Serve(context.Background(), obsAddr,
-				obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Log: ring, Sampler: smp}))
+				obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp}))
 			if err != nil {
 				return err
 			}
@@ -283,7 +281,6 @@ func run(args []string, o runOpts) error {
 		}
 		span := tracer.Start("experiment", "name", k)
 		ph := profiler.Begin(k)
-		fmt.Fprintf(ring, "experiment %s start\n", k)
 		err := func() error {
 			switch k {
 			case "fig6":
@@ -332,7 +329,6 @@ func run(args []string, o runOpts) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(ring, "experiment %s done\n", k)
 	}
 	if out != "" {
 		fmt.Fprintf(os.Stderr, "exporting raw data to %s...\n", out)

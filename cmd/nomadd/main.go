@@ -106,8 +106,7 @@ func serveObs(ctx context.Context, obsAddr string, reg *obs.Registry, tracer *ob
 	if obsAddr == "" {
 		return func() {}, nil
 	}
-	ring := obs.NewRing(0)
-	h := obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Log: ring, Sampler: smp})
+	h := obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})
 	osrv, err := obs.Serve(ctx, obsAddr, h)
 	if err != nil {
 		return nil, err

@@ -1,64 +1,42 @@
-// Command ribtool inspects and serves the textual RIB dumps the repository
-// produces (`locind -out` writes one per collector).
+// Command ribtool inspects the textual RIB dumps the repository produces
+// (`locind -out` writes one per collector).
 //
 // Usage:
 //
 //	ribtool stats <dump.txt>             decision-process statistics
 //	ribtool best  <dump.txt> <addr>      the selected route covering addr
-//	ribtool serve <dump.txt> <peer-as>   replay the dump's routes from one
-//	                                     peer into a live collector over TCP
-//	                                     (a loopback demo of the feed path)
 package main
 
 import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
 )
 
 func main() {
-	if len(os.Args) < 3 {
-		usage()
+	// The verb and its argument count are checked before the dump is opened.
+	args := os.Args[1:]
+	isStats := len(args) == 2 && args[0] == "stats"
+	isBest := len(args) == 3 && args[0] == "best"
+	if !isStats && !isBest {
+		fmt.Fprintln(os.Stderr, "usage: ribtool stats <dump.txt> | best <dump.txt> <addr>")
 		os.Exit(2)
 	}
-	cmd, path := os.Args[1], os.Args[2]
-	rib, err := loadRIB(path)
+	rib, err := loadRIB(args[1])
 	if err != nil {
 		fatal(err)
 	}
-	switch cmd {
-	case "stats":
-		stats(rib)
-	case "best":
-		if len(os.Args) != 4 {
-			usage()
-			os.Exit(2)
-		}
-		best(rib, os.Args[3])
-	case "serve":
-		if len(os.Args) != 4 {
-			usage()
-			os.Exit(2)
-		}
-		var peer int
-		if _, err := fmt.Sscanf(os.Args[3], "%d", &peer); err != nil {
-			fatal(fmt.Errorf("bad peer AS %q", os.Args[3]))
-		}
-		if err := serve(rib, peer); err != nil {
-			fatal(err)
-		}
-	default:
-		usage()
-		os.Exit(2)
+	if rib.NumPrefixes() == 0 {
+		fatal(fmt.Errorf("%s: no routes in dump", args[1]))
 	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ribtool stats|best|serve <dump.txt> [addr|peer-as]")
+	if isStats {
+		stats(rib)
+	} else {
+		best(rib, args[2])
+	}
 }
 
 func fatal(err error) {
@@ -122,52 +100,4 @@ func best(rib *bgp.RIB, addrStr string) {
 		fatal(fmt.Errorf("no route covers %v", a))
 	}
 	fmt.Println(rt)
-}
-
-func serve(rib *bgp.RIB, peer int) error {
-	lc := bgp.NewLiveCollector("ribtool")
-	if err := lc.Listen("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer lc.Close()
-	fmt.Printf("ribtool: live collector on %s\n", lc.Addr())
-
-	fs, err := bgp.DialFeed(lc.Addr(), peer)
-	if err != nil {
-		return err
-	}
-	defer fs.Close()
-	var batch []bgp.Route
-	for _, p := range rib.Prefixes() {
-		if rt, ok := rib.Best(p); ok {
-			rt.NextHop = peer
-			batch = append(batch, rt)
-		}
-		if len(batch) >= 1000 {
-			if err := fs.Announce(batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
-		}
-	}
-	if len(batch) > 0 {
-		if err := fs.Announce(batch); err != nil {
-			return err
-		}
-	}
-	// Poll until ingested.
-	want := rib.NumPrefixes()
-	for {
-		if errs := lc.Errs(); len(errs) > 0 {
-			return errs[0]
-		}
-		prefixes, _, _ := lc.Snapshot()
-		if prefixes >= want {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	prefixes, routes, applied := lc.Snapshot()
-	fmt.Printf("ribtool: streamed %d prefixes (%d routes) in %d updates\n", prefixes, routes, applied)
-	return nil
 }

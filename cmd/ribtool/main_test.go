@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +16,74 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
 )
+
+// TestMain lets the test binary stand in for ribtool: re-executed with
+// RIBTOOL_TEST_MAIN set it runs main() on its arguments, so the tests below
+// drive the real argument checks and exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv("RIBTOOL_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// ribtool runs the command and returns its two streams and exit code.
+func ribtool(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RIBTOOL_TEST_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestBadInvocationIsUsageBeforeTheDumpIsOpened: an unknown verb (the removed
+// `serve` among them) or a wrong argument count prints the usage line and
+// exits 2. The dump path does not exist, so opening it first would exit 1
+// with the open error instead.
+func TestBadInvocationIsUsageBeforeTheDumpIsOpened(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dump.txt")
+	for _, args := range [][]string{
+		{},
+		{"stats"},
+		{"stats", missing, "extra", "junk"},
+		{"best", missing},
+		{"best", missing, "10.0.0.1", "extra"},
+		{"serve", missing, "1"},
+		{"frob", missing},
+	} {
+		stdout, stderr, code := ribtool(t, args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "usage: ribtool ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("ribtool %v: exit %d, stdout %q, stderr %q; want the usage line and exit 2", args, code, stdout, stderr)
+		}
+	}
+}
+
+// TestDumpWithoutRoutesIsAnError: an empty or comment-only dump has nothing
+// to report on; `stats` used to print "routes: 0 (NaN per prefix)" and exit 0.
+func TestDumpWithoutRoutesIsAnError(t *testing.T) {
+	for name, body := range map[string]string{
+		"empty.txt":    "",
+		"comments.txt": "# locind-rib v1 name=x prefixes=0 routes=0\n\n# nothing else\n",
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"stats", path}, {"best", path, "10.0.0.1"}} {
+			stdout, stderr, code := ribtool(t, args...)
+			if want := "ribtool: " + path + ": no routes in dump\n"; code != 1 || stdout != "" || stderr != want {
+				t.Errorf("ribtool %v: exit %d, stdout %q, stderr %q; want %q and exit 1", args, code, stdout, stderr, want)
+			}
+		}
+	}
+}
 
 // capture returns what fn prints to stdout.
 func capture(t *testing.T, fn func()) string {

@@ -43,6 +43,9 @@ func main() {
 }
 
 func run(addr string, nodes, domains, days int, seed int64, obsAddr string) error {
+	if days < 1 {
+		return fmt.Errorf("-days must be positive, have %d", days)
+	}
 	acfg := asgraph.DefaultSynthConfig()
 	acfg.Tier2 = 80
 	acfg.Stubs = 700
@@ -66,9 +69,8 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 
 	ctx := context.Background()
 
-	// Observability: campaign-wide retry counters, per-node traces,
-	// time-series sampling for /debug/dash, and the flight-recorder log on
-	// an introspection port.
+	// Observability: campaign-wide retry counters, per-node traces and
+	// time-series sampling for /debug/dash on an introspection port.
 	var campaignMetrics *reliable.Metrics
 	var tracer *obs.Tracer
 	if obsAddr != "" {
@@ -77,14 +79,13 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		tracer = obs.NewTracer(seed, 0)
 		begin := time.Now()
 		tracer.SetNow(func() time.Duration { return time.Since(begin) })
-		ring := obs.NewRing(0)
 		smp := obs.NewSampler(reg, 0)
 		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
 		sampCtx, sampStop := context.WithCancel(ctx)
 		defer sampStop()
 		go smp.Run(sampCtx)
-		osrv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Log: ring, Sampler: smp}))
+		osrv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp}))
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,11 @@
-// Live updates: the routing plane as a running system.
+// Live updates: the same device mobility absorbed twice, by a router and by
+// a name service.
 //
-// This example synthesizes one RouteViews-like collector, streams its full
-// table over real TCP feed sessions into a live collector, then replays a
-// day of device mobility twice — once against the converged FIB (the
-// paper's §6.2 experiment) and once as route churn (best-route flaps) to
-// show the collector-side update counting. It finishes with a GNS tick:
-// the same mobility absorbed as single quorum writes by a loopback GNS
-// cluster, the paper's recommended home for device mobility.
+// This example synthesizes one RouteViews-like collector, replays two days of
+// device mobility against its FIB (the paper's §6.2 experiment: an event
+// costs the router an update only when it displaces the device to another
+// output port), and then hands the same events to a loopback GNS cluster as
+// one quorum write each — the paper's recommended home for device mobility.
 package main
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"time"
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
@@ -49,40 +47,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	batch := cols[0]
+	col := cols[0]
 
-	// Stream the table over TCP into a live collector.
-	lc := bgp.NewLiveCollector(batch.Name)
-	if err := lc.Listen("127.0.0.1:0"); err != nil {
-		return err
-	}
-	defer lc.Close()
-	err = bgp.StreamCollectorTables(batch, func(peer int, routes []bgp.Route) error {
-		fs, err := bgp.DialFeed(lc.Addr(), peer)
-		if err != nil {
-			return err
-		}
-		defer fs.Close()
-		return fs.Announce(routes)
-	})
-	if err != nil {
-		return err
-	}
-	for {
-		if errs := lc.Errs(); len(errs) > 0 {
-			return errs[0]
-		}
-		_, routes, _ := lc.Snapshot()
-		if routes == batch.RIB.NumRoutes() {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	prefixes, routes, applied := lc.Snapshot()
-	fmt.Printf("streamed %s over TCP: %d prefixes, %d routes, %d updates applied\n",
-		batch.Name, prefixes, routes, applied)
-
-	// Device mobility against the live FIB.
+	// Device mobility against the collector's FIB.
 	dcfg := mobility.DefaultDeviceConfig()
 	dcfg.Users = 40
 	dcfg.Days = 2
@@ -91,9 +58,9 @@ func run() error {
 		return err
 	}
 	events := trace.MoveEvents()
-	stats := core.DeviceUpdateStats(lc, events)
-	fmt.Printf("device mobility: %d events, %.1f%% displace at the live collector\n",
-		len(events), stats.Rate()*100)
+	stats := core.DeviceUpdateStats(col.FIB, events)
+	fmt.Printf("device mobility: %d events, %.1f%% displace at %s (%d prefixes, %d ports)\n",
+		len(events), stats.Rate()*100, col.Name, col.FIB.Len(), col.FIB.NextHopDegree())
 
 	// The same mobility as resolution-service updates: one quorum write per
 	// event, each landing on the one shard that owns the device's name.

@@ -84,7 +84,6 @@ type RIB struct {
 	attrIdx  map[attrSet]int32
 	shared   *pathTable // the batch build's paths; other collectors read it, Add never writes it
 	own      [][]int    // paths that arrived through Add; candidates name slot k as ^k
-	free     []int32    // path indices vacated by withdraw
 }
 
 // cand is a stored candidate route. Only the indices are narrow: the tables
@@ -166,34 +165,9 @@ func (r *RIB) attr(a attrSet) int32 {
 // Add inserts a candidate route. Its attribute set and path go into the RIB's
 // own tables, never into the path table it shares with other collectors.
 func (r *RIB) Add(rt Route) {
-	c := cand{attr: r.attr(attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel})}
-	if n := len(r.free); n > 0 {
-		c.path, r.free = r.free[n-1], r.free[:n-1]
-		r.own[^c.path] = rt.ASPath
-	} else {
-		c.path = ^int32(len(r.own))
-		r.own = append(r.own, rt.ASPath)
-	}
+	c := cand{attr: r.attr(attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel}), path: ^int32(len(r.own))}
+	r.own = append(r.own, rt.ASPath)
 	r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], c)
-}
-
-// withdraw drops peer's candidate for p, and p itself with its last one.
-func (r *RIB) withdraw(p netaddr.Prefix, peer int) {
-	cs := r.byPrefix[p]
-	out := cs[:0]
-	for _, c := range cs {
-		if r.attrs[c.attr].NextHop != peer {
-			out = append(out, c)
-		} else if c.path < 0 { // an own path: free its slot for the next Add
-			r.own[^c.path] = nil
-			r.free = append(r.free, c.path)
-		}
-	}
-	if len(out) == 0 {
-		delete(r.byPrefix, p)
-	} else {
-		r.byPrefix[p] = out
-	}
 }
 
 // NumPrefixes returns the number of distinct prefixes with at least one

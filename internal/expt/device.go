@@ -177,53 +177,16 @@ type SensitivityResult struct {
 	Correlation float64 // across all 25 collectors, NomadLog vs IMAP rates
 }
 
-// RunSensitivity computes the §6.2.2 sensitivity analysis. Each stage fans
-// out over its collector set; per-collector rates are assembled in collector
-// order so the readout is identical at every parallelism degree. A degenerate
-// workload (zero-variance or mismatched rate vectors) is reported as an
-// error, never rendered as a fake "correlation 0.00".
+// RunSensitivity computes the §6.2.2 sensitivity analysis in one fan-out over
+// the 25 collectors, RouteViews first: each replays the NomadLog events day by
+// day (the days' integer counts sum to the whole-trace measurement) and the
+// IMAP events once; rows come back in collector order, so the readout is
+// identical at every parallelism degree. A degenerate workload (zero-variance
+// or mismatched rate vectors) is an error, never a fake "correlation 0.00".
 func RunSensitivity(w *World) (SensitivityResult, error) {
 	res := SensitivityResult{PerDayStdDev: map[string]float64{}}
-	events := w.Devices.MoveEvents()
 
-	// (1) Day-to-day stability at each RouteViews collector.
-	byDay := map[int][]mobility.MoveEvent{}
-	for _, e := range events {
-		byDay[e.Day] = append(byDay[e.Day], e)
-	}
-	days := make([]int, 0, len(byDay))
-	for d := range byDay {
-		days = append(days, d)
-	}
-	sort.Ints(days)
-	stdDevs := par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) float64 {
-		defer w.Cfg.Obs.collectorDone()
-		memo := w.Cfg.memo(w.RouteViews[i].FIB)
-		var rates []float64
-		for _, d := range days {
-			rates = append(rates, core.DeviceUpdateStats(memo, byDay[d]).Rate())
-		}
-		return stats.StdDev(rates)
-	})
-	for i, sd := range stdDevs {
-		res.PerDayStdDev[w.RouteViews[i].Name] = sd
-		if sd > res.MaxStdDev {
-			res.MaxStdDev = sd
-		}
-	}
-
-	// (2) The RIPE collector set.
-	ripeRates := par.Map(w.Cfg.Parallel, len(w.RIPE), func(i int) float64 {
-		defer w.Cfg.Obs.collectorDone()
-		return core.DeviceUpdateStats(w.Cfg.memo(w.RIPE[i].FIB), events).Rate()
-	})
-	ripeCDF := stats.NewCDF(ripeRates)
-	res.RIPEMedian = ripeCDF.Median()
-	res.RIPEMax = ripeCDF.Max()
-
-	// (3) The IMAP-style application-view workload over a larger user
-	// population, correlated against the NomadLog workload across all 25
-	// collectors.
+	// The IMAP-style application-view workload over a larger user population.
 	imapCfg := w.Cfg.Device
 	imapCfg.Users = w.Cfg.IMAPUsers
 	imapCfg.Days = w.Cfg.IMAPDays
@@ -234,22 +197,47 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 	imapEvents := mobility.IMAPMoveEvents(imapTrace, 2.0, rand.New(rand.NewSource(w.Cfg.Seed+7)))
 	res.IMAPEvents = len(imapEvents)
 
+	byDay := map[int][]mobility.MoveEvent{}
+	for _, e := range w.Devices.MoveEvents() {
+		byDay[e.Day] = append(byDay[e.Day], e)
+	}
+	days := make([]int, 0, len(byDay))
+	for d := range byDay {
+		days = append(days, d)
+	}
+	sort.Ints(days)
+
 	all := append(append([]*bgp.Collector{}, w.RouteViews...), w.RIPE...)
-	type ratePair struct{ nomad, imap float64 }
-	pairs := par.Map(w.Cfg.Parallel, len(all), func(i int) ratePair {
+	type row struct{ stdDev, nomad, imap float64 }
+	rows := par.Map(w.Cfg.Parallel, len(all), func(i int) row {
 		defer w.Cfg.Obs.collectorDone()
 		memo := w.Cfg.memo(all[i].FIB)
-		return ratePair{
-			nomad: core.DeviceUpdateStats(memo, events).Rate(),
-			imap:  core.DeviceUpdateStats(memo, imapEvents).Rate(),
+		var total core.UpdateStats
+		rates := make([]float64, 0, len(days))
+		for _, d := range days {
+			s := core.DeviceUpdateStats(memo, byDay[d])
+			rates = append(rates, s.Rate())
+			total.Add(s)
 		}
+		return row{stats.StdDev(rates), total.Rate(), core.DeviceUpdateStats(memo, imapEvents).Rate()}
 	})
-	nomadRates := make([]float64, len(pairs))
-	imapRates := make([]float64, len(pairs))
-	for i, p := range pairs {
-		nomadRates[i] = p.nomad
-		imapRates[i] = p.imap
+	nomadRates, imapRates := make([]float64, len(rows)), make([]float64, len(rows))
+	for i, r := range rows {
+		nomadRates[i], imapRates[i] = r.nomad, r.imap
 	}
+
+	// (1) Day-to-day stability at each RouteViews collector.
+	nRV := len(w.RouteViews)
+	for i, r := range rows[:nRV] {
+		res.PerDayStdDev[all[i].Name] = r.stdDev
+		if r.stdDev > res.MaxStdDev {
+			res.MaxStdDev = r.stdDev
+		}
+	}
+	// (2) The RIPE collector set.
+	ripeCDF := stats.NewCDF(nomadRates[nRV:])
+	res.RIPEMedian, res.RIPEMax = ripeCDF.Median(), ripeCDF.Max()
+	// (3) NomadLog against IMAP rates across all 25 collectors.
 	corr, err := stats.Pearson(nomadRates, imapRates)
 	if err != nil {
 		return res, fmt.Errorf("expt: NomadLog/IMAP rate correlation: %w", err)

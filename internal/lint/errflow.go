@@ -87,16 +87,13 @@ func checkDroppedCall(p *Pass, call *ast.CallExpr) {
 // writerNeverFails lists destination types whose Write cannot produce an
 // error worth checking at each call site: in-memory buffers and builders,
 // hashes (hash.Hash documents that Write never returns an error), the
-// latching *bufio.Writer (only Flush reports), http.ResponseWriter
+// latching *bufio.Writer (only Flush reports), and http.ResponseWriter
 // (the response is already in flight; there is nothing to do with the
-// error but drop the handler), and the obs flight recorder (*obs.Ring
-// documents that Write always reports full success — instrumented code
-// logs into it without ceremony).
+// error but drop the handler).
 func writerNeverFails(typ string) bool {
 	switch typ {
 	case "*bytes.Buffer", "*strings.Builder", "*bufio.Writer",
-		"hash.Hash", "hash.Hash32", "hash.Hash64", "net/http.ResponseWriter",
-		"*locind/internal/obs.Ring":
+		"hash.Hash", "hash.Hash32", "hash.Hash64", "net/http.ResponseWriter":
 		return true
 	}
 	return false

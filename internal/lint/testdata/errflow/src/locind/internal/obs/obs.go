@@ -1,15 +1,7 @@
 // Package obs is a fixture stub standing in for the real
-// locind/internal/obs: errflow exempts writes to *obs.Ring (the flight
-// recorder documents that Write always reports full success), and the
-// golden test needs the type at its real import path for typeString to
-// render "*locind/internal/obs.Ring".
+// locind/internal/obs, so the golden fixtures can name its types at their
+// real import path.
 package obs
-
-// Ring mimics the real flight recorder's Writer contract.
-type Ring struct{}
-
-// Write always reports full success, like the real recorder.
-func (r *Ring) Write(p []byte) (int, error) { return len(p), nil }
 
 // Counter mimics the nil-safe metric handle.
 type Counter struct{ v int64 }

@@ -1,7 +1,6 @@
-// Package obsfix is the errflow golden fixture for instrumented code: the
-// obs flight recorder is a sanctioned error-free sink, so progress lines
-// logged into it need no error ceremony — while the same Fprintf aimed at
-// a real file still fires.
+// Package obsfix is the errflow golden fixture for instrumented code: a
+// progress or trace-hop line written to a real file can fail, so the
+// discarded Fprintf error fires.
 package obsfix
 
 import (
@@ -11,28 +10,13 @@ import (
 	"locind/internal/obs"
 )
 
-// Progress logs milestones into the flight recorder. *obs.Ring writes
-// cannot fail, so errflow stays quiet.
-func Progress(ring *obs.Ring, done, total int) {
-	fmt.Fprintf(ring, "progress %d/%d\n", done, total)
-	fmt.Fprintln(ring, "checkpoint")
-}
-
-// Persist writes the same line to a real file, which can fail: the exact
-// shape that stays exempt for the Ring fires here.
+// Persist writes a progress line to a real file, which can fail.
 func Persist(f *os.File, done, total int) {
 	fmt.Fprintf(f, "progress %d/%d\n", done, total) // want `fmt\.Fprintf returns an error that is discarded here`
 }
 
-// PropagateHop logs an incoming trace context into the flight recorder —
-// the cross-process propagation idiom: the hop is recorded best-effort, so
-// it gets the same error-free exemption as any other Ring write.
-func PropagateHop(ring *obs.Ring, tc obs.TraceContext) {
-	fmt.Fprintf(ring, "hop trace=%s\n", tc.Encode())
-}
-
-// PersistHop writes the identical hop line to a real file: outside the
-// Ring the error matters again.
+// PersistHop writes an incoming trace context — the cross-process
+// propagation idiom — to a real file: the error matters.
 func PersistHop(f *os.File, tc obs.TraceContext) {
 	fmt.Fprintf(f, "hop trace=%s\n", tc.Encode()) // want `fmt\.Fprintf returns an error that is discarded here`
 }

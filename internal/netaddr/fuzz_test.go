@@ -66,7 +66,7 @@ func FuzzLPMLookup(f *testing.F) {
 			t.Fatalf("Len() = %d, reference holds %d prefixes", tr.Len(), len(ref))
 		}
 		for p, v := range ref {
-			if got, ok := tr.Get(p); !ok || got != v {
+			if got, ok := trieGet(&tr, p); !ok || got != v {
 				t.Fatalf("Get(%v) = %d, %v; reference holds %d", p, got, ok, v)
 			}
 		}
@@ -89,7 +89,7 @@ func FuzzLPMLookup(f *testing.F) {
 		queries = append(queries, 0, 1<<31, ^Addr(0))
 		for _, q := range queries {
 			wantP, wantV, wantOK := naiveLPM(ref, q)
-			gotP, gotV, gotOK := tr.LookupPrefix(q)
+			gotP, gotV, gotOK := trieLookupPrefix(&tr, q)
 			if gotOK != wantOK || gotP != wantP || gotV != wantV {
 				t.Fatalf("LookupPrefix(%v) = %v, %d, %v; naive scan says %v, %d, %v",
 					q, gotP, gotV, gotOK, wantP, wantV, wantOK)

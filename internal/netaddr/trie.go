@@ -105,21 +105,12 @@ func (t *Trie[V]) find(p Prefix) (int32, bool) {
 	return n, true
 }
 
-// Get returns the value stored for exactly prefix p.
-func (t *Trie[V]) Get(p Prefix) (V, bool) {
-	if n, ok := t.find(p); ok && t.nodes[n].val != 0 {
-		return t.vals[t.nodes[n].val-1], true
-	}
-	var zero V
-	return zero, false
-}
-
 // Remove deletes the exact prefix p, reporting whether it was present. The
 // value slot is zeroed and handed to the next Insert, so tables that flap
-// (BGP withdraw/re-announce, intradomain host routes) hold one slot per live
-// prefix. Nodes are not reclaimed: an emptied bit path stays for the next
-// insert under it, which is fine for our workloads where removals are rare
-// and re-announce the same prefixes.
+// (intradomain host routes) hold one slot per live prefix. Nodes are not
+// reclaimed: an emptied bit path stays for the next insert under it, which is
+// fine for our workloads where removals are rare and re-announce the same
+// prefixes.
 func (t *Trie[V]) Remove(p Prefix) bool {
 	n, ok := t.find(p)
 	if !ok || t.nodes[n].val == 0 {
@@ -161,42 +152,6 @@ func (t *Trie[V]) Lookup(a Addr) (V, bool) {
 	return t.vals[best-1], true
 }
 
-// LookupPrefix is like Lookup but also returns the matching prefix itself.
-func (t *Trie[V]) LookupPrefix(a Addr) (Prefix, V, bool) {
-	return t.longest(a, 32)
-}
-
-// Parent returns the value of the longest strict ancestor prefix of p that is
-// present in the trie, i.e. what an address in p would match if p itself were
-// removed.
-func (t *Trie[V]) Parent(p Prefix) (Prefix, V, bool) {
-	return t.longest(p.Addr(), p.Bits()-1)
-}
-
-// longest returns the most specific stored prefix of at most maxBits bits
-// covering a; maxBits < 0 matches nothing.
-func (t *Trie[V]) longest(a Addr, maxBits int) (Prefix, V, bool) {
-	var zero V
-	if len(t.nodes) == 0 || maxBits < 0 {
-		return Prefix{}, zero, false
-	}
-	n := int32(0)
-	best, bestBits := t.nodes[0].val, 0
-	for i := 0; i < maxBits; i++ {
-		n = t.nodes[n].child[a.Bit(i)]
-		if n == 0 {
-			break
-		}
-		if v := t.nodes[n].val; v != 0 {
-			best, bestBits = v, i+1
-		}
-	}
-	if best == 0 {
-		return Prefix{}, zero, false
-	}
-	return MakePrefix(a, bestBits), t.vals[best-1], true
-}
-
 // Walk visits every stored prefix in lexicographic (address, then length)
 // trie order. Returning false from fn stops the walk.
 func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
@@ -227,14 +182,4 @@ func (t *Trie[V]) walk(n int32, addr Addr, depth int, fn func(Prefix, V) bool) b
 		}
 	}
 	return true
-}
-
-// Prefixes returns all stored prefixes in walk order.
-func (t *Trie[V]) Prefixes() []Prefix {
-	out := make([]Prefix, 0, t.Len())
-	t.Walk(func(p Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
 }

@@ -15,7 +15,6 @@ import (
 type HandlerOpts struct {
 	Reg     *Registry
 	Tracer  *Tracer
-	Log     *Ring
 	Sampler *Sampler
 }
 
@@ -25,7 +24,6 @@ type HandlerOpts struct {
 //	/debug/pprof/*     the standard runtime profiles
 //	/debug/traces      Tracer's retained spans as JSON; ?format=chrome
 //	                   renders Chrome trace_event JSON (404 when nil)
-//	/debug/log         Log's retained flight-recorder tail (404 when nil)
 //	/debug/timeseries  Sampler's ring-buffer series + check verdicts as
 //	                   JSON (404 when nil)
 //	/debug/dash        self-contained HTML dashboard with inline SVG
@@ -37,7 +35,7 @@ type HandlerOpts struct {
 // Nothing registers on http.DefaultServeMux, so tests can mount several
 // handlers in one process.
 func NewHandler(o HandlerOpts) http.Handler {
-	reg, tr, log, sampler := o.Reg, o.Tracer, o.Log, o.Sampler
+	reg, tr, sampler := o.Reg, o.Tracer, o.Sampler
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var b strings.Builder
@@ -65,14 +63,6 @@ func NewHandler(o HandlerOpts) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(b.String())) //nolint:errcheck
-	})
-	mux.HandleFunc("/debug/log", func(w http.ResponseWriter, _ *http.Request) {
-		if log == nil {
-			http.Error(w, "flight recorder disabled (no ring attached)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(log.Bytes()) //nolint:errcheck
 	})
 	mux.HandleFunc("/debug/timeseries", func(w http.ResponseWriter, _ *http.Request) {
 		if sampler == nil {

@@ -27,12 +27,10 @@ func TestIntrospectionEndpoint(t *testing.T) {
 	reg.Counter("locind_test_requests_total", "requests").Add(7)
 	tr := NewTracer(1, 16)
 	tr.Start("probe").End()
-	log := NewRing(1024)
-	log.Write([]byte("hello recorder\n")) //nolint:errcheck // Ring writes cannot fail
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: reg, Tracer: tr, Log: log}))
+	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: reg, Tracer: tr}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +44,6 @@ func TestIntrospectionEndpoint(t *testing.T) {
 	code, body = get(t, base+"/debug/traces")
 	if code != 200 || !strings.Contains(body, `"name":"probe"`) {
 		t.Fatalf("/debug/traces = %d: %s", code, body)
-	}
-	code, body = get(t, base+"/debug/log")
-	if code != 200 || !strings.Contains(body, "hello recorder") {
-		t.Fatalf("/debug/log = %d: %s", code, body)
 	}
 	code, body = get(t, base+"/debug/pprof/")
 	if code != 200 || !strings.Contains(body, "goroutine") {

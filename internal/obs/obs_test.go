@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -177,21 +176,5 @@ func TestSnapshot(t *testing.T) {
 	}
 	if snap["h_seconds_count"] != int64(1) || snap["h_seconds_sum"] != 0.25 {
 		t.Fatalf("snapshot histogram = %v / %v", snap["h_seconds_count"], snap["h_seconds_sum"])
-	}
-}
-
-func TestRing(t *testing.T) {
-	var nilRing *Ring
-	if n, err := nilRing.Write([]byte("x")); n != 1 || err != nil {
-		t.Fatal("nil ring must accept and discard")
-	}
-	r := NewRing(8)
-	fmt.Fprintf(r, "abc")
-	if got := string(r.Bytes()); got != "abc" {
-		t.Fatalf("ring = %q", got)
-	}
-	fmt.Fprintf(r, "defghij") // 10 bytes total, capacity 8
-	if got := string(r.Bytes()); got != "cdefghij" {
-		t.Fatalf("ring after wrap = %q", got)
 	}
 }
