@@ -1,6 +1,7 @@
 // Command gnsd boots a sharded, replicated GNS cluster on loopback — the
-// location-independent name service of DESIGN.md §9 — and either serves it
-// until interrupted or drives the deterministic chaos soak against it.
+// location-independent name service of DESIGN.md §9 — and serves it until
+// interrupted. (The chaos soak against such a cluster is an experiment:
+// locind gns-cluster.)
 //
 // Usage:
 //
@@ -11,17 +12,12 @@
 //	-shards N    consistent-hash shard count (default 3)
 //	-replicas N  replication factor per shard (default 3)
 //	-seed N      fault/randomness seed (default 1)
-//	-soak        run the chaos soak (seed, kill a shard, heal, repair,
-//	             verify convergence) instead of serving
-//	-quick       soak at CI scale (20k names) instead of the full 1M
 //	-obs.addr    serve /metrics and /debug/traces on this address
 //	             (empty = disabled)
 //
-// In serve mode gnsd prints the replica address grid, one shard per line,
-// and blocks until SIGINT/SIGTERM. Clients route with cluster.NewClient
-// over exactly that grid, and Close the client to release its pooled
-// sockets. In soak mode the full experiment readout is printed and the exit
-// status reports convergence.
+// gnsd prints the replica address grid, one shard per line, and blocks
+// until SIGINT/SIGTERM. Clients route with cluster.NewClient over exactly
+// that grid, and Close the client to release its pooled sockets.
 package main
 
 import (
@@ -34,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"locind/internal/expt"
 	"locind/internal/faultnet"
 	"locind/internal/gns"
 	"locind/internal/gns/cluster"
@@ -46,51 +41,18 @@ func main() {
 		shards   = flag.Int("shards", 3, "consistent-hash shard count")
 		replicas = flag.Int("replicas", 3, "replication factor per shard")
 		seed     = flag.Int64("seed", 1, "fault/randomness seed")
-		soak     = flag.Bool("soak", false, "run the chaos soak instead of serving")
-		quick    = flag.Bool("quick", false, "soak at CI scale (20k names) instead of 1M")
 		obsAddr  = flag.String("obs.addr", "", "serve /metrics and /debug/traces on this address (empty = disabled)")
 	)
 	flag.Parse()
-	if err := run(*shards, *replicas, *seed, *soak, *quick, *obsAddr); err != nil {
+	if err := run(*shards, *replicas, *seed, *obsAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "gnsd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(shards, replicas int, seed int64, soak, quick bool, obsAddr string) error {
+func run(shards, replicas int, seed int64, obsAddr string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	if soak {
-		// With -obs.addr the soak shares its registry and sampler with the
-		// introspection endpoint, so /debug/dash?by=replica fills in live
-		// while the chaos schedule runs (ticks stay schedule-driven; the
-		// readout is byte-identical with the endpoint on or off).
-		var o *expt.GNSClusterObs
-		if obsAddr != "" {
-			reg := obs.NewRegistry()
-			smp := obs.NewSampler(reg, 0)
-			srv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Sampler: smp}))
-			if err != nil {
-				return err
-			}
-			defer srv.Close() //nolint:errcheck // the process is exiting
-			fmt.Fprintf(os.Stderr, "gnsd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", srv.Addr())
-			o = &expt.GNSClusterObs{Registry: reg, Sampler: smp}
-		}
-		res, err := expt.RunGNSClusterObserved(seed, quick, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if !res.Converged {
-			return fmt.Errorf("soak did not converge to the fault-free reference")
-		}
-		if !res.ChecksOK {
-			return fmt.Errorf("series health checks failed")
-		}
-		return nil
-	}
 
 	var sm *gns.ServerMetrics
 	if obsAddr != "" {

@@ -4,12 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
+	"locind/internal/gns"
 	"locind/internal/gns/cluster"
 	"locind/internal/netaddr"
 )
@@ -31,26 +39,61 @@ func gnsd(args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestServeModeGridRoutesAClientAndSIGTERMExitsClean: the grid serve mode
-// prints is all a client needs — cluster.NewClient over the parsed lines
-// commits an update, a client of another origin reads it back — and SIGTERM
-// ends the process with its shutdown line and exit 0.
+// hostileDatagrams are what a replica's socket may receive from anyone: a
+// well-formed lookup cut short at every byte (the empty datagram, the kind
+// alone and an ID cut short among them), the same with a byte too many, the
+// previous wire format, a reply sent to a server with a bool no encoder
+// writes, and one datagram past the size limit.
+func hostileDatagrams(t *testing.T) [][]byte {
+	lookup, err := hex.DecodeString("51" + "0102030405060708" + "0006" + "6c6f6f6b7570" + "0001" + "78" + "0000" + "0000" + "0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for cut := range lookup {
+		out = append(out, lookup[:cut])
+	}
+	reply := append([]byte{'R'}, lookup[1:9]...)
+	return append(out,
+		append(bytes.Clone(lookup), 0),
+		[]byte(`{"op":"lookup","name":"x"}`),
+		append(reply, 2),
+		make([]byte, 9000))
+}
+
+// TestServeModeGridRoutesAClientAndSIGTERMExitsClean: every hostile
+// datagram sent straight to a replica is answered with CodeBadRequest —
+// under the sender's ID wherever nine bytes of a datagram of legal size
+// arrived — and counted; after them the grid serve mode prints is still all
+// a client needs — cluster.NewClient over the parsed lines commits an
+// update, a client of another origin reads it back — and SIGTERM ends the
+// process with its shutdown line and exit 0.
 func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
-	cmd := gnsd("-shards", "2", "-replicas", "3")
+	cmd := gnsd("-shards", "2", "-replicas", "3", "-obs.addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	stderrPipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer cmd.Process.Kill() //nolint:errcheck // a no-op once Wait has returned
 
+	stderr := bufio.NewReader(stderrPipe)
+	obsLine, _ := stderr.ReadString('\n')
+	_, rest, _ := strings.Cut(obsLine, "gnsd: introspection on ")
+	metricsURL, _, ok := strings.Cut(rest, " ")
+	if !ok {
+		t.Fatalf("first stderr line %q, want the introspection address", obsLine)
+	}
+
 	sc := bufio.NewScanner(stdout)
 	if !sc.Scan() || sc.Text() != "gnsd: 2 shards x 3 replicas" {
-		t.Fatalf("first line %q, want the topology (stderr: %s)", sc.Text(), stderr.String())
+		t.Fatalf("first line %q, want the topology", sc.Text())
 	}
 	var grid [][]string
 	for len(grid) < 2 && sc.Scan() {
@@ -62,6 +105,33 @@ func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
 	}
 	if len(grid) != 2 || len(grid[0]) != 3 || len(grid[1]) != 3 {
 		t.Fatalf("parsed grid %v, want 2 shards of 3 replicas", grid)
+	}
+
+	replica, err := net.Dial("udp", grid[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	hostile := hostileDatagrams(t)
+	reply := make([]byte, 1<<16)
+	for _, raw := range hostile {
+		if _, err := replica.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		replica.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a failed deadline shows as the read error below
+		n, err := replica.Read(reply)
+		// A reply is kind, ID, OK, Code, then the strings.
+		if err != nil || n < 1+8+1+8 || reply[0] != 'R' {
+			t.Fatalf("datagram %x: reply %x, %v", raw, reply[:n], err)
+		}
+		var wantID uint64
+		if len(raw) >= 1+8 && len(raw) <= 8192 { // past gns's size limit a datagram is refused unread
+			wantID = binary.BigEndian.Uint64(raw[1:])
+		}
+		id, okByte, code := binary.BigEndian.Uint64(reply[1:]), reply[9], binary.BigEndian.Uint64(reply[10:])
+		if id != wantID || okByte != 0 || gns.Code(code) != gns.CodeBadRequest {
+			t.Errorf("datagram %x: reply id %#x ok %d code %d, want id %#x, CodeBadRequest", raw, id, okByte, code, wantID)
+		}
 	}
 
 	ctx := context.Background()
@@ -78,16 +148,36 @@ func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
 		t.Fatalf("second-origin lookup: %+v, %v", rec, err)
 	}
 
+	resp, err := http.Get(metricsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close() //nolint:errcheck // read to the end already
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errorsTotal int
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if v, ok := strings.CutPrefix(line, "locind_gns_errors_total "); ok {
+			errorsTotal, _ = strconv.Atoi(v)
+		}
+	}
+	if errorsTotal < len(hostile) {
+		t.Errorf("locind_gns_errors_total = %d after %d rejected datagrams\n%s", errorsTotal, len(hostile), metrics)
+	}
+
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	for sc.Scan() { // drain to EOF so Wait may close the pipe
 	}
+	lastWords, _ := io.ReadAll(stderr)
 	if err := cmd.Wait(); err != nil {
-		t.Fatalf("gnsd must exit 0 on SIGTERM: %v\n%s", err, stderr.String())
+		t.Fatalf("gnsd must exit 0 on SIGTERM: %v\n%s", err, lastWords)
 	}
-	if !strings.Contains(stderr.String(), "gnsd: shutting down") {
-		t.Fatalf("no shutdown line on stderr: %q", stderr.String())
+	if !strings.Contains(string(lastWords), "gnsd: shutting down") {
+		t.Fatalf("no shutdown line on stderr: %q", lastWords)
 	}
 }
 

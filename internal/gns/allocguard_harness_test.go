@@ -6,8 +6,7 @@ import "testing"
 // its measurement, consumed by the generated TestAllocGuard. The encoders'
 // only legitimate allocation is growing dst to the datagram's size, so each
 // measurement encodes once to warm the buffer and then requires re-encoding
-// into it to be allocation-free — with contents that take every escaping
-// branch, not just the copy-through one.
+// into it to be allocation-free, every field and both list elements filled.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	awkward := "q\"\\\n\x01<&> \xff é"
 	return map[string]func(t *testing.T) float64{

@@ -266,7 +266,7 @@ func TestServerOversizedDatagram(t *testing.T) {
 func TestServerRecoverGuard(t *testing.T) {
 	// A nil service makes any dispatch panic — the guard must catch it.
 	s := &Server{svc: nil}
-	resp := s.handle([]byte(`{"op":"lookup","name":"x"}`))
+	resp := s.handle(appendRequest(nil, &Request{Op: "lookup", Name: "x"}))
 	if resp.OK || resp.Code != CodeInternal {
 		t.Fatalf("panic not converted to structured error: %+v", resp)
 	}

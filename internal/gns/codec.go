@@ -1,601 +1,196 @@
 package gns
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
-	"strconv"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 )
 
 // The datagram codec. Request and Response are flat records of strings,
-// integers, one bool and one string list, so the wire form — JSON objects,
-// exactly the bytes encoding/json.Marshal emits for the two structs — is
-// written by an append-style encoder and read by a single-pass decoder
-// instead of encoding/json's reflection walk. The wire bytes are unchanged;
-// encoding/json survives only as the oracle FuzzWireCodec holds both
-// directions to.
+// integers, one bool and one string list, and their only writer and only
+// reader are this file, so the wire form is the plainest one that holds
+// them: a kind byte, then every field in declaration order, always present.
+//
+//	request   'Q'  ID u64  Op str  Name str  Addrs list  VV str  Trace str
+//	response  'R'  ID u64  OK u8   Code i64  Err str  Name str  Addrs list
+//	               Version u64  VV str
+//
+// Integers are fixed-width big-endian; OK is 0 or 1; a str is a u16 length
+// and that many bytes, carried verbatim (a name is the bytes it was given,
+// valid UTF-8 or not); a list is a u16 count and that many strs. A record
+// therefore has exactly one encoding, and the decoders accept exactly what
+// the encoders write — the contract ParseVV and obs.ParseTraceContext hold
+// too: a short field, a byte after the last field, a bool that is neither 0
+// nor 1, a length or count the remaining bytes cannot hold, or another kind
+// byte is an error. The kind byte is also the version: a new field is a new
+// kind, and since the ID follows the kind in every one of them a server can
+// tell a newer client "bad request" under the ID that client is waiting on.
+const (
+	kindRequest  = 'Q'
+	kindResponse = 'R'
+)
 
-// appendRequest appends r's wire form to dst: byte for byte what
-// json.Marshal(r) returns.
+// maxField is the longest string and the longest list a length prefix can
+// announce. The encoders saturate the prefix and still append all of a
+// longer one, so such a record comes out larger than maxField — far past
+// maxDatagram, where every sender's size check refuses it — instead of
+// wrapping into a small, well-formed datagram that says something else.
+const maxField = 1<<16 - 1
+
+// appendRequest appends r's wire form to dst.
 //
 //lint:zeroalloc per datagram once dst has grown to the datagram's size
 func appendRequest(dst []byte, r *Request) []byte {
-	dst = append(dst, '{')
-	if r.ID != 0 {
-		dst = append(dst, `"id":`...)
-		dst = strconv.AppendUint(dst, r.ID, 10)
-		dst = append(dst, ',')
-	}
-	dst = append(dst, `"op":`...)
-	dst = appendJSONString(dst, r.Op)
-	dst = append(dst, `,"name":`...)
-	dst = appendJSONString(dst, r.Name)
-	if len(r.Addrs) > 0 {
-		dst = append(dst, `,"addrs":`...)
-		dst = appendJSONStrings(dst, r.Addrs)
-	}
-	if r.VV != "" {
-		dst = append(dst, `,"vv":`...)
-		dst = appendJSONString(dst, r.VV)
-	}
-	if r.Trace != "" {
-		dst = append(dst, `,"trace":`...)
-		dst = appendJSONString(dst, r.Trace)
-	}
-	return append(dst, '}')
+	dst = append(dst, kindRequest)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	dst = appendString(dst, r.Op)
+	dst = appendString(dst, r.Name)
+	dst = appendStrings(dst, r.Addrs)
+	dst = appendString(dst, r.VV)
+	return appendString(dst, r.Trace)
 }
 
-// appendResponse appends r's wire form to dst: byte for byte what
-// json.Marshal(r) returns.
+// appendResponse appends r's wire form to dst.
 //
 //lint:zeroalloc per datagram once dst has grown to the datagram's size
 func appendResponse(dst []byte, r *Response) []byte {
-	dst = append(dst, '{')
-	if r.ID != 0 {
-		dst = append(dst, `"id":`...)
-		dst = strconv.AppendUint(dst, r.ID, 10)
-		dst = append(dst, ',')
-	}
+	dst = append(dst, kindResponse)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
 	if r.OK {
-		dst = append(dst, `"ok":true`...)
+		dst = append(dst, 1)
 	} else {
-		dst = append(dst, `"ok":false`...)
+		dst = append(dst, 0)
 	}
-	if r.Code != 0 {
-		dst = append(dst, `,"code":`...)
-		dst = strconv.AppendInt(dst, int64(r.Code), 10)
-	}
-	if r.Err != "" {
-		dst = append(dst, `,"err":`...)
-		dst = appendJSONString(dst, r.Err)
-	}
-	if r.Name != "" {
-		dst = append(dst, `,"name":`...)
-		dst = appendJSONString(dst, r.Name)
-	}
-	if len(r.Addrs) > 0 {
-		dst = append(dst, `,"addrs":`...)
-		dst = appendJSONStrings(dst, r.Addrs)
-	}
-	if r.Version != 0 {
-		dst = append(dst, `,"version":`...)
-		dst = strconv.AppendUint(dst, r.Version, 10)
-	}
-	if r.VV != "" {
-		dst = append(dst, `,"vv":`...)
-		dst = appendJSONString(dst, r.VV)
-	}
-	return append(dst, '}')
+	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(r.Code)))
+	dst = appendString(dst, r.Err)
+	dst = appendString(dst, r.Name)
+	dst = appendStrings(dst, r.Addrs)
+	dst = binary.BigEndian.AppendUint64(dst, r.Version)
+	return appendString(dst, r.VV)
 }
 
-func appendJSONStrings(dst []byte, ss []string) []byte {
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, s)
-	}
-	return append(dst, ']')
+func appendString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(min(len(s), maxField)))
+	return append(dst, s...)
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal with encoding/json's
-// default escaping: the two-character escapes for quote, backslash and
-// \b \f \n \r \t, \u00XX for the other control bytes and for < > & (the
-// HTML-safe set), U+2028 and U+2029 escaped, invalid UTF-8 replaced by
-// U+FFFD.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(min(len(ss), maxField)))
+	for _, s := range ss {
+		dst = appendString(dst, s)
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return dst
 }
 
-// maxSkipDepth bounds the nesting of a value under an unknown key. Nothing
-// this protocol sends nests at all; a datagram that nests deeper is
-// rejected rather than followed.
-const maxSkipDepth = 32
-
-// wireDecoder is a cursor over one datagram.
+// wireDecoder is a cursor over one datagram: buf is what is left of it. The
+// first field that does not fit sets err; every read after that returns its
+// zero value and allocates nothing, so a decoder reads all its fields and
+// checks once, in finish.
 type wireDecoder struct {
 	buf []byte
-	pos int
+	err error
 }
 
-func (d *wireDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("wire: %s at offset %d", fmt.Sprintf(format, args...), d.pos)
-}
-
-// peek returns the byte at the cursor, 0 at the end of the datagram (a NUL
-// is never valid JSON outside a string, so the two need no telling apart).
-func (d *wireDecoder) peek() byte {
-	if d.pos < len(d.buf) {
-		return d.buf[d.pos]
-	}
-	return 0
-}
-
-func (d *wireDecoder) consume(c byte) bool {
-	if d.pos < len(d.buf) && d.buf[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
-
-func (d *wireDecoder) skipSpace() {
-	for d.pos < len(d.buf) {
-		switch d.buf[d.pos] {
-		case ' ', '\t', '\r', '\n':
-			d.pos++
-		default:
-			return
-		}
+func (d *wireDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("wire: "+format, args...)
 	}
 }
 
-// literal consumes word when it is next.
-func (d *wireDecoder) literal(word string) bool {
-	if len(d.buf)-d.pos >= len(word) && string(d.buf[d.pos:d.pos+len(word)]) == word {
-		d.pos += len(word)
-		return true
+// take consumes the next n bytes of field what, nil when fewer are left.
+func (d *wireDecoder) take(n int, what string) []byte {
+	if n > len(d.buf) {
+		d.fail("%s cut short", what)
 	}
-	return false
-}
-
-// object walks one JSON object, calling field with each key (unescaped)
-// and the cursor on the key's value; field consumes the value.
-func (d *wireDecoder) object(field func(key []byte) error) error {
-	if !d.consume('{') {
-		return d.errorf("expected an object")
-	}
-	d.skipSpace()
-	if d.consume('}') {
+	if d.err != nil {
 		return nil
 	}
-	for {
-		d.skipSpace()
-		raw, simple, err := d.scanString()
-		if err != nil {
-			return err
-		}
-		if !simple {
-			raw = []byte(unquote(raw))
-		}
-		d.skipSpace()
-		if !d.consume(':') {
-			return d.errorf("expected ':' after object key")
-		}
-		d.skipSpace()
-		if err := field(raw); err != nil {
-			return err
-		}
-		d.skipSpace()
-		if d.consume(',') {
-			continue
-		}
-		if d.consume('}') {
-			return nil
-		}
-		return d.errorf("expected ',' or '}' in object")
-	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
 }
 
-// datagram decodes the one object a datagram holds; anything but white
-// space around it is an error.
-func (d *wireDecoder) datagram(field func(key []byte) error) error {
-	d.skipSpace()
-	if err := d.object(field); err != nil {
-		return err
+// uint reads a big-endian integer of width bytes.
+func (d *wireDecoder) uint(width int, what string) (v uint64) {
+	for _, b := range d.take(width, what) {
+		v = v<<8 | uint64(b)
 	}
-	d.skipSpace()
-	if d.pos != len(d.buf) {
-		return d.errorf("unexpected data after the object")
-	}
-	return nil
+	return v
 }
 
-// scanString consumes a string literal and returns the bytes between its
-// quotes. simple reports that those bytes are the string's value as they
-// stand: no escapes, valid UTF-8.
-func (d *wireDecoder) scanString() (raw []byte, simple bool, err error) {
-	if !d.consume('"') {
-		return nil, false, d.errorf("expected a string")
+// header reads the kind byte and, whatever it says, the ID behind it.
+func (d *wireDecoder) header(want byte) (id uint64) {
+	kind := d.uint(1, "kind")
+	id = d.uint(8, "id")
+	if kind != uint64(want) {
+		d.fail("kind %#02x, want %q", kind, want)
 	}
-	start := d.pos
-	escaped, ascii := false, true
-	for d.pos < len(d.buf) {
-		c := d.buf[d.pos]
-		switch {
-		case c == '"':
-			raw = d.buf[start:d.pos]
-			d.pos++
-			return raw, !escaped && (ascii || utf8.Valid(raw)), nil
-		case c == '\\':
-			escaped = true
-			d.pos++
-			switch d.peek() {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.pos++
-			case 'u':
-				if len(d.buf)-d.pos < 5 || hex4(d.buf[d.pos+1:d.pos+5]) < 0 {
-					return nil, false, d.errorf("bad \\u escape")
-				}
-				d.pos += 5
-			default:
-				return nil, false, d.errorf("bad escape")
-			}
-		case c < ' ':
-			return nil, false, d.errorf("control byte in string")
-		default:
-			ascii = ascii && c < utf8.RuneSelf
-			d.pos++
-		}
-	}
-	return nil, false, d.errorf("unterminated string")
+	return id
 }
 
-// hex4 decodes four hex digits, -1 when any is not one.
-func hex4(b []byte) rune {
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
+func (d *wireDecoder) flag(what string) bool {
+	b := d.uint(1, what)
+	if b > 1 {
+		d.fail("%s is %d, neither 0 nor 1", what, b)
 	}
-	return r
+	return b == 1
 }
 
-// unquote resolves the escapes of a string body scanString has accepted
-// and coerces it to valid UTF-8 as encoding/json does: an invalid byte or
-// an unpaired surrogate escape becomes U+FFFD.
-func unquote(raw []byte) string {
-	out := make([]byte, 0, len(raw)+2*utf8.UTFMax)
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\':
-			i += 2
-			switch e := raw[i-1]; e {
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				r := hex4(raw[i:])
-				i += 4
-				if utf16.IsSurrogate(r) {
-					low := rune(-1)
-					if len(raw)-i >= 6 && raw[i] == '\\' && raw[i+1] == 'u' {
-						low = hex4(raw[i+2:])
-					}
-					if r = utf16.DecodeRune(r, low); r != unicode.ReplacementChar {
-						i += 6
-					}
-				}
-				out = utf8.AppendRune(out, r)
-			default: // quote, backslash, slash
-				out = append(out, e)
-			}
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(raw[i:])
-			out = utf8.AppendRune(out, r)
-			i += size
-		}
-	}
-	return string(out)
+func (d *wireDecoder) str(what string) string {
+	return string(d.take(int(d.uint(2, what)), what))
 }
 
-// null consumes a null literal. encoding/json treats null as "leave the
-// field alone" for every field type here, and so does every reader below.
-func (d *wireDecoder) null() bool { return d.literal("null") }
-
-func (d *wireDecoder) readString(dst *string) error {
-	if d.null() {
+// strs reads a list. Each element takes at least the two bytes of its
+// length, so a count over half the bytes left is refused before anything is
+// allocated for it: no datagram makes the decoder hold more than a constant
+// times the datagram's own size.
+func (d *wireDecoder) strs(what string) []string {
+	n := int(d.uint(2, what))
+	if 2*n > len(d.buf) {
+		d.fail("%s announces %d strings, more than the datagram holds", what, n)
+	}
+	if d.err != nil || n == 0 {
 		return nil
 	}
-	raw, simple, err := d.scanString()
-	if err != nil {
-		return err
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.str(what)
 	}
-	if simple {
-		*dst = string(raw)
-	} else {
-		*dst = unquote(raw)
-	}
-	return nil
+	return out
 }
 
-// array walks one JSON array, calling elem with the cursor on each
-// element; elem consumes it.
-func (d *wireDecoder) array(elem func() error) error {
-	if !d.consume('[') {
-		return d.errorf("expected an array")
+// finish reports the first error, or any bytes left after the last field.
+func (d *wireDecoder) finish() error {
+	if len(d.buf) != 0 {
+		d.fail("%d bytes after the last field", len(d.buf))
 	}
-	d.skipSpace()
-	for first := true; !d.consume(']'); first = false {
-		if !first && !d.consume(',') {
-			return d.errorf("expected ',' or ']' in array")
-		}
-		d.skipSpace()
-		if err := elem(); err != nil {
-			return err
-		}
-		d.skipSpace()
-	}
-	return nil
+	return d.err
 }
 
-// readStrings reads a list of strings into *dst. A list under a repeated
-// key is read over the earlier one as encoding/json does it: element by
-// element, a null leaving the element it falls on as it was, and the result
-// cut to the later list's length.
-func (d *wireDecoder) readStrings(dst *[]string) error {
-	if d.null() {
-		return nil
-	}
-	n := 0
-	err := d.array(func() error {
-		if n == len(*dst) {
-			*dst = append(*dst, "")
-		}
-		n++
-		return d.readString(&(*dst)[n-1])
-	})
-	*dst = (*dst)[:n]
-	return err
-}
-
-// readDigits consumes a JSON integer's digits ("0", or a run that does not
-// start with 0) and returns their value.
-func (d *wireDecoder) readDigits() (uint64, error) {
-	c := d.peek()
-	if c < '0' || c > '9' {
-		return 0, d.errorf("expected an integer")
-	}
-	d.pos++
-	v := uint64(c - '0')
-	if v == 0 {
-		return 0, nil
-	}
-	for c = d.peek(); '0' <= c && c <= '9'; c = d.peek() {
-		if v > (math.MaxUint64-uint64(c-'0'))/10 {
-			return 0, d.errorf("integer overflows 64 bits")
-		}
-		v = v*10 + uint64(c-'0')
-		d.pos++
-	}
-	return v, nil
-}
-
-func (d *wireDecoder) readUint(dst *uint64) error {
-	if d.null() {
-		return nil
-	}
-	v, err := d.readDigits()
-	if err != nil {
-		return err
-	}
-	*dst = v
-	return nil
-}
-
-func (d *wireDecoder) readCode(dst *Code) error {
-	if d.null() {
-		return nil
-	}
-	neg := d.consume('-')
-	v, err := d.readDigits()
-	if err != nil {
-		return err
-	}
-	// The magnitude of the most negative int is one past the most positive.
-	if limit := uint64(math.MaxInt); v > limit && !(neg && v == limit+1) {
-		return d.errorf("integer overflows int")
-	}
-	if neg {
-		v = -v // two's complement: the conversion below reads it back negative
-	}
-	*dst = Code(v)
-	return nil
-}
-
-func (d *wireDecoder) readBool(dst *bool) error {
-	switch {
-	case d.null():
-	case d.literal("true"):
-		*dst = true
-	case d.literal("false"):
-		*dst = false
-	default:
-		return d.errorf("expected true or false")
-	}
-	return nil
-}
-
-// skipValue consumes any one JSON value (the value of a key this protocol
-// version does not know), checking its syntax on the way.
-func (d *wireDecoder) skipValue(depth int) error {
-	if depth > maxSkipDepth {
-		return d.errorf("value nested deeper than %d", maxSkipDepth)
-	}
-	switch c := d.peek(); {
-	case c == '"':
-		_, _, err := d.scanString()
-		return err
-	case c == '{':
-		return d.object(func([]byte) error { return d.skipValue(depth + 1) })
-	case c == '[':
-		return d.array(func() error { return d.skipValue(depth + 1) })
-	case c == '-' || ('0' <= c && c <= '9'):
-		return d.skipNumber()
-	case d.literal("true"), d.literal("false"), d.literal("null"):
-		return nil
-	}
-	return d.errorf("expected a value")
-}
-
-// skipNumber consumes a number in JSON's full grammar.
-func (d *wireDecoder) skipNumber() error {
-	d.consume('-')
-	if !d.consume('0') && !d.skipDigits() {
-		return d.errorf("expected a digit")
-	}
-	if d.consume('.') && !d.skipDigits() {
-		return d.errorf("expected a digit after '.'")
-	}
-	if d.consume('e') || d.consume('E') {
-		if !d.consume('+') {
-			d.consume('-')
-		}
-		if !d.skipDigits() {
-			return d.errorf("expected a digit in exponent")
-		}
-	}
-	return nil
-}
-
-// skipDigits consumes a run of digits and reports whether there was one.
-func (d *wireDecoder) skipDigits() bool {
-	start := d.pos
-	for c := d.peek(); '0' <= c && c <= '9'; c = d.peek() {
-		d.pos++
-	}
-	return d.pos > start
-}
-
-// decodeRequest parses one request datagram into r, which it first
-// clears. Keys match exactly (the encoder's spelling); unknown keys are
-// skipped, so a newer peer's extra field does not fail an older one.
+// decodeRequest parses one request datagram into r, which it first clears.
+// On an error r.ID is still the request's ID whenever the datagram was long
+// enough to hold one, so the server can address its rejection.
 func decodeRequest(data []byte, r *Request) error {
-	*r = Request{}
 	d := wireDecoder{buf: data}
-	return d.datagram(func(key []byte) error {
-		switch string(key) {
-		case "id":
-			return d.readUint(&r.ID)
-		case "op":
-			return d.readString(&r.Op)
-		case "name":
-			return d.readString(&r.Name)
-		case "addrs":
-			return d.readStrings(&r.Addrs)
-		case "vv":
-			return d.readString(&r.VV)
-		case "trace":
-			return d.readString(&r.Trace)
-		}
-		return d.skipValue(0)
-	})
+	*r = Request{ID: d.header(kindRequest)}
+	r.Op = d.str("op")
+	r.Name = d.str("name")
+	r.Addrs = d.strs("addrs")
+	r.VV = d.str("vv")
+	r.Trace = d.str("trace")
+	return d.finish()
 }
 
 // decodeResponse parses one response datagram into r, which it first
-// clears; see decodeRequest.
+// clears.
 func decodeResponse(data []byte, r *Response) error {
-	*r = Response{}
 	d := wireDecoder{buf: data}
-	return d.datagram(func(key []byte) error {
-		switch string(key) {
-		case "id":
-			return d.readUint(&r.ID)
-		case "ok":
-			return d.readBool(&r.OK)
-		case "code":
-			return d.readCode(&r.Code)
-		case "err":
-			return d.readString(&r.Err)
-		case "name":
-			return d.readString(&r.Name)
-		case "addrs":
-			return d.readStrings(&r.Addrs)
-		case "version":
-			return d.readUint(&r.Version)
-		case "vv":
-			return d.readString(&r.VV)
-		}
-		return d.skipValue(0)
-	})
+	*r = Response{ID: d.header(kindResponse)}
+	r.OK = d.flag("ok")
+	r.Code = Code(int64(d.uint(8, "code")))
+	r.Err = d.str("err")
+	r.Name = d.str("name")
+	r.Addrs = d.strs("addrs")
+	r.Version = d.uint(8, "version")
+	r.VV = d.str("vv")
+	return d.finish()
 }

@@ -2,19 +2,21 @@ package gns
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// encoding/json is the reference the hand-written codec is held to: the
-// encoder byte for byte, the decoder value for value.
+// The codec's contract, held from both ends: whatever the structs hold, the
+// decoder reads back what the encoder wrote; whatever bytes arrive, the
+// decoder accepts them only if the encoder would have written exactly them.
 
 // sameRequest and sameResponse compare decoded values, treating a nil and
-// an empty address list alike (encoding/json makes "addrs":[] a non-nil
-// empty slice; nothing downstream tells the two apart).
+// an empty address list alike (both are a count of 0 on the wire; nothing
+// downstream tells the two apart).
 func sameRequest(a, b Request) bool {
 	if len(a.Addrs) == 0 && len(b.Addrs) == 0 {
 		a.Addrs, b.Addrs = nil, nil
@@ -29,28 +31,135 @@ func sameResponse(a, b Response) bool {
 	return reflect.DeepEqual(a, b)
 }
 
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// One request and one response, field by field. Same-seed faultnet traces
+// log datagram sizes, and a peer built from another commit reads these
+// bytes: a layout change has to show up here as a deliberate diff (and as a
+// new kind byte).
 var (
-	requestKeys  = []string{"id", "op", "name", "addrs", "vv", "trace"}
-	responseKeys = []string{"id", "ok", "code", "err", "name", "addrs", "version", "vv"}
+	goldenRequest = Request{ID: 0x0102030405060708, Op: "update", Name: "dave.phone",
+		Addrs: []string{"10.1.2.3", "10.4.5.6"}, VV: "1:2", Trace: "a1-b2"}
+	goldenRequestHex = "51" + // kind 'Q'
+		"0102030405060708" + // ID
+		"0006" + "757064617465" + // Op
+		"000a" + "646176652e70686f6e65" + // Name
+		"0002" + "0008" + "31302e312e322e33" + "0008" + "31302e342e352e36" + // Addrs
+		"0003" + "313a32" + // VV
+		"0005" + "61312d6232" // Trace
+
+	goldenResponse = Response{ID: 0x0102030405060708, OK: true, Code: CodeStale, Err: "stale", Name: "dave.phone",
+		Addrs: []string{"10.1.2.3"}, Version: 3, VV: "1:3"}
+	goldenResponseHex = "52" + // kind 'R'
+		"0102030405060708" + // ID
+		"01" + // OK
+		"0000000000000004" + // Code
+		"0005" + "7374616c65" + // Err
+		"000a" + "646176652e70686f6e65" + // Name
+		"0001" + "0008" + "31302e312e322e33" + // Addrs
+		"0000000000000003" + // Version
+		"0003" + "313a33" // VV
 )
 
-// foldsOntoKey reports whether raw is an object with a key that
-// encoding/json would match to one of keys case-insensitively but the
-// exact-match decoder treats as unknown: the one place the two are meant to
-// differ, in what they read and so in what they reject.
-func foldsOntoKey(raw []byte, keys []string) bool {
-	var obj map[string]json.RawMessage
-	if json.Unmarshal(raw, &obj) != nil {
-		return false
+func TestWireGolden(t *testing.T) {
+	if got := hex.EncodeToString(appendRequest(nil, &goldenRequest)); got != goldenRequestHex {
+		t.Errorf("request layout changed:\n got %s\nwant %s", got, goldenRequestHex)
 	}
-	for k := range obj {
-		for _, want := range keys {
-			if k != want && strings.EqualFold(k, want) {
-				return true
+	if got := hex.EncodeToString(appendResponse(nil, &goldenResponse)); got != goldenResponseHex {
+		t.Errorf("response layout changed:\n got %s\nwant %s", got, goldenResponseHex)
+	}
+	var req Request
+	if err := decodeRequest(unhex(t, goldenRequestHex), &req); err != nil || !sameRequest(req, goldenRequest) {
+		t.Errorf("golden request decoded to %+v, %v", req, err)
+	}
+	var resp Response
+	if err := decodeResponse(unhex(t, goldenResponseHex), &resp); err != nil || !sameResponse(resp, goldenResponse) {
+		t.Errorf("golden response decoded to %+v, %v", resp, err)
+	}
+}
+
+// wireReject is one datagram neither decoder may accept. id is what a
+// request decoder must still report: the eight bytes behind the kind when
+// they arrived, whatever the kind says; 0 otherwise.
+type wireReject struct {
+	name string
+	raw  []byte
+	id   uint64
+}
+
+// wireRejects lists the malformed datagrams: the named ones below, and
+// every proper prefix of the two goldens — each field cut short at each of
+// its bytes.
+func wireRejects(t testing.TB) []wireReject {
+	const id = 0x0102030405060708
+	req, resp := unhex(t, goldenRequestHex), unhex(t, goldenResponseHex)
+	badBool := bytes.Clone(resp)
+	badBool[1+8] = 2 // the OK byte
+	rejects := []wireReject{
+		{"parent-format JSON", []byte(`{"op":"lookup","name":"x"}`), 0x226f70223a226c6f}, // `"op":"lo`
+		{"request, one trailing byte", append(bytes.Clone(req), 0), id},
+		{"response, one trailing byte", append(bytes.Clone(resp), 0), id},
+		{"bool 2", badBool, id},
+		{"unknown kind", append([]byte{'S'}, req[1:]...), id},
+		{"65535 strings announced, one byte behind them", append(bytes.Clone(req[:1+8+2+6+2+10]), 0xff, 0xff, 0), id},
+		{"string length past the end", append(bytes.Clone(req[:1+8]), 0xff, 0xff, 'x'), id},
+		{"70000-byte name", appendRequest(nil, &Request{ID: id, Op: "lookup", Name: strings.Repeat("n", 70000)}), id},
+	}
+	for _, golden := range []struct {
+		which string
+		raw   []byte
+	}{{"request", req}, {"response", resp}} {
+		for cut := range golden.raw {
+			r := wireReject{name: fmt.Sprintf("golden %s cut to %d bytes", golden.which, cut), raw: golden.raw[:cut]}
+			if cut >= 1+8 {
+				r.id = id
 			}
+			rejects = append(rejects, r)
 		}
 	}
-	return false
+	return rejects
+}
+
+// TestDecodersRejectMalformedDatagrams: each reject is an error from both
+// decoders, the request decoder still reports the ID as far as it arrived,
+// and a server turns it into CodeBadRequest under that ID.
+func TestDecodersRejectMalformedDatagrams(t *testing.T) {
+	srv := &Server{svc: newMapBackend()}
+	for _, tc := range wireRejects(t) {
+		var req Request
+		if err := decodeRequest(tc.raw, &req); err == nil {
+			t.Errorf("%s (%d bytes): request decoder accepted it as %+v", tc.name, len(tc.raw), req)
+		} else if req.ID != tc.id {
+			t.Errorf("%s (%d bytes): request decoder reports ID %#x, want %#x", tc.name, len(tc.raw), req.ID, tc.id)
+		}
+		var resp Response
+		if err := decodeResponse(tc.raw, &resp); err == nil {
+			t.Errorf("%s (%d bytes): response decoder accepted it as %+v", tc.name, len(tc.raw), resp)
+		}
+		if got := srv.handle(tc.raw); got.OK || got.Code != CodeBadRequest || got.ID != tc.id {
+			t.Errorf("%s (%d bytes): server replied %+v, want CodeBadRequest under ID %#x", tc.name, len(tc.raw), got, tc.id)
+		}
+	}
+	// A list too long for its count prefix does not wrap into a small
+	// datagram: it stays too large to send. (The same for a string is
+	// TestTransportRejectsOversizedRequest's 70000-byte name.)
+	if n := len(appendResponse(nil, &Response{Addrs: make([]string, 70000)})); n <= maxDatagram {
+		t.Errorf("70000 addresses encoded to %d bytes, inside the %d-byte datagram limit", n, maxDatagram)
+	}
+}
+
+// awkward are field contents a text format would have had to escape, fold
+// or replace; this one carries each verbatim.
+var awkward = []string{
+	"", "plain", `"quoted" \back\slash/`, "\b\f\n\r\t", "\x00\x01\x1f\x7f", "<script>&amp;</script>",
+	"line\u2028para\u2029end", "caf\u00e9 \u4e16\u754c \U0001f600", "\xff", "\xfe", "a\xc3", "\xed\xa0\x80", "\xf0\x9f\x98",
 }
 
 // decodedBytes is the size of everything a decoded value holds.
@@ -62,121 +171,10 @@ func decodedBytes(strs []string, list []string) int {
 	return n
 }
 
-// checkDecodeRequest holds decodeRequest to json.Unmarshal on one datagram.
-// With exact set the two must agree on acceptance as well; otherwise the
-// decoder may be the stricter of the two, never the laxer.
-func checkDecodeRequest(t *testing.T, raw []byte, exact bool) {
-	t.Helper()
-	var mine, ref Request
-	err := decodeRequest(raw, &mine)
-	refErr := json.Unmarshal(raw, &ref)
-	if exact && (err == nil) != (refErr == nil) {
-		t.Fatalf("request %q: decoder err = %v, encoding/json err = %v", raw, err, refErr)
-	}
-	if err != nil || foldsOntoKey(raw, requestKeys) {
-		return
-	}
-	if refErr != nil {
-		t.Fatalf("request %q: decoder accepted what encoding/json rejects: %v", raw, refErr)
-	}
-	if !sameRequest(mine, ref) {
-		t.Fatalf("request %q: decoder read %+v, encoding/json %+v", raw, mine, ref)
-	}
-	// An invalid byte grows to the three of U+FFFD; nothing grows more.
-	if got := decodedBytes([]string{mine.Op, mine.Name, mine.VV, mine.Trace}, mine.Addrs); got > 16*len(raw) {
-		t.Fatalf("request of %d bytes decoded to %d bytes", len(raw), got)
-	}
-}
-
-func checkDecodeResponse(t *testing.T, raw []byte, exact bool) {
-	t.Helper()
-	var mine, ref Response
-	err := decodeResponse(raw, &mine)
-	refErr := json.Unmarshal(raw, &ref)
-	if exact && (err == nil) != (refErr == nil) {
-		t.Fatalf("response %q: decoder err = %v, encoding/json err = %v", raw, err, refErr)
-	}
-	if err != nil || foldsOntoKey(raw, responseKeys) {
-		return
-	}
-	if refErr != nil {
-		t.Fatalf("response %q: decoder accepted what encoding/json rejects: %v", raw, refErr)
-	}
-	if !sameResponse(mine, ref) {
-		t.Fatalf("response %q: decoder read %+v, encoding/json %+v", raw, mine, ref)
-	}
-	if got := decodedBytes([]string{mine.Err, mine.Name, mine.VV}, mine.Addrs); got > 16*len(raw) {
-		t.Fatalf("response of %d bytes decoded to %d bytes", len(raw), got)
-	}
-}
-
-// handWritten are the raw datagrams the package's other tests feed to
-// Server.handle, and a few more spellings a foreign client might send.
-var handWritten = []string{
-	`{"op":"destroy"}`,
-	`{"op":"update","name":"x","addrs":["nope"]}`,
-	`{not json`,
-	`{"op":"lookup","name":"x"}`,
-	`{"id":7,"op":"lookup","name":"x"}`,
-	` { "op" : "vput" , "name" : "n" , "addrs" : [ "10.0.0.1" , "10.0.0.2" ] , "vv" : "1:2" } `,
-	`{"op":"lookup","name":"x","future":{"a":[1,2.5e-3,{"b":null}],"c":"\u00e9"},"trace":"1-2"}`,
-	`{"op":"lookup","name":"caf\u00e9 \ud83d\ude00 \ud800 \"q\" \\ \/ \b\f\n\r\t"}`,
-	`{"op":"lookup","name":null,"addrs":null,"id":null}`,
-	`{"op":"a","op":"b","addrs":["x","y"],"addrs":["z"]}`,
-	`{"addrs":[]}`,
-	`{"addrs":[null,"a"]}`,
-	`{"addrs":["x","y"],"addrs":[null],"name":"n","name":null}`,
-	`{}`,
-	`{"id":18446744073709551615}`,
-	`{"id":18446744073709551616}`,
-	`{"id":01}`,
-	`{"id":-1}`,
-	`{"id":1.0}`,
-	`{"name":5}`,
-	`{"op":"lookup"} x`,
-	`{"op":"lookup",}`,
-	`{"op":"look` + "\x01" + `up"}`,
-	`{"op":"bad \x escape"}`,
-	`{"name":"` + "\xff\xfe" + `"}`,
-	`{"ok":true,"name":"x","addrs":["10.0.0.1"],"version":3,"vv":"1:3"}`,
-	`{"ok":false,"code":1,"err":"gns: name not found: \"x\""}`,
-	`{"ok":false,"code":-2}`,
-	`{"ok":"yes"}`,
-	`null`,
-	`[]`,
-	``,
-}
-
-func TestDecoderMatchesJSONOnHandWrittenDatagrams(t *testing.T) {
-	for _, raw := range handWritten {
-		// null as a whole datagram is the one input encoding/json takes
-		// (as "change nothing") that the decoder refuses: a datagram is an
-		// object.
-		exact := raw != `null`
-		checkDecodeRequest(t, []byte(raw), exact)
-		checkDecodeResponse(t, []byte(raw), exact)
-	}
-}
-
-// awkward are field contents that exercise every branch of the string
-// encoder: quotes and backslashes, each short escape, other control bytes,
-// DEL, the HTML-safe set, U+2028/2029, multi-byte runes, invalid UTF-8.
-var awkward = []string{
-	"", "plain", `"quoted" \back\slash/`, "\b\f\n\r\t", "\x00\x01\x1f\x7f", "<script>&amp;</script>",
-	"line\u2028para\u2029end", "caf\u00e9 \u4e16\u754c \U0001f600", "\xff", "a\xc3", "\xed\xa0\x80", "\xf0\x9f\x98",
-}
-
-func TestEncoderMatchesJSON(t *testing.T) {
-	for i, s := range awkward {
-		u := awkward[(i+1)%len(awkward)]
-		checkEncode(t, s, u, "10.0.0.1", uint64(i), uint64(i)<<40, int64(i)-3, i%2 == 0)
-	}
-}
-
-// checkEncode builds a request and a response from the given contents and
-// requires the encoder's bytes to be json.Marshal's, and the decoder to
-// read them as json.Unmarshal does.
-func checkEncode(t *testing.T, s1, s2, s3 string, n1, n2 uint64, code int64, ok bool) {
+// checkRoundTrip builds a request and a response from the given contents
+// and requires the decoder to read back exactly what the encoder wrote, and
+// the encoder to fill a buffer of the datagram's size without outgrowing it.
+func checkRoundTrip(t *testing.T, s1, s2, s3 string, n1, n2 uint64, code int64, ok bool) {
 	t.Helper()
 	req := Request{ID: n1, Op: s1, Name: s2, VV: s3, Trace: s1}
 	resp := Response{ID: n2, OK: ok, Code: Code(code), Err: s1, Name: s2, Version: n1, VV: s3}
@@ -184,51 +182,89 @@ func checkEncode(t *testing.T, s1, s2, s3 string, n1, n2 uint64, code int64, ok 
 		req.Addrs = []string{s3, s1}
 		resp.Addrs = []string{s2, s3, s1}
 	}
-	want, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
+	if len(s1) > maxField || len(s2) > maxField || len(s3) > maxField {
+		return // not representable: TestDecodersRejectMalformedDatagrams holds the encoder to "too large to send"
 	}
-	if got := appendRequest(nil, &req); !bytes.Equal(got, want) {
-		t.Fatalf("request %+v:\n encoder %s\n    json %s", req, got, want)
+
+	wire := appendRequest(nil, &req)
+	var gotReq Request
+	if err := decodeRequest(wire, &gotReq); err != nil || !sameRequest(gotReq, req) {
+		t.Fatalf("request %+v:\n wire %x\n read back as %+v, %v", req, wire, gotReq, err)
 	}
-	checkDecodeRequest(t, want, true)
-	if want, err = json.Marshal(resp); err != nil {
-		t.Fatal(err)
+	sized := make([]byte, 0, len(wire))
+	if again := appendRequest(sized, &req); !bytes.Equal(again, wire) || &again[0] != &sized[:1][0] {
+		t.Fatalf("request %+v: encoding into a %d-byte buffer outgrew it or changed the bytes", req, len(wire))
 	}
-	if got := appendResponse(nil, &resp); !bytes.Equal(got, want) {
-		t.Fatalf("response %+v:\n encoder %s\n    json %s", resp, got, want)
+
+	wire = appendResponse(nil, &resp)
+	var gotResp Response
+	if err := decodeResponse(wire, &gotResp); err != nil || !sameResponse(gotResp, resp) {
+		t.Fatalf("response %+v:\n wire %x\n read back as %+v, %v", resp, wire, gotResp, err)
 	}
-	checkDecodeResponse(t, want, true)
+	sized = make([]byte, 0, len(wire))
+	if again := appendResponse(sized, &resp); !bytes.Equal(again, wire) || &again[0] != &sized[:1][0] {
+		t.Fatalf("response %+v: encoding into a %d-byte buffer outgrew it or changed the bytes", resp, len(wire))
+	}
 }
 
-// FuzzWireCodec: for arbitrary field contents the encoder's output is
-// json.Marshal's byte for byte and the decoder reads it as json.Unmarshal
-// does; for arbitrary datagrams the decoder never panics, never accepts
-// what encoding/json rejects, agrees with it on what both accept, and
-// never holds more than a constant times the input.
+// checkDecode feeds arbitrary bytes to both decoders: no panic; accepted or
+// not, what they hold afterwards is at most a constant times the input (a
+// list of n strings needs 2n bytes of datagram and 16n of headers); and
+// whatever one accepts is the one encoding of what it read.
+func checkDecode(t *testing.T, raw []byte) {
+	t.Helper()
+	var req Request
+	err := decodeRequest(raw, &req)
+	if got := decodedBytes([]string{req.Op, req.Name, req.VV, req.Trace}, req.Addrs); got > 9*len(raw) {
+		t.Fatalf("request of %d bytes decoded to %d bytes", len(raw), got)
+	}
+	if err == nil && !bytes.Equal(appendRequest(nil, &req), raw) {
+		t.Fatalf("request %x accepted as %+v, which encodes to %x", raw, req, appendRequest(nil, &req))
+	}
+	var resp Response
+	err = decodeResponse(raw, &resp)
+	if got := decodedBytes([]string{resp.Err, resp.Name, resp.VV}, resp.Addrs); got > 9*len(raw) {
+		t.Fatalf("response of %d bytes decoded to %d bytes", len(raw), got)
+	}
+	if err == nil && !bytes.Equal(appendResponse(nil, &resp), raw) {
+		t.Fatalf("response %x accepted as %+v, which encodes to %x", raw, resp, appendResponse(nil, &resp))
+	}
+}
+
+// FuzzWireCodec: for arbitrary field contents decode(append(x)) == x and
+// the encoder stays inside a buffer of the datagram's size; for arbitrary
+// datagrams the decoders never panic, never hold more than a constant times
+// the input, and accept b only when append(decoded) == b.
 func FuzzWireCodec(f *testing.F) {
-	for i, raw := range handWritten {
+	seeds := [][]byte{unhex(f, goldenRequestHex), unhex(f, goldenResponseHex)}
+	for _, r := range wireRejects(f) {
+		if len(r.raw) <= maxDatagram+1 {
+			seeds = append(seeds, r.raw)
+		}
+	}
+	for i, raw := range seeds {
 		s := awkward[i%len(awkward)]
-		f.Add([]byte(raw), s, awkward[(i+5)%len(awkward)], "1:2,4294967296:1", uint64(i), uint64(1)<<uint(i), int64(i%7)-1, i%2 == 0)
+		f.Add(raw, s, awkward[(i+5)%len(awkward)], "1:2,4294967296:1", uint64(i), uint64(1)<<uint(i), int64(i%7)-1, i%2 == 0)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, s1, s2, s3 string, n1, n2 uint64, code int64, ok bool) {
-		checkEncode(t, s1, s2, s3, n1, n2, code, ok)
-		checkDecodeRequest(t, raw, false)
-		checkDecodeResponse(t, raw, false)
+		checkRoundTrip(t, s1, s2, s3, n1, n2, code, ok)
+		checkDecode(t, raw)
 	})
 }
 
 // TestDecodeAllocatesInProportionToInput measures what the structural
-// bound in checkDecode* cannot: bytes allocated while decoding datagrams
+// bound in checkDecode cannot: bytes allocated while decoding datagrams
 // built to make a careless decoder over-allocate.
 func TestDecodeAllocatesInProportionToInput(t *testing.T) {
+	header := unhex(t, goldenRequestHex)[:1+8]
+	empty := []byte{0, 0}
 	hostile := map[string][]byte{
-		"empty strings":   []byte(`{"addrs":[` + strings.Repeat(`"",`, 2700) + `""]}`),
-		"repeated key":    []byte(`{` + strings.Repeat(`"addrs":["a","b","c"],`, 340) + `"op":"x"}`),
-		"invalid bytes":   []byte(`{"name":"` + strings.Repeat("\xff", 8000) + `"}`),
-		"escapes":         []byte(`{"name":"` + strings.Repeat(`\u00e9`, 1300) + `"}`),
-		"deep unknown":    []byte(`{"x":` + strings.Repeat(`[`, 4000) + strings.Repeat(`]`, 4000) + `}`),
-		"unknown strings": []byte(`{"x":[` + strings.Repeat(`"abcdefgh",`, 700) + `1]}`),
+		// Op and Name empty, then a count with next to nothing behind it.
+		"65535 strings in three bytes": bytes.Join([][]byte{header, empty, empty, {0xff, 0xff, 0}}, nil),
+		"65535 strings, 4000 there":    bytes.Join([][]byte{header, empty, empty, {0xff, 0xff}, make([]byte, 8000)}, nil),
+		"all empty strings":            bytes.Join([][]byte{header, empty, empty, {0x0f, 0xa0}, make([]byte, 2*4000), empty, empty}, nil),
+		"65535-byte op, one there":     bytes.Join([][]byte{header, {0xff, 0xff, 'x'}}, nil),
+		"one long name":                appendRequest(nil, &Request{Op: "lookup", Name: strings.Repeat("n", 8000)}),
 	}
 	for name, raw := range hostile {
 		if len(raw) > maxDatagram+1 {

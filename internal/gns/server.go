@@ -114,7 +114,8 @@ func (s *Server) loop() {
 // handle dispatches one request. A panic in request handling is converted
 // into a structured error response so one malformed request can never kill
 // the serve loop. Every reply — success, error or converted panic — echoes
-// the request's transaction ID, as far as the request could be parsed.
+// the request's transaction ID, whenever enough of the datagram arrived to
+// hold one.
 func (s *Server) handle(raw []byte) (resp Response) {
 	var req Request
 	defer func() {

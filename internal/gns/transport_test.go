@@ -2,7 +2,6 @@ package gns
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -225,55 +224,62 @@ func TestTransportClose(t *testing.T) {
 }
 
 // TestTransportRejectsOversizedRequest: a request the server would refuse
-// unread is refused before it is sent, with the same permanent code.
+// unread is refused before it is sent, with the same permanent code — also
+// when a field is longer than its length prefix can say, which must not
+// wrap into a small datagram.
 func TestTransportRejectsOversizedRequest(t *testing.T) {
 	srv := startStub(t, func(req Request, _ net.Addr, _ func(Response)) {
 		t.Errorf("oversized request %q reached the server", req.Op)
 	})
 	var tr Transport
 	defer tr.Close()
-	_, attempts, err := tr.Exchange(context.Background(), srv.addr(),
-		Request{Op: "lookup", Name: strings.Repeat("n", maxDatagram)}, reliable.Policy{MaxAttempts: 3, PerAttempt: time.Second})
-	if !errors.Is(err, ErrBadRequest) || !reliable.IsPermanent(err) || attempts != 1 {
-		t.Fatalf("oversized request: %d attempts, err = %v", attempts, err)
+	for _, size := range []int{maxDatagram, 70000} {
+		_, attempts, err := tr.Exchange(context.Background(), srv.addr(),
+			Request{Op: "lookup", Name: strings.Repeat("n", size)}, reliable.Policy{MaxAttempts: 3, PerAttempt: time.Second})
+		if !errors.Is(err, ErrBadRequest) || !reliable.IsPermanent(err) || attempts != 1 {
+			t.Fatalf("%d-byte name: %d attempts, err = %v", size, attempts, err)
+		}
 	}
 }
 
 // TestServerEchoesTransactionID: every kind of reply carries the request's
-// ID, and a request without one still gets a well-formed reply without one.
+// ID — as far as the request could be read when it is malformed — and a
+// request without one still gets a well-formed reply without one.
 func TestServerEchoesTransactionID(t *testing.T) {
 	svc := newMapBackend()
 	if _, err := svc.Update("x", addrs("10.0.0.1")); err != nil {
 		t.Fatal(err)
 	}
 	live, dead := &Server{svc: svc}, &Server{svc: nil} // a nil backend panics on dispatch
+	enc := func(r Request) []byte { return appendRequest(nil, &r) }
 	for _, tc := range []struct {
 		name string
 		srv  *Server
-		raw  string
+		raw  []byte
 		id   uint64
 		code Code
 	}{
-		{"success", live, `{"id":7,"op":"lookup","name":"x"}`, 7, CodeOK},
-		{"not found", live, `{"id":8,"op":"lookup","name":"nobody"}`, 8, CodeNotFound},
-		{"unknown op", live, `{"op":"destroy","id":9}`, 9, CodeBadRequest},
-		{"bad address", live, `{"id":10,"op":"update","name":"x","addrs":["nope"]}`, 10, CodeBadRequest},
-		{"panic", dead, `{"id":11,"op":"lookup","name":"x"}`, 11, CodeInternal},
-		{"malformed after the id", live, `{"id":12,"op":`, 12, CodeBadRequest},
-		{"no id", live, `{"op":"lookup","name":"x"}`, 0, CodeOK},
-		{"no id, error", live, `{"op":"destroy"}`, 0, CodeBadRequest},
+		{"success", live, enc(Request{ID: 7, Op: "lookup", Name: "x"}), 7, CodeOK},
+		{"not found", live, enc(Request{ID: 8, Op: "lookup", Name: "nobody"}), 8, CodeNotFound},
+		{"unknown op", live, enc(Request{ID: 9, Op: "destroy"}), 9, CodeBadRequest},
+		{"bad address", live, enc(Request{ID: 10, Op: "update", Name: "x", Addrs: []string{"nope"}}), 10, CodeBadRequest},
+		{"panic", dead, enc(Request{ID: 11, Op: "lookup", Name: "x"}), 11, CodeInternal},
+		{"malformed after the id", live, enc(Request{ID: 12, Op: "lookup", Name: "x"})[:1+8+3], 12, CodeBadRequest},
+		{"cut inside the id", live, enc(Request{ID: 13, Op: "lookup", Name: "x"})[:1+7], 0, CodeBadRequest},
+		{"no id", live, enc(Request{Op: "lookup", Name: "x"}), 0, CodeOK},
+		{"no id, error", live, enc(Request{Op: "destroy"}), 0, CodeBadRequest},
 	} {
-		resp := tc.srv.handle([]byte(tc.raw))
+		resp := tc.srv.handle(tc.raw)
 		if resp.ID != tc.id || resp.Code != tc.code || resp.OK != (tc.code == CodeOK) {
 			t.Errorf("%s: reply %+v, want id %d code %d", tc.name, resp, tc.id, tc.code)
 		}
 		wire := appendResponse(nil, &resp)
-		var back map[string]any
-		if err := json.Unmarshal(wire, &back); err != nil {
-			t.Errorf("%s: reply %q is not well-formed JSON: %v", tc.name, wire, err)
+		var back Response
+		if err := decodeResponse(wire, &back); err != nil {
+			t.Errorf("%s: reply %x is not a well-formed datagram: %v", tc.name, wire, err)
 		}
-		if _, has := back["id"]; has != (tc.id != 0) {
-			t.Errorf("%s: reply %q: id key present = %v", tc.name, wire, has)
+		if back.ID != tc.id {
+			t.Errorf("%s: reply %x carries id %d", tc.name, wire, back.ID)
 		}
 	}
 }

@@ -6,13 +6,15 @@ import (
 	"strings"
 )
 
-// Request is a UDP resolution-protocol message.
+// Request is a UDP resolution-protocol message. Its wire form is codec.go's;
+// the struct tags here and on Response serve only bench/, which marshals the
+// two structs for its gns.encode_ns and gns.decode_ns rows.
 type Request struct {
 	// ID is the transaction ID the Transport stamps on each attempt; the
 	// server echoes it in the reply, and the client discards any reply whose
 	// ID is not the one it is waiting for. It demultiplexes replies on a
-	// reused socket; it is not a secret. Absent (0) from a client that does
-	// not match replies.
+	// reused socket; it is not a secret. 0 from a client that does not match
+	// replies.
 	ID    uint64   `json:"id,omitempty"`
 	Op    string   `json:"op"` // "lookup", "update", or an extension op
 	Name  string   `json:"name"`
@@ -21,7 +23,7 @@ type Request struct {
 	// ops (cluster.VV wire form); empty for the public lookup/update ops.
 	VV string `json:"vv,omitempty"`
 	// Trace is the originating client span's obs.TraceContext in Encode
-	// form ("<trace-id>-<span-id>"), absent when the client traces nothing.
+	// form ("<trace-id>-<span-id>"), empty when the client traces nothing.
 	// It parents the server-side handling span onto the client request span
 	// so both sides assemble into one causal tree; a mangled value is
 	// ignored, never an error.
@@ -39,9 +41,9 @@ const (
 	// CodeNotFound: the name has no binding. Permanent — retrying the same
 	// lookup cannot succeed until someone updates the name.
 	CodeNotFound Code = 1
-	// CodeBadRequest: the request was malformed (bad JSON, unknown op, bad
-	// address, oversized datagram). Permanent — a retry resends the same
-	// bytes.
+	// CodeBadRequest: the request was malformed (a datagram the codec does
+	// not read, unknown op, bad address, oversized datagram). Permanent — a
+	// retry resends the same bytes.
 	CodeBadRequest Code = 2
 	// CodeNoQuorum: too few replicas were reachable. Transient — replicas
 	// recover.
@@ -57,12 +59,12 @@ const (
 
 // Response is the UDP reply.
 type Response struct {
-	// ID echoes the request's ID (0, absent on the wire, when the request
-	// carried none or could not be parsed far enough to read it).
+	// ID echoes the request's ID (0 when the request carried none or was
+	// too short to hold one).
 	ID uint64 `json:"id,omitempty"`
 	OK bool   `json:"ok"`
-	// Code classifies the error when OK is false; CodeOK (absent on the
-	// wire) otherwise. Err keeps the human-readable detail.
+	// Code classifies the error when OK is false; CodeOK otherwise. Err
+	// keeps the human-readable detail.
 	Code    Code     `json:"code,omitempty"`
 	Err     string   `json:"err,omitempty"`
 	Name    string   `json:"name,omitempty"`

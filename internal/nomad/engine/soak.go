@@ -35,12 +35,6 @@ type SoakConfig struct {
 	Seed    int64
 	// Shards is the engine count (0 = one per core, capped at Devices).
 	Shards int
-	// Faults is the chaos profile; the zero value takes defaultSoakFaults.
-	Faults faultnet.StreamFaults
-	// NoFaults disables chaos entirely (debugging aid).
-	NoFaults bool
-	// SampleEvery is the gauge sampling period (default 200ms).
-	SampleEvery time.Duration
 	// Registry, when non-nil, receives the engine and faultnet metric
 	// families (e.g. for -obs.addr export); nil keeps them private.
 	Registry *obs.Registry
@@ -52,6 +46,9 @@ type SoakConfig struct {
 	// Out receives the human/grep-able report lines; nil discards them.
 	Out io.Writer
 }
+
+// soakSampleEvery is the gauge sampling period.
+const soakSampleEvery = 200 * time.Millisecond
 
 // defaultSoakFaults is chaos that hurts without stopping progress: refused
 // and mid-stream-reset connections force the retry and replay machinery,
@@ -127,9 +124,6 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if cfg.Days <= 0 {
 		cfg.Days = 2
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 200 * time.Millisecond
-	}
 	out := cfg.Out
 	if out == nil {
 		out = io.Discard
@@ -147,7 +141,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if smp == nil {
 		smp = obs.NewSampler(reg, 0)
 	}
-	smp.SetInterval(cfg.SampleEvery)
+	smp.SetInterval(soakSampleEvery)
 	prof := obs.NewProfiler(reg)
 	begin := time.Now()                                            //lint:allow determinism wall-clock phase timing is reporting, never simulation state
 	prof.SetNow(func() time.Duration { return time.Since(begin) }) //lint:allow determinism same: profiler phase walls
@@ -180,16 +174,9 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	}
 	env := faultnet.NewEnv(cfg.Seed + 2)
 	env.SetMetrics(faultnet.NewMetrics(reg))
-	faults := cfg.Faults
-	if faults == (faultnet.StreamFaults{}) && !cfg.NoFaults {
-		faults = defaultSoakFaults()
-	}
-	if cfg.NoFaults {
-		faults = faultnet.StreamFaults{}
-	}
 	hs := &http.Server{Handler: srv}
-	go hs.Serve(faultnet.WrapListener(ln, env, faults)) //lint:allow errflow server dies with the soak
-	defer hs.Close()                                    //lint:allow errflow best-effort teardown
+	go hs.Serve(faultnet.WrapListener(ln, env, defaultSoakFaults())) //lint:allow errflow server dies with the soak
+	defer hs.Close()                                                 //lint:allow errflow best-effort teardown
 	base := "http://" + ln.Addr().String()
 
 	// One engine per shard over a contiguous device range. Each engine owns
@@ -246,7 +233,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	for i := range engines {
 		evRate[i] = reg.Gauge("locind_nomad_engine_events_per_sec", "visit events processed per second", "shard", strconv.Itoa(i))
 	}
-	tickSecs := cfg.SampleEvery.Seconds()
+	tickSecs := soakSampleEvery.Seconds()
 	smp.Pre(func() {
 		var qe, qb int64
 		for i, m := range shardMets {
