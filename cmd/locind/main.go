@@ -14,8 +14,9 @@
 //
 //	-seed N      master seed (default 20140817)
 //	-quick       run at ~1/10 scale (fast; used by CI)
-//	-parallel N  evaluation worker count (0 = GOMAXPROCS); any value
-//	             produces bit-identical output
+//	-parallel N  worker count of the evaluation drivers and timeline
+//	             generation (0 = GOMAXPROCS); world synthesis uses
+//	             every core; output is bit-identical at any value
 //	-obs.addr    serve /metrics, /debug/pprof and /debug/traces on
 //	             this address (empty = disabled; output is
 //	             byte-identical either way, DESIGN.md §8)
@@ -48,7 +49,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 0, "master seed (0 = config default)")
 	flag.BoolVar(&o.quick, "quick", false, "run at reduced scale")
 	flag.StringVar(&o.out, "out", "", "directory to export raw data (trace CSV, RIB dumps, figure series)")
-	flag.IntVar(&o.parallel, "parallel", 0, "evaluation worker count (0 = GOMAXPROCS); output is identical for any value")
+	flag.IntVar(&o.parallel, "parallel", 0, "worker count of the evaluation drivers and timeline generation (0 = GOMAXPROCS; world synthesis uses every core); output is identical for any value and any core count")
 	flag.StringVar(&o.obsAddr, "obs.addr", "", "serve /metrics, /debug/pprof and /debug/traces on this address (empty = disabled)")
 	flag.DurationVar(&o.obsLinger, "obs.linger", 0, "keep the introspection endpoint up this long after the experiments finish (lets scrapers reach a batch run)")
 	flag.StringVar(&o.report, "report", "", "directory to write the per-phase run profile into (RUNREPORT.md + runreport.json + timeseries.json; empty = disabled)")

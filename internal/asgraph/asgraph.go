@@ -311,8 +311,8 @@ func (g *Graph) RoutesTo(d int) *RouteTable {
 // RoutesToInto is RoutesTo into a caller-held table: rt is overwritten with
 // the routes toward d, reusing its arrays when they already fit g. Callers
 // that compute one table per destination and keep nothing of the last one —
-// bgp.BuildCollectors runs one per prefix origin — hold one RouteTable for
-// the whole pass. The zero RouteTable is ready for use.
+// bgp.BuildCollectors runs one per prefix origin — hold one RouteTable per
+// goroutine for the whole pass. The zero RouteTable is ready for use.
 //
 //lint:zeroalloc per destination once rt's arrays and scratch have grown to fit the graph
 func (g *Graph) RoutesToInto(rt *RouteTable, d int) {

@@ -297,12 +297,16 @@ func BenchmarkDeriveFIB(b *testing.B) {
 
 // TestBuildCollectorsAllocationBudget pins what the stored form of a
 // candidate costs: building the 25 collectors on the quick internet (Tier2
-// 80, Stubs 700, one more-specific per AS) may allocate at most 40 bytes per
-// candidate route and 4 000 objects. A candidate is 8 bytes in a
-// per-collector slab plus its share of the maps, tables and FIB; a route
+// 80, Stubs 700, one more-specific per AS) on two workers may allocate at
+// most 40 bytes per candidate route and 2 600 objects. A candidate is 8 bytes
+// in a per-collector slab plus its share of the maps, tables and FIB; a route
 // struct per candidate (83.5 bytes per candidate before the indices) or a
-// make per prefix (37 500 prefixes) fails here, not only in the benchmark.
+// make per prefix (37 500 prefixes) fails here, not only in the benchmark,
+// and so does a route table per origin run where one per worker will do
+// (2 190 objects on two workers, 34 000 with a table per run).
 func TestBuildCollectorsAllocationBudget(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // the build takes a route table per worker
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	g, pt := synthInternet(t, 20140817+1, 80, 700)
 	specs := append(RouteViewsSpecs(), RIPESpecs()...)
 	var before, after runtime.MemStats
@@ -322,7 +326,7 @@ func TestBuildCollectorsAllocationBudget(t *testing.T) {
 	if perRoute > 40 {
 		t.Errorf("BuildCollectors allocated %.1f bytes per candidate route, budget 40", perRoute)
 	}
-	if mallocs > 4000 {
-		t.Errorf("BuildCollectors made %d allocations, budget 4000", mallocs)
+	if mallocs > 2600 {
+		t.Errorf("BuildCollectors made %d allocations, budget 2600", mallocs)
 	}
 }

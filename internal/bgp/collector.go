@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"locind/internal/asgraph"
+	"locind/internal/par"
 )
 
 // Session is one BGP feed into a collector: the peer AS providing it, the
@@ -96,7 +97,9 @@ func RIPESpecs() []Spec {
 // BuildCollectors synthesizes collectors for the given specs over graph g
 // and address plan pt. All specs share one pass of per-destination route
 // computation, so building the RouteViews and RIPE sets together costs the
-// same as building either alone.
+// same as building either alone. The build fans out over par.Workers(0)
+// goroutines — origins first, then collectors — and every worker writes only
+// slots it owns, so the result is the same at any core count.
 func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
 	all := pt.All()
 	cols := make([]*Collector, 0, len(specs))
@@ -127,73 +130,90 @@ func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.
 			peerOf[ci][si] = idx
 		}
 	}
-	paths := &pathTable{stride: len(peers) + 1, chunks: make([][]int, 0, g.N())}
-	paths.off = make([]int32, 0, g.N()*paths.stride)
-	// Every announced prefix lands in every collector's RIB with at most
-	// one candidate per session, so one slab per collector holds all its
-	// candidates. A prefix's candidates are written back to back, in session
-	// order, and entered in the map once as a capacity-clipped sub-slice:
-	// a later RIB.Add on that prefix must reallocate, not run into the
-	// next prefix's candidates. pt announces each prefix once.
-	slabs := make([][]cand, len(cols))
-	for ci, c := range cols {
-		c.RIB = NewRIBSized(len(all))
-		c.RIB.shared = paths
-		for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
-			c.RIB.attr(attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel})
-		}
-		slabs[ci] = make([]cand, 0, len(all)*len(c.Sessions))
-		c.FIB = &FIB{}
-		c.FIB.trie.Grow(len(all))
-	}
-	// pt lists an origin's prefixes together, so each run all[lo:hi] of one
-	// origin costs one route computation and one chunk of paths; the runs
-	// come in the same order on every call, and so do the FIB inserts.
-	var rt asgraph.RouteTable
-	for lo, hi := 0, 0; lo < len(all); lo = hi {
-		for hi = lo + 1; hi < len(all) && all[hi].Origin == all[lo].Origin; hi++ {
-		}
-		g.RoutesToInto(&rt, all[lo].Origin)
-		base := paths.add(&rt, peers)
-		for ci, c := range cols {
-			// The prefixes of one origin have the same candidates: write them
-			// once, picking the best as they go by, and copy the run for each
-			// further prefix. A path has an element, so bestLen 0 means none yet.
-			cands := slabs[ci]
-			first := len(cands)
-			var best Session
-			var bestPath, bestLen int32
-			for si, s := range c.Sessions {
-				path := base + peerOf[ci][si]
-				n := paths.off[path+1] - paths.off[path]
-				if n == 0 {
-					continue // the peer has no route to this origin
-				}
-				cands = append(cands, cand{attr: int32(si), path: path})
-				// Better with LocalPref equal: class, path length, MED, peer.
-				if bestLen == 0 || s.Rel < best.Rel || s.Rel == best.Rel && (n < bestLen ||
-					n == bestLen && (s.MED < best.MED || s.MED == best.MED && s.PeerAS < best.PeerAS)) {
-					best, bestPath, bestLen = s, path, n
-				}
-			}
-			k := len(cands) - first
-			if k == 0 {
-				continue
-			}
-			sel := Route{NextHop: best.PeerAS, MED: best.MED, ASPath: paths.at(bestPath), Rel: best.Rel}
-			for i, po := range all[lo:hi] {
-				if i > 0 {
-					cands = append(cands, cands[first:first+k]...)
-				}
-				end := len(cands)
-				c.RIB.byPrefix[po.Prefix] = cands[end-k : end : end]
-				sel.Prefix = po.Prefix
-				c.FIB.trie.Insert(po.Prefix, sel)
-			}
-			slabs[ci] = cands
+	// pt lists an origin's prefixes together: run k is all[runs[k]:runs[k+1]],
+	// one route computation and one chunk of paths. The runs come in the same
+	// order on every call, and so do the FIB inserts.
+	runs := make([]int, 0, g.N()+1)
+	for i, po := range all {
+		if i == 0 || po.Origin != all[i-1].Origin {
+			runs = append(runs, i)
 		}
 	}
+	nRuns := len(runs)
+	runs = append(runs, len(all))
+	paths := &pathTable{stride: len(peers) + 1, chunks: make([][]int, nRuns)}
+	paths.off = make([]int32, nRuns*paths.stride)
+	// Phase 1, over origins: runs cost about the same, so each worker takes
+	// one shard of them, one route table, and fills the slots of its runs.
+	shards := par.Shards(nRuns, par.Workers(0))
+	par.ForEach(0, len(shards), func(s int) {
+		var rt asgraph.RouteTable
+		for k := shards[s][0]; k < shards[s][1]; k++ {
+			g.RoutesToInto(&rt, all[runs[k]].Origin)
+			paths.fill(k, &rt, peers)
+		}
+	})
+	// Phase 2, over collectors: one worker builds one collector's RIB and FIB
+	// from start to finish and only reads the finished path table.
+	par.ForEach(0, len(cols), func(ci int) {
+		cols[ci].fill(all, runs, paths, peerOf[ci])
+	})
 	return cols, nil
+}
+
+// fill builds c's RIB and FIB over the prefix plan all, cut into origin runs,
+// from the finished path table; peerOf[si] is session si's peer in it.
+func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerOf []int32) {
+	c.RIB = NewRIBSized(len(all))
+	c.RIB.shared = paths
+	for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
+		c.RIB.attr(attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel})
+	}
+	// Every announced prefix lands in the RIB with at most one candidate per
+	// session, so one slab holds all its candidates. A prefix's candidates
+	// are written back to back, in session order, and entered in the map once
+	// as a capacity-clipped sub-slice: a later RIB.Add on that prefix must
+	// reallocate, not run into the next prefix's candidates. pt announces
+	// each prefix once.
+	cands := make([]cand, 0, len(all)*len(c.Sessions))
+	c.FIB = &FIB{}
+	c.FIB.trie.Grow(len(all))
+	for k := 0; k+1 < len(runs); k++ {
+		// The prefixes of one origin have the same candidates: write them
+		// once, picking the best as they go by, and copy the run for each
+		// further prefix. A path has an element, so bestLen 0 means none yet.
+		base := int32(k * paths.stride)
+		first := len(cands)
+		var best Session
+		var bestPath, bestLen int32
+		for si, s := range c.Sessions {
+			path := base + peerOf[si]
+			n := paths.off[path+1] - paths.off[path]
+			if n == 0 {
+				continue // the peer has no route to this origin
+			}
+			cands = append(cands, cand{attr: int32(si), path: path})
+			// Better with LocalPref equal: class, path length, MED, peer.
+			if bestLen == 0 || s.Rel < best.Rel || s.Rel == best.Rel && (n < bestLen ||
+				n == bestLen && (s.MED < best.MED || s.MED == best.MED && s.PeerAS < best.PeerAS)) {
+				best, bestPath, bestLen = s, path, n
+			}
+		}
+		per := len(cands) - first
+		if per == 0 {
+			continue
+		}
+		sel := Route{NextHop: best.PeerAS, MED: best.MED, ASPath: paths.at(bestPath), Rel: best.Rel}
+		for i, po := range all[runs[k]:runs[k+1]] {
+			if i > 0 {
+				cands = append(cands, cands[first:first+per]...)
+			}
+			end := len(cands)
+			c.RIB.byPrefix[po.Prefix] = cands[end-per : end : end]
+			sel.Prefix = po.Prefix
+			c.FIB.trie.Insert(po.Prefix, sel)
+		}
+	}
 }
 
 func newCollector(g *asgraph.Graph, spec Spec, rng *rand.Rand) (*Collector, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -61,6 +62,29 @@ func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng
 	return cols, nil
 }
 
+// Routes returns the candidate routes for prefix p in the order they were
+// added (nil if none). The slice is materialised for the caller and is its
+// own; each ASPath is a view of the RIB's path store and must not be modified.
+// Routes and Best live here because only the comparisons in this package's
+// tests read a RIB prefix by prefix: production goes through WriteRIB and
+// the FIB.
+func (r *RIB) Routes(p netaddr.Prefix) []Route {
+	var rs []Route
+	for _, c := range r.byPrefix[p] {
+		rs = append(rs, r.route(p, c))
+	}
+	return rs
+}
+
+// Best runs the decision process over the candidates for p.
+func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
+	cs := r.byPrefix[p]
+	if len(cs) == 0 {
+		return Route{}, false
+	}
+	return r.best(p, cs), true
+}
+
 type fibEntry struct {
 	Prefix netaddr.Prefix
 	Route  Route
@@ -110,6 +134,58 @@ func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 			}
 			if !bytes.Equal(dumpBytes(t, c), dumpBytes(t, w)) {
 				t.Fatalf("seed %d: %s: RIB dump differs from the oracle", seed, w.Name)
+			}
+		}
+	}
+}
+
+// TestBuildCollectorsSameAtAnyGOMAXPROCS builds all 25 collectors at
+// GOMAXPROCS 1, 2 and 8 on three internets and requires the same dump bytes,
+// the same FIB — the trie node for node, so the same walk and the same
+// insertion order — and the same path table, every offset and every chunk,
+// whichever worker filled which run and built which collector. Each build's FIB must
+// also hold, for every prefix, what the decision process picks from that
+// build's own candidates. Under -race this is the test that shows no two
+// workers write a slot they share.
+func TestBuildCollectorsSameAtAnyGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	specs := append(RouteViewsSpecs(), RIPESpecs()...)
+	for _, seed := range []int64{20140817, 7, 424242} {
+		g, pt := testInternet(t, seed)
+		var want []*Collector
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := BuildCollectors(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range got {
+				for _, e := range fibEntries(c.FIB) {
+					if best, _ := c.RIB.Best(e.Prefix); !reflect.DeepEqual(e.Route, best) {
+						t.Fatalf("seed %d, GOMAXPROCS %d: %s forwards %v by %v, its candidates select %v", seed, procs, c.Name, e.Prefix, e.Route, best)
+					}
+				}
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got[0].RIB.shared, want[0].RIB.shared) {
+				t.Fatalf("seed %d: path table at GOMAXPROCS %d differs from GOMAXPROCS 1", seed, procs)
+			}
+			for i, w := range want {
+				c := got[i]
+				if c.RIB.shared != got[0].RIB.shared {
+					t.Fatalf("seed %d, GOMAXPROCS %d: %s reads a path table of its own", seed, procs, c.Name)
+				}
+				if !bytes.Equal(dumpBytes(t, c), dumpBytes(t, w)) {
+					t.Fatalf("seed %d: %s: RIB dump at GOMAXPROCS %d differs from GOMAXPROCS 1", seed, w.Name, procs)
+				}
+				// The whole trie, node for node: the walk and the insertion order.
+				if !reflect.DeepEqual(c.FIB, w.FIB) {
+					t.Fatalf("seed %d: %s: FIB at GOMAXPROCS %d differs from GOMAXPROCS 1", seed, w.Name, procs)
+				}
 			}
 		}
 	}

@@ -107,21 +107,21 @@ type pathTable struct {
 	chunks [][]int
 }
 
-// add appends the paths from every peer to rt's destination as one chunk and
-// returns the index of the first.
-func (t *pathTable) add(rt *asgraph.RouteTable, peers []int) int32 {
+// fill writes the paths from every peer to rt's destination as chunk k, at
+// the offsets chunk k owns: distinct k may be filled at once.
+func (t *pathTable) fill(k int, rt *asgraph.RouteTable, peers []int) {
 	need := 0
 	for _, p := range peers {
 		need += rt.PathLen(p) + 1 // PathLen is -1 where p has no route
 	}
 	chunk := make([]int, 0, need)
-	for _, p := range peers {
-		t.off = append(t.off, int32(len(chunk)))
+	off := t.off[k*t.stride : (k+1)*t.stride]
+	for i, p := range peers {
+		off[i] = int32(len(chunk))
 		chunk = rt.AppendPath(chunk, p)
 	}
-	t.off = append(t.off, int32(len(chunk)))
-	t.chunks = append(t.chunks, chunk)
-	return int32(len(t.off) - t.stride)
+	off[len(peers)] = int32(len(chunk))
+	t.chunks[k] = chunk
 }
 
 func (t *pathTable) at(i int32) []int {
@@ -183,17 +183,6 @@ func (r *RIB) NumRoutes() int {
 	return total
 }
 
-// Routes returns the candidate routes for prefix p in the order they were
-// added (nil if none). The slice is materialised for the caller and is its
-// own; each ASPath is a view of the RIB's path store and must not be modified.
-func (r *RIB) Routes(p netaddr.Prefix) []Route {
-	var rs []Route
-	for _, c := range r.byPrefix[p] {
-		rs = append(rs, r.route(p, c))
-	}
-	return rs
-}
-
 // best runs the decision process over cs, the non-empty candidates of p.
 func (r *RIB) best(p netaddr.Prefix, cs []cand) Route {
 	best := r.route(p, cs[0])
@@ -203,15 +192,6 @@ func (r *RIB) best(p netaddr.Prefix, cs []cand) Route {
 		}
 	}
 	return best
-}
-
-// Best runs the decision process over the candidates for p.
-func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
-	cs := r.byPrefix[p]
-	if len(cs) == 0 {
-		return Route{}, false
-	}
-	return r.best(p, cs), true
 }
 
 // Prefixes returns all prefixes in deterministic (Compare) order.

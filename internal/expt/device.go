@@ -401,7 +401,10 @@ type SessionSweepResult struct {
 // RunSessionSweep rebuilds one synthetic collector at increasing session
 // counts and measures its device update rate. Each count derives its own RNG
 // from the master seed, so the sweep points are independent and evaluated in
-// parallel without perturbing each other.
+// parallel without perturbing each other. The map stays although the build
+// fans out by itself: a one-collector build is parallel in its path half
+// only; its collector half and the replay overlap with another count's only
+// here (expt.session_sweep_ms on two cores: 35.5 mapped, 37.2 as a plain loop).
 func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
 	events := w.Devices.MoveEvents()
 	type point struct {

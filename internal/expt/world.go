@@ -25,7 +25,9 @@ type Config struct {
 	// Parallel bounds the worker count of the parallel evaluation drivers
 	// and of timeline generation: N workers when positive, GOMAXPROCS when
 	// zero or negative. Every value — including 1 — produces bit-identical
-	// results; the knob only trades wall-clock time.
+	// results; the knob only trades wall-clock time. World synthesis does not
+	// read it: bgp.BuildCollectors uses every core and builds the same
+	// tables at any core count.
 	Parallel int
 
 	AS            asgraph.SynthConfig
