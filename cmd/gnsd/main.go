@@ -58,11 +58,17 @@ func run(shards, replicas int, seed int64, obsAddr string) error {
 	if obsAddr != "" {
 		reg := obs.NewRegistry()
 		sm = gns.NewServerMetrics(reg)
+		// The one place the serve loop may get a wall clock from: request
+		// latency and span stamps are both measured from here.
+		begin := time.Now()
+		sm.Clock = func() time.Duration { return time.Since(begin) }
+		sm.Tracer = obs.NewTracer(seed, 0)
+		sm.Tracer.SetNow(sm.Clock)
 		smp := obs.NewSampler(reg, 0)
 		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
 		go smp.Run(ctx)
-		srv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Sampler: smp}))
+		srv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: sm.Tracer, Sampler: smp}))
 		if err != nil {
 			return err
 		}

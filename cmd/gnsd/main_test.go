@@ -66,8 +66,9 @@ func hostileDatagrams(t *testing.T) [][]byte {
 // under the sender's ID wherever nine bytes of a datagram of legal size
 // arrived — and counted; after them the grid serve mode prints is still all
 // a client needs — cluster.NewClient over the parsed lines commits an
-// update, a client of another origin reads it back — and SIGTERM ends the
-// process with its shutdown line and exit 0.
+// update, a client of another origin reads it back; the introspection port
+// has timed those requests and traced them — and SIGTERM ends the process
+// with its shutdown line and exit 0.
 func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
 	cmd := gnsd("-shards", "2", "-replicas", "3", "-obs.addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
@@ -157,14 +158,30 @@ func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var errorsTotal int
+	var errorsTotal, timed int
 	for _, line := range strings.Split(string(metrics), "\n") {
 		if v, ok := strings.CutPrefix(line, "locind_gns_errors_total "); ok {
 			errorsTotal, _ = strconv.Atoi(v)
 		}
+		if v, ok := strings.CutPrefix(line, "locind_gns_request_seconds_count "); ok {
+			timed, _ = strconv.Atoi(v)
+		}
 	}
 	if errorsTotal < len(hostile) {
 		t.Errorf("locind_gns_errors_total = %d after %d rejected datagrams\n%s", errorsTotal, len(hostile), metrics)
+	}
+	if timed == 0 {
+		t.Errorf("locind_gns_request_seconds has no sample after %d datagrams and a client exchange\n%s", len(hostile), metrics)
+	}
+	tracesURL := strings.TrimSuffix(metricsURL, "/metrics") + "/debug/traces"
+	resp, err = http.Get(tracesURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := io.ReadAll(resp.Body)
+	resp.Body.Close() //nolint:errcheck // read to the end already
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(traces, []byte("gns-serve")) {
+		t.Errorf("GET %s: status %d, %v, want 200 with a gns-serve span\n%s", tracesURL, resp.StatusCode, err, traces)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

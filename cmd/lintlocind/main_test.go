@@ -53,7 +53,7 @@ func TestListPrintsTheSuiteInOrder(t *testing.T) {
 		name, _, _ := strings.Cut(line, " ")
 		got = append(got, name)
 	}
-	want := []string{"determinism", "errflow", "ctxflow", "lockflow"}
+	want := []string{"determinism", "errflow", "ctxflow", "lockflow", "reach"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("-list names %v, want %v", got, want)
 	}
@@ -99,9 +99,10 @@ func TestJSONReportOnACleanPackage(t *testing.T) {
 	}
 }
 
-// TestStaleDirectivesAreFindings: a //lint:zeroalloc that annotates nothing
-// and a //lint:allow naming a deleted analyzer are both lintdirective
-// findings, which no directive can suppress, and the exit status is 1.
+// TestStaleDirectivesAreFindings: a //lint:zeroalloc that annotates nothing,
+// a //lint:allow naming a deleted analyzer and a //lint:allow reach on a
+// declaration the binary reaches are all lintdirective findings, which no
+// directive can suppress, and the exit status is 1.
 func TestStaleDirectivesAreFindings(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -111,16 +112,23 @@ func TestStaleDirectivesAreFindings(t *testing.T) {
 //lint:zeroalloc floating: a var is not a function
 var sink int
 
-func f() int {
+func F() int {
 	return sink //lint:allow allocflow x
 }
+
+//lint:allow reach main calls G, so there is nothing to allow
+func G() {}
 `,
+		"cmd/app/main.go": "package main\n\nimport \"fix\"\n\nfunc main() {\n\tfix.F()\n\tfix.G()\n}\n",
 	} {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stdout, stderr, code := lintlocind(t, dir, "-json", ".")
+	stdout, stderr, code := lintlocind(t, dir, "-json", "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1: %s%s", code, stdout, stderr)
 	}
@@ -131,7 +139,7 @@ func f() int {
 	want := []struct {
 		line int
 		frag string
-	}{{3, "annotates nothing"}, {7, `unknown check "allocflow"`}}
+	}{{3, "annotates nothing"}, {7, `unknown check "allocflow"`}, {10, "covers no finding"}}
 	if len(rep.Findings) != len(want) {
 		t.Fatalf("findings %+v, want %d", rep.Findings, len(want))
 	}

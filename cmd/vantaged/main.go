@@ -2,8 +2,9 @@
 // §7.1 end to end: it starts the collection controller on a real TCP port,
 // synthesizes a content deployment with CDN delegation, launches vantage
 // nodes that resolve every monitored name hourly through a partial
-// locality-biased view, and verifies that the controller's merged union
-// sets reconstruct the ground-truth Addrs(d, t).
+// locality-biased view, and verifies that the timelines the controller
+// reconstructs from the merged union sets are event for event the
+// ground-truth Addrs(d, t).
 //
 // Usage:
 //
@@ -16,12 +17,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-
+	"slices"
 	"time"
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/cdn"
+	"locind/internal/netaddr"
 	"locind/internal/obs"
 	"locind/internal/reliable"
 	"locind/internal/vantage"
@@ -120,15 +122,21 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 	}
 
 	fmt.Printf("vantaged: %d reports from %d nodes\n", ctrl.ReportCount(), ctrl.NodeCount())
-	// Verify union reconstruction against the CDN ground truth.
+	// Verify the reconstruction against the CDN ground truth: the timelines
+	// the controller derives from the merged reports must hold the generated
+	// ones' events, hour for hour and address for address.
+	sites := make([]cdn.Site, len(tls))
+	for i := range tls {
+		sites[i] = tls[i].Site
+	}
+	measured, err := ctrl.MeasuredTimelines(sites, hours)
+	if err != nil {
+		return err
+	}
 	mismatches := 0
 	for i := range tls {
-		for _, h := range []int{0, hours / 2, hours - 1} {
-			want := tls[i].SetAt(h)
-			got := ctrl.MergedSet(tls[i].Site.Name, h)
-			if len(got) != len(want) {
-				mismatches++
-			}
+		if !sameTimeline(&measured[i], &tls[i]) {
+			mismatches++
 		}
 	}
 	fmt.Printf("vantaged: merged-vs-truth mismatches: %d (want 0)\n", mismatches)
@@ -142,7 +150,30 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 			tl.Site.Name, tl.EventCount(), days, ctrl.MergedSet(tl.Site.Name, 0))
 	}
 	if mismatches > 0 {
-		return fmt.Errorf("union reconstruction failed at %d points", mismatches)
+		return fmt.Errorf("union reconstruction failed for %d of %d names", mismatches, len(tls))
 	}
 	return nil
+}
+
+// sameTimeline reports whether got starts from want's address set and goes
+// through want's events: the same hours, the same addresses added and removed.
+func sameTimeline(got, want *cdn.Timeline) bool {
+	if !sameAddrs(got.Initial, want.Initial) || len(got.Events) != len(want.Events) {
+		return false
+	}
+	for i, w := range want.Events {
+		g := got.Events[i]
+		if g.Hour != w.Hour || !sameAddrs(g.Added, w.Added) || !sameAddrs(g.Removed, w.Removed) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAddrs compares two address lists as sets.
+func sameAddrs(a, b []netaddr.Addr) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }

@@ -42,7 +42,13 @@ func TestExactVsSimulateOnRandomGraphs(t *testing.T) {
 		if transit.UpdateCost > nb.UpdateCost+1e-12 {
 			return false
 		}
-		if ind.Stretch > float64(g.Diameter()) {
+		diameter := 0
+		for _, row := range g.AllPairsHops() {
+			for _, d := range row {
+				diameter = max(diameter, d)
+			}
+		}
+		if ind.Stretch > float64(diameter) {
 			return false
 		}
 		simInd, simNB := Simulate(g, 40, 300, rng)

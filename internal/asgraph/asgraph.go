@@ -159,17 +159,6 @@ func (g *Graph) check(a, b int) error {
 // Providers returns the providers of x. The slice must not be modified.
 func (g *Graph) Providers(x int) []int32 { return g.providers[x] }
 
-// Customers returns the customers of x.
-func (g *Graph) Customers(x int) []int32 { return g.customers[x] }
-
-// Peers returns the peers of x.
-func (g *Graph) Peers(x int) []int32 { return g.peers[x] }
-
-// Degree returns the total neighbor count of x across all relationships.
-func (g *Graph) Degree(x int) int {
-	return len(g.providers[x]) + len(g.customers[x]) + len(g.peers[x])
-}
-
 // RelOf returns the relationship of x with neighbor y, if any.
 func (g *Graph) RelOf(x, y int) (Rel, bool) {
 	for _, c := range g.customers[x] {
@@ -236,9 +225,6 @@ type RouteTable struct {
 	level          [][]int32
 }
 
-// Class returns the selected route class at AS x (ClassNone if unreachable).
-func (rt *RouteTable) Class(x int) RouteClass { return rt.class[x] }
-
 // PathLen returns the AS-path length (hop count) of x's selected route to
 // the destination; -1 if x has no route. The destination itself has length 0.
 func (rt *RouteTable) PathLen(x int) int {
@@ -247,18 +233,6 @@ func (rt *RouteTable) PathLen(x int) int {
 	}
 	return int(rt.dist[x])
 }
-
-// NextHop returns the first hop of x's selected route (-1 if none; the
-// destination returns itself).
-func (rt *RouteTable) NextHop(x int) int {
-	if rt.class[x] == ClassNone {
-		return -1
-	}
-	return int(rt.parent[x])
-}
-
-// Has reports whether x has any route to the destination.
-func (rt *RouteTable) Has(x int) bool { return rt.class[x] != ClassNone }
 
 // Path returns the full AS path from x to the destination, inclusive of both
 // ends; nil if x has no route.
@@ -302,6 +276,8 @@ func (rt *RouteTable) AppendPath(dst []int, x int) []int {
 //  3. provider routes — shortest paths down provider→customer edges seeded
 //     with every AS that already selected a route (an AS exports its
 //     selected route, whatever its class, to its customers).
+//
+//lint:allow reach bgp's oracle_test.go builds its reference collectors, and iplane_test.go its traces, from a fresh table per destination
 func (g *Graph) RoutesTo(d int) *RouteTable {
 	rt := &RouteTable{}
 	g.RoutesToInto(rt, d)
@@ -456,37 +432,4 @@ func (g *Graph) ShortestUndirectedHops(src int) []int {
 		relax(g.peers[u])
 	}
 	return dist
-}
-
-// ValleyFree reports whether the AS path (a sequence of AS IDs) obeys the
-// valley-free property under g's relationships: zero or more customer→
-// provider steps, at most one peer step, then zero or more provider→
-// customer steps. Used by tests as an independent check on RoutesTo.
-func (g *Graph) ValleyFree(path []int) bool {
-	const (
-		up = iota
-		peered
-		down
-	)
-	state := up
-	for i := 0; i+1 < len(path); i++ {
-		rel, ok := g.RelOf(path[i], path[i+1])
-		if !ok {
-			return false
-		}
-		switch rel {
-		case RelProvider: // step up
-			if state != up {
-				return false
-			}
-		case RelPeer:
-			if state != up {
-				return false
-			}
-			state = peered
-		case RelCustomer: // step down
-			state = down
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package asgraph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -50,8 +51,8 @@ func TestRelOf(t *testing.T) {
 	if _, ok := g.RelOf(2, 5); ok {
 		t.Error("RelOf(2,5) should not exist")
 	}
-	if g.Degree(0) != 3 {
-		t.Errorf("Degree(0) = %d", g.Degree(0))
+	if d := len(g.providers[0]) + len(g.customers[0]) + len(g.peers[0]); d != 3 {
+		t.Errorf("AS0 has %d neighbours, want 3", d)
 	}
 }
 
@@ -82,29 +83,29 @@ func TestRoutesToClasses(t *testing.T) {
 	rt := g.RoutesTo(6)
 
 	// The destination itself.
-	if rt.Class(6) != ClassSelf || rt.PathLen(6) != 0 || rt.NextHop(6) != 6 {
-		t.Fatalf("dest route wrong: %v %d %d", rt.Class(6), rt.PathLen(6), rt.NextHop(6))
+	if rt.class[6] != ClassSelf || rt.PathLen(6) != 0 || rt.parent[6] != 6 {
+		t.Fatalf("dest route wrong: %v %d %d", rt.class[6], rt.PathLen(6), rt.parent[6])
 	}
 	// 2 hears 6 as a customer route.
-	if rt.Class(2) != ClassCustomer || rt.PathLen(2) != 1 {
-		t.Fatalf("AS2: %v len %d", rt.Class(2), rt.PathLen(2))
+	if rt.class[2] != ClassCustomer || rt.PathLen(2) != 1 {
+		t.Fatalf("AS2: %v len %d", rt.class[2], rt.PathLen(2))
 	}
 	// 0 hears it up the chain: customer route of length 2.
-	if rt.Class(0) != ClassCustomer || rt.PathLen(0) != 2 {
-		t.Fatalf("AS0: %v len %d", rt.Class(0), rt.PathLen(0))
+	if rt.class[0] != ClassCustomer || rt.PathLen(0) != 2 {
+		t.Fatalf("AS0: %v len %d", rt.class[0], rt.PathLen(0))
 	}
 	// 1 hears from peer 0 (customer route at 0 is exported to peers).
-	if rt.Class(1) != ClassPeer || rt.PathLen(1) != 3 {
-		t.Fatalf("AS1: %v len %d", rt.Class(1), rt.PathLen(1))
+	if rt.class[1] != ClassPeer || rt.PathLen(1) != 3 {
+		t.Fatalf("AS1: %v len %d", rt.class[1], rt.PathLen(1))
 	}
 	// 3 hears only from its provider 0 (peer 4 has a provider route, not
 	// exportable to a peer).
-	if rt.Class(3) != ClassProvider || rt.PathLen(3) != 3 {
-		t.Fatalf("AS3: %v len %d", rt.Class(3), rt.PathLen(3))
+	if rt.class[3] != ClassProvider || rt.PathLen(3) != 3 {
+		t.Fatalf("AS3: %v len %d", rt.class[3], rt.PathLen(3))
 	}
 	// 5 must go up to 1, across the peering to 0, then down: provider route.
-	if rt.Class(5) != ClassProvider || rt.PathLen(5) != 4 {
-		t.Fatalf("AS5: %v len %d", rt.Class(5), rt.PathLen(5))
+	if rt.class[5] != ClassProvider || rt.PathLen(5) != 4 {
+		t.Fatalf("AS5: %v len %d", rt.class[5], rt.PathLen(5))
 	}
 	// All paths must be valley-free.
 	for x := 0; x < g.N(); x++ {
@@ -137,10 +138,10 @@ func TestNoValleyPaths(t *testing.T) {
 	g.AddC2P(3, 1) //nolint:errcheck
 	g.AddC2P(4, 0) //nolint:errcheck
 	rt := g.RoutesTo(4)
-	if rt.Has(3) {
+	if rt.PathLen(3) >= 0 {
 		t.Fatalf("AS3 should have no route to 4 (only a valley exists), got %v", rt.Path(3))
 	}
-	if !rt.Has(2) {
+	if rt.PathLen(2) < 0 {
 		t.Fatal("AS2 should reach 4 via provider 0")
 	}
 }
@@ -149,10 +150,10 @@ func TestRoutesToUnreachable(t *testing.T) {
 	g := NewGraph(3)
 	g.AddC2P(1, 0) //nolint:errcheck
 	rt := g.RoutesTo(1)
-	if rt.Has(2) {
+	if rt.PathLen(2) >= 0 {
 		t.Fatal("isolated AS should be unreachable")
 	}
-	if rt.PathLen(2) != -1 || rt.NextHop(2) != -1 || rt.Path(2) != nil {
+	if rt.PathLen(2) != -1 || rt.Path(2) != nil {
 		t.Fatal("unreachable accessors wrong")
 	}
 }
@@ -166,8 +167,8 @@ func TestRoutesToPrefersCustomerOverShorterPeer(t *testing.T) {
 	g.AddC2P(2, 1)  //nolint:errcheck
 	g.AddPeer(0, 2) //nolint:errcheck
 	rt := g.RoutesTo(2)
-	if rt.Class(0) != ClassCustomer || rt.PathLen(0) != 2 {
-		t.Fatalf("AS0 selected %v len %d; want customer len 2", rt.Class(0), rt.PathLen(0))
+	if rt.class[0] != ClassCustomer || rt.PathLen(0) != 2 {
+		t.Fatalf("AS0 selected %v len %d; want customer len 2", rt.class[0], rt.PathLen(0))
 	}
 }
 
@@ -180,8 +181,8 @@ func TestRoutesToTieBreakLowestNextHop(t *testing.T) {
 	g.AddC2P(3, 1) //nolint:errcheck
 	g.AddC2P(3, 2) //nolint:errcheck
 	rt := g.RoutesTo(3)
-	if rt.NextHop(0) != 1 {
-		t.Fatalf("tie-break chose %d, want 1", rt.NextHop(0))
+	if rt.parent[0] != 1 {
+		t.Fatalf("tie-break chose %d, want 1", rt.parent[0])
 	}
 }
 
@@ -259,7 +260,7 @@ func TestSynthesize(t *testing.T) {
 	for _, d := range []int{0, stubStart, stubStart + 123, g.N() - 1} {
 		rt := g.RoutesTo(d)
 		for x := 0; x < g.N(); x++ {
-			if !rt.Has(x) {
+			if rt.PathLen(x) < 0 {
 				t.Fatalf("AS%d cannot reach %d", x, d)
 			}
 			if !g.ValleyFree(rt.Path(x)) {
@@ -291,7 +292,8 @@ func TestSynthesizeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := 0; x < g1.N(); x++ {
-		if g1.Region(x) != g2.Region(x) || g1.Degree(x) != g2.Degree(x) {
+		if g1.Region(x) != g2.Region(x) || !reflect.DeepEqual(g1.providers[x], g2.providers[x]) ||
+			!reflect.DeepEqual(g1.customers[x], g2.customers[x]) || !reflect.DeepEqual(g1.peers[x], g2.peers[x]) {
 			t.Fatalf("divergence at AS%d", x)
 		}
 	}
@@ -332,4 +334,37 @@ func TestRelString(t *testing.T) {
 	if NorthAmerica.String() != "NA" || Africa.String() != "AF" {
 		t.Error("Region codes wrong")
 	}
+}
+
+// ValleyFree reports whether the AS path (a sequence of AS IDs) obeys the
+// valley-free property under g's relationships: zero or more customer→
+// provider steps, at most one peer step, then zero or more provider→
+// customer steps. Used by tests as an independent check on RoutesTo.
+func (g *Graph) ValleyFree(path []int) bool {
+	const (
+		up = iota
+		peered
+		down
+	)
+	state := up
+	for i := 0; i+1 < len(path); i++ {
+		rel, ok := g.RelOf(path[i], path[i+1])
+		if !ok {
+			return false
+		}
+		switch rel {
+		case RelProvider: // step up
+			if state != up {
+				return false
+			}
+		case RelPeer:
+			if state != up {
+				return false
+			}
+			state = peered
+		case RelCustomer: // step down
+			state = down
+		}
+	}
+	return true
 }

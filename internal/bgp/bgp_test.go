@@ -46,12 +46,11 @@ func TestBetterRanking(t *testing.T) {
 
 func TestRoutePathLenOrigin(t *testing.T) {
 	r := route("10.0.0.0/16", 5, 0, 0, asgraph.RelPeer, 5, 9, 12)
-	if r.PathLen() != 2 || r.Origin() != 12 {
-		t.Errorf("PathLen=%d Origin=%d", r.PathLen(), r.Origin())
+	if r.PathLen() != 2 {
+		t.Errorf("PathLen=%d", r.PathLen())
 	}
-	empty := Route{}
-	if empty.PathLen() != 0 || empty.Origin() != -1 {
-		t.Error("empty route accessors wrong")
+	if (Route{}).PathLen() != 0 {
+		t.Error("empty route has a path length")
 	}
 	if r.String() == "" {
 		t.Error("String should render")
@@ -140,16 +139,17 @@ func TestNewPrefixTable(t *testing.T) {
 	if pt.NumPrefixes() != 4*3 {
 		t.Fatalf("NumPrefixes = %d", pt.NumPrefixes())
 	}
-	if pt.PrefixOf(2).String() != "0.2.0.0/16" {
-		t.Fatalf("PrefixOf(2) = %v", pt.PrefixOf(2))
+	if pt.byAS[2].String() != "0.2.0.0/16" {
+		t.Fatalf("AS2 announces %v", pt.byAS[2])
 	}
-	a := pt.AddrIn(2, 77)
-	if origin, ok := pt.OriginOf(a); !ok || origin != 2 {
-		t.Fatalf("OriginOf = %d, %v", origin, ok)
+	if a := pt.AddrIn(2, 77); !pt.byAS[2].Contains(a) {
+		t.Fatalf("AddrIn(2, 77) = %v, outside AS2's /16", a)
 	}
-	// The /24 more-specific resolves to the same origin.
-	if origin, _ := pt.OriginOf(netaddr.MustParseAddr("0.2.1.9")); origin != 2 {
-		t.Fatal("more-specific origin wrong")
+	// The /24 more-specifics are announced by the same origin.
+	for _, po := range pt.All() {
+		if po.Prefix.Contains(netaddr.MustParseAddr("0.2.1.9")) && po.Origin != 2 {
+			t.Fatalf("%v covers 0.2.1.9 but is originated by AS%d", po.Prefix, po.Origin)
+		}
 	}
 }
 

@@ -10,12 +10,10 @@ import (
 // PrefixTable maps the synthetic IPv4 address plan onto the AS graph: every
 // AS originates one /16 whose upper sixteen bits are its AS number, plus
 // optional more-specific /24s (traffic-engineering-style announcements kept
-// by the same origin). The table answers both directions: which prefix an
-// AS announces, and which AS originates a given address.
+// by the same origin).
 type PrefixTable struct {
-	origins netaddr.Trie[int] // prefix -> origin AS
-	byAS    []netaddr.Prefix  // AS -> its covering /16
-	list    []PrefixOrigin
+	byAS []netaddr.Prefix // AS -> its covering /16
+	list []PrefixOrigin
 }
 
 // PrefixOrigin pairs an announced prefix with its origin AS.
@@ -35,24 +33,13 @@ func NewPrefixTable(g *asgraph.Graph, moreSpecifics int) (*PrefixTable, error) {
 	for as := 0; as < g.N(); as++ {
 		p16 := netaddr.MakePrefix(netaddr.Addr(uint32(as)<<16), 16)
 		pt.byAS[as] = p16
-		pt.origins.Insert(p16, as)
 		pt.list = append(pt.list, PrefixOrigin{Prefix: p16, Origin: as})
 		for k := 0; k < moreSpecifics; k++ {
 			p24 := netaddr.MakePrefix(netaddr.Addr(uint32(as)<<16|uint32(k)<<8), 24)
-			pt.origins.Insert(p24, as)
 			pt.list = append(pt.list, PrefixOrigin{Prefix: p24, Origin: as})
 		}
 	}
 	return pt, nil
-}
-
-// PrefixOf returns the covering /16 announced by AS as.
-func (pt *PrefixTable) PrefixOf(as int) netaddr.Prefix { return pt.byAS[as] }
-
-// OriginOf returns the AS that originates the longest-matching prefix for
-// address a.
-func (pt *PrefixTable) OriginOf(a netaddr.Addr) (int, bool) {
-	return pt.origins.Lookup(a)
 }
 
 // AddrIn returns the host-th address inside AS as's /16; host wraps within

@@ -35,15 +35,6 @@ func (r Route) PathLen() int {
 	return len(r.ASPath) - 1
 }
 
-// Origin returns the final AS on the path (the prefix's origin), or -1 for
-// an empty path.
-func (r Route) Origin() int {
-	if len(r.ASPath) == 0 {
-		return -1
-	}
-	return r.ASPath[len(r.ASPath)-1]
-}
-
 // String renders the route like a RIB dump line.
 func (r Route) String() string {
 	return fmt.Sprintf("%s nh=AS%d lp=%d med=%d rel=%s path=%v",

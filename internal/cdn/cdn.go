@@ -251,17 +251,6 @@ func Generate(g *asgraph.Graph, pt *bgp.PrefixTable, cfg Config, rng *rand.Rand)
 	return d, nil
 }
 
-// SitesByClass returns the sites in the given class, in namespace order.
-func (d *Deployment) SitesByClass(c Class) []Site {
-	var out []Site
-	for _, s := range d.Sites {
-		if s.Class == c {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // FNV-1a 64-bit parameters (hash/fnv), inlined so edgeAddr hashes on the
 // stack instead of allocating a hash.Hash64 and fmt boxing per call — the
 // function runs once per candidate address of every simulated site.

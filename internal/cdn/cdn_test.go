@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -49,8 +50,14 @@ func genDeployment(t testing.TB, seed int64) *Deployment {
 
 func TestGenerateNamespaceShape(t *testing.T) {
 	d := genDeployment(t, 1)
-	pop := d.SitesByClass(Popular)
-	unpop := d.SitesByClass(Unpopular)
+	var pop, unpop []Site
+	for _, s := range d.Sites {
+		if s.Class == Popular {
+			pop = append(pop, s)
+		} else {
+			unpop = append(unpop, s)
+		}
+	}
 	if len(pop) == 0 || len(unpop) == 0 {
 		t.Fatal("empty classes")
 	}
@@ -89,7 +96,7 @@ func TestGenerateNamespaceShape(t *testing.T) {
 	}
 	// Subdomains must carry their parent.
 	for _, s := range pop {
-		if s.Parent != "" && !s.Name.IsStrictSubdomainOf(s.Parent) {
+		if s.Parent != "" && !strings.HasSuffix(string(s.Name), "."+string(s.Parent)) {
 			t.Fatalf("site %q not a subdomain of parent %q", s.Name, s.Parent)
 		}
 	}
@@ -200,25 +207,6 @@ func TestContentCalibration(t *testing.T) {
 	}
 	t.Logf("popular events/day: median=%.2f p90=%.2f max=%.1f; unpopular mean=%.4f",
 		pop.Median(), pop.Quantile(0.9), pop.Max(), stats.Mean(unpopPerDay))
-}
-
-func TestEventsPerDay(t *testing.T) {
-	tl := Timeline{Hours: 48, Events: []Event{{Hour: 1}, {Hour: 5}, {Hour: 30}}}
-	per := tl.EventsPerDay()
-	if len(per) != 2 || per[0] != 2 || per[1] != 1 {
-		t.Fatalf("EventsPerDay = %v", per)
-	}
-}
-
-// A boundary event at Hour == Hours is legal (an event landing exactly as
-// the window closes) and used to index out of range when Hours was a
-// multiple of 24; it must get its own day bucket instead.
-func TestEventsPerDayBoundary(t *testing.T) {
-	tl := Timeline{Hours: 48, Events: []Event{{Hour: 1}, {Hour: 48}}}
-	per := tl.EventsPerDay()
-	if len(per) != 3 || per[0] != 1 || per[1] != 0 || per[2] != 1 {
-		t.Fatalf("EventsPerDay = %v, want [1 0 1]", per)
-	}
 }
 
 // syntheticTimeline builds a replay-only timeline of the given length: a

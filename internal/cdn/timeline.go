@@ -32,24 +32,6 @@ type Timeline struct {
 // EventCount returns the number of mobility events over the whole timeline.
 func (tl *Timeline) EventCount() int { return len(tl.Events) }
 
-// EventsPerDay buckets the events into 24-hour days. The bucket count covers
-// every event hour, so a boundary event at Hour == Hours (legal by
-// construction: an event that lands exactly as the window closes) gets its
-// own day instead of an out-of-range index.
-func (tl *Timeline) EventsPerDay() []int {
-	days := (tl.Hours + 23) / 24
-	for i := range tl.Events {
-		if d := tl.Events[i].Hour / 24; d >= days {
-			days = d + 1
-		}
-	}
-	out := make([]int, days)
-	for _, e := range tl.Events {
-		out[e.Hour/24]++
-	}
-	return out
-}
-
 // setWalker maintains the sorted address set of a timeline replay
 // incrementally: the current set is a sorted slice, and each event is
 // applied as a single ordered merge of (current minus Removed) with Added
@@ -151,6 +133,7 @@ func (w *setWalker) runTo(tl *Timeline, hour int) {
 // allocated and safe to retain.
 //
 //lint:zeroalloc per replayed event; only the returned clone allocates
+//lint:allow reach vantage's tests (vantage_test.go, chaos_test.go) hold the controller's merged sets to the truth hour by hour
 func (tl *Timeline) SetAt(hour int) []netaddr.Addr {
 	var w setWalker
 	w.runTo(tl, hour)

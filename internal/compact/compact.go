@@ -100,9 +100,6 @@ func New(g *topology.Graph, numLandmarks int, rng *rand.Rand) (*Scheme, error) {
 	return s, nil
 }
 
-// Landmarks returns the landmark set.
-func (s *Scheme) Landmarks() []int { return s.landmarks }
-
 // AddressOf returns the compact address of node v.
 func (s *Scheme) AddressOf(v int) Address {
 	return Address{Node: v, Landmark: s.nearest[v]}

@@ -28,8 +28,8 @@ func TestNewErrors(t *testing.T) {
 	}
 	// Landmark count clamps to n.
 	s := mustScheme(t, topology.Clique(5), 99, 1)
-	if len(s.Landmarks()) != 5 {
-		t.Fatalf("landmarks = %d", len(s.Landmarks()))
+	if len(s.landmarks) != 5 {
+		t.Fatalf("landmarks = %d", len(s.landmarks))
 	}
 }
 
@@ -37,8 +37,8 @@ func TestDefaultLandmarkCount(t *testing.T) {
 	g := topology.Grid(10, 10)
 	s := mustScheme(t, g, 0, 2)
 	want := int(math.Ceil(math.Sqrt(100)))
-	if len(s.Landmarks()) != want {
-		t.Fatalf("landmarks = %d, want %d", len(s.Landmarks()), want)
+	if len(s.landmarks) != want {
+		t.Fatalf("landmarks = %d, want %d", len(s.landmarks), want)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestExactRoutesWhereTablesExist(t *testing.T) {
 	g := topology.Grid(7, 7)
 	s := mustScheme(t, g, 0, 3)
 	hops := g.AllPairsHops()
-	for _, lm := range s.Landmarks() {
+	for _, lm := range s.landmarks {
 		for src := 0; src < g.N(); src++ {
 			got, err := s.Route(src, s.AddressOf(lm))
 			if err != nil {
@@ -149,7 +149,7 @@ func TestRouteUnknownLandmark(t *testing.T) {
 	g := topology.Chain(20)
 	s := mustScheme(t, g, 2, 1)
 	isLandmark := map[int]bool{}
-	for _, lm := range s.Landmarks() {
+	for _, lm := range s.landmarks {
 		isLandmark[lm] = true
 	}
 	checked := false

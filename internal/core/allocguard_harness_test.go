@@ -41,18 +41,6 @@ func guardRouter() RouteLookup {
 // warm-up must be absolutely allocation-free.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	return map[string]func(t *testing.T) float64{
-		"ContentUpdateStatsFused": func(t *testing.T) float64 {
-			r := guardRouter()
-			small, large := guardTimeline(16), guardTimeline(512)
-			fusedAllocs := func(tl *cdn.Timeline) float64 {
-				return testing.AllocsPerRun(10, func() {
-					if s := ContentUpdateStatsFused(r, tl); s.BestPort.Events != len(tl.Events) {
-						t.Fatalf("fused replay saw %d events, want %d", s.BestPort.Events, len(tl.Events))
-					}
-				})
-			}
-			return fusedAllocs(&large) - fusedAllocs(&small)
-		},
 		"ContentUpdateStatsAllFused": func(t *testing.T) float64 {
 			r := guardRouter()
 			pool := func(events int) []cdn.Timeline {

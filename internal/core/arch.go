@@ -4,128 +4,9 @@ import (
 	"sort"
 
 	"locind/internal/asgraph"
-	"locind/internal/bgp"
 	"locind/internal/iplane"
 	"locind/internal/mobility"
 )
-
-// Architecture identifies one of the three puristic approaches of §2.
-type Architecture uint8
-
-// The three puristic architectures.
-const (
-	// Indirection routes all traffic through a home agent that tracks the
-	// endpoint's current address (Mobile IP, GSM HLR, i3).
-	Indirection Architecture = iota
-	// Resolution resolves names to current addresses through an
-	// extra-network service before communicating (DNS, GNS, LISP, HIP).
-	Resolution
-	// NameRouting routes directly on names at every router (TRIAD, ROFL,
-	// NDN, SEATTLE).
-	NameRouting
-)
-
-// String names the architecture.
-func (a Architecture) String() string {
-	switch a {
-	case Indirection:
-		return "indirection"
-	case Resolution:
-		return "name-resolution"
-	case NameRouting:
-		return "name-based-routing"
-	}
-	return "unknown"
-}
-
-// DeviceCosts is the §6 cost-benefit readout for one architecture over a
-// device-mobility workload.
-type DeviceCosts struct {
-	Arch Architecture
-
-	// UpdatesPerEvent is the expected number of updated entities per
-	// mobility event: exactly 1 (the home agent or the resolution service)
-	// for the addressing-assisted architectures; the expected number of
-	// impacted routers for name-based routing.
-	UpdatesPerEvent float64
-
-	// RouterUpdateRate maps each evaluated router to the fraction of events
-	// inducing an update there (name-based routing only).
-	RouterUpdateRate map[string]float64
-
-	// StretchASHops is the expected additive data-path stretch in AS hops
-	// (indirection's triangle-routing penalty; zero for the others).
-	StretchASHops float64
-
-	// ExtraFIBFraction estimates the fraction of endpoints for which a
-	// router holds an extra displaced-entry at any time (name-based
-	// routing; §6.2.2's ≈1% back-of-the-envelope).
-	ExtraFIBFraction float64
-}
-
-// EvaluateDeviceArchitecture computes the device-mobility costs of one
-// architecture against the measured workload. collectors are the evaluated
-// routers (used by NameRouting only); pairs and awayFrac feed the
-// indirection stretch estimate.
-func EvaluateDeviceArchitecture(
-	arch Architecture,
-	g *asgraph.Graph,
-	collectors []*bgp.Collector,
-	events []mobility.MoveEvent,
-	pairs []mobility.DominantPair,
-) DeviceCosts {
-	out := DeviceCosts{Arch: arch}
-	switch arch {
-	case Indirection:
-		out.UpdatesPerEvent = 1
-		hops := IndirectionStretchHops(g, pairs)
-		if len(hops) > 0 {
-			sum := 0.0
-			for _, h := range hops {
-				sum += h
-			}
-			out.StretchASHops = sum / float64(len(hops))
-		}
-	case Resolution:
-		out.UpdatesPerEvent = 1
-	case NameRouting:
-		out.RouterUpdateRate = map[string]float64{}
-		// Expected updates per event across the evaluated routers is the
-		// sum of per-router update rates.
-		sum := 0.0
-		for _, c := range collectors {
-			rate := DeviceUpdateStats(c.FIB, events).Rate()
-			out.RouterUpdateRate[c.Name] = rate
-			sum += rate
-		}
-		if len(collectors) > 0 {
-			out.UpdatesPerEvent = sum
-			out.ExtraFIBFraction = ExtraFIBFraction(sum/float64(len(collectors)), awayFraction(pairs))
-		}
-	}
-	return out
-}
-
-// awayFraction estimates the average fraction of a day endpoints spend away
-// from their dominant AS, used by the displaced-entry estimate. Each
-// DominantPair carries the dwell fraction of one non-dominant AS for one
-// user-day, so the per-user-day away time is the per-pair mean scaled by
-// the average number of pairs per user-day; we approximate the latter by 2
-// (home/work/cellular days contribute two non-dominant ASes).
-func awayFraction(pairs []mobility.DominantPair) float64 {
-	if len(pairs) == 0 {
-		return 0.3 // the paper's ballpark
-	}
-	sum := 0.0
-	for _, p := range pairs {
-		sum += p.DwellFrac
-	}
-	frac := sum / float64(len(pairs)) * 2
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
-}
 
 // IndirectionStretchHops returns, for each dominant→visited displacement,
 // the AS-hop distance between home (dominant) and current AS on the

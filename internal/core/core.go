@@ -166,7 +166,7 @@ func BestPortOf(r RouteLookup, addrs []netaddr.Addr) (int, bool) {
 
 // ContentUpdated implements the §3.3.1 update-cost definition for a single
 // mobility event Addrs(d, t1) -> Addrs(d, t2) under the given strategy
-// (UnionFlooding is stateful; use ContentUpdateStatsFused for it).
+// (UnionFlooding is stateful; use ContentUpdateStatsAllFused for it).
 func ContentUpdated(r RouteLookup, before, after []netaddr.Addr, st Strategy) bool {
 	switch st {
 	case BestPort:
@@ -304,24 +304,16 @@ func (f *fusedEval) replay(r RouteLookup, tl *cdn.Timeline) StrategyStats {
 	return out
 }
 
-// ContentUpdateStatsFused replays a timeline once and evaluates all three
-// §3.3.1 strategies in that single Timeline.Walk. Each address is resolved
+// ContentUpdateStatsAllFused replays each timeline once and evaluates all
+// three §3.3.1 strategies in that single Timeline.Walk, pooling the counts
+// (union state starts over with every timeline). Each address is resolved
 // once, when it enters the set, so a timeline costs one route lookup per
 // initial address plus one per address an event adds, where a
 // strategy-at-a-time replay pays ~6 per address per event. The counts are
 // identical to running the per-strategy replay (ContentUpdateStats in
-// strategy_oracle_test.go) once per strategy.
-//
-//lint:zeroalloc per event after the evaluator's scratch warms up
-func ContentUpdateStatsFused(r RouteLookup, tl *cdn.Timeline) StrategyStats {
-	var f fusedEval
-	return f.replay(r, tl)
-}
-
-// ContentUpdateStatsAllFused pools ContentUpdateStatsFused over many
-// timelines (union state starts over with every timeline),
-// sharing one scratch evaluator: once it is warm, a further timeline costs
-// only what Timeline.Walk allocates for its own buffers.
+// strategy_oracle_test.go) once per strategy. The timelines share one scratch
+// evaluator: once it is warm, a further timeline costs only what
+// Timeline.Walk allocates for its own buffers.
 //
 //lint:zeroalloc per event, and per timeline beyond Timeline.Walk's own buffers
 func ContentUpdateStatsAllFused(r RouteLookup, tls []cdn.Timeline) StrategyStats {
@@ -346,27 +338,9 @@ func BestPortTable(r RouteLookup, sets map[names.Name][]netaddr.Addr) map[names.
 	return out
 }
 
-// FloodPortTable builds the complete table under controlled flooding: every
-// name mapped to its canonicalized eligible port set.
-func FloodPortTable(r RouteLookup, sets map[names.Name][]netaddr.Addr) map[names.Name]string {
-	out := make(map[names.Name]string, len(sets))
-	for n, addrs := range sets {
-		ports := PortSet(r, addrs)
-		if len(ports) > 0 {
-			out[n] = portSetKey(ports)
-		}
-	}
-	return out
-}
-
 // AggregateabilityBestPort computes the §3.3.2 aggregateability metric (the
 // ratio of complete to LPM table size) at router r under best-port
 // forwarding — Figure 12's per-collector quantity.
 func AggregateabilityBestPort(r RouteLookup, sets map[names.Name][]netaddr.Addr) float64 {
 	return names.Aggregateability(BestPortTable(r, sets))
-}
-
-// AggregateabilityFlooding is the controlled-flooding analogue.
-func AggregateabilityFlooding(r RouteLookup, sets map[names.Name][]netaddr.Addr) float64 {
-	return names.Aggregateability(FloodPortTable(r, sets))
 }

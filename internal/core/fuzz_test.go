@@ -29,7 +29,7 @@ func (fuzzTable) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
 }
 
 // FuzzTimelineWalk builds a content timeline from fuzz bytes and checks
-// that the fused single-walk replay (ContentUpdateStatsFused) agrees
+// that the fused single-walk replay (ContentUpdateStatsAllFused) agrees
 // strategy-for-strategy with three independent per-strategy replays — the
 // equivalence the fused fast path promises.
 //
@@ -79,7 +79,7 @@ func FuzzTimelineWalk(f *testing.F) {
 		tl := &cdn.Timeline{Hours: hour + 1, Initial: initial, Events: events}
 
 		tbl := fuzzTable{}
-		fused := ContentUpdateStatsFused(tbl, tl)
+		fused := ContentUpdateStatsAllFused(tbl, []cdn.Timeline{*tl})
 		want := StrategyStats{
 			BestPort: ContentUpdateStats(tbl, tl, BestPort),
 			Flooding: ContentUpdateStats(tbl, tl, ControlledFlooding),

@@ -63,6 +63,8 @@ func NewEnv(seed int64) *Env {
 // SetSleep replaces the wait implementation — the virtual-clock hook. Tests
 // install a no-op (or a recording function) so delay faults cost no wall
 // time while remaining part of the deterministic trace.
+//
+//lint:allow reach the chaos tests of gns, vantage and nomad (chaos_test.go, device_test.go) install a no-op clock so injected delays cost no wall time
 func (e *Env) SetSleep(fn func(time.Duration)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -81,6 +83,8 @@ func (e *Env) Stats() Stats {
 
 // Trace returns the ordered log of injected faults. Two runs with the same
 // seed and operation sequence produce identical traces.
+//
+//lint:allow reach gns's TestChaosDeterministicReplay (chaos_test.go) compares two runs' traces, the replay contract of the package comment
 func (e *Env) Trace() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -92,6 +96,8 @@ func (e *Env) Trace() []string {
 // Trace(). Fault spans share the causal-tree export with request spans, so
 // a Chrome trace shows which faults interleaved with which retries. nil
 // detaches the tracer.
+//
+//lint:allow reach gns's trace_chaos_test.go checks fault spans against the trace one for one
 func (e *Env) SetTracer(tr *obs.Tracer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

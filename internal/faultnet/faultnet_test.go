@@ -146,23 +146,6 @@ func TestPacketDelayUsesSleepHook(t *testing.T) {
 	}
 }
 
-func TestPerPeerOverride(t *testing.T) {
-	env := NewEnv(11)
-	srv, cli := udpPair(t, env, PacketFaults{}, PacketFaults{Drop: 1})
-	// Learn the client's address, then exempt it from the default drop.
-	cliAddr := cli.LocalAddr().String()
-	srv.SetPeerFaults(cliAddr, PacketFaults{}, PacketFaults{})
-	if _, err := cli.Write([]byte("kept")); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
-	buf := make([]byte, 64)
-	n, _, err := srv.ReadFrom(buf)
-	if err != nil || string(buf[:n]) != "kept" {
-		t.Fatalf("per-peer exemption failed: %q, %v", buf[:n], err)
-	}
-}
-
 // TestPacketDeterministicTrace is the substrate-level determinism contract:
 // the same seed and operation sequence yield an identical fault trace.
 func TestPacketDeterministicTrace(t *testing.T) {

@@ -103,19 +103,17 @@ type heldPacket struct {
 	addr net.Addr
 }
 
-// PacketConn wraps a net.PacketConn with per-direction, per-peer fault
-// injection. Send faults apply to WriteTo, receive faults to ReadFrom.
+// PacketConn wraps a net.PacketConn with per-direction fault injection. Send
+// faults apply to WriteTo, receive faults to ReadFrom.
 type PacketConn struct {
 	inner      net.PacketConn
 	env        *Env
-	send, recv PacketFaults
+	send, recv PacketFaults // fixed at wrap time
 
-	mu       sync.Mutex
-	peerSend map[string]PacketFaults
-	peerRecv map[string]PacketFaults
-	heldOut  *heldPacket  // parked by a send-side reorder
-	pending  []heldPacket // receive-side queue: dups and released reorders
-	heldIn   *heldPacket  // parked by a receive-side reorder
+	mu      sync.Mutex
+	heldOut *heldPacket  // parked by a send-side reorder
+	pending []heldPacket // receive-side queue: dups and released reorders
+	heldIn  *heldPacket  // parked by a receive-side reorder
 }
 
 // WrapPacketConn wraps pc so datagrams written through it suffer send
@@ -125,44 +123,13 @@ func WrapPacketConn(pc net.PacketConn, env *Env, send, recv PacketFaults) *Packe
 	return &PacketConn{inner: pc, env: env, send: send, recv: recv}
 }
 
-// SetPeerFaults overrides the fault rates for one peer address (the
-// String() of the peer's net.Addr) — e.g. a single vantage client behind a
-// much lossier link than the rest.
-func (c *PacketConn) SetPeerFaults(peer string, send, recv PacketFaults) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.peerSend == nil {
-		c.peerSend = map[string]PacketFaults{}
-		c.peerRecv = map[string]PacketFaults{}
-	}
-	c.peerSend[peer] = send
-	c.peerRecv[peer] = recv
-}
-
-func (c *PacketConn) faultsFor(addr net.Addr, recv bool) PacketFaults {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.peerSend
-	def := c.send
-	if recv {
-		m, def = c.peerRecv, c.recv
-	}
-	if addr != nil && m != nil {
-		if f, ok := m[addr.String()]; ok {
-			return f
-		}
-	}
-	return def
-}
-
 // WriteTo applies send-direction faults, then forwards to the inner conn.
 // Dropped datagrams still report success, as a lossy network would.
 func (c *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	f := c.faultsFor(addr, false)
-	if !f.enabled() {
+	if !c.send.enabled() {
 		return c.inner.WriteTo(p, addr)
 	}
-	d := c.env.decidePacket(f, "send", len(p))
+	d := c.env.decidePacket(c.send, "send", len(p))
 	if d.drop {
 		return len(p), nil
 	}
@@ -220,11 +187,10 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		if err != nil {
 			return n, addr, err
 		}
-		f := c.faultsFor(addr, true)
-		if !f.enabled() {
+		if !c.recv.enabled() {
 			return n, addr, nil
 		}
-		d := c.env.decidePacket(f, "recv", n)
+		d := c.env.decidePacket(c.recv, "recv", n)
 		if d.drop {
 			continue
 		}

@@ -54,6 +54,9 @@ func serveLoopback(t *testing.T, svc Backend) *Server {
 	return srv
 }
 
+// Addr returns the bound address.
+func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
+
 // wireClient is the least caller a Server can have — one Transport under
 // one reliable.Policy, counting attempts — for the same tests. The
 // production client is cluster.Client.

@@ -61,8 +61,6 @@ type Client struct {
 	Backoff reliable.Backoff
 	// Rand supplies backoff jitter; nil disables jitter.
 	Rand *rand.Rand
-	// Budget, when non-nil, caps retries across all calls on this client.
-	Budget *reliable.Budget
 	// Sleep overrides the inter-attempt wait (virtual clock hook).
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Metrics, when non-nil, counts cluster-level activity.
@@ -111,10 +109,9 @@ type ClientConfig struct {
 	// need distinct origins. Values must stay below 1<<32 (replica store
 	// origins live above).
 	Origin uint64
-	// BreakerThreshold and BreakerCooldown configure every per-replica
-	// circuit breaker (zero = reliable.Breaker defaults).
-	BreakerThreshold int
-	BreakerCooldown  int
+	// BreakerCooldown configures every per-replica circuit breaker (zero =
+	// the reliable.Breaker default).
+	BreakerCooldown int
 	// CacheLimit bounds the last-known-good cache (0 = unbounded).
 	CacheLimit int
 }
@@ -135,7 +132,7 @@ func NewClient(addrs [][]string, cfg ClientConfig) *Client {
 		row := make([]*reliable.Breaker, len(addrs[si]))
 		for ri := range row {
 			si, ri := si, ri
-			b := &reliable.Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown}
+			b := &reliable.Breaker{Cooldown: cfg.BreakerCooldown}
 			b.OnTransition = func(from, to reliable.BreakerState) {
 				m := c.Metrics.orNop()
 				switch to {
@@ -200,15 +197,6 @@ func (c *Client) Attempts() int64 { return c.attempts.Load() }
 // StaleServed returns how many lookups degraded to last-known-good.
 func (c *Client) StaleServed() int64 { return c.stale.Load() }
 
-// CacheEvictions returns how many cached bindings epoch flushes dropped.
-func (c *Client) CacheEvictions() int64 { return c.cache.Evictions() }
-
-// BreakerState exposes one replica's circuit state (introspection and
-// tests).
-func (c *Client) BreakerState(shard, replica int) reliable.BreakerState {
-	return c.breakers[shard][replica].State()
-}
-
 // ResetBreakers force-closes every replica circuit. Demand-driven cooldown
 // means an opened breaker re-probes only after BreakerCooldown rejected
 // requests; when the operator knows the fault is fixed (a partition healed,
@@ -222,9 +210,6 @@ func (c *Client) ResetBreakers() {
 		}
 	}
 }
-
-// Shards returns the shard count of the routing grid.
-func (c *Client) Shards() int { return len(c.shards) }
 
 func majority(r int) int { return r/2 + 1 }
 
@@ -299,7 +284,6 @@ func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, par
 		PerAttempt:  timeout,
 		Backoff:     c.Backoff,
 		Rand:        c.Rand,
-		Budget:      c.Budget,
 		Sleep:       c.Sleep,
 		Metrics:     c.RetryMetrics,
 		TraceSpan:   leg,

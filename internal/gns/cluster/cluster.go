@@ -84,12 +84,11 @@ type Node struct {
 func (n *Node) Addr() string { return n.addr }
 
 // Cluster is a running set of Shards×Replicas gns.Server nodes on
-// loopback, their shared fault environment, and the partition controller
-// chaos tests drive. Every transport is wrapped in faultnet, so whole
-// shards can be killed (Partition().Isolate) and healed deterministically.
+// loopback and the partition controller the chaos soak drives. Every
+// transport is wrapped in faultnet, so whole shards can be killed
+// (KillShard) and healed deterministically.
 type Cluster struct {
 	cfg   Config
-	env   *faultnet.Env
 	part  *faultnet.Partition
 	nodes [][]*Node // [shard][replica]
 }
@@ -102,7 +101,7 @@ func Start(ctx context.Context, cfg Config, env *faultnet.Env, sm *gns.ServerMet
 	if cfg.Shards < 1 || cfg.Replicas < 1 {
 		return nil, fmt.Errorf("cluster: bad topology (shards=%d, replicas=%d)", cfg.Shards, cfg.Replicas)
 	}
-	c := &Cluster{cfg: cfg, env: env, part: env.NewPartition()}
+	c := &Cluster{cfg: cfg, part: env.NewPartition()}
 	for s := 0; s < cfg.Shards; s++ {
 		var row []*Node
 		for r := 0; r < cfg.Replicas; r++ {
@@ -180,13 +179,6 @@ func (c *Cluster) ShardAddrs(shard int) []string {
 	}
 	return out
 }
-
-// Env returns the cluster's fault environment.
-func (c *Cluster) Env() *faultnet.Env { return c.env }
-
-// Partition returns the partition controller. KillShard/KillReplica/Heal
-// are conveniences over it.
-func (c *Cluster) Partition() *faultnet.Partition { return c.part }
 
 // KillShard isolates every replica of shard — the whole-shard crash of the
 // acceptance chaos test. Lookups route around it (hedge, then degrade to

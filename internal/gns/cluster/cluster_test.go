@@ -222,9 +222,11 @@ func TestClusterHedgedLookupFailsOver(t *testing.T) {
 
 func TestClusterBreakerSkipsDeadReplica(t *testing.T) {
 	c, cl, _ := startCluster(t, 1, 3, 4)
-	cl.breakers[0][0] = &reliable.Breaker{Threshold: 1, Cooldown: 1000}
-	cl.breakers[0][1] = &reliable.Breaker{Threshold: 1, Cooldown: 1000}
-	cl.breakers[0][2] = &reliable.Breaker{Threshold: 1, Cooldown: 1000}
+	var state [3]reliable.BreakerState // each replica's circuit, as its transitions report it
+	for r := range state {
+		cl.breakers[0][r] = &reliable.Breaker{Threshold: 1, Cooldown: 1000,
+			OnTransition: func(_, to reliable.BreakerState) { state[r] = to }}
+	}
 	ctx := context.Background()
 	name := nameOn(t, 1, 0)
 	if _, err := cl.Update(ctx, name, []netaddr.Addr{netaddr.MustParseAddr("10.0.0.8")}); err != nil {
@@ -238,7 +240,7 @@ func TestClusterBreakerSkipsDeadReplica(t *testing.T) {
 	if _, err := cl.Lookup(ctx, name); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.BreakerState(0, primary); got != reliable.BreakerOpen {
+	if got := state[primary]; got != reliable.BreakerOpen {
 		t.Fatalf("primary breaker %v, want open", got)
 	}
 	// Subsequent lookups skip the dead replica without a network attempt.
@@ -427,7 +429,7 @@ func stubReplica(t *testing.T, resp gns.Response) string {
 	}
 	srv := gns.ServePacketConnObserved(context.Background(), stubBackend{resp}, pc, nil)
 	t.Cleanup(func() { srv.Close() })
-	return srv.Addr()
+	return pc.LocalAddr().String()
 }
 
 type stubBackend struct{ resp gns.Response }
@@ -539,8 +541,8 @@ func TestClientRaggedAndEmptyGrid(t *testing.T) {
 			t.Fatalf("lookup %q on a ragged grid: %+v, %v", name, rec, err)
 		}
 	}
-	if st := cl.BreakerState(1, 2); st != reliable.BreakerClosed {
-		t.Fatalf("breaker of the longer row's last replica is %v", st)
+	if !cl.breakers[1][2].Allow() {
+		t.Fatal("breaker of the longer row's last replica is not closed")
 	}
 
 	for _, grid := range [][][]string{nil, {{}}, {{}, {}}} {

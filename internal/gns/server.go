@@ -57,9 +57,6 @@ func ServePacketConnObserved(ctx context.Context, svc Backend, conn net.PacketCo
 	return s
 }
 
-// Addr returns the bound address.
-func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
-
 // close tears the transport down exactly once; concurrent Close and ctx
 // cancellation must not race a second conn.Close error over the first.
 func (s *Server) close() error {

@@ -184,6 +184,8 @@ func (t *Transport) put(addr string, conn net.Conn) {
 }
 
 // IdleSockets reports how many idle sockets the Transport holds for addr.
+//
+//lint:allow reach cluster's TestClusterConcurrentUpdatesRespectIdleCap (cluster_test.go) holds the client's pool to MaxIdlePerAddr through it
 func (t *Transport) IdleSockets(addr string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

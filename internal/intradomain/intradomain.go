@@ -180,16 +180,6 @@ func (n *Network) TotalHostRoutes() int {
 	return total
 }
 
-// IndirectionStretch returns the §5-style additive stretch of routing via a
-// home router: dist(src, home) + dist(home, cur) - dist(src, cur), in hops.
-func (n *Network) IndirectionStretch(src, home, cur int) int {
-	d, _ := n.g.BFS(src)
-	dh, _ := n.g.BFS(home)
-	direct := d[cur]
-	viaHome := d[home] + dh[cur]
-	return viaHome - direct
-}
-
 // AggregateRenumberCost computes the expected fraction of routers updated
 // per mobility event under uniform random movement — comparable to
 // analytic.ExactNameBased, but derived from the address-plan FIBs rather

@@ -225,3 +225,13 @@ func TestAggregateCostMatchesAnalyticRandom(t *testing.T) {
 		}
 	}
 }
+
+// IndirectionStretch returns the §5-style additive stretch of routing via a
+// home router: dist(src, home) + dist(home, cur) - dist(src, cur), in hops.
+func (n *Network) IndirectionStretch(src, home, cur int) int {
+	d, _ := n.g.BFS(src)
+	dh, _ := n.g.BFS(home)
+	direct := d[cur]
+	viaHome := d[home] + dh[cur]
+	return viaHome - direct
+}

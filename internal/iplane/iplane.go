@@ -49,23 +49,12 @@ func LinkLatency(g *asgraph.Graph, a, b int) float64 {
 	return base
 }
 
-// PathLatency sums the link latencies along an AS path.
-func PathLatency(g *asgraph.Graph, path []int) float64 {
-	total := 0.0
-	for i := 0; i+1 < len(path); i++ {
-		total += LinkLatency(g, path[i], path[i+1])
-	}
-	return total
-}
-
 // Predictor answers latency queries for AS pairs covered by its measured
 // traceroute corpus.
 type Predictor struct {
-	g *asgraph.Graph
 	// pairLat maps a covered ordered pair (packed as src<<32|dst) to the
 	// measured sub-path latency.
 	pairLat map[uint64]float64
-	nTraces int
 }
 
 func pack(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
@@ -76,7 +65,7 @@ func pack(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(
 // Fewer traces means lower coverage — tune numTraces to reproduce iPlane's
 // 5% response rate for a given query population.
 func Build(g *asgraph.Graph, targets []int, numTraces int, rng *rand.Rand) *Predictor {
-	p := &Predictor{g: g, pairLat: map[uint64]float64{}, nTraces: numTraces}
+	p := &Predictor{pairLat: map[uint64]float64{}}
 	if len(targets) == 0 || numTraces <= 0 {
 		return p
 	}
@@ -108,13 +97,6 @@ func Build(g *asgraph.Graph, targets []int, numTraces int, rng *rand.Rand) *Pred
 	return p
 }
 
-// NumTraces returns how many traceroutes were attempted during Build.
-func (p *Predictor) NumTraces() int { return p.nTraces }
-
-// NumPairs returns the number of (ordered) AS pairs the predictor can
-// answer for.
-func (p *Predictor) NumPairs() int { return len(p.pairLat) }
-
 // Query predicts the one-way latency from srcAS to dstAS. Like iPlane, it
 // answers only when its measured segments cover the pair.
 func (p *Predictor) Query(srcAS, dstAS int) (float64, bool) {
@@ -123,20 +105,4 @@ func (p *Predictor) Query(srcAS, dstAS int) (float64, bool) {
 	}
 	lat, ok := p.pairLat[pack(srcAS, dstAS)]
 	return lat, ok
-}
-
-// Coverage returns the fraction of the given query pairs the predictor can
-// answer, mirroring the paper's observation that iPlane responded for only
-// 5% of its dominant/current address pairs.
-func (p *Predictor) Coverage(pairs [][2]int) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, q := range pairs {
-		if _, answered := p.Query(q[0], q[1]); answered {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(pairs))
 }

@@ -25,6 +25,7 @@ var knownChecks = map[string]bool{
 	"errflow":     true,
 	"ctxflow":     true,
 	"lockflow":    true,
+	"reach":       true,
 	"all":         true,
 }
 
@@ -38,6 +39,7 @@ type allowIndex struct {
 	pkg   map[string]bool            // check -> package-wide allow
 	files map[string]map[string]bool // filename -> check set
 	lines map[lineKey]bool
+	dirs  []lineKey // each line-scope directive, where it stands: reach reports the stale ones
 }
 
 func (ai *allowIndex) suppressed(d Diagnostic) bool {
@@ -117,6 +119,7 @@ func collectAllows(pkg *Package) (*allowIndex, []Diagnostic) {
 				case kind == "file-allow":
 					fileSet(ai.files, filename)[check] = true
 				default: // line scope: the directive's line and the one below
+					ai.dirs = append(ai.dirs, lineKey{filename, cpos.Line, check})
 					ai.lines[lineKey{filename, cpos.Line, check}] = true
 					ai.lines[lineKey{filename, cpos.Line + 1, check}] = true
 				}

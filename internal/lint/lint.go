@@ -21,6 +21,9 @@
 //	             goroutines or touch the network without a context.Context
 //	lockflow     mutexes copied by value, locks held across blocking
 //	             operations, and inconsistent lock acquisition order
+//	reach        declarations no cmd/, examples/ or bench binary can reach:
+//	             code kept alive by its own tests alone, and packages that
+//	             nothing links (the one whole-program check)
 //
 // Findings are suppressed with `//lint:allow <check> <reason>` comments; see
 // allow.go for the three scopes (line, file, package). The companion
@@ -37,11 +40,14 @@ import (
 	"sort"
 )
 
-// An Analyzer describes one named check; Run is invoked once per package.
+// An Analyzer describes one named check. Run is invoked once per package; a
+// whole-program check sets RunAll instead, which is invoked once with one
+// Pass per loaded package.
 type Analyzer struct {
-	Name string // short lower-case identifier, used in //lint:allow directives
-	Doc  string // one-paragraph description of the invariant
-	Run  func(*Pass) error
+	Name   string // short lower-case identifier, used in //lint:allow directives
+	Doc    string // one-paragraph description of the invariant
+	Run    func(*Pass) error
+	RunAll func([]*Pass)
 }
 
 // A Pass presents one package to one analyzer.
@@ -52,7 +58,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	diags *[]Diagnostic
+	diags  *[]Diagnostic
+	allows *allowIndex // the package's //lint:allow directives
 }
 
 // A Diagnostic is one finding, positioned in the file set of the pass that
@@ -78,7 +85,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Errflow, Ctxflow, Lockflow}
+	return []*Analyzer{Determinism, Errflow, Ctxflow, Lockflow, Reach}
 }
 
 // A Report is the outcome of one Run: the surviving diagnostics plus an
@@ -90,7 +97,8 @@ type Report struct {
 	SuppressedByCheck map[string]int
 }
 
-// Run applies each analyzer to each package and returns the surviving
+// Run applies each analyzer to each package (a whole-program analyzer to all
+// of them at once) and returns the surviving
 // diagnostics (after //lint:allow suppression), sorted by position, along
 // with the suppressed-findings accounting. Malformed //lint:allow
 // directives are themselves surfaced as findings so they cannot rot
@@ -98,24 +106,37 @@ type Report struct {
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Report, error) {
 	var diags []Diagnostic
 	rep := &Report{SuppressedByCheck: map[string]int{}}
-	for _, pkg := range pkgs {
-		allows, malformed := collectAllows(pkg)
+	allows := make([]*allowIndex, len(pkgs))
+	for i, pkg := range pkgs {
+		var malformed []Diagnostic
+		allows[i], malformed = collectAllows(pkg)
 		diags = append(diags, malformed...)
-		for _, a := range analyzers {
-			var raw []Diagnostic
-			pass := &Pass{
+	}
+	for _, a := range analyzers {
+		raw := make([][]Diagnostic, len(pkgs))
+		passes := make([]*Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				diags:     &raw,
+				diags:     &raw[i],
+				allows:    allows[i],
 			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
+		}
+		if a.RunAll != nil {
+			a.RunAll(passes)
+		}
+		for i := 0; a.Run != nil && i < len(passes); i++ {
+			if err := a.Run(passes[i]); err != nil {
+				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkgs[i].Path, err)
 			}
-			for _, d := range raw {
-				if allows.suppressed(d) {
+		}
+		for i := range pkgs {
+			for _, d := range raw[i] {
+				if allows[i].suppressed(d) {
 					rep.Suppressed++
 					rep.SuppressedByCheck[d.Check]++
 					continue

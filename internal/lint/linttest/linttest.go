@@ -15,6 +15,8 @@
 // on that line. Diagnostics with no matching want, and wants with no
 // matching diagnostic, fail the test — so a fixture line with no want
 // comment is also an assertion: the analyzer must stay quiet there.
+//
+//lint:package-allow reach a test harness: internal/lint's analyzer tests are its only importers, and no binary should link it
 package linttest
 
 import (

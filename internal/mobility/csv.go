@@ -31,6 +31,8 @@ func WriteCSV(w io.Writer, dt *DeviceTrace) error {
 
 // ReadCSV parses a trace produced by WriteCSV. Days is inferred from the
 // latest visit.
+//
+//lint:allow reach expt's TestExportAll (expt_test.go) reads back what locind -out wrote with WriteCSV
 func ReadCSV(r io.Reader) (*DeviceTrace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)

@@ -32,30 +32,6 @@ func (n Name) Depth() int {
 	return strings.Count(string(n), ".") + 1
 }
 
-// Parent strips the leftmost (most specific) label: the parent of
-// "travel.yahoo.com" is "yahoo.com". The second return is false when n is a
-// single label or empty (its parent is the root).
-func (n Name) Parent() (Name, bool) {
-	i := strings.IndexByte(string(n), '.')
-	if i < 0 {
-		return "", false
-	}
-	return n[i+1:], true
-}
-
-// IsStrictSubdomainOf reports the paper's d1 ≺ d2 relation:
-// "travel.yahoo.com" ≺ "yahoo.com". A name is not a strict subdomain of
-// itself. Every non-empty name is a strict subdomain of the root.
-func (n Name) IsStrictSubdomainOf(m Name) bool {
-	if n == m {
-		return false
-	}
-	if m == "" {
-		return n != ""
-	}
-	return strings.HasSuffix(string(n), "."+string(m))
-}
-
 // Join prepends label to n: Join("travel", "yahoo.com") = "travel.yahoo.com".
 func Join(label string, n Name) Name {
 	if n == "" {
@@ -69,7 +45,6 @@ func Join(label string, n Name) Name {
 // ancestor (or exact match) of a name. The zero value is ready to use.
 type Trie[V any] struct {
 	root *trieNode[V]
-	size int
 }
 
 type trieNode[V any] struct {
@@ -84,9 +59,6 @@ func (t *Trie[V]) ensureRoot() *trieNode[V] {
 	}
 	return t.root
 }
-
-// Len returns the number of names stored.
-func (t *Trie[V]) Len() int { return t.size }
 
 // Insert stores v under name n, replacing any existing value; it reports
 // whether the name was newly inserted. Inserting the empty name sets a
@@ -108,53 +80,7 @@ func (t *Trie[V]) Insert(n Name, v V) bool {
 	fresh := !node.set
 	node.val = v
 	node.set = true
-	if fresh {
-		t.size++
-	}
 	return fresh
-}
-
-// Get returns the value stored for exactly n.
-func (t *Trie[V]) Get(n Name) (V, bool) {
-	var zero V
-	if t.root == nil {
-		return zero, false
-	}
-	node := t.root
-	labels := n.Labels()
-	for i := len(labels) - 1; i >= 0; i-- {
-		node = node.children[labels[i]]
-		if node == nil {
-			return zero, false
-		}
-	}
-	if !node.set {
-		return zero, false
-	}
-	return node.val, true
-}
-
-// Remove deletes the exact name n, reporting whether it was present.
-func (t *Trie[V]) Remove(n Name) bool {
-	if t.root == nil {
-		return false
-	}
-	node := t.root
-	labels := n.Labels()
-	for i := len(labels) - 1; i >= 0; i-- {
-		node = node.children[labels[i]]
-		if node == nil {
-			return false
-		}
-	}
-	if !node.set {
-		return false
-	}
-	var zero V
-	node.set = false
-	node.val = zero
-	t.size--
-	return true
 }
 
 // LookupLongestSuffix finds the most specific stored name that is n itself
@@ -185,65 +111,6 @@ func (t *Trie[V]) LookupLongestSuffix(n Name) (Name, V, bool) {
 	}
 	match := Name(strings.Join(labels[len(labels)-bestDepth:], "."))
 	return match, bestV, true
-}
-
-// LookupStrictAncestor is LookupLongestSuffix restricted to strict
-// ancestors of n (n itself excluded). It answers "what would a lookup for a
-// name under n resolve to if n's own entry were removed".
-func (t *Trie[V]) LookupStrictAncestor(n Name) (Name, V, bool) {
-	var bestV V
-	bestDepth := -1
-	if t.root == nil {
-		return "", bestV, false
-	}
-	node := t.root
-	labels := n.Labels()
-	if node.set && len(labels) > 0 {
-		bestV, bestDepth = node.val, 0
-	}
-	for i := len(labels) - 1; i >= 1; i-- { // stop before the full name
-		node = node.children[labels[i]]
-		if node == nil {
-			break
-		}
-		if node.set {
-			bestV = node.val
-			bestDepth = len(labels) - i
-		}
-	}
-	if bestDepth < 0 {
-		return "", bestV, false
-	}
-	match := Name(strings.Join(labels[len(labels)-bestDepth:], "."))
-	return match, bestV, true
-}
-
-// Walk visits all stored names in depth-first lexicographic label order.
-// Returning false stops the walk.
-func (t *Trie[V]) Walk(fn func(Name, V) bool) {
-	if t.root == nil {
-		return
-	}
-	t.walk(t.root, "", fn)
-}
-
-func (t *Trie[V]) walk(node *trieNode[V], suffix Name, fn func(Name, V) bool) bool {
-	if node.set {
-		if !fn(suffix, node.val) {
-			return false
-		}
-	}
-	labels := make([]string, 0, len(node.children))
-	for l := range node.children {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		if !t.walk(node.children[l], Join(l, suffix), fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // BuildLPMTable computes the LPM forwarding table of §3.3.2: the subset of
@@ -288,15 +155,4 @@ func Aggregateability[V comparable](complete map[Name]V) float64 {
 	}
 	lpm := BuildLPMTable(complete)
 	return float64(len(complete)) / float64(len(lpm))
-}
-
-// ResolveWithLPM answers what the LPM table forwards name n to; used by
-// tests to verify that BuildLPMTable is semantics-preserving.
-func ResolveWithLPM[V comparable](lpm map[Name]V, n Name) (V, bool) {
-	var trie Trie[V]
-	for name, v := range lpm {
-		trie.Insert(name, v)
-	}
-	_, v, ok := trie.LookupLongestSuffix(n)
-	return v, ok
 }

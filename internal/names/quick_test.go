@@ -126,10 +126,6 @@ func TestSubdomainPartialOrder(t *testing.T) {
 		if a.IsStrictSubdomainOf(b) && b.IsStrictSubdomainOf(c) && !a.IsStrictSubdomainOf(c) {
 			return false
 		}
-		// Parent is always a strict ancestor.
-		if p, ok := a.Parent(); ok && !a.IsStrictSubdomainOf(p) {
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

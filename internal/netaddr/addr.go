@@ -137,28 +137,9 @@ func (p Prefix) Contains(a Addr) bool {
 	return a&mask(int(p.bits)) == p.addr
 }
 
-// ContainsPrefix reports whether q is fully contained in (or equal to) p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return q.bits >= p.bits && q.addr&mask(int(p.bits)) == p.addr
-}
-
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
-}
-
 // String formats p in CIDR notation.
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.addr, p.bits)
-}
-
-// First returns the lowest address in p (the network address).
-func (p Prefix) First() Addr { return p.addr }
-
-// Last returns the highest address in p (the broadcast address for IPv4
-// subnets; we treat it as an ordinary address).
-func (p Prefix) Last() Addr {
-	return p.addr | ^mask(int(p.bits))
 }
 
 // NumAddrs returns the number of addresses covered by p as a uint64 (so a /0

@@ -135,3 +135,25 @@ func TestPrefixCompareLaws(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The containment checkers the laws above are stated in: they judge Contains
+// and Nth from outside, and no binary needs them.
+
+// ContainsPrefix reports whether q is fully contained in (or equal to) p.
+func (p Prefix) ContainsPrefix(q Prefix) bool {
+	return q.bits >= p.bits && q.addr&mask(int(p.bits)) == p.addr
+}
+
+// Overlaps reports whether p and q share any address.
+func (p Prefix) Overlaps(q Prefix) bool {
+	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
+}
+
+// First returns the lowest address in p (the network address).
+func (p Prefix) First() Addr { return p.addr }
+
+// Last returns the highest address in p (the broadcast address for IPv4
+// subnets; we treat it as an ordinary address).
+func (p Prefix) Last() Addr {
+	return p.addr | ^mask(int(p.bits))
+}

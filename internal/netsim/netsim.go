@@ -85,8 +85,6 @@ type Arch interface {
 	Move(ep string, to int) int
 	// Send forwards one packet from a source router toward ep.
 	Send(src int, ep string) Delivery
-	// Where returns ep's current attachment (for tests).
-	Where(ep string) (int, bool)
 }
 
 // HomeAgent is indirection routing: the first attachment point becomes the
@@ -136,12 +134,6 @@ func (h *HomeAgent) Send(src int, ep string) Delivery {
 		Hops:      h.net.Dist(src, home) + h.net.Dist(home, cur),
 		Shortest:  h.net.Dist(src, cur),
 	}
-}
-
-// Where implements Arch.
-func (h *HomeAgent) Where(ep string) (int, bool) {
-	r, ok := h.cur[ep]
-	return r, ok
 }
 
 // Resolver abstracts the extra-network service the resolution architecture
@@ -206,12 +198,6 @@ func (r *Resolution) Send(src int, ep string) Delivery {
 	}
 	d := r.net.Dist(src, cur)
 	return Delivery{Delivered: true, Hops: d, Shortest: d, SetupCost: 1}
-}
-
-// Where implements Arch.
-func (r *Resolution) Where(ep string) (int, bool) {
-	cur, err := r.res.ResolveLookup(ep)
-	return cur, err == nil
 }
 
 // NameRouting is pure name-based routing: every router holds a next-hop
@@ -302,18 +288,14 @@ func (nr *NameRouting) Send(src int, ep string) Delivery {
 	return Delivery{Delivered: at == cur, Hops: hops, Shortest: shortest}
 }
 
-// Where implements Arch.
-func (nr *NameRouting) Where(ep string) (int, bool) {
-	c, ok := nr.cur[ep]
-	return c, ok
-}
-
 // Breadcrumb turns on forwarding pointers at departure points: when an
 // endpoint leaves a router, the old attachment router keeps a pointer to
 // the new location and re-forwards packets that arrive for the departed
 // endpoint — the custodian/indirection-point repair that proposals like
 // Kim et al. add to NDN-style architectures. The zero value (disabled)
 // reproduces pure name-based routing, where such packets are lost.
+//
+//lint:allow reach EXPERIMENTS.md quotes TestBreadcrumbScenario's repair figures; it stays until ROADMAP item 4 decides how that document is generated
 func (nr *NameRouting) Breadcrumb(enable bool) { nr.breadcrumb = enable }
 
 // SendDuringHandoff models a packet injected while the update wavefront of

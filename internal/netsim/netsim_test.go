@@ -255,11 +255,6 @@ func TestScenarioCompare(t *testing.T) {
 	if nbr.HandoffAttempts == 0 || nbr.HandoffSuccess <= 0 {
 		t.Errorf("handoff probes missing: %+v", nbr)
 	}
-	out := RenderComparison(ms)
-	if out == "" {
-		t.Fatal("render empty")
-	}
-	t.Logf("\n%s", out)
 	t.Logf("handoff: success=%.2f stretch=%.2f", nbr.HandoffSuccess, nbr.HandoffStretch)
 }
 
@@ -445,4 +440,22 @@ func TestNameRoutingMultipleEndpoints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Where returns ep's current attachment as each architecture records it: the
+// tests' window on the state Attach and Move leave behind.
+
+func (h *HomeAgent) Where(ep string) (int, bool) {
+	r, ok := h.cur[ep]
+	return r, ok
+}
+
+func (r *Resolution) Where(ep string) (int, bool) {
+	cur, err := r.res.ResolveLookup(ep)
+	return cur, err == nil
+}
+
+func (nr *NameRouting) Where(ep string) (int, bool) {
+	c, ok := nr.cur[ep]
+	return c, ok
 }

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"math/rand"
-	"strings"
-)
+import "math/rand"
 
 // Metrics aggregates a scenario run for one architecture.
 type Metrics struct {
@@ -99,8 +95,8 @@ func (sc Scenario) Run(net *Network, arch Arch, rng *rand.Rand) Metrics {
 }
 
 // Compare runs the same scenario over all three architectures with
-// identical workloads (same seed) and renders a side-by-side table — the
-// §5 trade-off produced by packet forwarding instead of algebra.
+// identical workloads (same seed) — the §5 trade-off produced by packet
+// forwarding instead of algebra.
 func Compare(net *Network, res Resolver, sc Scenario, seed int64) []Metrics {
 	archs := []Arch{
 		NewHomeAgent(net),
@@ -112,16 +108,4 @@ func Compare(net *Network, res Resolver, sc Scenario, seed int64) []Metrics {
 		out = append(out, sc.Run(net, a, rand.New(rand.NewSource(seed))))
 	}
 	return out
-}
-
-// RenderComparison prints a Compare result.
-func RenderComparison(ms []Metrics) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %14s %14s %10s %10s %10s\n",
-		"architecture", "updates/move", "agg cost", "stretch", "setup", "delivered")
-	for _, m := range ms {
-		fmt.Fprintf(&b, "%-20s %14.2f %14.4f %10.2f %10.2f %9.1f%%\n",
-			m.Arch, m.UpdatesPerMove, m.AggUpdateCost, m.MeanStretch, m.MeanSetupCost, m.DeliveredFrac*100)
-	}
-	return b.String()
 }

@@ -81,7 +81,14 @@ func serve(t *testing.T, h http.Handler) string {
 // no wall-clock time unless cfg says otherwise.
 type fleet struct {
 	*engine.Engine
-	met *engine.Metrics
+	met   *engine.Metrics
+	trace *mobility.DeviceTrace
+}
+
+// device0 is the hashed identifier the engine uploads the trace's first
+// device under.
+func (f fleet) device0() string {
+	return nomad.HashDeviceID(fmt.Sprintf("device-%d", f.trace.Users[0].ID))
 }
 
 func newFleet(t *testing.T, cfg engine.Config) fleet {
@@ -94,7 +101,7 @@ func newFleet(t *testing.T, cfg engine.Config) fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fleet{eng, cfg.Metrics}
+	return fleet{eng, cfg.Metrics, cfg.Trace}
 }
 
 func (f fleet) uploaded() int { return int(f.met.EntriesUploaded.Value()) }
@@ -115,7 +122,7 @@ func TestAgentPipeline(t *testing.T) {
 	if uploaded+f.pending() != len(u.Visits) {
 		t.Fatalf("uploaded %d + pending %d != %d visits", uploaded, f.pending(), len(u.Visits))
 	}
-	stored := s.Store.ByDevice(f.DeviceID(0))
+	stored := s.Store.ByDevice(f.device0())
 	if len(stored) != uploaded {
 		t.Fatalf("store has %d, uploaded %d", len(stored), uploaded)
 	}
@@ -192,7 +199,7 @@ func TestAgentUploadRetryAndStoreAndForward(t *testing.T) {
 		t.Fatalf("records lost: %d uploaded + %d pending != %d visits", f.uploaded(), f.pending(), visits)
 	}
 	// Nothing duplicated in the store despite the failures.
-	if got := len(s.Store.ByDevice(f.DeviceID(0))); got != f.uploaded() {
+	if got := len(s.Store.ByDevice(f.device0())); got != f.uploaded() {
 		t.Fatalf("store has %d records for %d uploads", got, f.uploaded())
 	}
 }
@@ -284,7 +291,7 @@ func runNomadChaos(t *testing.T, dt *mobility.DeviceTrace, faults faultnet.Strea
 		}
 	}
 	return nomadChaosOutcome{
-		stored:   srv.Store.ByDevice(f.DeviceID(0)),
+		stored:   srv.Store.ByDevice(f.device0()),
 		uploaded: f.uploaded(),
 		attempts: f.UploadAttempts(),
 		failures: f.failures(),
@@ -386,7 +393,7 @@ func TestUploadCommittedButResponseLost(t *testing.T) {
 	if err := f.Run(context.Background()); err != nil || f.uploaded() != 2 {
 		t.Fatalf("Run = %v with %d records uploaded", err, f.uploaded())
 	}
-	if got := srv.Store.ByDevice(f.DeviceID(0)); len(got) != 2 {
+	if got := srv.Store.ByDevice(f.device0()); len(got) != 2 {
 		t.Fatalf("store has %d records, want exactly 2 (no duplicates from replays)", len(got))
 	}
 	if srv.Store.DuplicateBatches() != 2 {
@@ -443,7 +450,7 @@ func TestFlushDrainsBacklog(t *testing.T) {
 	if got := f.met.BatchesUploaded.Value(); got != 3 {
 		t.Fatalf("backlog drained in %d batches, want 3", got)
 	}
-	for i, e := range srv.Store.ByDevice(f.DeviceID(0)) {
+	for i, e := range srv.Store.ByDevice(f.device0()) {
 		if want := fmt.Sprintf("10.0.0.%d", i+1); e.IPAddr != want || e.Time != float64(i) {
 			t.Fatalf("record %d = %+v, want %s at t=%d", i, e, want, i)
 		}

@@ -249,12 +249,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Devices returns the shard's device count.
-func (e *Engine) Devices() int { return len(e.devs) }
-
-// DeviceID returns the hashed identifier of engine-local device i.
-func (e *Engine) DeviceID(i int) string { return e.ids[i] }
-
 // Steps returns how many events the engine has processed.
 func (e *Engine) Steps() int64 { return e.steps }
 
@@ -287,25 +281,6 @@ func (e *Engine) start() {
 	for i := range e.devs {
 		e.refill(int32(i))
 	}
-}
-
-// Reset rewinds the engine to its initial schedule, retaining every
-// buffer's capacity — a warm Reset+Run replays the identical workload with
-// zero steady-state allocations, which is both the replay API and what the
-// allocguard harness measures.
-func (e *Engine) Reset() {
-	e.met.HeapEvents.Add(-int64(e.heap.len()))
-	e.heap.ev = e.heap.ev[:0]
-	e.arena[0] = e.arena[0][:0]
-	e.arena[1] = e.arena[1][:0]
-	for i := range e.devs {
-		d := &e.devs[i]
-		e.met.QueueEntries.Add(-int64(len(d.recs) - int(d.head)))
-		e.met.QueueBatches.Add(-int64(len(d.batches)))
-		*d = deviceState{recs: d.recs[:0], batches: d.batches[:0]}
-	}
-	e.steps, e.attempts = 0, 0
-	e.start()
 }
 
 // window returns the device's current visit window.

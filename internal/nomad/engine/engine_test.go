@@ -353,3 +353,31 @@ func TestEngineBatchIDForm(t *testing.T) {
 		}
 	}
 }
+
+// The accessors and the rewind below are the tests' and the allocguard
+// harness's handles on an Engine; no binary calls them.
+
+// Devices returns the shard's device count.
+func (e *Engine) Devices() int { return len(e.devs) }
+
+// DeviceID returns the hashed identifier of engine-local device i.
+func (e *Engine) DeviceID(i int) string { return e.ids[i] }
+
+// Reset rewinds the engine to its initial schedule, retaining every
+// buffer's capacity — a warm Reset+Run replays the identical workload with
+// zero steady-state allocations, which is both the replay API and what the
+// allocguard harness measures.
+func (e *Engine) Reset() {
+	e.met.HeapEvents.Add(-int64(e.heap.len()))
+	e.heap.ev = e.heap.ev[:0]
+	e.arena[0] = e.arena[0][:0]
+	e.arena[1] = e.arena[1][:0]
+	for i := range e.devs {
+		d := &e.devs[i]
+		e.met.QueueEntries.Add(-int64(len(d.recs) - int(d.head)))
+		e.met.QueueBatches.Add(-int64(len(d.batches)))
+		*d = deviceState{recs: d.recs[:0], batches: d.batches[:0]}
+	}
+	e.steps, e.attempts = 0, 0
+	e.start()
+}

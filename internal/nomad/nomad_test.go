@@ -129,11 +129,11 @@ func TestMethodValidation(t *testing.T) {
 func TestLogStoreQueries(t *testing.T) {
 	var s LogStore
 	d1, d2 := HashDeviceID("a"), HashDeviceID("b")
-	s.Append(
-		Entry{DeviceID: d1, Time: 5, IPAddr: "1.1.1.1"},
-		Entry{DeviceID: d2, Time: 1, IPAddr: "2.2.2.2"},
-		Entry{DeviceID: d1, Time: 2, IPAddr: "3.3.3.3"},
-	)
+	s.AppendBatch("", []Entry{
+		{DeviceID: d1, Time: 5, IPAddr: "1.1.1.1"},
+		{DeviceID: d2, Time: 1, IPAddr: "2.2.2.2"},
+		{DeviceID: d1, Time: 2, IPAddr: "3.3.3.3"},
+	})
 	got := s.ByDevice(d1)
 	if len(got) != 2 || got[0].Time != 2 || got[1].Time != 5 {
 		t.Fatalf("ByDevice = %+v", got)

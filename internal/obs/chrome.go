@@ -18,6 +18,8 @@ type SpanNode struct {
 // another process's tracer). Order is deterministic — children keep record
 // (commit) order and roots keep first-appearance order — so the tree of a
 // seeded run is replayable structure-for-structure.
+//
+//lint:allow reach gns's TestChaosLookupCausalTree (trace_chaos_test.go) walks the cross-process tree of a chaos run
 func BuildTree(spans []SpanRecord) []*SpanNode {
 	nodes := make(map[uint64]*SpanNode, len(spans))
 	ordered := make([]*SpanNode, 0, len(spans))
@@ -36,9 +38,6 @@ func BuildTree(spans []SpanRecord) []*SpanNode {
 	}
 	return roots
 }
-
-// Tree assembles the tracer's retained spans into causal trees.
-func (t *Tracer) Tree() []*SpanNode { return BuildTree(t.Spans()) }
 
 // WriteChrome renders the retained spans as Chrome trace_event JSON
 // (the chrome://tracing / Perfetto "JSON Object Format"): one complete

@@ -43,7 +43,7 @@ func TestBuildTreeAssemblesCausalTree(t *testing.T) {
 	root.End()
 	tr.Start("lone").End()
 
-	roots := tr.Tree()
+	roots := BuildTree(tr.Spans())
 	if len(roots) != 2 {
 		t.Fatalf("got %d roots, want 2: %+v", len(roots), roots)
 	}
@@ -77,7 +77,7 @@ func TestBuildTreeRemoteParentBecomesRoot(t *testing.T) {
 	// a local root, not vanish.
 	server := NewTracer(4, 8)
 	server.StartRemote(TraceContext{TraceID: 99, SpanID: 42}, "handle").End()
-	roots := server.Tree()
+	roots := BuildTree(server.Spans())
 	if len(roots) != 1 || roots[0].Name != "handle" || roots[0].Parent != 42 {
 		t.Fatalf("remote-parented span mishandled: %+v", roots)
 	}

@@ -1,7 +1,5 @@
 package obs
 
-import "math"
-
 // quantileFromCum estimates quantile q from a histogram's cumulative bucket
 // counts (cum[i] = observations <= bounds[i]; observations above the last
 // bound are total - cum[last]). This is the Prometheus histogram_quantile
@@ -40,27 +38,4 @@ func quantileFromCum(bounds []float64, cum []int64, total int64, q float64) floa
 	}
 	// rank falls in the implicit +Inf bucket: clamp.
 	return bounds[len(bounds)-1]
-}
-
-// Quantile estimates the q-th quantile (0..1) of the observed distribution
-// by linear interpolation within the histogram's buckets — the same
-// estimator Prometheus's histogram_quantile applies server-side, computed
-// in-process. Returns 0 with no observations or on a nil receiver; NaN q
-// returns NaN. Accuracy is bounded by bucket resolution: the estimate is
-// exact only when observations are uniform within each bucket, so tests
-// assert against known distributions with tolerance, not equality.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	if math.IsNaN(q) {
-		return math.NaN()
-	}
-	cum := make([]int64, len(h.bounds))
-	var run int64
-	for i := range h.counts {
-		run += h.counts[i].Load()
-		cum[i] = run
-	}
-	return quantileFromCum(h.bounds, cum, h.Count(), q)
 }

@@ -168,16 +168,6 @@ func (s *Sampler) Run(ctx context.Context) {
 	}
 }
 
-// Ticks returns how many samples each (fully synced) ring has received.
-func (s *Sampler) Ticks() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ticks
-}
-
 // sync builds sources and rings for registry series seen for the first
 // time. This is the allocating cold path; it runs at most once per newly
 // registered metric and is a length comparison otherwise.
@@ -244,17 +234,6 @@ func (s *Sampler) snapshot() {
 	}
 }
 
-// Series returns the ring with the given key, or nil. The caller must not
-// read it concurrently with ticks — use Values for a safe copy.
-func (s *Sampler) Series(key string) *Series {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byKey[key]
-}
-
 // Values appends the retained samples of the series with the given key
 // (oldest first) onto dst; unknown keys append nothing.
 func (s *Sampler) Values(key string, dst []float64) []float64 {
@@ -264,20 +243,6 @@ func (s *Sampler) Values(key string, dst []float64) []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.byKey[key].Values(dst)
-}
-
-// Keys returns every sampled series key, in first-seen order.
-func (s *Sampler) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, len(s.order))
-	for i, sr := range s.order {
-		keys[i] = sr.key
-	}
-	return keys
 }
 
 // EvalChecks evaluates every bound check against the current rings, in

@@ -239,3 +239,51 @@ func TestRuntimeSamplerSetsGauges(t *testing.T) {
 		t.Fatalf("goroutine series = %v", gor)
 	}
 }
+
+// The accessors below are these tests' view of a Sampler's rings; binaries
+// and other packages' tests read them through Dump.
+
+// Ticks returns how many samples each (fully synced) ring has received.
+func (s *Sampler) Ticks() int64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ticks
+}
+
+// Series returns the ring with the given key, or nil. The caller must not
+// read it concurrently with ticks — use Values for a safe copy.
+func (s *Sampler) Series(key string) *Series {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.byKey[key]
+}
+
+// Keys returns every sampled series key, in first-seen order.
+func (s *Sampler) Keys() []string {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, len(s.order))
+	for i, sr := range s.order {
+		keys[i] = sr.key
+	}
+	return keys
+}
+
+// Label returns the value of label k, or "" when unset.
+func (s *Series) Label(k string) string {
+	for _, p := range s.pairs {
+		if p.K == k {
+			return p.V
+		}
+	}
+	return ""
+}

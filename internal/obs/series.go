@@ -26,24 +26,6 @@ func newSeries(name string, pairs []labelPair, key string, capacity int) *Series
 	return &Series{name: name, pairs: pairs, key: key, buf: make([]float64, 0, capacity)}
 }
 
-// Key returns the series' exposition identity: name{labels} (braces only
-// when labels are present), e.g. `locind_nomad_engine_queue_entries` or
-// `locind_nomad_engine_queue_entries{shard="3"}`.
-func (s *Series) Key() string { return s.key }
-
-// Name returns the metric family name.
-func (s *Series) Name() string { return s.name }
-
-// Label returns the value of label k, or "" when unset.
-func (s *Series) Label(k string) string {
-	for _, p := range s.pairs {
-		if p.K == k {
-			return p.V
-		}
-	}
-	return ""
-}
-
 // push appends one sample, overwriting the oldest once the ring is full.
 // This is the sampler's per-tick hot path and must stay allocation-free:
 // the backing array is sized once at construction and only indexed here.
@@ -57,14 +39,6 @@ func (s *Series) push(v float64) {
 		s.next = 0
 		s.full = true
 	}
-}
-
-// Len returns how many samples the ring currently retains.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.buf)
 }
 
 // Values appends the retained samples, oldest first, onto dst and returns

@@ -124,3 +124,19 @@ func TestQuarterMediansAllEqual(t *testing.T) {
 		t.Fatalf("QuarterMedians(const) = %v", got)
 	}
 }
+
+// Key returns the series' exposition identity: name{labels} (braces only
+// when labels are present), e.g. `locind_nomad_engine_queue_entries` or
+// `locind_nomad_engine_queue_entries{shard="3"}`.
+func (s *Series) Key() string { return s.key }
+
+// Name returns the metric family name.
+func (s *Series) Name() string { return s.name }
+
+// Len returns how many samples the ring currently retains.
+func (s *Series) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.buf)
+}

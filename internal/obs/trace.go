@@ -195,14 +195,6 @@ func (s *Span) Child(name string, labels ...string) *Span {
 	return s.t.start(name, s.id, s.trace, labels)
 }
 
-// ID returns the deterministic span ID (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Context returns the propagation context for s: the handle a client puts
 // on the wire so the server's spans parent onto s. Zero for a nil span, so
 // disabled tracing encodes to "" and nothing is propagated.

@@ -123,3 +123,11 @@ func TestInjectedClockStampsDurations(t *testing.T) {
 		t.Fatal("clockless span must have zero duration")
 	}
 }
+
+// ID returns the deterministic span ID (0 for a nil span).
+func (s *Span) ID() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.id
+}

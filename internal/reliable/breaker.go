@@ -172,13 +172,3 @@ func (b *Breaker) Reset() {
 	b.probing = false
 	b.transition(BreakerClosed)
 }
-
-// State returns the current circuit state. Nil-safe (reports closed).
-func (b *Breaker) State() BreakerState {
-	if b == nil {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

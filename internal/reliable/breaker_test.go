@@ -140,3 +140,13 @@ func TestBreakerZeroValueDefaults(t *testing.T) {
 		t.Fatalf("rejected %d requests before the probe, want 7", rejected)
 	}
 }
+
+// State returns the current circuit state. Nil-safe (reports closed).
+func (b *Breaker) State() BreakerState {
+	if b == nil {
+		return BreakerClosed
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}

@@ -58,7 +58,7 @@ func (c *FakeClock) Sleeps() []time.Duration {
 // clock and asserts the complete backoff schedule, delay by delay, against
 // an independently replayed RNG — no tolerance windows, no wall time.
 func TestFakeClockExactJitteredSchedule(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: 0.5}
+	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.5}
 	clock := NewFakeClock()
 	p := Policy{
 		MaxAttempts: 6,
@@ -115,7 +115,7 @@ func TestPolicyMetrics(t *testing.T) {
 	clock := NewFakeClock()
 	p := Policy{
 		MaxAttempts: 4,
-		Backoff:     Backoff{Base: time.Millisecond, Factor: 2},
+		Backoff:     Backoff{Base: time.Millisecond},
 		Sleep:       clock.Sleep,
 		Metrics:     m,
 	}

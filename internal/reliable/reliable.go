@@ -3,9 +3,9 @@
 // vantage TCP collection). The paper's measurement infrastructure lived on
 // hostile networks — intermittent cellular/WiFi uplinks and PlanetLab node
 // churn — so the client paths retry with exponential backoff, bound their
-// patience with context deadlines, cap wasted work with retry budgets, and
-// degrade gracefully to stale cached answers when the network stays down
-// (the dominant operating regime of loc/ID mapping caches).
+// patience with context deadlines, and keep last-known-good answers to
+// degrade to when the network stays down (the dominant operating regime of
+// loc/ID mapping caches).
 //
 // Everything here is deterministic given a seed: jitter comes from an
 // explicit *rand.Rand and sleeping goes through a hook, so chaos runs
@@ -24,16 +24,14 @@ import (
 	"locind/internal/obs"
 )
 
-// Backoff computes exponential backoff delays with optional deterministic
-// jitter. The zero value is usable (no waiting between attempts).
+// Backoff computes exponential backoff delays — each retry waits twice as
+// long as the one before — with optional deterministic jitter. The zero value
+// is usable (no waiting between attempts).
 type Backoff struct {
 	// Base is the delay before the first retry. Zero means no delay.
 	Base time.Duration
 	// Max caps each delay. Zero means uncapped.
 	Max time.Duration
-	// Factor is the growth multiplier per retry; values below 1 are
-	// treated as 2 (except 1 itself, which keeps delays constant).
-	Factor float64
 	// Jitter is the fraction of each delay that is randomized, in [0, 1].
 	// A delay d with jitter j becomes uniform in [d(1-j), d].
 	Jitter float64
@@ -46,13 +44,9 @@ func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
 	if b.Base <= 0 {
 		return 0
 	}
-	factor := b.Factor
-	if factor < 1 {
-		factor = 2
-	}
 	d := float64(b.Base)
 	for i := 0; i < attempt; i++ {
-		d *= factor
+		d *= 2
 		if b.Max > 0 && d >= float64(b.Max) {
 			d = float64(b.Max)
 			break
@@ -70,46 +64,6 @@ func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
 	}
 	return time.Duration(d)
 }
-
-// Budget caps the total number of retries spent across many operations
-// sharing it — the fleet-wide "don't melt the server" guard. The zero value
-// is an empty budget; use NewBudget. A nil *Budget is unlimited.
-type Budget struct {
-	mu        sync.Mutex
-	remaining int
-}
-
-// NewBudget returns a budget allowing n retries in total.
-func NewBudget(n int) *Budget { return &Budget{remaining: n} }
-
-// Take consumes one retry from the budget, reporting whether one was left.
-// A nil budget always grants.
-func (b *Budget) Take() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.remaining <= 0 {
-		return false
-	}
-	b.remaining--
-	return true
-}
-
-// Remaining reports how many retries are left. A nil budget reports -1.
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.remaining
-}
-
-// ErrBudgetExhausted is wrapped into Do's error when the retry budget ran
-// out before the operation succeeded.
-var ErrBudgetExhausted = errors.New("reliable: retry budget exhausted")
 
 // permanentError marks an error as non-retryable.
 type permanentError struct{ err error }
@@ -132,7 +86,7 @@ func IsPermanent(err error) bool {
 }
 
 // Policy is a reusable retry policy: how many attempts, how long each may
-// take, how to pause between them, and which budget they draw from.
+// take, and how to pause between them.
 type Policy struct {
 	// MaxAttempts is the total number of attempts (first try included).
 	// Values below 1 are treated as 1.
@@ -144,14 +98,9 @@ type Policy struct {
 	Backoff Backoff
 	// Rand supplies jitter; nil disables jitter.
 	Rand *rand.Rand
-	// Budget, when non-nil, is consulted before every retry.
-	Budget *Budget
 	// Sleep replaces the real sleep between attempts (tests, virtual
 	// clocks). It must honour ctx cancellation. Nil uses a timer.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when non-nil, observes every failed attempt that will be
-	// retried: its 0-based index, its error, and the pause chosen.
-	OnRetry func(attempt int, err error, delay time.Duration)
 	// Metrics, when non-nil, counts attempts/retries/give-ups into obs
 	// handles. Nil records nothing.
 	Metrics *Metrics
@@ -162,8 +111,8 @@ type Policy struct {
 	TraceSpan *obs.Span
 }
 
-// Do runs op under the policy until it succeeds, exhausts attempts or
-// budget, hits a Permanent error, or ctx is done. It returns the number of
+// Do runs op under the policy until it succeeds, exhausts its attempts,
+// hits a Permanent error, or ctx is done. It returns the number of
 // attempts actually made alongside the final error.
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) (attempts int, err error) {
 	max := p.MaxAttempts
@@ -205,15 +154,8 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) (att
 		if attempt+1 >= max {
 			break
 		}
-		if !p.Budget.Take() {
-			m.GiveUps.Inc()
-			return attempt + 1, fmt.Errorf("%w: %w", ErrBudgetExhausted, lastErr)
-		}
 		delay := p.Backoff.Delay(attempt, p.Rand)
 		m.retry(delay)
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err, delay)
-		}
 		if delay > 0 {
 			if err := sleep(ctx, delay); err != nil {
 				return attempt + 1, fmt.Errorf("%w (after %d attempts: %w)", err, attempt+1, lastErr)
@@ -246,11 +188,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // successful fetch, and million-name runs cannot grow the map without
 // limit.
 type Cache[K comparable, V any] struct {
-	mu        sync.Mutex
-	m         map[K]V
-	limit     int
-	evictions int64
-	evictCtr  *obs.Counter
+	mu       sync.Mutex
+	m        map[K]V
+	limit    int
+	evictCtr *obs.Counter
 }
 
 // Bound caps the cache at limit entries (0 restores unbounded) and, when
@@ -261,13 +202,6 @@ func (c *Cache[K, V]) Bound(limit int, ctr *obs.Counter) {
 	defer c.mu.Unlock()
 	c.limit = limit
 	c.evictCtr = ctr
-}
-
-// Evictions returns how many entries epoch flushes have dropped.
-func (c *Cache[K, V]) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
 }
 
 // Put stores the freshest value for k.
@@ -281,9 +215,7 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		if _, ok := c.m[k]; !ok {
 			// Epoch flush: one more distinct key would cross the cap, so
 			// the whole epoch is dropped and restarted with this entry.
-			n := int64(len(c.m))
-			c.evictions += n
-			c.evictCtr.Add(n)
+			c.evictCtr.Add(int64(len(c.m)))
 			c.m = make(map[K]V, c.limit)
 		}
 	}
@@ -296,27 +228,4 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	defer c.mu.Unlock()
 	v, ok := c.m[k]
 	return v, ok
-}
-
-// Len returns the number of cached keys.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Fallback runs fetch; on success it caches and returns the fresh value
-// (stale=false). On failure it falls back to the cached value when one
-// exists, returning it with stale=true and a nil error — graceful
-// degradation. With no cached value the fetch error is returned.
-func (c *Cache[K, V]) Fallback(k K, fetch func() (V, error)) (v V, stale bool, err error) {
-	v, err = fetch()
-	if err == nil {
-		c.Put(k, v)
-		return v, false, nil
-	}
-	if cached, ok := c.Get(k); ok {
-		return cached, true, nil
-	}
-	return v, false, err
 }

@@ -3,7 +3,6 @@ package reliable
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,8 +21,6 @@ func TestBackoffDelayTable(t *testing.T) {
 		{"third retry", Backoff{Base: 100 * time.Millisecond}, 2, 400 * time.Millisecond},
 		{"capped", Backoff{Base: 100 * time.Millisecond, Max: 250 * time.Millisecond}, 3, 250 * time.Millisecond},
 		{"cap below base", Backoff{Base: 100 * time.Millisecond, Max: 50 * time.Millisecond}, 0, 50 * time.Millisecond},
-		{"custom factor", Backoff{Base: 10 * time.Millisecond, Factor: 3}, 2, 90 * time.Millisecond},
-		{"factor one is constant", Backoff{Base: 10 * time.Millisecond, Factor: 1}, 5, 10 * time.Millisecond},
 		{"large attempt hits cap not overflow", Backoff{Base: time.Second, Max: time.Minute}, 500, time.Minute},
 	}
 	for _, tc := range cases {
@@ -61,23 +58,6 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 		if d := wild.Delay(0, r1); d < 0 || d > time.Millisecond {
 			t.Fatalf("clamped jitter out of range: %v", d)
 		}
-	}
-}
-
-func TestBudget(t *testing.T) {
-	b := NewBudget(2)
-	if !b.Take() || !b.Take() {
-		t.Fatal("budget should grant its 2 retries")
-	}
-	if b.Take() {
-		t.Fatal("exhausted budget must refuse")
-	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining = %d", b.Remaining())
-	}
-	var nilB *Budget
-	if !nilB.Take() || nilB.Remaining() != -1 {
-		t.Fatal("nil budget must be unlimited")
 	}
 }
 
@@ -139,21 +119,6 @@ func TestDoPermanentStopsImmediately(t *testing.T) {
 	}
 }
 
-func TestDoRespectsBudget(t *testing.T) {
-	budget := NewBudget(3)
-	p := Policy{MaxAttempts: 10, Budget: budget}
-	attempts, err := p.Do(context.Background(), func(context.Context) error { return errors.New("x") })
-	if attempts != 4 || !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("budgeted Do = (%d, %v)", attempts, err)
-	}
-	// A second operation on the same drained budget gets its first attempt
-	// but no retries.
-	attempts, err = p.Do(context.Background(), func(context.Context) error { return errors.New("x") })
-	if attempts != 1 || !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("drained-budget Do = (%d, %v)", attempts, err)
-	}
-}
-
 func TestDoHonoursContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := Policy{MaxAttempts: 100, Backoff: Backoff{Base: time.Hour}}
@@ -211,46 +176,5 @@ func TestDoDeterministicWithSeed(t *testing.T) {
 	}
 	if c := run(43); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
 		t.Fatal("different seed produced identical jitter schedule")
-	}
-}
-
-func TestCacheFallback(t *testing.T) {
-	var c Cache[string, int]
-	// Miss with no cache: error surfaces.
-	_, stale, err := c.Fallback("k", func() (int, error) { return 0, errors.New("down") })
-	if err == nil || stale {
-		t.Fatalf("empty-cache fallback = stale=%v err=%v", stale, err)
-	}
-	// Success populates the cache.
-	v, stale, err := c.Fallback("k", func() (int, error) { return 7, nil })
-	if err != nil || stale || v != 7 {
-		t.Fatalf("fresh fallback = (%d, %v, %v)", v, stale, err)
-	}
-	if got, ok := c.Get("k"); !ok || got != 7 {
-		t.Fatalf("cache after success = (%d, %v)", got, ok)
-	}
-	// Failure now degrades to the stale value.
-	v, stale, err = c.Fallback("k", func() (int, error) { return 0, errors.New("down") })
-	if err != nil || !stale || v != 7 {
-		t.Fatalf("stale fallback = (%d, %v, %v)", v, stale, err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
-func TestOnRetryObserves(t *testing.T) {
-	var seen []string
-	p := Policy{
-		MaxAttempts: 3,
-		Backoff:     Backoff{Base: time.Millisecond},
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-		OnRetry: func(attempt int, err error, delay time.Duration) {
-			seen = append(seen, fmt.Sprintf("%d:%v:%v", attempt, err, delay))
-		},
-	}
-	p.Do(context.Background(), func(context.Context) error { return errors.New("e") }) //nolint:errcheck
-	if len(seen) != 2 {
-		t.Fatalf("OnRetry fired %d times: %v", len(seen), seen)
 	}
 }

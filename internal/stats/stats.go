@@ -44,23 +44,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the smallest and largest elements of xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // Pearson returns the Pearson correlation coefficient of paired samples. It
 // returns an error if the slices differ in length, are empty, or either has
 // zero variance.
@@ -97,9 +80,6 @@ func NewCDF(xs []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x), the fraction of samples not exceeding x.
 func (c *CDF) At(x float64) float64 {
@@ -176,42 +156,6 @@ func (c *CDF) Points(n int) []Point {
 
 // Point is a single (x, y) sample of a distribution curve.
 type Point struct{ X, Y float64 }
-
-// Table renders the CDF at the given quantiles as an aligned two-column
-// table, for experiment logs.
-func (c *CDF) Table(label string, quantiles []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %10s\n", label, "value")
-	for _, q := range quantiles {
-		fmt.Fprintf(&b, "  p%-25.0f %10.4g\n", q*100, c.Quantile(q))
-	}
-	return b.String()
-}
-
-// Histogram counts samples into w-wide bins starting at lo. Samples below lo
-// fall into bin 0; samples at or above lo+w*len(counts) fall into the last
-// bin. A non-positive bin count yields an empty histogram; a non-positive
-// width yields zeroed counts.
-func Histogram(xs []float64, lo, w float64, bins int) []int {
-	if bins <= 0 {
-		return nil
-	}
-	counts := make([]int, bins)
-	if w <= 0 {
-		return counts
-	}
-	for _, x := range xs {
-		i := int(math.Floor((x - lo) / w))
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
 
 // Bar renders a fixed-width ASCII bar for value v on a [0, max] scale, used
 // for the per-router bar charts (Figures 8, 11b, 11c, 12).

@@ -30,6 +30,9 @@ func TestMinMax(t *testing.T) {
 	if err != nil || lo != -1 || hi != 7 {
 		t.Errorf("MinMax = %v %v %v", lo, hi, err)
 	}
+	if c := NewCDF([]float64{3, -1, 7, 0}); c.Min() != lo || c.Max() != hi {
+		t.Errorf("CDF Min/Max = %v %v, the linear scan says %v %v", c.Min(), c.Max(), lo, hi)
+	}
 	if _, _, err := MinMax(nil); err != ErrEmpty {
 		t.Error("MinMax(nil) should return ErrEmpty")
 	}
@@ -80,8 +83,8 @@ func TestPearsonUncorrelated(t *testing.T) {
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
-	if c.N() != 4 {
-		t.Errorf("N = %d", c.N())
+	if len(c.sorted) != 4 {
+		t.Errorf("N = %d", len(c.sorted))
 	}
 	if got := c.At(2); got != 0.5 {
 		t.Errorf("At(2) = %v, want 0.5", got)
@@ -169,32 +172,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-5, 0, 0.5, 1, 1.5, 2, 100}
-	h := Histogram(xs, 0, 1, 3)
-	// bins: [0,1) -> {-5 clamped, 0, 0.5}, [1,2) -> {1, 1.5}, [2,..) -> {2, 100 clamped}
-	if h[0] != 3 || h[1] != 2 || h[2] != 2 {
-		t.Errorf("Histogram = %v", h)
-	}
-	if got := Histogram(xs, 0, 0, 3); got[0] != 0 {
-		t.Error("zero width should produce empty histogram")
-	}
-}
-
-func TestHistogramDegenerateBins(t *testing.T) {
-	// Zero and negative bin counts must yield an empty histogram, not panic.
-	if got := Histogram([]float64{1, 2}, 0, 1, 0); len(got) != 0 {
-		t.Errorf("bins=0: got %v", got)
-	}
-	if got := Histogram([]float64{1, 2}, 0, 1, -4); len(got) != 0 {
-		t.Errorf("bins=-4: got %v", got)
-	}
-	// Negative width with real bins still returns zeroed counts.
-	if got := Histogram([]float64{1, 2}, 0, -1, 3); len(got) != 3 || got[0] != 0 {
-		t.Errorf("negative width: got %v", got)
-	}
-}
-
 func TestBar(t *testing.T) {
 	if b := Bar(5, 10, 10); b != "#####....." {
 		t.Errorf("Bar = %q", b)
@@ -227,10 +204,19 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCDFTable(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
-	out := c.Table("widget", []float64{0.5, 0.9})
-	if out == "" {
-		t.Fatal("Table should render")
+// MinMax is the linear scan TestMinMax holds CDF.Min and CDF.Max to.
+func MinMax(xs []float64) (lo, hi float64, err error) {
+	if len(xs) == 0 {
+		return 0, 0, ErrEmpty
 	}
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	return lo, hi, nil
 }

@@ -1,29 +1,25 @@
 // Package topology provides the undirected graph model used by the analytic
 // stretch/update-cost study (§5) and by the synthetic router-level topology
 // underlying the iPlane substitute. It includes the paper's toy topologies
-// (chain, clique, binary tree, star) plus generic builders, BFS/Dijkstra
-// shortest paths, and all-pairs hop-count tables.
+// (chain, clique, binary tree, star) plus generic builders, BFS shortest
+// paths, and all-pairs hop-count tables.
 package topology
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
-// Graph is an undirected graph over nodes 0..N-1 with optional per-edge
-// weights. Parallel edges and self-loops are rejected.
+// Graph is an undirected graph over nodes 0..N-1. Parallel edges and
+// self-loops are rejected.
 type Graph struct {
 	n   int
 	adj [][]Edge
 }
 
-// Edge is a half-edge: the neighbor it leads to and its weight. For
-// unweighted uses, Weight is 1.
+// Edge is a half-edge: the neighbor it leads to.
 type Edge struct {
-	To     int
-	Weight float64
+	To int
 }
 
 // New creates a graph with n isolated nodes.
@@ -37,34 +33,19 @@ func New(n int) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// M returns the number of (undirected) edges.
-func (g *Graph) M() int {
-	total := 0
-	for _, es := range g.adj {
-		total += len(es)
-	}
-	return total / 2
-}
-
-// AddEdge inserts an undirected unit-weight edge.
-func (g *Graph) AddEdge(u, v int) error { return g.AddWeightedEdge(u, v, 1) }
-
-// AddWeightedEdge inserts an undirected edge with weight w.
-func (g *Graph) AddWeightedEdge(u, v int, w float64) error {
+// AddEdge inserts an undirected edge.
+func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("topology: edge (%d,%d) out of range [0,%d)", u, v, g.n)
 	}
 	if u == v {
 		return fmt.Errorf("topology: self-loop at %d", u)
 	}
-	if w <= 0 {
-		return fmt.Errorf("topology: non-positive weight %v", w)
-	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("topology: duplicate edge (%d,%d)", u, v)
 	}
-	g.adj[u] = append(g.adj[u], Edge{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Edge{To: u, Weight: w})
+	g.adj[u] = append(g.adj[u], Edge{To: v})
+	g.adj[v] = append(g.adj[v], Edge{To: u})
 	return nil
 }
 
@@ -80,13 +61,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	}
 	return false
 }
-
-// Neighbors returns the half-edges out of u. The returned slice must not be
-// modified.
-func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
-
-// Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // BFS computes unweighted hop distances from src. Unreachable nodes get -1.
 // The returned parent slice lets callers reconstruct one shortest-path tree
@@ -118,15 +92,6 @@ func (g *Graph) BFS(src int) (dist []int, parent []int) {
 	return dist, parent
 }
 
-// HopDist returns the hop distance between u and v (-1 if disconnected).
-func (g *Graph) HopDist(u, v int) int {
-	d, _ := g.BFS(u)
-	if v < 0 || v >= g.n {
-		return -1
-	}
-	return d[v]
-}
-
 // AllPairsHops computes the full hop-count matrix with one BFS per node.
 func (g *Graph) AllPairsHops() [][]int {
 	out := make([][]int, g.n)
@@ -149,108 +114,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// Diameter returns the largest finite hop distance, or -1 if the graph is
-// disconnected or empty.
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return -1
-	}
-	maxd := 0
-	for u := 0; u < g.n; u++ {
-		d, _ := g.BFS(u)
-		for _, x := range d {
-			if x == -1 {
-				return -1
-			}
-			if x > maxd {
-				maxd = x
-			}
-		}
-	}
-	return maxd
-}
-
-// Dijkstra computes weighted shortest-path distances from src, with parents
-// for path reconstruction. Unreachable nodes get +Inf distance and parent -1.
-func (g *Graph) Dijkstra(src int) (dist []float64, parent []int) {
-	dist = make([]float64, g.n)
-	parent = make([]int, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	if src < 0 || src >= g.n {
-		return dist, parent
-	}
-	dist[src] = 0
-	parent[src] = src
-	pq := &nodeHeap{{node: src, d: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeItem)
-		if it.d > dist[it.node] {
-			continue
-		}
-		for _, e := range g.adj[it.node] {
-			nd := it.d + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				parent[e.To] = it.node
-				heap.Push(pq, nodeItem{node: e.To, d: nd})
-			}
-		}
-	}
-	return dist, parent
-}
-
-// Path reconstructs the node sequence src..dst from a parent slice produced
-// by BFS or Dijkstra rooted at src. It returns nil if dst is unreachable.
-func Path(parent []int, src, dst int) []int {
-	if dst < 0 || dst >= len(parent) || parent[dst] == -1 {
-		return nil
-	}
-	var rev []int
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-		if parent[v] == v || parent[v] == -1 {
-			if v != src {
-				return nil
-			}
-		}
-		if len(rev) > len(parent) {
-			return nil // cycle guard; malformed parent slice
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	if rev[0] != src {
-		return nil
-	}
-	return rev
-}
-
-type nodeItem struct {
-	node int
-	d    float64
-}
-
-type nodeHeap []nodeItem
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // Chain builds the paper's Figure 5 topology: routers 1..n in a line
@@ -300,6 +163,8 @@ func Star(n int) *Graph {
 }
 
 // Ring builds a cycle on n >= 3 nodes.
+//
+//lint:allow reach a test topology of analytic, compact, intradomain and netsim (their _test.go files)
 func Ring(n int) *Graph {
 	g := New(n)
 	if n < 3 {
@@ -322,19 +187,6 @@ func Grid(rows, cols int) *Graph {
 			}
 			if r+1 < rows {
 				g.AddEdge(id(r, c), id(r+1, c)) //nolint:errcheck
-			}
-		}
-	}
-	return g
-}
-
-// GNP builds an Erdős–Rényi G(n, p) random graph using rng.
-func GNP(n int, p float64, rng *rand.Rand) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p {
-				g.AddEdge(i, j) //nolint:errcheck
 			}
 		}
 	}

@@ -287,3 +287,42 @@ func TestCampaignContextCancellation(t *testing.T) {
 		t.Fatal("cancelled campaign must error")
 	}
 }
+
+// Sweep and the three counters below are how these tests start a campaign
+// and read its footprint; vantaged builds its own Campaign and reads none.
+
+// Sweep runs a full measurement campaign with default reliability settings:
+// numNodes vantage points, two redial-and-replay retries each, modest
+// backoff. Use a Campaign directly to tune the policy.
+func Sweep(ctx context.Context, controllerAddr string, numNodes int, tls []cdn.Timeline, view ViewFunc) error {
+	cp := &Campaign{
+		Controller: controllerAddr,
+		Nodes:      numNodes,
+		View:       view,
+		Retries:    2,
+		Backoff:    reliable.Backoff{Base: 50 * time.Millisecond, Max: time.Second},
+	}
+	return cp.Run(ctx, tls)
+}
+
+// Attempts returns the total campaign attempts made across all nodes — the
+// quantity chaos tests compare across same-seed runs.
+func (cp *Campaign) Attempts() int64 { return cp.attempts.Load() }
+
+// Discarded returns how many connections died mid-campaign with staged
+// reports that were thrown away — the visible footprint of nodes dying
+// before their commit.
+func (c *Controller) Discarded() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.discarded
+}
+
+// DuplicateCommits returns how many complete campaign replays were
+// deduplicated by the first-commit-wins rule — the footprint of Bye acks
+// lost on the wire.
+func (c *Controller) DuplicateCommits() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dupCommits
+}

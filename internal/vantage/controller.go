@@ -254,24 +254,6 @@ func (c *Controller) NodeCount() int {
 	return len(c.nodes)
 }
 
-// Discarded returns how many connections died mid-campaign with staged
-// reports that were thrown away — the visible footprint of nodes dying
-// before their commit.
-func (c *Controller) Discarded() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.discarded
-}
-
-// DuplicateCommits returns how many complete campaign replays were
-// deduplicated by the first-commit-wins rule — the footprint of Bye acks
-// lost on the wire.
-func (c *Controller) DuplicateCommits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dupCommits
-}
-
 // MergedSet returns the union address set observed for a name at an hour,
 // sorted ascending.
 func (c *Controller) MergedSet(name names.Name, hour int) []netaddr.Addr {
@@ -281,18 +263,6 @@ func (c *Controller) MergedSet(name names.Name, hour int) []netaddr.Addr {
 	out := make([]netaddr.Addr, 0, len(set))
 	for a := range set {
 		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Names returns all names with at least one observation, sorted.
-func (c *Controller) Names() []names.Name {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]names.Name, 0, len(c.merged))
-	for n := range c.merged {
-		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -174,10 +174,6 @@ type Campaign struct {
 	attempts atomic.Int64
 }
 
-// Attempts returns the total campaign attempts made across all nodes — the
-// quantity chaos tests compare across same-seed runs.
-func (cp *Campaign) Attempts() int64 { return cp.attempts.Load() }
-
 // Run executes the campaign over the given timelines: every node resolves
 // every name once per simulated hour through its partial view and streams
 // the observations to the controller ("precise time synchronization is not
@@ -260,20 +256,6 @@ func (cp *Campaign) attempt(ctx context.Context, idx int, view ViewFunc, tls []c
 		}
 	}
 	return node.Close(ctx)
-}
-
-// Sweep runs a full measurement campaign with default reliability settings:
-// numNodes vantage points, two redial-and-replay retries each, modest
-// backoff. Use a Campaign directly to tune the policy.
-func Sweep(ctx context.Context, controllerAddr string, numNodes int, tls []cdn.Timeline, view ViewFunc) error {
-	cp := &Campaign{
-		Controller: controllerAddr,
-		Nodes:      numNodes,
-		View:       view,
-		Retries:    2,
-		Backoff:    reliable.Backoff{Base: 50 * time.Millisecond, Max: time.Second},
-	}
-	return cp.Run(ctx, tls)
 }
 
 // replayHourly materializes the timeline's address set hour by hour without

@@ -92,8 +92,8 @@ func TestControllerBasics(t *testing.T) {
 	if c.ReportCount() != 2 || c.NodeCount() != 1 {
 		t.Fatalf("counters: %d reports, %d nodes", c.ReportCount(), c.NodeCount())
 	}
-	if got := c.Names(); len(got) != 1 || got[0] != "x.example.com" {
-		t.Fatalf("names = %v", got)
+	if len(c.merged) != 1 || c.merged["x.example.com"] == nil {
+		t.Fatalf("merged holds %d names, want x.example.com alone", len(c.merged))
 	}
 	if len(c.MergedSet("missing", 0)) != 0 {
 		t.Fatal("missing name should be empty")
