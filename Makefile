@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint allocguard examples bench clean
+.PHONY: all build test race lint examples bench clean
 
 all: build lint test examples
 
@@ -22,13 +22,6 @@ race:
 # links is a package with no reachable declaration, so it is caught there too.
 lint:
 	$(GO) run ./cmd/lintlocind ./...
-	$(GO) run ./cmd/allocguard -check ./...
-
-# allocguard regenerates the //lint:zeroalloc guard tests
-# (allocguard_gen_test.go in each annotated package) after annotations
-# change; `make lint` verifies they are current.
-allocguard:
-	$(GO) run ./cmd/allocguard ./...
 
 # examples runs every program under examples/ to the end; `go build ./...`
 # only compiles them.

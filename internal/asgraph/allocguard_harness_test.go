@@ -3,10 +3,14 @@ package asgraph
 import (
 	"math/rand"
 	"testing"
+
+	"locind/internal/lint/allocguard"
 )
 
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
+
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard. A reused
+// its measurement, consumed by TestAllocGuard. A reused
 // RouteTable's only legitimate allocations are its arrays and scratch
 // growing to fit the graph, so the measurement first runs every destination
 // once and then requires a second pass over all of them to be absolutely

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"locind/internal/lint/allocguard"
 	"locind/internal/names"
 	"locind/internal/netaddr"
 )
@@ -31,13 +32,14 @@ func guardTimelines(count, events int) []Timeline {
 	return tls
 }
 
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
+
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard
-// (allocguard_gen_test.go). The replay paths legitimately allocate fixed
-// warm-up state (walker buffers, the retained clones the API contracts
-// promise), so each measurement is differential: replay a large and a
-// small workload and return the allocation growth — zero growth pins the
-// per-event cost at zero.
+// its measurement, consumed by TestAllocGuard. The replay paths
+// legitimately allocate fixed warm-up state (walker buffers, the retained
+// clones the API contracts promise), so each measurement is differential:
+// replay a large and a small workload and return the allocation growth —
+// zero growth pins the per-event cost at zero.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	return map[string]func(t *testing.T) float64{
 		"Timeline.Walk": func(t *testing.T) float64 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"locind/internal/cdn"
+	"locind/internal/lint/allocguard"
 	"locind/internal/netaddr"
 )
 
@@ -34,8 +35,10 @@ func guardRouter() RouteLookup {
 	})
 }
 
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
+
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard. The fused
+// its measurement, consumed by TestAllocGuard. The fused
 // replays allocate fixed per-call scratch, so their measurements are
 // differential (large minus small workload); the Memo hit path after
 // warm-up must be absolutely allocation-free.

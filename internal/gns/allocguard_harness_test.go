@@ -1,9 +1,15 @@
 package gns
 
-import "testing"
+import (
+	"testing"
+
+	"locind/internal/lint/allocguard"
+)
+
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard. The encoders'
+// its measurement, consumed by TestAllocGuard. The encoders'
 // only legitimate allocation is growing dst to the datagram's size, so each
 // measurement encodes once to warm the buffer and then requires re-encoding
 // into it to be allocation-free, every field and both list elements filled.

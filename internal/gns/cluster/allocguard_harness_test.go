@@ -3,10 +3,14 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"locind/internal/lint/allocguard"
 )
 
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
+
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard. The placement
+// its measurement, consumed by TestAllocGuard. The placement
 // hashes run once or more on every operation and have no buffer to warm:
 // each must be allocation-free from the first call, at every shard and
 // replica count up to the stack bound.

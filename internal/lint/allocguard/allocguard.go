@@ -1,149 +1,39 @@
-// Package allocguard turns //lint:zeroalloc annotations into generated
-// testing.AllocsPerRun guard tests, one allocguard_gen_test.go per
-// annotated package.
+// Package allocguard enforces //lint:zeroalloc (internal/lint/zeroalloc.go).
+// An annotated package's allocguard_harness_test.go declares
 //
-// The generated file holds the sorted symbol list and the TestAllocGuard
-// driver; the measurements themselves live in a hand-written
-// allocguard_harness_test.go beside it, mapping each symbol to a
-// func(*testing.T) float64 that returns the measured steady-state
-// allocation count (absolute for warmed hit paths, differential — large
-// workload minus small — for per-event paths whose warm-up is legitimate).
-// The driver fails when any measurement is non-zero and when the
-// annotation set and the harness map disagree in either direction. It is
-// the annotation's one enforcer — a measurement, so a regression anywhere a
-// harness reaches fails by symbol and count.
+//	func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 //
-// cmd/allocguard is the front end: it regenerates the files, and its
-// -check mode re-renders in memory and byte-compares against disk, which
-// is what makes deleting or adding an annotation without regenerating a CI
-// failure rather than a silent gap.
+// with a hand-written allocGuardHarness mapping each annotated symbol to its
+// measured steady-state allocation count (absolute for warmed hit paths,
+// differential — large workload minus small — for per-event paths whose
+// warm-up is legitimate). Check reads the annotations from the package's own
+// source on every run, so there is no symbol list to go stale.
+//
+//lint:package-allow reach a test harness: the TestAllocGuard of each annotated package is its only importer, and no binary should link it
 package allocguard
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"go/format"
+	"go/build"
 	"go/parser"
 	"go/token"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
+	"testing"
 
 	"locind/internal/lint"
 )
 
-// GenFileName is the generated file's name in each annotated package.
-const GenFileName = "allocguard_gen_test.go"
-
-// header marks generated output; Check uses it to recognise orphans.
-const header = "// Code generated by allocguard; DO NOT EDIT."
-
-// A Package is one scanned package and its annotations.
-type Package struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	Annotated  []lint.AnnotatedFunc // sorted by symbol
-}
-
-// GenPath returns where the package's generated file lives (or would).
-func (p *Package) GenPath() string { return filepath.Join(p.Dir, GenFileName) }
-
-// List scans the packages matched by patterns (go list syntax) for
-// //lint:zeroalloc annotations. Only syntax is needed: files are parsed
-// with comments, never type-checked.
-func List(patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-json", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.StdoutPipe()
+// Check pins every //lint:zeroalloc function of the package under test at
+// zero measured steady-state allocations, one subtest per symbol, and fails
+// when the annotation set and harness disagree in either direction. It
+// reads the package from the working directory, which go test sets to it.
+func Check(t *testing.T, harness map[string]func(*testing.T) float64) {
+	t.Helper()
+	syms, err := annotated(".")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("allocguard: go list: %w", err)
-	}
-	type listed struct {
-		ImportPath string
-		Dir        string
-		Name       string
-		GoFiles    []string
-	}
-	var pkgs []*Package
-	dec := json.NewDecoder(out)
-	for {
-		lp := new(listed)
-		if err := dec.Decode(lp); err == io.EOF {
-			break
-		} else if err != nil {
-			cmd.Wait() //lint:allow errflow the decode error below is the one worth reporting
-			return nil, fmt.Errorf("allocguard: decoding go list output: %w", err)
-		}
-		p := &Package{ImportPath: lp.ImportPath, Dir: lp.Dir, Name: lp.Name}
-		fset := token.NewFileSet()
-		for _, name := range lp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil,
-				parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("allocguard: %w", err)
-			}
-			p.Annotated = append(p.Annotated, lint.ZeroallocFuncs(f)...)
-		}
-		sort.Slice(p.Annotated, func(i, j int) bool {
-			return p.Annotated[i].Symbol < p.Annotated[j].Symbol
-		})
-		pkgs = append(pkgs, p)
-	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("allocguard: go list %v: %w\n%s", patterns, err, stderr.String())
-	}
-	return pkgs, nil
-}
-
-// Generate renders the package's guard file. It returns nil when the
-// package has no annotations (no file should exist).
-func Generate(p *Package) ([]byte, error) {
-	if len(p.Annotated) == 0 {
-		return nil, nil
-	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, `%s
-//
-// One entry per //lint:zeroalloc annotation in %s.
-// Regenerate:  go run ./cmd/allocguard %s
-// Verify:      go run ./cmd/allocguard -check ./...
-
-package %s
-
-import "testing"
-
-// allocGuardAnnotated lists every //lint:zeroalloc symbol in this package,
-// sorted. allocGuardHarness (hand-written, in allocguard_harness_test.go)
-// must measure exactly this set.
-var allocGuardAnnotated = []string{
-`, header, p.ImportPath, p.ImportPath, p.Name)
-	for _, af := range p.Annotated {
-		fmt.Fprintf(&b, "\t%q,", af.Symbol)
-		if note := sanitizeNote(af.Note); note != "" {
-			fmt.Fprintf(&b, " // %s", note)
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(`}
-
-// TestAllocGuard pins every annotated function at zero measured
-// steady-state allocations, and fails when the annotation set and the
-// harness map disagree in either direction.
-func TestAllocGuard(t *testing.T) {
-	harness := allocGuardHarness()
-	seen := make(map[string]bool, len(allocGuardAnnotated))
-	for _, sym := range allocGuardAnnotated {
-		seen[sym] = true
+	for _, sym := range syms {
 		measure, ok := harness[sym]
 		if !ok {
 			t.Errorf("//lint:zeroalloc %s has no measurement; add an allocGuardHarness entry in allocguard_harness_test.go", sym)
@@ -156,78 +46,32 @@ func TestAllocGuard(t *testing.T) {
 		})
 	}
 	for sym := range harness {
-		if !seen[sym] {
+		if !slices.Contains(syms, sym) {
 			t.Errorf("allocGuardHarness measures %q, which has no //lint:zeroalloc annotation; annotate it or drop the entry", sym)
 		}
 	}
 }
-`)
-	return format.Source(b.Bytes())
-}
 
-// sanitizeNote flattens an annotation note for use in a line comment.
-func sanitizeNote(note string) string {
-	return strings.TrimSpace(strings.NewReplacer("\n", " ", "\r", " ").Replace(note))
-}
-
-// A Problem is one divergence between annotations and generated files.
-type Problem struct {
-	Path string // the generated file concerned
-	Msg  string
-}
-
-func (p Problem) String() string { return p.Path + ": " + p.Msg }
-
-// Check re-renders every package's guard file in memory and byte-compares
-// it with disk: stale, missing, and orphaned files are each one Problem.
-func Check(pkgs []*Package) ([]Problem, error) {
-	var probs []Problem
-	for _, p := range pkgs {
-		want, err := Generate(p)
+// annotated returns the sorted //lint:zeroalloc symbols of the package in
+// dir, read from the non-test files the go tool would build. Only syntax is
+// needed: files are parsed with comments, never type-checked.
+func annotated(dir string) ([]string, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var syms []string
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
+			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		got, readErr := os.ReadFile(p.GenPath())
-		switch {
-		case want == nil && readErr == nil:
-			probs = append(probs, Problem{p.GenPath(),
-				"orphaned: package has no //lint:zeroalloc annotations; delete the file or restore the annotations"})
-		case want != nil && readErr != nil:
-			probs = append(probs, Problem{p.GenPath(),
-				"missing: package has //lint:zeroalloc annotations but no generated guard; run go run ./cmd/allocguard " + p.ImportPath})
-		case want != nil && readErr == nil && !bytes.Equal(want, got):
-			probs = append(probs, Problem{p.GenPath(),
-				"stale: annotations changed since generation; rerun go run ./cmd/allocguard " + p.ImportPath})
+		for _, af := range lint.ZeroallocFuncs(f) {
+			syms = append(syms, af.Symbol)
 		}
 	}
-	return probs, nil
-}
-
-// Write regenerates the guard files on disk, removing orphans. It returns
-// the paths written and removed.
-func Write(pkgs []*Package) (written, removed []string, err error) {
-	for _, p := range pkgs {
-		want, err := Generate(p)
-		if err != nil {
-			return written, removed, err
-		}
-		path := p.GenPath()
-		if want == nil {
-			if _, statErr := os.Stat(path); statErr == nil {
-				if err := os.Remove(path); err != nil {
-					return written, removed, err
-				}
-				removed = append(removed, path)
-			}
-			continue
-		}
-		if old, readErr := os.ReadFile(path); readErr == nil && bytes.Equal(old, want) {
-			continue // already current
-		}
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			return written, removed, err
-		}
-		written = append(written, path)
-	}
-	return written, removed, nil
+	slices.Sort(syms)
+	return syms, nil
 }

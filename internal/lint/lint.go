@@ -28,8 +28,9 @@
 // Findings are suppressed with `//lint:allow <check> <reason>` comments; see
 // allow.go for the three scopes (line, file, package). The companion
 // //lint:zeroalloc annotation (zeroalloc.go) has one enforcer, the one that
-// measures: cmd/allocguard's generated AllocsPerRun tests. No analyzer reads
-// it; collectAllows only reports one that annotates nothing.
+// measures: each annotated package's TestAllocGuard, which allocguard.Check
+// drives from the annotations themselves. No analyzer reads it;
+// collectAllows only reports one that annotates nothing.
 package lint
 
 import (

@@ -15,13 +15,14 @@ import (
 // optional — it documents what "steady state" means for this function
 // (per event, per lookup, per heap op).
 //
-// The annotation has one enforcer, the one that measures: cmd/allocguard
-// generates a testing.AllocsPerRun-based allocguard_gen_test.go per annotated
-// package, and TestAllocGuard fails by symbol and count when an annotated
-// function — or anything its harness drives, across package boundaries —
-// starts allocating, or when annotations and harnesses disagree (DESIGN.md
-// §7). A directive that is not a function's doc comment annotates nothing;
-// collectAllows reports it under the unsuppressible lintdirective check.
+// The annotation has one enforcer, the one that measures: each annotated
+// package's TestAllocGuard calls allocguard.Check, which reads the
+// annotations from the package's source with ZeroallocFuncs and fails by
+// symbol and count when an annotated function — or anything its harness
+// drives, across package boundaries — starts allocating, or when
+// annotations and harnesses disagree (DESIGN.md §7). A directive that is
+// not a function's doc comment annotates nothing; collectAllows reports it
+// under the unsuppressible lintdirective check.
 
 // zeroallocDirective is the comment prefix of the annotation.
 const zeroallocDirective = "//lint:zeroalloc"
@@ -32,8 +33,6 @@ type AnnotatedFunc struct {
 	// "T.M" for a method (pointer receivers are spelled the same as value
 	// receivers — allocation behaviour, not method sets, is what is pinned).
 	Symbol string
-	// Note is the free-form text following the directive, "" when absent.
-	Note string
 	// Decl is the annotated declaration.
 	Decl *ast.FuncDecl
 }
@@ -54,7 +53,7 @@ func ParseZeroalloc(text string) (note string, ok bool) {
 
 // ZeroallocFuncs returns the annotated function declarations of a parsed
 // file in declaration order. It needs only syntax (parser.ParseComments),
-// no type information, so cmd/allocguard shares it without loading types.
+// no type information, so allocguard.Check shares it without loading types.
 func ZeroallocFuncs(f *ast.File) []AnnotatedFunc {
 	var out []AnnotatedFunc
 	for _, decl := range f.Decls {
@@ -63,11 +62,10 @@ func ZeroallocFuncs(f *ast.File) []AnnotatedFunc {
 			continue
 		}
 		for _, c := range fd.Doc.List {
-			note, ok := ParseZeroalloc(c.Text)
-			if !ok {
+			if _, ok := ParseZeroalloc(c.Text); !ok {
 				continue
 			}
-			out = append(out, AnnotatedFunc{Symbol: FuncSymbol(fd), Note: note, Decl: fd})
+			out = append(out, AnnotatedFunc{Symbol: FuncSymbol(fd), Decl: fd})
 			break
 		}
 	}

@@ -1,9 +1,15 @@
 package netaddr
 
-import "testing"
+import (
+	"testing"
+
+	"locind/internal/lint/allocguard"
+)
+
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard. Lookup sits
+// its measurement, consumed by TestAllocGuard. Lookup sits
 // on the innermost loop of every strategy replay and must be absolutely
 // allocation-free against a populated trie.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {

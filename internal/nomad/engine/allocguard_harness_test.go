@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"locind/internal/lint/allocguard"
 	"locind/internal/mobility"
 )
 
@@ -34,11 +35,13 @@ func guardEngine(t *testing.T) *Engine {
 	return eng
 }
 
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
+
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard
-// (allocguard_gen_test.go). AllocsPerRun's documented warm-up invocation
-// grows every buffer to steady-state capacity before anything is measured,
-// so each measurement pins the warm path at an absolute zero.
+// its measurement, consumed by TestAllocGuard. AllocsPerRun's documented
+// warm-up invocation grows every buffer to steady-state capacity before
+// anything is measured, so each measurement pins the warm path at an
+// absolute zero.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	return map[string]func(t *testing.T) float64{
 		"evHeap.push": func(t *testing.T) float64 {

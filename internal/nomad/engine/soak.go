@@ -83,7 +83,7 @@ type SoakReport struct {
 	// Flatness evidence: quarter-median HeapInuse (third vs last quarter)
 	// and queue-entry gauge (second vs last quarter — same phase of the
 	// daily cycle), produced by obs.SeriesCheck over the sampler's rings;
-	// see the flatness comment in RunSoak. SeriesChecks holds the full
+	// see soakHeapFlat and soakQueueFlat. SeriesChecks holds the full
 	// verdicts (including any extra checks the caller bound).
 	Samples              int
 	HeapEarly, HeapLate  uint64
@@ -112,6 +112,30 @@ const (
 const (
 	soakHeapSeries  = "locind_runtime_heap_inuse_bytes"
 	soakQueueSeries = "locind_nomad_engine_queue_entries"
+)
+
+// The two gauges have different shapes, so each gets the comparison window
+// that catches its leak without tripping on its warm-up. RunSoak binds these
+// checks and its report quotes the same two quarters as early= and late=.
+//
+// HeapInuse ramps then plateaus — every device's record buffer ratchets up
+// to its personal high-water capacity, and at 1M devices that tail runs deep
+// into day two — so memory compares the second half's two quarters (Q3 vs
+// Q4). A retention leak — O(records) growth, ~50B × millions of records per
+// quarter — dwarfs the slack; the decaying capacity ratchet fits inside it.
+//
+// Queue depth is periodic with the virtual day (pending records build
+// through cellular stretches and drain at WiFi dwells), so adjacent quarters
+// sit at different phases of the cycle. It compares Q2 vs Q4 — half the run
+// apart, which at the 2-day soak shape is exactly one virtual day, i.e. the
+// same phase — where unbounded growth still doubles the median but the
+// daily swing cancels out.
+//
+// The constant terms absorb GC phase noise and quantization on CI-sized
+// runs.
+var (
+	soakHeapFlat  = obs.Flatness{EarlyQuarter: 2, LateQuarter: 3, RelSlack: 0.25, AbsSlack: 32 << 20}
+	soakQueueFlat = obs.Flatness{EarlyQuarter: 1, LateQuarter: 3, RelSlack: 1, AbsSlack: 1024}
 )
 
 // RunSoak drives the soak to completion and writes the report lines to
@@ -249,13 +273,11 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	smp.Pre(obs.RuntimeSampler(reg))
 
 	// The flatness assertions ride on the series: same windows, same slack
-	// as the original hand-rolled quartile code (see the shape comment
-	// below), now evaluated by obs.SeriesCheck so /healthz degrades live
-	// if a gauge stops being flat mid-run.
-	smp.Check(SoakHeapCheck, soakHeapSeries,
-		obs.Flatness{EarlyQuarter: 2, LateQuarter: 3, RelSlack: 0.25, AbsSlack: 32 << 20})
-	smp.Check(SoakQueueCheck, soakQueueSeries,
-		obs.Flatness{EarlyQuarter: 1, LateQuarter: 3, RelSlack: 1, AbsSlack: 1024})
+	// as the original hand-rolled quartile code (see soakHeapFlat), now
+	// evaluated by obs.SeriesCheck so /healthz degrades live if a gauge
+	// stops being flat mid-run.
+	smp.Check(SoakHeapCheck, soakHeapSeries, soakHeapFlat)
+	smp.Check(SoakQueueCheck, soakQueueSeries, soakQueueFlat)
 
 	smpCtx, stop := context.WithCancel(ctx)
 	defer stop()
@@ -338,25 +360,6 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	// One last tick so even a sub-period run has end-state samples, then
 	// the series checks render the verdicts.
 	smp.Tick()
-	// The two gauges have different shapes, so each gets the comparison
-	// window that catches its leak without tripping on its warm-up:
-	//
-	// HeapInuse ramps then plateaus — every device's record buffer ratchets
-	// up to its personal high-water capacity, and at 1M devices that tail
-	// runs deep into day two — so memory compares the second half's two
-	// quarters (Q3 vs Q4). A retention leak — O(records) growth, ~50B ×
-	// millions of records per quarter — dwarfs the slack; the decaying
-	// capacity ratchet fits inside it.
-	//
-	// Queue depth is periodic with the virtual day (pending records build
-	// through cellular stretches and drain at WiFi dwells), so adjacent
-	// quarters sit at different phases of the cycle. It compares Q2 vs Q4
-	// — half the run apart, which at the 2-day soak shape is exactly one
-	// virtual day, i.e. the same phase — where unbounded growth still
-	// doubles the median but the daily swing cancels out.
-	//
-	// The constant terms absorb GC phase noise and quantization on
-	// CI-sized runs.
 	rep.SeriesChecks = smp.EvalChecks()
 	for _, c := range rep.SeriesChecks {
 		switch c.Name {
@@ -371,8 +374,8 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	rep.Samples = len(heapVals)
 	heapQ := obs.QuarterMedians(heapVals)
 	queueQ := obs.QuarterMedians(queueVals)
-	rep.HeapEarly, rep.HeapLate = uint64(heapQ[2]), uint64(heapQ[3])
-	rep.QueueEarly, rep.QueueLat = int64(queueQ[1]), int64(queueQ[3])
+	rep.HeapEarly, rep.HeapLate = uint64(heapQ[soakHeapFlat.EarlyQuarter]), uint64(heapQ[soakHeapFlat.LateQuarter])
+	rep.QueueEarly, rep.QueueLat = int64(queueQ[soakQueueFlat.EarlyQuarter]), int64(queueQ[soakQueueFlat.LateQuarter])
 
 	writeSoakReport(out, rep, prof)
 	if !rep.OK() {

@@ -1,14 +1,19 @@
 package obs
 
-import "testing"
+import (
+	"testing"
+
+	"locind/internal/lint/allocguard"
+)
+
+func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
-// its measurement, consumed by the generated TestAllocGuard
-// (allocguard_gen_test.go). AllocsPerRun's documented warm-up invocation
-// runs the first Tick — the cold sync() that builds sources and rings —
-// before anything is measured, so the measurement pins the warm per-tick
-// snapshot path (atomic loads, quantile interpolation, ring pushes) at an
-// absolute zero.
+// its measurement, consumed by TestAllocGuard. AllocsPerRun's documented
+// warm-up invocation runs the first Tick — the cold sync() that builds
+// sources and rings — before anything is measured, so the measurement pins
+// the warm per-tick snapshot path (atomic loads, quantile interpolation,
+// ring pushes) at an absolute zero.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	return map[string]func(t *testing.T) float64{
 		"Sampler.snapshot": func(t *testing.T) float64 {
