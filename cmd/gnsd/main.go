@@ -65,7 +65,6 @@ func run(shards, replicas int, seed int64, obsAddr string) error {
 		sm.Tracer = obs.NewTracer(seed, 0)
 		sm.Tracer.SetNow(sm.Clock)
 		smp := obs.NewSampler(reg, 0)
-		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
 		go smp.Run(ctx)
 		srv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: sm.Tracer, Sampler: smp}))

@@ -154,7 +154,6 @@ func run(args []string, o runOpts) error {
 		// its ticker is wall-clock but only reads atomic gauge/counter
 		// values, so experiment output stays byte-identical (DESIGN.md §12).
 		smp = obs.NewSampler(reg, 0)
-		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
 		gnsObs = &expt.GNSClusterObs{Registry: reg, Sampler: smp}
 		sampCtx, sampStop := context.WithCancel(context.Background())

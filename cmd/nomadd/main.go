@@ -208,7 +208,6 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	begin := time.Now()
 	tracer.SetNow(func() time.Duration { return time.Since(begin) })
 	smp := obs.NewSampler(reg, 0)
-	smp.SetInterval(200 * time.Millisecond)
 	smp.Pre(obs.RuntimeSampler(reg))
 	sampCtx, sampStop := context.WithCancel(ctx)
 	defer sampStop()

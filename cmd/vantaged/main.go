@@ -82,7 +82,6 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		begin := time.Now()
 		tracer.SetNow(func() time.Duration { return time.Since(begin) })
 		smp := obs.NewSampler(reg, 0)
-		smp.SetInterval(200 * time.Millisecond)
 		smp.Pre(obs.RuntimeSampler(reg))
 		sampCtx, sampStop := context.WithCancel(ctx)
 		defer sampStop()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,8 +58,6 @@ type Client struct {
 	Retries int
 	// Backoff schedules pauses between per-leg attempts.
 	Backoff reliable.Backoff
-	// Rand supplies backoff jitter; nil disables jitter.
-	Rand *rand.Rand
 	// Sleep overrides the inter-attempt wait (virtual clock hook).
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Metrics, when non-nil, counts cluster-level activity.
@@ -283,7 +280,6 @@ func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, par
 		MaxAttempts: c.Retries + 1,
 		PerAttempt:  timeout,
 		Backoff:     c.Backoff,
-		Rand:        c.Rand,
 		Sleep:       c.Sleep,
 		Metrics:     c.RetryMetrics,
 		TraceSpan:   leg,

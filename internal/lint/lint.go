@@ -19,8 +19,8 @@
 //	             io/encoding sinks (the expt.RunSensitivity regression class)
 //	ctxflow      exported gns/nomad/vantage/reliable entry points that spawn
 //	             goroutines or touch the network without a context.Context
-//	lockflow     mutexes copied by value, locks held across blocking
-//	             operations, and inconsistent lock acquisition order
+//	lockflow     locks held across blocking operations, self-deadlocks,
+//	             and inconsistent lock acquisition order
 //	reach        declarations no cmd/, examples/ or bench binary can reach:
 //	             code kept alive by its own tests alone, and packages that
 //	             nothing links (the one whole-program check)

@@ -9,23 +9,20 @@ import (
 )
 
 // Lockflow polices the module's mutex discipline — the invariants behind
-// the 64-stripe core.Memo and the gns/cluster Store/breaker locks:
+// the 64-stripe core.Memo and the gns/cluster Store/breaker locks. A lock
+// copied by value is not among them: go vet's copylocks, a blocking CI step
+// and part of make lint, is the one enforcer of that.
 //
-//  1. Lock-bearing values copied by value: a method receiver, parameter,
-//     plain assignment, or range clause that copies a struct containing a
-//     sync.Mutex/RWMutex/WaitGroup/Once/Cond/Map or a sync/atomic typed
-//     value forks the lock state — both copies think they own the lock.
-//     (go vet's copylocks overlaps here; running it in-house keeps the
-//     invariant in the same blocking gate and the same //lint:allow
-//     vocabulary as everything else.)
-//
-//  2. Locks held across blocking operations: between a Lock/RLock and its
+//  1. Locks held across blocking operations: between a Lock/RLock and its
 //     Unlock (or to function end, for defer), no channel send/receive, no
 //     default-less select, and no call into the blocking watchlist —
 //     net dials/reads, time.Sleep, sync.WaitGroup.Wait, gns.Exchange and
 //     gns.Transport.Exchange, reliable.Policy.Do — directly or through a same-package helper that
 //     transitively blocks. A lock held across a network round trip turns
 //     one slow replica into a convoy of every caller.
+//
+//  2. Self-deadlock: a mutex locked again while the same expression
+//     already holds it.
 //
 //  3. Inconsistent acquisition order: if somewhere in the package lock
 //     class A is taken while B is held and elsewhere B while A is held,
@@ -40,7 +37,7 @@ import (
 // serialized quorum write) is annotated //lint:allow lockflow <reason>.
 var Lockflow = &Analyzer{
 	Name: "lockflow",
-	Doc:  "no lock-bearing values copied by value, no locks held across blocking operations, no lock-order inversions",
+	Doc:  "no locks held across blocking operations, no self-deadlocks, no lock-order inversions",
 	Run:  runLockflow,
 }
 
@@ -51,141 +48,14 @@ func runLockflow(p *Pass) error {
 		if isTestFile(p, f) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkLockCopyParams(p, n)
-				if n.Body != nil {
-					checkHeldLocks(p, n.Body, blocks, orders)
-				}
-				return true
-			case *ast.AssignStmt:
-				checkLockCopyAssign(p, n)
-			case *ast.RangeStmt:
-				checkLockCopyRange(p, n)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkHeldLocks(p, fd.Body, blocks, orders)
 			}
-			return true
-		})
+		}
 	}
 	reportOrderInversions(p, orders)
 	return nil
-}
-
-// ---------------------------------------------------------------- copies —
-
-// lockishType returns a human-readable description of the lock-bearing
-// component of t ("" when t is freely copyable). Pointers are copyable;
-// the lock must live in the value itself.
-func lockishType(t types.Type) string {
-	return lockishRec(t, map[types.Type]bool{})
-}
-
-func lockishRec(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if pkg := obj.Pkg(); pkg != nil {
-			switch pkg.Path() {
-			case "sync":
-				switch obj.Name() {
-				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-					return "sync." + obj.Name()
-				}
-			case "sync/atomic":
-				return "atomic." + obj.Name()
-			}
-		}
-		return lockishRec(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if s := lockishRec(t.Field(i).Type(), seen); s != "" {
-				return s
-			}
-		}
-	case *types.Array:
-		return lockishRec(t.Elem(), seen)
-	}
-	return ""
-}
-
-// checkLockCopyParams flags by-value receivers and parameters of
-// lock-bearing type.
-func checkLockCopyParams(p *Pass, fd *ast.FuncDecl) {
-	flag := func(fl *ast.FieldList, kind string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := p.TypesInfo.Types[field.Type].Type
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if lock := lockishType(t); lock != "" {
-				p.Reportf(field.Type.Pos(), "%s %s copies %s by value; use a pointer", FuncSymbol(fd), kind, lock)
-			}
-		}
-	}
-	flag(fd.Recv, "receiver")
-	flag(fd.Type.Params, "parameter")
-}
-
-// checkLockCopyAssign flags assignments whose right-hand side copies an
-// existing lock-bearing value (composite literals and call results are
-// fresh values being moved, not copies of a live lock).
-func checkLockCopyAssign(p *Pass, as *ast.AssignStmt) {
-	for i, rhs := range as.Rhs {
-		if i >= len(as.Lhs) {
-			break
-		}
-		// `_ = x` performs no copy at runtime; it is the idiom for marking
-		// a value used.
-		if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-			continue
-		}
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		default:
-			continue
-		}
-		t := p.TypesInfo.Types[rhs].Type
-		if t == nil {
-			continue
-		}
-		if lock := lockishType(t); lock != "" {
-			p.Reportf(rhs.Pos(), "assignment copies a value containing %s; share a pointer instead", lock)
-		}
-	}
-}
-
-// checkLockCopyRange flags `for _, v := range xs` where v copies a
-// lock-bearing element.
-func checkLockCopyRange(p *Pass, rs *ast.RangeStmt) {
-	if rs.Value == nil {
-		return
-	}
-	t := p.TypesInfo.Types[rs.Value].Type
-	if t == nil {
-		// In the := form the value is a defined ident, not a typed expr.
-		if id, ok := rs.Value.(*ast.Ident); ok {
-			if obj := p.TypesInfo.Defs[id]; obj != nil {
-				t = obj.Type()
-			}
-		}
-	}
-	if t == nil {
-		return
-	}
-	if lock := lockishType(t); lock != "" {
-		p.Reportf(rs.Value.Pos(), "range copies elements containing %s; iterate by index", lock)
-	}
 }
 
 // ------------------------------------------------- blocking call summary —

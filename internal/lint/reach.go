@@ -82,6 +82,9 @@ func runReach(passes []*Pass) {
 	}
 
 	for _, p := range passes {
+		if len(p.Files) == 0 {
+			continue // a directory of _test.go files only: no production declaration
+		}
 		if !linked[p.Pkg] {
 			p.Reportf(p.Files[0].Package, "package %s is linked by no binary", p.Pkg.Path())
 			continue

@@ -1,6 +1,6 @@
-// Package lockdirty is the dirty arm of the lockflow fixtures: lock
-// copies, blocking operations under a held mutex (the gns exchanges
-// included), a self-deadlock, and an AB/BA acquisition-order inversion.
+// Package lockdirty is the dirty arm of the lockflow fixtures: blocking
+// operations under a held mutex (the gns exchanges included), a
+// self-deadlock, and an AB/BA acquisition-order inversion.
 package lockdirty
 
 import (
@@ -10,21 +10,10 @@ import (
 	"locind/internal/gns"
 )
 
-// Reg guards a map and a channel.
+// Reg guards a channel.
 type Reg struct {
 	mu    sync.Mutex
 	ready chan int
-	vals  map[string]int
-}
-
-// Snapshot copies the registry — and its mutex — by value.
-func Snapshot(r Reg) int { // want `Snapshot parameter copies sync.Mutex by value`
-	return len(r.vals)
-}
-
-// Len has a by-value receiver, forking the lock state on every call.
-func (r Reg) Len() int { // want `Reg.Len receiver copies sync.Mutex by value`
-	return len(r.vals)
 }
 
 // Wait sleeps with the lock held.
@@ -63,21 +52,6 @@ func (r *Reg) Again() {
 	r.mu.Lock() // want `r.mu locked again while already held`
 	r.mu.Unlock()
 	r.mu.Unlock()
-}
-
-// Copy duplicates a live registry through a pointer dereference.
-func Copy(r *Reg) {
-	s := *r // want `assignment copies a value containing sync.Mutex`
-	_ = s
-}
-
-// Sum iterates a slice of registries by value.
-func Sum(regs []Reg) int {
-	n := 0
-	for _, r := range regs { // want `range copies elements containing sync.Mutex`
-		n += len(r.vals)
-	}
-	return n
 }
 
 // Pair is locked a-then-b in AB but b-then-a in BA.

@@ -111,10 +111,6 @@ type Config struct {
 	// Days is the trace length; 0 takes Fleet.Days() / Trace.Days.
 	Days int
 
-	// MinUploadDwell is the minimum WiFi dwell (hours) treated as an
-	// upload opportunity; 0 takes the Agent default (2.0).
-	MinUploadDwell float64
-
 	// MaxPending bounds loose records per device: reaching it forces a
 	// seal even without an upload opportunity. 0 = unbounded (the Agent's
 	// behaviour, and the setting that keeps batch identities
@@ -181,6 +177,10 @@ type Engine struct {
 	attempts int64
 }
 
+// minUploadDwell is the minimum WiFi dwell (hours) treated as an upload
+// opportunity: the Agent's value.
+const minUploadDwell = 2.0
+
 // Action flags returned by stepVisit so the allocating follow-ups (day
 // generation, batch upload) stay out of the zero-alloc event step.
 const (
@@ -211,9 +211,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Fleet != nil && cfg.Days > cfg.Fleet.Days() {
 		return nil, fmt.Errorf("engine: %d days exceeds the fleet's %d", cfg.Days, cfg.Fleet.Days())
-	}
-	if cfg.MinUploadDwell == 0 {
-		cfg.MinUploadDwell = 2.0
 	}
 	switch {
 	case cfg.UploadRetries == 0:
@@ -360,7 +357,7 @@ func (e *Engine) stepVisit(dev int32) uint8 {
 	e.met.QueueEntries.Add(1)
 
 	var act uint8
-	if v.net == uint8(mobility.WiFi) && v.dur >= e.cfg.MinUploadDwell {
+	if v.net == uint8(mobility.WiFi) && v.dur >= minUploadDwell {
 		// Upload opportunity: seal the loose records and drain the whole
 		// queue (older failed batches included), like the Agent.
 		e.seal(d)

@@ -47,9 +47,6 @@ type SoakConfig struct {
 	Out io.Writer
 }
 
-// soakSampleEvery is the gauge sampling period.
-const soakSampleEvery = 200 * time.Millisecond
-
 // defaultSoakFaults is chaos that hurts without stopping progress: refused
 // and mid-stream-reset connections force the retry and replay machinery,
 // brief stalls add latency jitter.
@@ -165,7 +162,6 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if smp == nil {
 		smp = obs.NewSampler(reg, 0)
 	}
-	smp.SetInterval(soakSampleEvery)
 	prof := obs.NewProfiler(reg)
 	begin := time.Now()                                            //lint:allow determinism wall-clock phase timing is reporting, never simulation state
 	prof.SetNow(func() time.Duration { return time.Since(begin) }) //lint:allow determinism same: profiler phase walls
@@ -257,7 +253,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	for i := range engines {
 		evRate[i] = reg.Gauge("locind_nomad_engine_events_per_sec", "visit events processed per second", "shard", strconv.Itoa(i))
 	}
-	tickSecs := soakSampleEvery.Seconds()
+	tickSecs := obs.SampleEvery.Seconds()
 	smp.Pre(func() {
 		var qe, qb int64
 		for i, m := range shardMets {

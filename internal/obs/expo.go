@@ -84,28 +84,3 @@ func formatFloat(f float64) string {
 	}
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
-
-// Snapshot returns the registry as a plain map for programmatic inspection
-// (the run profiler's counter deltas use this). Histograms report count and
-// sum under derived keys.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.series {
-		key := s.name + wrapLabels(s.labels)
-		switch s.kind {
-		case kindCounter:
-			out[key] = s.c.Value()
-		case kindGauge:
-			out[key] = s.g.Value()
-		case kindHistogram:
-			out[key+"_count"] = s.h.Count()
-			out[key+"_sum"] = s.h.Sum()
-		}
-	}
-	return out
-}

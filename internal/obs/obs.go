@@ -1,9 +1,10 @@
 // Package obs is the repository's observability substrate: an atomic
 // hot-path metrics registry (counters, gauges, fixed-bucket histograms)
-// with Prometheus text-format exposition and expvar bridging, span-based
-// tracing with deterministic IDs, and an HTTP introspection endpoint
-// (/metrics, /debug/vars, /debug/pprof) mounted by the daemons behind an
-// -obs.addr flag.
+// with Prometheus text-format exposition, span-based tracing with
+// deterministic IDs, a time-series sampler, a run profiler, and an HTTP
+// introspection endpoint (/metrics, /debug/pprof/*, /debug/traces,
+// /debug/timeseries, /debug/dash, /healthz) mounted by the daemons behind
+// an -obs.addr flag.
 //
 // The design contract, enforced by tests:
 //

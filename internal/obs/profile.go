@@ -141,9 +141,20 @@ func (ph *ProfPhase) End() {
 // gauges, histogram counts), keyed by exposition name.
 func snapshotInts(reg *Registry) map[string]int64 {
 	out := map[string]int64{}
-	for k, v := range reg.Snapshot() {
-		if n, ok := v.(int64); ok {
-			out[k] = n
+	if reg == nil {
+		return out
+	}
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	for _, s := range reg.series {
+		key := s.name + wrapLabels(s.labels)
+		switch s.kind {
+		case kindCounter:
+			out[key] = s.c.Value()
+		case kindGauge:
+			out[key] = s.g.Value()
+		case kindHistogram:
+			out[key+"_count"] = s.h.Count()
 		}
 	}
 	return out

@@ -52,6 +52,25 @@ func TestProfilerPhasesAndCounterDeltas(t *testing.T) {
 	}
 }
 
+// TestSnapshotInts: the profiler's baseline holds every counter, gauge and
+// histogram count under its exposition key, and nothing else.
+func TestSnapshotInts(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "").Add(3)
+	r.Gauge("g", "", "k", "v").Set(9)
+	r.Histogram("h_seconds", "", []float64{1}, "k", "v").Observe(0.25)
+	got := snapshotInts(r)
+	want := map[string]int64{"a_total": 3, `g{k="v"}`: 9, `h_seconds{k="v"}_count`: 1}
+	if len(got) != len(want) {
+		t.Fatalf("snapshotInts = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("snapshotInts[%s] = %d, want %d (all: %v)", k, got[k], v, got)
+		}
+	}
+}
+
 func TestProfilerPhaseEndTwiceCommitsOnce(t *testing.T) {
 	p := NewProfiler(nil)
 	ph := p.Begin("once")

@@ -57,17 +57,17 @@ type Dump struct {
 	Checks          []CheckResult `json:"checks,omitempty"`
 }
 
-// Dump snapshots every series (and the current check verdicts) into a
-// serializable report. Nil sampler → nil.
+// Dump snapshots every series and the check verdicts over them, under one
+// hold of the sampler's lock, into a serializable report. Nil sampler → nil.
 func (s *Sampler) Dump() *Dump {
 	if s == nil {
 		return nil
 	}
-	d := &Dump{Checks: s.EvalChecks()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	d := &Dump{Checks: s.evalChecksLocked()}
 	d.Ticks = s.ticks
-	d.IntervalSeconds = s.interval.Seconds()
+	d.IntervalSeconds = SampleEvery.Seconds()
 	d.Series = make([]DumpSeries, 0, len(s.order))
 	for _, sr := range s.order {
 		ds := DumpSeries{Key: sr.key, Name: sr.name}

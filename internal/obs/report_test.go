@@ -3,9 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSampleJSONRoundTripsNonFinite(t *testing.T) {
@@ -36,7 +36,6 @@ func TestDumpRoundTrip(t *testing.T) {
 	c := r.Counter("ops_total", "", "shard", "1")
 	g := r.Gauge("depth", "")
 	s := NewSampler(r, 16)
-	s.SetInterval(200 * time.Millisecond)
 	s.Check("depth-ok", "depth", Bounded{Min: 0, Max: 100})
 	for i := 0; i < 5; i++ {
 		c.Inc()
@@ -66,6 +65,53 @@ func TestDumpRoundTrip(t *testing.T) {
 	var nilS *Sampler
 	if nilS.Dump() != nil {
 		t.Fatal("nil sampler Dump must be nil")
+	}
+}
+
+// lastSample is a check whose detail is the newest sample it judged.
+type lastSample struct{}
+
+func (lastSample) Kind() string { return "last" }
+
+func (lastSample) Eval(v []float64) (bool, string) {
+	return true, strconv.FormatFloat(v[len(v)-1], 'g', -1, 64)
+}
+
+// TestDumpIsOneInstant: a Dump's check verdicts judge the samples its series
+// carry, however the sampler's ticks interleave with it — the check and the
+// series it is bound to are read under one hold of the lock.
+func TestDumpIsOneInstant(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ticks_total", "")
+	s := NewSampler(r, 8)
+	s.Pre(c.Inc)
+	s.Check("last", "ticks_total", lastSample{})
+	s.Tick()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Tick()
+			}
+		}
+	}()
+	const dumps = 2000
+	torn := 0
+	for i := 0; i < dumps; i++ {
+		d := s.Dump()
+		samples := d.Series[0].Samples
+		if d.Checks[0].Detail != strconv.FormatFloat(float64(samples[len(samples)-1]), 'g', -1, 64) {
+			torn++
+		}
+	}
+	close(stop)
+	<-done
+	if torn > 0 {
+		t.Fatalf("%d of %d dumps judged other samples than they dumped", torn, dumps)
 	}
 }
 

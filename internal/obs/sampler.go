@@ -12,20 +12,19 @@ import (
 // sparklines, and the SeriesCheck health assertions. Tick is clock-free: a
 // test drives it by hand and stays deterministic, exactly like the tracer's
 // injected now. Run is the one ticker the daemons share, a time.Ticker loop
-// over Tick at the recorded Interval.
+// over Tick every SampleEvery.
 //
 // Memory model: every registry series costs one ring of Capacity float64s
 // (histograms cost five: _count, _sum, and the interpolated _p50/_p95/_p99
 // quantile series), allocated once when the series is first seen and never
 // grown — a long soak's sampler is constant memory, and the steady-state
-// per-tick snapshot path is allocation-free (pinned by the generated
-// allocguard test). Metrics registered after the sampler starts are picked
-// up on their first tick; their rings simply start later.
+// per-tick snapshot path is allocation-free (pinned by TestAllocGuard).
+// Metrics registered after the sampler starts are picked up on their first
+// tick; their rings simply start later.
 type Sampler struct {
 	mu       sync.Mutex
 	reg      *Registry
 	capacity int
-	interval time.Duration
 
 	known   int // registry series already synced
 	sources []source
@@ -61,8 +60,12 @@ type checkBinding struct {
 	check SeriesCheck
 }
 
-// DefaultSeriesCapacity is the ring size samplers default to: at a 200ms
-// tick it retains the trailing ~13 minutes, and costs 32 KiB per series.
+// SampleEvery is the period Run ticks at, and the interval a Dump reports.
+// Tick itself never sleeps.
+const SampleEvery = 200 * time.Millisecond
+
+// DefaultSeriesCapacity is the ring size samplers default to: at SampleEvery
+// it retains the trailing ~13 minutes, and costs 32 KiB per series.
 const DefaultSeriesCapacity = 4096
 
 // NewSampler builds a sampler over reg with the given ring capacity per
@@ -77,27 +80,6 @@ func NewSampler(reg *Registry, capacity int) *Sampler {
 		capacity = DefaultSeriesCapacity
 	}
 	return &Sampler{reg: reg, capacity: capacity, byKey: map[string]*Series{}}
-}
-
-// SetInterval records the nominal tick period: the one Run ticks at and
-// reports and dumps quote. Tick itself never sleeps.
-func (s *Sampler) SetInterval(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.interval = d
-	s.mu.Unlock()
-}
-
-// Interval returns the recorded nominal tick period (0 if never set).
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.interval
 }
 
 // Pre registers a hook run at the start of every tick, before sampling —
@@ -148,15 +130,14 @@ func (s *Sampler) Tick() {
 	s.ticks++
 }
 
-// Run calls Tick every Interval until ctx is done, then returns: the
+// Run calls Tick every SampleEvery until ctx is done, then returns: the
 // sampling loop of every daemon, run in a goroutine the caller joins if it
-// needs the last sample ordered. The interval must have been set. A nil
-// sampler returns at once.
+// needs the last sample ordered. A nil sampler returns at once.
 func (s *Sampler) Run(ctx context.Context) {
 	if s == nil {
 		return
 	}
-	tick := time.NewTicker(s.Interval())
+	tick := time.NewTicker(SampleEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -253,6 +234,11 @@ func (s *Sampler) EvalChecks() []CheckResult {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.evalChecksLocked()
+}
+
+// evalChecksLocked is EvalChecks for a caller that holds s.mu.
+func (s *Sampler) evalChecksLocked() []CheckResult {
 	out := make([]CheckResult, 0, len(s.checks))
 	for _, cb := range s.checks {
 		res := CheckResult{Name: cb.name, Series: cb.key, Kind: cb.check.Kind()}

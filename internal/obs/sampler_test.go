@@ -4,16 +4,14 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSamplerNilSafe(t *testing.T) {
 	var s *Sampler
 	s.Tick()
-	s.SetInterval(time.Second)
 	s.Pre(func() { t.Fatal("pre hook on nil sampler must never run") })
 	s.Check("c", "k", MonotoneNonDecreasing{})
-	if s.Ticks() != 0 || s.Interval() != 0 || s.Series("k") != nil {
+	if s.Ticks() != 0 || s.Series("k") != nil {
 		t.Fatal("nil sampler must read as zero")
 	}
 	if got := s.Values("k", nil); got != nil {
@@ -31,13 +29,12 @@ func TestSamplerNilSafe(t *testing.T) {
 	s.Run(context.Background()) // returns at once: nothing to tick
 }
 
-// TestSamplerRunTicksUntilDone: Run samples at the recorded interval and
+// TestSamplerRunTicksUntilDone: Run samples every SampleEvery and
 // returns when ctx is done, so a caller that joins it knows no tick is in
 // flight — what RunSoak relies on before its final hand-driven Tick.
 func TestSamplerRunTicksUntilDone(t *testing.T) {
 	reg := NewRegistry()
 	s := NewSampler(reg, 16)
-	s.SetInterval(time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := make(chan struct{})
 	var once sync.Once
