@@ -9,16 +9,19 @@ import (
 	"locind/internal/netaddr"
 )
 
-// guardTimeline mirrors the cdn test helper: a two-address set where every
-// event retires the previously added address and introduces a fresh one.
-func guardTimeline(events int) cdn.Timeline {
+// guardTimeline is a two-address set where every event retires the
+// previously added address and brings in the next of distinct rotating ones:
+// distinct == events introduces a fresh address at every event, a small
+// distinct brings back addresses the timeline has already met, the
+// load-balancer rotation the per-timeline resolution table is for.
+func guardTimeline(events, distinct int) cdn.Timeline {
 	tl := cdn.Timeline{Hours: events + 2, Initial: []netaddr.Addr{10, 20}}
 	for i := 0; i < events; i++ {
-		ev := cdn.Event{Hour: i + 1, Added: []netaddr.Addr{netaddr.Addr(1000 + i)}}
+		ev := cdn.Event{Hour: i + 1, Added: []netaddr.Addr{netaddr.Addr(1000 + i%distinct)}}
 		if i == 0 {
 			ev.Removed = []netaddr.Addr{10}
 		} else {
-			ev.Removed = []netaddr.Addr{netaddr.Addr(1000 + i - 1)}
+			ev.Removed = []netaddr.Addr{netaddr.Addr(1000 + (i-1)%distinct)}
 		}
 		tl.Events = append(tl.Events, ev)
 	}
@@ -40,40 +43,27 @@ func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
 // its measurement, consumed by TestAllocGuard. The fused
 // replays allocate fixed per-call scratch, so their measurements are
-// differential (large minus small workload); the Memo hit path after
-// warm-up must be absolutely allocation-free.
+// differential (replayAllocs); the Memo hit path after warm-up must be
+// absolutely allocation-free.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	return map[string]func(t *testing.T) float64{
 		"ContentUpdateStatsAllFused": func(t *testing.T) float64 {
 			r := guardRouter()
-			pool := func(events int) []cdn.Timeline {
-				tls := make([]cdn.Timeline, 8)
-				for i := range tls {
-					tls[i] = guardTimeline(events)
-				}
-				return tls
-			}
-			small, large := pool(16), pool(512)
-			poolAllocs := func(tls []cdn.Timeline) float64 {
-				return testing.AllocsPerRun(10, func() {
-					if s := ContentUpdateStatsAllFused(r, tls); s.BestPort.Events == 0 {
-						t.Fatal("pooled replay saw no events")
-					}
-				})
-			}
-			// A second pass over the pool inside one call finds the scratch
-			// warm: it may cost what Timeline.Walk allocates for its own
-			// buffers and nothing on top.
-			walkAllocs := testing.AllocsPerRun(10, func() {
-				for i := range small {
-					small[i].Walk(func(cdn.Event, []netaddr.Addr, []netaddr.Addr) {})
-				}
+			return replayAllocs(t, func(tls []cdn.Timeline) int {
+				return ContentUpdateStatsAllFused(r, tls).BestPort.Events
 			})
-			twice := slices.Concat(small, small)
-			if extra := poolAllocs(twice) - poolAllocs(small) - walkAllocs; extra != 0 {
-				t.Errorf("second pass over the pool allocates %.1f times beyond Timeline.Walk's own", extra)
-			}
-			return poolAllocs(large) - poolAllocs(small)
+		},
+		"ContentUpdateStatsPerRouter": func(t *testing.T) float64 {
+			rs := []RouteLookup{guardRouter(), fakeRouter(map[string]int{
+				"0.0.0.0/0":   4,
+				"0.0.0.0/22":  6,
+				"0.0.3.0/24":  8,
+				"0.0.0.16/28": 9,
+				"0.0.0.0/30":  2,
+			}), guardRouter()}
+			return replayAllocs(t, func(tls []cdn.Timeline) int {
+				return ContentUpdateStatsPerRouter(rs, tls)[2].BestPort.Events
+			})
 		},
 		"Memo.Port": func(t *testing.T) float64 {
 			m := NewMemo(guardRouter())
@@ -104,4 +94,54 @@ func allocGuardHarness() map[string]func(t *testing.T) float64 {
 			})
 		},
 	}
+}
+
+// replayAllocs measures a fused replay, which reports the events it saw: a
+// pool of eight long timelines against eight short ones, so the difference
+// is what the replay allocates per event. It measures two pools of each
+// length: one whose every event adds a fresh address, so the long pool's
+// table holds 32 times the short one's addresses, and one rotating through
+// eight. A second pass over a pool inside one call finds the scratch warm:
+// it may cost what Timeline.Walk allocates for its own buffers and nothing
+// on top.
+func replayAllocs(t *testing.T, replay func([]cdn.Timeline) int) float64 {
+	poolAllocs := func(tls []cdn.Timeline) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if replay(tls) == 0 {
+				t.Fatal("pooled replay saw no events")
+			}
+		})
+	}
+	var perEvent float64
+	for _, shape := range []struct {
+		name     string
+		distinct func(events int) int
+	}{
+		{"fresh", func(events int) int { return events }},
+		{"rotating", func(int) int { return 8 }},
+	} {
+		pool := func(events int) []cdn.Timeline {
+			tls := make([]cdn.Timeline, 8)
+			for i := range tls {
+				tls[i] = guardTimeline(events, shape.distinct(events))
+			}
+			return tls
+		}
+		small, large := pool(16), pool(512)
+		walkAllocs := testing.AllocsPerRun(10, func() {
+			for i := range small {
+				small[i].Walk(func(cdn.Event, []netaddr.Addr, []netaddr.Addr) {})
+			}
+		})
+		twice := slices.Concat(small, small)
+		if extra := poolAllocs(twice) - poolAllocs(small) - walkAllocs; extra != 0 {
+			t.Errorf("%s addresses: second pass over the pool allocates %.1f times beyond Timeline.Walk's own", shape.name, extra)
+		}
+		d := poolAllocs(large) - poolAllocs(small)
+		if d != 0 {
+			t.Logf("%s addresses: long pool allocates %.1f times more than short", shape.name, d)
+		}
+		perEvent += d
+	}
+	return perEvent
 }

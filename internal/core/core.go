@@ -196,133 +196,196 @@ func (s *StrategyStats) Add(o StrategyStats) {
 	s.Union.Add(o.Union)
 }
 
-// resolved is what one address contributes at one router: the output port
-// and AS-path length of its selected route, or ok == false for no route.
-type resolved struct {
-	port, pathLen int
-	ok            bool
-}
+// portBits is a set of one router's output ports, one bit per port in the
+// order the router first met them. It grows a word whenever that router
+// interns a port past its width, so one code path serves a router of any
+// session count (every collector bgp.BuildCollectors makes fits one word).
+type portBits []uint64
 
-// fusedEval is the reusable scratch of the fused replay. res holds one
-// resolution per address of the current set, in Timeline.Walk's sorted
-// order, so the router is asked about an address once, when it enters the
-// set, not at every event the address lives through; the port sets (two
-// ping-pong buffers and the cumulative union) are read from res alone.
-// Everything is a plain slice that allocates only while it warms up, so a
-// shard of timelines replays with an allocation count independent of its
-// events.
-type fusedEval struct {
-	res, next          []resolved
-	ports, prev, union []int
-}
-
-// advance moves the evaluator from the sorted set before, which f.res is
-// aligned with, to the sorted set after: one ordered merge in which an
-// address that stayed keeps its entry and an address that entered is
-// resolved (r must answer the same for an address for as long as the replay
-// runs). It leaves after's sorted, deduplicated eligible ports in f.ports and
-// returns its best port in BestPortOf's order — whose last tie-break, the
-// address, never decides the port: two routes tied on (path length, next
-// hop) leave through the same one.
-func (f *fusedEval) advance(r RouteLookup, before, after []netaddr.Addr) (best int, ok bool) {
-	f.next, f.ports = f.next[:0], f.ports[:0]
-	var i, bestLen int
-	for _, a := range after {
-		for i < len(before) && before[i] < a {
-			i++
-		}
-		var e resolved
-		if i < len(before) && before[i] == a {
-			e = f.res[i]
-		} else {
-			rt, routed := r.RouteFor(a)
-			e = resolved{port: rt.NextHop, pathLen: rt.PathLen(), ok: routed}
-		}
-		f.next = append(f.next, e)
-		if !e.ok {
-			continue
-		}
-		f.ports = append(f.ports, e.port)
-		if !ok || e.pathLen < bestLen || (e.pathLen == bestLen && e.port < best) {
-			best, bestLen, ok = e.port, e.pathLen, true
-		}
-	}
-	f.res, f.next = f.next, f.res
-	slices.Sort(f.ports)
-	f.ports = slices.Compact(f.ports)
-	return best, ok
-}
-
-// unionAdd merges the sorted port set into the sorted cumulative union,
-// reporting whether any never-before-seen port appeared (§3.3.3's update
-// condition). Port sets are tiny, so the per-port binary search + insert is
-// cheaper than any hashing.
-func (f *fusedEval) unionAdd(ports []int) bool {
+// addTo merges b into union, reporting whether b held a port union lacked
+// (§3.3.3's update condition).
+func (b portBits) addTo(union portBits) bool {
 	grew := false
-	for _, p := range ports {
-		i, found := slices.BinarySearch(f.union, p)
-		if found {
-			continue
+	for i, w := range b {
+		if w&^union[i] != 0 {
+			union[i] |= w
+			grew = true
 		}
-		f.union = slices.Insert(f.union, i, p)
-		grew = true
 	}
 	return grew
 }
 
-// replay is one timeline's fused walk; resolutions and union state start
-// over with every timeline.
-func (f *fusedEval) replay(r RouteLookup, tl *cdn.Timeline) StrategyStats {
-	var out StrategyStats
+// resolved is what one address contributes at one router: the output port
+// and AS-path length of its selected route, and the port's bit in that
+// router's port sets; bit < 0 means no route.
+type resolved struct {
+	port         int
+	pathLen, bit int32
+}
+
+// routerEval is one router's share of the multi-router replay: its port
+// interning, its equally wide port sets (this event's, the previous one's,
+// the timeline's union), this and the previous event's best port, totals.
+type routerEval struct {
+	r                  RouteLookup
+	bit                map[int]int32
+	ports, prev, union portBits
+	best, prevBest     int
+	bestLen            int32
+	bestOK, prevOK     bool
+	stats              *StrategyStats
+}
+
+// resolve asks the router about a, interning the port on first sight.
+func (s *routerEval) resolve(a netaddr.Addr) resolved {
+	rt, ok := s.r.RouteFor(a)
+	if !ok {
+		return resolved{bit: -1}
+	}
+	b, seen := s.bit[rt.NextHop]
+	if !seen {
+		b = int32(len(s.bit))
+		s.bit[rt.NextHop] = b
+		if int(b>>6) == len(s.ports) {
+			s.ports, s.prev, s.union = append(s.ports, 0), append(s.prev, 0), append(s.union, 0)
+		}
+	}
+	return resolved{port: rt.NextHop, pathLen: int32(rt.PathLen()), bit: b}
+}
+
+// count scores one event from the current and previous port sets — or, for
+// the timeline's initial set, only seeds the union — then makes the current
+// ones previous.
+func (s *routerEval) count(initial bool) {
+	if initial {
+		copy(s.union, s.ports)
+	} else {
+		s.stats.BestPort.Events++
+		if s.prevOK && s.bestOK && s.prevBest != s.best {
+			s.stats.BestPort.Updates++
+		}
+		s.stats.Flooding.Events++
+		if !slices.Equal(s.ports, s.prev) {
+			s.stats.Flooding.Updates++
+		}
+		s.stats.Union.Events++
+		if s.ports.addTo(s.union) {
+			s.stats.Union.Updates++
+		}
+	}
+	s.ports, s.prev = s.prev, s.ports
+	s.prevBest, s.prevOK = s.best, s.bestOK
+}
+
+// multiEval is the reusable scratch of the multi-router replay. addrs holds
+// the current timeline's distinct addresses, sorted; row i of res holds
+// addrs[i]'s resolution at every router, so a router is asked about an
+// address once per timeline however often it leaves and comes back. Both
+// are sized in one step per timeline from the timeline's own length, so the
+// table never grows inside a walk.
+type multiEval struct {
+	rs    []routerEval
+	addrs []netaddr.Addr
+	res   []resolved
+}
+
+// load rebuilds the table for tl, resolving each of its addresses at every
+// router (r must answer the same for an address for as long as the replay
+// runs): every address a set of tl holds is initial or added by an event.
+func (m *multiEval) load(tl *cdn.Timeline) {
+	need := len(tl.Initial)
+	for i := range tl.Events {
+		need += len(tl.Events[i].Added)
+	}
+	m.addrs = append(slices.Grow(m.addrs[:0], need), tl.Initial...)
+	for i := range tl.Events {
+		m.addrs = append(m.addrs, tl.Events[i].Added...)
+	}
+	slices.Sort(m.addrs)
+	m.addrs = slices.Compact(m.addrs)
+	m.res = slices.Grow(m.res[:0], len(m.addrs)*len(m.rs))
+	for _, a := range m.addrs {
+		for k := range m.rs {
+			m.res = append(m.res, m.rs[k].resolve(a))
+		}
+	}
+}
+
+// advance leaves every router's port set and best port for the set after,
+// in BestPortOf's order — whose last tie-break, the address, never decides
+// the port: two routes tied on (path length, next hop) leave through the
+// same one.
+func (m *multiEval) advance(after []netaddr.Addr) {
+	for k := range m.rs {
+		clear(m.rs[k].ports)
+		m.rs[k].bestOK = false
+	}
+	n := len(m.rs)
+	for _, a := range after {
+		row, _ := slices.BinarySearch(m.addrs, a)
+		for k, e := range m.res[row*n : row*n+n] {
+			if e.bit < 0 {
+				continue
+			}
+			s := &m.rs[k]
+			s.ports[e.bit>>6] |= 1 << (e.bit & 63)
+			if !s.bestOK || e.pathLen < s.bestLen || (e.pathLen == s.bestLen && e.port < s.best) {
+				s.best, s.bestLen, s.bestOK = e.port, e.pathLen, true
+			}
+		}
+	}
+}
+
+// replay is one timeline's walk for every router; resolutions and union
+// state start over with every timeline.
+func (m *multiEval) replay(tl *cdn.Timeline) {
+	if len(tl.Events) == 0 {
+		return // Walk visits nothing
+	}
+	m.load(tl)
 	primed := false
-	var prevBest int
-	var prevBestOK bool
 	tl.Walk(func(_ cdn.Event, before, after []netaddr.Addr) {
 		if !primed {
-			prevBest, prevBestOK = f.advance(r, nil, before)
-			f.ports, f.prev = f.prev, f.ports
-			f.union = append(f.union[:0], f.prev...)
+			m.advance(before)
+			for k := range m.rs {
+				m.rs[k].count(true)
+			}
 			primed = true
 		}
-		best, bestOK := f.advance(r, before, after)
-
-		out.BestPort.Events++
-		if prevBestOK && bestOK && prevBest != best {
-			out.BestPort.Updates++
+		m.advance(after)
+		for k := range m.rs {
+			m.rs[k].count(false)
 		}
-		out.Flooding.Events++
-		if !slices.Equal(f.ports, f.prev) {
-			out.Flooding.Updates++
-		}
-		out.Union.Events++
-		if f.unionAdd(f.ports) {
-			out.Union.Updates++
-		}
-		f.ports, f.prev = f.prev, f.ports
-		prevBest, prevBestOK = best, bestOK
 	})
+}
+
+// ContentUpdateStatsPerRouter replays each timeline once for all routers,
+// evaluating all three §3.3.1 strategies in that one Timeline.Walk, and
+// returns one pooled total per router (union state starts over with every
+// timeline). A router is asked about an address once per timeline; port
+// sets are bitsets over its interned ports. The counts are those of the
+// per-strategy replay (ContentUpdateStats in strategy_oracle_test.go) run
+// per router and strategy. Once the scratch is warm, a further timeline
+// costs only what Timeline.Walk allocates for its own buffers.
+//
+//lint:zeroalloc per event, and per timeline beyond Timeline.Walk's own buffers
+func ContentUpdateStatsPerRouter(rs []RouteLookup, tls []cdn.Timeline) []StrategyStats {
+	out := make([]StrategyStats, len(rs))
+	m := multiEval{rs: make([]routerEval, len(rs))}
+	for k, r := range rs {
+		m.rs[k] = routerEval{r: r, bit: map[int]int32{}, stats: &out[k]}
+	}
+	for i := range tls {
+		m.replay(&tls[i])
+	}
 	return out
 }
 
-// ContentUpdateStatsAllFused replays each timeline once and evaluates all
-// three §3.3.1 strategies in that single Timeline.Walk, pooling the counts
-// (union state starts over with every timeline). Each address is resolved
-// once, when it enters the set, so a timeline costs one route lookup per
-// initial address plus one per address an event adds, where a
-// strategy-at-a-time replay pays ~6 per address per event. The counts are
-// identical to running the per-strategy replay (ContentUpdateStats in
-// strategy_oracle_test.go) once per strategy. The timelines share one scratch
-// evaluator: once it is warm, a further timeline costs only what
-// Timeline.Walk allocates for its own buffers.
+// ContentUpdateStatsAllFused is ContentUpdateStatsPerRouter for one router.
 //
 //lint:zeroalloc per event, and per timeline beyond Timeline.Walk's own buffers
 func ContentUpdateStatsAllFused(r RouteLookup, tls []cdn.Timeline) StrategyStats {
-	var f fusedEval
-	var s StrategyStats
-	for i := range tls {
-		s.Add(f.replay(r, &tls[i]))
-	}
-	return s
+	return ContentUpdateStatsPerRouter([]RouteLookup{r}, tls)[0]
 }
 
 // BestPortTable builds the complete name-forwarding table of §3.3.2 under

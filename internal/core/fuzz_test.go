@@ -9,29 +9,36 @@ import (
 )
 
 // fuzzTable is a pure-function route table: the port and route for an
-// address depend only on its bits, with deliberate holes (addresses with no
-// route) so the ok=false paths are exercised.
-type fuzzTable struct{}
+// address depend only on its bits — its top 32-shift bits name the port —
+// with deliberate holes (addresses with no route) so the ok=false paths are
+// exercised.
+type fuzzTable struct{ shift int }
 
-func (fuzzTable) Port(a netaddr.Addr) (int, bool) {
+func (f fuzzTable) Port(a netaddr.Addr) (int, bool) {
 	if a%5 == 0 {
 		return 0, false
 	}
-	return int(a >> 29), true
+	return int(a >> f.shift), true
 }
 
-func (fuzzTable) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
-	p, ok := fuzzTable{}.Port(a)
+func (f fuzzTable) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
+	p, ok := f.Port(a)
 	if !ok {
 		return bgp.Route{}, false
 	}
 	return bgp.Route{NextHop: p, ASPath: make([]int, 1+int(a>>13)%4)}, true
 }
 
+// fuzzRouters are the routers FuzzTimelineWalk replays against: 8 ports, a
+// 256-port router whose port sets take up to four bitset words, and 32
+// ports.
+var fuzzRouters = []fuzzTable{{shift: 29}, {shift: 24}, {shift: 27}}
+
 // FuzzTimelineWalk builds a content timeline from fuzz bytes and checks
-// that the fused single-walk replay (ContentUpdateStatsAllFused) agrees
-// strategy-for-strategy with three independent per-strategy replays — the
-// equivalence the fused fast path promises.
+// that the multi-router kernel (ContentUpdateStatsPerRouter), over one to
+// three routers, agrees at every router strategy-for-strategy with three
+// independent per-strategy replays — the equivalence the fused fast path
+// promises. The router count is the input length mod 3, plus one.
 //
 // Encoding: up to four initial 4-byte addresses, then event chunks of one
 // control byte (hour advance, removal and addition counts) followed by one
@@ -78,16 +85,46 @@ func FuzzTimelineWalk(f *testing.F) {
 		}
 		tl := &cdn.Timeline{Hours: hour + 1, Initial: initial, Events: events}
 
-		tbl := fuzzTable{}
-		fused := ContentUpdateStatsAllFused(tbl, []cdn.Timeline{*tl})
-		want := StrategyStats{
-			BestPort: ContentUpdateStats(tbl, tl, BestPort),
-			Flooding: ContentUpdateStats(tbl, tl, ControlledFlooding),
-			Union:    ContentUpdateStats(tbl, tl, UnionFlooding),
+		rs := make([]RouteLookup, 1+len(data)%3)
+		for k := range rs {
+			rs[k] = fuzzRouters[k]
 		}
-		if fused != want {
-			t.Fatalf("fused replay %+v diverges from per-strategy replays %+v over %d events",
-				fused, want, len(events))
+		for k, fused := range ContentUpdateStatsPerRouter(rs, []cdn.Timeline{*tl}) {
+			want := StrategyStats{
+				BestPort: ContentUpdateStats(rs[k], tl, BestPort),
+				Flooding: ContentUpdateStats(rs[k], tl, ControlledFlooding),
+				Union:    ContentUpdateStats(rs[k], tl, UnionFlooding),
+			}
+			if fused != want {
+				t.Fatalf("router %d of %d: fused replay %+v diverges from per-strategy replays %+v over %d events",
+					k, len(rs), fused, want, len(events))
+			}
 		}
 	})
+}
+
+// A router with more ports than one bitset word holds takes the same path
+// as a narrow one: a timeline that walks through 200 of the 256-port
+// router's ports, replayed beside the 8-port router, must agree with the
+// per-strategy replays at both.
+func TestWidePortSetsMatchPerStrategy(t *testing.T) {
+	tl := &cdn.Timeline{Hours: 202, Initial: []netaddr.Addr{netaddr.MakeAddr(0, 1, 2, 3)}}
+	for i := 1; i <= 200; i++ {
+		e := cdn.Event{Hour: i, Added: []netaddr.Addr{netaddr.MakeAddr(byte(i), 1, 2, 3)}}
+		if i > 3 {
+			e.Removed = []netaddr.Addr{netaddr.MakeAddr(byte(i-3), 1, 2, 3)}
+		}
+		tl.Events = append(tl.Events, e)
+	}
+	rs := []RouteLookup{fuzzRouters[1], fuzzRouters[0]}
+	for k, got := range ContentUpdateStatsPerRouter(rs, []cdn.Timeline{*tl}) {
+		want := StrategyStats{
+			BestPort: ContentUpdateStats(rs[k], tl, BestPort),
+			Flooding: ContentUpdateStats(rs[k], tl, ControlledFlooding),
+			Union:    ContentUpdateStats(rs[k], tl, UnionFlooding),
+		}
+		if got != want {
+			t.Fatalf("router %d: %+v, per-strategy replays %+v", k, got, want)
+		}
+	}
 }

@@ -150,6 +150,19 @@ func TestFusedMatchesSeparateWalks(t *testing.T) {
 			},
 		},
 		{
+			// A load balancer rotating a30 out and back in: the address
+			// enters the set three times.
+			Site:    cdn.Site{Name: "lb.net"},
+			Hours:   5,
+			Initial: []netaddr.Addr{a10, a20},
+			Events: []cdn.Event{
+				{Hour: 1, Removed: []netaddr.Addr{a20}, Added: []netaddr.Addr{a30}},
+				{Hour: 2, Removed: []netaddr.Addr{a30}, Added: []netaddr.Addr{a20}},
+				{Hour: 3, Removed: []netaddr.Addr{a20}, Added: []netaddr.Addr{a30}},
+				{Hour: 4, Added: []netaddr.Addr{a20}},
+			},
+		},
+		{
 			// No events at all: every strategy must report zero of each.
 			Site:    cdn.Site{Name: "quiet.org"},
 			Hours:   3,
@@ -172,14 +185,16 @@ func TestFusedMatchesSeparateWalks(t *testing.T) {
 		}
 	}
 
-	// The fused walk resolves an address when it enters a set and carries
-	// the answer for as long as it stays: a.com's one initial address and
-	// three additions, b.com's two and one, quiet.org never replayed — seven
-	// lookups, read off a memo's counters.
+	// The fused walk asks the router about an address once per timeline,
+	// however often it leaves and comes back: a.com's four distinct
+	// addresses, b.com's three and lb.net's three (where addresses enter
+	// six times), quiet.org never replayed — ten lookups, read off a
+	// memo's counters. The timelines share addresses, so a resolution table
+	// that outlived its timeline would ask fewer times.
 	ms := NewMemoMetrics(obs.NewRegistry())
 	ContentUpdateStatsAllFused(NewMemoObserved(r, 0, ms), tls)
-	if asked := ms.Hits.Value() + ms.Misses.Value(); asked != 7 {
-		t.Fatalf("fused walk asked the router %d times, want 7: a carried resolution was looked up again", asked)
+	if asked := ms.Hits.Value() + ms.Misses.Value(); asked != 10 {
+		t.Fatalf("fused walk asked the router %d times, want 10: one RouteFor per distinct address per timeline", asked)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // carried forward: every event resolves its whole after-set twice, once for
 // the port set and once for the best port. The bodies of appendPortSet,
 // unionAdd and replay are the production code of that commit, verbatim; the
-// carry-forward evaluator is compared against them below.
+// multi-router kernel is compared against them below.
 type perEventEval struct {
 	ports, prev, union []int
 }
@@ -87,6 +87,128 @@ func perEventAll(r core.RouteLookup, tls []cdn.Timeline) core.StrategyStats {
 	return s
 }
 
+// fusedEval is the one-router fused replay as it stood before the
+// multi-router kernel replaced it: resolutions carried forward beside the
+// set, port sets as sorted slices. Its types and bodies are the production
+// code of that commit, verbatim but for package qualifiers.
+
+// resolved is what one address contributes at one router: the output port
+// and AS-path length of its selected route, or ok == false for no route.
+type resolved struct {
+	port, pathLen int
+	ok            bool
+}
+
+// fusedEval is the reusable scratch of the fused replay. res holds one
+// resolution per address of the current set, in Timeline.Walk's sorted
+// order, so the router is asked about an address once, when it enters the
+// set, not at every event the address lives through; the port sets (two
+// ping-pong buffers and the cumulative union) are read from res alone.
+// Everything is a plain slice that allocates only while it warms up, so a
+// shard of timelines replays with an allocation count independent of its
+// events.
+type fusedEval struct {
+	res, next          []resolved
+	ports, prev, union []int
+}
+
+// advance moves the evaluator from the sorted set before, which f.res is
+// aligned with, to the sorted set after: one ordered merge in which an
+// address that stayed keeps its entry and an address that entered is
+// resolved (r must answer the same for an address for as long as the replay
+// runs). It leaves after's sorted, deduplicated eligible ports in f.ports and
+// returns its best port in BestPortOf's order — whose last tie-break, the
+// address, never decides the port: two routes tied on (path length, next
+// hop) leave through the same one.
+func (f *fusedEval) advance(r core.RouteLookup, before, after []netaddr.Addr) (best int, ok bool) {
+	f.next, f.ports = f.next[:0], f.ports[:0]
+	var i, bestLen int
+	for _, a := range after {
+		for i < len(before) && before[i] < a {
+			i++
+		}
+		var e resolved
+		if i < len(before) && before[i] == a {
+			e = f.res[i]
+		} else {
+			rt, routed := r.RouteFor(a)
+			e = resolved{port: rt.NextHop, pathLen: rt.PathLen(), ok: routed}
+		}
+		f.next = append(f.next, e)
+		if !e.ok {
+			continue
+		}
+		f.ports = append(f.ports, e.port)
+		if !ok || e.pathLen < bestLen || (e.pathLen == bestLen && e.port < best) {
+			best, bestLen, ok = e.port, e.pathLen, true
+		}
+	}
+	f.res, f.next = f.next, f.res
+	slices.Sort(f.ports)
+	f.ports = slices.Compact(f.ports)
+	return best, ok
+}
+
+// unionAdd merges the sorted port set into the sorted cumulative union,
+// reporting whether any never-before-seen port appeared (§3.3.3's update
+// condition). Port sets are tiny, so the per-port binary search + insert is
+// cheaper than any hashing.
+func (f *fusedEval) unionAdd(ports []int) bool {
+	grew := false
+	for _, p := range ports {
+		i, found := slices.BinarySearch(f.union, p)
+		if found {
+			continue
+		}
+		f.union = slices.Insert(f.union, i, p)
+		grew = true
+	}
+	return grew
+}
+
+// replay is one timeline's fused walk; resolutions and union state start
+// over with every timeline.
+func (f *fusedEval) replay(r core.RouteLookup, tl *cdn.Timeline) core.StrategyStats {
+	var out core.StrategyStats
+	primed := false
+	var prevBest int
+	var prevBestOK bool
+	tl.Walk(func(_ cdn.Event, before, after []netaddr.Addr) {
+		if !primed {
+			prevBest, prevBestOK = f.advance(r, nil, before)
+			f.ports, f.prev = f.prev, f.ports
+			f.union = append(f.union[:0], f.prev...)
+			primed = true
+		}
+		best, bestOK := f.advance(r, before, after)
+
+		out.BestPort.Events++
+		if prevBestOK && bestOK && prevBest != best {
+			out.BestPort.Updates++
+		}
+		out.Flooding.Events++
+		if !slices.Equal(f.ports, f.prev) {
+			out.Flooding.Updates++
+		}
+		out.Union.Events++
+		if f.unionAdd(f.ports) {
+			out.Union.Updates++
+		}
+		f.ports, f.prev = f.prev, f.ports
+		prevBest, prevBestOK = best, bestOK
+	})
+	return out
+}
+
+func fusedAll(r core.RouteLookup, tls []cdn.Timeline) core.StrategyStats {
+	var f fusedEval
+	var s core.StrategyStats
+	for i := range tls {
+		s.Add(f.replay(r, &tls[i]))
+	}
+	return s
+}
+
 // countingLookup counts what the evaluator asks of the router.
 type countingLookup struct {
 	r             core.RouteLookup
@@ -103,35 +225,30 @@ func (c *countingLookup) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
 	return c.r.RouteFor(a)
 }
 
-// entries counts the addresses that enter a content set over the pool: the
-// distinct initial addresses of every timeline that has events, plus every
-// address an event's after-set holds and its before-set does not.
-func entries(tls []cdn.Timeline) int {
+// distinctPerTimeline counts, over every timeline that has events, the
+// distinct addresses that are ever in its set: what a router is asked once
+// each when resolutions live for a whole timeline.
+func distinctPerTimeline(tls []cdn.Timeline) int {
 	n := 0
 	for i := range tls {
-		first := true
+		seen := map[netaddr.Addr]bool{}
 		tls[i].Walk(func(_ cdn.Event, before, after []netaddr.Addr) {
-			if first {
-				n += len(before)
-				first = false
-			}
-			for _, a := range after {
-				if _, stayed := slices.BinarySearch(before, a); !stayed {
-					n++
-				}
+			for _, a := range slices.Concat(before, after) {
+				seen[a] = true
 			}
 		})
+		n += len(seen)
 	}
 	return n
 }
 
-// TestCarryForwardMatchesPerEventReplay holds the carry-forward evaluator to
-// the per-event one on real inputs — every RouteViews and RIPE collector of
-// three seeded quick worlds, popular and unpopular timelines, each pool
-// replayed through one shared scratch — both over the raw FIB and over a
-// Memo, and pins what the rewrite is for: one route lookup per address
-// entering a set, and none through Port.
-func TestCarryForwardMatchesPerEventReplay(t *testing.T) {
+// TestPerRouterKernelMatchesOracles holds the multi-router kernel to both
+// evaluators it replaced on real inputs — all 25 RouteViews and RIPE
+// collectors of three seeded quick worlds in one call, popular and
+// unpopular pools, over the raw FIBs and over Memos — and pins what it is
+// for: one route lookup per distinct address per timeline at each router,
+// and none through Port.
+func TestPerRouterKernelMatchesOracles(t *testing.T) {
 	for _, seed := range []int64{20140817, 7, 424242} {
 		cfg := expt.QuickConfig()
 		cfg.Seed = seed
@@ -139,27 +256,38 @@ func TestCarryForwardMatchesPerEventReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cols := slices.Concat(w.RouteViews, w.RIPE)
 		popular, unpopular := w.TimelinesByClass()
 		for _, pool := range []struct {
 			class string
 			tls   []cdn.Timeline
 		}{{"popular", popular}, {"unpopular", unpopular}} {
-			want := entries(pool.tls)
+			want := distinctPerTimeline(pool.tls)
 			if want == 0 {
 				t.Fatalf("seed %d: no %s address ever enters a set", seed, pool.class)
 			}
-			for _, c := range slices.Concat(w.RouteViews, w.RIPE) {
+			counted := make([]*countingLookup, len(cols))
+			raw, memos := make([]core.RouteLookup, len(cols)), make([]core.RouteLookup, len(cols))
+			for i, c := range cols {
+				counted[i] = &countingLookup{r: c.FIB}
+				raw[i], memos[i] = counted[i], core.NewMemo(c.FIB)
+			}
+			got := core.ContentUpdateStatsPerRouter(raw, pool.tls)
+			viaMemo := core.ContentUpdateStatsPerRouter(memos, pool.tls)
+			for i, c := range cols {
 				oracle := perEventAll(c.FIB, pool.tls)
-				counted := &countingLookup{r: c.FIB}
-				if got := core.ContentUpdateStatsAllFused(counted, pool.tls); got != oracle {
-					t.Fatalf("seed %d %s %s: raw FIB %+v, per-event replay %+v", seed, c.Name, pool.class, got, oracle)
+				if got[i] != oracle {
+					t.Fatalf("seed %d %s %s: raw FIB %+v, per-event replay %+v", seed, c.Name, pool.class, got[i], oracle)
 				}
-				if counted.routes != want || counted.ports != 0 {
+				if fused := fusedAll(c.FIB, pool.tls); fused != oracle {
+					t.Fatalf("seed %d %s %s: one-router fused replay %+v, per-event replay %+v", seed, c.Name, pool.class, fused, oracle)
+				}
+				if viaMemo[i] != oracle {
+					t.Fatalf("seed %d %s %s: memo %+v, per-event replay %+v", seed, c.Name, pool.class, viaMemo[i], oracle)
+				}
+				if counted[i].routes != want || counted[i].ports != 0 {
 					t.Fatalf("seed %d %s %s: %d RouteFor and %d Port calls, want %d and 0",
-						seed, c.Name, pool.class, counted.routes, counted.ports, want)
-				}
-				if got := core.ContentUpdateStatsAllFused(core.NewMemo(c.FIB), pool.tls); got != oracle {
-					t.Fatalf("seed %d %s %s: memo %+v, per-event replay %+v", seed, c.Name, pool.class, got, oracle)
+						seed, c.Name, pool.class, counted[i].routes, counted[i].ports, want)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"locind/internal/cdn"
 	"locind/internal/core"
@@ -57,56 +56,30 @@ type Fig11bcResult struct {
 	Flooding []RouterRate
 }
 
-// collectorProgress fires a per-collector done callback when the last of a
-// collector's shards actually completes. par.ForEach finishes tasks in
-// arbitrary order, so "the shard with the last index" is not "the last
-// shard to finish" — each collector counts down its outstanding shards
-// atomically instead, and exactly one shard (the true last) observes zero.
-type collectorProgress struct {
-	remaining []atomic.Int32
-	done      func()
-}
-
-func newCollectorProgress(collectors, shards int, done func()) *collectorProgress {
-	p := &collectorProgress{remaining: make([]atomic.Int32, collectors), done: done}
-	for i := range p.remaining {
-		p.remaining[i].Store(int32(shards))
-	}
-	return p
-}
-
-// shardDone records one finished shard of collector ci.
-func (p *collectorProgress) shardDone(ci int) {
-	if p.remaining[ci].Add(-1) == 0 {
-		p.done()
-	}
-}
-
 // fusedPerCollector replays tls against every RouteViews collector's FIB
 // and returns one fused total per collector. The work fans out over
-// (collector × timeline-shard) pairs — collectors alone are too few and too
-// unequal to keep a pool busy, and shards are oversubscribed (par.ShardsFor)
-// because timeline weight is heavy-tailed. The evaluator resolves an address
-// once per timeline it enters, so the FIB is read directly and the tasks
-// share nothing but it. Per-shard partials are integer totals summed in
-// shard order (union state is per timeline, never crossing a shard
-// boundary), so the totals are bit-identical at every parallelism degree.
+// timeline shards, each walked once for all collectors; shards are
+// oversubscribed (par.ShardsFor) because timeline weight is heavy-tailed.
+// The tasks share nothing but the read-only FIBs. Per-shard partials are
+// integer totals summed in shard order (union state is per timeline, never
+// crossing a shard boundary), so the totals are bit-identical at every
+// parallelism degree.
 func fusedPerCollector(w *World, tls []cdn.Timeline) []core.StrategyStats {
-	cols := w.RouteViews
+	fibs := make([]core.RouteLookup, len(w.RouteViews))
+	for ci, c := range w.RouteViews {
+		fibs[ci] = c.FIB
+	}
 	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
-	prog := newCollectorProgress(len(cols), len(shards), w.Cfg.Obs.collectorDone)
-	partial := make([]core.StrategyStats, len(cols)*len(shards))
-	par.ForEach(w.Cfg.Parallel, len(partial), func(t int) {
-		ci, si := t/len(shards), t%len(shards)
-		sh := shards[si]
-		partial[t] = core.ContentUpdateStatsAllFused(cols[ci].FIB, tls[sh[0]:sh[1]])
-		prog.shardDone(ci)
+	partial := make([][]core.StrategyStats, len(shards))
+	par.ForEach(w.Cfg.Parallel, len(shards), func(si int) {
+		partial[si] = core.ContentUpdateStatsPerRouter(fibs, tls[shards[si][0]:shards[si][1]])
 	})
-	tot := make([]core.StrategyStats, len(cols))
+	tot := make([]core.StrategyStats, len(fibs))
 	for ci := range tot {
-		for _, p := range partial[ci*len(shards) : (ci+1)*len(shards)] {
-			tot[ci].Add(p)
+		for _, p := range partial {
+			tot[ci].Add(p[ci])
 		}
+		w.Cfg.Obs.collectorDone()
 	}
 	return tot
 }
@@ -124,21 +97,14 @@ func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
 	res := Fig11bcResult{Class: class}
 	res.BestPort = make([]RouterRate, len(cols))
 	res.Flooding = make([]RouterRate, len(cols))
+	if len(tots) > 0 {
+		res.Events = tots[0].BestPort.Events // every collector rode the same walks
+	}
 	for ci, c := range cols {
-		tot := tots[ci]
-		// Every collector replays the same timelines, so the event totals
-		// must agree; a mismatch means a sharding bug lost or double-counted
-		// events, which must not be papered over by keeping the last count.
-		if ci == 0 {
-			res.Events = tot.BestPort.Events
-		} else if tot.BestPort.Events != res.Events {
-			panic(fmt.Sprintf("expt: collector %q saw %d events, %q saw %d — shard accounting bug",
-				c.Name, tot.BestPort.Events, cols[0].Name, res.Events))
-		}
 		rr := RouterRate{Name: c.Name, NextHopDegree: c.FIB.NextHopDegree(), Sessions: len(c.Sessions)}
-		rr.Rate = tot.BestPort.Rate()
+		rr.Rate = tots[ci].BestPort.Rate()
 		res.BestPort[ci] = rr
-		rr.Rate = tot.Flooding.Rate()
+		rr.Rate = tots[ci].Flooding.Rate()
 		res.Flooding[ci] = rr
 	}
 	w.Cfg.Obs.rows(len(res.BestPort) + len(res.Flooding))

@@ -11,8 +11,9 @@ import (
 // drivers produce byte-identical results: the handles only count, they
 // never steer.
 type Metrics struct {
-	// CollectorsDone counts per-collector work units finished, the
-	// progress signal of a long sweep.
+	// CollectorsDone counts collectors a driver has finished: a device
+	// driver's one by one as each replay ends, a content driver's all at
+	// once when it has finished (it walks every collector together).
 	CollectorsDone *obs.Counter
 	// Rows counts result rows produced (scrape deltas give rows/sec).
 	Rows *obs.Counter
@@ -24,7 +25,7 @@ type Metrics struct {
 // yields all-nil handles.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		CollectorsDone: reg.Counter("locind_expt_collectors_done_total", "per-collector work units finished"),
+		CollectorsDone: reg.Counter("locind_expt_collectors_done_total", "collectors finished by a driver: device drivers as each replay ends, content drivers all at once when the driver has finished"),
 		Rows:           reg.Counter("locind_expt_rows_total", "result rows produced"),
 		Memo:           core.NewMemoMetrics(reg),
 	}

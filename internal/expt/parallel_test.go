@@ -154,40 +154,6 @@ func TestSensitivityPearsonErrorPropagates(t *testing.T) {
 	}
 }
 
-// The per-collector progress gauge must fire on the true last completion of
-// a collector's shards, not when the shard with the last index happens to
-// run — par.ForEach completes tasks in arbitrary order. This drives the
-// counter in a deliberately adversarial order: every collector's
-// highest-index shard first.
-func TestCollectorProgressPermutedOrder(t *testing.T) {
-	const cols, shards = 3, 5
-	fired := 0
-	prog := newCollectorProgress(cols, shards, func() { fired++ })
-	var order [][2]int // (collector, shard) completion sequence
-	for si := shards - 1; si >= 0; si-- {
-		for ci := 0; ci < cols; ci++ {
-			order = append(order, [2]int{ci, si})
-		}
-	}
-	for k, o := range order {
-		prog.shardDone(o[0])
-		// In this order, collector ci's true last completion is entry
-		// (shards-1)*cols + ci; nothing may fire before that point.
-		wantFired := 0
-		for ci := 0; ci < cols; ci++ {
-			if k >= (shards-1)*cols+ci {
-				wantFired++
-			}
-		}
-		if fired != wantFired {
-			t.Fatalf("after %d completions fired=%d, want %d", k+1, fired, wantFired)
-		}
-	}
-	if fired != cols {
-		t.Fatalf("fired %d times for %d collectors", fired, cols)
-	}
-}
-
 // Every collector replays the same timelines, so the figure's event total
 // must equal the workload's — not whatever the last collector iterated
 // happened to report.
