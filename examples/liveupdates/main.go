@@ -58,7 +58,7 @@ func run() error {
 		return err
 	}
 	events := trace.MoveEvents()
-	stats := core.DeviceUpdateStats(col.FIB, events)
+	stats := core.NewMoveTable(events).Stats(col.FIB)[0]
 	fmt.Printf("device mobility: %d events, %.1f%% displace at %s (%d prefixes, %d ports)\n",
 		len(events), stats.Rate()*100, col.Name, col.FIB.Len(), col.FIB.NextHopDegree())
 

@@ -192,7 +192,9 @@ func ExactNameBasedTransitOnly(g *topology.Graph) Result {
 // uniformly random router each slot (self-moves allowed, as in the paper's
 // transition matrix); a home agent is redrawn uniformly per trial. It
 // returns the measured indirection stretch and name-based aggregate update
-// cost with their standard errors folded into the sample means.
+// cost with their standard errors folded into the sample means. How many
+// routers a move changes depends only on its (from, to) pair, so that count
+// is tabulated once for all n² pairs, not recounted at every step.
 func Simulate(g *topology.Graph, trials, stepsPerTrial int, rng *rand.Rand) (indirection, nameBased Result) {
 	n := g.N()
 	if n == 0 || trials <= 0 || stepsPerTrial <= 0 {
@@ -200,6 +202,16 @@ func Simulate(g *topology.Graph, trials, stepsPerTrial int, rng *rand.Rand) (ind
 	}
 	pm := ports(g)
 	ap := g.AllPairsHops()
+	changed := make([]int, n*n) // changed[from*n+to]: routers whose port differs
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			for k := 0; k < n; k++ {
+				if pm[from][k] != pm[to][k] {
+					changed[from*n+to]++
+				}
+			}
+		}
+	}
 
 	var stretchSum float64
 	var updateSum float64
@@ -213,13 +225,7 @@ func Simulate(g *topology.Graph, trials, stepsPerTrial int, rng *rand.Rand) (ind
 			stretchSum += float64(ap[home][next])
 			// Name-based: fraction of routers whose port changed.
 			if next != loc {
-				changed := 0
-				for k := 0; k < n; k++ {
-					if pm[loc][k] != pm[next][k] {
-						changed++
-					}
-				}
-				updateSum += float64(changed) / float64(n)
+				updateSum += float64(changed[loc*n+next]) / float64(n)
 			}
 			loc = next
 			samples++

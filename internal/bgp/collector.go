@@ -95,22 +95,30 @@ func RIPESpecs() []Spec {
 }
 
 // BuildCollectors synthesizes collectors for the given specs over graph g
-// and address plan pt. All specs share one pass of per-destination route
-// computation, so building the RouteViews and RIPE sets together costs the
-// same as building either alone. The build fans out over par.Workers(0)
-// goroutines — origins first, then collectors — and every worker writes only
-// slots it owns, so the result is the same at any core count.
+// and address plan pt: NewCollector for each spec in order, drawing from
+// rng, then one FillCollectors over them all.
 func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
-	all := pt.All()
 	cols := make([]*Collector, 0, len(specs))
 	for _, spec := range specs {
-		c, err := newCollector(g, spec, rng)
+		c, err := NewCollector(g, spec, rng)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, c)
 	}
+	FillCollectors(g, pt, cols)
+	return cols, nil
+}
 
+// FillCollectors builds the RIB and FIB of every collector in cols over
+// graph g and address plan pt. All of them share one pass of per-destination
+// route computation, so filling the RouteViews and RIPE sets together costs
+// the same as filling either alone, and a collector's tables do not depend
+// on which others it is filled with. The fill fans out over par.Workers(0)
+// goroutines — origins first, then collectors — and every worker writes only
+// slots it owns, so the result is the same at any core count.
+func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
+	all := pt.All()
 	// Collectors overlap heavily on feed peers (every well-fed collector
 	// seeds the same mega-transits), so each distinct peer's AS path is walked
 	// once per origin, into the one path table the collectors of this call
@@ -158,7 +166,6 @@ func BuildCollectors(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.
 	par.ForEach(0, len(cols), func(ci int) {
 		cols[ci].fill(all, runs, paths, peerOf[ci])
 	})
-	return cols, nil
 }
 
 // fill builds c's RIB and FIB over the prefix plan all, cut into origin runs,
@@ -216,7 +223,9 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 	}
 }
 
-func newCollector(g *asgraph.Graph, spec Spec, rng *rand.Rand) (*Collector, error) {
+// NewCollector draws a collector for spec over graph g from rng: its host AS
+// and its sessions. Its RIB and FIB stay nil until FillCollectors.
+func NewCollector(g *asgraph.Graph, spec Spec, rng *rand.Rand) (*Collector, error) {
 	if spec.NumSess < 1 {
 		return nil, fmt.Errorf("bgp: collector %q needs at least one session", spec.Name)
 	}

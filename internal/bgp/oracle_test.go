@@ -21,7 +21,7 @@ import (
 func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
 	cols := make([]*Collector, 0, len(specs))
 	for _, spec := range specs {
-		c, err := newCollector(g, spec, rng)
+		c, err := NewCollector(g, spec, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -185,6 +185,59 @@ func TestBuildCollectorsSameAtAnyGOMAXPROCS(t *testing.T) {
 				// The whole trie, node for node: the walk and the insertion order.
 				if !reflect.DeepEqual(c.FIB, w.FIB) {
 					t.Fatalf("seed %d: %s: FIB at GOMAXPROCS %d differs from GOMAXPROCS 1", seed, w.Name, procs)
+				}
+			}
+		}
+	}
+}
+
+// TestFillCollectorsAloneOrTogether draws all 25 collectors as
+// BuildCollectors does, then fills them three ways — each alone, in two
+// uneven groups, and all in one call — and requires every collector's RIB
+// dump bytes and FIB to be BuildCollectors' own. A collector's tables do not
+// depend on which others share its route pass: what lets the session sweep
+// fill all its collectors in one call, where it built each one alone.
+func TestFillCollectorsAloneOrTogether(t *testing.T) {
+	specs := append(RouteViewsSpecs(), RIPESpecs()...)
+	for _, seed := range []int64{20140817, 7, 424242} {
+		g, pt := testInternet(t, seed)
+		want, err := BuildCollectors(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, split := range []struct {
+			name   string
+			groups func(cols []*Collector) [][]*Collector
+		}{
+			{"alone", func(cols []*Collector) (gs [][]*Collector) {
+				for i := range cols {
+					gs = append(gs, cols[i:i+1])
+				}
+				return gs
+			}},
+			{"two groups", func(cols []*Collector) [][]*Collector { return [][]*Collector{cols[:7], cols[7:]} }},
+			{"one call", func(cols []*Collector) [][]*Collector { return [][]*Collector{cols} }},
+		} {
+			rng := rand.New(rand.NewSource(seed + 100))
+			cols := make([]*Collector, len(specs))
+			for i, spec := range specs {
+				if cols[i], err = NewCollector(g, spec, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, group := range split.groups(cols) {
+				FillCollectors(g, pt, group)
+			}
+			for i, w := range want {
+				c := cols[i]
+				if !reflect.DeepEqual(c.Sessions, w.Sessions) {
+					t.Fatalf("seed %d, %s: %s drew other sessions than BuildCollectors", seed, split.name, w.Name)
+				}
+				if !bytes.Equal(dumpBytes(t, c), dumpBytes(t, w)) {
+					t.Fatalf("seed %d, %s: %s: RIB dump differs from BuildCollectors'", seed, split.name, w.Name)
+				}
+				if !reflect.DeepEqual(c.FIB, w.FIB) {
+					t.Fatalf("seed %d, %s: %s: FIB differs from BuildCollectors'", seed, split.name, w.Name)
 				}
 			}
 		}

@@ -65,18 +65,74 @@ func (s *UpdateStats) Add(o UpdateStats) {
 	s.Updates += o.Updates
 }
 
-// DeviceUpdateStats measures the fraction of device mobility events that
-// induce a forwarding update at router r — the quantity plotted per
-// collector in Figure 8.
-func DeviceUpdateStats(r PortLookup, events []mobility.MoveEvent) UpdateStats {
-	var s UpdateStats
-	for _, e := range events {
-		s.Events++
-		if Displaced(r, e.From.Addr, e.To.Addr) {
-			s.Updates++
+// MoveTable holds groups of device mobility events in the form the
+// displacement test reads them: every distinct From/To address once, sorted,
+// and each event as the rows of its two ends. A driver builds one per call
+// and counts it at every collector; Stats only reads it, so concurrent
+// callers may share it.
+type MoveTable struct {
+	addrs []netaddr.Addr // distinct event ends, sorted
+	ends  []int32        // From and To rows, two per event, groups back to back
+	cuts  []int          // group g is ends[cuts[g]:cuts[g+1]]
+}
+
+// NewMoveTable builds the table of the given event groups.
+func NewMoveTable(groups ...[]mobility.MoveEvent) *MoveTable {
+	t := &MoveTable{cuts: make([]int, 1, len(groups)+1)}
+	for _, g := range groups {
+		t.cuts = append(t.cuts, t.cuts[len(t.cuts)-1]+2*len(g))
+	}
+	t.addrs = make([]netaddr.Addr, 0, t.cuts[len(groups)])
+	for _, g := range groups {
+		for _, e := range g {
+			t.addrs = append(t.addrs, e.From.Addr, e.To.Addr)
 		}
 	}
-	return s
+	slices.Sort(t.addrs)
+	t.addrs = slices.Compact(t.addrs)
+	t.ends = make([]int32, 0, t.cuts[len(groups)])
+	for _, g := range groups {
+		for _, e := range g {
+			from, _ := slices.BinarySearch(t.addrs, e.From.Addr)
+			to, _ := slices.BinarySearch(t.addrs, e.To.Addr)
+			t.ends = append(t.ends, int32(from), int32(to))
+		}
+	}
+	return t
+}
+
+// Stats measures, per group, the fraction of events that induce a
+// forwarding update at router r — the quantity plotted per collector in
+// Figure 8 — by Displaced's rule. It asks r about each distinct address
+// once; an event then costs two row reads and integer compares.
+func (t *MoveTable) Stats(r PortLookup) []UpdateStats {
+	row := make([]int32, len(t.addrs)) // interned port, -1 for no route
+	ports := map[int]int32{}
+	for i, a := range t.addrs {
+		p, ok := r.Port(a)
+		if !ok {
+			row[i] = -1
+			continue
+		}
+		k, seen := ports[p]
+		if !seen {
+			k = int32(len(ports))
+			ports[p] = k
+		}
+		row[i] = k
+	}
+	out := make([]UpdateStats, len(t.cuts)-1)
+	for g := range out {
+		ends := t.ends[t.cuts[g]:t.cuts[g+1]]
+		out[g].Events = len(ends) / 2
+		for i := 0; i < len(ends); i += 2 {
+			p1, p2 := row[ends[i]], row[ends[i+1]]
+			if p1 >= 0 && p2 >= 0 && p1 != p2 {
+				out[g].Updates++
+			}
+		}
+	}
+	return out
 }
 
 // Strategy selects among the §3.3.1 forwarding strategies.

@@ -90,6 +90,9 @@ func TestDeviceUpdateStats(t *testing.T) {
 	if s.Events != 4 || s.Updates != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
+	if got := NewMoveTable(evs).Stats(r); len(got) != 1 || got[0] != s {
+		t.Fatalf("move table %+v, per-event replay %+v", got, s)
+	}
 }
 
 func TestPortSetAndBestPort(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"locind/internal/bgp"
 	"locind/internal/cdn"
+	"locind/internal/mobility"
 	"locind/internal/netaddr"
 )
 
@@ -128,3 +129,93 @@ func TestWidePortSetsMatchPerStrategy(t *testing.T) {
 		}
 	}
 }
+
+// FuzzMoveTable builds groups of device moves from fuzz bytes and checks that
+// the move table, at one to three routers, counts every group exactly as the
+// per-event replay (DeviceUpdateStats) does, asking each router about each
+// distinct event address once and about nothing else.
+//
+// Encoding: one header byte (routers 1 + b%3, groups 1 + (b>>2)%3), then event
+// chunks of one control byte — the event's group is ctl % groups; bits 2 and
+// 3 make From and To reuse an address already seen, named by one index byte —
+// followed by each fresh end's four address octets.
+//
+// testdata/fuzz/FuzzMoveTable holds what random bytes rarely spell: one
+// address at both ends of many events across groups, a self-move, ends
+// fuzzTable has no route for, and a group with no events.
+func FuzzMoveTable(f *testing.F) {
+	f.Add([]byte{0x06, 0x00, 22, 33, 44, 55, 22, 33, 88, 55, 0x0d, 0, 10, 0, 0, 5, 0x0e, 2, 1})
+	f.Add([]byte{0x00, 0x0c, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		groups := make([][]mobility.MoveEvent, 1+int(data[0]>>2)%3)
+		nRouters := 1 + int(data[0])%3
+		i := 1
+		var pool []netaddr.Addr
+		end := func(reuse bool) (netaddr.Addr, bool) {
+			if reuse && len(pool) > 0 && i < len(data) {
+				i++
+				return pool[int(data[i-1])%len(pool)], true
+			}
+			if i+4 > len(data) {
+				return 0, false
+			}
+			a := netaddr.MakeAddr(data[i], data[i+1], data[i+2], data[i+3])
+			i += 4
+			pool = append(pool, a)
+			return a, true
+		}
+		for i < len(data) {
+			ctl := data[i]
+			i++
+			from, ok1 := end(ctl&4 != 0)
+			to, ok2 := end(ctl&8 != 0)
+			if !ok1 || !ok2 {
+				break
+			}
+			g := int(ctl) % len(groups)
+			groups[g] = append(groups[g], mobility.MoveEvent{
+				From: mobility.Location{Addr: from},
+				To:   mobility.Location{Addr: to},
+			})
+		}
+		distinct := map[netaddr.Addr]bool{}
+		for _, g := range groups {
+			for _, e := range g {
+				distinct[e.From.Addr], distinct[e.To.Addr] = true, true
+			}
+		}
+		moves := NewMoveTable(groups...)
+		for k := 0; k < nRouters; k++ {
+			asked := map[netaddr.Addr]int{}
+			got := moves.Stats(portFunc(func(a netaddr.Addr) (int, bool) {
+				asked[a]++
+				return fuzzRouters[k].Port(a)
+			}))
+			if len(got) != len(groups) {
+				t.Fatalf("router %d: %d group totals for %d groups", k, len(got), len(groups))
+			}
+			for g, events := range groups {
+				if want := DeviceUpdateStats(fuzzRouters[k], events); got[g] != want {
+					t.Fatalf("router %d of %d, group %d of %d: table %+v, per-event replay %+v",
+						k, nRouters, g, len(groups), got[g], want)
+				}
+			}
+			if len(asked) != len(distinct) {
+				t.Fatalf("router %d: asked about %d addresses, the events hold %d", k, len(asked), len(distinct))
+			}
+			for a, n := range asked {
+				if n != 1 || !distinct[a] {
+					t.Fatalf("router %d: asked about %v %d times (an event address: %v), want once", k, a, n, distinct[a])
+				}
+			}
+		}
+	})
+}
+
+// portFunc adapts a function to PortLookup.
+type portFunc func(netaddr.Addr) (int, bool)
+
+func (f portFunc) Port(a netaddr.Addr) (int, bool) { return f(a) }

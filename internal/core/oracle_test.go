@@ -1,13 +1,16 @@
 package core_test
 
 import (
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/core"
 	"locind/internal/expt"
+	"locind/internal/mobility"
 	"locind/internal/netaddr"
 )
 
@@ -288,6 +291,99 @@ func TestPerRouterKernelMatchesOracles(t *testing.T) {
 				if counted[i].routes != want || counted[i].ports != 0 {
 					t.Fatalf("seed %d %s %s: %d RouteFor and %d Port calls, want %d and 0",
 						seed, c.Name, pool.class, counted[i].routes, counted[i].ports, want)
+				}
+			}
+		}
+	}
+}
+
+// portsAsked records every address a caller asks a router's port for.
+type portsAsked struct {
+	r     core.PortLookup
+	asked map[netaddr.Addr]int
+}
+
+func (p *portsAsked) Port(a netaddr.Addr) (int, bool) {
+	p.asked[a]++
+	return p.r.Port(a)
+}
+
+// sensitivityGroups is the event grouping RunSensitivity counts: the NomadLog
+// events day by day in day order, then the IMAP events, built from the
+// world's streams as RunSensitivity builds them. The whole trace is appended
+// as one more group, the grouping RunFig8 and the session sweep count.
+func sensitivityGroups(t *testing.T, w *expt.World) [][]mobility.MoveEvent {
+	t.Helper()
+	events := w.Devices.MoveEvents()
+	byDay := map[int][]mobility.MoveEvent{}
+	for _, e := range events {
+		byDay[e.Day] = append(byDay[e.Day], e)
+	}
+	days := make([]int, 0, len(byDay))
+	for d := range byDay {
+		days = append(days, d)
+	}
+	sort.Ints(days)
+	var groups [][]mobility.MoveEvent
+	for _, d := range days {
+		groups = append(groups, byDay[d])
+	}
+	imapCfg := w.Cfg.Device
+	imapCfg.Users = w.Cfg.IMAPUsers
+	imapCfg.Days = w.Cfg.IMAPDays
+	imapTrace, err := mobility.GenerateDeviceTrace(w.Graph, w.Prefixes, imapCfg, rand.New(rand.NewSource(w.Cfg.Seed+6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imap := mobility.IMAPMoveEvents(imapTrace, 2.0, rand.New(rand.NewSource(w.Cfg.Seed+7)))
+	if len(days) < 2 || len(imap) == 0 {
+		t.Fatalf("seed %d: %d days and %d IMAP events: too little to compare", w.Cfg.Seed, len(days), len(imap))
+	}
+	return append(groups, imap, events)
+}
+
+// TestMoveTableMatchesPerEventReplay holds the move table to the per-event
+// replay it replaced (DeviceUpdateStats) on all 25 RouteViews and RIPE
+// collectors of three seeded quick worlds, for the NomadLog events per day,
+// the IMAP events and the whole trace in one table, over the raw FIBs and
+// over Memos. It pins what the table is for: each router is asked about each
+// distinct event address exactly once, and about nothing else.
+func TestMoveTableMatchesPerEventReplay(t *testing.T) {
+	for _, seed := range []int64{20140817, 7, 424242} {
+		cfg := expt.QuickConfig()
+		cfg.Seed = seed
+		w, err := expt.BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := sensitivityGroups(t, w)
+		distinct := map[netaddr.Addr]bool{}
+		for _, g := range groups {
+			for _, e := range g {
+				distinct[e.From.Addr], distinct[e.To.Addr] = true, true
+			}
+		}
+		moves := core.NewMoveTable(groups...)
+		for _, c := range slices.Concat(w.RouteViews, w.RIPE) {
+			counted := &portsAsked{r: c.FIB, asked: map[netaddr.Addr]int{}}
+			got := moves.Stats(counted)
+			viaMemo := moves.Stats(core.NewMemo(c.FIB))
+			if len(got) != len(groups) {
+				t.Fatalf("seed %d %s: %d group totals for %d groups", seed, c.Name, len(got), len(groups))
+			}
+			for g, events := range groups {
+				want := core.DeviceUpdateStats(c.FIB, events)
+				if got[g] != want || viaMemo[g] != want {
+					t.Fatalf("seed %d %s group %d of %d: table %+v, via memo %+v, per-event replay %+v",
+						seed, c.Name, g, len(groups), got[g], viaMemo[g], want)
+				}
+			}
+			if len(counted.asked) != len(distinct) {
+				t.Fatalf("seed %d %s: asked about %d addresses, the events hold %d", seed, c.Name, len(counted.asked), len(distinct))
+			}
+			for a, n := range counted.asked {
+				if n != 1 || !distinct[a] {
+					t.Fatalf("seed %d %s: asked about %v %d times (an event address: %v), want once", seed, c.Name, a, n, distinct[a])
 				}
 			}
 		}

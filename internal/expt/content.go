@@ -169,17 +169,22 @@ type Fig12Result struct {
 }
 
 // RunFig12 computes Figure 12: best-port FIB aggregateability for popular
-// names per collector, evaluated on the hour-0 snapshot of the sweep.
+// names per collector, evaluated on the hour-0 snapshot of the sweep. It
+// fans out over the collectors, which share the read-only FIBs and name
+// sets; results land in collector order.
 func RunFig12(w *World) Fig12Result {
 	popular, unpopular := w.TimelinesByClass()
 	popSets := cdn.CompleteTable(popular, 0)
 	unpopSets := cdn.CompleteTable(unpopular, 0)
 	res := Fig12Result{Names: len(popSets)}
-	for _, c := range w.RouteViews {
+	aggs := par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) float64 {
+		return core.AggregateabilityBestPort(w.RouteViews[i].FIB, popSets)
+	})
+	for i, c := range w.RouteViews {
 		res.Routers = append(res.Routers, struct {
 			Name             string
 			Aggregateability float64
-		}{c.Name, core.AggregateabilityBestPort(c.FIB, popSets)})
+		}{c.Name, aggs[i]})
 	}
 	if len(w.RouteViews) > 0 {
 		res.UnpopularAgg = core.AggregateabilityBestPort(w.RouteViews[0].FIB, unpopSets)

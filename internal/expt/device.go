@@ -119,15 +119,16 @@ type Fig8Result struct {
 	Events  int
 }
 
-// RunFig8 computes Figure 8 over the RouteViews collectors, one memoized
-// collector per worker; results land in collector order regardless of
-// scheduling.
+// RunFig8 computes Figure 8 over the RouteViews collectors: one move table
+// of the events, counted at one memoized collector per worker; results land
+// in collector order regardless of scheduling.
 func RunFig8(w *World) Fig8Result {
 	events := w.Devices.MoveEvents()
+	moves := core.NewMoveTable(events)
 	res := Fig8Result{Events: len(events)}
 	res.Routers = par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) RouterRate {
 		c := w.RouteViews[i]
-		s := core.DeviceUpdateStats(w.Cfg.memo(c.FIB), events)
+		s := moves.Stats(w.Cfg.memo(c.FIB))[0]
 		w.Cfg.Obs.collectorDone()
 		return RouterRate{
 			Name:          c.Name,
@@ -178,11 +179,12 @@ type SensitivityResult struct {
 }
 
 // RunSensitivity computes the §6.2.2 sensitivity analysis in one fan-out over
-// the 25 collectors, RouteViews first: each replays the NomadLog events day by
-// day (the days' integer counts sum to the whole-trace measurement) and the
-// IMAP events once; rows come back in collector order, so the readout is
-// identical at every parallelism degree. A degenerate workload (zero-variance
-// or mismatched rate vectors) is an error, never a fake "correlation 0.00".
+// the 25 collectors, RouteViews first, sharing one move table whose groups
+// are the NomadLog events day by day (the days' integer counts sum to the
+// whole-trace measurement) and then the IMAP events; rows come back in
+// collector order, so the readout is identical at every parallelism degree.
+// A degenerate workload (zero-variance or mismatched rate vectors) is an
+// error, never a fake "correlation 0.00".
 func RunSensitivity(w *World) (SensitivityResult, error) {
 	res := SensitivityResult{PerDayStdDev: map[string]float64{}}
 
@@ -206,20 +208,24 @@ func RunSensitivity(w *World) (SensitivityResult, error) {
 		days = append(days, d)
 	}
 	sort.Ints(days)
+	groups := make([][]mobility.MoveEvent, 0, len(days)+1)
+	for _, d := range days {
+		groups = append(groups, byDay[d])
+	}
+	moves := core.NewMoveTable(append(groups, imapEvents)...)
 
 	all := append(append([]*bgp.Collector{}, w.RouteViews...), w.RIPE...)
 	type row struct{ stdDev, nomad, imap float64 }
 	rows := par.Map(w.Cfg.Parallel, len(all), func(i int) row {
 		defer w.Cfg.Obs.collectorDone()
-		memo := w.Cfg.memo(all[i].FIB)
+		perGroup := moves.Stats(w.Cfg.memo(all[i].FIB))
 		var total core.UpdateStats
 		rates := make([]float64, 0, len(days))
-		for _, d := range days {
-			s := core.DeviceUpdateStats(memo, byDay[d])
+		for _, s := range perGroup[:len(days)] {
 			rates = append(rates, s.Rate())
 			total.Add(s)
 		}
-		return row{stats.StdDev(rates), total.Rate(), core.DeviceUpdateStats(memo, imapEvents).Rate()}
+		return row{stats.StdDev(rates), total.Rate(), perGroup[len(days)].Rate()}
 	})
 	nomadRates, imapRates := make([]float64, len(rows)), make([]float64, len(rows))
 	for i, r := range rows {
@@ -398,54 +404,40 @@ type SessionSweepResult struct {
 	}
 }
 
-// RunSessionSweep rebuilds one synthetic collector at increasing session
-// counts and measures its device update rate. Each count derives its own RNG
-// from the master seed, so the sweep points are independent and evaluated in
-// parallel without perturbing each other. The map stays although the build
-// fans out by itself: a one-collector build is parallel in its path half
-// only; its collector half and the replay overlap with another count's only
-// here (expt.session_sweep_ms on two cores: 35.5 mapped, 37.2 as a plain loop).
+// RunSessionSweep synthesizes one extra NorthAmerica collector per session
+// count, over the world's graph and address plan, and measures its device
+// update rate. Each count draws its sessions from its own RNG, derived from
+// the master seed, so the points are independent of each other; all of them
+// are filled in one route pass and counted against one move table.
 func RunSessionSweep(w *World, counts []int) (SessionSweepResult, error) {
-	events := w.Devices.MoveEvents()
-	type point struct {
-		rate float64
-		err  error
-	}
-	pts := par.Map(w.Cfg.Parallel, len(counts), func(i int) point {
-		col, err := buildSweepCollector(w, counts[i], int64(i))
-		if err != nil {
-			return point{err: err}
-		}
-		return point{rate: core.DeviceUpdateStats(w.Cfg.memo(col.FIB), events).Rate()}
-	})
 	var res SessionSweepResult
-	for i, p := range pts {
-		if p.err != nil {
-			return res, p.err
+	cols := make([]*bgp.Collector, len(counts))
+	for i, n := range counts {
+		spec := bgp.Spec{
+			Name:       fmt.Sprintf("sweep-%d", n),
+			Region:     asgraph.NorthAmerica,
+			NumSess:    n,
+			GlobalFrac: 0.35,
 		}
+		c, err := bgp.NewCollector(w.Graph, spec, rand.New(rand.NewSource(w.Cfg.Seed+100+int64(i))))
+		if err != nil {
+			return res, err
+		}
+		cols[i] = c
+	}
+	bgp.FillCollectors(w.Graph, w.Prefixes, cols)
+	moves := core.NewMoveTable(w.Devices.MoveEvents())
+	rates := par.Map(w.Cfg.Parallel, len(cols), func(i int) float64 {
+		return moves.Stats(w.Cfg.memo(cols[i].FIB))[0].Rate()
+	})
+	for i, rate := range rates {
 		w.Cfg.Obs.rows(1)
 		res.Points = append(res.Points, struct {
 			Sessions int
 			Rate     float64
-		}{counts[i], p.rate})
+		}{counts[i], rate})
 	}
 	return res, nil
-}
-
-// buildSweepCollector synthesizes one extra NorthAmerica collector with the
-// requested session count, reusing the world's graph and address plan.
-func buildSweepCollector(w *World, sessions int, salt int64) (*bgp.Collector, error) {
-	spec := bgp.Spec{
-		Name:       fmt.Sprintf("sweep-%d", sessions),
-		Region:     asgraph.NorthAmerica,
-		NumSess:    sessions,
-		GlobalFrac: 0.35,
-	}
-	cols, err := bgp.BuildCollectors(w.Graph, w.Prefixes, []bgp.Spec{spec}, rand.New(rand.NewSource(w.Cfg.Seed+100+salt)))
-	if err != nil {
-		return nil, err
-	}
-	return cols[0], nil
 }
 
 // Render prints the sweep.

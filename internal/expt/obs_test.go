@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"locind/internal/cdn"
+	"locind/internal/netaddr"
 	"locind/internal/obs"
 )
 
@@ -15,32 +16,57 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 	if w.Cfg.Obs != nil {
 		t.Fatal("shared world must start unobserved")
 	}
-	off8 := RunFig8(w).Render()
-	off11b := RunFig11bc(w, cdn.Popular).Render()
+	render := func() map[string]string {
+		sens, err := RunSensitivity(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]string{
+			"fig8":        RunFig8(w).Render(),
+			"fig11b":      RunFig11bc(w, cdn.Popular).Render(),
+			"sensitivity": sens.Render(),
+			"fig12":       RunFig12(w).Render(),
+		}
+	}
+	off := render()
 
 	reg := obs.NewRegistry()
 	w.Cfg.Obs = NewMetrics(reg)
 	defer func() { w.Cfg.Obs = nil }()
-	on8 := RunFig8(w).Render()
-	on11b := RunFig11bc(w, cdn.Popular).Render()
-
-	if on8 != off8 {
-		t.Fatalf("Fig8 output diverged with obs enabled:\n--- off ---\n%s\n--- on ---\n%s", off8, on8)
-	}
-	if on11b != off11b {
-		t.Fatalf("Fig11b output diverged with obs enabled:\n--- off ---\n%s\n--- on ---\n%s", off11b, on11b)
-	}
-
-	// And the observed run actually observed something.
 	m := w.Cfg.Obs
-	wantDone := int64(2 * len(w.RouteViews)) // one unit per collector per driver
+
+	// Fig 8 alone first, for exact memo accounting: each collector's memo is
+	// asked about each distinct address of the move table once, so nothing
+	// hits.
+	RunFig8(w)
+	ends := map[netaddr.Addr]bool{}
+	for _, e := range w.Devices.MoveEvents() {
+		ends[e.From.Addr], ends[e.To.Addr] = true, true
+	}
+	distinct := int64(len(ends))
+	if hits, misses := m.Memo.Hits.Value(), m.Memo.Misses.Value(); hits != 0 || misses != int64(len(w.RouteViews))*distinct {
+		t.Fatalf("fig8 memo counters: hits=%d misses=%d, want 0 and %d collectors × %d distinct addresses",
+			hits, misses, len(w.RouteViews), distinct)
+	}
+
+	on := render()
+	for name, want := range off {
+		if on[name] != want {
+			t.Fatalf("%s output diverged with obs enabled:\n--- off ---\n%s\n--- on ---\n%s", name, want, on[name])
+		}
+	}
+
+	// And the observed run actually observed something: one unit per
+	// collector per driver that counts them (fig8 twice, fig11b, the 25 of
+	// sensitivity).
+	wantDone := int64(3*len(w.RouteViews) + len(w.RouteViews) + len(w.RIPE))
 	if m.CollectorsDone.Value() != wantDone {
 		t.Fatalf("collectors done = %d, want %d", m.CollectorsDone.Value(), wantDone)
 	}
 	if m.Rows.Value() == 0 {
 		t.Fatal("no rows counted")
 	}
-	if m.Memo.Misses.Value() == 0 || m.Memo.Hits.Value() == 0 {
-		t.Fatalf("memo counters idle: hits=%d misses=%d", m.Memo.Hits.Value(), m.Memo.Misses.Value())
+	if m.Memo.Hits.Value() != 0 {
+		t.Fatalf("a device driver's memo answered %d lookups from cache: the move table asks each address once", m.Memo.Hits.Value())
 	}
 }

@@ -32,6 +32,7 @@ func TestParallelDriversMatchSequential(t *testing.T) {
 		abl   AblationResult
 		sweep SessionSweepResult
 		sens  SensitivityResult
+		fig12 Fig12Result
 	}
 	collect := func(parallel int) bundle {
 		var out bundle
@@ -50,6 +51,7 @@ func TestParallelDriversMatchSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			out.sens = sens
+			out.fig12 = RunFig12(w)
 		})
 		return out
 	}
@@ -73,6 +75,9 @@ func TestParallelDriversMatchSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(seq.sens, par.sens) {
 			t.Errorf("parallel=%d: sensitivity diverged", n)
+		}
+		if !reflect.DeepEqual(seq.fig12, par.fig12) {
+			t.Errorf("parallel=%d: fig12 diverged", n)
 		}
 	}
 }

@@ -14,6 +14,20 @@ import (
 	"locind/internal/stats"
 )
 
+// deviceUpdateStats is core.DeviceUpdateStats, the per-event replay that
+// core.MoveTable replaced, verbatim but for package qualifiers: it asks r
+// about both ends of every event. The oracles in this package count with it.
+func deviceUpdateStats(r core.PortLookup, events []mobility.MoveEvent) core.UpdateStats {
+	var s core.UpdateStats
+	for _, e := range events {
+		s.Events++
+		if core.Displaced(r, e.From.Addr, e.To.Addr) {
+			s.Updates++
+		}
+	}
+	return s
+}
+
 // runSensitivityThreePasses is the RunSensitivity the single fan-out replaced,
 // kept verbatim as its oracle: the NomadLog events day by day at the
 // RouteViews collectors, whole at the RIPE collectors, and whole again at all
@@ -37,7 +51,7 @@ func runSensitivityThreePasses(w *World) (SensitivityResult, error) {
 		memo := w.Cfg.memo(w.RouteViews[i].FIB)
 		var rates []float64
 		for _, d := range days {
-			rates = append(rates, core.DeviceUpdateStats(memo, byDay[d]).Rate())
+			rates = append(rates, deviceUpdateStats(memo, byDay[d]).Rate())
 		}
 		return stats.StdDev(rates)
 	})
@@ -51,7 +65,7 @@ func runSensitivityThreePasses(w *World) (SensitivityResult, error) {
 	// (2) The RIPE collector set.
 	ripeRates := par.Map(w.Cfg.Parallel, len(w.RIPE), func(i int) float64 {
 		defer w.Cfg.Obs.collectorDone()
-		return core.DeviceUpdateStats(w.Cfg.memo(w.RIPE[i].FIB), events).Rate()
+		return deviceUpdateStats(w.Cfg.memo(w.RIPE[i].FIB), events).Rate()
 	})
 	ripeCDF := stats.NewCDF(ripeRates)
 	res.RIPEMedian = ripeCDF.Median()
@@ -76,8 +90,8 @@ func runSensitivityThreePasses(w *World) (SensitivityResult, error) {
 		defer w.Cfg.Obs.collectorDone()
 		memo := w.Cfg.memo(all[i].FIB)
 		return ratePair{
-			nomad: core.DeviceUpdateStats(memo, events).Rate(),
-			imap:  core.DeviceUpdateStats(memo, imapEvents).Rate(),
+			nomad: deviceUpdateStats(memo, events).Rate(),
+			imap:  deviceUpdateStats(memo, imapEvents).Rate(),
 		}
 	})
 	nomadRates := make([]float64, len(pairs))
