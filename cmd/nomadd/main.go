@@ -4,8 +4,8 @@
 // synthesizes a device fleet, replays every device's mobility trace through
 // one event-heap engine (internal/nomad/engine: a record buffered per
 // connectivity event, batched /upload flushes whenever the device sits on
-// WiFi long enough to be "plugged in"), and reports what landed in the log
-// store.
+// WiFi long enough to be "plugged in"), and reports what the server's
+// streaming aggregates hold.
 //
 // With -soak it instead shards the engine over a million devices: engines
 // stream the fleet day by day, upload through a faultnet chaos listener
@@ -166,13 +166,19 @@ func runSoak(ctx context.Context, cfg engine.SoakConfig, reg *obs.Registry, obsA
 }
 
 // spanUploader roots one span per upload attempt and hands it to the client
-// in ctx, so the server's store span parents onto it in /debug/traces.
+// in ctx, so the server's store span parents onto it in /debug/traces. It
+// keeps a copy of the first batch it sends, a sample of the §4 record
+// schema for the report (the engine reuses the batch slice).
 type spanUploader struct {
 	engine.Uploader
 	tracer *obs.Tracer
+	first  []nomad.Entry
 }
 
-func (u spanUploader) Upload(ctx context.Context, batchID string, batch []nomad.Entry) error {
+func (u *spanUploader) Upload(ctx context.Context, batchID string, batch []nomad.Entry) error {
+	if u.first == nil {
+		u.first = append([]nomad.Entry(nil), batch...)
+	}
 	span := u.tracer.Start("nomad-upload", "batch", batchID)
 	defer span.End()
 	return u.Uploader.Upload(obs.ContextWith(ctx, span), batchID, batch)
@@ -221,7 +227,7 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	// The backend on a real socket. Sharing the tracer between client and
 	// server sides merges their spans into one export, so /debug/traces
 	// shows each upload's server-side store span under the device's batch.
-	srv := nomad.NewServer()
+	srv := nomad.NewStreamingServer()
 	srv.Tracer = tracer
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -237,9 +243,12 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("nomadd: backend listening on %s\n", base)
 
+	up := &spanUploader{Uploader: nomad.NewClient(base), tracer: tracer}
 	eng, err := engine.New(engine.Config{
-		Trace:           trace,
-		Uploader:        spanUploader{nomad.NewClient(base), tracer},
+		Fleet:           trace,
+		Devices:         users,
+		Days:            days,
+		Uploader:        up,
 		RetryMetrics:    reliable.NewMetrics(reg, "nomad"),
 		GracefulUploads: true,
 		Metrics:         met,
@@ -250,21 +259,21 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	if err := eng.Run(ctx); err != nil {
 		return err
 	}
-	uploaded := met.EntriesUploaded.Value()
+	snap := srv.Agg.Snapshot()
 	fmt.Printf("nomadd: fleet of %d devices replayed %d days\n", users, days)
-	fmt.Printf("nomadd: %d records uploaded, %d devices in store\n",
-		uploaded, len(srv.Store.Devices()))
+	fmt.Printf("nomadd: %d records uploaded, %d devices in store\n", met.EntriesUploaded.Value(), snap.Devices)
+	fmt.Printf("nomadd: store holds %d records in %d batches, digest %s\n", snap.Records, snap.Batches, snap.Digest)
 
-	// A taste of the stored schema.
-	devs := srv.Store.Devices()
-	if len(devs) > 0 {
-		fmt.Println("nomadd: first records of", devs[0])
-		for i, e := range srv.Store.ByDevice(devs[0]) {
-			if i >= 5 {
-				break
-			}
+	// A taste of the record schema, and of what the store keeps of it.
+	if len(up.first) > 0 {
+		dev := up.first[0].DeviceID
+		fmt.Println("nomadd: first batch uploaded, from", dev)
+		for _, e := range up.first {
 			fmt.Printf("  %-22s t=%7.2fh %-15s %s\n", e.DeviceID, e.Time, e.IPAddr, e.NetType)
 		}
+		d, _ := srv.Agg.Device(dev)
+		fmt.Printf("nomadd: %s in store: %d records (%d wifi, %d cellular) in %d batches, %d moves, t=%.2fh..%.2fh\n",
+			dev, d.Records, d.WiFi, d.Cellular, d.Batches, d.Moves, d.FirstTime, d.LastTime)
 	}
 	return nil
 }

@@ -29,9 +29,10 @@ func nomadd(args ...string) *exec.Cmd {
 }
 
 // TestDefaultModeLandsTheAgentFleetsRecords: start, replay, clean exit. The
-// counts and records are what the goroutine-per-device agent fleet printed
-// for this seed before the engine took the mode over (the engine package's
-// TestEngineEquivalentToAgents holds the two to the same streams in general).
+// record and device counts are what the goroutine-per-device agent fleet
+// printed for this seed before the engine took the mode over (the engine
+// package's TestEngineEquivalentToAgents holds the two to the same streams
+// in general); the digest pins every stored record.
 func TestDefaultModeLandsTheAgentFleetsRecords(t *testing.T) {
 	out, err := nomadd("-users", "40", "-days", "5", "-seed", "1").CombinedOutput()
 	if err != nil {
@@ -40,12 +41,10 @@ func TestDefaultModeLandsTheAgentFleetsRecords(t *testing.T) {
 	for _, want := range []string{
 		"nomadd: fleet of 40 devices replayed 5 days\n",
 		"nomadd: 1154 records uploaded, 40 devices in store\n",
-		"nomadd: first records of dev-275fc44507d5bce6\n" +
-			"  dev-275fc44507d5bce6   t=   0.00h 0.122.15.65     wifi\n" +
-			"  dev-275fc44507d5bce6   t=  15.66h 0.154.100.185   cellular\n" +
-			"  dev-275fc44507d5bce6   t=  15.96h 0.171.124.157   wifi\n" +
-			"  dev-275fc44507d5bce6   t=  16.13h 0.154.100.219   cellular\n" +
-			"  dev-275fc44507d5bce6   t=  16.36h 0.171.124.157   wifi\n",
+		"nomadd: store holds 1154 records in 482 batches, digest 26a0fe5337210c88\n",
+		"nomadd: first batch uploaded, from dev-275fcc4507d5ca7e\n" +
+			"  dev-275fcc4507d5ca7e   t=   0.00h 0.141.40.220    wifi\n" +
+			"nomadd: dev-275fcc4507d5ca7e in store: 18 records (15 wifi, 3 cellular) in 15 batches, 13 moves, t=0.00h..112.67h\n",
 		"  locind_nomad_engine_entries_uploaded_total 1154\n",
 		"  locind_reliable_giveups_total{subsystem=\"nomad\"} 0\n",
 	} {

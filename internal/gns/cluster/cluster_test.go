@@ -12,6 +12,7 @@ import (
 	"locind/internal/faultnet"
 	"locind/internal/gns"
 	"locind/internal/netaddr"
+	"locind/internal/obs"
 	"locind/internal/reliable"
 )
 
@@ -189,6 +190,52 @@ func TestClusterQuorumWriteRead(t *testing.T) {
 	rec, err = cl.Lookup(ctx, name)
 	if err != nil || rec.Addrs[0] != addrs2[0] {
 		t.Fatalf("lookup after second update: %+v err=%v", rec, err)
+	}
+}
+
+// TestReplicaServerCountsReplicationOps: the serve loop's op counters — the
+// locind_gns_lookups_total/updates_total families gnsd -obs.addr exports —
+// count what a replica actually serves. The cluster client sends nothing
+// but vput and vget, so every vput leg is an update, every vget leg a
+// lookup, and together they are every request the replicas handled.
+func TestReplicaServerCountsReplicationOps(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sm := gns.NewServerMetrics(obs.NewRegistry())
+	c, err := Start(ctx, Config{Shards: 2, Replicas: 3}, faultnet.NewEnv(1), sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl := NewClient(c.Addrs(), ClientConfig{Origin: 1})
+	defer cl.Close()
+	cl.SetMetrics(NewClientMetrics(obs.NewRegistry()), 0)
+	cl.Retries = 0
+	legs := func() int64 {
+		n := int64(0)
+		for s := 0; s < c.Shards(); s++ {
+			for r := 0; r < c.Replicas(); r++ {
+				n += cl.replicaMetrics(s, r).Legs.Value()
+			}
+		}
+		return n
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := cl.Update(ctx, fmt.Sprintf("name-%d.test", i), []netaddr.Addr{netaddr.MakeAddr(10, 0, 0, byte(i+1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vputs := legs()
+	for i := 0; i < 5; i++ {
+		if _, err := cl.Lookup(ctx, fmt.Sprintf("name-%d.test", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vgets := legs() - vputs
+	requests, lookups, updates := sm.Requests.Value(), sm.Lookups.Value(), sm.Updates.Value()
+	if updates != vputs || lookups != vgets || lookups+updates != requests {
+		t.Fatalf("replicas counted requests=%d lookups=%d updates=%d; the client sent %d vput and %d vget legs",
+			requests, lookups, updates, vputs, vgets)
 	}
 }
 

@@ -130,9 +130,16 @@ func (s *Server) handle(raw []byte) (resp Response) {
 	tc, _ := obs.ParseTraceContext(req.Trace)
 	span := s.m().Tracer.StartRemote(tc, "gns-serve", "op", req.Op, "name", req.Name)
 	defer span.End()
+	// A cluster replica serves reads and writes as its replication ops, so
+	// those count as the lookups and updates they are.
+	switch req.Op {
+	case "lookup", "vget":
+		s.m().Lookups.Inc()
+	case "update", "vput":
+		s.m().Updates.Inc()
+	}
 	switch req.Op {
 	case "lookup":
-		s.m().Lookups.Inc()
 		rec, err := s.svc.Lookup(req.Name)
 		if err != nil {
 			return errorResponse(err)
@@ -143,7 +150,6 @@ func (s *Server) handle(raw []byte) (resp Response) {
 		}
 		return out
 	case "update":
-		s.m().Updates.Inc()
 		addrs := make([]netaddr.Addr, 0, len(req.Addrs))
 		for _, sa := range req.Addrs {
 			a, err := netaddr.ParseAddr(sa)

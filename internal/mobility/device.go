@@ -76,6 +76,18 @@ type DeviceTrace struct {
 	Users []UserTrace
 }
 
+// Day appends the visits of dt.Users[user] that start on the given day onto
+// buf — FleetGen.Day's replay counterpart, so a trace streams through the
+// same day-by-day consumers as a generated fleet; st and sc go unused.
+func (dt *DeviceTrace) Day(user, day int, st *UserState, buf []Visit, sc *DayScratch) []Visit {
+	for _, v := range dt.Users[user].Visits {
+		if v.Day() == day {
+			buf = append(buf, v)
+		}
+	}
+	return buf
+}
+
 // MoveEvent is a single address transition: the device left From and
 // attached at To. These are the mobility events whose update cost §6.2
 // evaluates against router FIBs.

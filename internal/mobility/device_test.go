@@ -7,6 +7,7 @@ import (
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
+	"locind/internal/netaddr"
 	"locind/internal/stats"
 )
 
@@ -221,6 +222,56 @@ func TestDayStatsEmptyDay(t *testing.T) {
 	s := ut.DayStats(0)
 	if s.DistinctIPs != 0 || s.DominantAS != -1 {
 		t.Fatalf("empty day stats: %+v", s)
+	}
+}
+
+// TestDayStatsTieGoesToLowestAS: four ASes holding 6 h each tie for the
+// dominant AS; the lowest must win on every call, not whichever the map
+// iteration happens to yield first.
+func TestDayStatsTieGoesToLowestAS(t *testing.T) {
+	ut := &UserTrace{ID: 1}
+	for i, as := range []int{33, 11, 44, 22} {
+		ut.Visits = append(ut.Visits, Visit{
+			Start: float64(6 * i),
+			Dur:   6,
+			Loc:   Location{AS: as, Addr: netaddr.MakeAddr(10, 0, 0, byte(i+1))},
+		})
+	}
+	for call := 0; call < 200; call++ {
+		if s := ut.DayStats(0); s.DominantAS != 11 || s.DominantASFrac != 0.25 {
+			t.Fatalf("call %d: dominant AS %d (%.2f of the day), want 11 (0.25)", call, s.DominantAS, s.DominantASFrac)
+		}
+	}
+}
+
+// TestDeviceTraceDay: a trace replayed day by day hands back exactly its
+// visits, each on the day it starts, appended after what buf held — and
+// nothing for an empty day or a day past the end.
+func TestDeviceTraceDay(t *testing.T) {
+	dt := genTrace(t, 12, 4, 3)
+	for ui, u := range dt.Users {
+		var all []Visit
+		for day := 0; day <= dt.Days; day++ {
+			n := len(all)
+			all = dt.Day(ui, day, nil, all, nil)
+			for _, v := range all[n:] {
+				if v.Day() != day {
+					t.Fatalf("user %d day %d: visit starting at %.2fh", ui, day, v.Start)
+				}
+			}
+		}
+		if len(all) != len(u.Visits) {
+			t.Fatalf("user %d: %d visits replayed, trace has %d", ui, len(all), len(u.Visits))
+		}
+		for i := range all {
+			if all[i] != u.Visits[i] {
+				t.Fatalf("user %d visit %d: %+v, trace has %+v", ui, i, all[i], u.Visits[i])
+			}
+		}
+	}
+	gap := &DeviceTrace{Days: 3, Users: []UserTrace{{Visits: []Visit{{Start: 1, Dur: 1}, {Start: 50, Dur: 1}}}}}
+	if got := gap.Day(0, 1, nil, nil, nil); len(got) != 0 {
+		t.Fatalf("empty day 1 replayed %d visits", len(got))
 	}
 }
 

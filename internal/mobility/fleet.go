@@ -114,9 +114,6 @@ func NewFleetGen(g *asgraph.Graph, pt *bgp.PrefixTable, cfg DeviceConfig, seed i
 	return &FleetGen{pools: pools, pt: pt, cfg: cfg, seed: seed}, nil
 }
 
-// Days returns the configured trace length in days.
-func (f *FleetGen) Days() int { return f.cfg.Days }
-
 // Day appends user's visits for the given day (hours [24d, 24d+24), tiling
 // the day with at least one visit) onto buf and returns it. st carries the
 // user's cross-day state and must be threaded through consecutive days in

@@ -33,7 +33,7 @@ func streamUser(t *testing.T, f *FleetGen, user int) []Visit {
 	var st UserState
 	sc := NewDayScratch()
 	var out []Visit
-	for day := 0; day < f.Days(); day++ {
+	for day := 0; day < f.cfg.Days; day++ {
 		out = f.Day(user, day, &st, out, sc)
 	}
 	return out
@@ -90,7 +90,7 @@ func TestFleetGenDayTiling(t *testing.T) {
 	sc := NewDayScratch()
 	for user := 0; user < 40; user++ {
 		var st UserState
-		for day := 0; day < f.Days(); day++ {
+		for day := 0; day < f.cfg.Days; day++ {
 			vs := f.Day(user, day, &st, nil, sc)
 			if len(vs) == 0 {
 				t.Fatalf("user %d day %d has no visits", user, day)
@@ -164,7 +164,7 @@ func TestFleetGenHomeEvolves(t *testing.T) {
 	for user := 0; user < 5 && !changed; user++ {
 		var st UserState
 		var prev UserState
-		for day := 0; day < f.Days(); day++ {
+		for day := 0; day < f.cfg.Days; day++ {
 			_ = f.Day(user, day, &st, nil, sc)
 			if day > 0 && st.homeAddr != prev.homeAddr {
 				changed = true

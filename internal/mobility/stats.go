@@ -86,7 +86,8 @@ func (ut *UserTrace) DayStats(day int) DayStats {
 	s.ASDwell = make(map[int]float64, len(asTime))
 	for as, t := range asTime {
 		s.ASDwell[as] = t / total
-		if t > maxAS {
+		// The lowest AS wins a tie, whatever order the map yields them in.
+		if t > maxAS || (t == maxAS && as < s.DominantAS) {
 			maxAS = t
 			s.DominantAS = as
 		}

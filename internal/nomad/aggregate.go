@@ -9,9 +9,9 @@ import (
 	"sync"
 )
 
-// Aggregates is the constant-memory replacement for LogStore at fleet
-// scale: instead of retaining every record, the server folds each accepted
-// batch into per-device running aggregates — O(devices), not O(records).
+// Aggregates is the server's store: instead of retaining every record, it
+// folds each accepted batch into per-device running aggregates —
+// O(devices), not O(records), at any fleet size.
 // Exactly-once ingestion keys on the batch ID's per-device sequence number:
 // devices seal and upload batches oldest-first with monotonically increasing
 // sequence numbers (the upload contract since PR 1, kept by the event
@@ -83,7 +83,9 @@ func splitBatchID(batchID string) (device string, seq uint32, ok bool) {
 // IngestBatch folds one uploaded batch into the running aggregates,
 // applying it exactly once per well-formed batch ID. It reports whether the
 // batch was applied (false = recognised replay). Batches without a
-// parseable ID are applied unconditionally, like LogStore's empty-ID path.
+// parseable ID are applied unconditionally. A keyed batch must hold only
+// the entries of the device its ID names (the upload handler refuses any
+// other): replays are recognised by that device's sequence.
 func (a *Aggregates) IngestBatch(batchID string, batch []Entry) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -141,8 +143,6 @@ func (a *Aggregates) IngestBatch(batchID string, batch []Entry) bool {
 }
 
 // Device returns a copy of one device's aggregate.
-//
-//lint:allow reach engine's TestEngineEquivalentToAgents and TestEngineFlushAllRecovers read per-device aggregates off the ingest side
 func (a *Aggregates) Device(deviceID string) (DeviceAgg, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

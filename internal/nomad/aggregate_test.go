@@ -125,8 +125,8 @@ func TestAggregatesDigestOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestStreamingServerUpload: the Agg-only server accepts uploads through
-// the real HTTP path, dedups replays, and retains no records.
+// TestStreamingServerUpload: the server accepts uploads through the real
+// HTTP path and dedups replays.
 func TestStreamingServerUpload(t *testing.T) {
 	srv := NewStreamingServer()
 	ts := httptest.NewServer(srv)
@@ -144,8 +144,31 @@ func TestStreamingServerUpload(t *testing.T) {
 	if snap.Records != 5 || snap.Batches != 1 || snap.DupBatches != 1 {
 		t.Fatalf("snapshot %+v after replay, want 5 records / 1 batch / 1 dup", snap)
 	}
-	if srv.Store != nil {
-		t.Fatal("streaming server retains a LogStore")
+}
+
+// TestKeyedUploadOfAnotherDeviceRefused: a keyed batch carrying entries of
+// a device other than the one its ID names is a 400 and stores nothing —
+// accepted, it would advance the wrong device's dedup sequence, and that
+// device's own batch with a lower number would later be answered 204 and
+// dropped as a replay.
+func TestKeyedUploadOfAnotherDeviceRefused(t *testing.T) {
+	srv := NewStreamingServer()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	devA, devB := "dev-aaaaaaaaaaaaaaaa", "dev-bbbbbbbbbbbbbbbb"
+	if err := c.Upload(ctx, devA+"-b000005", aggEntries(devB, 0, 3)); err == nil {
+		t.Fatalf("a batch keyed to %s carrying %s entries was accepted", devA, devB)
+	}
+	if snap := srv.Agg.Snapshot(); snap.Records != 0 || snap.Batches != 0 {
+		t.Fatalf("the refused batch left %+v", snap)
+	}
+	if err := c.Upload(ctx, devB+"-b000001", aggEntries(devB, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := srv.Agg.Device(devB); d.Records != 3 || d.Batches != 1 {
+		t.Fatalf("%s's own first batch: %d records in %d batches stored, want 3 in 1", devB, d.Records, d.Batches)
 	}
 }
 

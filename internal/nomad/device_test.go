@@ -7,12 +7,16 @@ package nomad_test
 // and the engine is the one device pipeline.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,22 +81,61 @@ func serve(t *testing.T, h http.Handler) string {
 	return ts.URL
 }
 
+// recorder sits in front of a server and keeps the entries of every upload
+// the server answered 204, in arrival order — the records the tests that
+// read uploads back compare against the trace. The server itself keeps
+// only aggregates.
+type recorder struct {
+	next    http.Handler
+	mu      sync.Mutex
+	entries []nomad.Entry
+}
+
+func (r *recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	r.next.ServeHTTP(rec, req)
+	if req.URL.Path == "/upload" && rec.Code == http.StatusNoContent {
+		var batch []nomad.Entry
+		if err := json.Unmarshal(body, &batch); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		r.mu.Lock()
+		r.entries = append(r.entries, batch...)
+		r.mu.Unlock()
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes()) //nolint:errcheck // the client sees a short body as its own error
+}
+
+// accepted returns a copy of the recorded entries.
+func (r *recorder) accepted() []nomad.Entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]nomad.Entry(nil), r.entries...)
+}
+
 // fleet is an engine with the counters these tests read. Retry pauses take
 // no wall-clock time unless cfg says otherwise.
 type fleet struct {
 	*engine.Engine
-	met   *engine.Metrics
-	trace *mobility.DeviceTrace
+	met *engine.Metrics
 }
 
 // device0 is the hashed identifier the engine uploads the trace's first
 // device under.
-func (f fleet) device0() string {
-	return nomad.HashDeviceID(fmt.Sprintf("device-%d", f.trace.Users[0].ID))
-}
+func device0() string { return nomad.HashDeviceID("device-0") }
 
-func newFleet(t *testing.T, cfg engine.Config) fleet {
+// newFleet builds an engine replaying every device of dt day by day.
+func newFleet(t *testing.T, dt *mobility.DeviceTrace, cfg engine.Config) fleet {
 	t.Helper()
+	cfg.Fleet, cfg.Devices, cfg.Days = dt, len(dt.Users), dt.Days
 	cfg.Metrics = engine.NewMetrics(obs.NewRegistry())
 	if cfg.Sleep == nil {
 		cfg.Sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
@@ -101,7 +144,13 @@ func newFleet(t *testing.T, cfg engine.Config) fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fleet{eng, cfg.Metrics, cfg.Trace}
+	return fleet{eng, cfg.Metrics}
+}
+
+// stored is what the server's aggregates hold for device0.
+func stored(s *nomad.Server) nomad.DeviceAgg {
+	d, _ := s.Agg.Device(device0())
+	return d
 }
 
 func (f fleet) uploaded() int { return int(f.met.EntriesUploaded.Value()) }
@@ -109,12 +158,13 @@ func (f fleet) pending() int  { return int(f.met.QueueEntries.Value()) }
 func (f fleet) failures() int { return int(f.met.UploadFailures.Value()) }
 
 // TestAgentPipeline runs the full measurement loop for one device and checks
-// the records landing in the store match the trace.
+// the records the server accepts match the trace.
 func TestAgentPipeline(t *testing.T) {
-	s := nomad.NewServer()
+	s := nomad.NewStreamingServer()
+	rec := &recorder{next: s}
 	dt := oneUser(smallTrace(t), 0)
 	u := &dt.Users[0]
-	f := newFleet(t, engine.Config{Trace: dt, Uploader: nomad.NewClient(serve(t, s))})
+	f := newFleet(t, dt, engine.Config{Uploader: nomad.NewClient(serve(t, rec))})
 	if err := f.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +172,20 @@ func TestAgentPipeline(t *testing.T) {
 	if uploaded+f.pending() != len(u.Visits) {
 		t.Fatalf("uploaded %d + pending %d != %d visits", uploaded, f.pending(), len(u.Visits))
 	}
-	stored := s.Store.ByDevice(f.device0())
-	if len(stored) != uploaded {
-		t.Fatalf("store has %d, uploaded %d", len(stored), uploaded)
+	if n := stored(s).Records; n != uint64(uploaded) {
+		t.Fatalf("store has %d, uploaded %d", n, uploaded)
 	}
-	// Stored records must be a prefix of the visit sequence with matching
-	// addresses and net types.
-	for i, e := range stored {
+	// Accepted records must be a prefix of the visit sequence with matching
+	// device, addresses and net types.
+	accepted := rec.accepted()
+	if len(accepted) != uploaded {
+		t.Fatalf("server accepted %d records, uploaded %d", len(accepted), uploaded)
+	}
+	for i, e := range accepted {
 		v := u.Visits[i]
+		if e.DeviceID != device0() {
+			t.Fatalf("record %d from %q, want %q", i, e.DeviceID, device0())
+		}
 		if e.IPAddr != v.Loc.Addr.String() {
 			t.Fatalf("record %d addr %q != visit addr %q", i, e.IPAddr, v.Loc.Addr)
 		}
@@ -149,23 +205,24 @@ func TestAgentPipeline(t *testing.T) {
 
 // TestRunFleet: a whole fleet through one engine lands every device.
 func TestRunFleet(t *testing.T) {
-	s := nomad.NewServer()
+	s := nomad.NewStreamingServer()
 	dt := smallTrace(t)
-	f := newFleet(t, engine.Config{Trace: dt, Uploader: nomad.NewClient(serve(t, s))})
+	f := newFleet(t, dt, engine.Config{Uploader: nomad.NewClient(serve(t, s))})
 	if err := f.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if f.uploaded() == 0 {
 		t.Fatal("fleet uploaded nothing")
 	}
-	if s.Store.Len() != f.uploaded() {
-		t.Fatalf("store %d != uploaded %d", s.Store.Len(), f.uploaded())
+	snap := s.Agg.Snapshot()
+	if snap.Records != uint64(f.uploaded()) {
+		t.Fatalf("store %d != uploaded %d", snap.Records, f.uploaded())
 	}
-	if got := len(s.Store.Devices()); got != len(dt.Users) {
-		t.Fatalf("devices in store = %d, want %d", got, len(dt.Users))
+	if snap.Devices != len(dt.Users) {
+		t.Fatalf("devices in store = %d, want %d", snap.Devices, len(dt.Users))
 	}
 	// An empty fleet is a configuration error, not a silent no-op.
-	if _, err := engine.New(engine.Config{Trace: &mobility.DeviceTrace{Days: 1}}); err == nil {
+	if _, err := engine.New(engine.Config{Fleet: &mobility.DeviceTrace{Days: 1}, Days: 1}); err == nil {
 		t.Fatal("a fleet of no devices should be refused")
 	}
 }
@@ -173,7 +230,7 @@ func TestRunFleet(t *testing.T) {
 // TestAgentUploadRetryAndStoreAndForward: transient upload failures are
 // absorbed by the retries of one opportunity; nothing is lost or doubled.
 func TestAgentUploadRetryAndStoreAndForward(t *testing.T) {
-	s := nomad.NewServer()
+	s := nomad.NewStreamingServer()
 	failuresLeft := 3
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/upload" && failuresLeft > 0 {
@@ -184,8 +241,7 @@ func TestAgentUploadRetryAndStoreAndForward(t *testing.T) {
 		s.ServeHTTP(w, r)
 	})
 	dt := oneUser(smallTrace(t), 0)
-	f := newFleet(t, engine.Config{
-		Trace:         dt,
+	f := newFleet(t, dt, engine.Config{
 		Uploader:      nomad.NewClient(serve(t, flaky)),
 		UploadRetries: 5, // absorb all three transient failures in one dwell
 	})
@@ -199,7 +255,7 @@ func TestAgentUploadRetryAndStoreAndForward(t *testing.T) {
 		t.Fatalf("records lost: %d uploaded + %d pending != %d visits", f.uploaded(), f.pending(), visits)
 	}
 	// Nothing duplicated in the store despite the failures.
-	if got := len(s.Store.ByDevice(f.device0())); got != f.uploaded() {
+	if got := stored(s).Records; got != uint64(f.uploaded()) {
 		t.Fatalf("store has %d records for %d uploads", got, f.uploaded())
 	}
 }
@@ -211,8 +267,7 @@ func TestAgentUploadTotalOutage(t *testing.T) {
 		http.Error(w, "down", http.StatusInternalServerError)
 	})
 	dt := oneUser(smallTrace(t), 1)
-	f := newFleet(t, engine.Config{
-		Trace:         dt,
+	f := newFleet(t, dt, engine.Config{
 		Uploader:      nomad.NewClient(serve(t, down)),
 		UploadRetries: -1, // a single attempt per opportunity
 	})
@@ -234,7 +289,7 @@ func TestAgentUploadTotalOutage(t *testing.T) {
 // listener and returns the server plus its base URL.
 func chaosBackend(t *testing.T, env *faultnet.Env, faults faultnet.StreamFaults) (*nomad.Server, string) {
 	t.Helper()
-	srv := nomad.NewServer()
+	srv := nomad.NewStreamingServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -249,11 +304,11 @@ func chaosBackend(t *testing.T, env *faultnet.Env, faults faultnet.StreamFaults)
 // nomadChaosOutcome is what one run observes, for fault-free and same-seed
 // comparison.
 type nomadChaosOutcome struct {
-	stored   []nomad.Entry
+	stored   nomad.DeviceAgg
 	uploaded int
 	attempts int64
 	failures int
-	dups     int
+	dups     uint64
 }
 
 // runNomadChaos replays one device's trace against a backend with the
@@ -270,8 +325,7 @@ func runNomadChaos(t *testing.T, dt *mobility.DeviceTrace, faults faultnet.Strea
 		Timeout:   2 * time.Second,
 		Transport: &http.Transport{DisableKeepAlives: true},
 	}
-	f := newFleet(t, engine.Config{
-		Trace:         dt,
+	f := newFleet(t, dt, engine.Config{
 		Uploader:      cli,
 		UploadRetries: 12,
 		Backoff:       reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5},
@@ -291,11 +345,11 @@ func runNomadChaos(t *testing.T, dt *mobility.DeviceTrace, faults faultnet.Strea
 		}
 	}
 	return nomadChaosOutcome{
-		stored:   srv.Store.ByDevice(f.device0()),
+		stored:   stored(srv),
 		uploaded: f.uploaded(),
 		attempts: f.UploadAttempts(),
 		failures: f.failures(),
-		dups:     srv.Store.DuplicateBatches(),
+		dups:     srv.Agg.Snapshot().DupBatches,
 	}
 }
 
@@ -320,20 +374,20 @@ func TestChaosUploadExactlyOnce(t *testing.T) {
 		t.Fatalf("chaos run made %d attempts vs clean %d; faults injected nothing",
 			dirty.attempts, clean.attempts)
 	}
-	if visits := len(dt.Users[0].Visits); len(clean.stored) != visits {
-		t.Fatalf("fault-free run stored %d of %d visits", len(clean.stored), visits)
+	if visits := len(dt.Users[0].Visits); clean.stored.Records != uint64(visits) {
+		t.Fatalf("fault-free run stored %d of %d visits", clean.stored.Records, visits)
 	}
-	if len(dirty.stored) != len(clean.stored) {
+	if dirty.stored.Records != clean.stored.Records {
 		t.Fatalf("chaos stored %d records, fault-free %d (lost or duplicated entries)",
-			len(dirty.stored), len(clean.stored))
+			dirty.stored.Records, clean.stored.Records)
 	}
-	for i := range clean.stored {
-		if clean.stored[i] != dirty.stored[i] {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, clean.stored[i], dirty.stored[i])
-		}
+	// The digest folds every stored record in order: equal digests are the
+	// same record sequence.
+	if dirty.stored.Digest != clean.stored.Digest {
+		t.Fatalf("chaos stored a different record sequence: %+v vs %+v", dirty.stored, clean.stored)
 	}
-	if dirty.uploaded != len(dirty.stored) {
-		t.Fatalf("device counted %d uploads, store holds %d", dirty.uploaded, len(dirty.stored))
+	if dirty.uploaded != int(dirty.stored.Records) {
+		t.Fatalf("device counted %d uploads, store holds %d", dirty.uploaded, dirty.stored.Records)
 	}
 }
 
@@ -348,13 +402,8 @@ func TestChaosUploadDeterministicReplay(t *testing.T) {
 		t.Fatalf("same-seed runs diverged: attempts %d/%d failures %d/%d dups %d/%d",
 			a.attempts, b.attempts, a.failures, b.failures, a.dups, b.dups)
 	}
-	if len(a.stored) != len(b.stored) {
-		t.Fatalf("stored %d vs %d", len(a.stored), len(b.stored))
-	}
-	for i := range a.stored {
-		if a.stored[i] != b.stored[i] {
-			t.Fatalf("record %d diverged across same-seed runs", i)
-		}
+	if a.stored != b.stored {
+		t.Fatalf("same-seed runs stored different streams:\n%+v\n%+v", a.stored, b.stored)
 	}
 }
 
@@ -363,7 +412,7 @@ func TestChaosUploadDeterministicReplay(t *testing.T) {
 // on the wire. The device must retry (it cannot know the batch landed) and
 // the store must recognise the replay — one copy, exactly once.
 func TestUploadCommittedButResponseLost(t *testing.T) {
-	srv := nomad.NewServer()
+	srv := nomad.NewStreamingServer()
 	lostResponses := 2
 	mangler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/upload" && lostResponses > 0 {
@@ -384,8 +433,7 @@ func TestUploadCommittedButResponseLost(t *testing.T) {
 		}
 		srv.ServeHTTP(w, r)
 	})
-	f := newFleet(t, engine.Config{
-		Trace:         cellular(2),
+	f := newFleet(t, cellular(2), engine.Config{
 		Uploader:      nomad.NewClient(serve(t, mangler)),
 		UploadRetries: 5,
 		FlushAtEnd:    true,
@@ -393,37 +441,14 @@ func TestUploadCommittedButResponseLost(t *testing.T) {
 	if err := f.Run(context.Background()); err != nil || f.uploaded() != 2 {
 		t.Fatalf("Run = %v with %d records uploaded", err, f.uploaded())
 	}
-	if got := srv.Store.ByDevice(f.device0()); len(got) != 2 {
-		t.Fatalf("store has %d records, want exactly 2 (no duplicates from replays)", len(got))
+	if got := stored(srv).Records; got != 2 {
+		t.Fatalf("store has %d records, want exactly 2 (no duplicates from replays)", got)
 	}
-	if srv.Store.DuplicateBatches() != 2 {
-		t.Fatalf("dedup hits = %d, want 2 (one per lost response)", srv.Store.DuplicateBatches())
+	if dups := srv.Agg.Snapshot().DupBatches; dups != 2 {
+		t.Fatalf("dedup hits = %d, want 2 (one per lost response)", dups)
 	}
 	if f.UploadAttempts() != 3 {
 		t.Fatalf("attempts = %d, want 3 (two lost responses + success)", f.UploadAttempts())
-	}
-}
-
-// TestBatchDedupDirectly pins the store-level idempotence contract the
-// chaos runs rely on.
-func TestBatchDedupDirectly(t *testing.T) {
-	var s nomad.LogStore
-	es := []nomad.Entry{{DeviceID: "dev-1", Time: 1, IPAddr: "1.1.1.1"}}
-	if !s.AppendBatch("b1", es) {
-		t.Fatal("first application must store")
-	}
-	if s.AppendBatch("b1", es) {
-		t.Fatal("replay must be deduplicated")
-	}
-	if s.Len() != 1 || s.DuplicateBatches() != 1 {
-		t.Fatalf("len=%d dups=%d", s.Len(), s.DuplicateBatches())
-	}
-	// Empty IDs never dedup (legacy unconditional append).
-	if !s.AppendBatch("", es) || !s.AppendBatch("", es) {
-		t.Fatal("empty batch ID must always apply")
-	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
 	}
 }
 
@@ -431,10 +456,10 @@ func TestBatchDedupDirectly(t *testing.T) {
 // delivers everything on the end-of-study flush, split across the sealed
 // batches its full buffer left behind.
 func TestFlushDrainsBacklog(t *testing.T) {
-	srv := nomad.NewServer()
-	f := newFleet(t, engine.Config{
-		Trace:      cellular(5),
-		Uploader:   nomad.NewClient(serve(t, srv)),
+	srv := nomad.NewStreamingServer()
+	rec := &recorder{next: srv}
+	f := newFleet(t, cellular(5), engine.Config{
+		Uploader:   nomad.NewClient(serve(t, rec)),
 		MaxPending: 2, // seals {0,1} and {2,3}; the flush seals {4}
 		FlushAtEnd: true,
 	})
@@ -444,13 +469,17 @@ func TestFlushDrainsBacklog(t *testing.T) {
 	if f.pending() != 0 || f.QueuedBatches() != 0 {
 		t.Fatalf("after flush: %d records pending in %d batches", f.pending(), f.QueuedBatches())
 	}
-	if srv.Store.Len() != 5 {
-		t.Fatalf("store len = %d", srv.Store.Len())
+	if got := stored(srv).Records; got != 5 {
+		t.Fatalf("store holds %d records", got)
 	}
 	if got := f.met.BatchesUploaded.Value(); got != 3 {
 		t.Fatalf("backlog drained in %d batches, want 3", got)
 	}
-	for i, e := range srv.Store.ByDevice(f.device0()) {
+	accepted := rec.accepted()
+	if len(accepted) != 5 {
+		t.Fatalf("server accepted %d records, want 5", len(accepted))
+	}
+	for i, e := range accepted {
 		if want := fmt.Sprintf("10.0.0.%d", i+1); e.IPAddr != want || e.Time != float64(i) {
 			t.Fatalf("record %d = %+v, want %s at t=%d", i, e, want, i)
 		}

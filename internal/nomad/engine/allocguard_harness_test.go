@@ -6,25 +6,20 @@ import (
 	"testing"
 
 	"locind/internal/lint/allocguard"
-	"locind/internal/mobility"
 )
 
-// guardEngine builds a trace-mode engine over a small pre-generated fleet
-// with no uploader: every sealed batch queues until backpressure evicts it,
-// so a full Reset+Run cycle exercises the event step, the heap, sealing,
-// compaction, and eviction — the whole steady-state hot path — while the
-// allocating drain path stays off (a nil Uploader uploads nothing by
-// contract).
+// guardEngine builds an engine over a small generated fleet — the day-refill
+// path the soak and the benchmark run — with no uploader: every sealed batch
+// queues until backpressure evicts it, so a full Reset+Run cycle exercises
+// the event step, the heap, day generation, sealing, compaction, and
+// eviction — the whole steady-state hot path — while the allocating drain
+// path stays off (a nil Uploader uploads nothing by contract).
 func guardEngine(t *testing.T) *Engine {
 	t.Helper()
-	g, pt, dcfg := engineFixture(t, 3)
-	dcfg.Users = 12
-	dt, err := mobility.GenerateDeviceTrace(g, pt, dcfg, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := New(Config{
-		Trace:            dt,
+		Fleet:            testFleet(t, 3, 5),
+		Devices:          12,
+		Days:             3,
 		MaxPending:       4,
 		MaxQueuedBatches: 3,
 		FlushAtEnd:       true,

@@ -83,32 +83,35 @@ type deviceState struct {
 	batchedN int32
 	seq      uint32 // last sealed sequence number
 
-	// Window into the visit arena: the device's current day (fleet mode)
-	// or whole trace (trace mode).
+	// Window into the visit arena: the device's current day.
 	winDay uint32 // arena parity selector
 	winOff uint32
 	winLen uint32
 	next   uint32 // next window index to process
-	day    int32  // next day to generate (fleet mode)
+	day    int32  // next day to generate
 
 	ustate mobility.UserState
 }
 
-// Config configures an Engine. Exactly one of Fleet and Trace must be set:
-// Fleet streams each device day by day at bounded memory (the soak mode),
-// Trace replays pre-generated visits (nomadd's default mode, the tests).
+// Fleet supplies device days. *mobility.FleetGen generates them on demand
+// from derived seeds (the soak, the benchmark); *mobility.DeviceTrace
+// replays a pre-generated trace (nomadd's default mode, the tests). Day
+// appends user's visits for the given day onto buf; st is the user's
+// cross-day state and sc generation scratch, both owned by the engine.
+type Fleet interface {
+	Day(user, day int, st *mobility.UserState, buf []mobility.Visit, sc *mobility.DayScratch) []mobility.Visit
+}
+
+// Config configures an Engine.
 type Config struct {
-	// Fleet generates device days on demand; UserBase+i is device i's
-	// user index, so shards cover disjoint contiguous user ranges.
-	Fleet    *mobility.FleetGen
+	// Fleet streams each device day by day at bounded memory; UserBase+i
+	// is device i's user index (raw ID "device-<UserBase+i>"), so shards
+	// cover disjoint contiguous user ranges.
+	Fleet    Fleet
 	UserBase int
 	Devices  int
 
-	// Trace supplies pre-generated visits; Devices and UserBase are
-	// ignored and device i is Trace.Users[i] (raw ID "device-<ID>").
-	Trace *mobility.DeviceTrace
-
-	// Days is the trace length; 0 takes Fleet.Days() / Trace.Days.
+	// Days is the trace length in days.
 	Days int
 
 	// MaxPending bounds loose records per device: reaching it forces a
@@ -160,15 +163,16 @@ type Engine struct {
 	heap    evHeap
 	endTime float64
 
-	// Visit arenas, double-buffered by day parity (fleet mode): by the
-	// time any device claims day d — while processing its last day-(d-1)
-	// visit, at virtual time ≥ 24(d-1) — every day-(d-2) visit (all of
-	// which start strictly before 24(d-1)) has already been processed, so
-	// arena[d&1] is dead and safe to reset. Trace mode packs everything
-	// into arena[0] once.
-	arena    [2][]visit
-	arenaDay [2]int32
-	scratch  *mobility.DayScratch
+	// Visit arenas by day parity. arenaLive counts the device windows
+	// pointing into each, and an arena is reset only when no window does.
+	// When every device has visits every day, the first claim of day d
+	// always finds arena[d&1] dead: it happens while processing a day-(d-1)
+	// visit, at virtual time ≥ 24(d-1), and every day-(d-2) visit starts
+	// before that. A device that skips an empty day claims early, finds
+	// the arena still live and appends behind its tenant instead.
+	arena     [2][]visit
+	arenaLive [2]int32
+	scratch   *mobility.DayScratch
 
 	visitBuf []mobility.Visit
 	entryBuf []nomad.Entry
@@ -191,26 +195,14 @@ const (
 // New validates cfg and builds the engine with every device scheduled at
 // its first visit.
 func New(cfg Config) (*Engine, error) {
-	if (cfg.Fleet == nil) == (cfg.Trace == nil) {
-		return nil, fmt.Errorf("engine: exactly one of Fleet and Trace must be set")
+	if cfg.Fleet == nil {
+		return nil, fmt.Errorf("engine: no Fleet")
 	}
-	n := cfg.Devices
-	if cfg.Trace != nil {
-		n = len(cfg.Trace.Users)
-		if cfg.Days == 0 {
-			cfg.Days = cfg.Trace.Days
-		}
-	} else if cfg.Days == 0 {
-		cfg.Days = cfg.Fleet.Days()
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("engine: need at least one device, have %d", n)
+	if cfg.Devices <= 0 {
+		return nil, fmt.Errorf("engine: need at least one device, have %d", cfg.Devices)
 	}
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("engine: need positive days, have %d", cfg.Days)
-	}
-	if cfg.Fleet != nil && cfg.Days > cfg.Fleet.Days() {
-		return nil, fmt.Errorf("engine: %d days exceeds the fleet's %d", cfg.Days, cfg.Fleet.Days())
 	}
 	switch {
 	case cfg.UploadRetries == 0:
@@ -225,22 +217,16 @@ func New(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		met:     cfg.Metrics,
 		up:      cfg.Uploader,
-		devs:    make([]deviceState, n),
-		ids:     make([]string, n),
+		devs:    make([]deviceState, cfg.Devices),
+		ids:     make([]string, cfg.Devices),
 		endTime: float64(cfg.Days) * 24,
+		scratch: mobility.NewDayScratch(),
 	}
 	if e.met == nil {
 		e.met = noMetrics
 	}
 	for i := range e.ids {
-		user := cfg.UserBase + i
-		if cfg.Trace != nil {
-			user = cfg.Trace.Users[i].ID
-		}
-		e.ids[i] = nomad.HashDeviceID(fmt.Sprintf("device-%d", user))
-	}
-	if cfg.Fleet != nil {
-		e.scratch = mobility.NewDayScratch()
+		e.ids[i] = nomad.HashDeviceID(fmt.Sprintf("device-%d", cfg.UserBase+i))
 	}
 	e.start()
 	return e, nil
@@ -255,26 +241,6 @@ func (e *Engine) UploadAttempts() int64 { return e.attempts }
 
 // start schedules every device's first event, from a zeroed device slab.
 func (e *Engine) start() {
-	e.arenaDay = [2]int32{-1, -1}
-	if e.cfg.Trace != nil {
-		a := e.arena[0][:0]
-		for i := range e.cfg.Trace.Users {
-			u := &e.cfg.Trace.Users[i]
-			d := &e.devs[i]
-			d.winOff = uint32(len(a))
-			d.winLen = uint32(len(u.Visits))
-			for _, v := range u.Visits {
-				a = append(a, visit{start: v.Start, dur: v.Dur, addr: v.Loc.Addr, net: uint8(v.Loc.Net)})
-			}
-			if d.winLen > 0 {
-				e.heap.push(event{at: a[d.winOff].start, dev: int32(i), kind: evVisit})
-				e.met.HeapEvents.Add(1)
-			}
-		}
-		e.arena[0] = a
-		e.arenaDay[0] = 0
-		return
-	}
 	for i := range e.devs {
 		e.refill(int32(i))
 	}
@@ -369,15 +335,11 @@ func (e *Engine) stepVisit(dev int32) uint8 {
 	}
 
 	d.next++
-	switch {
-	case d.next < d.winLen:
+	if d.next < d.winLen {
 		e.heap.push(event{at: w[d.next].start, dev: dev, kind: evVisit})
 		e.met.HeapEvents.Add(1)
-	case e.cfg.Fleet != nil && int(d.day) < e.cfg.Days:
+	} else {
 		act |= actRefill
-	case e.cfg.FlushAtEnd:
-		e.heap.push(event{at: e.endTime, dev: dev, kind: evFlush})
-		e.met.HeapEvents.Add(1)
 	}
 	return act
 }
@@ -406,34 +368,48 @@ func (e *Engine) seal(d *deviceState) {
 	e.met.QueueBatches.Add(1)
 }
 
-// refill generates the device's next day into the day-parity arena and
-// schedules its first visit. Growth allocations (arena, scratch) happen
-// here, off the per-event path, and amortize to zero.
+// refill releases the device's spent window and moves it to its next day
+// with visits: that day goes into the day-parity arena and its first visit
+// is scheduled. Days with no visits are skipped. Past the last day a device
+// that had visits schedules its end-of-trace flush (FlushAtEnd); one that
+// never had any schedules nothing. Growth allocations (arena, scratch)
+// happen here, off the per-event path, and amortize to zero.
 func (e *Engine) refill(dev int32) {
 	d := &e.devs[dev]
-	day := int(d.day)
-	p := day & 1
-	if e.arenaDay[p] != int32(day) {
-		// First device to claim this day: the previous tenant (day-2) is
-		// fully consumed — see the arena invariant on Engine.
-		e.arena[p] = e.arena[p][:0]
-		e.arenaDay[p] = int32(day)
+	visited := d.winLen > 0
+	if visited {
+		e.arenaLive[d.winDay&1]--
 	}
-	off := len(e.arena[p])
-	e.visitBuf = e.cfg.Fleet.Day(e.cfg.UserBase+int(dev), day, &d.ustate, e.visitBuf[:0], e.scratch)
-	a := e.arena[p]
-	for i := range e.visitBuf {
-		v := &e.visitBuf[i]
-		a = append(a, visit{start: v.Start, dur: v.Dur, addr: v.Loc.Addr, net: uint8(v.Loc.Net)})
+	for ; int(d.day) < e.cfg.Days; d.day++ {
+		day := int(d.day)
+		e.visitBuf = e.cfg.Fleet.Day(e.cfg.UserBase+int(dev), day, &d.ustate, e.visitBuf[:0], e.scratch)
+		if len(e.visitBuf) == 0 {
+			continue
+		}
+		p := day & 1
+		if e.arenaLive[p] == 0 {
+			// No window points into this arena: its tenant is fully
+			// consumed — see the arena invariant on Engine.
+			e.arena[p] = e.arena[p][:0]
+		}
+		e.arenaLive[p]++
+		off := len(e.arena[p])
+		a := e.arena[p]
+		for i := range e.visitBuf {
+			v := &e.visitBuf[i]
+			a = append(a, visit{start: v.Start, dur: v.Dur, addr: v.Loc.Addr, net: uint8(v.Loc.Net)})
+		}
+		e.arena[p] = a
+		d.winDay, d.winOff, d.winLen, d.next = uint32(day), uint32(off), uint32(len(a)-off), 0
+		d.day++
+		e.heap.push(event{at: a[off].start, dev: dev, kind: evVisit})
+		e.met.HeapEvents.Add(1)
+		return
 	}
-	e.arena[p] = a
-	d.winDay = uint32(day)
-	d.winOff = uint32(off)
-	d.winLen = uint32(len(a) - off)
-	d.next = 0
-	d.day++
-	e.heap.push(event{at: a[off].start, dev: dev, kind: evVisit})
-	e.met.HeapEvents.Add(1)
+	if visited && e.cfg.FlushAtEnd {
+		e.heap.push(event{at: e.endTime, dev: dev, kind: evFlush})
+		e.met.HeapEvents.Add(1)
+	}
 }
 
 // netName maps a rec's net byte to its log-format name without allocating.

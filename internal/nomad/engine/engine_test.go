@@ -13,6 +13,7 @@ import (
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/mobility"
+	"locind/internal/netaddr"
 	"locind/internal/nomad"
 	"locind/internal/obs"
 )
@@ -97,8 +98,9 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-// runStreaming drives one freshly built fleet-mode engine (or shard set)
-// into a fresh Aggregates and returns its snapshot.
+// runStreaming drives one freshly built engine (or shard set) over the
+// first three days of fleet into a fresh Aggregates and returns its
+// snapshot.
 func runStreaming(t *testing.T, fleet *mobility.FleetGen, devices, shards int) (*nomad.Aggregates, int64) {
 	t.Helper()
 	up := &memUploader{agg: nomad.NewAggregates()}
@@ -114,6 +116,7 @@ func runStreaming(t *testing.T, fleet *mobility.FleetGen, devices, shards int) (
 			Fleet:      fleet,
 			UserBase:   lo,
 			Devices:    hi - lo,
+			Days:       3,
 			Uploader:   up,
 			Sleep:      instantSleep,
 			FlushAtEnd: true,
@@ -174,6 +177,7 @@ func TestEngineResetReplay(t *testing.T) {
 	eng, err := New(Config{
 		Fleet:      fleet,
 		Devices:    20,
+		Days:       3,
 		Uploader:   up,
 		Sleep:      instantSleep,
 		FlushAtEnd: true,
@@ -215,6 +219,7 @@ func TestEngineBackpressure(t *testing.T) {
 	eng, err := New(Config{
 		Fleet:            fleet,
 		Devices:          15,
+		Days:             3,
 		Uploader:         up,
 		UploadRetries:    -1, // single attempt; retrying a dead uploader only slows the test
 		Sleep:            instantSleep,
@@ -265,6 +270,7 @@ func TestEngineFlushAllRecovers(t *testing.T) {
 	eng, err := New(Config{
 		Fleet:         fleet,
 		Devices:       10,
+		Days:          2,
 		Uploader:      up,
 		UploadRetries: -1,
 		Sleep:         instantSleep,
@@ -311,22 +317,72 @@ func TestEngineFlushAllRecovers(t *testing.T) {
 	}
 }
 
-// TestEngineConfigValidation: the mode switch and bounds are enforced.
+// byDevice keeps a copy of every uploaded entry, per device, in upload
+// order.
+type byDevice map[string][]nomad.Entry
+
+func (b byDevice) Upload(_ context.Context, _ string, batch []nomad.Entry) error {
+	for _, e := range batch {
+		b[e.DeviceID] = append(b[e.DeviceID], e)
+	}
+	return nil
+}
+
+// TestEngineSkipsEmptyDays: a replayed trace may leave days empty. Device 0
+// skips day 1 and claims day 2 while device 1 still has day-0 visits to
+// play, so the day-2 claim must not recycle the arena under device 1's
+// window; device 2 has no visits at all and schedules nothing. Every
+// device with visits still uploads exactly its visits, in order.
+func TestEngineSkipsEmptyDays(t *testing.T) {
+	visit := func(start float64, host byte, net mobility.NetType) mobility.Visit {
+		return mobility.Visit{Start: start, Dur: 0.5, Loc: mobility.Location{Addr: netaddr.MakeAddr(10, 0, 0, host), Net: net}}
+	}
+	dt := &mobility.DeviceTrace{Days: 3, Users: []mobility.UserTrace{
+		{Visits: []mobility.Visit{visit(1, 1, mobility.Cellular), visit(50, 2, mobility.WiFi), visit(60, 3, mobility.Cellular)}},
+		{Visits: []mobility.Visit{visit(2, 4, mobility.Cellular), visit(20, 5, mobility.WiFi), visit(23, 6, mobility.Cellular), visit(30, 7, mobility.Cellular)}},
+		{},
+	}}
+	up := byDevice{}
+	eng, err := New(Config{Fleet: dt, Devices: 3, Days: dt.Days, Uploader: up, FlushAtEnd: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range dt.Users {
+		got := up[eng.DeviceID(i)]
+		if len(got) != len(u.Visits) {
+			t.Fatalf("device %d uploaded %d records for %d visits", i, len(got), len(u.Visits))
+		}
+		for j, v := range u.Visits {
+			if e := got[j]; e.Time != v.Start || e.IPAddr != v.Loc.Addr.String() || e.NetType != v.Loc.Net.String() {
+				t.Fatalf("device %d record %d = %+v, visit %+v", i, j, e, v)
+			}
+		}
+	}
+	// Seven visits and one end-of-trace flush for each device with visits.
+	if eng.Steps() != 7+2 {
+		t.Fatalf("%d events processed, want 9", eng.Steps())
+	}
+}
+
+// TestEngineConfigValidation: a fleet, devices and days are all required.
 func TestEngineConfigValidation(t *testing.T) {
 	fleet := testFleet(t, 2, 1)
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("no mode accepted")
+		t.Fatal("an empty config accepted")
 	}
-	if _, err := New(Config{Fleet: fleet, Trace: &mobility.DeviceTrace{}}); err == nil {
-		t.Fatal("both modes accepted")
+	if _, err := New(Config{Devices: 1, Days: 2}); err == nil {
+		t.Fatal("a nil Fleet accepted")
 	}
-	if _, err := New(Config{Fleet: fleet, Devices: 0}); err == nil {
+	if _, err := New(Config{Fleet: fleet, Devices: 0, Days: 2}); err == nil {
 		t.Fatal("zero devices accepted")
 	}
-	if _, err := New(Config{Fleet: fleet, Devices: 1, Days: 5}); err == nil {
-		t.Fatal("days beyond the fleet's accepted")
+	if _, err := New(Config{Fleet: fleet, Devices: 1}); err == nil {
+		t.Fatal("Days == 0 accepted")
 	}
-	if _, err := New(Config{Fleet: fleet, Devices: 1}); err != nil {
+	if _, err := New(Config{Fleet: fleet, Devices: 1, Days: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -337,7 +393,7 @@ func TestEngineBatchIDForm(t *testing.T) {
 	var ids []string
 	up := &memUploader{agg: nomad.NewAggregates()}
 	up.fail = func(id string) bool { ids = append(ids, id); return false }
-	eng, err := New(Config{Fleet: fleet, Devices: 5, Uploader: up, Sleep: instantSleep, FlushAtEnd: true})
+	eng, err := New(Config{Fleet: fleet, Devices: 5, Days: 2, Uploader: up, Sleep: instantSleep, FlushAtEnd: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +426,7 @@ func (e *Engine) DeviceID(i int) string { return e.ids[i] }
 func (e *Engine) Reset() {
 	e.met.HeapEvents.Add(-int64(e.heap.len()))
 	e.heap.ev = e.heap.ev[:0]
-	e.arena[0] = e.arena[0][:0]
-	e.arena[1] = e.arena[1][:0]
+	e.arenaLive = [2]int32{} // no live window: the first claims recycle both arenas
 	for i := range e.devs {
 		d := &e.devs[i]
 		e.met.QueueEntries.Add(-int64(len(d.recs) - int(d.head)))

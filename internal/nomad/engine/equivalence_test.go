@@ -51,17 +51,18 @@ func flakyUploads(srv *nomad.Server) http.Handler {
 // TestEngineEquivalentToAgents is the golden cross-check behind the engine:
 // at small scale, replaying the same pre-generated trace through (a) the
 // reference goroutine-per-device Agent (agent_test.go) and (b) the
-// event-heap engine must land byte-identical record streams, batch
+// event-heap engine, day by day, must land identical record streams, batch
 // identities, and server aggregates, in the same number of upload attempts
 // — on a clean network and with uploads failing. Both sides run over real
-// HTTP against a full Server (LogStore and streaming Aggregates together).
+// HTTP against the one Server there is, and are compared through its
+// Aggregates: the fleet digest folds every record of every device in order.
 func TestEngineEquivalentToAgents(t *testing.T) {
 	clean := func(srv *nomad.Server) http.Handler { return srv }
 	t.Run("clean-network", func(t *testing.T) { checkEquivalentToAgents(t, clean, 0) })
 	t.Run("flaky-uploads", func(t *testing.T) { checkEquivalentToAgents(t, flakyUploads, 1) })
 }
 
-func checkEquivalentToAgents(t *testing.T, network func(*nomad.Server) http.Handler, minDups int) {
+func checkEquivalentToAgents(t *testing.T, network func(*nomad.Server) http.Handler, minDups uint64) {
 	g, pt, dcfg := engineFixture(t, 5)
 	dcfg.Users = 40
 	dt, err := mobility.GenerateDeviceTrace(g, pt, dcfg, rand.New(rand.NewSource(5)))
@@ -73,15 +74,16 @@ func checkEquivalentToAgents(t *testing.T, network func(*nomad.Server) http.Hand
 	// Reference path: one Agent per device, sequential (order doesn't
 	// matter — devices are independent and the server dedups per device).
 	// The study ends with every device plugged in until its queue is empty.
-	legacy := nomad.NewServer()
-	legacy.Agg = nomad.NewAggregates()
+	legacy := nomad.NewStreamingServer()
 	tsA := httptest.NewServer(network(legacy))
 	defer tsA.Close()
 	agentAttempts, agentFailures := 0, 0
+	devs := make([]string, len(dt.Users))
 	for i := range dt.Users {
 		u := &dt.Users[i]
 		agent := NewAgent(nomad.NewClient(tsA.URL), fmt.Sprintf("device-%d", u.ID))
 		agent.Sleep = instantSleep
+		devs[i] = agent.DeviceID()
 		if _, err := agent.Replay(ctx, u); err != nil {
 			t.Fatal(err)
 		}
@@ -97,16 +99,18 @@ func checkEquivalentToAgents(t *testing.T, network func(*nomad.Server) http.Hand
 		agentFailures += agent.UploadFailures
 	}
 
-	// Engine path: the same trace through the event heap. MaxPending 0
-	// keeps sealing opportunity-driven, so batch boundaries — and with
-	// them every "<dev>-b%06d" identity — match the Agent's exactly.
-	engSrv := nomad.NewServer()
-	engSrv.Agg = nomad.NewAggregates()
+	// Engine path: the same trace through the event heap, one day at a
+	// time. MaxPending 0 keeps sealing opportunity-driven, so batch
+	// boundaries — and with them every "<dev>-b%06d" identity — match the
+	// Agent's exactly.
+	engSrv := nomad.NewStreamingServer()
 	tsB := httptest.NewServer(network(engSrv))
 	defer tsB.Close()
 	met := NewMetrics(obs.NewRegistry())
 	eng, err := New(Config{
-		Trace:      dt,
+		Fleet:      dt,
+		Devices:    len(dt.Users),
+		Days:       dt.Days,
 		Uploader:   nomad.NewClient(tsB.URL),
 		Sleep:      instantSleep,
 		FlushAtEnd: true,
@@ -137,47 +141,29 @@ func checkEquivalentToAgents(t *testing.T, network func(*nomad.Server) http.Hand
 	if got := met.UploadFailures.Value(); got != int64(agentFailures) || (minDups > 0 && got == 0) {
 		t.Fatalf("engine gave up on %d opportunities, agents on %d", got, agentFailures)
 	}
-	t.Logf("%d upload attempts, %d opportunities given up, %d duplicate batches",
-		agentAttempts, agentFailures, engSrv.Store.DuplicateBatches())
 
-	// Stored record streams: identical per device, byte for byte.
-	if la, lb := legacy.Store.Len(), engSrv.Store.Len(); la != lb || la == 0 {
-		t.Fatalf("store sizes diverged: legacy %d, engine %d", la, lb)
-	}
-	devsA, devsB := legacy.Store.Devices(), engSrv.Store.Devices()
-	if len(devsA) != len(devsB) || len(devsA) != len(dt.Users) {
-		t.Fatalf("device sets diverged: legacy %d, engine %d, fleet %d",
-			len(devsA), len(devsB), len(dt.Users))
-	}
-	for i, dev := range devsA {
-		if devsB[i] != dev {
-			t.Fatalf("device %d: legacy %s vs engine %s", i, dev, devsB[i])
-		}
-		ea, eb := legacy.Store.ByDevice(dev), engSrv.Store.ByDevice(dev)
-		if len(ea) != len(eb) {
-			t.Fatalf("%s: %d records via agents, %d via engine", dev, len(ea), len(eb))
-		}
-		for j := range ea {
-			if ea[j] != eb[j] {
-				t.Fatalf("%s record %d diverged:\nagent:  %+v\nengine: %+v", dev, j, ea[j], eb[j])
-			}
-		}
-	}
-
-	// Streaming aggregates: identical fleet digest and per-device batch
-	// accounting (same sealing points ⇒ same batch count and last seq).
+	// The same store: identical fleet snapshots — device and record
+	// counts, applied and duplicate batches, and the digest over every
+	// device's record stream — and every visit of the trace stored once.
 	sa, sb := legacy.Agg.Snapshot(), engSrv.Agg.Snapshot()
+	t.Logf("%d upload attempts, %d opportunities given up, %d duplicate batches",
+		agentAttempts, agentFailures, sb.DupBatches)
 	if sa != sb {
 		t.Fatalf("aggregate snapshots diverged:\nagents: %+v\nengine: %+v", sa, sb)
 	}
-	for _, dev := range devsA {
-		da, _ := legacy.Agg.Device(dev)
-		db, _ := engSrv.Agg.Device(dev)
-		if da != db {
+	if sa.Devices != len(dt.Users) || sa.DupBatches < minDups || (minDups == 0 && sa.DupBatches != 0) {
+		t.Fatalf("snapshot %+v: want %d devices and at least %d duplicate batches", sa, len(dt.Users), minDups)
+	}
+	// Per device: every field of the aggregate, batch accounting included
+	// (same sealing points ⇒ same batch count and last seq).
+	for i, dev := range devs {
+		da, okA := legacy.Agg.Device(dev)
+		db, okB := engSrv.Agg.Device(dev)
+		if !okA || !okB || da != db {
 			t.Fatalf("%s aggregates diverged:\nagents: %+v\nengine: %+v", dev, da, db)
 		}
-	}
-	if da, db := legacy.Store.DuplicateBatches(), engSrv.Store.DuplicateBatches(); da != db || da < minDups || (minDups == 0 && da != 0) {
-		t.Fatalf("duplicate batches: %d via agents, %d via engine, want at least %d", da, db, minDups)
+		if visits := len(dt.Users[i].Visits); da.Records != uint64(visits) {
+			t.Fatalf("%s: %d records stored for %d visits", dev, da.Records, visits)
+		}
 	}
 }

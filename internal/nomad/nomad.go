@@ -1,9 +1,9 @@
 // Package nomad reimplements the paper's NomadLog measurement pipeline (§4)
 // as a working client/server system: the server side (an IP-echo endpoint a
 // device contacts to learn its public-facing address, idempotent batch
-// uploads, an append-only log store standing in for the paper's postgres
-// database, streaming aggregates) and the HTTP client a device uploads
-// through. The device side — connectivity events buffered per device,
+// uploads folded into streaming per-device aggregates where the paper kept
+// a postgres database) and the HTTP client a device uploads through. The
+// device side — connectivity events buffered per device,
 // store-and-forward batching (uploads happen only when the device is
 // "connected to power and WiFi") — is package engine.
 //
@@ -19,9 +19,7 @@ import (
 	"hash/fnv"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"locind/internal/obs"
@@ -47,96 +45,11 @@ func HashDeviceID(raw string) string {
 	return fmt.Sprintf("dev-%016x", h.Sum64())
 }
 
-// LogStore is the postgres substitute: a concurrency-safe, append-only
-// record store with at-most-once batch application. Devices upload sealed
-// batches tagged with stable IDs; a batch replayed after a lost response is
-// recognised and skipped, so retries can never duplicate log entries.
-type LogStore struct {
-	mu      sync.Mutex
-	entries []Entry
-	seen    map[string]bool
-	dups    int
-}
-
-// AppendBatch applies a batch exactly once per non-empty batchID,
-// reporting whether the records were stored (false = duplicate replay).
-// An empty batchID always applies.
-func (s *LogStore) AppendBatch(batchID string, es []Entry) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if batchID != "" {
-		if s.seen[batchID] {
-			s.dups++
-			return false
-		}
-		if s.seen == nil {
-			s.seen = map[string]bool{}
-		}
-		s.seen[batchID] = true
-	}
-	s.entries = append(s.entries, es...)
-	return true
-}
-
-// DuplicateBatches returns how many batch replays were deduplicated — the
-// visible footprint of responses lost on the wire.
-//
-//lint:allow reach engine's TestEngineEquivalentToAgents (equivalence_test.go) holds the engine to the agents' dedup count
-func (s *LogStore) DuplicateBatches() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dups
-}
-
-// Len returns the number of stored records.
-//
-//lint:allow reach engine's TestEngineEquivalentToAgents (equivalence_test.go) compares both stores' record counts
-func (s *LogStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// ByDevice returns the records of one device in time order.
-func (s *LogStore) ByDevice(deviceID string) []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Entry
-	for _, e := range s.entries {
-		if e.DeviceID == deviceID {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
-
-// Devices returns the distinct device IDs seen, sorted.
-func (s *LogStore) Devices() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := map[string]bool{}
-	for _, e := range s.entries {
-		seen[e.DeviceID] = true
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Server is the NomadLog backend: the IP-echo endpoint and the upload
-// endpoint, backed by a LogStore and/or streaming Aggregates.
+// endpoint, which folds every accepted batch into streaming Aggregates.
 type Server struct {
-	// Store, when non-nil, retains every uploaded record (O(records)
-	// memory) — right for analysis runs at paper scale.
-	Store *LogStore
-	// Agg, when non-nil, folds uploads into running per-device aggregates
-	// (O(devices) memory) — the only mode that survives million-device
-	// soaks. Store and Agg may be set together; dedup then happens
-	// independently in each (both recognise the same batch IDs).
+	// Agg holds the running per-device aggregates of every accepted upload
+	// (O(devices) memory, whatever the fleet uploads).
 	Agg *Aggregates
 	// Tracer, when non-nil, records one span per accepted upload batch,
 	// parented onto the uploading agent's batch span via the trace header.
@@ -157,16 +70,8 @@ const batchIDHeader = "X-Nomad-Batch-Id"
 // form, so server-side upload spans parent onto the device batch span.
 const traceHeader = "X-Nomad-Trace"
 
-// NewServer constructs the backend in full-retention mode.
-func NewServer() *Server {
-	s := &Server{Store: &LogStore{}, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/ip", s.handleIP)
-	s.mux.HandleFunc("/upload", s.handleUpload)
-	return s
-}
-
-// NewStreamingServer constructs the backend in constant-memory mode: uploads
-// fold into Aggregates and no record is retained.
+// NewStreamingServer constructs the backend: uploads fold into Aggregates
+// and no record is retained.
 func NewStreamingServer() *Server {
 	s := &Server{Agg: NewAggregates(), mux: http.NewServeMux()}
 	s.mux.HandleFunc("/ip", s.handleIP)
@@ -208,6 +113,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 		return
 	}
+	batchID := r.Header.Get(batchIDHeader)
+	device, _, keyed := splitBatchID(batchID)
 	for _, e := range batch {
 		if e.DeviceID == "" || e.IPAddr == "" {
 			http.Error(w, "entry missing device_id or ip_addr", http.StatusBadRequest)
@@ -217,17 +124,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "device_id must be hashed", http.StatusBadRequest)
 			return
 		}
+		// Aggregates dedups a keyed batch on the device its ID names, so an
+		// entry of any other device would land under the wrong sequence.
+		if keyed && e.DeviceID != device {
+			http.Error(w, "batch holds another device's entries", http.StatusBadRequest)
+			return
+		}
 	}
-	// Applying a replayed batch twice would duplicate log entries, so both
-	// backends dedup on the batch ID; a duplicate is still a success from
+	// Applying a replayed batch twice would duplicate log entries, so the
+	// aggregates dedup on the batch ID; a duplicate is still a success from
 	// the device's point of view (its data is safely stored).
-	batchID := r.Header.Get(batchIDHeader)
-	if s.Store != nil {
-		s.Store.AppendBatch(batchID, batch)
-	}
-	if s.Agg != nil {
-		s.Agg.IngestBatch(batchID, batch)
-	}
+	s.Agg.IngestBatch(batchID, batch)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -11,7 +11,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer()
+	s := NewStreamingServer()
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -82,8 +82,8 @@ func TestUploadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Store.Len() != 1 {
-		t.Fatalf("store len = %d", s.Store.Len())
+	if n := s.Agg.Snapshot().Records; n != 1 {
+		t.Fatalf("store holds %d records", n)
 	}
 	// Unhashed device ID rejected.
 	if err := c.Upload(context.Background(), "", []Entry{{DeviceID: "raw-name", IPAddr: "1.2.3.4"}}); err == nil {
@@ -93,7 +93,7 @@ func TestUploadValidation(t *testing.T) {
 	if err := c.Upload(context.Background(), "", []Entry{{DeviceID: HashDeviceID("x")}}); err == nil {
 		t.Fatal("missing ip_addr accepted")
 	}
-	if s.Store.Len() != 1 {
+	if s.Agg.Snapshot().Records != 1 {
 		t.Fatal("invalid batches must not be stored")
 	}
 }
@@ -123,27 +123,6 @@ func TestMethodValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad JSON upload = %d", resp.StatusCode)
-	}
-}
-
-func TestLogStoreQueries(t *testing.T) {
-	var s LogStore
-	d1, d2 := HashDeviceID("a"), HashDeviceID("b")
-	s.AppendBatch("", []Entry{
-		{DeviceID: d1, Time: 5, IPAddr: "1.1.1.1"},
-		{DeviceID: d2, Time: 1, IPAddr: "2.2.2.2"},
-		{DeviceID: d1, Time: 2, IPAddr: "3.3.3.3"},
-	})
-	got := s.ByDevice(d1)
-	if len(got) != 2 || got[0].Time != 2 || got[1].Time != 5 {
-		t.Fatalf("ByDevice = %+v", got)
-	}
-	devs := s.Devices()
-	if len(devs) != 2 {
-		t.Fatalf("Devices = %v", devs)
-	}
-	if len(s.ByDevice("dev-none")) != 0 {
-		t.Fatal("unknown device should be empty")
 	}
 }
 
