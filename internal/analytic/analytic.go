@@ -1,16 +1,16 @@
 // Package analytic implements the expository model of §5: the path-stretch
 // versus aggregate-update-cost trade-off of indirection routing and
-// name-based routing on toy topologies, three ways — the closed forms
-// printed in Table 1, exact finite-n computation by enumeration over any
-// topology, and Monte Carlo simulation of the random-mobility Markov
-// process. The three agree asymptotically; where the paper's printed star
+// name-based routing on toy topologies, two ways — the closed forms printed
+// in Table 1, and exact finite-n computation by enumeration over any
+// topology's next-hop table (topology.NextHops). Monte Carlo simulation of
+// the random-mobility Markov process is netsim's, checked against the
+// enumeration. The two agree asymptotically; where the paper's printed star
 // formula differs from the enumeration (it counts only the hub's update),
 // EXPERIMENTS.md records the difference.
 package analytic
 
 import (
 	"math"
-	"math/rand"
 
 	"locind/internal/topology"
 )
@@ -68,29 +68,6 @@ func PaperTable1(n int) []Table1Row {
 	}
 }
 
-// ports computes, for every location ℓ and router k, the output port of k
-// toward an endpoint at ℓ: the BFS next hop (lowest-ID tie-break via
-// adjacency order), or -1 for the router's own local port when ℓ == k.
-// ports[ℓ][k] is the port at router k.
-func ports(g *topology.Graph) [][]int {
-	n := g.N()
-	out := make([][]int, n)
-	for l := 0; l < n; l++ {
-		_, parent := g.BFS(l)
-		row := make([]int, n)
-		for k := 0; k < n; k++ {
-			switch {
-			case k == l:
-				row[k] = -1 // local delivery port
-			default:
-				row[k] = parent[k] // next hop from k toward l
-			}
-		}
-		out[l] = row
-	}
-	return out
-}
-
 // ExactIndirection computes the exact finite-n indirection operating point
 // on any connected topology under the §5 model: home agent H and location
 // L both uniform i.i.d. over routers, stretch = E[dist(H, L)], update cost
@@ -130,21 +107,10 @@ func ExactNameBased(g *topology.Graph) Result {
 	if n == 0 {
 		return Result{}
 	}
-	pm := ports(g)
+	same, _ := portSquares(g)
 	total := 0.0
-	counts := map[int]int{}
 	for k := 0; k < n; k++ {
-		for p := range counts {
-			delete(counts, p)
-		}
-		for l := 0; l < n; l++ {
-			counts[pm[l][k]]++
-		}
-		same := 0.0
-		for _, c := range counts {
-			same += float64(c) * float64(c)
-		}
-		total += 1 - same/float64(n*n)
+		total += 1 - same[k]/float64(n*n)
 	}
 	return Result{Stretch: 0, UpdateCost: total / float64(n)}
 }
@@ -165,79 +131,36 @@ func ExactNameBasedTransitOnly(g *topology.Graph) Result {
 	if n == 0 {
 		return Result{}
 	}
-	pm := ports(g)
+	_, same := portSquares(g)
 	total := 0.0
-	counts := map[int]int{}
 	for k := 0; k < n; k++ {
-		for p := range counts {
-			delete(counts, p)
-		}
-		for l := 0; l < n; l++ {
-			counts[pm[l][k]]++
-		}
-		same := 0.0
-		for p, c := range counts {
-			if p == -1 {
-				continue // the local port is excluded from transit counts
-			}
-			same += float64(c) * float64(c)
-		}
 		notK := float64(n-1) / float64(n)
-		total += notK*notK - same/float64(n*n)
+		total += notK*notK - same[k]/float64(n*n)
 	}
 	return Result{Stretch: 0, UpdateCost: total / float64(n)}
 }
 
-// Simulate runs the §5.1 Markov process on g: an endpoint hops to a
-// uniformly random router each slot (self-moves allowed, as in the paper's
-// transition matrix); a home agent is redrawn uniformly per trial. It
-// returns the measured indirection stretch and name-based aggregate update
-// cost with their standard errors folded into the sample means. How many
-// routers a move changes depends only on its (from, to) pair, so that count
-// is tabulated once for all n² pairs, not recounted at every step.
-func Simulate(g *topology.Graph, trials, stepsPerTrial int, rng *rand.Rand) (indirection, nameBased Result) {
+// portSquares returns, for every router k, Σ_p c_{k,p}² over all of k's
+// ports and over its transit ports only, where c_{k,p} counts the locations
+// k forwards toward through port p. The local port -1 is not a transit port.
+// Every sum is an integer, so it is exact in float64 whatever the order.
+func portSquares(g *topology.Graph) (all, transit []float64) {
 	n := g.N()
-	if n == 0 || trials <= 0 || stepsPerTrial <= 0 {
-		return Result{}, Result{}
-	}
-	pm := ports(g)
-	ap := g.AllPairsHops()
-	changed := make([]int, n*n) // changed[from*n+to]: routers whose port differs
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			for k := 0; k < n; k++ {
-				if pm[from][k] != pm[to][k] {
-					changed[from*n+to]++
-				}
+	next := g.NextHops()
+	all, transit = make([]float64, n), make([]float64, n)
+	counts := make([]int, n+1) // counts[p+1]: locations behind port p
+	for k := 0; k < n; k++ {
+		clear(counts)
+		for l := 0; l < n; l++ {
+			counts[next[l][k]+1]++
+		}
+		for i, c := range counts {
+			sq := float64(c) * float64(c)
+			all[k] += sq
+			if i > 0 {
+				transit[k] += sq
 			}
 		}
 	}
-
-	var stretchSum float64
-	var updateSum float64
-	samples := 0
-	for tr := 0; tr < trials; tr++ {
-		home := rng.Intn(n)
-		loc := rng.Intn(n)
-		for s := 0; s < stepsPerTrial; s++ {
-			next := rng.Intn(n)
-			// Indirection stretch: distance home -> current location.
-			stretchSum += float64(ap[home][next])
-			// Name-based: fraction of routers whose port changed.
-			if next != loc {
-				updateSum += float64(changed[loc*n+next]) / float64(n)
-			}
-			loc = next
-			samples++
-		}
-	}
-	indirection = Result{
-		Stretch:    stretchSum / float64(samples),
-		UpdateCost: 1 / float64(n),
-	}
-	nameBased = Result{
-		Stretch:    0,
-		UpdateCost: updateSum / float64(samples),
-	}
-	return indirection, nameBased
+	return all, transit
 }

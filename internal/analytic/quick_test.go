@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,12 +22,11 @@ func randConnected(rng *rand.Rand) *topology.Graph {
 	return g
 }
 
-// Property: on arbitrary connected topologies, the Monte Carlo simulation
-// converges to the exact enumeration for both architectures, and the
-// general laws of §5 hold: 0 <= name-based update cost <= 1, transit-only
-// cost <= all-ports cost, and indirection stretch is bounded by the
-// diameter.
-func TestExactVsSimulateOnRandomGraphs(t *testing.T) {
+// Property: on arbitrary connected topologies the general laws of §5 hold:
+// 0 <= name-based update cost <= 1, transit-only cost <= all-ports cost, and
+// indirection stretch is bounded by the diameter. (netsim's tests hold its
+// Monte Carlo to the enumeration on graphs drawn the same way.)
+func TestExactLawsOnRandomGraphs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randConnected(rng)
@@ -48,17 +46,7 @@ func TestExactVsSimulateOnRandomGraphs(t *testing.T) {
 				diameter = max(diameter, d)
 			}
 		}
-		if ind.Stretch > float64(diameter) {
-			return false
-		}
-		simInd, simNB := Simulate(g, 40, 300, rng)
-		if math.Abs(simInd.Stretch-ind.Stretch) > 0.1*math.Max(ind.Stretch, 0.5) {
-			return false
-		}
-		if math.Abs(simNB.UpdateCost-nb.UpdateCost) > 0.1*math.Max(nb.UpdateCost, 0.05) {
-			return false
-		}
-		return true
+		return ind.Stretch <= float64(diameter)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

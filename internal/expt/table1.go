@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"locind/internal/analytic"
+	"locind/internal/netsim"
 	"locind/internal/topology"
 )
 
@@ -28,11 +29,13 @@ type Table1ResultRow struct {
 	ExactInd       analytic.Result
 	ExactNB        analytic.Result
 	ExactNBTransit analytic.Result
-	SimInd         analytic.Result
 	SimNB          analytic.Result
 }
 
-// RunTable1 computes Table 1 at size n with the given simulation budget.
+// RunTable1 computes Table 1 at size n with the given simulation budget. The
+// simulation column is netsim's name-based router: the mean AggUpdateCost of
+// trials runs of a steps-move netsim.Scenario, one NameRouting per topology
+// shared by its trials, every run drawing from one RNG seeded with seed.
 func RunTable1(n, trials, steps int, seed int64) Table1Result {
 	rng := rand.New(rand.NewSource(seed))
 	paper := analytic.PaperTable1(n)
@@ -42,10 +45,23 @@ func RunTable1(n, trials, steps int, seed int64) Table1Result {
 		"binary-tree": topology.BinaryTree(n),
 		"star":        topology.Star(n), // n leaves + hub = n+1 routers
 	}
+	sc := netsim.Scenario{Moves: steps}
 	res := Table1Result{N: n}
 	for _, p := range paper {
 		g := graphs[p.Topology]
-		simInd, simNB := analytic.Simulate(g, trials, steps, rng)
+		net, err := netsim.NewNetwork(g)
+		if err != nil {
+			// The four builders give connected graphs for every n >= 1.
+			panic(fmt.Sprintf("expt: table1 %s at n=%d: %v", p.Topology, n, err))
+		}
+		nr := netsim.NewNameRouting(net)
+		sim := 0.0
+		for t := 0; t < trials; t++ {
+			sim += sc.Run(net, nr, rng).AggUpdateCost
+		}
+		if trials > 0 {
+			sim /= float64(trials)
+		}
 		res.Rows = append(res.Rows, Table1ResultRow{
 			Topology:       p.Topology,
 			Routers:        g.N(),
@@ -54,8 +70,7 @@ func RunTable1(n, trials, steps int, seed int64) Table1Result {
 			ExactInd:       analytic.ExactIndirection(g),
 			ExactNB:        analytic.ExactNameBased(g),
 			ExactNBTransit: analytic.ExactNameBasedTransitOnly(g),
-			SimInd:         simInd,
-			SimNB:          simNB,
+			SimNB:          analytic.Result{UpdateCost: sim},
 		})
 	}
 	return res

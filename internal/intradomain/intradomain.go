@@ -20,18 +20,14 @@ import (
 	"locind/internal/topology"
 )
 
-// LocalPort is the FIB port value meaning "deliver onto the attached
-// subnet".
-const LocalPort = -1
-
 // Network is a shortest-path-routed domain: a router topology where router
 // i owns the subnet 10.i.0.0/16 (so the address plan supports up to 256
 // routers).
 type Network struct {
 	g *topology.Graph
-	// nextHop[dst][r] is router r's output port toward router dst: the
-	// neighbor on the shortest path (lowest-ID tie-break via BFS order),
-	// or LocalPort when r == dst.
+	// nextHop is g.NextHops(): nextHop[dst][r] is router r's output port
+	// toward router dst, the neighbor on the shortest path, or the local
+	// port -1 (deliver onto the attached subnet) when r == dst.
 	nextHop [][]int
 	// fibs[r] maps subnets to ports at router r, with any /32 host-route
 	// exceptions layered on top.
@@ -50,19 +46,7 @@ func New(g *topology.Graph) (*Network, error) {
 		return nil, fmt.Errorf("intradomain: topology must be connected")
 	}
 	n := g.N()
-	net := &Network{g: g, nextHop: make([][]int, n), fibs: make([]*netaddr.Trie[int], n)}
-	for dst := 0; dst < n; dst++ {
-		_, parent := g.BFS(dst)
-		row := make([]int, n)
-		for r := 0; r < n; r++ {
-			if r == dst {
-				row[r] = LocalPort
-			} else {
-				row[r] = parent[r]
-			}
-		}
-		net.nextHop[dst] = row
-	}
+	net := &Network{g: g, nextHop: g.NextHops(), fibs: make([]*netaddr.Trie[int], n)}
 	for r := 0; r < n; r++ {
 		fib := &netaddr.Trie[int]{}
 		for dst := 0; dst < n; dst++ {

@@ -10,6 +10,10 @@ import (
 	"locind/internal/topology"
 )
 
+// LocalPort is the FIB port value meaning "deliver onto the attached
+// subnet": topology.NextHops's diagonal.
+const LocalPort = -1
+
 func mustNew(t *testing.T, g *topology.Graph) *Network {
 	t.Helper()
 	n, err := New(g)

@@ -60,13 +60,7 @@ func (cr *ContentRouting) bestReplica(r int, replicas []int) int {
 func (cr *ContentRouting) portSet(r int, replicas []int) []int {
 	seen := map[int]bool{}
 	for _, rep := range replicas {
-		var port int
-		if r == rep {
-			port = -1
-		} else {
-			port = cr.net.ports[rep][r]
-		}
-		seen[port] = true
+		seen[cr.net.ports[rep][r]] = true
 	}
 	out := make([]int, 0, len(seen))
 	for p := range seen {
@@ -198,11 +192,7 @@ func (cr *ContentRouting) MoveReplica(name string, from, to int) (bestUpdates, f
 
 // bestPortOf is the output port toward the closest replica at router r.
 func (cr *ContentRouting) bestPortOf(r int, replicas []int) int {
-	best := cr.bestReplica(r, replicas)
-	if r == best {
-		return -1
-	}
-	return cr.net.ports[best][r]
+	return cr.net.ports[cr.bestReplica(r, replicas)][r]
 }
 
 func equalInts(a, b []int) bool {

@@ -26,8 +26,8 @@ import (
 type Network struct {
 	g    *topology.Graph
 	hops [][]int
-	// ports[loc][r] is router r's next hop toward an endpoint at loc
-	// (lowest-ID shortest-path tie-break), or r itself when r == loc.
+	// ports is g.NextHops(): ports[loc][r] is router r's next hop toward an
+	// endpoint at loc, or the local port -1 when r == loc.
 	ports [][]int
 }
 
@@ -39,16 +39,7 @@ func NewNetwork(g *topology.Graph) (*Network, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("netsim: topology must be connected")
 	}
-	n := &Network{g: g, hops: g.AllPairsHops(), ports: make([][]int, g.N())}
-	for loc := 0; loc < g.N(); loc++ {
-		_, parent := g.BFS(loc)
-		row := make([]int, g.N())
-		for r := 0; r < g.N(); r++ {
-			row[r] = parent[r] // == loc's own parent is loc itself
-		}
-		n.ports[loc] = row
-	}
-	return n, nil
+	return &Network{g: g, hops: g.AllPairsHops(), ports: g.NextHops()}, nil
 }
 
 // N returns the router count.
@@ -202,14 +193,18 @@ func (r *Resolution) Send(src int, ep string) Delivery {
 
 // NameRouting is pure name-based routing: every router holds a next-hop
 // entry per name; a move updates exactly the routers whose entry changes
-// (the §5.1.2 quantity), and packets follow the entries hop by hop.
+// (the §5.1.2 quantity), and packets follow the entries hop by hop. With
+// converged tables every router's entry for ep is its next hop toward ep's
+// current location, so that location is all the state kept per name.
 type NameRouting struct {
 	net *Network
-	// table[ep][r] = the location whose port router r currently uses for
-	// ep. Storing the location (rather than the port) makes the handoff
-	// wavefront model below straightforward.
-	table map[string][]int
-	cur   map[string]int
+	// cur[ep] points at ep's current router, so a move reads and writes it
+	// with one map access.
+	cur map[string]*int
+	// moved[from*n+to] is how many routers a move from router from to
+	// router to updates, or -1 until a move first asks: the count depends
+	// only on the pair, so it is taken once per pair, for every endpoint.
+	moved []int32
 	// breadcrumb enables forwarding pointers at departure points (see
 	// Breadcrumb).
 	breadcrumb bool
@@ -217,7 +212,11 @@ type NameRouting struct {
 
 // NewNameRouting builds the name-based architecture over net.
 func NewNameRouting(net *Network) *NameRouting {
-	return &NameRouting{net: net, table: map[string][]int{}, cur: map[string]int{}}
+	moved := make([]int32, net.N()*net.N())
+	for i := range moved {
+		moved[i] = -1
+	}
+	return &NameRouting{net: net, cur: map[string]*int{}, moved: moved}
 }
 
 // Name implements Arch.
@@ -225,12 +224,12 @@ func (nr *NameRouting) Name() string { return "name-based-routing" }
 
 // Attach implements Arch: every router installs an entry.
 func (nr *NameRouting) Attach(ep string, router int) int {
-	row := make([]int, nr.net.N())
-	for r := range row {
-		row[r] = router
+	at, ok := nr.cur[ep]
+	if !ok {
+		at = new(int)
+		nr.cur[ep] = at
 	}
-	nr.table[ep] = row
-	nr.cur[ep] = router
+	*at = router
 	return nr.net.N()
 }
 
@@ -238,54 +237,39 @@ func (nr *NameRouting) Attach(ep string, router int) int {
 // updated and counted — the exact displacement semantics of §3.1 lifted to
 // names.
 func (nr *NameRouting) Move(ep string, to int) int {
-	row, ok := nr.table[ep]
+	at, ok := nr.cur[ep]
 	if !ok {
 		return nr.Attach(ep, to)
 	}
-	from := nr.cur[ep]
+	from := *at
+	*at = to
+	i := from*nr.net.N() + to
+	if c := nr.moved[i]; c >= 0 {
+		return int(c)
+	}
+	before, after := nr.net.ports[from], nr.net.ports[to]
 	updated := 0
-	for r := range row {
-		oldPort := nr.port(r, from)
-		newPort := nr.port(r, to)
-		if oldPort != newPort {
+	for r := range before {
+		if before[r] != after[r] {
 			updated++
 		}
-		row[r] = to
 	}
-	nr.cur[ep] = to
+	nr.moved[i] = int32(updated)
 	return updated
-}
-
-// port is router r's forwarding port toward an endpoint at loc; the
-// endpoint's own router uses the distinguished local port.
-func (nr *NameRouting) port(r, loc int) int {
-	if r == loc {
-		return -1
-	}
-	return nr.net.ports[loc][r]
 }
 
 // Send implements Arch: hop-by-hop forwarding over the name tables.
 func (nr *NameRouting) Send(src int, ep string) Delivery {
-	row, ok := nr.table[ep]
+	at, ok := nr.cur[ep]
 	if !ok {
 		return Delivery{}
 	}
-	cur := nr.cur[ep]
-	shortest := nr.net.Dist(src, cur)
-	at := src
+	cur := *at
 	hops := 0
-	ttl := 4 * nr.net.N()
-	for at != row[at] {
-		at = nr.net.ports[row[at]][at]
+	for at := src; at != cur; at = nr.net.ports[cur][at] {
 		hops++
-		if hops > ttl {
-			return Delivery{Shortest: shortest, Hops: hops}
-		}
 	}
-	// Delivered where the local entry points; with converged tables this
-	// is the endpoint's location.
-	return Delivery{Delivered: at == cur, Hops: hops, Shortest: shortest}
+	return Delivery{Delivered: true, Hops: hops, Shortest: nr.net.Dist(src, cur)}
 }
 
 // Breadcrumb turns on forwarding pointers at departure points: when an

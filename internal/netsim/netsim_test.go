@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,18 +116,77 @@ func TestNameRoutingForwarding(t *testing.T) {
 	}
 }
 
-// The simulator's per-move update counts must reproduce the §5 exact
-// enumeration when driven by the same uniform mobility process.
+// connectedGraph draws a random connected graph on n nodes: a
+// preferential-attachment backbone guarantees connectivity, plus noise edges.
+func connectedGraph(rng *rand.Rand, n int) *topology.Graph {
+	g := topology.PreferentialAttachment(n, 1+rng.Intn(2), rng)
+	for extra := rng.Intn(n); extra > 0; extra-- {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a != b && !g.HasEdge(a, b) {
+			g.AddEdge(a, b) //nolint:errcheck
+		}
+	}
+	return g
+}
+
+// displaced is the per-router compare NameRouting.Move memoizes: how many
+// routers' next hops toward from and toward to differ.
+func displaced(next [][]int, from, to int) int {
+	c := 0
+	for r := range next[from] {
+		if next[from][r] != next[to][r] {
+			c++
+		}
+	}
+	return c
+}
+
+// Every (from, to) move on Table 1's four graphs at n = 20 and 63, a ring
+// and a preferential-attachment graph updates exactly the routers whose
+// NextHops rows for from and to differ: on the first ask and from the memo.
+func TestMoveMatchesNextHopCompare(t *testing.T) {
+	for _, n := range []int{20, 63} {
+		for _, g := range []*topology.Graph{
+			topology.Chain(n), topology.Clique(n), topology.BinaryTree(n), topology.Star(n),
+			topology.Ring(n), topology.PreferentialAttachment(n, 2, rand.New(rand.NewSource(int64(n)))),
+		} {
+			next := g.NextHops()
+			nr := NewNameRouting(mustNet(t, g))
+			for pass := 0; pass < 2; pass++ {
+				for from := range next {
+					for to := range next {
+						nr.Attach("u", from)
+						if got, want := nr.Move("u", to), displaced(next, from, to); got != want {
+							t.Fatalf("n %d, %d routers, pass %d: move %d->%d updates %d, want %d",
+								n, g.N(), pass, from, to, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// The simulator's per-move update counts are exact (see
+// TestMoveMatchesNextHopCompare); driven by the uniform mobility process
+// their mean must land on the §5 enumeration within Monte Carlo error.
 func TestNameRoutingUpdatesMatchAnalytic(t *testing.T) {
-	for _, tc := range []struct {
+	type graph struct {
 		name string
 		g    *topology.Graph
-	}{
+	}
+	graphs := []graph{
 		{"chain", topology.Chain(21)},
 		{"clique", topology.Clique(16)},
 		{"star", topology.Star(20)},
 		{"tree", topology.BinaryTree(15)},
-	} {
+		{"ring", topology.Ring(24)},
+	}
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 5; i++ {
+		graphs = append(graphs, graph{fmt.Sprintf("random-%d", i), connectedGraph(rng, 8+rng.Intn(40))})
+	}
+	for _, tc := range graphs {
 		net := mustNet(t, tc.g)
 		nr := NewNameRouting(net)
 		rng := rand.New(rand.NewSource(9))
@@ -147,35 +207,41 @@ func TestNameRoutingUpdatesMatchAnalytic(t *testing.T) {
 // Likewise, measured indirection stretch must match the analytic expected
 // distance when homes and locations are uniform.
 func TestHomeAgentStretchMatchesAnalytic(t *testing.T) {
-	g := topology.Chain(25)
-	net := mustNet(t, g)
-	rng := rand.New(rand.NewSource(5))
-	want := analytic.ExactIndirection(g).Stretch
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"chain", topology.Chain(31)},
+		{"clique", topology.Clique(20)},
+		{"tree", topology.BinaryTree(31)},
+		{"star", topology.Star(30)},
+		{"ring", topology.Ring(24)},
+	} {
+		net := mustNet(t, tc.g)
+		rng := rand.New(rand.NewSource(5))
+		want := analytic.ExactIndirection(tc.g).Stretch
 
-	// E[stretch over sender at home... ] — measure dist(home, cur) by
-	// sending from the home router itself: Hops = dist(home,home) +
-	// dist(home,cur) = dist(home,cur), Shortest = dist(home,cur)... so
-	// instead measure via the home-detour identity: send from uniform src,
-	// stretch = d(src,home)+d(home,cur)-d(src,cur); averaging that is the
-	// triangle overhead. For the direct comparison with E[dist(H,L)], use
-	// fresh endpoints (uniform home) and probe Hops from the home.
-	samples := 0
-	sum := 0.0
-	for trial := 0; trial < 2000; trial++ {
-		h := NewHomeAgent(net)
-		home := rng.Intn(net.N())
-		h.Attach("u", home)
-		for s := 0; s < 10; s++ {
-			cur := rng.Intn(net.N())
-			h.Move("u", cur)
-			d := h.Send(home, "u")
-			sum += float64(d.Hops) // = dist(home, cur)
-			samples++
+		// E[dist(H, L)] with H and L uniform: fresh endpoints draw a uniform
+		// home, and a packet sent from the home travels dist(home, home) +
+		// dist(home, cur) = dist(home, cur) hops.
+		samples := 0
+		sum := 0.0
+		for trial := 0; trial < 2000; trial++ {
+			h := NewHomeAgent(net)
+			home := rng.Intn(net.N())
+			h.Attach("u", home)
+			for s := 0; s < 10; s++ {
+				cur := rng.Intn(net.N())
+				h.Move("u", cur)
+				d := h.Send(home, "u")
+				sum += float64(d.Hops) // = dist(home, cur)
+				samples++
+			}
 		}
-	}
-	got := sum / float64(samples)
-	if math.Abs(got-want) > 0.05*want {
-		t.Errorf("measured E[dist(H,L)] = %v vs analytic %v", got, want)
+		got := sum / float64(samples)
+		if math.Abs(got-want) > 0.05*want {
+			t.Errorf("%s: measured E[dist(H,L)] = %v vs analytic %v", tc.name, got, want)
+		}
 	}
 }
 
@@ -456,6 +522,8 @@ func (r *Resolution) Where(ep string) (int, bool) {
 }
 
 func (nr *NameRouting) Where(ep string) (int, bool) {
-	c, ok := nr.cur[ep]
-	return c, ok
+	if at, ok := nr.cur[ep]; ok {
+		return *at, true
+	}
+	return 0, false
 }

@@ -77,7 +77,8 @@ func (g *Graph) BFS(src int) (dist []int, parent []int) {
 	}
 	dist[src] = 0
 	parent[src] = src
-	queue := []int{src}
+	queue := make([]int, 1, g.n)
+	queue[0] = src
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -99,6 +100,20 @@ func (g *Graph) AllPairsHops() [][]int {
 		out[u], _ = g.BFS(u)
 	}
 	return out
+}
+
+// NextHops is the shortest-path forwarding table, one BFS per location:
+// next[loc][r] is router r's next hop toward loc (BFS-discovery tie-break
+// via adjacency order), and -1 when r == loc (the local port) or r cannot
+// reach loc.
+func (g *Graph) NextHops() [][]int {
+	next := make([][]int, g.n)
+	for loc := range next {
+		_, parent := g.BFS(loc)
+		parent[loc] = -1
+		next[loc] = parent
+	}
+	return next
 }
 
 // Connected reports whether the graph is connected (the empty graph and the

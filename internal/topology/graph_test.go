@@ -279,6 +279,36 @@ func TestBFSInvariantsRandom(t *testing.T) {
 	}
 }
 
+// NextHops is the forwarding table every §5 package reads: the diagonal is
+// the local port -1, every other entry is the BFS parent of r in loc's tree —
+// a neighbor of r one hop closer to loc — and an unreachable pair is -1.
+func TestNextHops(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for trial := 0; trial < 20; trial++ {
+		g := GNP(30, 0.08, rng)
+		next := g.NextHops()
+		if len(next) != g.N() {
+			t.Fatalf("trial %d: %d rows for %d nodes", trial, len(next), g.N())
+		}
+		for loc, row := range next {
+			dist, parent := g.BFS(loc)
+			for r, hop := range row {
+				switch {
+				case r == loc || dist[r] < 0:
+					if hop != -1 {
+						t.Fatalf("trial %d: next[%d][%d] = %d, want -1", trial, loc, r, hop)
+					}
+				case hop != parent[r] || !g.HasEdge(r, hop) || dist[hop] != dist[r]-1:
+					t.Fatalf("trial %d: next[%d][%d] = %d, BFS parent %d", trial, loc, r, hop, parent[r])
+				}
+			}
+		}
+	}
+	if next := New(0).NextHops(); len(next) != 0 {
+		t.Fatalf("empty graph: %v", next)
+	}
+}
+
 // The accessors, the path reconstruction and the random-graph builder below
 // are what these tests judge the builders and BFS with; no binary needs them.
 
