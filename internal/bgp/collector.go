@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"locind/internal/asgraph"
+	"locind/internal/netaddr"
 	"locind/internal/par"
 )
 
@@ -162,15 +163,20 @@ func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
 		}
 	})
 	// Phase 2, over collectors: one worker builds one collector's RIB and FIB
-	// from start to finish and only reads the finished path table.
+	// from start to finish and only reads the finished path table and the
+	// plan's prefix index, which every collector routing the whole plan
+	// shares: slot i is all[i].
+	idx := indexOf(len(all), func(i int) netaddr.Prefix { return all[i].Prefix })
 	par.ForEach(0, len(cols), func(ci int) {
-		cols[ci].fill(all, runs, paths, peerOf[ci])
+		cols[ci].fill(all, runs, paths, peerOf[ci], idx)
 	})
 }
 
 // fill builds c's RIB and FIB over the prefix plan all, cut into origin runs,
-// from the finished path table; peerOf[si] is session si's peer in it.
-func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerOf []int32) {
+// from the finished path table; peerOf[si] is session si's peer in it. The
+// FIB reads idx, all's index, when c has a route to every origin; otherwise
+// it indexes its own prefixes.
+func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerOf []int32, idx *netaddr.Trie[int32]) {
 	c.RIB = NewRIBSized(len(all))
 	c.RIB.shared = paths
 	for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
@@ -183,8 +189,7 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 	// reallocate, not run into the next prefix's candidates. pt announces
 	// each prefix once.
 	cands := make([]cand, 0, len(all)*len(c.Sessions))
-	c.FIB = &FIB{}
-	c.FIB.trie.Grow(len(all))
+	routes := make([]Route, 0, len(all))
 	for k := 0; k+1 < len(runs); k++ {
 		// The prefixes of one origin have the same candidates: write them
 		// once, picking the best as they go by, and copy the run for each
@@ -218,8 +223,15 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 			end := len(cands)
 			c.RIB.byPrefix[po.Prefix] = cands[end-per : end : end]
 			sel.Prefix = po.Prefix
-			c.FIB.trie.Insert(po.Prefix, sel)
+			routes = append(routes, sel)
 		}
+	}
+	// Routes follow the plan's order and skip only unreachable origins, so a
+	// column with a route per slot of idx is slot for slot idx's.
+	if len(routes) == idx.Len() {
+		c.FIB = &FIB{idx: idx, routes: routes, shared: true}
+	} else {
+		c.FIB = ownFIB(routes)
 	}
 }
 

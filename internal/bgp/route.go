@@ -194,59 +194,3 @@ func (r *RIB) Prefixes() []netaddr.Prefix {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
 	return ps
 }
-
-// DeriveFIB computes the forwarding table: the best route's next-hop AS per
-// prefix, in a longest-prefix-match trie. BuildCollectors fills its FIBs as
-// it writes the candidates; this is for RIBs that were loaded or fed.
-func (r *RIB) DeriveFIB() *FIB {
-	f := &FIB{}
-	f.trie.Grow(len(r.byPrefix))
-	for p, cs := range r.byPrefix {
-		f.trie.Insert(p, r.best(p, cs))
-	}
-	return f
-}
-
-// FIB is a forwarding table: prefix -> selected best route, with output
-// ports identified by next-hop AS (the paper's §6.2.2 proxy). The zero
-// value is an empty FIB.
-type FIB struct {
-	trie netaddr.Trie[Route]
-}
-
-// Insert adds or replaces the forwarding entry for p.
-func (f *FIB) Insert(p netaddr.Prefix, rt Route) { f.trie.Insert(p, rt) }
-
-// Len returns the number of forwarding entries.
-func (f *FIB) Len() int { return f.trie.Len() }
-
-// Port returns the output port (next-hop AS) for address a via
-// longest-prefix matching.
-func (f *FIB) Port(a netaddr.Addr) (int, bool) {
-	rt, ok := f.trie.Lookup(a)
-	if !ok {
-		return -1, false
-	}
-	return rt.NextHop, true
-}
-
-// RouteFor returns the selected route whose prefix is the longest match for
-// address a.
-func (f *FIB) RouteFor(a netaddr.Addr) (Route, bool) {
-	return f.trie.Lookup(a)
-}
-
-// NextHopDegree counts the distinct output ports in use — the quantity the
-// paper invokes to explain why the Georgia collector sees a much lower
-// update rate than the Oregon collectors.
-func (f *FIB) NextHopDegree() int {
-	seen := map[int]bool{}
-	f.trie.Walk(func(_ netaddr.Prefix, rt Route) bool {
-		seen[rt.NextHop] = true
-		return true
-	})
-	return len(seen)
-}
-
-// Walk visits every forwarding entry in prefix order.
-func (f *FIB) Walk(fn func(netaddr.Prefix, Route) bool) { f.trie.Walk(fn) }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/lint/allocguard"
 	"locind/internal/netaddr"
@@ -31,7 +32,7 @@ func guardTimeline(events, distinct int) cdn.Timeline {
 // guardRouter covers every guardTimeline address with a default route plus
 // one more-specific, so best-port answers and displacement checks both
 // exercise real FIB lookups.
-func guardRouter() RouteLookup {
+func guardRouter() *bgp.FIB {
 	return fakeRouter(map[string]int{
 		"0.0.0.0/0": 3,
 		"0.0.0.0/8": 5,
@@ -54,16 +55,23 @@ func allocGuardHarness() map[string]func(t *testing.T) float64 {
 			})
 		},
 		"ContentUpdateStatsPerRouter": func(t *testing.T) float64 {
-			rs := []RouteLookup{guardRouter(), fakeRouter(map[string]int{
+			// Routers 0 and 2 are one FIB, so the set walks its index once
+			// for both.
+			g := guardRouter()
+			fibs := []*bgp.FIB{g, fakeRouter(map[string]int{
 				"0.0.0.0/0":   4,
 				"0.0.0.0/22":  6,
 				"0.0.3.0/24":  8,
 				"0.0.0.16/28": 9,
 				"0.0.0.0/30":  2,
-			}), guardRouter()}
-			return replayAllocs(t, func(tls []cdn.Timeline) int {
-				return ContentUpdateStatsPerRouter(rs, tls)[2].BestPort.Events
-			})
+			}), g}
+			var allocs float64
+			for _, routers := range []Routers{Each{fibs[0], fibs[1], fibs[2]}, bgp.NewFIBSet(fibs)} {
+				allocs += replayAllocs(t, func(tls []cdn.Timeline) int {
+					return ContentUpdateStatsPerRouter(routers, tls)[2].BestPort.Events
+				})
+			}
+			return allocs
 		},
 		"Memo.Port": func(t *testing.T) float64 {
 			m := NewMemo(guardRouter())

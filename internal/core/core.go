@@ -34,6 +34,29 @@ type RouteLookup interface {
 	RouteFor(a netaddr.Addr) (bgp.Route, bool)
 }
 
+// Routers resolves an address at a fixed list of routers at once, the way
+// the content kernel asks its questions: RoutesFor writes router k's
+// selected route for a to out[k] and whether it has one to ok[k], for every
+// k < Len(). bgp.FIBSet answers from one walk per shared prefix index; Each
+// asks each router in turn.
+type Routers interface {
+	Len() int
+	RoutesFor(a netaddr.Addr, out []bgp.Route, ok []bool)
+}
+
+// Each is the Routers that asks each RouteLookup in turn.
+type Each []RouteLookup
+
+// Len returns the number of routers.
+func (rs Each) Len() int { return len(rs) }
+
+// RoutesFor asks every router for a's route.
+func (rs Each) RoutesFor(a netaddr.Addr, out []bgp.Route, ok []bool) {
+	for k, r := range rs {
+		out[k], ok[k] = r.RouteFor(a)
+	}
+}
+
 // Displaced implements §3.1: a mobility event from one address to another
 // displaces the endpoint with respect to a router iff the two addresses'
 // longest-prefix matches point to different output ports. Events where
@@ -283,7 +306,6 @@ type resolved struct {
 // interning, its equally wide port sets (this event's, the previous one's,
 // the timeline's union), this and the previous event's best port, totals.
 type routerEval struct {
-	r                  RouteLookup
 	bit                map[int]int32
 	ports, prev, union portBits
 	best, prevBest     int
@@ -292,9 +314,9 @@ type routerEval struct {
 	stats              *StrategyStats
 }
 
-// resolve asks the router about a, interning the port on first sight.
-func (s *routerEval) resolve(a netaddr.Addr) resolved {
-	rt, ok := s.r.RouteFor(a)
+// resolve is what the router's route rt for an address contributes (ok
+// false: it has none), interning the port on first sight.
+func (s *routerEval) resolve(rt bgp.Route, ok bool) resolved {
 	if !ok {
 		return resolved{bit: -1}
 	}
@@ -335,19 +357,24 @@ func (s *routerEval) count(initial bool) {
 
 // multiEval is the reusable scratch of the multi-router replay. addrs holds
 // the current timeline's distinct addresses, sorted; row i of res holds
-// addrs[i]'s resolution at every router, so a router is asked about an
+// addrs[i]'s resolution at every router, so the routers are asked about an
 // address once per timeline however often it leaves and comes back. Both
 // are sized in one step per timeline from the timeline's own length, so the
-// table never grows inside a walk.
+// table never grows inside a walk. routes and ok take one address's answers
+// from every router.
 type multiEval struct {
-	rs    []routerEval
-	addrs []netaddr.Addr
-	res   []resolved
+	routers Routers
+	rs      []routerEval
+	addrs   []netaddr.Addr
+	res     []resolved
+	routes  []bgp.Route
+	ok      []bool
 }
 
 // load rebuilds the table for tl, resolving each of its addresses at every
-// router (r must answer the same for an address for as long as the replay
-// runs): every address a set of tl holds is initial or added by an event.
+// router in one RoutesFor (which must answer the same for an address for as
+// long as the replay runs): every address a set of tl holds is initial or
+// added by an event.
 func (m *multiEval) load(tl *cdn.Timeline) {
 	need := len(tl.Initial)
 	for i := range tl.Events {
@@ -361,8 +388,9 @@ func (m *multiEval) load(tl *cdn.Timeline) {
 	m.addrs = slices.Compact(m.addrs)
 	m.res = slices.Grow(m.res[:0], len(m.addrs)*len(m.rs))
 	for _, a := range m.addrs {
+		m.routers.RoutesFor(a, m.routes, m.ok)
 		for k := range m.rs {
-			m.res = append(m.res, m.rs[k].resolve(a))
+			m.res = append(m.res, m.rs[k].resolve(m.routes[k], m.ok[k]))
 		}
 	}
 }
@@ -418,18 +446,20 @@ func (m *multiEval) replay(tl *cdn.Timeline) {
 // ContentUpdateStatsPerRouter replays each timeline once for all routers,
 // evaluating all three §3.3.1 strategies in that one Timeline.Walk, and
 // returns one pooled total per router (union state starts over with every
-// timeline). A router is asked about an address once per timeline; port
-// sets are bitsets over its interned ports. The counts are those of the
-// per-strategy replay (ContentUpdateStats in strategy_oracle_test.go) run
-// per router and strategy. Once the scratch is warm, a further timeline
-// costs only what Timeline.Walk allocates for its own buffers.
+// timeline). The routers are asked about an address once per timeline, all
+// in one RoutesFor; port sets are bitsets over each router's interned ports.
+// The counts are those of the per-strategy replay (ContentUpdateStats in
+// strategy_oracle_test.go) run per router and strategy. Once the scratch is
+// warm, a further timeline costs only what Timeline.Walk allocates for its
+// own buffers.
 //
 //lint:zeroalloc per event, and per timeline beyond Timeline.Walk's own buffers
-func ContentUpdateStatsPerRouter(rs []RouteLookup, tls []cdn.Timeline) []StrategyStats {
-	out := make([]StrategyStats, len(rs))
-	m := multiEval{rs: make([]routerEval, len(rs))}
-	for k, r := range rs {
-		m.rs[k] = routerEval{r: r, bit: map[int]int32{}, stats: &out[k]}
+func ContentUpdateStatsPerRouter(routers Routers, tls []cdn.Timeline) []StrategyStats {
+	n := routers.Len()
+	out := make([]StrategyStats, n)
+	m := multiEval{routers: routers, rs: make([]routerEval, n), routes: make([]bgp.Route, n), ok: make([]bool, n)}
+	for k := range m.rs {
+		m.rs[k] = routerEval{bit: map[int]int32{}, stats: &out[k]}
 	}
 	for i := range tls {
 		m.replay(&tls[i])
@@ -441,7 +471,7 @@ func ContentUpdateStatsPerRouter(rs []RouteLookup, tls []cdn.Timeline) []Strateg
 //
 //lint:zeroalloc per event, and per timeline beyond Timeline.Walk's own buffers
 func ContentUpdateStatsAllFused(r RouteLookup, tls []cdn.Timeline) StrategyStats {
-	return ContentUpdateStatsPerRouter([]RouteLookup{r}, tls)[0]
+	return ContentUpdateStatsPerRouter(Each{r}, tls)[0]
 }
 
 // BestPortTable builds the complete name-forwarding table of §3.3.2 under

@@ -86,7 +86,7 @@ func FuzzTimelineWalk(f *testing.F) {
 		}
 		tl := &cdn.Timeline{Hours: hour + 1, Initial: initial, Events: events}
 
-		rs := make([]RouteLookup, 1+len(data)%3)
+		rs := make(Each, 1+len(data)%3)
 		for k := range rs {
 			rs[k] = fuzzRouters[k]
 		}
@@ -117,7 +117,7 @@ func TestWidePortSetsMatchPerStrategy(t *testing.T) {
 		}
 		tl.Events = append(tl.Events, e)
 	}
-	rs := []RouteLookup{fuzzRouters[1], fuzzRouters[0]}
+	rs := Each{fuzzRouters[1], fuzzRouters[0]}
 	for k, got := range ContentUpdateStatsPerRouter(rs, []cdn.Timeline{*tl}) {
 		want := StrategyStats{
 			BestPort: ContentUpdateStats(rs[k], tl, BestPort),

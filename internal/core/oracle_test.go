@@ -248,9 +248,9 @@ func distinctPerTimeline(tls []cdn.Timeline) int {
 // TestPerRouterKernelMatchesOracles holds the multi-router kernel to both
 // evaluators it replaced on real inputs — all 25 RouteViews and RIPE
 // collectors of three seeded quick worlds in one call, popular and
-// unpopular pools, over the raw FIBs and over Memos — and pins what it is
-// for: one route lookup per distinct address per timeline at each router,
-// and none through Port.
+// unpopular pools, over the raw FIBs, over Memos and over the FIBs as one
+// bgp.FIBSet — and pins what it is for: one route lookup per distinct
+// address per timeline at each router, and none through Port.
 func TestPerRouterKernelMatchesOracles(t *testing.T) {
 	for _, seed := range []int64{20140817, 7, 424242} {
 		cfg := expt.QuickConfig()
@@ -271,12 +271,14 @@ func TestPerRouterKernelMatchesOracles(t *testing.T) {
 			}
 			counted := make([]*countingLookup, len(cols))
 			raw, memos := make([]core.RouteLookup, len(cols)), make([]core.RouteLookup, len(cols))
+			fibs := make([]*bgp.FIB, len(cols))
 			for i, c := range cols {
 				counted[i] = &countingLookup{r: c.FIB}
-				raw[i], memos[i] = counted[i], core.NewMemo(c.FIB)
+				raw[i], memos[i], fibs[i] = counted[i], core.NewMemo(c.FIB), c.FIB
 			}
-			got := core.ContentUpdateStatsPerRouter(raw, pool.tls)
-			viaMemo := core.ContentUpdateStatsPerRouter(memos, pool.tls)
+			got := core.ContentUpdateStatsPerRouter(core.Each(raw), pool.tls)
+			viaMemo := core.ContentUpdateStatsPerRouter(core.Each(memos), pool.tls)
+			viaSet := core.ContentUpdateStatsPerRouter(bgp.NewFIBSet(fibs), pool.tls)
 			for i, c := range cols {
 				oracle := perEventAll(c.FIB, pool.tls)
 				if got[i] != oracle {
@@ -287,6 +289,9 @@ func TestPerRouterKernelMatchesOracles(t *testing.T) {
 				}
 				if viaMemo[i] != oracle {
 					t.Fatalf("seed %d %s %s: memo %+v, per-event replay %+v", seed, c.Name, pool.class, viaMemo[i], oracle)
+				}
+				if viaSet[i] != oracle {
+					t.Fatalf("seed %d %s %s: FIB set %+v, per-event replay %+v", seed, c.Name, pool.class, viaSet[i], oracle)
 				}
 				if counted[i].routes != want || counted[i].ports != 0 {
 					t.Fatalf("seed %d %s %s: %d RouteFor and %d Port calls, want %d and 0",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/core"
 	"locind/internal/par"
@@ -58,21 +59,23 @@ type Fig11bcResult struct {
 
 // fusedPerCollector replays tls against every RouteViews collector's FIB
 // and returns one fused total per collector. The work fans out over
-// timeline shards, each walked once for all collectors; shards are
-// oversubscribed (par.ShardsFor) because timeline weight is heavy-tailed.
-// The tasks share nothing but the read-only FIBs. Per-shard partials are
-// integer totals summed in shard order (union state is per timeline, never
-// crossing a shard boundary), so the totals are bit-identical at every
-// parallelism degree.
+// timeline shards, each walked once for all collectors, whose FIBs resolve
+// an address as one set (one prefix walk for all that share an index);
+// shards are oversubscribed (par.ShardsFor) because timeline weight is
+// heavy-tailed. The tasks share nothing but the read-only set. Per-shard
+// partials are integer totals summed in shard order (union state is per
+// timeline, never crossing a shard boundary), so the totals are
+// bit-identical at every parallelism degree.
 func fusedPerCollector(w *World, tls []cdn.Timeline) []core.StrategyStats {
-	fibs := make([]core.RouteLookup, len(w.RouteViews))
+	fibs := make([]*bgp.FIB, len(w.RouteViews))
 	for ci, c := range w.RouteViews {
 		fibs[ci] = c.FIB
 	}
+	set := bgp.NewFIBSet(fibs)
 	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
 	partial := make([][]core.StrategyStats, len(shards))
 	par.ForEach(w.Cfg.Parallel, len(shards), func(si int) {
-		partial[si] = core.ContentUpdateStatsPerRouter(fibs, tls[shards[si][0]:shards[si][1]])
+		partial[si] = core.ContentUpdateStatsPerRouter(set, tls[shards[si][0]:shards[si][1]])
 	})
 	tot := make([]core.StrategyStats, len(fibs))
 	for ci := range tot {

@@ -66,7 +66,7 @@ func FuzzLPMLookup(f *testing.F) {
 			t.Fatalf("Len() = %d, reference holds %d prefixes", tr.Len(), len(ref))
 		}
 		for p, v := range ref {
-			if got, ok := trieGet(&tr, p); !ok || got != v {
+			if got, ok := tr.Get(p); !ok || got != v {
 				t.Fatalf("Get(%v) = %d, %v; reference holds %d", p, got, ok, v)
 			}
 		}

@@ -6,18 +6,9 @@ import (
 	"testing"
 )
 
-// The exact-match and prefix-returning reads left production with their last
-// callers. The tests that pin the trie's structure through them keep them
-// here, over find and Walk.
-
-// trieGet returns the value stored for exactly prefix p.
-func trieGet[V any](t *Trie[V], p Prefix) (V, bool) {
-	if n, ok := t.find(p); ok && t.nodes[n].val != 0 {
-		return t.vals[t.nodes[n].val-1], true
-	}
-	var zero V
-	return zero, false
-}
+// The prefix-returning reads left production with their last callers. The
+// tests that pin the trie's structure through them keep them here, over Get
+// and Walk.
 
 // trieLongest returns the most specific stored prefix of at most maxBits bits
 // covering a — the deepest valued node find reaches along a's bit path;
@@ -25,7 +16,7 @@ func trieGet[V any](t *Trie[V], p Prefix) (V, bool) {
 func trieLongest[V any](t *Trie[V], a Addr, maxBits int) (Prefix, V, bool) {
 	for bits := maxBits; bits >= 0; bits-- {
 		p := MakePrefix(a, bits)
-		if v, ok := trieGet(t, p); ok {
+		if v, ok := t.Get(p); ok {
 			return p, v, true
 		}
 	}
@@ -83,7 +74,7 @@ func TestTrieEmptyLookup(t *testing.T) {
 	if _, ok := tr.Lookup(MustParseAddr("1.2.3.4")); ok {
 		t.Error("lookup in empty trie should miss")
 	}
-	if _, ok := trieGet(&tr, MustParsePrefix("1.0.0.0/8")); ok {
+	if _, ok := tr.Get(MustParsePrefix("1.0.0.0/8")); ok {
 		t.Error("get in empty trie should miss")
 	}
 	if tr.Remove(MustParsePrefix("1.0.0.0/8")) {
@@ -120,7 +111,7 @@ func TestTrieInsertReplace(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Errorf("Len = %d, want 1", tr.Len())
 	}
-	if v, _ := trieGet(&tr, MustParsePrefix("10.0.0.0/8")); v != 2 {
+	if v, _ := tr.Get(MustParsePrefix("10.0.0.0/8")); v != 2 {
 		t.Errorf("value = %d, want 2", v)
 	}
 }
@@ -323,6 +314,37 @@ func TestTrieGrowPreservesEntries(t *testing.T) {
 	}
 }
 
+// TestTrieCloneSharesNothing writes to a clone and its source — an insert
+// under an existing stem, a replace, a remove and an insert into a freed
+// slot — and requires each to see only its own writes.
+func TestTrieCloneSharesNothing(t *testing.T) {
+	var tr Trie[int]
+	tr.Insert(MustParsePrefix("10.0.0.0/8"), 1)
+	tr.Insert(MustParsePrefix("10.1.0.0/16"), 2)
+	tr.Remove(MustParsePrefix("10.1.0.0/16"))
+	c := tr.Clone()
+	c.Insert(MustParsePrefix("10.2.0.0/16"), 3) // takes the freed slot
+	c.Insert(MustParsePrefix("10.0.0.0/8"), 4)
+	tr.Insert(MustParsePrefix("10.3.0.0/16"), 5)
+	for _, tc := range []struct {
+		tr   *Trie[int]
+		addr string
+		want int
+		ok   bool
+	}{
+		{&tr, "10.2.3.4", 1, true}, {&tr, "10.3.3.4", 5, true}, {&tr, "10.9.9.9", 1, true},
+		{c, "10.2.3.4", 3, true}, {c, "10.3.3.4", 4, true}, {c, "10.9.9.9", 4, true},
+		{c, "11.0.0.1", 0, false},
+	} {
+		if v, ok := tc.tr.Lookup(MustParseAddr(tc.addr)); v != tc.want || ok != tc.ok {
+			t.Errorf("%p Lookup(%s) = %d, %v; want %d, %v", tc.tr, tc.addr, v, ok, tc.want, tc.ok)
+		}
+	}
+	if tr.Len() != 2 || c.Len() != 2 {
+		t.Errorf("Len: source %d, clone %d; want 2 and 2", tr.Len(), c.Len())
+	}
+}
+
 // TestTrieRemoveReusesValueSlots flaps 64 prefixes ten thousand times, the
 // way intradomain host routes do: with values
 // out of line, a Remove that did not hand its slot to the next Insert would
@@ -352,13 +374,13 @@ func TestTrieRemoveReusesValueSlots(t *testing.T) {
 		t.Fatalf("Len() = %d, %d prefixes are live", tr.Len(), len(live))
 	}
 	for p, v := range live {
-		if got, ok := trieGet(&tr, p); !ok || got != v {
+		if got, ok := tr.Get(p); !ok || got != v {
 			t.Fatalf("Get(%v) = %d, %v; want %d", p, got, ok, v)
 		}
 	}
 	for _, p := range prefixes {
 		if _, ok := live[p]; !ok {
-			if _, ok := trieGet(&tr, p); ok {
+			if _, ok := tr.Get(p); ok {
 				t.Fatalf("removed prefix %v still answers Get", p)
 			}
 		}
