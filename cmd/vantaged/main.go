@@ -1,10 +1,10 @@
 // Command vantaged demonstrates the PlanetLab-style content measurement of
-// §7.1 end to end: it starts the collection controller on a real TCP port,
-// synthesizes a content deployment with CDN delegation, launches vantage
-// nodes that resolve every monitored name hourly through a partial
-// locality-biased view, and verifies that the timelines the controller
-// reconstructs from the merged union sets are event for event the
-// ground-truth Addrs(d, t).
+// §7.1 end to end: it serves the collection controller over HTTP on a real
+// port, synthesizes a content deployment with CDN delegation, launches
+// vantage nodes that resolve every monitored name hourly through a partial
+// locality-biased view and upload each day's observations, and verifies
+// that the timelines the controller reconstructs from the merged union sets
+// are event for event the ground-truth Addrs(d, t).
 //
 // Usage:
 //
@@ -13,9 +13,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
+	"net/http"
 	"os"
 	"slices"
 	"time"
@@ -94,18 +97,21 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		fmt.Printf("vantaged: introspection on http://%s/metrics (dashboard: /debug/dash)\n", osrv.Addr())
 	}
 
-	ctrl, err := vantage.StartController(ctx, addr)
+	// The controller on a real socket. Sharing the tracer between campaign
+	// and controller merges both sides' spans, so /debug/traces shows each
+	// day's commit parented onto the node span that posted it.
+	ctrl := vantage.NewController()
+	ctrl.Tracer = tracer
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	// Sharing the tracer between campaign and controller merges both sides'
-	// spans, so /debug/traces shows each node's session commit parented
-	// onto the node span that dialed it in.
-	ctrl.SetTracer(tracer)
+	hs := &http.Server{Handler: ctrl, ReadHeaderTimeout: 5 * time.Second}
+	go hs.Serve(ln) //nolint:errcheck // ErrServerClosed once Shutdown runs
 	fmt.Printf("vantaged: controller on %s, %d nodes, %d names, %d hourly rounds\n",
-		ctrl.Addr(), nodes, len(tls), hours)
+		ln.Addr(), nodes, len(tls), hours)
 	cp := &vantage.Campaign{
-		Controller: ctrl.Addr(),
+		Controller: ln.Addr().String(),
 		Nodes:      nodes,
 		View:       vantage.PartialView(4),
 		Retries:    2,
@@ -113,10 +119,10 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		Metrics:    campaignMetrics,
 		Tracer:     tracer,
 	}
-	if err := cp.Run(ctx, tls); err != nil {
-		return err
-	}
-	if err := ctrl.Close(); err != nil {
+	runErr := cp.Run(ctx, tls)
+	sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	if err := errors.Join(runErr, hs.Shutdown(sctx)); err != nil {
 		return err
 	}
 
@@ -139,8 +145,8 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		}
 	}
 	fmt.Printf("vantaged: merged-vs-truth mismatches: %d (want 0)\n", mismatches)
-	if errs := ctrl.Errs(); len(errs) > 0 {
-		fmt.Printf("vantaged: %d protocol errors, first: %v\n", len(errs), errs[0])
+	if n, first := ctrl.Refused(); n > 0 {
+		fmt.Printf("vantaged: %d upload bodies refused, first: %v\n", n, first)
 	}
 	// Show one name's measured mobility.
 	if len(tls) > 0 {

@@ -1,7 +1,7 @@
 // Package faultnet is a deterministic fault-injecting transport: wrappers
 // around net.PacketConn (for the GNS UDP resolution protocol) and
-// net.Conn/net.Listener (for the NomadLog HTTP upload and vantage TCP
-// collection pipelines) that drop, delay, duplicate, reorder and truncate
+// net.Conn/net.Listener (for the NomadLog and vantage HTTP upload
+// pipelines) that drop, delay, duplicate, reorder and truncate
 // datagrams, refuse and reset connections, stall and throttle streams — the
 // failure vocabulary of the hostile networks the paper measured on
 // (intermittent cellular/WiFi uplinks, PlanetLab node churn).

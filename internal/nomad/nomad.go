@@ -13,6 +13,7 @@
 package nomad
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -66,9 +67,10 @@ const simulatedAddrHeader = "X-Nomad-Simulated-Addr"
 // store dedups on when a retry replays a batch whose response was lost.
 const batchIDHeader = "X-Nomad-Batch-Id"
 
-// traceHeader carries the uploading agent's obs.TraceContext in Encode
-// form, so server-side upload spans parent onto the device batch span.
-const traceHeader = "X-Nomad-Trace"
+// maxUploadBody bounds an upload body. The largest batch nomadd posts is
+// 5.9 KB (-soak -soak.quick), and a soak device's MaxPending of 512
+// records caps a batch near 64 KB; a longer body is a 400.
+const maxUploadBody = 1 << 20
 
 // NewStreamingServer constructs the backend: uploads fold into Aggregates
 // and no record is retained.
@@ -104,11 +106,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	tc, _ := obs.ParseTraceContext(r.Header.Get(traceHeader))
+	tc, _ := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
 	span := s.Tracer.StartRemote(tc, "nomad-store", "batch", r.Header.Get(batchIDHeader))
 	defer span.End()
 	var batch []Entry
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBody))
 	if err := dec.Decode(&batch); err != nil {
 		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 		return
@@ -160,7 +162,7 @@ func (c *Client) Upload(ctx context.Context, batchID string, batch []Entry) erro
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/upload", strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/upload", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -171,7 +173,7 @@ func (c *Client) Upload(ctx context.Context, batchID string, batch []Entry) erro
 	// Propagate the batch span carried by ctx (if any) so the server's
 	// store span parents onto it.
 	if tc := obs.FromContext(ctx).Context(); tc.Valid() {
-		req.Header.Set(traceHeader, tc.Encode())
+		req.Header.Set(obs.TraceHeader, tc.Encode())
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {

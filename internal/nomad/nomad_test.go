@@ -98,6 +98,30 @@ func TestUploadValidation(t *testing.T) {
 	}
 }
 
+// TestUploadBodyOverLimitRefused: a batch one byte longer than
+// maxUploadBody is a 400 and stores nothing. The padding sits inside the
+// JSON array, so the decoder must read past the limit to finish the batch.
+func TestUploadBodyOverLimitRefused(t *testing.T) {
+	s := NewStreamingServer()
+	entry := `{"device_id":"` + HashDeviceID("x") + `","time":1,"ip_addr":"1.2.3.4","net_type":"wifi"}`
+	body := "[" + entry + strings.Repeat(" ", maxUploadBody+1-len(entry)-2) + "]"
+	before := s.Agg.Snapshot()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/upload", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("a body of maxUploadBody+1 bytes answered %d, want 400", rec.Code)
+	}
+	if after := s.Agg.Snapshot(); after != before {
+		t.Fatalf("over-limit body changed Aggregates: %+v, was %+v", after, before)
+	}
+	// The same batch without the padding is accepted.
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/upload", strings.NewReader("["+entry+"]")))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("the unpadded batch answered %d, want 204", rec.Code)
+	}
+}
+
 func TestMethodValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := ts.Client().Post(ts.URL+"/ip", "text/plain", strings.NewReader("x"))

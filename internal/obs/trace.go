@@ -61,16 +61,21 @@ type Span struct {
 
 // TraceContext is the compact cross-process span context: enough identity
 // to parent a server-side span onto the client span that caused it. It is
-// carried on the wire (gns request framing, nomad upload headers, vantage
-// frames) as the Encode form, so spans recorded by different processes
-// assemble into one causal tree. Like span IDs, both fields are
-// deterministic under a fixed seed; they identify causality and must never
-// feed seeds or ordering decisions (the determinism analyzer polices the
-// latter).
+// carried on the wire (gns request framing, and the TraceHeader of every
+// nomad and vantage upload) as the Encode form, so spans recorded by
+// different processes assemble into one causal tree. Like span IDs, both
+// fields are deterministic under a fixed seed; they identify causality and
+// must never feed seeds or ordering decisions (the determinism analyzer
+// polices the latter).
 type TraceContext struct {
 	TraceID uint64 `json:"trace"`
 	SpanID  uint64 `json:"span"`
 }
+
+// TraceHeader is the HTTP header both measurement pipelines' uploads carry
+// their client span's TraceContext in, in Encode form; the server's span
+// parents onto it.
+const TraceHeader = "X-Locind-Trace"
 
 // Valid reports whether tc carries a usable context (both IDs non-zero).
 func (tc TraceContext) Valid() bool { return tc.TraceID != 0 && tc.SpanID != 0 }

@@ -80,10 +80,11 @@ func TestTraceContextRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzParseTraceContext: the parser reads wire input (gns Request.Trace,
-// X-Nomad-Trace, vantage hello frames) and never panics; what it accepts is
-// a valid context in exactly the form Encode writes, letter case aside. The
-// committed corpus holds two space-carrying inputs fmt.Sscanf used to take.
+// FuzzParseTraceContext: the parser reads wire input (gns Request.Trace, the
+// TraceHeader of nomad and vantage uploads) and never panics; what it
+// accepts is a valid context in exactly the form Encode writes, letter case
+// aside. The committed corpus holds two space-carrying inputs fmt.Sscanf
+// used to take.
 func FuzzParseTraceContext(f *testing.F) {
 	for _, s := range []string{"", "deadbeefcafef00d-0123456789abcdef", "DEADBEEFCAFEF00D-0123456789ABCDEF",
 		"+000000000000001-0000000000000002", "0000000000000001-0x00000000000002", "0000_00000000001-0000000000000002"} {

@@ -1,6 +1,6 @@
 // Package reliable is the shared reliability-policy layer for every
-// networked pipeline in the repo (GNS UDP resolution, NomadLog HTTP upload,
-// vantage TCP collection). The paper's measurement infrastructure lived on
+// networked pipeline in the repo (GNS UDP resolution, NomadLog and vantage
+// HTTP uploads). The paper's measurement infrastructure lived on
 // hostile networks — intermittent cellular/WiFi uplinks and PlanetLab node
 // churn — so the client paths retry with exponential backoff, bound their
 // patience with context deadlines, and keep last-known-good answers to

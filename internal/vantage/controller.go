@@ -1,11 +1,19 @@
+// Package vantage reimplements the paper's distributed content-mobility
+// measurement (§7.1): vantage-point nodes resolve every monitored name once
+// an hour, each seeing only a partial, locality-biased view of the name's
+// address set, and upload each day of observations to a central controller
+// as one keyed HTTP POST; the controller merges observations per (name,
+// hour) into the union set Addrs(d, t) that the update-cost methodology
+// consumes.
 package vantage
 
 import (
-	"context"
-	"errors"
+	"encoding/json"
+	"fmt"
 	"io"
-	"net"
+	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"locind/internal/names"
@@ -13,241 +21,186 @@ import (
 	"locind/internal/obs"
 )
 
-// Controller is the central collection node: it accepts vantage-point
-// connections and merges their hourly observations into per-(name, hour)
+// Upload is the body of POST /report: one node's observations of one day,
+// hours 24*Day through 24*Day+23.
+type Upload struct {
+	Node    string   `json:"node"`
+	Day     int      `json:"day"`
+	Reports []Report `json:"reports"`
+}
+
+// Report is one (name, hour) observation: the addresses the node's resolver
+// answered with.
+type Report struct {
+	Hour  int      `json:"hour"`
+	Name  string   `json:"name"`
+	Addrs []string `json:"addrs"`
+}
+
+// maxReportBody bounds an upload body: 12x the largest day vantaged posts,
+// 22.3 MB per node at -domains 500 (13 229 names). A body declaring more is
+// refused before it is read, one running past it as soon as it does.
+const maxReportBody = 256 << 20
+
+// dayKey names one committed upload.
+type dayKey struct {
+	node string
+	day  int
+}
+
+// Controller is the central collection node, an http.Handler serving POST
+// /report: it merges the nodes' hourly observations into per-(name, hour)
 // union address sets, the paper's Addrs(d, t).
 //
-// Ingestion is transactional per connection: report frames are staged and
-// only folded into the union when the node's Bye commits the campaign. A
-// connection that dies before Bye — a vantage point crashing mid-campaign —
-// is discarded whole, so a partial campaign can never corrupt the union.
-// Commits are first-wins per node name: a node that replays its campaign
-// because the Bye ack was lost on the wire is recognised and skipped.
+// An upload is validated whole before anything changes: a body that does
+// not decode, names no node, holds an hour outside its day or an address
+// that does not parse is a 400 and commits nothing — so a body cut off on
+// the wire never reaches the union. An accepted body is a 204 and commits
+// first-wins per (node, day): a node that re-posts a day because the 204 was
+// lost on the wire is recognised and skipped.
 type Controller struct {
-	ln net.Listener
+	// Tracer, when non-nil, records one commit span per decoded upload,
+	// parented onto the node's span named in the obs.TraceHeader. Set it
+	// before serving.
+	Tracer *obs.Tracer
 
 	mu         sync.Mutex
 	merged     map[names.Name]map[int]map[netaddr.Addr]bool
 	reports    int
 	nodes      map[string]bool
-	committed  map[string]bool
-	discarded  int
+	committed  map[dayKey]bool
 	dupCommits int
-	errs       []error
-	tracer     *obs.Tracer
-
-	wg sync.WaitGroup
-
-	closeOnce sync.Once
-	closeErr  error
-	stopped   chan struct{}
+	refused    int
+	firstErr   error
 }
 
-// StartController listens on the given address ("127.0.0.1:0" for an
-// ephemeral test port) and begins accepting vantage connections until Close
-// is called or ctx is cancelled.
-func StartController(ctx context.Context, addr string) (*Controller, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return ServeController(ctx, ln), nil
-}
-
-// ServeController runs a controller over a caller-provided listener — the
-// seam chaos tests use to inject a fault-wrapped transport. Cancelling ctx
-// stops accepting connections as if Close had been called.
-func ServeController(ctx context.Context, ln net.Listener) *Controller {
-	c := &Controller{
-		ln:        ln,
+// NewController builds a controller with an empty union.
+func NewController() *Controller {
+	return &Controller{
 		merged:    map[names.Name]map[int]map[netaddr.Addr]bool{},
 		nodes:     map[string]bool{},
-		committed: map[string]bool{},
-		stopped:   make(chan struct{}),
-	}
-	c.wg.Add(1)
-	go c.acceptLoop()
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.close()
-		case <-c.stopped:
-		}
-	}()
-	return c
-}
-
-// Addr returns the controller's listen address.
-func (c *Controller) Addr() string { return c.ln.Addr().String() }
-
-// SetTracer attaches a tracer recording one commit span per campaign,
-// parented onto the node's campaign span via the hello frame's trace
-// context. nil detaches it.
-func (c *Controller) SetTracer(tr *obs.Tracer) {
-	c.mu.Lock()
-	c.tracer = tr
-	c.mu.Unlock()
-}
-
-func (c *Controller) getTracer() *obs.Tracer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tracer
-}
-
-// close stops the listener exactly once; Close and ctx cancellation can
-// race, and the second closer must see the first's error, not a spurious
-// "use of closed network connection".
-func (c *Controller) close() error {
-	c.closeOnce.Do(func() {
-		c.closeErr = c.ln.Close()
-		close(c.stopped)
-	})
-	return c.closeErr
-}
-
-// Close stops accepting connections and waits for in-flight handlers.
-func (c *Controller) Close() error {
-	err := c.close()
-	c.wg.Wait()
-	return err
-}
-
-func (c *Controller) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.handle(conn)
-		}()
+		committed: map[dayKey]bool{},
 	}
 }
 
-func (c *Controller) handle(conn net.Conn) {
-	defer conn.Close()
-	node := ""
-	var tc obs.TraceContext
-	var staged []Message
-	for {
-		m, err := ReadFrame(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				c.recordErr(err)
-			}
-			c.discard(staged)
-			return
-		}
-		switch m.Type {
-		case TypeHello:
-			node = m.Node
-			tc, _ = obs.ParseTraceContext(m.Trace)
-			c.mu.Lock()
-			c.nodes[node] = true
-			c.mu.Unlock()
-		case TypeReport:
-			staged = append(staged, m)
-		case TypeBye:
-			// The commit span parents onto the node's campaign span named
-			// in the hello frame — the cross-process leg of the causal tree.
-			span := c.getTracer().StartRemote(tc, "vantage-commit", "node", node)
-			c.commit(node, staged)
-			span.End()
-			// Acknowledge only after the commit: the ack is the node's
-			// proof that its whole campaign is in the union, so a node
-			// whose Close errored knows it must replay.
-			if err := WriteFrame(conn, Message{Type: TypeBye, Node: node}); err != nil {
-				c.recordErr(err)
-			}
-			return
-		default:
-			c.recordErr(errors.New("vantage: unknown frame type " + m.Type))
-			c.discard(staged)
-			return
-		}
-	}
-}
-
-// commit atomically folds one connection's staged campaign into the merged
-// union. First commit per node name wins: a replayed campaign whose earlier
-// Bye ack was lost is deduplicated, so retries can never double-count a
-// vantage point. Unparseable addresses are recorded as errors here, at
-// commit time, and skipped.
-func (c *Controller) commit(node string, staged []Message) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if node != "" {
-		if c.committed[node] {
-			c.dupCommits++
-			return
-		}
-		c.committed[node] = true
-	}
-	for _, m := range staged {
-		c.ingestLocked(m)
-	}
-}
-
-// discard drops a dead connection's staged reports. Called for any
-// connection that ends without a Bye.
-func (c *Controller) discard(staged []Message) {
-	if len(staged) == 0 {
+// ServeHTTP implements http.Handler.
+func (c *Controller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/report" {
+		http.NotFound(w, r)
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.discarded++
+	if r.Method != http.MethodPost {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	if r.ContentLength > maxReportBody {
+		c.refuse(w, fmt.Errorf("vantage: upload of %d bytes exceeds %d", r.ContentLength, maxReportBody))
+		return
+	}
+	var up Upload
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReportBody))
+	if err == nil {
+		err = json.Unmarshal(body, &up)
+	}
+	if err != nil {
+		c.refuse(w, fmt.Errorf("vantage: bad upload: %w", err))
+		return
+	}
+	tc, _ := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
+	span := c.Tracer.StartRemote(tc, "vantage-commit", "node", up.Node, "day", strconv.Itoa(up.Day))
+	defer span.End()
+	addrs, err := up.parse()
+	if err != nil {
+		c.refuse(w, err)
+		return
+	}
+	c.commit(&up, addrs)
+	w.WriteHeader(http.StatusNoContent)
 }
 
-func (c *Controller) ingestLocked(m Message) {
-	name := names.Name(m.Name)
-	c.reports++
-	byHour := c.merged[name]
-	if byHour == nil {
-		byHour = map[int]map[netaddr.Addr]bool{}
-		c.merged[name] = byHour
+// parse validates an upload and returns each report's addresses.
+func (up *Upload) parse() ([][]netaddr.Addr, error) {
+	if up.Node == "" || up.Day < 0 {
+		return nil, fmt.Errorf("vantage: upload names no node or a negative day")
 	}
-	set := byHour[m.Hour]
-	if set == nil {
-		set = map[netaddr.Addr]bool{}
-		byHour[m.Hour] = set
-	}
-	for _, s := range m.Addrs {
-		a, err := netaddr.ParseAddr(s)
-		if err != nil {
-			c.errs = append(c.errs, err)
-			continue
+	out := make([][]netaddr.Addr, len(up.Reports))
+	for i, rep := range up.Reports {
+		if rep.Hour < 0 || rep.Hour/24 != up.Day {
+			return nil, fmt.Errorf("vantage: %s day %d holds hour %d", up.Node, up.Day, rep.Hour)
 		}
-		set[a] = true
+		out[i] = make([]netaddr.Addr, len(rep.Addrs))
+		for j, s := range rep.Addrs {
+			a, err := netaddr.ParseAddr(s)
+			if err != nil {
+				return nil, fmt.Errorf("vantage: %s day %d: %w", up.Node, up.Day, err)
+			}
+			out[i][j] = a
+		}
 	}
+	return out, nil
 }
 
-func (c *Controller) recordErr(err error) {
+// refuse answers 400 and records the refusal: a count, and the first error
+// for the operator.
+func (c *Controller) refuse(w http.ResponseWriter, err error) {
+	c.mu.Lock()
+	c.refused++
+	if c.firstErr == nil {
+		c.firstErr = err
+	}
+	c.mu.Unlock()
+	http.Error(w, err.Error(), http.StatusBadRequest)
+}
+
+// commit folds one validated upload into the merged union, first commit per
+// (node, day) wins.
+func (c *Controller) commit(up *Upload, addrs [][]netaddr.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.errs = append(c.errs, err)
+	c.nodes[up.Node] = true
+	key := dayKey{up.Node, up.Day}
+	if c.committed[key] {
+		c.dupCommits++
+		return
+	}
+	c.committed[key] = true
+	for i, rep := range up.Reports {
+		name := names.Name(rep.Name)
+		byHour := c.merged[name]
+		if byHour == nil {
+			byHour = map[int]map[netaddr.Addr]bool{}
+			c.merged[name] = byHour
+		}
+		set := byHour[rep.Hour]
+		if set == nil {
+			set = map[netaddr.Addr]bool{}
+			byHour[rep.Hour] = set
+		}
+		for _, a := range addrs[i] {
+			set[a] = true
+		}
+	}
+	c.reports += len(up.Reports)
 }
 
-// Errs returns protocol errors observed so far.
-func (c *Controller) Errs() []error {
+// Refused returns how many upload bodies were answered 400, and the first
+// such body's error.
+func (c *Controller) Refused() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]error(nil), c.errs...)
+	return c.refused, c.firstErr
 }
 
-// ReportCount returns how many report frames have been committed into the
-// union. Staged reports from dead connections are never counted.
+// ReportCount returns how many reports have been committed into the union.
+// A refused or duplicate upload's reports are never counted.
 func (c *Controller) ReportCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reports
 }
 
-// NodeCount returns how many distinct vantage points have said hello.
+// NodeCount returns how many distinct vantage points have had an upload
+// accepted.
 func (c *Controller) NodeCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,12 +1,14 @@
 package vantage
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,91 +20,6 @@ import (
 	"locind/internal/obs"
 	"locind/internal/reliable"
 )
-
-// Node is one vantage point: a TCP client streaming hourly resolution
-// observations to the controller. Nothing a node sends becomes visible in
-// the merged union until its Bye commits the whole campaign, so a node that
-// dies mid-stream leaves no trace.
-type Node struct {
-	Name string
-	conn net.Conn
-}
-
-// Dial connects a vantage point to the controller and introduces itself.
-// ctx bounds the connection attempt and the hello frame.
-func Dial(ctx context.Context, addr, name string) (*Node, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("vantage: dial controller: %w", err)
-	}
-	n := &Node{Name: name, conn: conn}
-	if err := n.applyDeadline(ctx); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	// The hello frame carries the span riding on ctx (the node's campaign
-	// span when the caller traces), so the controller's commit span can
-	// parent onto it.
-	hello := Message{Type: TypeHello, Node: name, Trace: obs.FromContext(ctx).Context().Encode()}
-	if err := WriteFrame(conn, hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return n, nil
-}
-
-// applyDeadline projects the context's deadline onto the connection so frame
-// I/O cannot outlive the caller's budget.
-func (n *Node) applyDeadline(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok {
-		return n.conn.SetDeadline(d)
-	}
-	return n.conn.SetDeadline(time.Time{})
-}
-
-// Report sends one (name, hour) observation. The controller stages it until
-// Close commits the campaign.
-func (n *Node) Report(ctx context.Context, hour int, name names.Name, addrs []netaddr.Addr) error {
-	if err := n.applyDeadline(ctx); err != nil {
-		return err
-	}
-	strs := make([]string, len(addrs))
-	for i, a := range addrs {
-		strs[i] = a.String()
-	}
-	return WriteFrame(n.conn, Message{
-		Type:  TypeReport,
-		Node:  n.Name,
-		Hour:  hour,
-		Name:  string(name),
-		Addrs: strs,
-	})
-}
-
-// Close says goodbye, waits for the controller's acknowledgement — which is
-// the commit point: only now do this connection's reports enter the merged
-// union — and closes the connection.
-func (n *Node) Close(ctx context.Context) error {
-	defer n.conn.Close()
-	if err := n.applyDeadline(ctx); err != nil {
-		return err
-	}
-	if err := WriteFrame(n.conn, Message{Type: TypeBye, Node: n.Name}); err != nil {
-		return err
-	}
-	ack, err := ReadFrame(n.conn)
-	if err != nil {
-		return fmt.Errorf("vantage: waiting for bye ack: %w", err)
-	}
-	if ack.Type != TypeBye {
-		return fmt.Errorf("vantage: unexpected ack frame %q", ack.Type)
-	}
-	return nil
-}
 
 // ViewFunc models what one vantage point's resolver answer looks like: the
 // subset of the full address set visible from that node at that hour.
@@ -144,17 +61,19 @@ func PartialView(spread int) ViewFunc {
 
 // Campaign describes one distributed measurement run with its reliability
 // policy. Nodes run concurrently, mirroring the real deployment; each node
-// that fails mid-campaign is redialed and replays its whole campaign from
-// scratch — commit-on-Bye makes the replay invisible-until-complete, and the
-// controller's first-commit-wins rule makes a replay after a lost ack
-// harmless. A node that exhausts its retries is excluded from the merged
-// union without corrupting it.
+// uploads its campaign a day at a time, one POST /report per day, and
+// re-posts a day whose upload failed. A day's body commits whole or not at
+// all, and the controller's first-wins rule per (node, day) makes a re-post
+// after a lost 204 harmless. A node that exhausts its retries on a day
+// stops there: its earlier days stay in the merged union, the rest are
+// absent, never partially present.
 type Campaign struct {
+	// Controller is the controller's host:port.
 	Controller string
 	Nodes      int
 	View       ViewFunc // nil means PartialView(4)
-	// Retries is how many extra full redial-and-replay attempts a failed
-	// node gets before it is written off.
+	// Retries is how many extra attempts each day's upload gets before the
+	// node is written off.
 	Retries int
 	// Backoff schedules pauses between a node's attempts.
 	Backoff reliable.Backoff
@@ -167,19 +86,18 @@ type Campaign struct {
 	// shared obs handles.
 	Metrics *reliable.Metrics
 	// Tracer, when non-nil, records one span per node campaign (with
-	// per-attempt children) and propagates its TraceContext in the hello
-	// frame so the controller's commit span parents onto it.
+	// per-attempt children) and propagates its TraceContext in the
+	// obs.TraceHeader so the controller's commit spans parent onto it.
 	Tracer *obs.Tracer
 
 	attempts atomic.Int64
 }
 
 // Run executes the campaign over the given timelines: every node resolves
-// every name once per simulated hour through its partial view and streams
-// the observations to the controller ("precise time synchronization is not
-// necessary" — neither needed here). It returns the joined errors of nodes
-// that exhausted their retries; their observations are absent from the
-// merged union, never partially present.
+// every name once per simulated hour through its partial view and uploads
+// the observations to the controller day by day ("precise time
+// synchronization is not necessary" — neither needed here). It returns the
+// joined errors of nodes that exhausted their retries on some day.
 func (cp *Campaign) Run(ctx context.Context, tls []cdn.Timeline) error {
 	if cp.Nodes < 1 {
 		return fmt.Errorf("vantage: need at least one node")
@@ -209,18 +127,14 @@ func (cp *Campaign) Run(ctx context.Context, tls []cdn.Timeline) error {
 		}(i)
 	}
 	wg.Wait()
-	var failed []error
-	for idx, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Errorf("vantage: node pl%03d excluded from union: %w", idx, err))
-		}
-	}
-	return errors.Join(failed...)
+	return errors.Join(errs...)
 }
 
 func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, view ViewFunc, tls []cdn.Timeline) error {
-	span := cp.Tracer.Start("vantage-node", "node", fmt.Sprintf("pl%03d", idx))
+	node := fmt.Sprintf("pl%03d", idx)
+	span := cp.Tracer.Start("vantage-node", "node", node)
 	defer span.End()
+	ctx = obs.ContextWith(ctx, span)
 	policy := reliable.Policy{
 		MaxAttempts: cp.Retries + 1,
 		Backoff:     cp.Backoff,
@@ -229,45 +143,81 @@ func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, view V
 		Metrics:     cp.Metrics,
 		TraceSpan:   span,
 	}
-	attempts, err := policy.Do(obs.ContextWith(ctx, span), func(ctx context.Context) error {
-		return cp.attempt(ctx, idx, view, tls)
-	})
-	cp.attempts.Add(int64(attempts))
-	return err
-}
-
-// attempt is one full campaign for one node. Any failure abandons the
-// connection without a Bye — to the controller that is exactly a node dying
-// mid-campaign, so everything staged on the connection is discarded and the
-// next attempt starts from a blank slate.
-func (cp *Campaign) attempt(ctx context.Context, idx int, view ViewFunc, tls []cdn.Timeline) error {
-	node, err := Dial(ctx, cp.Controller, fmt.Sprintf("pl%03d", idx))
-	if err != nil {
-		return err
+	days := 0
+	for i := range tls {
+		days = max(days, (tls[i].Hours+23)/24)
 	}
-	defer node.conn.Close()
-	for t := range tls {
-		tl := &tls[t]
-		err := replayHourly(tl, func(hour int, set []netaddr.Addr) error {
-			return node.Report(ctx, hour, tl.Site.Name, view(idx, tl.Site.Name, hour, set))
-		})
+	for day := 0; day < days; day++ {
+		// The node holds one day's body at a time and posts those same bytes
+		// on every attempt.
+		body, err := json.Marshal(dayUpload(node, idx, day, view, tls))
 		if err != nil {
 			return err
 		}
+		attempts, err := policy.Do(ctx, func(ctx context.Context) error {
+			return cp.attempt(ctx, body)
+		})
+		cp.attempts.Add(int64(attempts))
+		if err != nil {
+			return fmt.Errorf("vantage: node %s stopped at day %d: %w", node, day, err)
+		}
 	}
-	return node.Close(ctx)
+	return nil
 }
 
-// replayHourly materializes the timeline's address set hour by hour without
-// quadratic SetAt calls.
-func replayHourly(tl *cdn.Timeline, fn func(hour int, set []netaddr.Addr) error) error {
+// attempt posts one day's body; anything but a 204 fails the attempt.
+func (cp *Campaign) attempt(ctx context.Context, body []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+cp.Controller+"/report", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	// One connection per post: each attempt then meets exactly one fault
+	// decision at a fault-injecting listener, so same-seed runs replay.
+	req.Close = true
+	// The node's campaign span rides on ctx; the controller's commit span
+	// parents onto it.
+	if tc := obs.FromContext(ctx).Context(); tc.Valid() {
+		req.Header.Set(obs.TraceHeader, tc.Encode())
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		return fmt.Errorf("vantage: /report returned %s", resp.Status)
+	}
+	return nil
+}
+
+// dayUpload gathers one node's observations of every name over one day.
+func dayUpload(node string, idx, day int, view ViewFunc, tls []cdn.Timeline) Upload {
+	up := Upload{Node: node, Day: day}
+	for t := range tls {
+		tl := &tls[t]
+		replayDay(tl, day, func(hour int, set []netaddr.Addr) {
+			seen := view(idx, tl.Site.Name, hour, set)
+			addrs := make([]string, len(seen))
+			for i, a := range seen {
+				addrs[i] = a.String()
+			}
+			up.Reports = append(up.Reports, Report{Hour: hour, Name: string(tl.Site.Name), Addrs: addrs})
+		})
+	}
+	return up
+}
+
+// replayDay materializes the timeline's address set for each hour of one
+// day, replaying events from the start rather than calling SetAt per hour.
+func replayDay(tl *cdn.Timeline, day int, fn func(hour int, set []netaddr.Addr)) {
 	cur := map[netaddr.Addr]bool{}
 	for _, a := range tl.Initial {
 		cur[a] = true
 	}
 	ei := 0
 	buf := make([]netaddr.Addr, 0, len(cur))
-	for h := 0; h < tl.Hours; h++ {
+	for h := 0; h < min(24*(day+1), tl.Hours); h++ {
 		for ei < len(tl.Events) && tl.Events[ei].Hour == h {
 			for _, a := range tl.Events[ei].Removed {
 				delete(cur, a)
@@ -277,6 +227,9 @@ func replayHourly(tl *cdn.Timeline, fn func(hour int, set []netaddr.Addr) error)
 			}
 			ei++
 		}
+		if h < 24*day {
+			continue
+		}
 		buf = buf[:0]
 		for a := range cur {
 			buf = append(buf, a)
@@ -285,9 +238,6 @@ func replayHourly(tl *cdn.Timeline, fn func(hour int, set []netaddr.Addr) error)
 		// PartialView's index-based fallback — independent of map
 		// iteration, which same-seed chaos replays rely on.
 		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-		if err := fn(h, buf); err != nil {
-			return err
-		}
+		fn(h, buf)
 	}
-	return nil
 }

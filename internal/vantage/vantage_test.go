@@ -3,88 +3,57 @@ package vantage
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/cdn"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := Message{Type: TypeReport, Node: "pl001", Hour: 7, Name: "s01.pop001.com", Addrs: []string{"1.2.3.4", "5.6.7.8"}}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadFrame(&buf)
+// serve runs ctrl on a loopback httptest server and returns its host:port,
+// the form Campaign.Controller takes. The server closes with the test.
+func serve(t *testing.T, ctrl *Controller) string {
+	t.Helper()
+	ts := httptest.NewServer(ctrl)
+	t.Cleanup(ts.Close)
+	return ts.Listener.Addr().String()
+}
+
+// post sends body to ctrl in process and returns the status code.
+func post(ctrl *Controller, method, path string, body []byte) int {
+	rec := httptest.NewRecorder()
+	ctrl.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec.Code
+}
+
+// mustJSON marshals an upload for posting.
+func mustJSON(t *testing.T, up Upload) []byte {
+	t.Helper()
+	b, err := json.Marshal(up)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Type != in.Type || out.Hour != in.Hour || out.Name != in.Name || len(out.Addrs) != 2 {
-		t.Fatalf("round trip: %+v", out)
-	}
-	// Clean EOF between frames.
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("expected io.EOF, got %v", err)
-	}
-}
-
-func TestFrameErrors(t *testing.T) {
-	// Truncated header.
-	if _, err := ReadFrame(strings.NewReader("\x00\x00")); err == nil || err == io.EOF {
-		t.Fatalf("truncated header: %v", err)
-	}
-	// Truncated body.
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 10})
-	buf.WriteString("abc")
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("truncated body should error")
-	}
-	// Oversized frame header rejected before allocation.
-	var big bytes.Buffer
-	big.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&big); err == nil {
-		t.Fatal("oversized frame should error")
-	}
-	// Bad JSON body.
-	var bad bytes.Buffer
-	bad.Write([]byte{0, 0, 0, 3})
-	bad.WriteString("{x}")
-	if _, err := ReadFrame(&bad); err == nil {
-		t.Fatal("bad JSON should error")
-	}
+	return b
 }
 
 func TestControllerBasics(t *testing.T) {
-	c, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	n, err := Dial(context.Background(), c.Addr(), "pl000")
-	if err != nil {
-		t.Fatal(err)
+	c := NewController()
+	body := mustJSON(t, Upload{Node: "pl000", Day: 0, Reports: []Report{
+		{Hour: 3, Name: "x.example.com", Addrs: []string{"10.0.0.1"}},
+		{Hour: 3, Name: "x.example.com", Addrs: []string{"10.0.0.2", "10.0.0.1"}},
+	}})
+	if code := post(c, http.MethodPost, "/report", body); code != http.StatusNoContent {
+		t.Fatalf("POST /report answered %d, want 204", code)
 	}
 	a1 := netaddr.MustParseAddr("10.0.0.1")
 	a2 := netaddr.MustParseAddr("10.0.0.2")
-	if err := n.Report(context.Background(), 3, "x.example.com", []netaddr.Addr{a1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Report(context.Background(), 3, "x.example.com", []netaddr.Addr{a2, a1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for ingestion: close the controller to join handlers.
-	c.Close()
 	set := c.MergedSet("x.example.com", 3)
 	if len(set) != 2 || set[0] != a1 || set[1] != a2 {
 		t.Fatalf("merged = %v", set)
@@ -98,8 +67,14 @@ func TestControllerBasics(t *testing.T) {
 	if len(c.MergedSet("missing", 0)) != 0 {
 		t.Fatal("missing name should be empty")
 	}
-	if len(c.Errs()) != 0 {
-		t.Fatalf("unexpected errors: %v", c.Errs())
+	if n, err := c.Refused(); n != 0 {
+		t.Fatalf("unexpected refusals: %d, first %v", n, err)
+	}
+	if code := post(c, http.MethodGet, "/report", nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /report answered %d, want 405", code)
+	}
+	if code := post(c, http.MethodPost, "/upload", body); code != http.StatusNotFound {
+		t.Errorf("POST /upload answered %d, want 404", code)
 	}
 }
 
@@ -140,7 +115,7 @@ func TestPartialViewProperties(t *testing.T) {
 }
 
 // TestSweepReconstructsGroundTruth runs the whole distributed campaign over
-// loopback TCP and checks the controller's merged sets reproduce the CDN
+// loopback HTTP and checks the controller's merged sets reproduce the CDN
 // ground truth, the property the paper's methodology depends on.
 func TestSweepReconstructsGroundTruth(t *testing.T) {
 	acfg := asgraph.DefaultSynthConfig()
@@ -166,14 +141,10 @@ func TestSweepReconstructsGroundTruth(t *testing.T) {
 		tls = tls[:60]
 	}
 
-	ctrl, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
+	ctrl := NewController()
+	if err := Sweep(context.Background(), serve(t, ctrl), 10, tls, PartialView(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Sweep(context.Background(), ctrl.Addr(), 10, tls, PartialView(4)); err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Close()
 
 	if ctrl.NodeCount() != 10 {
 		t.Fatalf("nodes = %d", ctrl.NodeCount())
@@ -197,64 +168,99 @@ func TestSweepReconstructsGroundTruth(t *testing.T) {
 			}
 		}
 	}
-	if len(ctrl.Errs()) != 0 {
-		t.Fatalf("controller errors: %v", ctrl.Errs())
+	if n, err := ctrl.Refused(); n != 0 {
+		t.Fatalf("controller refused %d bodies, first: %v", n, err)
 	}
 }
 
 func TestSweepErrors(t *testing.T) {
-	if err := Sweep(context.Background(), "127.0.0.1:1", 1, nil, nil); err == nil {
+	tls := []cdn.Timeline{{Site: cdn.Site{Name: "x.example.com"}, Hours: 2,
+		Initial: []netaddr.Addr{netaddr.MustParseAddr("10.0.0.1")}}}
+	if err := Sweep(context.Background(), "127.0.0.1:1", 1, tls, nil); err == nil {
 		t.Fatal("unreachable controller should error")
 	}
-	ctrl, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	if err := Sweep(context.Background(), ctrl.Addr(), 0, nil, nil); err == nil {
+	if err := Sweep(context.Background(), serve(t, NewController()), 0, tls, nil); err == nil {
 		t.Fatal("zero nodes should error")
 	}
 }
 
+// TestControllerRejectsGarbage: every malformed body is a 400 that commits
+// nothing; the controller counts each refusal and keeps the first error.
 func TestControllerRejectsGarbage(t *testing.T) {
-	ctrl, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	c := NewController()
+	bodies := []string{
+		`not json`,
+		`null`,
+		`{"day":0,"reports":[{"hour":1,"name":"d","addrs":["1.2.3.4"]}]}`,
+		`{"node":"pl000","day":-1,"reports":[]}`,
+		`{"node":"pl000","day":1,"reports":[{"hour":23,"name":"d","addrs":["1.2.3.4"]}]}`,
+		`{"node":"pl000","day":0,"reports":[{"hour":24,"name":"d","addrs":["1.2.3.4"]}]}`,
+		`{"node":"pl000","day":0,"reports":[]} {}`,
 	}
-	n, err := Dial(context.Background(), ctrl.Addr(), "pl000")
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range bodies {
+		if code := post(c, http.MethodPost, "/report", []byte(b)); code != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400", b, code)
+		}
 	}
-	// Unknown frame type terminates the connection and records an error.
-	if err := WriteFrame(n.conn, Message{Type: "nonsense"}); err != nil {
-		t.Fatal(err)
+	n, first := c.Refused()
+	if n != len(bodies) || first == nil || !strings.Contains(first.Error(), "bad upload") {
+		t.Fatalf("Refused() = %d, %v; want %d and the first body's decode error", n, first, len(bodies))
 	}
-	n.conn.Close()
-	ctrl.Close()
-	if len(ctrl.Errs()) == 0 {
-		t.Fatal("garbage frame should record an error")
+	if c.ReportCount() != 0 || c.NodeCount() != 0 || len(c.merged) != 0 || len(c.committed) != 0 {
+		t.Fatalf("refused bodies changed the union: %d reports, %d nodes", c.ReportCount(), c.NodeCount())
 	}
 }
 
+// TestControllerBadAddrInReport: one address that does not parse refuses
+// the whole body, the good addresses beside it included.
 func TestControllerBadAddrInReport(t *testing.T) {
-	ctrl, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	c := NewController()
+	body := mustJSON(t, Upload{Node: "pl000", Reports: []Report{
+		{Hour: 0, Name: "d", Addrs: []string{"1.2.3.4"}},
+		{Hour: 1, Name: "d", Addrs: []string{"not-an-ip", "1.2.3.4"}},
+	}})
+	if code := post(c, http.MethodPost, "/report", body); code != http.StatusBadRequest {
+		t.Fatalf("answered %d, want 400", code)
 	}
-	n, err := Dial(context.Background(), ctrl.Addr(), "pl000")
-	if err != nil {
-		t.Fatal(err)
+	if got := c.MergedSet("d", 0); len(got) != 0 {
+		t.Fatalf("a refused body reached the union: %v", got)
 	}
-	if err := WriteFrame(n.conn, Message{Type: TypeReport, Name: "d", Hour: 0, Addrs: []string{"not-an-ip", "1.2.3.4"}}); err != nil {
-		t.Fatal(err)
+	if n, _ := c.Refused(); n != 1 || c.ReportCount() != 0 {
+		t.Fatalf("%d refused, %d reports; want 1 and 0", n, c.ReportCount())
 	}
-	n.Close(context.Background())
-	ctrl.Close()
-	if got := ctrl.MergedSet(names.Name("d"), 0); len(got) != 1 {
-		t.Fatalf("valid addr should survive: %v", got)
+	// The same day with the bad address gone is accepted: the refusal
+	// left no (node, day) commit behind.
+	body = mustJSON(t, Upload{Node: "pl000", Reports: []Report{{Hour: 1, Name: "d", Addrs: []string{"1.2.3.4"}}}})
+	if code := post(c, http.MethodPost, "/report", body); code != http.StatusNoContent {
+		t.Fatalf("corrected body answered %d, want 204", code)
 	}
-	if len(ctrl.Errs()) == 0 {
-		t.Fatal("bad addr should record an error")
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestReportBodyOverLimitRefused: a well-formed upload one byte longer than
+// maxReportBody is a 400 and commits nothing.
+func TestReportBodyOverLimitRefused(t *testing.T) {
+	c := NewController()
+	head := mustJSON(t, Upload{Node: "pl000", Reports: []Report{{Hour: 0, Name: "d", Addrs: []string{"1.2.3.4"}}}})
+	body := io.MultiReader(bytes.NewReader(head), io.LimitReader(spaces{}, maxReportBody+1-int64(len(head))))
+	req := httptest.NewRequest(http.MethodPost, "/report", body)
+	req.ContentLength = maxReportBody + 1
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("a body of maxReportBody+1 bytes answered %d, want 400", rec.Code)
+	}
+	if n, _ := c.Refused(); n != 1 || c.ReportCount() != 0 || len(c.MergedSet("d", 0)) != 0 {
+		t.Fatalf("over-limit body: %d refused, %d reports; want 1 and 0", n, c.ReportCount())
 	}
 }
 
@@ -287,14 +293,10 @@ func TestMeasuredTimelinesMatchTruth(t *testing.T) {
 		truth = truth[:40]
 	}
 
-	ctrl, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
+	ctrl := NewController()
+	if err := Sweep(context.Background(), serve(t, ctrl), 8, truth, PartialView(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Sweep(context.Background(), ctrl.Addr(), 8, truth, PartialView(4)); err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Close()
 
 	sites := make([]cdn.Site, len(truth))
 	for i := range truth {
@@ -325,11 +327,7 @@ func TestMeasuredTimelinesMatchTruth(t *testing.T) {
 }
 
 func TestMeasuredTimelineErrors(t *testing.T) {
-	ctrl, err := StartController(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
+	ctrl := NewController()
 	if _, err := ctrl.MeasuredTimeline(cdn.Site{Name: "ghost"}, 10); err == nil {
 		t.Error("unobserved site should error")
 	}
