@@ -7,26 +7,10 @@
 //
 //	locind [flags] <experiment>...
 //
-// Experiments: table1 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig11c fig12
-// sensitivity envelope ablate netsim gns-cluster all
-//
-// Flags:
-//
-//	-seed N      master seed (default 20140817)
-//	-quick       run at ~1/10 scale (fast; used by CI)
-//	-parallel N  worker count of the evaluation drivers and timeline
-//	             generation (0 = GOMAXPROCS); world synthesis uses
-//	             every core; output is bit-identical at any value
-//	-obs.addr    serve /metrics, /debug/pprof and /debug/traces on
-//	             this address (empty = disabled; output is
-//	             byte-identical either way, DESIGN.md §8)
-//	-obs.linger  keep the introspection endpoint up this long after
-//	             the experiments finish
-//	-report DIR  write a per-phase run profile (RUNREPORT.md +
-//	             runreport.json) and the run's sampled time series
-//	             (timeseries.json, cmd/obsreport input) into DIR; counter
-//	             deltas are deterministic for a fixed seed, timing columns
-//	             and time series are not
+// `locind -h` lists the flags and the experiments (expt.Experiments), in
+// the order they run. With -out DIR every experiment that ran writes its
+// figure series into DIR, beside the device trace and the RouteViews RIB
+// dumps.
 package main
 
 import (
@@ -38,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"locind/internal/cdn"
 	"locind/internal/expt"
 	"locind/internal/obs"
 	"locind/internal/par"
@@ -46,13 +29,13 @@ import (
 
 func main() {
 	var o runOpts
-	flag.Int64Var(&o.seed, "seed", 0, "master seed (0 = config default)")
-	flag.BoolVar(&o.quick, "quick", false, "run at reduced scale")
-	flag.StringVar(&o.out, "out", "", "directory to export raw data (trace CSV, RIB dumps, figure series)")
-	flag.IntVar(&o.parallel, "parallel", 0, "worker count of the evaluation drivers and timeline generation (0 = GOMAXPROCS; world synthesis uses every core); output is identical for any value and any core count")
-	flag.StringVar(&o.obsAddr, "obs.addr", "", "serve /metrics, /debug/pprof and /debug/traces on this address (empty = disabled)")
-	flag.DurationVar(&o.obsLinger, "obs.linger", 0, "keep the introspection endpoint up this long after the experiments finish (lets scrapers reach a batch run)")
-	flag.StringVar(&o.report, "report", "", "directory to write the per-phase run profile into (RUNREPORT.md + runreport.json + timeseries.json; empty = disabled)")
+	flag.Int64Var(&o.seed, "seed", 0, "master seed `N` (0 = config default)")
+	flag.BoolVar(&o.quick, "quick", false, "run at ~1/10 scale (fast; used by CI)")
+	flag.StringVar(&o.out, "out", "", "write raw data into `DIR`: the device trace CSV, the RouteViews RIB dumps and the figure series of the experiments that ran")
+	flag.IntVar(&o.parallel, "parallel", 0, "`N` workers for the evaluation drivers and timeline generation (0 = GOMAXPROCS; world synthesis uses every core); output is identical for any value and any core count")
+	flag.StringVar(&o.obsAddr, "obs.addr", "", "serve /metrics, /debug/pprof and /debug/traces on `HOST:PORT` (empty = disabled; output is byte-identical either way)")
+	flag.DurationVar(&o.obsLinger, "obs.linger", 0, "keep the introspection endpoint up for `D` after the experiments finish (lets scrapers reach a batch run)")
+	flag.StringVar(&o.report, "report", "", "write the per-phase run profile into `DIR` (RUNREPORT.md + runreport.json + timeseries.json; empty = disabled); counter deltas replay exactly for a seed, timings and time series do not")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -67,34 +50,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: locind [-seed N] [-quick] [-parallel N] [-obs.addr HOST:PORT [-obs.linger D]] [-report DIR] <experiment>...
-
-experiments:
-  table1       §5 analytic model: stretch vs update cost on toy topologies
-  fig6         distinct network locations per user per day
-  fig7         transitions across network locations per day
-  fig8         device mobility update rate per collector
-  fig9         dominant-location dwell fractions
-  fig10        indirection stretch: latency + AS-hop lower bound
-  fig11a       popular content mobility events per day
-  fig11b       popular content update rate per collector
-  fig11c       unpopular content update rate per collector
-  fig12        FIB aggregateability of popular names
-  sensitivity  §6.2.2 robustness: days, RIPE set, IMAP-proxy correlation
-  envelope     back-of-the-envelope update loads
-  ablate       forwarding-strategy and collector-feed ablations
-  netsim       packet-level comparison of the three architectures
-  gns-cluster  chaos soak of the sharded, replicated GNS cluster
-               (1M names; minutes of wall clock — use -quick for CI scale;
-               not part of "all")
-  all          everything above except gns-cluster
-`)
-}
-
-var deviceExperiments = map[string]bool{
-	"fig6": true, "fig7": true, "fig8": true, "fig9": true, "fig10": true,
-	"fig11a": true, "fig11b": true, "fig11c": true, "fig12": true,
-	"sensitivity": true, "envelope": true, "ablate": true,
+	fmt.Fprintln(os.Stderr, "usage: locind [flags] <experiment>...\n\nflags:")
+	flag.PrintDefaults()
+	fmt.Fprint(os.Stderr, "\nexperiments, in the order they run:\n", expt.Usage())
 }
 
 // runOpts carries the flag-settable knobs of one invocation.
@@ -111,21 +69,9 @@ type runOpts struct {
 func run(args []string, o runOpts) error {
 	seed, quick, out, parallel := o.seed, o.quick, o.out, o.parallel
 	obsAddr, obsLinger := o.obsAddr, o.obsLinger
-	want := map[string]bool{}
-	for _, a := range args {
-		a = strings.ToLower(a)
-		if a == "all" {
-			want["table1"] = true
-			want["netsim"] = true
-			for k := range deviceExperiments {
-				want[k] = true
-			}
-			continue
-		}
-		if a != "table1" && a != "netsim" && a != "gns-cluster" && !deviceExperiments[a] {
-			return fmt.Errorf("unknown experiment %q (run without arguments for the list)", a)
-		}
-		want[a] = true
+	sel, err := expt.Select(args)
+	if err != nil {
+		return err
 	}
 
 	cfg := expt.DefaultConfig()
@@ -190,156 +136,50 @@ func run(args []string, o runOpts) error {
 		}
 	}
 
-	if want["table1"] {
-		ph := profiler.Begin("table1")
-		n := 255
-		if quick {
-			n = 63
-		}
-		fmt.Println(expt.RunTable1(n, 100, 500, cfg.Seed).Render())
-		ph.End()
-	}
-	if want["netsim"] {
-		ph := profiler.Begin("netsim")
-		err := func() error {
-			res, err := expt.RunNetsim(cfg.Seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			traffic, err := expt.RunContentTraffic(cfg.Seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(traffic.Render())
-			comp, err := expt.RunCompact(cfg.Seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(comp.Render())
+	s := &expt.Session{Cfg: cfg, Quick: quick, GNSObs: gnsObs}
+	buildWorld := func() error {
+		if s.World != nil {
 			return nil
-		}()
+		}
+		fmt.Fprintf(os.Stderr, "building world (seed %d, %d ASes, %d users)...\n",
+			cfg.Seed, cfg.AS.Tier1+cfg.AS.Tier2+cfg.AS.Stubs, cfg.Device.Users)
+		span := tracer.Start("build-world")
+		ph := profiler.Begin("build-world")
+		w, err := expt.BuildWorld(cfg)
 		ph.End()
-		if err != nil {
-			return err
-		}
-	}
-
-	if want["gns-cluster"] {
-		ph := profiler.Begin("gns-cluster")
-		res, err := expt.RunGNSClusterObserved(cfg.Seed, quick, gnsObs)
-		ph.End()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-	}
-
-	needWorld := out != ""
-	for k := range want {
-		if deviceExperiments[k] {
-			needWorld = true
-		}
-	}
-	if !needWorld {
-		return nil
-	}
-	fmt.Fprintf(os.Stderr, "building world (seed %d, %d ASes, %d users)...\n",
-		cfg.Seed, cfg.AS.Tier1+cfg.AS.Tier2+cfg.AS.Stubs, cfg.Device.Users)
-	buildSpan := tracer.Start("build-world")
-	buildPhase := profiler.Begin("build-world")
-	w, err := expt.BuildWorld(cfg)
-	buildPhase.End()
-	buildSpan.End()
-	if err != nil {
+		span.End()
+		s.World = w
 		return err
 	}
-
-	// Run in the paper's presentation order.
-	order := []string{"fig6", "fig7", "fig8", "sensitivity", "envelope",
-		"fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig12", "ablate"}
-	var fig8 expt.Fig8Result
-	var fig9 expt.Fig9Result
-	haveFig8, haveFig9 := false, false
-	ensure8 := func() expt.Fig8Result {
-		if !haveFig8 {
-			fig8 = expt.RunFig8(w)
-			haveFig8 = true
-		}
-		return fig8
-	}
-	ensure9 := func() expt.Fig9Result {
-		if !haveFig9 {
-			fig9 = expt.RunFig9(w)
-			haveFig9 = true
-		}
-		return fig9
-	}
-	for _, k := range order {
-		if !want[k] {
-			continue
-		}
-		span := tracer.Start("experiment", "name", k)
-		ph := profiler.Begin(k)
-		err := func() error {
-			switch k {
-			case "fig6":
-				fmt.Println(expt.RunFig6(w).Render())
-			case "fig7":
-				fmt.Println(expt.RunFig7(w).Render())
-			case "fig8":
-				fmt.Println(ensure8().Render())
-			case "sensitivity":
-				res, err := expt.RunSensitivity(w)
-				if err != nil {
-					return err
-				}
-				fmt.Println(res.Render())
-			case "envelope":
-				fmt.Println(expt.RunEnvelope(w, ensure8(), ensure9()).Render())
-			case "fig9":
-				fmt.Println(ensure9().Render())
-			case "fig10":
-				fmt.Println(expt.RunFig10(w).Render())
-			case "fig11a":
-				fmt.Println(expt.RunFig11a(w).Render())
-			case "fig11b":
-				fmt.Println(expt.RunFig11bc(w, cdn.Popular).Render())
-			case "fig11c":
-				fmt.Println(expt.RunFig11bc(w, cdn.Unpopular).Render())
-			case "fig12":
-				fmt.Println(expt.RunFig12(w).Render())
-			case "ablate":
-				fmt.Println(expt.RunStrategyAblation(w).Render())
-				sweep, err := expt.RunSessionSweep(w, []int{2, 4, 8, 16, 24, 36})
-				if err != nil {
-					return err
-				}
-				fmt.Println(sweep.Render())
-				intra, err := expt.RunIntradomain(cfg.Seed)
-				if err != nil {
-					return err
-				}
-				fmt.Println(intra.Render())
+	var series []expt.CSV
+	for _, e := range sel {
+		if e.World {
+			if err := buildWorld(); err != nil {
+				return err
 			}
-			return nil
-		}()
+		}
+		span := tracer.Start("experiment", "name", e.Name)
+		ph := profiler.Begin(e.Name)
+		res, err := e.Run(s)
 		ph.End()
 		span.End()
 		if err != nil {
 			return err
 		}
+		fmt.Println(res.Text)
+		series = append(series, res.Series...)
 	}
-	if out != "" {
-		fmt.Fprintf(os.Stderr, "exporting raw data to %s...\n", out)
-		ph := profiler.Begin("export")
-		err := expt.ExportAll(w, out)
-		ph.End()
-		if err != nil {
-			return err
-		}
+	if out == "" {
+		return nil
 	}
-	return nil
+	if err := buildWorld(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "exporting raw data to %s...\n", out)
+	ph := profiler.Begin("export")
+	err = expt.ExportAll(s.World, out, series)
+	ph.End()
+	return err
 }
 
 // writeReport renders the profiler's phase record into dir as RUNREPORT.md

@@ -1,13 +1,35 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/manifest.txt from this tree's output")
+
+// TestMain lets the test binary stand in for locind: re-executed with
+// LOCIND_TEST_MAIN set it runs main() on its arguments, so the manifest test
+// drives the real binary at any GOMAXPROCS.
+func TestMain(m *testing.M) {
+	if os.Getenv("LOCIND_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"fig99"}, runOpts{quick: true}); err == nil {
@@ -28,22 +50,27 @@ func TestRunNetsimOnly(t *testing.T) {
 	}
 }
 
+// -out writes the series of the experiments that ran, beside the trace and
+// the RIB dumps, and no other figure's.
 func TestRunWorldExperimentsAndExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("world build is slow")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"fig8", "fig12"}, runOpts{seed: 7, quick: true, out: dir}); err != nil {
-		t.Fatal(err)
+	captureRun(t, []string{"fig8", "fig12"}, runOpts{seed: 7, quick: true, out: dir})
+	for _, f := range []string{"fig8.csv", "fig12.csv", "trace.csv", "rib_Oregon-1.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Fatalf("export missing: %v", err)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "fig8.csv")); err != nil {
-		t.Fatalf("export missing: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "fig6.csv")); err == nil {
+		t.Fatal("fig6.csv written by a run that did not run fig6")
 	}
 }
 
-// captureRun runs the experiments with stdout redirected and returns the
-// rendered output.
-func captureRun(t *testing.T, args []string, parallel int, obsAddr, report string) string {
+// captureRun runs the experiments in-process with stdout redirected and
+// returns the rendered output.
+func captureRun(t *testing.T, args []string, o runOpts) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -57,7 +84,7 @@ func captureRun(t *testing.T, args []string, parallel int, obsAddr, report strin
 		b, _ := io.ReadAll(r)
 		done <- b
 	}()
-	runErr := run(args, runOpts{seed: 7, quick: true, parallel: parallel, obsAddr: obsAddr, report: report})
+	runErr := run(args, o)
 	w.Close()
 	out := <-done
 	os.Stdout = orig
@@ -74,8 +101,8 @@ func TestRunParallelByteIdentical(t *testing.T) {
 		t.Skip("world build is slow")
 	}
 	args := []string{"fig8", "fig11b", "ablate"}
-	seq := captureRun(t, args, 1, "", "")
-	par := captureRun(t, args, 8, "127.0.0.1:0", t.TempDir())
+	seq := captureRun(t, args, runOpts{seed: 7, quick: true, parallel: 1})
+	par := captureRun(t, args, runOpts{seed: 7, quick: true, parallel: 8, obsAddr: "127.0.0.1:0", report: t.TempDir()})
 	if seq != par {
 		t.Fatalf("output diverged between -parallel 1 and -parallel 8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
@@ -90,7 +117,7 @@ func TestRunParallelByteIdentical(t *testing.T) {
 // only) profiling must never perturb results.
 func TestRunReportArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	_ = captureRun(t, []string{"table1"}, 0, "", dir)
+	_ = captureRun(t, []string{"table1"}, runOpts{seed: 7, quick: true, report: dir})
 	md, err := os.ReadFile(filepath.Join(dir, "RUNREPORT.md"))
 	if err != nil {
 		t.Fatalf("RUNREPORT.md missing: %v", err)
@@ -113,4 +140,232 @@ func TestRunReportArtifacts(t *testing.T) {
 	if len(doc.Phases) != 1 || doc.Phases[0].Name != "table1" {
 		t.Fatalf("runreport.json phases wrong: %+v", doc.Phases)
 	}
+}
+
+// evalCounters runs args with -report and sums, over every phase, the
+// counter deltas of the evaluation engine: the collectors each driver run
+// finished, its result rows and its memo lookups.
+func evalCounters(t *testing.T, args []string, out string) map[string]int64 {
+	t.Helper()
+	dir := t.TempDir()
+	captureRun(t, args, runOpts{quick: true, out: out, report: dir})
+	js, err := os.ReadFile(filepath.Join(dir, "runreport.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Phases []struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"phases"`
+	}
+	if err := json.Unmarshal(js, &doc); err != nil {
+		t.Fatal(err)
+	}
+	sum := map[string]int64{}
+	for _, ph := range doc.Phases {
+		for name, v := range ph.Counters {
+			if strings.HasPrefix(name, "locind_expt_") || strings.HasPrefix(name, "locind_memo_") {
+				sum[name] += v
+			}
+		}
+	}
+	return sum
+}
+
+// Each driver runs once per invocation: -out writes the results the
+// experiments already computed, so it adds no driver run to any counter.
+func TestExportRunsNoDriver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("world build is slow")
+	}
+	bare := evalCounters(t, []string{"all"}, "")
+	out := evalCounters(t, []string{"all"}, t.TempDir())
+	if bare["locind_expt_collectors_done_total"] == 0 {
+		t.Fatalf("no collector counted: %v", bare)
+	}
+	for name, v := range bare {
+		if out[name] != v {
+			t.Errorf("%s = %d with -out, %d without", name, out[name], v)
+		}
+	}
+	if len(out) != len(bare) {
+		t.Errorf("counters with -out %v, without %v", out, bare)
+	}
+}
+
+const manifestPath = "testdata/manifest.txt"
+
+// TestOutputManifest holds `locind -quick -out DIR all` to the committed
+// manifest: the sha256 of its stdout and of each of the 24 files it writes,
+// at GOMAXPROCS 1 and 4 and at -parallel 1 and 0 (world synthesis fans out
+// over every core and takes no flag). A moved line in the manifest is how a
+// change declares that output moved. Regenerate it with
+//
+//	go test ./cmd/locind -run TestOutputManifest -update
+//
+// Go may fuse multiply-adds on arm64, ppc64 and s390x but not on amd64, so
+// the manifest is only checked on the GOARCH it was made on.
+func TestOutputManifest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four quick runs")
+	}
+	arch, want := readManifest(t)
+	if arch != runtime.GOARCH && !*update {
+		t.Skipf("manifest made on %s; floating-point contraction may differ on %s", arch, runtime.GOARCH)
+	}
+	// The first run is held to the manifest, every later run to the first
+	// run, whose files stay on disk so a difference can name its line.
+	var first string
+	ref, refName := want, manifestPath
+	for _, procs := range []string{"1", "4"} {
+		for _, parallel := range []string{"1", "0"} {
+			name := fmt.Sprintf("GOMAXPROCS=%s -parallel %s", procs, parallel)
+			out := filepath.Join(t.TempDir(), "out")
+			cmd := exec.Command(os.Args[0], "-quick", "-parallel", parallel, "-out", out, "all")
+			cmd.Env = append(os.Environ(), "LOCIND_TEST_MAIN=1", "GOMAXPROCS="+procs)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdout, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", name, err, stderr.String())
+			}
+			if err := os.WriteFile(filepath.Join(out, "stdout"), stdout, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sums := digests(t, out)
+			if first == "" && *update {
+				writeManifest(t, sums)
+				ref = sums
+			}
+			for _, f := range sortedKeys(ref, sums) {
+				switch {
+				case sums[f] == "":
+					t.Errorf("%s: %s missing", name, f)
+				case ref[f] == "":
+					t.Errorf("%s: %s is not in %s", name, f, refName)
+				case sums[f] != ref[f] && first != "":
+					t.Errorf("%s: %s differs from %s at %s", name, f, refName, firstDiff(t, filepath.Join(first, f), filepath.Join(out, f)))
+				case sums[f] != ref[f]:
+					t.Errorf("%s: %s does not match %s:\n  want %s  %s\n  got  %s  %s", name, f, refName, ref[f], f, sums[f], f)
+				}
+			}
+			if first == "" {
+				first, ref, refName = out, sums, "the first run ("+name+")"
+			}
+		}
+	}
+}
+
+// readManifest reads the GOARCH line and the "sha256  name" lines.
+func readManifest(t *testing.T) (arch string, sums map[string]string) {
+	t.Helper()
+	f, err := os.Open(manifestPath)
+	if err != nil {
+		if *update {
+			return runtime.GOARCH, nil
+		}
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sums = map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "#") || line == "":
+		case strings.HasPrefix(line, "goarch "):
+			arch = strings.TrimPrefix(line, "goarch ")
+		default:
+			sum, name, ok := strings.Cut(line, "  ")
+			if !ok {
+				t.Fatalf("%s: bad line %q", manifestPath, line)
+			}
+			sums[name] = sum
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return arch, sums
+}
+
+func writeManifest(t *testing.T, sums map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("# sha256 of `locind -quick -out DIR all`: stdout, then each file in DIR.\n")
+	b.WriteString("# Regenerate: go test ./cmd/locind -run TestOutputManifest -update\n")
+	fmt.Fprintf(&b, "goarch %s\n", runtime.GOARCH)
+	for _, name := range sortedKeys(sums) {
+		fmt.Fprintf(&b, "%s  %s\n", sums[name], name)
+	}
+	if err := os.WriteFile(manifestPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// digests hashes every file in dir.
+func digests(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]string{}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		sums[f.Name()] = hex.EncodeToString(sum[:])
+	}
+	return sums
+}
+
+// sortedKeys returns the union of the maps' keys: "stdout" first, then by name.
+func sortedKeys(ms ...map[string]string) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, m := range ms {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if (keys[i] == "stdout") != (keys[j] == "stdout") {
+			return keys[i] == "stdout"
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
+}
+
+// firstDiff names the first line at which two files differ.
+func firstDiff(t *testing.T, a, b string) string {
+	t.Helper()
+	x, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := strings.Split(string(x), "\n"), strings.Split(string(y), "\n")
+	for i := 0; i < len(xs) || i < len(ys); i++ {
+		var l1, l2 string
+		if i < len(xs) {
+			l1 = xs[i]
+		}
+		if i < len(ys) {
+			l2 = ys[i]
+		}
+		if l1 != l2 || i >= len(xs) || i >= len(ys) {
+			return fmt.Sprintf("line %d: %q there, %q here", i+1, l1, l2)
+		}
+	}
+	return "same lines"
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"locind/internal/bgp"
+	"locind/internal/cdn"
 	"locind/internal/core"
 	"locind/internal/names"
 	"locind/internal/netaddr"
@@ -38,13 +39,16 @@ func main() {
 	// Content mobility (§3.3.1): a name served from both prefixes loses its
 	// far replica. The eligible port set changes (flooding updates) but the
 	// closest copy stays put (best-port does not).
+	// Replaying that one event counts, per strategy, whether R updated.
 	before := []netaddr.Addr{from, to}
 	after := []netaddr.Addr{from}
+	s := core.ContentUpdateStatsAllFused(fib, []cdn.Timeline{{
+		Initial: before,
+		Events:  []cdn.Event{{Removed: []netaddr.Addr{to}}},
+	}})
 	fmt.Printf("content %v -> %v:\n", before, after)
-	fmt.Printf("  controlled flooding updates: %v\n",
-		core.ContentUpdated(fib, before, after, core.ControlledFlooding))
-	fmt.Printf("  best-port updates:           %v\n\n",
-		core.ContentUpdated(fib, before, after, core.BestPort))
+	fmt.Printf("  controlled flooding updates: %v\n", s.Flooding.Updates == 1)
+	fmt.Printf("  best-port updates:           %v\n\n", s.BestPort.Updates == 1)
 
 	// Figure 3: LPM subsumption in the name space. travel.yahoo.com shares
 	// yahoo.com's port, so longest-suffix matching makes its entry

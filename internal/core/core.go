@@ -10,9 +10,6 @@ package core
 
 import (
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 
 	"locind/internal/bgp"
 	"locind/internal/cdn"
@@ -158,66 +155,6 @@ func (t *MoveTable) Stats(r PortLookup) []UpdateStats {
 	return out
 }
 
-// Strategy selects among the §3.3.1 forwarding strategies.
-type Strategy uint8
-
-// Forwarding strategies.
-const (
-	// BestPort forwards on the single best output port; an update happens
-	// when the best port changes.
-	BestPort Strategy = iota
-	// ControlledFlooding forwards on every eligible port; an update happens
-	// when the set of eligible ports changes.
-	ControlledFlooding
-	// UnionFlooding is the §3.3.3 strategy: the router floods across the
-	// ports of the union of all addresses ever observed, so an update
-	// happens only when a never-before-seen port appears.
-	UnionFlooding
-)
-
-// String names the strategy.
-func (st Strategy) String() string {
-	switch st {
-	case BestPort:
-		return "best-port"
-	case ControlledFlooding:
-		return "controlled-flooding"
-	case UnionFlooding:
-		return "union-flooding"
-	}
-	return "strategy-" + strconv.Itoa(int(st))
-}
-
-// PortSet returns the sorted set of eligible output ports for an address
-// set: F(R, d, t) in the paper's notation. Addresses without a route are
-// skipped.
-func PortSet(r PortLookup, addrs []netaddr.Addr) []int {
-	seen := map[int]bool{}
-	for _, a := range addrs {
-		if p, ok := r.Port(a); ok {
-			seen[p] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// portSetKey canonicalizes a port set for use as a comparable table value.
-func portSetKey(ports []int) string {
-	var b strings.Builder
-	for i, p := range ports {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	return b.String()
-}
-
 // BestPortOf implements best(FIB(R, d, t)): the output port of the
 // minimum-cost address, where cost is (AS-path length of the selected
 // route, next-hop AS, address) — a deterministic "closest copy first"
@@ -241,24 +178,6 @@ func BestPortOf(r RouteLookup, addrs []netaddr.Addr) (int, bool) {
 		}
 	}
 	return best, found
-}
-
-// ContentUpdated implements the §3.3.1 update-cost definition for a single
-// mobility event Addrs(d, t1) -> Addrs(d, t2) under the given strategy
-// (UnionFlooding is stateful; use ContentUpdateStatsAllFused for it).
-func ContentUpdated(r RouteLookup, before, after []netaddr.Addr, st Strategy) bool {
-	switch st {
-	case BestPort:
-		b1, ok1 := BestPortOf(r, before)
-		b2, ok2 := BestPortOf(r, after)
-		return ok1 && ok2 && b1 != b2
-	case ControlledFlooding:
-		s1 := PortSet(r, before)
-		s2 := PortSet(r, after)
-		return portSetKey(s1) != portSetKey(s2)
-	default:
-		panic("core: ContentUpdated does not support stateful strategies")
-	}
 }
 
 // StrategyStats bundles the per-strategy totals of one fused replay.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"locind/internal/bgp"
+	"locind/internal/cdn"
 	"locind/internal/core"
 	"locind/internal/netaddr"
 )
@@ -32,11 +33,14 @@ func ExampleContentUpdated() {
 
 	near := netaddr.MustParseAddr("10.0.0.1")
 	far := netaddr.MustParseAddr("20.0.0.1")
-	before := []netaddr.Addr{near, far}
-	after := []netaddr.Addr{near}
+	// One timeline holding the one event {near, far} -> {near}.
+	s := core.ContentUpdateStatsAllFused(fib, []cdn.Timeline{{
+		Initial: []netaddr.Addr{near, far},
+		Events:  []cdn.Event{{Removed: []netaddr.Addr{far}}},
+	}})
 
-	fmt.Println(core.ContentUpdated(fib, before, after, core.ControlledFlooding))
-	fmt.Println(core.ContentUpdated(fib, before, after, core.BestPort))
+	fmt.Println(s.Flooding.Updates == 1)
+	fmt.Println(s.BestPort.Updates == 1)
 	// Output:
 	// true
 	// false

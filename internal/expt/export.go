@@ -5,21 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"locind/internal/bgp"
-	"locind/internal/cdn"
 	"locind/internal/mobility"
 	"locind/internal/stats"
 )
 
-// ExportAll writes the world's raw artifacts and every figure's data series
+// ExportAll writes the world's raw artifacts and the given figure series
 // into dir, so external tooling (gnuplot, pandas) can replot the paper's
 // figures from this reproduction:
 //
 //	trace.csv            the NomadLog-equivalent device trace (§4 schema)
 //	rib_<collector>.txt  each RouteViews collector's candidate routes
-//	fig6.csv .. fig12.csv  the plotted series
-func ExportAll(w *World, dir string) error {
+//	fig6.csv .. fig12.csv  the series of the experiments that ran (Output.Series)
+func ExportAll(w *World, dir string, series []CSV) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -37,97 +37,10 @@ func ExportAll(w *World, dir string) error {
 			return err
 		}
 	}
-
-	curves := func(file string, series map[string][]stats.Point) error {
-		return writeFile(dir, file, func(f *os.File) error {
-			if _, err := fmt.Fprintln(f, "series,x,y"); err != nil {
-				return err
-			}
-			// Name order, not map order: two runs must write the same bytes.
-			names := make([]string, 0, len(series))
-			for name := range series {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				for _, p := range series[name] {
-					if _, err := fmt.Fprintf(f, "%s,%g,%g\n", name, p.X, p.Y); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}
-	bars := func(file string, rows []RouterRate) error {
-		return writeFile(dir, file, func(f *os.File) error {
-			if _, err := fmt.Fprintln(f, "router,rate,nexthop_degree,sessions"); err != nil {
-				return err
-			}
-			for _, r := range rows {
-				if _, err := fmt.Fprintf(f, "%s,%g,%d,%d\n", r.Name, r.Rate, r.NextHopDegree, r.Sessions); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-
-	f6 := RunFig6(w)
-	if err := curves("fig6.csv", map[string][]stats.Point{
-		"ip": f6.IPCDF, "prefix": f6.PrefixCDF, "as": f6.ASCDF,
-	}); err != nil {
-		return err
-	}
-	f7 := RunFig7(w)
-	if err := curves("fig7.csv", map[string][]stats.Point{
-		"ip": f7.IPCDF, "prefix": f7.PrefixCDF, "as": f7.ASCDF,
-	}); err != nil {
-		return err
-	}
-	if err := bars("fig8.csv", RunFig8(w).Routers); err != nil {
-		return err
-	}
-	f9 := RunFig9(w)
-	if err := curves("fig9.csv", map[string][]stats.Point{
-		"ip": f9.IPCDF, "prefix": f9.PrefixCDF, "as": f9.ASCDF,
-	}); err != nil {
-		return err
-	}
-	f10 := RunFig10(w)
-	if err := curves("fig10.csv", map[string][]stats.Point{"latency_ms": f10.LatencyCDF}); err != nil {
-		return err
-	}
-	if err := curves("fig11a.csv", map[string][]stats.Point{"events_per_day": RunFig11a(w).CDF}); err != nil {
-		return err
-	}
-	b := RunFig11bc(w, cdn.Popular)
-	if err := bars("fig11b_flooding.csv", b.Flooding); err != nil {
-		return err
-	}
-	if err := bars("fig11b_bestport.csv", b.BestPort); err != nil {
-		return err
-	}
-	c := RunFig11bc(w, cdn.Unpopular)
-	if err := bars("fig11c_flooding.csv", c.Flooding); err != nil {
-		return err
-	}
-	if err := bars("fig11c_bestport.csv", c.BestPort); err != nil {
-		return err
-	}
-	f12 := RunFig12(w)
-	if err := writeFile(dir, "fig12.csv", func(f *os.File) error {
-		if _, err := fmt.Fprintln(f, "router,aggregateability"); err != nil {
+	for _, s := range series {
+		if err := os.WriteFile(filepath.Join(dir, s.Name), []byte(s.Body), 0o644); err != nil {
 			return err
 		}
-		for _, r := range f12.Routers {
-			if _, err := fmt.Fprintf(f, "%s,%g\n", r.Name, r.Aggregateability); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
 	}
 	return nil
 }
@@ -142,4 +55,47 @@ func writeFile(dir, name string, fill func(*os.File) error) error {
 		return fmt.Errorf("expt: writing %s: %w", name, err)
 	}
 	return f.Close()
+}
+
+// curves renders named series as one "series,x,y" CSV, in name order so
+// two runs write the same bytes.
+func curves(file string, series map[string][]stats.Point) CSV {
+	names := make([]string, 0, len(series))
+	for name := range series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString("series,x,y\n")
+	for _, name := range names {
+		for _, p := range series[name] {
+			fmt.Fprintf(&b, "%s,%g,%g\n", name, p.X, p.Y)
+		}
+	}
+	return CSV{file, b.String()}
+}
+
+// cdfs is curves over the IP, prefix and AS CDFs of Figures 6, 7 and 9.
+func cdfs(file string, ip, prefix, as []stats.Point) CSV {
+	return curves(file, map[string][]stats.Point{"ip": ip, "prefix": prefix, "as": as})
+}
+
+// bars renders one bar per collector of Figures 8, 11b and 11c.
+func bars(file string, rows []RouterRate) CSV {
+	var b strings.Builder
+	b.WriteString("router,rate,nexthop_degree,sessions\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s,%g,%d,%d\n", r.Name, r.Rate, r.NextHopDegree, r.Sessions)
+	}
+	return CSV{file, b.String()}
+}
+
+// aggregateability renders Figure 12's one bar per collector.
+func aggregateability(r Fig12Result) CSV {
+	var b strings.Builder
+	b.WriteString("router,aggregateability\n")
+	for _, rr := range r.Routers {
+		fmt.Fprintf(&b, "%s,%g\n", rr.Name, rr.Aggregateability)
+	}
+	return CSV{"fig12.csv", b.String()}
 }

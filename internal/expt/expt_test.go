@@ -32,6 +32,60 @@ func quickWorld(t *testing.T) *World {
 	return world
 }
 
+// runTable runs every entry of "all" in one fresh session over w, as
+// `locind -quick all` does, and returns each entry's output by name plus
+// every series in table order.
+func runTable(t *testing.T, w *World) (map[string]Output, []CSV) {
+	t.Helper()
+	sel, err := Select([]string{"all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Session{Cfg: w.Cfg, Quick: true, World: w}
+	outs := map[string]Output{}
+	var series []CSV
+	for _, e := range sel {
+		o, err := e.Run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		outs[e.Name] = o
+		series = append(series, o.Series...)
+	}
+	return outs, series
+}
+
+// Select keeps table order whatever the argument order, names each entry
+// once, leaves the opt-in entries out of "all", and names the valid
+// experiments when it refuses one.
+func TestSelect(t *testing.T) {
+	names := func(args ...string) string {
+		sel, err := Select(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ns []string
+		for _, e := range sel {
+			ns = append(ns, e.Name)
+		}
+		return strings.Join(ns, " ")
+	}
+	if got := names("fig9", "ENVELOPE", "fig8", "fig9"); got != "fig8 envelope fig9" {
+		t.Errorf("selection = %q", got)
+	}
+	if got := names("gns-cluster", "all"); !strings.HasPrefix(got, "table1 netsim gns-cluster fig6") {
+		t.Errorf("gns-cluster plus all = %q", got)
+	}
+	all := names("all")
+	if strings.Contains(all, "gns-cluster") || !strings.HasSuffix(all, "fig12 ablate") {
+		t.Errorf("all = %q", all)
+	}
+	_, err := Select([]string{"fig8", "fig99"})
+	if err == nil || !strings.Contains(err.Error(), `"fig99"`) || !strings.Contains(err.Error(), "sensitivity envelope fig9") {
+		t.Fatalf("unknown experiment error = %v", err)
+	}
+}
+
 func TestBuildWorld(t *testing.T) {
 	w := quickWorld(t)
 	if len(w.RouteViews) != 12 || len(w.RIPE) != 13 {
@@ -348,7 +402,8 @@ func TestRunNetsim(t *testing.T) {
 func TestExportAll(t *testing.T) {
 	w := quickWorld(t)
 	dir := t.TempDir()
-	if err := ExportAll(w, dir); err != nil {
+	_, series := runTable(t, w)
+	if err := ExportAll(w, dir, series); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{
@@ -363,6 +418,11 @@ func TestExportAll(t *testing.T) {
 		if st.Size() == 0 {
 			t.Fatalf("empty export %s", f)
 		}
+	}
+	// Nothing else: the trace, one dump per RouteViews collector, and the
+	// eleven series files of fig6 … fig12.
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 1+len(w.RouteViews)+11 {
+		t.Fatalf("export holds %d files (%v), want %d", len(files), err, 1+len(w.RouteViews)+11)
 	}
 	// The exported trace must parse back and preserve the user population.
 	raw, err := os.Open(filepath.Join(dir, "trace.csv"))
@@ -399,14 +459,15 @@ func TestExportAll(t *testing.T) {
 	}
 }
 
-// Two exports of one world must be the same bytes, file for file. Map
-// iteration changes between two ranges of the same map in one process, so a
-// writer that ranges over one fails here without a second binary.
+// Two runs and exports of one world must be the same bytes, file for file.
+// Map iteration changes between two ranges of the same map in one process,
+// so a writer that ranges over one fails here without a second binary.
 func TestExportAllIsByteStable(t *testing.T) {
 	w := quickWorld(t)
 	a, b := t.TempDir(), t.TempDir()
 	for _, dir := range []string{a, b} {
-		if err := ExportAll(w, dir); err != nil {
+		_, series := runTable(t, w)
+		if err := ExportAll(w, dir, series); err != nil {
 			t.Fatal(err)
 		}
 	}

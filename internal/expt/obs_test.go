@@ -1,9 +1,9 @@
 package expt
 
 import (
+	"reflect"
 	"testing"
 
-	"locind/internal/cdn"
 	"locind/internal/netaddr"
 	"locind/internal/obs"
 )
@@ -16,17 +16,9 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 	if w.Cfg.Obs != nil {
 		t.Fatal("shared world must start unobserved")
 	}
-	render := func() map[string]string {
-		sens, err := RunSensitivity(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]string{
-			"fig8":        RunFig8(w).Render(),
-			"fig11b":      RunFig11bc(w, cdn.Popular).Render(),
-			"sensitivity": sens.Render(),
-			"fig12":       RunFig12(w).Render(),
-		}
+	render := func() map[string]Output {
+		outs, _ := runTable(t, w)
+		return outs
 	}
 	off := render()
 
@@ -51,15 +43,16 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 
 	on := render()
 	for name, want := range off {
-		if on[name] != want {
-			t.Fatalf("%s output diverged with obs enabled:\n--- off ---\n%s\n--- on ---\n%s", name, want, on[name])
+		if !reflect.DeepEqual(on[name], want) {
+			t.Fatalf("%s output diverged with obs enabled:\n--- off ---\n%s\n--- on ---\n%s", name, want.Text, on[name].Text)
 		}
 	}
 
 	// And the observed run actually observed something: one unit per
-	// collector per driver that counts them (fig8 twice, fig11b, the 25 of
-	// sensitivity).
-	wantDone := int64(3*len(w.RouteViews) + len(w.RouteViews) + len(w.RIPE))
+	// collector per driver run that counts them — fig8 twice (alone above,
+	// then once for both fig8 and envelope), the 25 of sensitivity, fig11b,
+	// fig11c and the strategy ablation.
+	wantDone := int64(6*len(w.RouteViews) + len(w.RIPE))
 	if m.CollectorsDone.Value() != wantDone {
 		t.Fatalf("collectors done = %d, want %d", m.CollectorsDone.Value(), wantDone)
 	}

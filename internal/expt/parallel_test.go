@@ -21,63 +21,44 @@ func withParallel(t *testing.T, w *World, parallel int, fn func()) {
 	fn()
 }
 
-// Every parallel driver must produce results identical to its sequential
-// run — the engine's core guarantee.
+// Every experiment must render the same text and series at every worker
+// count as sequentially — the engine's core guarantee. The drivers whose
+// render rounds and who export no series are also compared field for field.
 func TestParallelDriversMatchSequential(t *testing.T) {
 	w := quickWorld(t)
-	type bundle struct {
-		fig8  Fig8Result
-		f11b  Fig11bcResult
-		f11c  Fig11bcResult
+	type exact struct {
 		abl   AblationResult
 		sweep SessionSweepResult
 		sens  SensitivityResult
-		fig12 Fig12Result
 	}
-	collect := func(parallel int) bundle {
-		var out bundle
+	collect := func(parallel int) (outs map[string]Output, ex exact) {
 		withParallel(t, w, parallel, func() {
-			out.fig8 = RunFig8(w)
-			out.f11b = RunFig11bc(w, cdn.Popular)
-			out.f11c = RunFig11bc(w, cdn.Unpopular)
-			out.abl = RunStrategyAblation(w)
+			outs, _ = runTable(t, w)
+			ex.abl = RunStrategyAblation(w)
 			sweep, err := RunSessionSweep(w, []int{2, 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.sweep = sweep
+			ex.sweep = sweep
 			sens, err := RunSensitivity(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.sens = sens
-			out.fig12 = RunFig12(w)
+			ex.sens = sens
 		})
-		return out
+		return outs, ex
 	}
-	seq := collect(1)
+	seqOuts, seq := collect(1)
 	for _, n := range []int{4, 0} {
-		par := collect(n)
-		if !reflect.DeepEqual(seq.fig8, par.fig8) {
-			t.Errorf("parallel=%d: fig8 diverged from sequential", n)
+		parOuts, par := collect(n)
+		for name, want := range seqOuts {
+			if !reflect.DeepEqual(parOuts[name], want) {
+				t.Errorf("parallel=%d: %s diverged from sequential:\n--- seq ---\n%s\n--- par ---\n%s",
+					n, name, want.Text, parOuts[name].Text)
+			}
 		}
-		if !reflect.DeepEqual(seq.f11b, par.f11b) {
-			t.Errorf("parallel=%d: fig11b diverged from sequential", n)
-		}
-		if !reflect.DeepEqual(seq.f11c, par.f11c) {
-			t.Errorf("parallel=%d: fig11c diverged from sequential", n)
-		}
-		if seq.abl != par.abl {
-			t.Errorf("parallel=%d: ablation diverged: %+v vs %+v", n, seq.abl, par.abl)
-		}
-		if !reflect.DeepEqual(seq.sweep, par.sweep) {
-			t.Errorf("parallel=%d: session sweep diverged", n)
-		}
-		if !reflect.DeepEqual(seq.sens, par.sens) {
-			t.Errorf("parallel=%d: sensitivity diverged", n)
-		}
-		if !reflect.DeepEqual(seq.fig12, par.fig12) {
-			t.Errorf("parallel=%d: fig12 diverged", n)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("parallel=%d: ablation, session sweep or sensitivity diverged: %+v vs %+v", n, seq, par)
 		}
 	}
 }
