@@ -68,6 +68,22 @@ func TestRunWorldExperimentsAndExport(t *testing.T) {
 	}
 }
 
+// TestGNSClusterSoakDigest pins what the chaos soak converges to at seed 7:
+// the binding digest every replica agrees on after the heal, equal to the
+// fault-free reference. The manifest does not cover gns-cluster (it is not
+// part of all). Attempt and hedge tallies are left out: they count real
+// loopback timeouts, which race a busy host's scheduler.
+func TestGNSClusterSoakDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the soak takes seconds")
+	}
+	out := captureRun(t, []string{"gns-cluster"}, runOpts{seed: 7, quick: true})
+	const want = "binding digest 2180ee22da99414e MATCHES the fault-free reference"
+	if !strings.Contains(out, want) {
+		t.Fatalf("gns-cluster -quick -seed 7 does not say %q:\n%s", want, out)
+	}
+}
+
 // captureRun runs the experiments in-process with stdout redirected and
 // returns the rendered output.
 func captureRun(t *testing.T, args []string, o runOpts) string {

@@ -74,6 +74,12 @@ func TestSoakQuickPrintsItsThreeOKLines(t *testing.T) {
 	if !bytes.Contains(out, []byte("nomadd: final metrics snapshot:")) {
 		t.Error("no final metrics snapshot")
 	}
+	// The stored fleet at this seed, whatever the fault interleaving: a
+	// change that moves it moves the records the soak uploads.
+	const digest = "soak: digest=e3b30c97859afe57 records=25394 batches=9920 events=27394 devices=2000 days=2\n"
+	if !bytes.Contains(out, []byte(digest)) {
+		t.Errorf("no line %q", digest)
+	}
 	if t.Failed() {
 		t.Logf("output:\n%s", out)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,38 +13,55 @@ import (
 	"locind/internal/reliable"
 )
 
-// mapBackend is the least Backend a Server can front — one map, one version
-// counter — for tests that are about the Server, the Transport or faultnet,
-// not about a store. The production Backend is cluster.Store.
+// mapBackend is the least OpHandler a Server can front — one map, one
+// version counter — for tests that are about the Server, the Transport or
+// faultnet, not about a store. It speaks a replica's two ops, but keeps the
+// version vector as an opaque string (package gns cannot read
+// cluster.VV): a vput always installs, and a vget hands back what the last
+// vput of the name stored. The production OpHandler is cluster.Store.
 type mapBackend struct {
 	mu   sync.Mutex
 	ver  uint64
-	recs map[string]Record
+	recs map[string]Response // the stored record, in the form a vget answers
 }
 
-func newMapBackend() *mapBackend { return &mapBackend{recs: map[string]Record{}} }
+func newMapBackend() *mapBackend { return &mapBackend{recs: map[string]Response{}} }
 
-func (b *mapBackend) Update(name string, addrs []netaddr.Addr) (uint64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ver++
-	b.recs[name] = Record{Name: name, Addrs: append([]netaddr.Addr(nil), addrs...), Version: b.ver}
-	return b.ver, nil
-}
-
-func (b *mapBackend) Lookup(name string) (Record, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	rec, ok := b.recs[name]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+func (b *mapBackend) HandleOp(req Request) (Response, bool) {
+	switch req.Op {
+	case "vput":
+		for _, sa := range req.Addrs {
+			if _, err := netaddr.ParseAddr(sa); err != nil {
+				return errorResponse(fmt.Errorf("%w: bad address: %v", ErrBadRequest, err)), true
+			}
+		}
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.ver++
+		rec := Response{OK: true, Name: req.Name, Addrs: append([]string(nil), req.Addrs...), Version: b.ver, VV: req.VV}
+		b.recs[req.Name] = rec
+		return rec, true
+	case "vget":
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		rec, ok := b.recs[req.Name]
+		if !ok {
+			return errorResponse(fmt.Errorf("%w: %q", ErrNotFound, req.Name)), true
+		}
+		return rec, true
 	}
-	return rec, nil
+	return Response{}, false
+}
+
+// put stores name's binding as a vput would, returning its version.
+func (b *mapBackend) put(name string, addrs ...string) uint64 {
+	resp, _ := b.HandleOp(Request{Op: "vput", Name: name, Addrs: addrs, VV: "1:1"})
+	return resp.Version
 }
 
 // serveLoopback fronts svc with an unobserved Server on a loopback UDP
 // socket, closed when the test ends.
-func serveLoopback(t *testing.T, svc Backend) *Server {
+func serveLoopback(t *testing.T, svc OpHandler) *Server {
 	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -65,6 +83,7 @@ type wireClient struct {
 	policy    reliable.Policy
 	transport Transport
 	attempts  int64
+	puts      int
 }
 
 // newWireClient retries a failed exchange three times: 500ms per attempt,
@@ -83,8 +102,11 @@ func (c *wireClient) exchange(ctx context.Context, req Request) (Response, error
 	return resp, err
 }
 
-func (c *wireClient) update(ctx context.Context, name string, addrs []netaddr.Addr) (uint64, error) {
-	req := Request{Op: "update", Name: name}
+// put writes name's binding with a vput, stamping the version vector a
+// lone writer with origin 1 would: one more write each time.
+func (c *wireClient) put(ctx context.Context, name string, addrs []netaddr.Addr) (uint64, error) {
+	c.puts++
+	req := Request{Op: "vput", Name: name, VV: "1:" + strconv.Itoa(c.puts)}
 	for _, a := range addrs {
 		req.Addrs = append(req.Addrs, a.String())
 	}
@@ -92,8 +114,9 @@ func (c *wireClient) update(ctx context.Context, name string, addrs []netaddr.Ad
 	return resp.Version, err
 }
 
-func (c *wireClient) lookup(ctx context.Context, name string) (Record, error) {
-	resp, err := c.exchange(ctx, Request{Op: "lookup", Name: name})
+// get reads name's binding with a vget.
+func (c *wireClient) get(ctx context.Context, name string) (Record, error) {
+	resp, err := c.exchange(ctx, Request{Op: "vget", Name: name})
 	if err != nil {
 		return Record{}, err
 	}

@@ -89,7 +89,7 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 		"erin.phone", "frank.car", "grace.drone", "heidi.sensor"}
 	for round := 0; round < 2; round++ {
 		for i, name := range names {
-			ver, err := c.update(ctx, name, addrs(fmt.Sprintf("10.%d.%d.1", round, i)))
+			ver, err := c.put(ctx, name, addrs(fmt.Sprintf("10.%d.%d.1", round, i)))
 			if err != nil {
 				t.Fatalf("chaos update %q round %d: %v", name, round, err)
 			}
@@ -97,7 +97,7 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 		}
 	}
 	for _, name := range names {
-		rec, err := c.lookup(ctx, name)
+		rec, err := c.get(ctx, name)
 		if err != nil {
 			t.Fatalf("chaos lookup %q: %v", name, err)
 		}
@@ -222,7 +222,7 @@ func TestClientContextCancellationMidRetry(t *testing.T) {
 		return ctx.Err()
 	}
 	start := time.Now()
-	_, err := c.lookup(ctx, "x")
+	_, err := c.get(ctx, "x")
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
 	}
@@ -266,7 +266,7 @@ func TestServerOversizedDatagram(t *testing.T) {
 func TestServerRecoverGuard(t *testing.T) {
 	// A nil service makes any dispatch panic — the guard must catch it.
 	s := &Server{svc: nil}
-	resp := s.handle(appendRequest(nil, &Request{Op: "lookup", Name: "x"}))
+	resp := s.handle(appendRequest(nil, &Request{Op: "vget", Name: "x"}))
 	if resp.OK || resp.Code != CodeInternal {
 		t.Fatalf("panic not converted to structured error: %+v", resp)
 	}
@@ -275,10 +275,10 @@ func TestServerRecoverGuard(t *testing.T) {
 	srv := serveLoopback(t, newMapBackend())
 	ctx := context.Background()
 	c := newWireClient(srv.Addr())
-	if _, err := c.update(ctx, "x.phone", addrs("10.0.0.1")); err != nil {
+	if _, err := c.put(ctx, "x.phone", addrs("10.0.0.1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.lookup(ctx, "x.phone"); err != nil {
+	if _, err := c.get(ctx, "x.phone"); err != nil {
 		t.Fatalf("server loop should still serve: %v", err)
 	}
 }

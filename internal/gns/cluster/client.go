@@ -103,8 +103,8 @@ func (c *Client) nameLock(name string) *sync.Mutex {
 // ClientConfig sizes a Client.
 type ClientConfig struct {
 	// Origin is this client's version-vector identity; concurrent writers
-	// need distinct origins. Values must stay below 1<<32 (replica store
-	// origins live above).
+	// need distinct origins. Clients are the only writers, so any value
+	// will do.
 	Origin uint64
 	// BreakerCooldown configures every per-replica circuit breaker (zero =
 	// the reliable.Breaker default).

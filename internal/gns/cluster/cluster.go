@@ -117,7 +117,7 @@ func Start(ctx context.Context, cfg Config, env *faultnet.Env, sm *gns.ServerMet
 			if cfg.Faults != (faultnet.PacketFaults{}) {
 				conn = faultnet.WrapPacketConn(conn, env, cfg.Faults, cfg.Faults)
 			}
-			store := NewStore(storeOrigin(s, r))
+			store := NewStore(0)
 			node := &Node{
 				Shard:   s,
 				Replica: r,
@@ -130,13 +130,6 @@ func Start(ctx context.Context, cfg Config, env *faultnet.Env, sm *gns.ServerMet
 		c.nodes = append(c.nodes, row)
 	}
 	return c, nil
-}
-
-// storeOrigin derives a replica store's VV origin from its coordinates.
-// Client origins are small integers; offsetting replica origins far away
-// keeps the two spaces disjoint.
-func storeOrigin(shard, replica int) uint64 {
-	return 1<<32 + uint64(shard)<<16 + uint64(replica)
 }
 
 // Close shuts every node down.

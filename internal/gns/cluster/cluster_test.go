@@ -481,9 +481,7 @@ func stubReplica(t *testing.T, resp gns.Response) string {
 
 type stubBackend struct{ resp gns.Response }
 
-func (stubBackend) Lookup(string) (gns.Record, error)             { return gns.Record{}, gns.ErrNotFound }
-func (stubBackend) Update(string, []netaddr.Addr) (uint64, error) { return 0, gns.ErrBadRequest }
-func (b stubBackend) HandleOp(gns.Request) (gns.Response, bool)   { return b.resp, true }
+func (b stubBackend) HandleOp(gns.Request) (gns.Response, bool) { return b.resp, true }
 
 // TestClusterLookupRejectsUnparsableAddress: a reply with an address the
 // client cannot parse is a failed leg. It used to come back as a success
@@ -601,5 +599,53 @@ func TestClientRaggedAndEmptyGrid(t *testing.T) {
 			t.Fatalf("lookup on grid %v: %v, want ErrNoQuorum", grid, err)
 		}
 		cl.Close()
+	}
+}
+
+// TestReplicaRefusesWritesThatSkipTheQuorum: a replica speaks only the
+// replication ops. A datagram sent straight to one replica with any other op
+// (lookup, update, ping, none) is a bad request and changes nothing. A write
+// a replica took outside the quorum would carry a version vector no client
+// holds, and the next anti-entropy pass would spread it to every replica,
+// over the binding the client committed.
+func TestReplicaRefusesWritesThatSkipTheQuorum(t *testing.T) {
+	c, cl, _ := startCluster(t, 1, 3, 1)
+	ctx := context.Background()
+	const name = "alice.phone"
+	committed := netaddr.MustParseAddr("10.0.0.1")
+	if _, err := cl.Update(ctx, name, []netaddr.Addr{committed}); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]string, c.Replicas())
+	for r := range before {
+		before[r] = replicaDigest(c, 0, r)
+	}
+
+	policy := reliable.Policy{MaxAttempts: 1, PerAttempt: time.Second}
+	for _, req := range []gns.Request{
+		{Op: "lookup", Name: name},
+		{Op: "update", Name: name, Addrs: []string{"10.9.9.9"}},
+		{Op: "ping"},
+		{Op: "", Name: name},
+	} {
+		resp, _, err := gns.Exchange(ctx, c.Node(0, 0).Addr(), req, policy)
+		if !errors.Is(err, gns.ErrBadRequest) {
+			t.Errorf("op %q sent to one replica: reply %+v, err %v; want %v", req.Op, resp, err, gns.ErrBadRequest)
+		}
+	}
+	for r := range before {
+		if got := replicaDigest(c, 0, r); got != before[r] {
+			t.Errorf("replica %d changed:\n%s\nwas\n%s", r, got, before[r])
+		}
+	}
+	if n := Repair(c, nil); n != 0 {
+		t.Errorf("repair rewrote %d records after the raw datagrams", n)
+	}
+	fresh := NewClient(c.Addrs(), ClientConfig{Origin: 2})
+	defer fresh.Close()
+	fresh.Timeout = 250 * time.Millisecond
+	rec, err := fresh.Lookup(ctx, name)
+	if err != nil || len(rec.Addrs) != 1 || rec.Addrs[0] != committed {
+		t.Fatalf("fresh client reads %+v, %v; want the committed %v", rec, err, committed)
 	}
 }

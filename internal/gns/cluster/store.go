@@ -18,60 +18,27 @@ type VRecord struct {
 	VV    VV
 }
 
-// record converts to the public gns.Record, surfacing the VV's total
-// update count as the scalar version (monotone under Bump and Merge).
-func (r VRecord) record() gns.Record {
-	return gns.Record{Name: r.Name, Addrs: r.Addrs, Version: r.VV.Sum()}
-}
-
 // Store is one replica's local state: a versioned name→addresses map. It
-// implements gns.Backend, so a stock gns.Server fronts it over UDP, and
-// gns.OpHandler for the replication ops the cluster client speaks:
+// implements gns.OpHandler, so a stock gns.Server fronts it over UDP, and
+// its two replication ops are the whole protocol a replica speaks:
 //
 //	vput  — install a record with an explicit version vector; the store
 //	        keeps whichever history Supersedes the other, so retried and
 //	        reordered puts are idempotent.
 //	vget  — read the record with its version vector.
-//	ping  — health probe; answers OK with no side effects.
 //
-// The public lookup/update ops work too: an unversioned update bumps the
-// store's own origin, which the next anti-entropy pass reconciles with the
-// rest of the replica set.
+// Any other op is a bad request, so every write a replica accepts carries
+// a client's version vector and went out as one leg of a quorum write.
 type Store struct {
-	origin uint64 // VV origin for unversioned direct updates
-
 	mu   sync.Mutex
 	recs map[string]VRecord
 }
 
-// NewStore creates an empty replica store. origin is the identity its
-// unversioned direct updates bump; replicas in one cluster get distinct
-// origins.
+// NewStore creates an empty replica store. origin is unused: replicas mint
+// no version-vector origins of their own. It stays until the benchmark's
+// one caller stops passing it (ROADMAP item 1).
 func NewStore(origin uint64) *Store {
-	return &Store{origin: origin, recs: map[string]VRecord{}}
-}
-
-// Lookup implements gns.Backend: a single-replica read.
-func (s *Store) Lookup(name string) (gns.Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.recs[name]
-	if !ok {
-		return gns.Record{}, fmt.Errorf("%w: %q", gns.ErrNotFound, name)
-	}
-	return rec.record(), nil
-}
-
-// Update implements gns.Backend: an unversioned write bumps the store's
-// own origin. The cluster client never uses this (it replicates explicit
-// VVs with vput); it exists so a replica still speaks the full public
-// protocol when addressed directly.
-func (s *Store) Update(name string, addrs []netaddr.Addr) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vv := s.recs[name].VV.Bump(s.origin)
-	s.recs[name] = VRecord{Name: name, Addrs: append([]netaddr.Addr(nil), addrs...), VV: vv}
-	return vv.Sum(), nil
+	return &Store{recs: map[string]VRecord{}}
 }
 
 // Put installs rec if its history supersedes the stored one, reporting
@@ -161,8 +128,6 @@ func (w *fnv64Writer) Sum() uint64 { return w.h }
 // HandleOp implements gns.OpHandler: the replication ops.
 func (s *Store) HandleOp(req gns.Request) (gns.Response, bool) {
 	switch req.Op {
-	case "ping":
-		return gns.Response{OK: true}, true
 	case "vget":
 		rec, ok := s.Get(req.Name)
 		if !ok {
@@ -208,7 +173,8 @@ func parseAddrs(wire []string) ([]netaddr.Addr, error) {
 	return addrs, nil
 }
 
-// errResp mirrors the server's structured-error form for extension ops.
+// errResp mirrors the server's structured-error form for the replication
+// ops.
 func errResp(err error) gns.Response {
 	return gns.Response{Code: gns.CodeFor(err), Err: err.Error()}
 }

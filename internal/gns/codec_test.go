@@ -43,7 +43,8 @@ func unhex(t testing.TB, s string) []byte {
 // One request and one response, field by field. Same-seed faultnet traces
 // log datagram sizes, and a peer built from another commit reads these
 // bytes: a layout change has to show up here as a deliberate diff (and as a
-// new kind byte).
+// new kind byte). The codec carries any op verbatim, so the request keeps
+// the retired "update" op its bytes were first pinned with.
 var (
 	goldenRequest = Request{ID: 0x0102030405060708, Op: "update", Name: "dave.phone",
 		Addrs: []string{"10.1.2.3", "10.4.5.6"}, VV: "1:2", Trace: "a1-b2"}
@@ -110,7 +111,7 @@ func wireRejects(t testing.TB) []wireReject {
 		{"unknown kind", append([]byte{'S'}, req[1:]...), id},
 		{"65535 strings announced, one byte behind them", append(bytes.Clone(req[:1+8+2+6+2+10]), 0xff, 0xff, 0), id},
 		{"string length past the end", append(bytes.Clone(req[:1+8]), 0xff, 0xff, 'x'), id},
-		{"70000-byte name", appendRequest(nil, &Request{ID: id, Op: "lookup", Name: strings.Repeat("n", 70000)}), id},
+		{"70000-byte name", appendRequest(nil, &Request{ID: id, Op: "vget", Name: strings.Repeat("n", 70000)}), id},
 	}
 	for _, golden := range []struct {
 		which string
@@ -264,7 +265,7 @@ func TestDecodeAllocatesInProportionToInput(t *testing.T) {
 		"65535 strings, 4000 there":    bytes.Join([][]byte{header, empty, empty, {0xff, 0xff}, make([]byte, 8000)}, nil),
 		"all empty strings":            bytes.Join([][]byte{header, empty, empty, {0x0f, 0xa0}, make([]byte, 2*4000), empty, empty}, nil),
 		"65535-byte op, one there":     bytes.Join([][]byte{header, {0xff, 0xff, 'x'}}, nil),
-		"one long name":                appendRequest(nil, &Request{Op: "lookup", Name: strings.Repeat("n", 8000)}),
+		"one long name":                appendRequest(nil, &Request{Op: "vget", Name: strings.Repeat("n", 8000)}),
 	}
 	for name, raw := range hostile {
 		if len(raw) > maxDatagram+1 {

@@ -7,13 +7,14 @@
 //
 // This package holds what every node and client of that service shares: the
 // Record, the one-datagram-per-request wire protocol and its append codec
-// (wire.go, codec.go), the UDP front end that exposes a Backend the way a
-// resolver would see it (server.go) and the pooled client Transport
+// (wire.go, codec.go), the UDP front end that serves an OpHandler one
+// datagram per request (server.go) and the pooled client Transport
 // (transport.go). The store itself — sharding, K-of-N replication, quorum
 // writes, version vectors, anti-entropy repair — is package cluster, whose
-// Store is the one production Backend and whose Client is the one production
-// caller of the Transport; tests here put a map behind the Server and a bare
-// Transport under a reliable.Policy in front of it.
+// Store is the one production OpHandler (its vget and vput are the whole
+// wire protocol) and whose Client is the one production caller of the
+// Transport; tests here put a map behind the Server and a bare Transport
+// under a reliable.Policy in front of it.
 package gns
 
 import "locind/internal/netaddr"

@@ -12,8 +12,8 @@ import (
 type ServerMetrics struct {
 	// Requests counts every datagram handled, including rejects.
 	Requests *obs.Counter
-	// Lookups and Updates count the dispatched request kinds: "lookup" and
-	// a replica's "vget", "update" and a replica's "vput".
+	// Lookups and Updates count the dispatched reads ("vget") and writes
+	// ("vput").
 	Lookups *obs.Counter
 	Updates *obs.Counter
 	// Errors counts requests answered with a structured error.

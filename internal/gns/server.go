@@ -7,30 +7,22 @@ import (
 	"sync"
 	"time"
 
-	"locind/internal/netaddr"
 	"locind/internal/obs"
 )
 
-// Backend is the resolution store a Server fronts: in production one
-// cluster replica's Store (package cluster), in this package's tests a map.
-type Backend interface {
-	Lookup(name string) (Record, error)
-	Update(name string, addrs []netaddr.Addr) (uint64, error)
-}
-
-// OpHandler is the extension seam of the wire protocol: a Backend that also
-// implements it receives every op the core protocol does not know
-// ("vput"/"vget"/"ping" for cluster replication). handled=false falls
-// through to the unknown-op rejection.
+// OpHandler is what a Server fronts: in production one cluster replica's
+// Store (package cluster), whose replication ops "vget" and "vput" are the
+// whole protocol; in this package's tests a map. handled=false marks an op
+// the handler does not know, which the Server answers CodeBadRequest.
 type OpHandler interface {
 	HandleOp(req Request) (resp Response, handled bool)
 }
 
-// Server exposes a Backend over UDP, one datagram per request/response —
+// Server exposes an OpHandler over UDP, one datagram per request/response —
 // the same interaction pattern as DNS. The transport is any
 // net.PacketConn, so chaos tests interpose a faultnet wrapper.
 type Server struct {
-	svc     Backend
+	svc     OpHandler
 	conn    net.PacketConn
 	done    chan struct{}
 	metrics *ServerMetrics
@@ -44,7 +36,7 @@ type Server struct {
 // attached; m may be nil for an unobserved server. It returns at once;
 // handling proceeds in the background until Close is called or ctx is
 // cancelled, which shuts the server down as if Close had been called.
-func ServePacketConnObserved(ctx context.Context, svc Backend, conn net.PacketConn, m *ServerMetrics) *Server {
+func ServePacketConnObserved(ctx context.Context, svc OpHandler, conn net.PacketConn, m *ServerMetrics) *Server {
 	s := &Server{svc: svc, conn: conn, done: make(chan struct{}), metrics: m}
 	go s.loop()
 	go func() {
@@ -130,45 +122,16 @@ func (s *Server) handle(raw []byte) (resp Response) {
 	tc, _ := obs.ParseTraceContext(req.Trace)
 	span := s.m().Tracer.StartRemote(tc, "gns-serve", "op", req.Op, "name", req.Name)
 	defer span.End()
-	// A cluster replica serves reads and writes as its replication ops, so
-	// those count as the lookups and updates they are.
+	// A replica serves reads and writes as its replication ops, so those
+	// count as the lookups and updates they are.
 	switch req.Op {
-	case "lookup", "vget":
+	case "vget":
 		s.m().Lookups.Inc()
-	case "update", "vput":
+	case "vput":
 		s.m().Updates.Inc()
 	}
-	switch req.Op {
-	case "lookup":
-		rec, err := s.svc.Lookup(req.Name)
-		if err != nil {
-			return errorResponse(err)
-		}
-		out := Response{OK: true, Name: rec.Name, Version: rec.Version}
-		for _, a := range rec.Addrs {
-			out.Addrs = append(out.Addrs, a.String())
-		}
-		return out
-	case "update":
-		addrs := make([]netaddr.Addr, 0, len(req.Addrs))
-		for _, sa := range req.Addrs {
-			a, err := netaddr.ParseAddr(sa)
-			if err != nil {
-				return errorResponse(fmt.Errorf("%w: bad address: %v", ErrBadRequest, err))
-			}
-			addrs = append(addrs, a)
-		}
-		ver, err := s.svc.Update(req.Name, addrs)
-		if err != nil {
-			return errorResponse(err)
-		}
-		return Response{OK: true, Name: req.Name, Version: ver}
-	default:
-		if h, ok := s.svc.(OpHandler); ok {
-			if resp, handled := h.HandleOp(req); handled {
-				return resp
-			}
-		}
-		return errorResponse(fmt.Errorf("%w: unknown op %q", ErrBadRequest, req.Op))
+	if resp, handled := s.svc.HandleOp(req); handled {
+		return resp
 	}
+	return errorResponse(fmt.Errorf("%w: unknown op %q", ErrBadRequest, req.Op))
 }

@@ -75,8 +75,8 @@ func TestChaosLookupCausalTree(t *testing.T) {
 	// request framing (server-side spans parent onto it).
 	ctx := context.Background()
 	for _, req := range []Request{
-		{Op: "update", Name: "alice.phone", Addrs: []string{"10.0.0.1"}},
-		{Op: "lookup", Name: "alice.phone"},
+		{Op: "vput", Name: "alice.phone", Addrs: []string{"10.0.0.1"}},
+		{Op: "vget", Name: "alice.phone"},
 	} {
 		span := tr.Start("gns-"+req.Op, "name", req.Name)
 		c.policy.TraceSpan = span
@@ -93,12 +93,12 @@ func TestChaosLookupCausalTree(t *testing.T) {
 	// Find the client lookup request span; it roots its own trace.
 	var req chromeSpan
 	for _, ev := range events {
-		if ev.Name == "gns-lookup" {
+		if ev.Name == "gns-vget" {
 			req = ev
 		}
 	}
 	if req.Args == nil {
-		t.Fatalf("no gns-lookup span in export: %+v", events)
+		t.Fatalf("no gns-vget span in export: %+v", events)
 	}
 	if req.Args["trace"] != req.Args["id"] {
 		t.Fatalf("lookup span must root its own trace: %+v", req.Args)
@@ -129,7 +129,7 @@ func TestChaosLookupCausalTree(t *testing.T) {
 			attempts++
 		case "gns-serve":
 			serves++
-			if ev.Args["label_op"] != "lookup" || ev.Args["label_name"] != "alice.phone" {
+			if ev.Args["label_op"] != "vget" || ev.Args["label_name"] != "alice.phone" {
 				t.Fatalf("serve span labels wrong: %+v", ev.Args)
 			}
 		default:

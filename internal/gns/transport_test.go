@@ -81,9 +81,7 @@ func TestTransportDiscardsDuplicatedReplies(t *testing.T) {
 	want := [2]string{"10.0.0.1", "10.0.0.2"}
 	var vers [2]uint64
 	for i, name := range names {
-		if vers[i], err = svc.Update(name, addrs(want[i])); err != nil {
-			t.Fatal(err)
-		}
+		vers[i] = svc.put(name, want[i])
 	}
 
 	var tr Transport
@@ -91,7 +89,7 @@ func TestTransportDiscardsDuplicatedReplies(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 2000; i++ {
 		k := i % 2
-		resp, attempts, err := tr.Exchange(ctx, srv.Addr(), Request{Op: "lookup", Name: names[k]}, oneAttempt)
+		resp, attempts, err := tr.Exchange(ctx, srv.Addr(), Request{Op: "vget", Name: names[k]}, oneAttempt)
 		if err != nil || attempts != 1 {
 			t.Fatalf("lookup %d: %d attempts, %v", i, attempts, err)
 		}
@@ -124,7 +122,7 @@ func TestTransportTimedOutSocketIsNotReused(t *testing.T) {
 	var tr Transport
 	defer tr.Close()
 	ctx := context.Background()
-	_, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "lookup", Name: "slow"},
+	_, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "vget", Name: "slow"},
 		reliable.Policy{MaxAttempts: 1, PerAttempt: 40 * time.Millisecond})
 	var nerr net.Error
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
@@ -135,7 +133,7 @@ func TestTransportTimedOutSocketIsNotReused(t *testing.T) {
 	}
 	close(release) // the late reply goes out now, to a socket nobody reads
 
-	resp, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "lookup", Name: "fast"}, oneAttempt)
+	resp, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "vget", Name: "fast"}, oneAttempt)
 	if err != nil || resp.Name != "fast" {
 		t.Fatalf("request after the timeout: %+v, %v", resp, err)
 	}
@@ -164,12 +162,12 @@ func TestTransportClearsDeadlineBetweenAttempts(t *testing.T) {
 	defer tr.Close()
 	ctx := context.Background()
 	const attemptTimeout = 30 * time.Millisecond
-	if _, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "lookup", Name: "a"},
+	if _, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "vget", Name: "a"},
 		reliable.Policy{MaxAttempts: 1, PerAttempt: attemptTimeout}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * attemptTimeout) // the pooled socket's deadline is now in the past
-	resp, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "lookup", Name: "b"}, reliable.Policy{MaxAttempts: 1})
+	resp, _, err := tr.Exchange(ctx, srv.addr(), Request{Op: "vget", Name: "b"}, reliable.Policy{MaxAttempts: 1})
 	if err != nil || resp.Name != "b" {
 		t.Fatalf("attempt without a deadline on a socket with an expired one: %+v, %v", resp, err)
 	}
@@ -188,7 +186,7 @@ func TestTransportClose(t *testing.T) {
 	var tr Transport
 	ctx := context.Background()
 	for _, addr := range []string{a.addr(), b.addr(), a.addr()} {
-		if _, _, err := tr.Exchange(ctx, addr, Request{Op: "lookup", Name: "x"}, oneAttempt); err != nil {
+		if _, _, err := tr.Exchange(ctx, addr, Request{Op: "vget", Name: "x"}, oneAttempt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +210,7 @@ func TestTransportClose(t *testing.T) {
 			t.Fatalf("pooled socket still open after Close: write err = %v", err)
 		}
 	}
-	_, attempts, err := tr.Exchange(ctx, a.addr(), Request{Op: "lookup", Name: "x"},
+	_, attempts, err := tr.Exchange(ctx, a.addr(), Request{Op: "vget", Name: "x"},
 		reliable.Policy{MaxAttempts: 5, PerAttempt: time.Second})
 	if !errors.Is(err, net.ErrClosed) || attempts != 1 {
 		t.Fatalf("exchange on a closed Transport: %d attempts, err = %v; want one attempt failing with net.ErrClosed", attempts, err)
@@ -235,7 +233,7 @@ func TestTransportRejectsOversizedRequest(t *testing.T) {
 	defer tr.Close()
 	for _, size := range []int{maxDatagram, 70000} {
 		_, attempts, err := tr.Exchange(context.Background(), srv.addr(),
-			Request{Op: "lookup", Name: strings.Repeat("n", size)}, reliable.Policy{MaxAttempts: 3, PerAttempt: time.Second})
+			Request{Op: "vget", Name: strings.Repeat("n", size)}, reliable.Policy{MaxAttempts: 3, PerAttempt: time.Second})
 		if !errors.Is(err, ErrBadRequest) || !reliable.IsPermanent(err) || attempts != 1 {
 			t.Fatalf("%d-byte name: %d attempts, err = %v", size, attempts, err)
 		}
@@ -247,9 +245,7 @@ func TestTransportRejectsOversizedRequest(t *testing.T) {
 // request without one still gets a well-formed reply without one.
 func TestServerEchoesTransactionID(t *testing.T) {
 	svc := newMapBackend()
-	if _, err := svc.Update("x", addrs("10.0.0.1")); err != nil {
-		t.Fatal(err)
-	}
+	svc.put("x", "10.0.0.1")
 	live, dead := &Server{svc: svc}, &Server{svc: nil} // a nil backend panics on dispatch
 	enc := func(r Request) []byte { return appendRequest(nil, &r) }
 	for _, tc := range []struct {
@@ -259,14 +255,14 @@ func TestServerEchoesTransactionID(t *testing.T) {
 		id   uint64
 		code Code
 	}{
-		{"success", live, enc(Request{ID: 7, Op: "lookup", Name: "x"}), 7, CodeOK},
-		{"not found", live, enc(Request{ID: 8, Op: "lookup", Name: "nobody"}), 8, CodeNotFound},
+		{"success", live, enc(Request{ID: 7, Op: "vget", Name: "x"}), 7, CodeOK},
+		{"not found", live, enc(Request{ID: 8, Op: "vget", Name: "nobody"}), 8, CodeNotFound},
 		{"unknown op", live, enc(Request{ID: 9, Op: "destroy"}), 9, CodeBadRequest},
-		{"bad address", live, enc(Request{ID: 10, Op: "update", Name: "x", Addrs: []string{"nope"}}), 10, CodeBadRequest},
-		{"panic", dead, enc(Request{ID: 11, Op: "lookup", Name: "x"}), 11, CodeInternal},
-		{"malformed after the id", live, enc(Request{ID: 12, Op: "lookup", Name: "x"})[:1+8+3], 12, CodeBadRequest},
-		{"cut inside the id", live, enc(Request{ID: 13, Op: "lookup", Name: "x"})[:1+7], 0, CodeBadRequest},
-		{"no id", live, enc(Request{Op: "lookup", Name: "x"}), 0, CodeOK},
+		{"bad address", live, enc(Request{ID: 10, Op: "vput", Name: "x", Addrs: []string{"nope"}}), 10, CodeBadRequest},
+		{"panic", dead, enc(Request{ID: 11, Op: "vget", Name: "x"}), 11, CodeInternal},
+		{"malformed after the id", live, enc(Request{ID: 12, Op: "vget", Name: "x"})[:1+8+3], 12, CodeBadRequest},
+		{"cut inside the id", live, enc(Request{ID: 13, Op: "vget", Name: "x"})[:1+7], 0, CodeBadRequest},
+		{"no id", live, enc(Request{Op: "vget", Name: "x"}), 0, CodeOK},
 		{"no id, error", live, enc(Request{Op: "destroy"}), 0, CodeBadRequest},
 	} {
 		resp := tc.srv.handle(tc.raw)

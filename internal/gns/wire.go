@@ -16,11 +16,11 @@ type Request struct {
 	// reused socket; it is not a secret. 0 from a client that does not match
 	// replies.
 	ID    uint64   `json:"id,omitempty"`
-	Op    string   `json:"op"` // "lookup", "update", or an extension op
+	Op    string   `json:"op"` // "vget" or "vput", the replication ops a replica serves
 	Name  string   `json:"name"`
 	Addrs []string `json:"addrs,omitempty"`
-	// VV carries an encoded version vector for replica-internal extension
-	// ops (cluster.VV wire form); empty for the public lookup/update ops.
+	// VV carries the encoded version vector (cluster.VV wire form) a vput
+	// installs; empty on a vget.
 	VV string `json:"vv,omitempty"`
 	// Trace is the originating client span's obs.TraceContext in Encode
 	// form ("<trace-id>-<span-id>"), empty when the client traces nothing.
@@ -70,8 +70,7 @@ type Response struct {
 	Name    string   `json:"name,omitempty"`
 	Addrs   []string `json:"addrs,omitempty"`
 	Version uint64   `json:"version,omitempty"`
-	// VV is the stored record's encoded version vector, set by the
-	// replica-internal extension ops.
+	// VV is the stored record's encoded version vector.
 	VV string `json:"vv,omitempty"`
 }
 

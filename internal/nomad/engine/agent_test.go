@@ -4,8 +4,8 @@ package engine
 // TestEngineEquivalentToAgents replays against: it left internal/nomad
 // verbatim but for package qualifiers and its fleet-shared AgentMetrics
 // handle (three counters no comparison reads), with the /ip request
-// nomad.Client.PublicIP made for it (publicIP below). Nothing outside this
-// package's tests may use it.
+// nomad.Client.PublicIP made for it (publicIP below) and the echo that
+// answers it (ipEcho). Nothing outside this package's tests may use it.
 
 import (
 	"context"
@@ -147,6 +147,15 @@ func (a *Agent) drainQueue(ctx context.Context) (int, error) {
 		a.queue = a.queue[1:]
 	}
 	return uploaded, nil
+}
+
+// ipEcho is the endpoint publicIP asks: it answers with the address the
+// request states in its simulated-address header, the visit's own address.
+// The Server has no such endpoint (the engine logs that address itself), so
+// TestEngineEquivalentToAgents mounts this one beside it for the Agent.
+func ipEcho(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprint(w, r.Header.Get("X-Nomad-Simulated-Addr"))
 }
 
 // publicIP asks the server what public address this device appears from.

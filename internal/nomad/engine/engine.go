@@ -21,12 +21,12 @@
 // records per device (overflow forces an early seal), MaxQueuedBatches bounds
 // sealed batches (overflow evicts the oldest, counted as DroppedBatches).
 //
-// One deliberate divergence: the Agent asks the server to echo its address
-// before logging each record (/ip). In simulation the server echoes the
-// simulated-address header verbatim, so the reply equals the visit's own
-// address by construction; the engine logs that address directly and skips
-// the round trip. Stored records are byte-identical (the equivalence test
-// pins this); only the /ip request count differs.
+// One deliberate divergence: the Agent asks an echo endpoint for its
+// address before logging each record (/ip), stating the visit's address in
+// a header, so the reply is that address by construction. The engine logs
+// the visit's address directly and the Server has no echo; the equivalence
+// test answers the Agent's /ip with a test-local one. Stored records are
+// byte-identical (that test pins this); only the /ip request count differs.
 package engine
 
 import (

@@ -75,7 +75,10 @@ func checkEquivalentToAgents(t *testing.T, network func(*nomad.Server) http.Hand
 	// matter — devices are independent and the server dedups per device).
 	// The study ends with every device plugged in until its queue is empty.
 	legacy := nomad.NewStreamingServer()
-	tsA := httptest.NewServer(network(legacy))
+	agentSide := http.NewServeMux()
+	agentSide.HandleFunc("/ip", ipEcho)
+	agentSide.Handle("/", network(legacy))
+	tsA := httptest.NewServer(agentSide)
 	defer tsA.Close()
 	agentAttempts, agentFailures := 0, 0
 	devs := make([]string, len(dt.Users))

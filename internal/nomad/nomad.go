@@ -1,15 +1,15 @@
 // Package nomad reimplements the paper's NomadLog measurement pipeline (§4)
-// as a working client/server system: the server side (an IP-echo endpoint a
-// device contacts to learn its public-facing address, idempotent batch
+// as a working client/server system: the server side (idempotent batch
 // uploads folded into streaming per-device aggregates where the paper kept
 // a postgres database) and the HTTP client a device uploads through. The
 // device side — connectivity events buffered per device,
 // store-and-forward batching (uploads happen only when the device is
 // "connected to power and WiFi") — is package engine.
 //
-// In production the server would echo the TCP peer address; in simulation
-// every device connects over loopback, so a device states its
-// workload-assigned address in a header and the server echoes that.
+// The app asked an IP-echo endpoint for each record's public-facing
+// address. In simulation every device connects over loopback, so the
+// address is the one the workload assigns the visit, and the device logs it
+// without a round trip; the server has no echo endpoint.
 package nomad
 
 import (
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -46,8 +45,8 @@ func HashDeviceID(raw string) string {
 	return fmt.Sprintf("dev-%016x", h.Sum64())
 }
 
-// Server is the NomadLog backend: the IP-echo endpoint and the upload
-// endpoint, which folds every accepted batch into streaming Aggregates.
+// Server is the NomadLog backend: the upload endpoint, which folds every
+// accepted batch into streaming Aggregates.
 type Server struct {
 	// Agg holds the running per-device aggregates of every accepted upload
 	// (O(devices) memory, whatever the fleet uploads).
@@ -58,10 +57,6 @@ type Server struct {
 	Tracer *obs.Tracer
 	mux    *http.ServeMux
 }
-
-// simulatedAddrHeader carries the workload-assigned public address during
-// loopback simulation.
-const simulatedAddrHeader = "X-Nomad-Simulated-Addr"
 
 // batchIDHeader carries the device's stable batch identifier, the key the
 // store dedups on when a retry replays a batch whose response was lost.
@@ -76,30 +71,12 @@ const maxUploadBody = 1 << 20
 // and no record is retained.
 func NewStreamingServer() *Server {
 	s := &Server{Agg: NewAggregates(), mux: http.NewServeMux()}
-	s.mux.HandleFunc("/ip", s.handleIP)
 	s.mux.HandleFunc("/upload", s.handleUpload)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) handleIP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	addr := r.Header.Get(simulatedAddrHeader)
-	if addr == "" {
-		host, _, err := net.SplitHostPort(r.RemoteAddr)
-		if err != nil {
-			host = r.RemoteAddr
-		}
-		addr = host
-	}
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprint(w, addr)
-}
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -2,7 +2,6 @@ package nomad
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,25 +16,6 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// getIP asks the server at base what public address the caller appears
-// from; simulated, when non-empty, is the address it pretends to hold.
-func getIP(base, simulated string) (string, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/ip", nil)
-	if err != nil {
-		return "", err
-	}
-	if simulated != "" {
-		req.Header.Set(simulatedAddrHeader, simulated)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return string(body), err
-}
-
 func TestHashDeviceID(t *testing.T) {
 	a := HashDeviceID("device-1")
 	b := HashDeviceID("device-1")
@@ -48,29 +28,6 @@ func TestHashDeviceID(t *testing.T) {
 	}
 	if !strings.HasPrefix(a, "dev-") {
 		t.Errorf("hash format: %q", a)
-	}
-}
-
-func TestIPEchoSimulated(t *testing.T) {
-	_, ts := newTestServer(t)
-	ip, err := getIP(ts.URL, "22.33.44.55")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ip != "22.33.44.55" {
-		t.Fatalf("echo = %q", ip)
-	}
-}
-
-func TestIPEchoRemoteAddrFallback(t *testing.T) {
-	_, ts := newTestServer(t)
-	ip, err := getIP(ts.URL, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ip != "127.0.0.1" && !strings.Contains(ip, ":") {
-		// httptest serves on 127.0.0.1; IPv6 loopback contains colons.
-		t.Fatalf("fallback echo = %q", ip)
 	}
 }
 
@@ -124,15 +81,7 @@ func TestUploadBodyOverLimitRefused(t *testing.T) {
 
 func TestMethodValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := ts.Client().Post(ts.URL+"/ip", "text/plain", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 405 {
-		t.Fatalf("POST /ip = %d", resp.StatusCode)
-	}
-	resp, err = ts.Client().Get(ts.URL + "/upload")
+	resp, err := ts.Client().Get(ts.URL + "/upload")
 	if err != nil {
 		t.Fatal(err)
 	}
