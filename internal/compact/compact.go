@@ -25,14 +25,15 @@ import (
 type Scheme struct {
 	g         *topology.Graph
 	landmarks []int
+	// isLandmark[v] reports whether v is one of landmarks.
+	isLandmark []bool
 	// nearest[v] is v's closest landmark; distToLm[v] the distance to it.
 	nearest  []int
 	distToLm []int
-	// cluster[r] holds the destinations r keeps exact entries for.
-	cluster [][]int
-	// lmDist[i][v] is the distance from landmark i to every node.
-	lmDist [][]int
-	hops   [][]int
+	// clusterSize[r] counts the destinations r keeps exact entries for.
+	clusterSize []int
+	// hops is the graph's shared table; a landmark's distances are its row.
+	hops [][]int
 }
 
 // Address is the compact "name" of a node: which landmark it homes to and
@@ -63,41 +64,42 @@ func New(g *topology.Graph, numLandmarks int, rng *rand.Rand) (*Scheme, error) {
 	sort.Ints(lms)
 
 	s := &Scheme{
-		g:         g,
-		landmarks: lms,
-		nearest:   make([]int, n),
-		distToLm:  make([]int, n),
-		cluster:   make([][]int, n),
-		lmDist:    make([][]int, len(lms)),
-		hops:      g.AllPairsHops(),
+		g:           g,
+		landmarks:   lms,
+		isLandmark:  make([]bool, n),
+		nearest:     make([]int, n),
+		distToLm:    make([]int, n),
+		clusterSize: make([]int, n),
+		hops:        g.AllPairsHops(),
 	}
-	for i, lm := range lms {
-		s.lmDist[i], _ = g.BFS(lm)
+	for _, lm := range lms {
+		s.isLandmark[lm] = true
 	}
 	for v := 0; v < n; v++ {
-		bestLm, bestD := lms[0], s.lmDist[0][v]
-		for i := 1; i < len(lms); i++ {
-			if s.lmDist[i][v] < bestD {
-				bestLm, bestD = lms[i], s.lmDist[i][v]
+		bestLm, bestD := lms[0], s.hops[lms[0]][v]
+		for _, lm := range lms[1:] {
+			if s.hops[lm][v] < bestD {
+				bestLm, bestD = lm, s.hops[lm][v]
 			}
 		}
 		s.nearest[v] = bestLm
 		s.distToLm[v] = bestD
 	}
-	// Clusters: r keeps an exact entry for w iff dist(r, w) < dist(w,
-	// nearest(w)) — Thorup–Zwick's condition, which bounds both table size
-	// and stretch.
 	for r := 0; r < n; r++ {
 		for w := 0; w < n; w++ {
-			if w == r {
-				continue
-			}
-			if s.hops[r][w] < s.distToLm[w] {
-				s.cluster[r] = append(s.cluster[r], w)
+			if w != r && s.inCluster(r, w) {
+				s.clusterSize[r]++
 			}
 		}
 	}
 	return s, nil
+}
+
+// inCluster reports whether r keeps an exact entry for w != r: dist(r, w)
+// < dist(w, nearest(w)), Thorup–Zwick's condition, which bounds both table
+// size and stretch. It never holds for a landmark w.
+func (s *Scheme) inCluster(r, w int) bool {
+	return s.hops[r][w] < s.distToLm[w]
 }
 
 // AddressOf returns the compact address of node v.
@@ -108,7 +110,7 @@ func (s *Scheme) AddressOf(v int) Address {
 // TableSize returns the number of routing entries router r keeps: one per
 // landmark plus its cluster.
 func (s *Scheme) TableSize(r int) int {
-	return len(s.landmarks) + len(s.cluster[r])
+	return len(s.landmarks) + s.clusterSize[r]
 }
 
 // MaxTableSize returns the largest table in the scheme.
@@ -133,37 +135,26 @@ func (s *Scheme) MeanTableSize() float64 {
 
 // Route returns the hop count of the compact route from src to the given
 // address: direct when the destination is a landmark or in src's cluster,
-// otherwise via the destination's landmark. An address naming a landmark
-// this scheme does not know is a malformed packet, reported as an error.
+// otherwise via the destination's landmark. A src or node outside the
+// topology, or an address naming a landmark this scheme does not know, is
+// a malformed packet, reported as an error.
 func (s *Scheme) Route(src int, dst Address) (int, error) {
+	n := s.g.N()
+	if src < 0 || src >= n || dst.Node < 0 || dst.Node >= n {
+		return 0, fmt.Errorf("compact: route %d -> %d outside [0, %d)", src, dst.Node, n)
+	}
 	if src == dst.Node {
 		return 0, nil
 	}
-	for i, lm := range s.landmarks {
-		if lm == dst.Node {
-			return s.lmDist[i][src], nil
-		}
-	}
-	for _, w := range s.cluster[src] {
-		if w == dst.Node {
-			return s.hops[src][dst.Node], nil
-		}
+	if s.isLandmark[dst.Node] || s.inCluster(src, dst.Node) {
+		return s.hops[src][dst.Node], nil
 	}
 	// Via the landmark: src -> lm(dst) -> dst.
-	li, err := s.landmarkIndex(dst.Landmark)
-	if err != nil {
-		return 0, err
+	lm := dst.Landmark
+	if lm < 0 || lm >= n || !s.isLandmark[lm] {
+		return 0, fmt.Errorf("compact: address with unknown landmark %d", lm)
 	}
-	return s.lmDist[li][src] + s.lmDist[li][dst.Node], nil
-}
-
-func (s *Scheme) landmarkIndex(lm int) (int, error) {
-	for i, l := range s.landmarks {
-		if l == lm {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("compact: address with unknown landmark %d", lm)
+	return s.hops[lm][src] + s.hops[lm][dst.Node], nil
 }
 
 // Stretch returns the multiplicative stretch of the compact route from src

@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -154,16 +155,14 @@ func TestRouteUnknownLandmark(t *testing.T) {
 	}
 	checked := false
 	for src := 0; src < g.N() && !checked; src++ {
-		inCluster := map[int]bool{}
-		for _, w := range s.cluster[src] {
-			inCluster[w] = true
-		}
 		for dst := 0; dst < g.N(); dst++ {
-			if dst == src || isLandmark[dst] || inCluster[dst] {
+			if dst == src || isLandmark[dst] || s.hops[src][dst] < s.distToLm[dst] {
 				continue
 			}
-			if _, err := s.Route(src, Address{Node: dst, Landmark: -1}); err == nil {
-				t.Fatalf("route %d->%d with bogus landmark must error", src, dst)
+			for _, lm := range []int{-1, g.N()} {
+				if _, err := s.Route(src, Address{Node: dst, Landmark: lm}); err == nil {
+					t.Fatalf("route %d->%d with bogus landmark %d must error", src, dst, lm)
+				}
 			}
 			checked = true
 			break
@@ -172,7 +171,162 @@ func TestRouteUnknownLandmark(t *testing.T) {
 	if !checked {
 		t.Fatal("no pair exercised the landmark lookup")
 	}
-	if _, err := s.landmarkIndex(-1); err == nil {
-		t.Fatal("unknown landmark index must error")
+}
+
+// A source or destination node outside the topology is a malformed packet
+// too, whatever landmark the address names; so is a landmark that is a
+// node but not one of the scheme's landmarks.
+func TestRouteMalformedAddress(t *testing.T) {
+	g := topology.Chain(30)
+	s := mustScheme(t, g, 3, 1)
+	n, lm := g.N(), s.landmarks[0]
+	for _, tc := range []struct {
+		src int
+		dst Address
+	}{
+		{0, Address{Node: n, Landmark: lm}},
+		{0, Address{Node: -1, Landmark: lm}},
+		{n, s.AddressOf(0)},
+		{-1, s.AddressOf(0)},
+	} {
+		if _, err := s.Route(tc.src, tc.dst); err == nil {
+			t.Errorf("Route(%d, %+v) must error", tc.src, tc.dst)
+		}
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if dst == src || s.isLandmark[dst] || s.hops[src][dst] < s.distToLm[dst] {
+				continue
+			}
+			if _, err := s.Route(src, Address{Node: dst, Landmark: dst}); err == nil {
+				t.Fatalf("route %d->%d naming non-landmark %d must error", src, dst, dst)
+			}
+			return
+		}
+	}
+	t.Fatal("no pair exercised the landmark lookup")
+}
+
+// oracle is the scheme as it was built before it shared the graph's table:
+// a distance row per landmark, explicit cluster lists, and a Route that
+// scans the landmark list, then src's cluster, then the landmark list again.
+type oracle struct {
+	landmarks []int
+	nearest   []int
+	distToLm  []int
+	cluster   [][]int
+	lmDist    [][]int
+	hops      [][]int
+}
+
+func newOracle(g *topology.Graph, lms []int) *oracle {
+	n := g.N()
+	s := &oracle{
+		landmarks: lms,
+		nearest:   make([]int, n),
+		distToLm:  make([]int, n),
+		cluster:   make([][]int, n),
+		lmDist:    make([][]int, len(lms)),
+		hops:      make([][]int, n),
+	}
+	hops := g.AllPairsHops() // copied, so a write into the shared rows shows
+	for u := range s.hops {
+		s.hops[u] = append([]int(nil), hops[u]...)
+	}
+	for i, lm := range lms {
+		s.lmDist[i] = append([]int(nil), hops[lm]...)
+	}
+	for v := 0; v < n; v++ {
+		bestLm, bestD := lms[0], s.lmDist[0][v]
+		for i := 1; i < len(lms); i++ {
+			if s.lmDist[i][v] < bestD {
+				bestLm, bestD = lms[i], s.lmDist[i][v]
+			}
+		}
+		s.nearest[v] = bestLm
+		s.distToLm[v] = bestD
+	}
+	for r := 0; r < n; r++ {
+		for w := 0; w < n; w++ {
+			if w == r {
+				continue
+			}
+			if s.hops[r][w] < s.distToLm[w] {
+				s.cluster[r] = append(s.cluster[r], w)
+			}
+		}
+	}
+	return s
+}
+
+func (s *oracle) Route(src int, dst Address) (int, error) {
+	if src == dst.Node {
+		return 0, nil
+	}
+	for i, lm := range s.landmarks {
+		if lm == dst.Node {
+			return s.lmDist[i][src], nil
+		}
+	}
+	for _, w := range s.cluster[src] {
+		if w == dst.Node {
+			return s.hops[src][dst.Node], nil
+		}
+	}
+	// Via the landmark: src -> lm(dst) -> dst.
+	li, err := s.landmarkIndex(dst.Landmark)
+	if err != nil {
+		return 0, err
+	}
+	return s.lmDist[li][src] + s.lmDist[li][dst.Node], nil
+}
+
+func (s *oracle) landmarkIndex(lm int) (int, error) {
+	for i, l := range s.landmarks {
+		if l == lm {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("compact: address with unknown landmark %d", lm)
+}
+
+// Route, AddressOf and TableSize must agree with the list-scanning oracle
+// on every ordered pair, at RunCompact's five landmark budgets, on its
+// PA-256 over three seeds and on Table 1's four topologies; an address
+// whose landmark is bogus must fail exactly where the oracle's does.
+func TestRouteMatchesOracle(t *testing.T) {
+	graphs := map[string]*topology.Graph{
+		"chain":       topology.Chain(63),
+		"clique":      topology.Clique(63),
+		"binary-tree": topology.BinaryTree(63),
+		"star":        topology.Star(63),
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		graphs[fmt.Sprintf("pa-256/%d", seed)] = topology.PreferentialAttachment(256, 2, rand.New(rand.NewSource(seed)))
+	}
+	for name, g := range graphs {
+		for _, k := range []int{4, 8, 16, 32, 64} {
+			s := mustScheme(t, g, k, int64(k))
+			o := newOracle(g, s.landmarks)
+			for src := 0; src < g.N(); src++ {
+				if got, want := s.TableSize(src), len(o.landmarks)+len(o.cluster[src]); got != want {
+					t.Fatalf("%s k=%d: TableSize(%d) = %d, oracle %d", name, k, src, got, want)
+				}
+				for dst := 0; dst < g.N(); dst++ {
+					addr := s.AddressOf(dst)
+					if want := (Address{Node: dst, Landmark: o.nearest[dst]}); addr != want {
+						t.Fatalf("%s k=%d: AddressOf(%d) = %+v, oracle %+v", name, k, dst, addr, want)
+					}
+					for _, a := range []Address{addr, {Node: dst, Landmark: -1}} {
+						got, gotErr := s.Route(src, a)
+						want, wantErr := o.Route(src, a)
+						if got != want || (gotErr == nil) != (wantErr == nil) {
+							t.Fatalf("%s k=%d: Route(%d, %+v) = (%d, %v), oracle (%d, %v)",
+								name, k, src, a, got, gotErr, want, wantErr)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -85,28 +85,6 @@ func (n *Network) Port(r int, a netaddr.Addr) (int, bool) {
 	return n.fibs[r].Lookup(a)
 }
 
-// Displaced reports whether a host's move from one address to another
-// changes router r's forwarding behaviour — the §3.1 displacement test.
-func (n *Network) Displaced(r int, from, to netaddr.Addr) bool {
-	p1, ok1 := n.Port(r, from)
-	p2, ok2 := n.Port(r, to)
-	return ok1 && ok2 && p1 != p2
-}
-
-// RenumberUpdateCost returns the number of routers displaced by a host
-// moving from router src's subnet to router dst's (taking a fresh address
-// there), and the aggregate fraction of the domain's routers updated.
-func (n *Network) RenumberUpdateCost(src, dst int) (routers int, fraction float64) {
-	from := AddrAt(src, 1)
-	to := AddrAt(dst, 1)
-	for r := 0; r < n.N(); r++ {
-		if n.Displaced(r, from, to) {
-			routers++
-		}
-	}
-	return routers, float64(routers) / float64(n.N())
-}
-
 // MoveWithHostRoutes models the flat-identifier alternative: the host keeps
 // address addr while attaching at router dst. Every router whose
 // longest-prefix match for addr no longer points toward dst gets a /32
@@ -168,17 +146,33 @@ func (n *Network) TotalHostRoutes() int {
 // per mobility event under uniform random movement — comparable to
 // analytic.ExactNameBased, but derived from the address-plan FIBs rather
 // than abstract ports. The two agree exactly on any topology, which the
-// tests exploit as a cross-package validation.
+// tests exploit as a cross-package validation. A move from router src's
+// subnet to router dst's takes a host from src's first host address to
+// dst's, and updates each router whose FIB forwards the two differently.
 func (n *Network) AggregateRenumberCost() float64 {
-	total := 0.0
 	nn := n.N()
+	// port[d*nn+r] is router r's port for AddrAt(d, 1). Every FIB holds
+	// every subnet, so each lookup matches.
+	port := make([]int, nn*nn)
+	for d := 0; d < nn; d++ {
+		for r := 0; r < nn; r++ {
+			port[d*nn+r], _ = n.Port(r, AddrAt(d, 1))
+		}
+	}
+	total := 0.0
 	for src := 0; src < nn; src++ {
+		from := port[src*nn : (src+1)*nn]
 		for dst := 0; dst < nn; dst++ {
 			if src == dst {
 				continue
 			}
-			_, frac := n.RenumberUpdateCost(src, dst)
-			total += frac
+			routers := 0
+			for r, p := range port[dst*nn : (dst+1)*nn] {
+				if p != from[r] {
+					routers++
+				}
+			}
+			total += float64(routers) / float64(nn)
 		}
 	}
 	// Uniform i.i.d. (src, dst) including self-moves, matching the §5

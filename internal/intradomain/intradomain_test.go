@@ -204,17 +204,6 @@ func TestIndirectionStretch(t *testing.T) {
 	}
 }
 
-func BenchmarkRenumberUpdateCost(b *testing.B) {
-	n, err := New(topology.Grid(8, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.RenumberUpdateCost(i%64, (i+13)%64)
-	}
-}
-
 // The equivalence with the abstract enumeration must hold on arbitrary
 // connected topologies, not just the toys.
 func TestAggregateCostMatchesAnalyticRandom(t *testing.T) {
@@ -233,9 +222,88 @@ func TestAggregateCostMatchesAnalyticRandom(t *testing.T) {
 // IndirectionStretch returns the §5-style additive stretch of routing via a
 // home router: dist(src, home) + dist(home, cur) - dist(src, cur), in hops.
 func (n *Network) IndirectionStretch(src, home, cur int) int {
-	d, _ := n.g.BFS(src)
-	dh, _ := n.g.BFS(home)
-	direct := d[cur]
-	viaHome := d[home] + dh[cur]
+	hops := n.g.AllPairsHops()
+	direct := hops[src][cur]
+	viaHome := hops[src][home] + hops[home][cur]
 	return viaHome - direct
+}
+
+// The per-move computation below is the oracle AggregateRenumberCost is held
+// to: for each (src, dst) it asks every router's FIB about both addresses.
+
+// Displaced reports whether a host's move from one address to another
+// changes router r's forwarding behaviour — the §3.1 displacement test.
+func (n *Network) Displaced(r int, from, to netaddr.Addr) bool {
+	p1, ok1 := n.Port(r, from)
+	p2, ok2 := n.Port(r, to)
+	return ok1 && ok2 && p1 != p2
+}
+
+// RenumberUpdateCost returns the number of routers displaced by a host
+// moving from router src's subnet to router dst's (taking a fresh address
+// there), and the aggregate fraction of the domain's routers updated.
+func (n *Network) RenumberUpdateCost(src, dst int) (routers int, fraction float64) {
+	from := AddrAt(src, 1)
+	to := AddrAt(dst, 1)
+	for r := 0; r < n.N(); r++ {
+		if n.Displaced(r, from, to) {
+			routers++
+		}
+	}
+	return routers, float64(routers) / float64(n.N())
+}
+
+// aggregateRenumberCostPerMove sums RenumberUpdateCost over every move.
+func (n *Network) aggregateRenumberCostPerMove() float64 {
+	total := 0.0
+	nn := n.N()
+	for src := 0; src < nn; src++ {
+		for dst := 0; dst < nn; dst++ {
+			if src == dst {
+				continue
+			}
+			_, frac := n.RenumberUpdateCost(src, dst)
+			total += frac
+		}
+	}
+	// Uniform i.i.d. (src, dst) including self-moves, matching the §5
+	// Markov process: self-moves contribute zero updates.
+	return total / float64(nn*nn)
+}
+
+// AggregateRenumberCost must equal the per-move oracle bit for bit on
+// RunIntradomain's topologies and two PA graphs, and keep equalling it once
+// /32 host routes cover some subnets' first host addresses: the port table
+// reads the FIBs, not the shortest-path next hops.
+func TestAggregateCostMatchesPerMoveOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"chain-17", topology.Chain(17)},
+		{"grid-6x6", topology.Grid(6, 6)},
+		{"tree-31", topology.BinaryTree(31)},
+		{"pa-40", topology.PreferentialAttachment(40, 2, rng)},
+		{"pa-90", topology.PreferentialAttachment(90, 1, rng)},
+	} {
+		n := mustNew(t, tc.g)
+		pristine := n.AggregateRenumberCost()
+		if want := n.aggregateRenumberCostPerMove(); pristine != want {
+			t.Fatalf("%s: AggregateRenumberCost = %v, oracle %v", tc.name, pristine, want)
+		}
+		for i := 0; i < 4; i++ {
+			n.MoveWithHostRoutes(AddrAt(rng.Intn(n.N()), 1), rng.Intn(n.N()))
+		}
+		if n.TotalHostRoutes() == 0 {
+			t.Fatalf("%s: no host routes installed", tc.name)
+		}
+		got, want := n.AggregateRenumberCost(), n.aggregateRenumberCostPerMove()
+		if got != want {
+			t.Fatalf("%s with host routes: AggregateRenumberCost = %v, oracle %v", tc.name, got, want)
+		}
+		if got == pristine {
+			t.Fatalf("%s: host routes left the cost at %v", tc.name, got)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,10 +13,12 @@ import (
 // the packet across every eligible port. The simulator exposes the cost the
 // paper's model deliberately leaves out (§3.3.3): forwarding traffic, in
 // total packet-hops, which is what flooding trades for its update savings
-// and robustness.
+// and robustness. It is not safe for concurrent use.
 type ContentRouting struct {
 	net      *Network
 	replicas map[string][]int
+	// ports is portSet's scratch, reused by each call.
+	ports []int
 }
 
 // NewContentRouting builds the content plane over net.
@@ -56,18 +59,15 @@ func (cr *ContentRouting) bestReplica(r int, replicas []int) int {
 
 // portSet returns router r's eligible output ports for the replica set:
 // the distinct next hops toward each replica (the local port when r hosts
-// one).
+// one), ascending. The slice is valid until the next call.
 func (cr *ContentRouting) portSet(r int, replicas []int) []int {
-	seen := map[int]bool{}
+	out := cr.ports[:0]
 	for _, rep := range replicas {
-		seen[cr.net.ports[rep][r]] = true
+		out = append(out, cr.net.ports[rep][r])
 	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	cr.ports = slices.Compact(out)
+	return cr.ports
 }
 
 // SendBest forwards one packet from source router src toward the closest
@@ -176,13 +176,15 @@ func (cr *ContentRouting) MoveReplica(name string, from, to int) (bestUpdates, f
 	nw[idx] = to
 	sort.Ints(nw)
 
+	var before []int
 	for r := 0; r < cr.net.N(); r++ {
 		ob := cr.bestPortOf(r, old)
 		nb := cr.bestPortOf(r, nw)
 		if ob != nb {
 			bestUpdates++
 		}
-		if !equalInts(cr.portSet(r, old), cr.portSet(r, nw)) {
+		before = append(before[:0], cr.portSet(r, old)...)
+		if !slices.Equal(before, cr.portSet(r, nw)) {
 			floodUpdates++
 		}
 	}
@@ -193,16 +195,4 @@ func (cr *ContentRouting) MoveReplica(name string, from, to int) (bestUpdates, f
 // bestPortOf is the output port toward the closest replica at router r.
 func (cr *ContentRouting) bestPortOf(r int, replicas []int) int {
 	return cr.net.ports[cr.bestReplica(r, replicas)][r]
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

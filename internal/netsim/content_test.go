@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"locind/internal/topology"
@@ -206,6 +208,41 @@ func TestContentScenarioStats(t *testing.T) {
 	}
 	t.Logf("traffic: best=%d flood=%d (%.1fx); updates: best=%d flood=%d",
 		bestTraffic, floodTraffic, float64(floodTraffic)/float64(bestTraffic), bestUpd, floodUpd)
+}
+
+// mapPortSet is portSet as it was built with a map: the oracle the sorted,
+// compacted scratch slice is held to.
+func (cr *ContentRouting) mapPortSet(r int, replicas []int) []int {
+	seen := map[int]bool{}
+	for _, rep := range replicas {
+		seen[cr.net.ports[rep][r]] = true
+	}
+	out := make([]int, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// portSet must equal the map-based oracle at every router for random
+// replica sets, sizes 1 to 8 with repeats, on RunContentTraffic's PA-120.
+func TestPortSetMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	net := mustNet(t, topology.PreferentialAttachment(120, 2, rng))
+	cr := NewContentRouting(net)
+	for trial := 0; trial < 200; trial++ {
+		replicas := make([]int, 1+rng.Intn(8))
+		for i := range replicas {
+			replicas[i] = rng.Intn(net.N())
+		}
+		for r := 0; r < net.N(); r++ {
+			want := cr.mapPortSet(r, replicas)
+			if got := cr.portSet(r, replicas); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: portSet(%d, %v) = %v, oracle %v", trial, r, replicas, got, want)
+			}
+		}
+	}
 }
 
 func contains(xs []int, v int) bool {

@@ -2,19 +2,28 @@
 // stretch/update-cost study (§5) and by the synthetic router-level topology
 // underlying the iPlane substitute. It includes the paper's toy topologies
 // (chain, clique, binary tree, star) plus generic builders, BFS shortest
-// paths, and all-pairs hop-count tables.
+// paths, and the all-pairs table of hop counts and next hops.
 package topology
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // Graph is an undirected graph over nodes 0..N-1. Parallel edges and
-// self-loops are rejected.
+// self-loops are rejected. Its readers are safe for concurrent use; AddEdge
+// is not, and must not overlap any other call.
 type Graph struct {
 	n   int
 	adj [][]Edge
+
+	// mu guards the all-pairs table, filled on first use (allPairs) and
+	// dropped by AddEdge.
+	mu   sync.Mutex
+	hops [][]int
+	next [][]int
 }
 
 // Edge is a half-edge: the neighbor it leads to.
@@ -46,6 +55,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = append(g.adj[u], Edge{To: v})
 	g.adj[v] = append(g.adj[v], Edge{To: u})
+	g.hops, g.next = nil, nil
 	return nil
 }
 
@@ -62,26 +72,18 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// BFS computes unweighted hop distances from src. Unreachable nodes get -1.
-// The returned parent slice lets callers reconstruct one shortest-path tree
-// (parent[src] == src).
-func (g *Graph) BFS(src int) (dist []int, parent []int) {
-	dist = make([]int, g.n)
-	parent = make([]int, g.n)
+// bfs computes unweighted hop distances from node src into dist, -1 for
+// unreachable nodes, and one shortest-path tree into parent (parent[src] ==
+// src); queue is scratch of capacity n. Parents follow discovery order, so
+// ties go to the neighbor listed first.
+func (g *Graph) bfs(src int, dist, parent, queue []int) {
 	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
+		dist[i], parent[i] = -1, -1
 	}
-	if src < 0 || src >= g.n {
-		return dist, parent
-	}
-	dist[src] = 0
-	parent[src] = src
-	queue := make([]int, 1, g.n)
-	queue[0] = src
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	dist[src], parent[src] = 0, src
+	queue = append(queue[:0], src)
+	for k := 0; k < len(queue); k++ {
+		u := queue[k]
 		for _, e := range g.adj[u] {
 			if dist[e.To] == -1 {
 				dist[e.To] = dist[u] + 1
@@ -90,45 +92,46 @@ func (g *Graph) BFS(src int) (dist []int, parent []int) {
 			}
 		}
 	}
-	return dist, parent
 }
 
-// AllPairsHops computes the full hop-count matrix with one BFS per node.
+// AllPairsHops is the hop-count matrix: hops[u][v] is the distance from u
+// to v, -1 when unreachable. Its rows are shared; do not modify them.
 func (g *Graph) AllPairsHops() [][]int {
-	out := make([][]int, g.n)
-	for u := 0; u < g.n; u++ {
-		out[u], _ = g.BFS(u)
-	}
-	return out
+	hops, _ := g.allPairs()
+	return hops
 }
 
-// NextHops is the shortest-path forwarding table, one BFS per location:
-// next[loc][r] is router r's next hop toward loc (BFS-discovery tie-break
-// via adjacency order), and -1 when r == loc (the local port) or r cannot
-// reach loc.
+// NextHops is the shortest-path forwarding table: next[loc][r] is router
+// r's next hop toward loc (BFS-discovery tie-break via adjacency order),
+// and -1 when r == loc (the local port) or r cannot reach loc. Its rows are
+// shared; do not modify them.
 func (g *Graph) NextHops() [][]int {
-	next := make([][]int, g.n)
-	for loc := range next {
-		_, parent := g.BFS(loc)
-		parent[loc] = -1
-		next[loc] = parent
-	}
+	_, next := g.allPairs()
 	return next
+}
+
+// allPairs fills the table on first use, one BFS per node u: u's dist is
+// row u of hops, and since distances are symmetric, u's parents are row u
+// of next.
+func (g *Graph) allPairs() (hops, next [][]int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.hops == nil {
+		g.hops, g.next = make([][]int, g.n), make([][]int, g.n)
+		queue := make([]int, 0, g.n)
+		for u := range g.n {
+			g.hops[u], g.next[u] = make([]int, g.n), make([]int, g.n)
+			g.bfs(u, g.hops[u], g.next[u], queue)
+			g.next[u][u] = -1
+		}
+	}
+	return g.hops, g.next
 }
 
 // Connected reports whether the graph is connected (the empty graph and the
 // single node are connected).
 func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	d, _ := g.BFS(0)
-	for _, x := range d {
-		if x == -1 {
-			return false
-		}
-	}
-	return true
+	return g.n <= 1 || !slices.Contains(g.AllPairsHops()[0], -1)
 }
 
 // Chain builds the paper's Figure 5 topology: routers 1..n in a line

@@ -3,6 +3,8 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -309,8 +311,105 @@ func TestNextHops(t *testing.T) {
 	}
 }
 
-// The accessors, the path reconstruction and the random-graph builder below
-// are what these tests judge the builders and BFS with; no binary needs them.
+// The shared table is one BFS per source: on every builder, row u of
+// AllPairsHops is BFS(u)'s dist and row u of NextHops its parent, with the
+// local port -1 on the diagonal.
+func TestAllPairsTableMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for name, g := range map[string]*Graph{
+		"empty":  New(0),
+		"single": New(1),
+		"chain":  Chain(9),
+		"clique": Clique(7),
+		"tree":   BinaryTree(15),
+		"star":   Star(8),
+		"ring":   Ring(11),
+		"grid":   Grid(4, 5),
+		"pa":     PreferentialAttachment(60, 2, rng),
+		"gnp":    GNP(25, 0.07, rng), // usually disconnected
+	} {
+		hops, next := g.AllPairsHops(), g.NextHops()
+		if len(hops) != g.N() || len(next) != g.N() {
+			t.Fatalf("%s: %d and %d rows for %d nodes", name, len(hops), len(next), g.N())
+		}
+		for u := 0; u < g.N(); u++ {
+			dist, parent := g.BFS(u)
+			parent[u] = -1
+			if !slices.Equal(hops[u], dist) || !slices.Equal(next[u], parent) {
+				t.Fatalf("%s: row %d = %v / %v, BFS %v / %v", name, u, hops[u], next[u], dist, parent)
+			}
+		}
+	}
+}
+
+// AddEdge drops the table: a graph read, extended, then read again answers
+// with the new distances and next hops.
+func TestAllPairsTableFollowsAddEdge(t *testing.T) {
+	g := Chain(6)
+	if d := g.AllPairsHops()[0][5]; d != 5 {
+		t.Fatalf("chain end to end = %d", d)
+	}
+	if h := g.NextHops()[5][0]; h != 1 {
+		t.Fatalf("chain next hop 0 -> 5 = %d", h)
+	}
+	if err := g.AddEdge(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if d := g.AllPairsHops()[0][5]; d != 1 {
+		t.Fatalf("after AddEdge(0, 5): distance %d, want 1", d)
+	}
+	if h := g.NextHops()[5][0]; h != 5 {
+		t.Fatalf("after AddEdge(0, 5): next hop %d, want 5", h)
+	}
+}
+
+// Concurrent first readers of a fresh graph fill the table once and all
+// see it (run under go test -race).
+func TestAllPairsTableConcurrentReaders(t *testing.T) {
+	g := PreferentialAttachment(80, 2, rand.New(rand.NewSource(80)))
+	var wg sync.WaitGroup
+	rows := make([][2][][]int, 8)
+	for i := range rows {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				rows[i][0] = g.AllPairsHops()
+				rows[i][1] = g.NextHops()
+			} else {
+				rows[i][1] = g.NextHops()
+				rows[i][0] = g.AllPairsHops()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range rows {
+		for k := range r {
+			if &r[k][0][0] != &rows[0][k][0][0] {
+				t.Fatalf("reader %d saw a second table", i)
+			}
+		}
+	}
+}
+
+// BFS, the accessors, the path reconstruction and the random-graph builder
+// below are what these tests judge the builders and the table with; no
+// binary needs them.
+
+// BFS computes unweighted hop distances from src. Unreachable nodes get -1.
+// The returned parent slice lets callers reconstruct one shortest-path tree
+// (parent[src] == src).
+func (g *Graph) BFS(src int) (dist []int, parent []int) {
+	dist, parent = make([]int, g.n), make([]int, g.n)
+	if src < 0 || src >= g.n {
+		for i := range dist {
+			dist[i], parent[i] = -1, -1
+		}
+		return dist, parent
+	}
+	g.bfs(src, dist, parent, make([]int, 0, g.n))
+	return dist, parent
+}
 
 // M returns the number of (undirected) edges.
 func (g *Graph) M() int {
