@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -39,6 +38,7 @@ import (
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
+	"locind/internal/ingest"
 	"locind/internal/mobility"
 	"locind/internal/nomad"
 	"locind/internal/nomad/engine"
@@ -233,13 +233,8 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
-	go hs.Serve(ln) //nolint:errcheck // ErrServerClosed once Shutdown runs
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		hs.Shutdown(sctx) //nolint:errcheck // the process is exiting
-	}()
+	go ingest.Serve(ln, srv) //nolint:errcheck // Accept's error once ln closes
+	defer ln.Close()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("nomadd: backend listening on %s\n", base)
 
@@ -263,6 +258,9 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	fmt.Printf("nomadd: fleet of %d devices replayed %d days\n", users, days)
 	fmt.Printf("nomadd: %d records uploaded, %d devices in store\n", met.EntriesUploaded.Value(), snap.Devices)
 	fmt.Printf("nomadd: store holds %d records in %d batches, digest %s\n", snap.Records, snap.Batches, snap.Digest)
+	if n, first := srv.Refused(); n > 0 {
+		fmt.Printf("nomadd: %d upload bodies refused, first: %v\n", n, first)
+	}
 
 	// A taste of the record schema, and of what the store keeps of it.
 	if len(up.first) > 0 {

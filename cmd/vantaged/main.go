@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"slices"
 	"time"
@@ -26,6 +25,7 @@ import (
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/cdn"
+	"locind/internal/ingest"
 	"locind/internal/netaddr"
 	"locind/internal/obs"
 	"locind/internal/reliable"
@@ -106,8 +106,7 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: ctrl, ReadHeaderTimeout: 5 * time.Second}
-	go hs.Serve(ln) //nolint:errcheck // ErrServerClosed once Shutdown runs
+	go ingest.Serve(ln, ctrl) //nolint:errcheck // Accept's error once ln closes
 	fmt.Printf("vantaged: controller on %s, %d nodes, %d names, %d hourly rounds\n",
 		ln.Addr(), nodes, len(tls), hours)
 	cp := &vantage.Campaign{
@@ -119,10 +118,7 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		Metrics:    campaignMetrics,
 		Tracer:     tracer,
 	}
-	runErr := cp.Run(ctx, tls)
-	sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	if err := errors.Join(runErr, hs.Shutdown(sctx)); err != nil {
+	if err := errors.Join(cp.Run(ctx, tls), ln.Close()); err != nil {
 		return err
 	}
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Ctxflow enforces context threading in the networked service packages
-// (gns, nomad, vantage, reliable): an exported function or method that
+// (gns, ingest, nomad, vantage, reliable): an exported function or method that
 // spawns goroutines or performs network I/O must accept a context.Context
 // as its first parameter, so callers can bound and cancel it. The fault
 // injection rewrite threaded contexts through these packages; this analyzer
@@ -21,7 +21,7 @@ var Ctxflow = &Analyzer{
 // ctxflowPackages are the final path segments, under locind/internal/, that
 // the analyzer gates.
 var ctxflowPackages = map[string]bool{
-	"gns": true, "nomad": true, "vantage": true, "reliable": true,
+	"gns": true, "ingest": true, "nomad": true, "vantage": true, "reliable": true,
 }
 
 // ioPackages are the packages whose calls count as "does network I/O".

@@ -17,8 +17,9 @@
 //	             topology.PreferentialAttachment regression class)
 //	errflow      discarded errors from internal/stats, internal/core, and
 //	             io/encoding sinks (the expt.RunSensitivity regression class)
-//	ctxflow      exported gns/nomad/vantage/reliable entry points that spawn
-//	             goroutines or touch the network without a context.Context
+//	ctxflow      exported gns/ingest/nomad/vantage/reliable entry points that
+//	             spawn goroutines or touch the network without a
+//	             context.Context
 //	lockflow     locks held across blocking operations, self-deadlocks,
 //	             and inconsistent lock acquisition order
 //	reach        declarations no cmd/, examples/ or bench binary can reach:

@@ -24,9 +24,6 @@ type Aggregates struct {
 	records    uint64
 	batches    uint64
 	dupBatches uint64
-	// unkeyed counts batches applied without dedup protection (empty or
-	// non-standard batch ID) — zero in any engine-driven run.
-	unkeyed uint64
 }
 
 // DeviceAgg is one device's running aggregate.
@@ -47,7 +44,6 @@ type DeviceAgg struct {
 	// (time|ip|net per record) — the replay-determinism fingerprint.
 	Digest uint64
 
-	haveSeq  bool
 	lastAddr string
 }
 
@@ -81,32 +77,35 @@ func splitBatchID(batchID string) (device string, seq uint32, ok bool) {
 }
 
 // IngestBatch folds one uploaded batch into the running aggregates,
-// applying it exactly once per well-formed batch ID. It reports whether the
-// batch was applied (false = recognised replay). Batches without a
-// parseable ID are applied unconditionally. A keyed batch must hold only
-// the entries of the device its ID names (the upload handler refuses any
-// other): replays are recognised by that device's sequence.
+// applying it exactly once per batch ID, by its device's sequence; every
+// entry is taken as the first entry's device's (the upload handler refuses a
+// batch with an entry of any device but the one the ID names). It reports
+// whether the batch was applied: false is a replay, or an ID splitBatchID
+// does not parse or an empty batch, neither of which changes anything.
 func (a *Aggregates) IngestBatch(batchID string, batch []Entry) bool {
+	_, seq, keyed := splitBatchID(batchID)
+	if !keyed || len(batch) == 0 {
+		return false
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, seq, keyed := splitBatchID(batchID)
-	if keyed && len(batch) > 0 {
-		if d := a.devices[batch[0].DeviceID]; d != nil && d.haveSeq && seq <= d.LastSeq {
-			a.dupBatches++
-			return false
-		}
-	}
-	if !keyed {
-		a.unkeyed++
+	// Keyed by the entry's own string, not a slice of the batch ID, which
+	// would keep the whole ID alive for as long as the device is stored.
+	device := batch[0].DeviceID
+	d := a.devices[device]
+	switch {
+	case d == nil:
+		d = &DeviceAgg{FirstTime: math.Inf(1), LastTime: math.Inf(-1), Digest: fnvOffset}
+		a.devices[device] = d
+	case seq <= d.LastSeq:
+		a.dupBatches++
+		return false
 	}
 	a.batches++
+	d.Batches++
+	d.LastSeq = seq
 	for i := range batch {
 		e := &batch[i]
-		d := a.devices[e.DeviceID]
-		if d == nil {
-			d = &DeviceAgg{FirstTime: math.Inf(1), LastTime: math.Inf(-1)}
-			a.devices[e.DeviceID] = d
-		}
 		d.Records++
 		a.records++
 		switch e.NetType {
@@ -125,19 +124,10 @@ func (a *Aggregates) IngestBatch(batchID string, batch []Entry) bool {
 		if e.Time > d.LastTime {
 			d.LastTime = e.Time
 		}
-		h := d.Digest
-		if h == 0 {
-			h = fnvOffset
-		}
-		h = (h ^ uint64(math.Float64bits(e.Time))) * 1099511628211
+		h := (d.Digest ^ uint64(math.Float64bits(e.Time))) * 1099511628211
 		h = fnv1a(h, e.IPAddr)
 		h = fnv1a(h, e.NetType)
 		d.Digest = h
-	}
-	if keyed && len(batch) > 0 {
-		d := a.devices[batch[0].DeviceID]
-		d.Batches++
-		d.LastSeq, d.haveSeq = seq, true
 	}
 	return true
 }
@@ -159,7 +149,6 @@ type AggSnapshot struct {
 	Records    uint64
 	Batches    uint64
 	DupBatches uint64
-	Unkeyed    uint64
 	// Digest fingerprints the full per-device record streams: identical
 	// across runs iff every device stored the identical record sequence,
 	// regardless of cross-device arrival order.
@@ -189,7 +178,6 @@ func (a *Aggregates) Snapshot() AggSnapshot {
 		Records:    a.records,
 		Batches:    a.batches,
 		DupBatches: a.dupBatches,
-		Unkeyed:    a.unkeyed,
 		Digest:     fmt.Sprintf("%016x", h),
 	}
 }

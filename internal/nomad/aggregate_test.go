@@ -172,7 +172,8 @@ func TestKeyedUploadOfAnotherDeviceRefused(t *testing.T) {
 	}
 }
 
-// TestSplitBatchID: Agent-form IDs parse; junk falls back to unkeyed.
+// TestSplitBatchID: Agent-form IDs parse; Aggregates applies nothing under
+// an ID that does not, nor an empty batch under one that does.
 func TestSplitBatchID(t *testing.T) {
 	dev, seq, ok := splitBatchID("dev-00ff-b000012")
 	if !ok || dev != "dev-00ff" || seq != 12 {
@@ -185,10 +186,10 @@ func TestSplitBatchID(t *testing.T) {
 	}
 	a := NewAggregates()
 	d := HashDeviceID("device-4")
-	if !a.IngestBatch("", aggEntries(d, 0, 2)) {
-		t.Fatal("unkeyed batch rejected")
+	if a.IngestBatch("", aggEntries(d, 0, 2)) || a.IngestBatch(d+"-b000001", nil) {
+		t.Fatal("a batch without a parseable ID or without entries was applied")
 	}
-	if snap := a.Snapshot(); snap.Unkeyed != 1 || snap.Records != 2 {
-		t.Fatalf("snapshot %+v, want 1 unkeyed / 2 records", snap)
+	if snap := a.Snapshot(); snap != (AggSnapshot{Digest: snap.Digest}) {
+		t.Fatalf("snapshot %+v, want nothing applied", snap)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/faultnet"
+	"locind/internal/ingest"
 	"locind/internal/mobility"
 	"locind/internal/nomad"
 	"locind/internal/obs"
@@ -194,13 +194,12 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	}
 	env := faultnet.NewEnv(cfg.Seed + 2)
 	env.SetMetrics(faultnet.NewMetrics(reg))
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(faultnet.WrapListener(ln, env, defaultSoakFaults())) //lint:allow errflow server dies with the soak
-	defer hs.Close()                                                 //lint:allow errflow best-effort teardown
+	go ingest.Serve(faultnet.WrapListener(ln, env, defaultSoakFaults()), srv) //nolint:errcheck // Accept's error once ln closes
+	defer ln.Close()
 	base := "http://" + ln.Addr().String()
 
 	// One engine per shard over a contiguous device range. Each engine owns
-	// its HTTP client, retry rng, generation scratch — and its own metric
+	// its retry rng, generation scratch — and its own metric
 	// series labeled shard="<i>", so the dashboard's ?by=shard view shows
 	// every engine's queues individually; fleet-wide rollups are derived
 	// per tick below.
@@ -209,23 +208,16 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	shardMets := make([]*Metrics, len(ranges))
 	for i, r := range ranges {
 		shardMets[i] = NewShardMetrics(reg, i)
-		// Each upload dials fresh, like a device coming online — which is
-		// also what exposes every upload to the per-connection chaos
-		// decisions (a keep-alive pool would sail most of the run through
-		// a few lucky connections).
-		client := &nomad.Client{
-			BaseURL: base,
-			HTTP: &http.Client{
-				Timeout:   10 * time.Second,
-				Transport: &http.Transport{DisableKeepAlives: true},
-			},
-		}
 		engines[i], err = New(Config{
-			Fleet:            fleet,
-			UserBase:         r[0],
-			Devices:          r[1] - r[0],
-			Days:             cfg.Days,
-			Uploader:         client,
+			Fleet:    fleet,
+			UserBase: r[0],
+			Devices:  r[1] - r[0],
+			Days:     cfg.Days,
+			// Each upload dials fresh, like a device coming online — which
+			// is also what exposes every upload to the per-connection chaos
+			// decisions (a keep-alive pool would sail most of the run
+			// through a few lucky connections).
+			Uploader:         &nomad.Client{BaseURL: base},
 			UploadRetries:    3,
 			Backoff:          reliable.Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.5},
 			Rand:             rand.New(rand.NewSource(cfg.Seed + 3 + int64(i))),

@@ -13,7 +13,6 @@
 package nomad
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -22,7 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"locind/internal/obs"
+	"locind/internal/ingest"
 )
 
 // Entry is one log record, matching the schema of §4:
@@ -45,17 +44,15 @@ func HashDeviceID(raw string) string {
 	return fmt.Sprintf("dev-%016x", h.Sum64())
 }
 
-// Server is the NomadLog backend: the upload endpoint, which folds every
-// accepted batch into streaming Aggregates.
+// Server is the NomadLog backend serving POST /upload: it folds each
+// committed batch into streaming Aggregates. A batch is keyed by its
+// X-Nomad-Batch-Id header, not its body, because engine.Uploader hands the
+// ID beside the batch.
 type Server struct {
+	ingest.Handler[[]Entry]
 	// Agg holds the running per-device aggregates of every accepted upload
 	// (O(devices) memory, whatever the fleet uploads).
 	Agg *Aggregates
-	// Tracer, when non-nil, records one span per accepted upload batch,
-	// parented onto the uploading agent's batch span via the trace header.
-	// Nil traces nothing.
-	Tracer *obs.Tracer
-	mux    *http.ServeMux
 }
 
 // batchIDHeader carries the device's stable batch identifier, the key the
@@ -70,57 +67,41 @@ const maxUploadBody = 1 << 20
 // NewStreamingServer constructs the backend: uploads fold into Aggregates
 // and no record is retained.
 func NewStreamingServer() *Server {
-	s := &Server{Agg: NewAggregates(), mux: http.NewServeMux()}
-	s.mux.HandleFunc("/upload", s.handleUpload)
+	s := &Server{Agg: NewAggregates()}
+	s.Handler = ingest.Handler[[]Entry]{
+		Path: "/upload", MaxBody: maxUploadBody, Span: "nomad-store", Commit: s.Commit,
+		Key: func(h http.Header, _ *[]Entry) []string { return []string{"batch", h.Get(batchIDHeader)} },
+	}
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+// Commit validates a decoded batch and folds it into Agg, once per batch
+// ID: a replay is a success, since the device's data is stored. The ID must
+// name a hashed device and a sequence, and the batch must hold entries, each
+// with an address and of that device: Aggregates dedups on its sequence.
+func (s *Server) Commit(h http.Header, batch *[]Entry) error {
+	id := h.Get(batchIDHeader)
+	device, _, keyed := splitBatchID(id)
+	switch {
+	case !keyed || !strings.HasPrefix(device, "dev-"):
+		return fmt.Errorf("nomad: batch ID %q is not <hashed device>-b<seq>", id)
+	case len(*batch) == 0:
+		return fmt.Errorf("nomad: batch %s is empty", id)
 	}
-	tc, _ := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
-	span := s.Tracer.StartRemote(tc, "nomad-store", "batch", r.Header.Get(batchIDHeader))
-	defer span.End()
-	var batch []Entry
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBody))
-	if err := dec.Decode(&batch); err != nil {
-		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-		return
-	}
-	batchID := r.Header.Get(batchIDHeader)
-	device, _, keyed := splitBatchID(batchID)
-	for _, e := range batch {
-		if e.DeviceID == "" || e.IPAddr == "" {
-			http.Error(w, "entry missing device_id or ip_addr", http.StatusBadRequest)
-			return
-		}
-		if !strings.HasPrefix(e.DeviceID, "dev-") {
-			http.Error(w, "device_id must be hashed", http.StatusBadRequest)
-			return
-		}
-		// Aggregates dedups a keyed batch on the device its ID names, so an
-		// entry of any other device would land under the wrong sequence.
-		if keyed && e.DeviceID != device {
-			http.Error(w, "batch holds another device's entries", http.StatusBadRequest)
-			return
+	for _, e := range *batch {
+		if e.DeviceID != device || e.IPAddr == "" {
+			return fmt.Errorf("nomad: batch %s holds an entry of another device or with no address", id)
 		}
 	}
-	// Applying a replayed batch twice would duplicate log entries, so the
-	// aggregates dedup on the batch ID; a duplicate is still a success from
-	// the device's point of view (its data is safely stored).
-	s.Agg.IngestBatch(batchID, batch)
-	w.WriteHeader(http.StatusNoContent)
+	s.Agg.IngestBatch(id, *batch)
+	return nil
 }
 
 // Client is the device side of the upload protocol.
 type Client struct {
 	BaseURL string
-	HTTP    *http.Client
+	// HTTP carries the uploads; nil posts each over a fresh connection.
+	HTTP *http.Client
 }
 
 // NewClient builds a client against the given base URL.
@@ -131,7 +112,7 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
-// Upload posts a sealed batch of entries. batchID, when non-empty, makes
+// Upload posts a sealed batch of entries under its batch ID, which makes
 // the upload idempotent: a retry after a lost response replays the batch
 // and the server skips the duplicate. ctx bounds the request.
 func (c *Client) Upload(ctx context.Context, batchID string, batch []Entry) error {
@@ -139,26 +120,5 @@ func (c *Client) Upload(ctx context.Context, batchID string, batch []Entry) erro
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/upload", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if batchID != "" {
-		req.Header.Set(batchIDHeader, batchID)
-	}
-	// Propagate the batch span carried by ctx (if any) so the server's
-	// store span parents onto it.
-	if tc := obs.FromContext(ctx).Context(); tc.Valid() {
-		req.Header.Set(obs.TraceHeader, tc.Encode())
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("nomad: /upload returned %s", resp.Status)
-	}
-	return nil
+	return ingest.Post(ctx, c.HTTP, c.BaseURL+"/upload", body, batchIDHeader, batchID)
 }

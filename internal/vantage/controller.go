@@ -8,17 +8,15 @@
 package vantage
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
 
+	"locind/internal/ingest"
 	"locind/internal/names"
 	"locind/internal/netaddr"
-	"locind/internal/obs"
 )
 
 // Upload is the body of POST /report: one node's observations of one day,
@@ -42,80 +40,73 @@ type Report struct {
 // refused before it is read, one running past it as soon as it does.
 const maxReportBody = 256 << 20
 
-// dayKey names one committed upload.
-type dayKey struct {
-	node string
-	day  int
-}
-
 // Controller is the central collection node, an http.Handler serving POST
 // /report: it merges the nodes' hourly observations into per-(name, hour)
-// union address sets, the paper's Addrs(d, t).
-//
-// An upload is validated whole before anything changes: a body that does
-// not decode, names no node, holds an hour outside its day or an address
-// that does not parse is a 400 and commits nothing — so a body cut off on
-// the wire never reaches the union. An accepted body is a 204 and commits
-// first-wins per (node, day): a node that re-posts a day because the 204 was
-// lost on the wire is recognised and skipped.
+// union address sets, the paper's Addrs(d, t). An upload is keyed by its
+// body's (node, day).
 type Controller struct {
-	// Tracer, when non-nil, records one commit span per decoded upload,
-	// parented onto the node's span named in the obs.TraceHeader. Set it
-	// before serving.
-	Tracer *obs.Tracer
+	ingest.Handler[Upload]
 
 	mu         sync.Mutex
 	merged     map[names.Name]map[int]map[netaddr.Addr]bool
 	reports    int
-	nodes      map[string]bool
-	committed  map[dayKey]bool
+	committed  map[string]map[int]bool // node -> its committed days
 	dupCommits int
-	refused    int
-	firstErr   error
 }
 
 // NewController builds a controller with an empty union.
 func NewController() *Controller {
-	return &Controller{
+	c := &Controller{
 		merged:    map[names.Name]map[int]map[netaddr.Addr]bool{},
-		nodes:     map[string]bool{},
-		committed: map[dayKey]bool{},
+		committed: map[string]map[int]bool{},
 	}
+	c.Handler = ingest.Handler[Upload]{
+		Path: "/report", MaxBody: maxReportBody, Span: "vantage-commit", Commit: c.Commit,
+		Key: func(_ http.Header, up *Upload) []string {
+			return []string{"node", up.Node, "day", strconv.Itoa(up.Day)}
+		},
+	}
+	return c
 }
 
-// ServeHTTP implements http.Handler.
-func (c *Controller) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/report" {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.ContentLength > maxReportBody {
-		c.refuse(w, fmt.Errorf("vantage: upload of %d bytes exceeds %d", r.ContentLength, maxReportBody))
-		return
-	}
-	var up Upload
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReportBody))
-	if err == nil {
-		err = json.Unmarshal(body, &up)
-	}
-	if err != nil {
-		c.refuse(w, fmt.Errorf("vantage: bad upload: %w", err))
-		return
-	}
-	tc, _ := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
-	span := c.Tracer.StartRemote(tc, "vantage-commit", "node", up.Node, "day", strconv.Itoa(up.Day))
-	defer span.End()
+// Commit validates a decoded upload whole, then folds it into the merged
+// union, first commit per (node, day) wins: a node that re-posts a day
+// because the 204 was lost on the wire is recognised and skipped.
+func (c *Controller) Commit(_ http.Header, up *Upload) error {
 	addrs, err := up.parse()
 	if err != nil {
-		c.refuse(w, err)
-		return
+		return err
 	}
-	c.commit(&up, addrs)
-	w.WriteHeader(http.StatusNoContent)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	days := c.committed[up.Node]
+	if days == nil {
+		days = map[int]bool{}
+		c.committed[up.Node] = days
+	}
+	if days[up.Day] {
+		c.dupCommits++
+		return nil
+	}
+	days[up.Day] = true
+	for i, rep := range up.Reports {
+		name := names.Name(rep.Name)
+		byHour := c.merged[name]
+		if byHour == nil {
+			byHour = map[int]map[netaddr.Addr]bool{}
+			c.merged[name] = byHour
+		}
+		set := byHour[rep.Hour]
+		if set == nil {
+			set = map[netaddr.Addr]bool{}
+			byHour[rep.Hour] = set
+		}
+		for _, a := range addrs[i] {
+			set[a] = true
+		}
+	}
+	c.reports += len(up.Reports)
+	return nil
 }
 
 // parse validates an upload and returns each report's addresses.
@@ -140,57 +131,6 @@ func (up *Upload) parse() ([][]netaddr.Addr, error) {
 	return out, nil
 }
 
-// refuse answers 400 and records the refusal: a count, and the first error
-// for the operator.
-func (c *Controller) refuse(w http.ResponseWriter, err error) {
-	c.mu.Lock()
-	c.refused++
-	if c.firstErr == nil {
-		c.firstErr = err
-	}
-	c.mu.Unlock()
-	http.Error(w, err.Error(), http.StatusBadRequest)
-}
-
-// commit folds one validated upload into the merged union, first commit per
-// (node, day) wins.
-func (c *Controller) commit(up *Upload, addrs [][]netaddr.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nodes[up.Node] = true
-	key := dayKey{up.Node, up.Day}
-	if c.committed[key] {
-		c.dupCommits++
-		return
-	}
-	c.committed[key] = true
-	for i, rep := range up.Reports {
-		name := names.Name(rep.Name)
-		byHour := c.merged[name]
-		if byHour == nil {
-			byHour = map[int]map[netaddr.Addr]bool{}
-			c.merged[name] = byHour
-		}
-		set := byHour[rep.Hour]
-		if set == nil {
-			set = map[netaddr.Addr]bool{}
-			byHour[rep.Hour] = set
-		}
-		for _, a := range addrs[i] {
-			set[a] = true
-		}
-	}
-	c.reports += len(up.Reports)
-}
-
-// Refused returns how many upload bodies were answered 400, and the first
-// such body's error.
-func (c *Controller) Refused() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.refused, c.firstErr
-}
-
 // ReportCount returns how many reports have been committed into the union.
 // A refused or duplicate upload's reports are never counted.
 func (c *Controller) ReportCount() int {
@@ -204,7 +144,7 @@ func (c *Controller) ReportCount() int {
 func (c *Controller) NodeCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.nodes)
+	return len(c.committed)
 }
 
 // MergedSet returns the union address set observed for a name at an hour,

@@ -10,34 +10,30 @@ import (
 )
 
 // FuzzReportUpload drives arbitrary bodies through a Controller in process
-// with httptest. The contract: the handler never panics and answers 204 or
-// 400; a 400 changes no counter and no merged set; the same body posted
-// again gets the same answer and commits once; and every address of a 204
-// body is in MergedSet at its (name, hour).
+// with httptest. ingest's FuzzHandler holds the contract every upload
+// handler keeps; this one holds what Commit adds for days: a refused body
+// changes no counter and no merged set; an accepted one, posted again, is
+// accepted again and commits once; and every address of an accepted body is
+// in MergedSet at its (name, hour).
 //
 // testdata/fuzz/FuzzReportUpload holds the shapes random bytes rarely
-// spell: a well-formed day, an empty report list, an hour outside the day,
-// an address that does not parse, a missing node, trailing bytes after the
-// upload, and a JSON null.
+// spell: a well-formed day and an empty report list (each a 204); an hour
+// outside the day, an address that does not parse, a missing node, trailing
+// bytes after the upload and a JSON null (each a 400).
 func FuzzReportUpload(f *testing.F) {
 	f.Add([]byte(`{"node":"pl001","day":1,"reports":[{"hour":30,"name":"s01.pop001.com","addrs":["1.2.3.4","5.6.7.8"]}]}`))
 	f.Add([]byte(`{"node":"pl001","day":0,"reports":[{"hour":0,"name":"d","addrs":[]},{"hour":0,"name":"d","addrs":["1.2.3.4"]}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := NewController()
-		code := post(c, http.MethodPost, "/report", body)
-		switch code {
-		case http.StatusBadRequest:
+		if code := post(c, http.MethodPost, "/report", body); code != http.StatusNoContent {
 			if c.ReportCount() != 0 || c.NodeCount() != 0 || c.dupCommits != 0 || len(c.committed) != 0 || len(c.merged) != 0 {
-				t.Fatalf("a 400 changed the union: %d reports from %d nodes, %d names", c.ReportCount(), c.NodeCount(), len(c.merged))
+				t.Fatalf("a %d changed the union: %d reports from %d nodes, %d names", code, c.ReportCount(), c.NodeCount(), len(c.merged))
 			}
 			return
-		case http.StatusNoContent:
-		default:
-			t.Fatalf("upload answered %d, want 204 or 400", code)
 		}
 		reports := c.ReportCount()
-		if again := post(c, http.MethodPost, "/report", body); again != code {
-			t.Fatalf("the same upload answered %d, then %d", code, again)
+		if again := post(c, http.MethodPost, "/report", body); again != http.StatusNoContent {
+			t.Fatalf("the same upload answered 204, then %d", again)
 		}
 		if c.ReportCount() != reports || c.DuplicateCommits() != 1 {
 			t.Fatalf("a body posted twice committed %d reports, then %d (%d duplicates)", reports, c.ReportCount(), c.DuplicateCommits())

@@ -1,20 +1,19 @@
 package vantage
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"locind/internal/cdn"
+	"locind/internal/ingest"
 	"locind/internal/names"
 	"locind/internal/netaddr"
 	"locind/internal/obs"
@@ -155,38 +154,12 @@ func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, view V
 			return err
 		}
 		attempts, err := policy.Do(ctx, func(ctx context.Context) error {
-			return cp.attempt(ctx, body)
+			return ingest.Post(ctx, nil, "http://"+cp.Controller+"/report", body)
 		})
 		cp.attempts.Add(int64(attempts))
 		if err != nil {
 			return fmt.Errorf("vantage: node %s stopped at day %d: %w", node, day, err)
 		}
-	}
-	return nil
-}
-
-// attempt posts one day's body; anything but a 204 fails the attempt.
-func (cp *Campaign) attempt(ctx context.Context, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+cp.Controller+"/report", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// One connection per post: each attempt then meets exactly one fault
-	// decision at a fault-injecting listener, so same-seed runs replay.
-	req.Close = true
-	// The node's campaign span rides on ctx; the controller's commit span
-	// parents onto it.
-	if tc := obs.FromContext(ctx).Context(); tc.Valid() {
-		req.Header.Set(obs.TraceHeader, tc.Encode())
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("vantage: /report returned %s", resp.Status)
 	}
 	return nil
 }

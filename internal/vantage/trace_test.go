@@ -35,7 +35,7 @@ func TestTraceContextCrossesBothUploadHops(t *testing.T) {
 				defer span.End()
 				dev := nomad.HashDeviceID("device-0")
 				batch := []nomad.Entry{{DeviceID: dev, IPAddr: "22.33.44.55", NetType: "wifi"}}
-				return nomad.NewClient("http://"+addr).Upload(obs.ContextWith(ctx, span), "", batch)
+				return nomad.NewClient("http://"+addr).Upload(obs.ContextWith(ctx, span), dev+"-b000001", batch)
 			},
 		},
 		{
