@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -33,6 +34,7 @@ import (
 	"locind/internal/faultnet"
 	"locind/internal/gns"
 	"locind/internal/gns/cluster"
+	"locind/internal/ingest"
 	"locind/internal/obs"
 )
 
@@ -67,12 +69,13 @@ func run(shards, replicas int, seed int64, obsAddr string) error {
 		smp := obs.NewSampler(reg, 0)
 		smp.Pre(obs.RuntimeSampler(reg))
 		go smp.Run(ctx)
-		srv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: sm.Tracer, Sampler: smp}))
+		ln, err := net.Listen("tcp", obsAddr)
 		if err != nil {
 			return err
 		}
-		defer srv.Close() //nolint:errcheck // the process is exiting
-		fmt.Fprintf(os.Stderr, "gnsd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", srv.Addr())
+		defer ln.Close()
+		go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: sm.Tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
+		fmt.Fprintf(os.Stderr, "gnsd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", ln.Addr())
 	}
 
 	c, err := cluster.Start(ctx, cluster.Config{Shards: shards, Replicas: replicas}, faultnet.NewEnv(seed), sm)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -67,8 +68,9 @@ func hostileDatagrams(t *testing.T) [][]byte {
 // arrived — and counted; after them the grid serve mode prints is still all
 // a client needs — cluster.NewClient over the parsed lines commits an
 // update, a client of another origin reads it back; the introspection port
-// has timed those requests and traced them — and SIGTERM ends the process
-// with its shutdown line and exit 0.
+// has timed those requests and traced them, and closes a connection stalled
+// mid-header — and SIGTERM ends the process with its shutdown line and exit
+// 0.
 func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
 	cmd := gnsd("-shards", "2", "-replicas", "3", "-obs.addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
@@ -183,6 +185,28 @@ func TestServeModeGridRoutesAClientAndSIGTERMExitsClean(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Contains(traces, []byte("gns-serve")) {
 		t.Errorf("GET %s: status %d, %v, want 200 with a gns-serve span\n%s", tracesURL, resp.StatusCode, err, traces)
 	}
+
+	// A client that never finishes its request header is cut off by the
+	// introspection server's header timeout instead of holding the
+	// connection open for as long as it likes.
+	t.Run("StalledHeaderIsClosed", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("waits out the introspection server's header timeout")
+		}
+		host := strings.TrimPrefix(strings.TrimSuffix(metricsURL, "/metrics"), "http://")
+		conn, err := net.Dial("tcp", host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: x\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline shows as the read error below
+		if _, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("connection stalled mid-header still open after 10 s: %v", err)
+		}
+	})
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -17,12 +17,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"locind/internal/expt"
+	"locind/internal/ingest"
 	"locind/internal/obs"
 	"locind/internal/par"
 )
@@ -108,19 +110,19 @@ func run(args []string, o runOpts) error {
 		if obsAddr != "" {
 			tracer = obs.NewTracer(cfg.Seed, 0)
 			tracer.SetNow(func() time.Duration { return time.Since(begin) })
-			srv, err := obs.Serve(context.Background(), obsAddr,
-				obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp}))
+			ln, err := net.Listen("tcp", obsAddr)
 			if err != nil {
 				return err
 			}
-			defer srv.Close() //nolint:errcheck // the process is exiting
+			defer ln.Close()
+			go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
 			defer func() {
 				if obsLinger > 0 {
-					fmt.Fprintf(os.Stderr, "obs: lingering %v on http://%s\n", obsLinger, srv.Addr())
+					fmt.Fprintf(os.Stderr, "obs: lingering %v on http://%s\n", obsLinger, ln.Addr())
 					time.Sleep(obsLinger)
 				}
 			}()
-			fmt.Fprintf(os.Stderr, "obs: introspection on http://%s/metrics (dashboard: /debug/dash)\n", srv.Addr())
+			fmt.Fprintf(os.Stderr, "obs: introspection on http://%s/metrics (dashboard: /debug/dash)\n", ln.Addr())
 		}
 		if o.report != "" {
 			profiler = obs.NewProfiler(reg)

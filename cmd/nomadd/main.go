@@ -102,17 +102,17 @@ func main() {
 
 // serveObs exposes /metrics, /debug/pprof, and (sampler permitting) the
 // /debug/timeseries + /debug/dash pair when requested.
-func serveObs(ctx context.Context, obsAddr string, reg *obs.Registry, tracer *obs.Tracer, smp *obs.Sampler) (func(), error) {
+func serveObs(obsAddr string, reg *obs.Registry, tracer *obs.Tracer, smp *obs.Sampler) (func(), error) {
 	if obsAddr == "" {
 		return func() {}, nil
 	}
-	h := obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})
-	osrv, err := obs.Serve(ctx, obsAddr, h)
+	ln, err := net.Listen("tcp", obsAddr)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("nomadd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", osrv.Addr())
-	return func() { osrv.Close() }, nil //lint:allow errflow the process is exiting
+	go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
+	fmt.Printf("nomadd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", ln.Addr())
+	return func() { ln.Close() }, nil //lint:allow errflow the process is exiting
 }
 
 // writeFinalMetrics flushes the closing metrics snapshot to stdout — the
@@ -135,7 +135,7 @@ func writeFinalMetrics(reg *obs.Registry) {
 func runSoak(ctx context.Context, cfg engine.SoakConfig, reg *obs.Registry, obsAddr, seriesPath string, linger time.Duration) error {
 	smp := obs.NewSampler(reg, 0)
 	cfg.Sampler = smp
-	closeObs, err := serveObs(ctx, obsAddr, reg, nil, smp)
+	closeObs, err := serveObs(obsAddr, reg, nil, smp)
 	if err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	sampCtx, sampStop := context.WithCancel(ctx)
 	defer sampStop()
 	go smp.Run(sampCtx)
-	closeObs, err := serveObs(ctx, obsAddr, reg, tracer, smp)
+	closeObs, err := serveObs(obsAddr, reg, tracer, smp)
 	if err != nil {
 		return err
 	}

@@ -89,12 +89,13 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		sampCtx, sampStop := context.WithCancel(ctx)
 		defer sampStop()
 		go smp.Run(sampCtx)
-		osrv, err := obs.Serve(ctx, obsAddr, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp}))
+		oln, err := net.Listen("tcp", obsAddr)
 		if err != nil {
 			return err
 		}
-		defer osrv.Close() //nolint:errcheck // the process is exiting
-		fmt.Printf("vantaged: introspection on http://%s/metrics (dashboard: /debug/dash)\n", osrv.Addr())
+		defer oln.Close()
+		go ingest.Serve(oln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once oln closes
+		fmt.Printf("vantaged: introspection on http://%s/metrics (dashboard: /debug/dash)\n", oln.Addr())
 	}
 
 	// The controller on a real socket. Sharing the tracer between campaign

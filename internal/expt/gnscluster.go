@@ -112,10 +112,9 @@ func RunGNSClusterObserved(seed int64, quick bool, o *GNSClusterObs) (GNSCluster
 		// Demand-driven cooldown sized to the run: a dead replica is probed
 		// about 64 times over the whole name sweep instead of per lookup.
 		BreakerCooldown: max(8, names/64),
-		CacheLimit:      2 * names, // bounded, but ample: degraded mode must hold every name
 	})
 	defer cl.Close()
-	cl.SetMetrics(m, 2*names)
+	cl.SetMetrics(m, 2*names) // bounded, but ample: degraded mode must hold every name
 	cl.Timeout = 25 * time.Millisecond
 	cl.HedgeDelay = 10 * time.Millisecond
 	cl.Retries = 0

@@ -1,10 +1,10 @@
 // Package faultnet is a deterministic fault-injecting transport: wrappers
 // around net.PacketConn (for the GNS UDP resolution protocol) and
 // net.Conn/net.Listener (for the NomadLog and vantage HTTP upload
-// pipelines) that drop, delay, duplicate, reorder and truncate
-// datagrams, refuse and reset connections, stall and throttle streams — the
-// failure vocabulary of the hostile networks the paper measured on
-// (intermittent cellular/WiFi uplinks, PlanetLab node churn).
+// pipelines) that drop, delay and duplicate datagrams, refuse and reset
+// connections, and stall streams — the failure vocabulary of the hostile
+// networks the paper measured on (intermittent cellular/WiFi uplinks,
+// PlanetLab node churn).
 //
 // Every fault decision is drawn from one explicit *rand.Rand owned by an
 // Env, in a fixed per-packet/per-connection order, and every injected wait
@@ -40,13 +40,10 @@ type Env struct {
 type Stats struct {
 	Dropped    int
 	Duplicated int
-	Reordered  int
-	Truncated  int
 	Delayed    int
 	Refused    int
 	Reset      int
 	Stalled    int
-	Throttled  int
 	// Partitioned counts datagrams swallowed by a Partition cut. Unlike
 	// the probabilistic faults above these consume no random variates, so
 	// imposing or healing a partition never shifts the seeded fault

@@ -1,10 +1,13 @@
 package faultnet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,9 +72,9 @@ func TestPacketRecvDrop(t *testing.T) {
 	}
 }
 
-func TestPacketSendDupAndTruncate(t *testing.T) {
+func TestPacketSendDup(t *testing.T) {
 	env := NewEnv(3)
-	srv, cli := udpPair(t, env, PacketFaults{Dup: 1, Truncate: 1, TruncateTo: 3}, PacketFaults{})
+	srv, cli := udpPair(t, env, PacketFaults{Dup: 1}, PacketFaults{})
 	// Learn the peer address first.
 	if _, err := cli.Write([]byte("hi")); err != nil {
 		t.Fatal(err)
@@ -91,38 +94,12 @@ func TestPacketSendDupAndTruncate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("copy %d: %v", i, err)
 		}
-		if string(buf[:n]) != "abc" {
-			t.Fatalf("copy %d = %q, want truncated %q", i, buf[:n], "abc")
+		if string(buf[:n]) != "abcdef" {
+			t.Fatalf("copy %d = %q, want %q", i, buf[:n], "abcdef")
 		}
 	}
-	s := env.Stats()
-	if s.Duplicated != 1 || s.Truncated != 1 {
+	if s := env.Stats(); s != (Stats{Duplicated: 1}) {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestPacketRecvReorderSwapsAdjacent(t *testing.T) {
-	env := NewEnv(5)
-	// Reorder every datagram: each held one is released after its
-	// successor, so pairs arrive swapped.
-	srv, cli := udpPair(t, env, PacketFaults{}, PacketFaults{Reorder: 1})
-	for _, msg := range []string{"one", "two"} {
-		if _, err := cli.Write([]byte(msg)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
-	buf := make([]byte, 64)
-	var got []string
-	for i := 0; i < 2; i++ {
-		n, _, err := srv.ReadFrom(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, string(buf[:n]))
-	}
-	if got[0] != "two" || got[1] != "one" {
-		t.Fatalf("order = %v, want [two one]", got)
 	}
 }
 
@@ -131,7 +108,7 @@ func TestPacketDelayUsesSleepHook(t *testing.T) {
 	var slept []time.Duration
 	env.SetSleep(func(d time.Duration) { slept = append(slept, d) })
 	srv, cli := udpPair(t, env, PacketFaults{}, PacketFaults{
-		Delay: 1, DelayMin: 50 * time.Millisecond, DelayMax: 100 * time.Millisecond,
+		Delay: 1, DelayMax: 100 * time.Millisecond,
 	})
 	if _, err := cli.Write([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -141,13 +118,16 @@ func TestPacketDelayUsesSleepHook(t *testing.T) {
 	if _, _, err := srv.ReadFrom(buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(slept) != 1 || slept[0] < 50*time.Millisecond || slept[0] > 100*time.Millisecond {
+	if len(slept) != 1 || slept[0] <= 0 || slept[0] > 100*time.Millisecond {
 		t.Fatalf("sleep hook saw %v", slept)
 	}
 }
 
 // TestPacketDeterministicTrace is the substrate-level determinism contract:
-// the same seed and operation sequence yield an identical fault trace.
+// the same seed and operation sequence yield an identical fault trace. The
+// seed-42 trace is also pinned by digest across commits: a change to how
+// many variates decidePacket draws, or in which order, moves every seeded
+// chaos replay built on it.
 func TestPacketDeterministicTrace(t *testing.T) {
 	run := func(seed int64) []string {
 		env := NewEnv(seed)
@@ -158,8 +138,7 @@ func TestPacketDeterministicTrace(t *testing.T) {
 		}
 		defer srv.Close()
 		wrapped := WrapPacketConn(srv, env, PacketFaults{
-			Drop: 0.3, Dup: 0.2, Reorder: 0.2, Truncate: 0.1, Delay: 0.3,
-			DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond,
+			Drop: 0.3, Dup: 0.2, Delay: 0.3, DelayMax: 10 * time.Millisecond,
 		}, PacketFaults{})
 		peer, err := net.ResolveUDPAddr("udp", "127.0.0.1:9") // discard port; never read
 		if err != nil {
@@ -173,8 +152,11 @@ func TestPacketDeterministicTrace(t *testing.T) {
 		return env.Trace()
 	}
 	a, b := run(42), run(42)
-	if len(a) == 0 {
-		t.Fatal("no faults fired at these rates")
+	// The pinned trace starts "send dup 7B", "send delay 835.883µs", "send drop 7B".
+	const wantLines, wantSum = 134, "05901dc22434306d2ce2b09a59a8bf9dd1f471679a1fc4d61a6edad3a03535cf"
+	if sum := sha256.Sum256([]byte(strings.Join(a, "\n"))); len(a) != wantLines || hex.EncodeToString(sum[:]) != wantSum {
+		t.Fatalf("trace: %d lines, sha256 %x, first lines %q; want %d lines, sha256 %s",
+			len(a), sum, a[:min(len(a), 3)], wantLines, wantSum)
 	}
 	if len(a) != len(b) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
@@ -307,34 +289,28 @@ func TestStreamResetAfterBudget(t *testing.T) {
 	}
 }
 
-func TestStreamStallAndThrottleUseHook(t *testing.T) {
+func TestStreamStallUsesHook(t *testing.T) {
 	env := NewEnv(6)
 	var slept []time.Duration
 	env.SetSleep(func(d time.Duration) { slept = append(slept, d) })
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	wrapped := WrapConn(a, env, StreamFaults{
-		Stall: 1, StallFor: 300 * time.Millisecond, BytesPerSec: 1000,
-	})
+	wrapped := WrapConn(a, env, StreamFaults{Stall: 1, StallFor: 300 * time.Millisecond})
 	go func() {
-		buf := make([]byte, 10)
+		buf := make([]byte, 20)
 		io.ReadFull(b, buf) //nolint:errcheck
 	}()
-	if _, err := wrapped.Write([]byte("0123456789")); err != nil {
-		t.Fatal(err)
+	// The stall is one-shot: the second write goes straight through.
+	for i := 0; i < 2; i++ {
+		if _, err := wrapped.Write([]byte("0123456789")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(slept) != 2 {
-		t.Fatalf("hook calls = %v, want stall then throttle", slept)
+	if len(slept) != 1 || slept[0] != 300*time.Millisecond {
+		t.Fatalf("hook calls = %v, want one 300ms stall", slept)
 	}
-	if slept[0] != 300*time.Millisecond {
-		t.Fatalf("stall = %v", slept[0])
-	}
-	if slept[1] != 10*time.Millisecond { // 10 bytes at 1000 B/s
-		t.Fatalf("throttle = %v", slept[1])
-	}
-	s := env.Stats()
-	if s.Stalled != 1 || s.Throttled != 1 {
+	if s := env.Stats(); s != (Stats{Stalled: 1}) {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -9,13 +9,10 @@ import "locind/internal/obs"
 type Metrics struct {
 	Dropped     *obs.Counter
 	Duplicated  *obs.Counter
-	Reordered   *obs.Counter
-	Truncated   *obs.Counter
 	Delayed     *obs.Counter
 	Refused     *obs.Counter
 	Reset       *obs.Counter
 	Stalled     *obs.Counter
-	Throttled   *obs.Counter
 	Partitioned *obs.Counter
 }
 
@@ -28,13 +25,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Dropped:     kind("dropped"),
 		Duplicated:  kind("duplicated"),
-		Reordered:   kind("reordered"),
-		Truncated:   kind("truncated"),
 		Delayed:     kind("delayed"),
 		Refused:     kind("refused"),
 		Reset:       kind("reset"),
 		Stalled:     kind("stalled"),
-		Throttled:   kind("throttled"),
 		Partitioned: kind("partitioned"),
 	}
 }

@@ -14,31 +14,21 @@ type PacketFaults struct {
 	Drop float64
 	// Dup delivers the datagram twice back-to-back.
 	Dup float64
-	// Reorder holds the datagram and delivers it after the next one —
-	// adjacent-swap reordering, the deterministic core of real-world
-	// misordering. A held datagram with no successor is lost (tail drop).
-	Reorder float64
-	// Truncate delivers only the first TruncateTo bytes, modelling
-	// MTU-clipped or corrupted-length datagrams.
-	Truncate float64
-	// TruncateTo is the byte prefix kept by a truncation; default 8.
-	TruncateTo int
-	// Delay pauses delivery for a uniform duration in [DelayMin, DelayMax]
-	// via the Env's sleep hook.
-	Delay              float64
-	DelayMin, DelayMax time.Duration
+	// Delay pauses delivery for a uniform duration in [0, DelayMax] via the
+	// Env's sleep hook.
+	Delay    float64
+	DelayMax time.Duration
 }
 
 // enabled reports whether any fault can fire.
 func (f PacketFaults) enabled() bool {
-	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.Truncate > 0 || f.Delay > 0
+	return f.Drop > 0 || f.Dup > 0 || f.Delay > 0
 }
 
 // packetDecision is the per-datagram fate, drawn in one locked step.
 type packetDecision struct {
-	drop, dup, reorder, trunc bool
-	truncTo                   int
-	delay                     time.Duration
+	drop, dup bool
+	delay     time.Duration
 }
 
 // decidePacket draws the datagram's fate. Five uniform variates are always
@@ -51,54 +41,35 @@ func (e *Env) decidePacket(f PacketFaults, dir string, n int) packetDecision {
 	var d packetDecision
 	d.drop = e.rng.Float64() < f.Drop
 	d.dup = e.rng.Float64() < f.Dup
-	d.reorder = e.rng.Float64() < f.Reorder
-	d.trunc = e.rng.Float64() < f.Truncate
-	if e.rng.Float64() < f.Delay {
-		span := f.DelayMax - f.DelayMin
-		if span < 0 {
-			span = 0
-		}
-		d.delay = f.DelayMin
-		if span > 0 {
-			d.delay += time.Duration(e.rng.Int63n(int64(span) + 1))
-		}
+	// Two variates no fault reads: they once drew reordering and
+	// truncation, and every seeded chaos run (the gns chaos tests, the
+	// gns-cluster soak's digests) replays the stream they shaped.
+	e.rng.Float64()
+	e.rng.Float64()
+	if e.rng.Float64() < f.Delay && f.DelayMax > 0 {
+		d.delay = time.Duration(e.rng.Int63n(int64(f.DelayMax) + 1))
 	}
-	d.truncTo = f.TruncateTo
-	if d.truncTo <= 0 {
-		d.truncTo = 8
-	}
-	switch {
-	case d.drop:
+	if d.drop {
 		e.stats.Dropped++
 		e.metrics.Dropped.Inc()
 		e.record("%s drop %dB", dir, n)
-	case d.reorder:
-		e.stats.Reordered++
-		e.metrics.Reordered.Inc()
-		e.record("%s reorder %dB", dir, n)
+		return d
 	}
-	if !d.drop {
-		if d.dup {
-			e.stats.Duplicated++
-			e.metrics.Duplicated.Inc()
-			e.record("%s dup %dB", dir, n)
-		}
-		if d.trunc {
-			e.stats.Truncated++
-			e.metrics.Truncated.Inc()
-			e.record("%s trunc %dB->%dB", dir, n, min(n, d.truncTo))
-		}
-		if d.delay > 0 {
-			e.stats.Delayed++
-			e.metrics.Delayed.Inc()
-			e.record("%s delay %v", dir, d.delay)
-		}
+	if d.dup {
+		e.stats.Duplicated++
+		e.metrics.Duplicated.Inc()
+		e.record("%s dup %dB", dir, n)
+	}
+	if d.delay > 0 {
+		e.stats.Delayed++
+		e.metrics.Delayed.Inc()
+		e.record("%s delay %v", dir, d.delay)
 	}
 	return d
 }
 
-// heldPacket is a datagram parked by a reorder decision.
-type heldPacket struct {
+// queuedPacket is a received duplicate waiting for the next ReadFrom.
+type queuedPacket struct {
 	data []byte
 	addr net.Addr
 }
@@ -111,9 +82,7 @@ type PacketConn struct {
 	send, recv PacketFaults // fixed at wrap time
 
 	mu      sync.Mutex
-	heldOut *heldPacket  // parked by a send-side reorder
-	pending []heldPacket // receive-side queue: dups and released reorders
-	heldIn  *heldPacket  // parked by a receive-side reorder
+	pending []queuedPacket // receive-side duplicates
 }
 
 // WrapPacketConn wraps pc so datagrams written through it suffer send
@@ -133,45 +102,22 @@ func (c *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if d.drop {
 		return len(p), nil
 	}
-	out := p
-	if d.trunc && len(out) > d.truncTo {
-		out = out[:d.truncTo]
-	}
 	if d.delay > 0 {
 		c.env.doSleep(d.delay)
 	}
-	if d.reorder {
-		c.mu.Lock()
-		if c.heldOut == nil {
-			c.heldOut = &heldPacket{data: append([]byte(nil), out...), addr: addr}
-			c.mu.Unlock()
-			return len(p), nil
-		}
-		c.mu.Unlock()
-	}
-	if _, err := c.inner.WriteTo(out, addr); err != nil {
+	if _, err := c.inner.WriteTo(p, addr); err != nil {
 		return 0, err
 	}
 	if d.dup {
-		if _, err := c.inner.WriteTo(out, addr); err != nil {
-			return 0, err
-		}
-	}
-	// Release a parked datagram after this one: adjacent swap.
-	c.mu.Lock()
-	held := c.heldOut
-	c.heldOut = nil
-	c.mu.Unlock()
-	if held != nil {
-		if _, err := c.inner.WriteTo(held.data, held.addr); err != nil {
+		if _, err := c.inner.WriteTo(p, addr); err != nil {
 			return 0, err
 		}
 	}
 	return len(p), nil
 }
 
-// ReadFrom delivers queued datagrams (duplicates, released reorders) first,
-// then reads from the inner conn applying receive-direction faults.
+// ReadFrom delivers a queued duplicate first, then reads from the inner
+// conn applying receive-direction faults.
 func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	for {
 		c.mu.Lock()
@@ -194,36 +140,19 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		if d.drop {
 			continue
 		}
-		if d.trunc && n > d.truncTo {
-			n = d.truncTo
-		}
 		if d.delay > 0 {
 			c.env.doSleep(d.delay)
 		}
-		if d.reorder {
+		if d.dup {
 			c.mu.Lock()
-			if c.heldIn == nil {
-				c.heldIn = &heldPacket{data: append([]byte(nil), p[:n]...), addr: addr}
-				c.mu.Unlock()
-				continue // deliver the *next* datagram first
-			}
+			c.pending = append(c.pending, queuedPacket{data: append([]byte(nil), p[:n]...), addr: addr})
 			c.mu.Unlock()
 		}
-		c.mu.Lock()
-		if d.dup {
-			c.pending = append(c.pending, heldPacket{data: append([]byte(nil), p[:n]...), addr: addr})
-		}
-		if c.heldIn != nil {
-			c.pending = append(c.pending, *c.heldIn)
-			c.heldIn = nil
-		}
-		c.mu.Unlock()
 		return n, addr, nil
 	}
 }
 
-// Close closes the inner conn. A datagram still parked by a reorder is
-// lost, like a packet in flight when the interface goes down.
+// Close closes the inner conn. A queued duplicate not yet read is lost.
 func (c *PacketConn) Close() error { return c.inner.Close() }
 
 // LocalAddr returns the inner conn's address.

@@ -30,9 +30,6 @@ type StreamFaults struct {
 	// deadline to detect.
 	Stall    float64
 	StallFor time.Duration
-	// BytesPerSec throttles the stream: each op sleeps n/BytesPerSec via
-	// the sleep hook. Zero means unthrottled.
-	BytesPerSec int
 }
 
 // connDecision is the per-connection fate, drawn once at accept/wrap time.
@@ -164,7 +161,7 @@ func (c *Conn) pre() (int, error) {
 	return budget, nil
 }
 
-// post accounts moved bytes and applies throttling.
+// post accounts moved bytes against the reset budget.
 func (c *Conn) post(n int) {
 	if n <= 0 {
 		return
@@ -172,14 +169,6 @@ func (c *Conn) post(n int) {
 	c.mu.Lock()
 	c.used += n
 	c.mu.Unlock()
-	if c.faults.BytesPerSec > 0 {
-		d := time.Duration(float64(n) / float64(c.faults.BytesPerSec) * float64(time.Second))
-		c.env.mu.Lock()
-		c.env.stats.Throttled++
-		c.env.metrics.Throttled.Inc()
-		c.env.mu.Unlock()
-		c.env.doSleep(d)
-	}
 }
 
 // Read reads from the stream, honouring the connection's fault decisions.

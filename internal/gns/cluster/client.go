@@ -60,10 +60,6 @@ type Client struct {
 	Backoff reliable.Backoff
 	// Sleep overrides the inter-attempt wait (virtual clock hook).
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Metrics, when non-nil, counts cluster-level activity.
-	Metrics *ClientMetrics
-	// RetryMetrics, when non-nil, counts the per-leg retry loops.
-	RetryMetrics *reliable.Metrics
 	// Tracer, when non-nil, roots one span per Lookup/Update; each replica
 	// leg is a child span, each network attempt a grandchild, and the
 	// server-side serve spans parent onto the leg via wire propagation —
@@ -73,6 +69,7 @@ type Client struct {
 	shards   [][]string
 	origin   uint64
 	breakers [][]*reliable.Breaker
+	metrics  *ClientMetrics      // set by SetMetrics; nil counts nothing
 	repMet   [][]*ReplicaMetrics // resolved by SetMetrics; nil rows no-op
 
 	transport gns.Transport
@@ -109,8 +106,6 @@ type ClientConfig struct {
 	// BreakerCooldown configures every per-replica circuit breaker (zero =
 	// the reliable.Breaker default).
 	BreakerCooldown int
-	// CacheLimit bounds the last-known-good cache (0 = unbounded).
-	CacheLimit int
 }
 
 // NewClient builds a client over the address grid addrs ([shard][replica],
@@ -131,7 +126,7 @@ func NewClient(addrs [][]string, cfg ClientConfig) *Client {
 			si, ri := si, ri
 			b := &reliable.Breaker{Cooldown: cfg.BreakerCooldown}
 			b.OnTransition = func(from, to reliable.BreakerState) {
-				m := c.Metrics.orNop()
+				m := c.metrics.orNop()
 				switch to {
 				case reliable.BreakerOpen:
 					m.BreakerOpens.Inc()
@@ -146,20 +141,15 @@ func NewClient(addrs [][]string, cfg ClientConfig) *Client {
 		}
 		c.breakers = append(c.breakers, row)
 	}
-	if cfg.CacheLimit > 0 {
-		// The eviction counter handle is read through Metrics at flush
-		// time via the cache's own counter; bind it lazily in SetMetrics
-		// instead — here we only set the cap.
-		c.cache.Bound(cfg.CacheLimit, nil)
-	}
 	return c
 }
 
-// SetMetrics attaches m (may be nil), re-binds the cache's eviction
-// counter, and resolves the per-replica counter grid so the hot path never
-// takes the registration lock.
+// SetMetrics attaches m (may be nil), bounds the last-known-good cache to
+// cacheLimit names (0 = unbounded) counting evictions in m, and resolves
+// the per-replica counter grid so the hot path never takes the
+// registration lock.
 func (c *Client) SetMetrics(m *ClientMetrics, cacheLimit int) {
-	c.Metrics = m
+	c.metrics = m
 	c.cache.Bound(cacheLimit, m.orNop().CacheEvictions)
 	c.repMet = nil
 	if m != nil {
@@ -281,7 +271,6 @@ func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, par
 		PerAttempt:  timeout,
 		Backoff:     c.Backoff,
 		Sleep:       c.Sleep,
-		Metrics:     c.RetryMetrics,
 		TraceSpan:   leg,
 	}
 	resp, attempts, err := c.transport.Exchange(ctx, addr, req, p)
@@ -301,7 +290,7 @@ func (c *Client) exchange(ctx context.Context, addr string, req gns.Request, par
 // last-writer-wins on the version vectors. The committed version vector is
 // returned.
 func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) (VV, error) {
-	m := c.Metrics.orNop()
+	m := c.metrics.orNop()
 	m.Updates.Inc()
 	shard, replicas, err := c.replicasOf("update", name)
 	if err != nil {
@@ -397,7 +386,7 @@ func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) 
 // reachable at all, the last-known-good binding answers flagged
 // Record.Stale; with nothing cached, the quorum error surfaces.
 func (c *Client) Lookup(ctx context.Context, name string) (gns.Record, error) {
-	m := c.Metrics.orNop()
+	m := c.metrics.orNop()
 	m.Lookups.Inc()
 	shard, replicas, err := c.replicasOf("lookup", name)
 	if err != nil {

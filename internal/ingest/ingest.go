@@ -150,7 +150,8 @@ const (
 )
 
 // Serve serves h on ln until ln is closed, and returns Accept's error then.
-// The timeouts above bound every connection it opens.
+// The timeouts above bound every connection it opens. Every HTTP endpoint
+// of the daemons runs on it: the uploads and each -obs.addr endpoint.
 func Serve(ln net.Listener, h http.Handler) error {
 	srv := &http.Server{
 		Handler:           h,

@@ -23,6 +23,7 @@ import (
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/faultnet"
+	"locind/internal/ingest"
 	"locind/internal/mobility"
 	"locind/internal/netaddr"
 	"locind/internal/nomad"
@@ -295,9 +296,7 @@ func chaosBackend(t *testing.T, env *faultnet.Env, faults faultnet.StreamFaults)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(faultnet.WrapListener(ln, env, faults)) //nolint:errcheck
-	t.Cleanup(func() { hs.Close() })
+	go ingest.Serve(faultnet.WrapListener(ln, env, faults), srv) //nolint:errcheck // Accept's error once ln closes
 	return srv, "http://" + ln.Addr().String()
 }
 

@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
 )
 
 // HandlerOpts selects which introspection surfaces NewHandler mounts; any
@@ -104,46 +101,4 @@ func NewHandler(o HandlerOpts) http.Handler {
 		w.Write([]byte("ok\n")) //nolint:errcheck
 	})
 	return mux
-}
-
-// Server is a bound introspection endpoint.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-
-	closed    chan struct{}
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// Serve binds addr and serves h (a NewHandler normally) in the
-// background until Close or ctx cancellation. It returns once the socket
-// is bound, so callers can immediately advertise Addr.
-func Serve(ctx context.Context, addr string, h http.Handler) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: h}, closed: make(chan struct{})}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed after Close
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.Close() //nolint:errcheck // close error is observable via the next Close
-		case <-s.closed:
-		}
-	}()
-	return s, nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the endpoint down. Safe to call more than once.
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		s.closeErr = s.srv.Close()
-		close(s.closed)
-	})
-	return s.closeErr
 }

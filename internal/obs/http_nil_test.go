@@ -1,20 +1,15 @@
 package obs
 
 import (
-	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
 func TestHandlerNilSourcesReturn404(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: NewRegistry()}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Reg: NewRegistry()}))
 	defer srv.Close()
-	base := "http://" + srv.Addr()
+	base := srv.URL
 
 	code, body := get(t, base+"/debug/traces")
 	if code != 404 || !strings.Contains(body, "tracing disabled") {
@@ -40,15 +35,10 @@ func TestHandlerChromeFormat(t *testing.T) {
 	req := tr.Start("request")
 	req.Child("attempt").End()
 	req.End()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: NewRegistry(), Tracer: tr}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Reg: NewRegistry(), Tracer: tr}))
 	defer srv.Close()
 
-	code, body := get(t, "http://"+srv.Addr()+"/debug/traces?format=chrome")
+	code, body := get(t, srv.URL+"/debug/traces?format=chrome")
 	if code != 200 {
 		t.Fatalf("?format=chrome = %d: %s", code, body)
 	}

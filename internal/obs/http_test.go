@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -28,14 +28,9 @@ func TestIntrospectionEndpoint(t *testing.T) {
 	tr := NewTracer(1, 16)
 	tr.Start("probe").End()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	srv, err := Serve(ctx, "127.0.0.1:0", NewHandler(HandlerOpts{Reg: reg, Tracer: tr}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Reg: reg, Tracer: tr}))
 	defer srv.Close()
-	base := "http://" + srv.Addr()
+	base := srv.URL
 
 	code, body := get(t, base+"/metrics")
 	if code != 200 || !strings.Contains(body, "locind_test_requests_total 7") {
@@ -52,11 +47,5 @@ func TestIntrospectionEndpoint(t *testing.T) {
 	code, _ = get(t, base+"/healthz")
 	if code != 200 {
 		t.Fatalf("/healthz = %d", code)
-	}
-
-	// ctx cancellation tears the endpoint down.
-	cancel()
-	if err := srv.Close(); err != nil && err != http.ErrServerClosed {
-		t.Fatalf("close: %v", err)
 	}
 }

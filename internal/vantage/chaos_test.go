@@ -52,7 +52,9 @@ func chaosTimelines(t *testing.T, hours, sites int) []cdn.Timeline {
 // chaosController serves a controller behind a fault-injecting listener,
 // the same wrapper nomad's chaos tests and soak use. It returns the
 // controller, its host:port and a shutdown that returns once every handler
-// has finished.
+// has finished. It runs its own http.Server rather than ingest.Serve, which
+// has no shutdown: runVantageChaos snapshots the controller only after
+// Shutdown has waited out the last handler.
 func chaosController(t *testing.T, env *faultnet.Env, faults faultnet.StreamFaults) (*Controller, string, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
