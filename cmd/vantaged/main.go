@@ -19,14 +19,13 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"slices"
+	"reflect"
 	"time"
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/ingest"
-	"locind/internal/netaddr"
 	"locind/internal/obs"
 	"locind/internal/reliable"
 	"locind/internal/vantage"
@@ -113,7 +112,6 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 	cp := &vantage.Campaign{
 		Controller: ln.Addr().String(),
 		Nodes:      nodes,
-		View:       vantage.PartialView(4),
 		Retries:    2,
 		Backoff:    reliable.Backoff{Base: 50 * time.Millisecond, Max: time.Second},
 		Metrics:    campaignMetrics,
@@ -124,9 +122,10 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 	}
 
 	fmt.Printf("vantaged: %d reports from %d nodes\n", ctrl.ReportCount(), ctrl.NodeCount())
-	// Verify the reconstruction against the CDN ground truth: the timelines
-	// the controller derives from the merged reports must hold the generated
-	// ones' events, hour for hour and address for address.
+	// Verify the reconstruction against the CDN ground truth: the timeline
+	// the controller derives from the merged reports must be the one
+	// cdn.FromSets derives from the generated sets, hour for hour and address
+	// for address.
 	sites := make([]cdn.Site, len(tls))
 	for i := range tls {
 		sites[i] = tls[i].Site
@@ -137,7 +136,7 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 	}
 	mismatches := 0
 	for i := range tls {
-		if !sameTimeline(&measured[i], &tls[i]) {
+		if !reflect.DeepEqual(measured[i], cdn.FromSets(tls[i].Site, hours, tls[i].SetAt)) {
 			mismatches++
 		}
 	}
@@ -155,27 +154,4 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 		return fmt.Errorf("union reconstruction failed for %d of %d names", mismatches, len(tls))
 	}
 	return nil
-}
-
-// sameTimeline reports whether got starts from want's address set and goes
-// through want's events: the same hours, the same addresses added and removed.
-func sameTimeline(got, want *cdn.Timeline) bool {
-	if !sameAddrs(got.Initial, want.Initial) || len(got.Events) != len(want.Events) {
-		return false
-	}
-	for i, w := range want.Events {
-		g := got.Events[i]
-		if g.Hour != w.Hour || !sameAddrs(g.Added, w.Added) || !sameAddrs(g.Removed, w.Removed) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameAddrs compares two address lists as sets.
-func sameAddrs(a, b []netaddr.Addr) bool {
-	a, b = slices.Clone(a), slices.Clone(b)
-	slices.Sort(a)
-	slices.Sort(b)
-	return slices.Equal(a, b)
 }

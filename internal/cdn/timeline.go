@@ -133,11 +133,45 @@ func (w *setWalker) runTo(tl *Timeline, hour int) {
 // allocated and safe to retain.
 //
 //lint:zeroalloc per replayed event; only the returned clone allocates
-//lint:allow reach vantage's tests (vantage_test.go, chaos_test.go) hold the controller's merged sets to the truth hour by hour
 func (tl *Timeline) SetAt(hour int) []netaddr.Addr {
 	var w setWalker
 	w.runTo(tl, hour)
 	return slices.Clone(w.cur)
+}
+
+// FromSets is SetAt's inverse: it rebuilds the timeline of site whose set at
+// each hour h < hours is at(h). at must return a fresh sorted, deduplicated
+// slice per call, as SetAt does; the hour-0 one becomes Initial. An event is
+// any hour whose set differs from the previous hour's, its Removed and Added
+// the sorted differences between the two.
+func FromSets(site Site, hours int, at func(hour int) []netaddr.Addr) Timeline {
+	prev := at(0)
+	tl := Timeline{Site: site, Hours: hours, Initial: prev}
+	var b eventBuilder
+	var rem, add []netaddr.Addr
+	for h := 1; h < hours; h++ {
+		cur := at(h)
+		rem, add = rem[:0], add[:0]
+		i, j := 0, 0
+		for i < len(prev) || j < len(cur) {
+			switch {
+			case j == len(cur) || (i < len(prev) && prev[i] < cur[j]):
+				rem = append(rem, prev[i])
+				i++
+			case i == len(prev) || cur[j] < prev[i]:
+				add = append(add, cur[j])
+				j++
+			default:
+				i, j = i+1, j+1
+			}
+		}
+		if len(rem) > 0 || len(add) > 0 {
+			b.add(h, rem, add)
+		}
+		prev = cur
+	}
+	tl.Events = b.finish()
+	return tl
 }
 
 // Walk replays the timeline, calling fn with the before/after sets of every

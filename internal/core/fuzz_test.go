@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"locind/internal/bgp"
@@ -39,7 +41,9 @@ var fuzzRouters = []fuzzTable{{shift: 29}, {shift: 24}, {shift: 27}}
 // that the multi-router kernel (ContentUpdateStatsPerRouter), over one to
 // three routers, agrees at every router strategy-for-strategy with three
 // independent per-strategy replays — the equivalence the fused fast path
-// promises. The router count is the input length mod 3, plus one.
+// promises. The router count is the input length mod 3, plus one. It also
+// holds the timeline's hourly sets to the round trip through cdn.FromSets
+// (checkFromSets).
 //
 // Encoding: up to four initial 4-byte addresses, then event chunks of one
 // control byte (hour advance, removal and addition counts) followed by one
@@ -85,6 +89,7 @@ func FuzzTimelineWalk(f *testing.F) {
 			events = append(events, e)
 		}
 		tl := &cdn.Timeline{Hours: hour + 1, Initial: initial, Events: events}
+		checkFromSets(t, tl)
 
 		rs := make(Each, 1+len(data)%3)
 		for k := range rs {
@@ -102,6 +107,44 @@ func FuzzTimelineWalk(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkFromSets holds cdn.FromSets to being SetAt's inverse on tl: the
+// rebuilt timeline has tl's set at every hour; its events fall at increasing
+// hours from 1 on, each non-empty, with sorted, disjoint Removed and Added;
+// and rebuilding it from its own sets gives it back unchanged.
+func checkFromSets(t *testing.T, tl *cdn.Timeline) {
+	t.Helper()
+	got := cdn.FromSets(tl.Site, tl.Hours, tl.SetAt)
+	for h := 0; h < tl.Hours; h++ {
+		if want, have := tl.SetAt(h), got.SetAt(h); !slices.Equal(have, want) {
+			t.Fatalf("hour %d: rebuilt set %v, timeline's %v", h, have, want)
+		}
+	}
+	last := 0
+	for _, e := range got.Events {
+		if e.Hour <= last || e.Hour >= tl.Hours {
+			t.Fatalf("event at hour %d after one at %d in %d hours", e.Hour, last, tl.Hours)
+		}
+		last = e.Hour
+		if len(e.Removed)+len(e.Added) == 0 {
+			t.Fatalf("empty event at hour %d", e.Hour)
+		}
+		if !slices.IsSorted(e.Removed) || !slices.IsSorted(e.Added) {
+			t.Fatalf("hour %d: unsorted delta -%v +%v", e.Hour, e.Removed, e.Added)
+		}
+		for _, a := range e.Removed {
+			if _, both := slices.BinarySearch(e.Added, a); both {
+				t.Fatalf("hour %d: %v both removed and added", e.Hour, a)
+			}
+		}
+	}
+	// An empty Initial may be nil or not, depending on which buffer SetAt
+	// cloned; the events are built the same way on both passes.
+	again := cdn.FromSets(got.Site, got.Hours, got.SetAt)
+	if !slices.Equal(again.Initial, got.Initial) || !reflect.DeepEqual(again.Events, got.Events) {
+		t.Fatalf("rebuilt from its own sets: %+v, was %+v", again, got)
+	}
 }
 
 // A router with more ports than one bitset word holds takes the same path

@@ -199,16 +199,13 @@ func (c *Cluster) Heal() {
 // the fault-free reference with exactly this.
 func (c *Cluster) StateDigest() (uint64, string) {
 	var b strings.Builder
-	h := newFNV64Writer()
 	for s, row := range c.nodes {
 		for r, n := range row {
-			head := fmt.Sprintf("# shard %d replica %d (%d names)\n", s, r, n.Store.Len())
-			b.WriteString(head)
-			h.WriteString(head)
-			n.Store.Digest(&b, h)
+			fmt.Fprintf(&b, "# shard %d replica %d (%d names)\n", s, r, n.Store.Len())
+			n.Store.Digest(&b)
 		}
 	}
-	return h.Sum(), b.String()
+	return fnvString(fnvOffset64, b.String()), b.String()
 }
 
 // BindingDigest is StateDigest without the version vectors: the served
@@ -219,21 +216,16 @@ func (c *Cluster) StateDigest() (uint64, string) {
 // both serve the same bytes, and this is the digest that proves it.
 func (c *Cluster) BindingDigest() (uint64, string) {
 	var b strings.Builder
-	h := newFNV64Writer()
 	for s, row := range c.nodes {
 		for r, n := range row {
-			head := fmt.Sprintf("# shard %d replica %d (%d names)\n", s, r, n.Store.Len())
-			b.WriteString(head)
-			h.WriteString(head)
+			fmt.Fprintf(&b, "# shard %d replica %d (%d names)\n", s, r, n.Store.Len())
 			for _, name := range n.Store.Names() {
 				rec, _ := n.Store.Get(name)
-				line := bindingLine(name, rec.Addrs)
-				b.WriteString(line)
-				h.WriteString(line)
+				b.WriteString(bindingLine(name, rec.Addrs))
 			}
 		}
 	}
-	return h.Sum(), b.String()
+	return fnvString(fnvOffset64, b.String()), b.String()
 }
 
 // bindingLine is the canonical one-binding rendering shared by
@@ -267,18 +259,13 @@ func ExpectedBindingDigest(shards, replicas int, bindings map[string][]netaddr.A
 		perShard[s] = append(perShard[s], name)
 	}
 	var b strings.Builder
-	h := newFNV64Writer()
 	for s := 0; s < shards; s++ {
 		for r := 0; r < replicas; r++ {
-			head := fmt.Sprintf("# shard %d replica %d (%d names)\n", s, r, len(perShard[s]))
-			b.WriteString(head)
-			h.WriteString(head)
+			fmt.Fprintf(&b, "# shard %d replica %d (%d names)\n", s, r, len(perShard[s]))
 			for _, name := range perShard[s] {
-				line := bindingLine(name, bindings[name])
-				b.WriteString(line)
-				h.WriteString(line)
+				b.WriteString(bindingLine(name, bindings[name]))
 			}
 		}
 	}
-	return h.Sum(), b.String()
+	return fnvString(fnvOffset64, b.String()), b.String()
 }

@@ -461,7 +461,7 @@ func TestRepairConvergesDivergedReplicas(t *testing.T) {
 // replicaDigest renders one replica's store canonically.
 func replicaDigest(c *Cluster, shard, replica int) string {
 	var b strings.Builder
-	c.Node(shard, replica).Store.Digest(&b, newFNV64Writer())
+	c.Node(shard, replica).Store.Digest(&b)
 	return b.String()
 }
 

@@ -97,9 +97,9 @@ func (s *Store) Names() []string {
 }
 
 // Digest writes a canonical rendering of the store — sorted names, each
-// with its addresses and encoded VV — into b, and folds it into h. Two
-// stores with identical state produce identical digests byte for byte.
-func (s *Store) Digest(b *strings.Builder, h *fnv64Writer) {
+// with its addresses and encoded VV — into b. Two stores with identical
+// state produce identical digests byte for byte.
+func (s *Store) Digest(b *strings.Builder) {
 	for _, name := range s.Names() {
 		rec, _ := s.Get(name)
 		line := name + " ["
@@ -111,19 +111,8 @@ func (s *Store) Digest(b *strings.Builder, h *fnv64Writer) {
 		}
 		line += "] " + rec.VV.Encode() + "\n"
 		b.WriteString(line)
-		h.WriteString(line)
 	}
 }
-
-// fnv64Writer accumulates an FNV-1a hash over digest lines.
-type fnv64Writer struct{ h uint64 }
-
-func newFNV64Writer() *fnv64Writer { return &fnv64Writer{h: fnvOffset64} }
-
-func (w *fnv64Writer) WriteString(s string) { w.h = fnvString(w.h, s) }
-
-// Sum returns the accumulated hash.
-func (w *fnv64Writer) Sum() uint64 { return w.h }
 
 // HandleOp implements gns.OpHandler: the replication ops.
 func (s *Store) HandleOp(req gns.Request) (gns.Response, bool) {

@@ -186,7 +186,11 @@ func decodeResponse(data []byte, r *Response) error {
 	d := wireDecoder{buf: data}
 	*r = Response{ID: d.header(kindResponse)}
 	r.OK = d.flag("ok")
-	r.Code = Code(int64(d.uint(8, "code")))
+	code := int64(d.uint(8, "code"))
+	if r.Code = Code(code); int64(r.Code) != code {
+		// An int narrower than 64 bits would read 2^32 encodings as each code.
+		d.fail("code %d does not fit an int", code)
+	}
 	r.Err = d.str("err")
 	r.Name = d.str("name")
 	r.Addrs = d.strs("addrs")

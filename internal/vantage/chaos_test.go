@@ -16,7 +16,6 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/faultnet"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 	"locind/internal/reliable"
 )
@@ -100,7 +99,6 @@ func runVantageChaos(t *testing.T, tls []cdn.Timeline, nodes, retries int, fault
 	cp := &Campaign{
 		Controller: addr,
 		Nodes:      nodes,
-		View:       PartialView(4),
 		Retries:    retries,
 		Backoff:    reliable.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: 0.5},
 		Rand:       rand.New(rand.NewSource(jitterSeed)),
@@ -245,10 +243,9 @@ func TestNodeDiesMidCampaignExcluded(t *testing.T) {
 	fmt.Fprintf(conn, "POST /report HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n%s", addr, len(body), body[:len(body)/2])
 	conn.Close() // died mid-body: no commit
 
+	// A partial view of a one-address set is that address.
 	good := netaddr.MustParseAddr("10.0.0.1")
-	survivor := &Campaign{Controller: addr, Nodes: 1, View: func(int, names.Name, int, []netaddr.Addr) []netaddr.Addr {
-		return []netaddr.Addr{good}
-	}}
+	survivor := &Campaign{Controller: addr, Nodes: 1}
 	tls := []cdn.Timeline{{Site: cdn.Site{Name: "x.example.com"}, Hours: 1, Initial: []netaddr.Addr{good}}}
 	if err := survivor.Run(context.Background(), tls); err != nil {
 		t.Fatal(err)
@@ -302,7 +299,7 @@ func TestCampaignContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tls := chaosTimelines(t, 4, 2)
-	if err := Sweep(ctx, serve(t, NewController()), 2, tls, nil); err == nil {
+	if err := Sweep(ctx, serve(t, NewController()), 2, tls); err == nil {
 		t.Fatal("cancelled campaign must error")
 	}
 }
@@ -312,11 +309,10 @@ func TestCampaignContextCancellation(t *testing.T) {
 
 // Sweep runs a full measurement campaign with default reliability settings:
 // numNodes vantage points, two retries per day's upload, modest backoff. Use a Campaign directly to tune the policy.
-func Sweep(ctx context.Context, controllerAddr string, numNodes int, tls []cdn.Timeline, view ViewFunc) error {
+func Sweep(ctx context.Context, controllerAddr string, numNodes int, tls []cdn.Timeline) error {
 	cp := &Campaign{
 		Controller: controllerAddr,
 		Nodes:      numNodes,
-		View:       view,
 		Retries:    2,
 		Backoff:    reliable.Backoff{Base: 50 * time.Millisecond, Max: time.Second},
 	}

@@ -2,7 +2,6 @@ package vantage
 
 import (
 	"fmt"
-	"slices"
 
 	"locind/internal/cdn"
 	"locind/internal/netaddr"
@@ -17,38 +16,9 @@ func (c *Controller) MeasuredTimeline(site cdn.Site, hours int) (cdn.Timeline, e
 	if hours <= 0 {
 		return cdn.Timeline{}, fmt.Errorf("vantage: need positive hours, have %d", hours)
 	}
-	initial := c.MergedSet(site.Name, 0)
-	if len(initial) == 0 {
+	tl := cdn.FromSets(site, hours, func(h int) []netaddr.Addr { return c.MergedSet(site.Name, h) })
+	if len(tl.Initial) == 0 {
 		return cdn.Timeline{}, fmt.Errorf("vantage: no hour-0 observations for %q", site.Name)
-	}
-	tl := cdn.Timeline{Site: site, Hours: hours, Initial: initial}
-	prev := map[netaddr.Addr]bool{}
-	for _, a := range initial {
-		prev[a] = true
-	}
-	for h := 1; h < hours; h++ {
-		cur := c.MergedSet(site.Name, h)
-		var ev cdn.Event
-		seen := map[netaddr.Addr]bool{}
-		for _, a := range cur {
-			seen[a] = true
-			if !prev[a] {
-				ev.Added = append(ev.Added, a)
-			}
-		}
-		for a := range prev {
-			if !seen[a] {
-				ev.Removed = append(ev.Removed, a)
-			}
-		}
-		if len(ev.Added) > 0 || len(ev.Removed) > 0 {
-			ev.Hour = h
-			// Sort removed deterministically (Added comes sorted from
-			// MergedSet; Removed is collected from map iteration).
-			sortAddrs(ev.Removed)
-			tl.Events = append(tl.Events, ev)
-			prev = seen
-		}
 	}
 	return tl, nil
 }
@@ -64,8 +34,4 @@ func (c *Controller) MeasuredTimelines(sites []cdn.Site, hours int) ([]cdn.Timel
 		out = append(out, tl)
 	}
 	return out, nil
-}
-
-func sortAddrs(as []netaddr.Addr) {
-	slices.Sort(as)
 }

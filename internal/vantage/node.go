@@ -7,55 +7,44 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"locind/internal/cdn"
 	"locind/internal/ingest"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 	"locind/internal/obs"
 	"locind/internal/reliable"
 )
 
-// ViewFunc models what one vantage point's resolver answer looks like: the
-// subset of the full address set visible from that node at that hour.
-type ViewFunc func(nodeIdx int, name names.Name, hour int, full []netaddr.Addr) []netaddr.Addr
+// viewSpread is how many nodes a vantage point's partial view is drawn
+// across: each address is visible from roughly 1/viewSpread of the nodes.
+const viewSpread = 4
 
-// PartialView is the default locality proxy: each address is visible from
-// roughly 1/spread of the nodes (CDNs answer with nearby edges only), with
-// the deterministic guarantee that every address is visible from at least
-// one node and every node sees at least one address, so the union over
-// enough nodes reconstructs the full set — the property the paper's 74-node
-// deployment relies on.
-func PartialView(spread int) ViewFunc {
-	if spread < 1 {
-		spread = 1
+// partialView is what node's resolver answers for a name whose full address
+// set is full, the locality proxy for CDNs answering with nearby edges only.
+// Every address is visible from at least one node and every node sees at
+// least one address, so the union over enough nodes reconstructs the full
+// set — the property the paper's 74-node deployment relies on.
+func partialView(node int, full []netaddr.Addr) []netaddr.Addr {
+	if len(full) == 0 {
+		return nil
 	}
-	return func(nodeIdx int, name names.Name, hour int, full []netaddr.Addr) []netaddr.Addr {
-		if len(full) == 0 {
-			return nil
+	var out []netaddr.Addr
+	for _, a := range full {
+		h := fnv.New32a()
+		h.Write([]byte{byte(a), byte(a >> 8), byte(a >> 16), byte(a >> 24)})
+		// In uint32: as an int, half the hashes are negative on 32-bit
+		// platforms, and no node would see those addresses.
+		if h.Sum32()%viewSpread == uint32(node%viewSpread) {
+			out = append(out, a)
 		}
-		var out []netaddr.Addr
-		for _, a := range full {
-			h := fnv.New32a()
-			var buf [4]byte
-			buf[0] = byte(a)
-			buf[1] = byte(a >> 8)
-			buf[2] = byte(a >> 16)
-			buf[3] = byte(a >> 24)
-			h.Write(buf[:])
-			if int(h.Sum32())%spread == nodeIdx%spread {
-				out = append(out, a)
-			}
-		}
-		if len(out) == 0 {
-			out = append(out, full[nodeIdx%len(full)])
-		}
-		return out
 	}
+	if len(out) == 0 {
+		out = append(out, full[node%len(full)])
+	}
+	return out
 }
 
 // Campaign describes one distributed measurement run with its reliability
@@ -70,7 +59,6 @@ type Campaign struct {
 	// Controller is the controller's host:port.
 	Controller string
 	Nodes      int
-	View       ViewFunc // nil means PartialView(4)
 	// Retries is how many extra attempts each day's upload gets before the
 	// node is written off.
 	Retries int
@@ -101,10 +89,6 @@ func (cp *Campaign) Run(ctx context.Context, tls []cdn.Timeline) error {
 	if cp.Nodes < 1 {
 		return fmt.Errorf("vantage: need at least one node")
 	}
-	view := cp.View
-	if view == nil {
-		view = PartialView(4)
-	}
 	var seeds []int64
 	if cp.Rand != nil {
 		seeds = make([]int64, cp.Nodes)
@@ -122,14 +106,14 @@ func (cp *Campaign) Run(ctx context.Context, tls []cdn.Timeline) error {
 			if seeds != nil {
 				rng = rand.New(rand.NewSource(seeds[idx]))
 			}
-			errs[idx] = cp.runNode(ctx, idx, rng, view, tls)
+			errs[idx] = cp.runNode(ctx, idx, rng, tls)
 		}(i)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, view ViewFunc, tls []cdn.Timeline) error {
+func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, tls []cdn.Timeline) error {
 	node := fmt.Sprintf("pl%03d", idx)
 	span := cp.Tracer.Start("vantage-node", "node", node)
 	defer span.End()
@@ -149,7 +133,7 @@ func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, view V
 	for day := 0; day < days; day++ {
 		// The node holds one day's body at a time and posts those same bytes
 		// on every attempt.
-		body, err := json.Marshal(dayUpload(node, idx, day, view, tls))
+		body, err := json.Marshal(dayUpload(node, idx, day, tls))
 		if err != nil {
 			return err
 		}
@@ -165,52 +149,21 @@ func (cp *Campaign) runNode(ctx context.Context, idx int, rng *rand.Rand, view V
 }
 
 // dayUpload gathers one node's observations of every name over one day.
-func dayUpload(node string, idx, day int, view ViewFunc, tls []cdn.Timeline) Upload {
+// SetAt answers each hour's set in ascending order, which keeps every node's
+// view — partialView's index-based fallback included — a pure function of
+// the timeline, as same-seed chaos replays rely on.
+func dayUpload(node string, idx, day int, tls []cdn.Timeline) Upload {
 	up := Upload{Node: node, Day: day}
 	for t := range tls {
 		tl := &tls[t]
-		replayDay(tl, day, func(hour int, set []netaddr.Addr) {
-			seen := view(idx, tl.Site.Name, hour, set)
+		for h := 24 * day; h < min(24*(day+1), tl.Hours); h++ {
+			seen := partialView(idx, tl.SetAt(h))
 			addrs := make([]string, len(seen))
 			for i, a := range seen {
 				addrs[i] = a.String()
 			}
-			up.Reports = append(up.Reports, Report{Hour: hour, Name: string(tl.Site.Name), Addrs: addrs})
-		})
+			up.Reports = append(up.Reports, Report{Hour: h, Name: string(tl.Site.Name), Addrs: addrs})
+		}
 	}
 	return up
-}
-
-// replayDay materializes the timeline's address set for each hour of one
-// day, replaying events from the start rather than calling SetAt per hour.
-func replayDay(tl *cdn.Timeline, day int, fn func(hour int, set []netaddr.Addr)) {
-	cur := map[netaddr.Addr]bool{}
-	for _, a := range tl.Initial {
-		cur[a] = true
-	}
-	ei := 0
-	buf := make([]netaddr.Addr, 0, len(cur))
-	for h := 0; h < min(24*(day+1), tl.Hours); h++ {
-		for ei < len(tl.Events) && tl.Events[ei].Hour == h {
-			for _, a := range tl.Events[ei].Removed {
-				delete(cur, a)
-			}
-			for _, a := range tl.Events[ei].Added {
-				cur[a] = true
-			}
-			ei++
-		}
-		if h < 24*day {
-			continue
-		}
-		buf = buf[:0]
-		for a := range cur {
-			buf = append(buf, a)
-		}
-		// Sorted order keeps every node's behaviour — including
-		// PartialView's index-based fallback — independent of map
-		// iteration, which same-seed chaos replays rely on.
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-		fn(h, buf)
-	}
 }

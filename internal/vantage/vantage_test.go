@@ -83,10 +83,9 @@ func TestPartialViewProperties(t *testing.T) {
 	for i := range full {
 		full[i] = netaddr.MakeAddr(10, 0, byte(i), 1)
 	}
-	view := PartialView(4)
 	union := map[netaddr.Addr]bool{}
 	for node := 0; node < 8; node++ {
-		sub := view(node, "d", 0, full)
+		sub := partialView(node, full)
 		if len(sub) == 0 {
 			t.Fatalf("node %d sees nothing", node)
 		}
@@ -101,16 +100,13 @@ func TestPartialViewProperties(t *testing.T) {
 		t.Fatalf("union over 8 nodes covers %d of %d", len(union), len(full))
 	}
 	// Determinism.
-	v1 := view(3, "d", 5, full)
-	v2 := view(3, "d", 5, full)
+	v1 := partialView(3, full)
+	v2 := partialView(3, full)
 	if len(v1) != len(v2) {
-		t.Fatal("PartialView not deterministic")
+		t.Fatal("partialView not deterministic")
 	}
-	if got := view(0, "d", 0, nil); got != nil {
+	if got := partialView(0, nil); got != nil {
 		t.Fatal("empty set should view empty")
-	}
-	if PartialView(0) == nil {
-		t.Fatal("spread clamp failed")
 	}
 }
 
@@ -142,7 +138,7 @@ func TestSweepReconstructsGroundTruth(t *testing.T) {
 	}
 
 	ctrl := NewController()
-	if err := Sweep(context.Background(), serve(t, ctrl), 10, tls, PartialView(4)); err != nil {
+	if err := Sweep(context.Background(), serve(t, ctrl), 10, tls); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,10 +172,10 @@ func TestSweepReconstructsGroundTruth(t *testing.T) {
 func TestSweepErrors(t *testing.T) {
 	tls := []cdn.Timeline{{Site: cdn.Site{Name: "x.example.com"}, Hours: 2,
 		Initial: []netaddr.Addr{netaddr.MustParseAddr("10.0.0.1")}}}
-	if err := Sweep(context.Background(), "127.0.0.1:1", 1, tls, nil); err == nil {
+	if err := Sweep(context.Background(), "127.0.0.1:1", 1, tls); err == nil {
 		t.Fatal("unreachable controller should error")
 	}
-	if err := Sweep(context.Background(), serve(t, NewController()), 0, tls, nil); err == nil {
+	if err := Sweep(context.Background(), serve(t, NewController()), 0, tls); err == nil {
 		t.Fatal("zero nodes should error")
 	}
 }
@@ -294,7 +290,7 @@ func TestMeasuredTimelinesMatchTruth(t *testing.T) {
 	}
 
 	ctrl := NewController()
-	if err := Sweep(context.Background(), serve(t, ctrl), 8, truth, PartialView(4)); err != nil {
+	if err := Sweep(context.Background(), serve(t, ctrl), 8, truth); err != nil {
 		t.Fatal(err)
 	}
 
