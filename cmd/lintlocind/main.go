@@ -9,7 +9,6 @@
 //
 //	-json          emit findings as a JSON array on stdout
 //	-out FILE      also write the JSON report to FILE (for CI artifacts)
-//	-checks LIST   comma-separated analyzer subset (default: all)
 //	-list          print the analyzers and exit
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. Suppress a
@@ -24,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"locind/internal/lint"
 )
@@ -55,7 +53,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "emit findings as JSON on stdout")
 	outFile := fs.String("out", "", "also write the JSON report to this file")
-	checks := fs.String("checks", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "print the analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -67,21 +64,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *checks != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*checks, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "lintlocind: unknown check %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := fs.Args()

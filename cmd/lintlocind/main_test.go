@@ -64,15 +64,6 @@ func TestListPrintsTheSuiteInOrder(t *testing.T) {
 	}
 }
 
-// TestDeletedCheckIsUnknown: -checks takes only names in the suite; a
-// deleted analyzer is refused by name, not silently skipped.
-func TestDeletedCheckIsUnknown(t *testing.T) {
-	_, stderr, code := lintlocind(t, ".", "-checks", "seedflow")
-	if code == 0 || !strings.Contains(stderr, `unknown check "seedflow"`) {
-		t.Fatalf("-checks seedflow: exit %d, stderr %q", code, stderr)
-	}
-}
-
 // TestJSONReportOnACleanPackage: internal/obs is clean, its suppressions
 // are accounted per check, and no deleted analyzer appears in the account.
 func TestJSONReportOnACleanPackage(t *testing.T) {
@@ -100,9 +91,10 @@ func TestJSONReportOnACleanPackage(t *testing.T) {
 }
 
 // TestStaleDirectivesAreFindings: a //lint:zeroalloc that annotates nothing,
-// a //lint:allow naming a deleted analyzer and a //lint:allow reach on a
-// declaration the binary reaches are all lintdirective findings, which no
-// directive can suppress, and the exit status is 1. A directory holding only
+// a //lint:allow naming a deleted analyzer or "all" (the pseudo-check is
+// gone) and a //lint:allow reach on a declaration the binary reaches are all
+// lintdirective findings, which no directive can suppress, and the exit
+// status is 1. A directory holding only
 // _test.go files loads as a package with no files; reach passes over it.
 func TestStaleDirectivesAreFindings(t *testing.T) {
 	dir := t.TempDir()
@@ -117,10 +109,12 @@ func F() int {
 	return sink //lint:allow allocflow x
 }
 
+func H() {} //lint:allow all x
+
 //lint:allow reach main calls G, so there is nothing to allow
 func G() {}
 `,
-		"cmd/app/main.go":           "package main\n\nimport \"fix\"\n\nfunc main() {\n\tfix.F()\n\tfix.G()\n}\n",
+		"cmd/app/main.go":           "package main\n\nimport \"fix\"\n\nfunc main() {\n\tfix.F()\n\tfix.G()\n\tfix.H()\n}\n",
 		"testonly/testonly_test.go": "package testonly\n\nimport \"testing\"\n\nfunc TestNothing(t *testing.T) {}\n",
 	} {
 		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
@@ -141,7 +135,7 @@ func G() {}
 	want := []struct {
 		line int
 		frag string
-	}{{3, "annotates nothing"}, {7, `unknown check "allocflow"`}, {10, "covers no finding"}}
+	}{{3, "annotates nothing"}, {7, `unknown check "allocflow"`}, {10, `unknown check "all"`}, {12, "covers no finding"}}
 	if len(rep.Findings) != len(want) {
 		t.Fatalf("findings %+v, want %d", rep.Findings, len(want))
 	}

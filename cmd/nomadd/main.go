@@ -112,7 +112,7 @@ func serveObs(obsAddr string, reg *obs.Registry, tracer *obs.Tracer, smp *obs.Sa
 	}
 	go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
 	fmt.Printf("nomadd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", ln.Addr())
-	return func() { ln.Close() }, nil //lint:allow errflow the process is exiting
+	return func() { ln.Close() }, nil
 }
 
 // writeFinalMetrics flushes the closing metrics snapshot to stdout — the

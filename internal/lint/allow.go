@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"slices"
 	"strings"
 )
 
@@ -12,21 +13,14 @@ import (
 //	//lint:file-allow <check> <reason>     suppress <check> in this file
 //	//lint:package-allow <check> <reason>  suppress <check> in this package
 //
-// A //lint:allow written in the package doc comment (or anywhere above the
-// package clause) is promoted to package scope. <check> is an analyzer name
-// or "all". The reason is mandatory: a directive with no justification is
-// itself reported as a finding (check "lintdirective"), so suppressions
-// cannot accumulate without explanation.
+// <check> is the name of one analyzer in All(). The reason is mandatory: a
+// directive with no justification is itself reported as a finding (check
+// "lintdirective"), so suppressions cannot accumulate without explanation.
 
 const directiveCheck = "lintdirective"
 
-var knownChecks = map[string]bool{
-	"determinism": true,
-	"errflow":     true,
-	"ctxflow":     true,
-	"lockflow":    true,
-	"reach":       true,
-	"all":         true,
+func knownCheck(name string) bool {
+	return slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == name })
 }
 
 type lineKey struct {
@@ -46,18 +40,8 @@ func (ai *allowIndex) suppressed(d Diagnostic) bool {
 	if d.Check == directiveCheck {
 		return false
 	}
-	for _, check := range []string{d.Check, "all"} {
-		if ai.pkg[check] {
-			return true
-		}
-		if ai.files[d.Pos.Filename][check] {
-			return true
-		}
-		if ai.lines[lineKey{d.Pos.Filename, d.Pos.Line, check}] {
-			return true
-		}
-	}
-	return false
+	return ai.pkg[d.Check] || ai.files[d.Pos.Filename][d.Check] ||
+		ai.lines[lineKey{d.Pos.Filename, d.Pos.Line, d.Check}]
 }
 
 // collectAllows scans every comment in the package for lint directives and
@@ -70,8 +54,7 @@ func collectAllows(pkg *Package) (*allowIndex, []Diagnostic) {
 	}
 	var malformed []Diagnostic
 	for _, f := range pkg.Files {
-		pos := pkg.Fset.Position(f.Package)
-		filename, pkgLine := pos.Filename, pos.Line
+		filename := pkg.Fset.Position(f.Package).Filename
 		annotating := map[*ast.CommentGroup]bool{} // doc comments ZeroallocFuncs reads an annotation from
 		for _, af := range ZeroallocFuncs(f) {
 			annotating[af.Decl.Doc] = true
@@ -104,7 +87,7 @@ func collectAllows(pkg *Package) (*allowIndex, []Diagnostic) {
 				check, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
 				reason = strings.TrimSpace(reason)
 				switch {
-				case !knownChecks[check]:
+				case !knownCheck(check):
 					malformed = append(malformed, Diagnostic{Pos: cpos, Check: directiveCheck,
 						Message: fmt.Sprintf("//lint:%s names unknown check %q", kind, check)})
 					continue
@@ -113,10 +96,10 @@ func collectAllows(pkg *Package) (*allowIndex, []Diagnostic) {
 						Message: "//lint:" + kind + " " + check + " needs a reason"})
 					continue
 				}
-				switch {
-				case kind == "package-allow", kind == "allow" && cpos.Line < pkgLine:
+				switch kind {
+				case "package-allow":
 					ai.pkg[check] = true
-				case kind == "file-allow":
+				case "file-allow":
 					fileSet(ai.files, filename)[check] = true
 				default: // line scope: the directive's line and the one below
 					ai.dirs = append(ai.dirs, lineKey{filename, cpos.Line, check})

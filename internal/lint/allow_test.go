@@ -21,7 +21,8 @@ func parseAllowPkg(t *testing.T, src string) *Package {
 func TestAllowScopes(t *testing.T) {
 	pkg := parseAllowPkg(t, `// Package fix exercises every directive scope.
 //
-//lint:allow lockflow promoted to package scope from above the package clause
+//lint:package-allow lockflow the whole package
+//lint:allow ctxflow above the package clause this line and the next, no further
 package fix
 
 //lint:file-allow errflow this file writes nowhere durable
@@ -43,46 +44,35 @@ func f() {
 		})
 	}
 	// Package scope: lockflow anywhere.
-	if !at(1, "lockflow") || !at(11, "lockflow") {
-		t.Error("package-promoted allow did not suppress lockflow")
+	if !at(1, "lockflow") || !at(12, "lockflow") {
+		t.Error("package-allow did not suppress lockflow")
+	}
+	// A //lint:allow above the package clause is line scope like any other:
+	// its line (4) and the next (5), not line 6.
+	if !at(4, "ctxflow") || !at(5, "ctxflow") {
+		t.Error("allow above the package clause did not cover its own line and the next")
+	}
+	if at(6, "ctxflow") || at(12, "ctxflow") {
+		t.Error("allow above the package clause was promoted past the following line")
 	}
 	// File scope: errflow anywhere in fix.go.
-	if !at(2, "errflow") || !at(10, "errflow") {
+	if !at(2, "errflow") || !at(11, "errflow") {
 		t.Error("file-allow did not suppress errflow")
 	}
-	// Line scope: the directive's line (9) and the next (10), not line 11.
-	if !at(9, "determinism") || !at(10, "determinism") {
+	// Line scope: the directive's line (10) and the next (11), not line 12.
+	if !at(10, "determinism") || !at(11, "determinism") {
 		t.Error("line allow did not cover its own line and the next")
 	}
-	if at(11, "determinism") {
+	if at(12, "determinism") {
 		t.Error("line allow leaked past the following line")
 	}
 	// Unlisted checks stay live.
-	if at(10, "ctxflow") {
+	if at(11, "reach") {
 		t.Error("suppression applied to a check no directive names")
 	}
 	// lintdirective findings can never be suppressed.
-	if ai.suppressed(Diagnostic{Pos: token.Position{Filename: "fix.go", Line: 6}, Check: directiveCheck}) {
+	if ai.suppressed(Diagnostic{Pos: token.Position{Filename: "fix.go", Line: 7}, Check: directiveCheck}) {
 		t.Error("lintdirective finding was suppressible")
-	}
-}
-
-func TestAllowAll(t *testing.T) {
-	pkg := parseAllowPkg(t, `package fix
-
-func f() {
-	//lint:allow all generated table, every rule waived here
-	_ = 1
-}
-`)
-	ai, malformed := collectAllows(pkg)
-	if len(malformed) != 0 {
-		t.Fatalf("malformed = %v, want none", malformed)
-	}
-	for _, check := range []string{"determinism", "errflow", "ctxflow", "lockflow"} {
-		if !ai.suppressed(Diagnostic{Pos: token.Position{Filename: "fix.go", Line: 5}, Check: check}) {
-			t.Errorf("allow all did not suppress %s", check)
-		}
 	}
 }
 

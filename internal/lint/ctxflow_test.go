@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"locind/internal/lint"
-	"locind/internal/lint/linttest"
 )
 
 func TestCtxflow(t *testing.T) {
-	linttest.Run(t, "testdata/ctxflow", lint.Ctxflow,
+	runFixtures(t, "testdata/ctxflow", lint.Ctxflow,
 		"locind/internal/gns", "locind/internal/otherfix", "locind/internal/reliable")
 }

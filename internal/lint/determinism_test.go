@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"locind/internal/lint"
-	"locind/internal/lint/linttest"
 )
 
 func TestDeterminism(t *testing.T) {
-	linttest.Run(t, "testdata/determinism", lint.Determinism,
+	runFixtures(t, "testdata/determinism", lint.Determinism,
 		"locind/internal/simfix", "locind/internal/simobs", "example.com/cmdfix",
 		"locind/internal/obs")
 }

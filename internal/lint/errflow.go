@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// Errflow flags discarded errors — the expt.RunSensitivity regression
-// class, where a swallowed stats.Pearson error silently zeroed a published
-// correlation:
+// Errflow flags discarded errors. What it has caught: expt.Export's
+// dropped os.File.Close on a written CSV, and cmd/locind's two dropped
+// fmt.Fprintf into its experiment log ring:
 //
 //  1. A call whose results include an error, used as a bare expression
 //     statement, when the callee lives in a watched package: this module's

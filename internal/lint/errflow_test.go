@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"locind/internal/lint"
-	"locind/internal/lint/linttest"
 )
 
 func TestErrflow(t *testing.T) {
-	linttest.Run(t, "testdata/errflow", lint.Errflow,
+	runFixtures(t, "testdata/errflow", lint.Errflow,
 		"locind/internal/exptfix", "locind/internal/obsfix")
 }

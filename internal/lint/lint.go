@@ -8,20 +8,21 @@
 // `go list -json -deps` and type-checked bottom-up, which gives every pass
 // full type information without the x/tools loader.
 //
-// The analyzers encode invariants the repo has already been bitten by; an
-// analyzer stays for what it has caught (DESIGN.md §7 keeps the count), and
-// one whose lifetime output is zero findings is deleted, not kept:
+// The analyzers encode invariants the repo has already been bitten by; each
+// rule of an analyzer stays for what it has caught (DESIGN.md §7 keeps the
+// per-rule count), and one whose lifetime output is zero findings is
+// deleted, not kept:
 //
-//	determinism  wall-clock reads, global math/rand state, and map-iteration
-//	             order leaking into simulation output (the
-//	             topology.PreferentialAttachment regression class)
+//	determinism  wall-clock reads and map-iteration order leaking into
+//	             simulation output (the topology.PreferentialAttachment
+//	             regression class)
 //	errflow      discarded errors from internal/stats, internal/core, and
-//	             io/encoding sinks (the expt.RunSensitivity regression class)
+//	             io/encoding sinks (expt.Export's dropped Close)
 //	ctxflow      exported gns/ingest/nomad/vantage/reliable entry points that
 //	             spawn goroutines or touch the network without a
 //	             context.Context
-//	lockflow     locks held across blocking operations, self-deadlocks,
-//	             and inconsistent lock acquisition order
+//	lockflow     locks held across blocking operations (the cluster.Client
+//	             convoy)
 //	reach        declarations no cmd/, examples/ or bench binary can reach:
 //	             code kept alive by its own tests alone, and packages that
 //	             nothing links (the one whole-program check)

@@ -47,8 +47,8 @@ type Loader struct {
 	Dir string
 
 	// Fset, when set before the first Load, is the file set packages are
-	// parsed into — linttest shares one file set between fixtures and the
-	// standard library they import. Nil means a fresh one.
+	// parsed into — the analyzer tests share one file set between fixtures
+	// and the standard library they import. Nil means a fresh one.
 	Fset *token.FileSet
 
 	mu   sync.Mutex
@@ -73,7 +73,7 @@ type listedPackage struct {
 // with IgnoreFuncBodies for speed; their exported API is fully typed.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	// The mutex deliberately serializes whole loads, go list subprocess
-	// included: concurrent linttest callers must not interleave writes into
+	// included: concurrent fixture loads must not interleave writes into
 	// the shared FileSet and package memo mid-load.
 	//lint:file-allow lockflow the lock exists to serialize go list invocations; holding it across cmd.Wait is the point
 	l.mu.Lock()

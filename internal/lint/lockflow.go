@@ -4,32 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Lockflow polices the module's mutex discipline — the invariants behind
-// the 64-stripe core.Memo and the gns/cluster Store/breaker locks. A lock
-// copied by value is not among them: go vet's copylocks, a blocking CI step
-// and part of make lint, is the one enforcer of that.
-//
-//  1. Locks held across blocking operations: between a Lock/RLock and its
-//     Unlock (or to function end, for defer), no channel send/receive, no
-//     default-less select, and no call into the blocking watchlist —
-//     net dials/reads, time.Sleep, sync.WaitGroup.Wait, gns.Exchange and
-//     gns.Transport.Exchange, reliable.Policy.Do — directly or through a same-package helper that
-//     transitively blocks. A lock held across a network round trip turns
-//     one slow replica into a convoy of every caller.
-//
-//  2. Self-deadlock: a mutex locked again while the same expression
-//     already holds it.
-//
-//  3. Inconsistent acquisition order: if somewhere in the package lock
-//     class A is taken while B is held and elsewhere B while A is held,
-//     the two sites are a deadlock waiting for the right interleaving.
-//     Classes are struct-type-qualified fields ("Store.mu"), so two
-//     instances of the same stripe class do not count (ordering within a
-//     class is invisible statically).
+// Lockflow polices the one mutex rule the module has broken: no lock held
+// across a blocking operation. Between a Lock/RLock and its Unlock (or to
+// function end, for defer) there is no channel send or receive, no
+// default-less select, and no call into the blocking watchlist — net
+// dials/reads, time.Sleep, sync.WaitGroup.Wait, gns.Exchange and
+// gns.Transport.Exchange, reliable.Policy.Do — directly or through a
+// same-package helper that transitively blocks. A lock held across a network
+// round trip turns one slow replica into a convoy of every caller: the
+// cluster.Client convoy was the transitive case. A lock copied by value is
+// go vet's copylocks, a blocking CI step and part of make lint.
 //
 // The analysis is a linear source-order scan per function — deliberately
 // simple, matching how this module writes critical sections (lock, work,
@@ -37,24 +25,22 @@ import (
 // serialized quorum write) is annotated //lint:allow lockflow <reason>.
 var Lockflow = &Analyzer{
 	Name: "lockflow",
-	Doc:  "no locks held across blocking operations, no self-deadlocks, no lock-order inversions",
+	Doc:  "no locks held across blocking operations",
 	Run:  runLockflow,
 }
 
 func runLockflow(p *Pass) error {
 	blocks := blockingSummaries(p)
-	orders := map[orderPair]token.Pos{}
 	for _, f := range p.Files {
 		if isTestFile(p, f) {
 			continue
 		}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkHeldLocks(p, fd.Body, blocks, orders)
+				checkHeldLocks(p, fd.Body, blocks)
 			}
 		}
 	}
-	reportOrderInversions(p, orders)
 	return nil
 }
 
@@ -80,7 +66,8 @@ func blockingSummaries(p *Pass) map[*types.Func]bool {
 	blocks := map[*types.Func]bool{}
 	calls := map[*types.Func][]*types.Func{}
 	for fn, fd := range decls {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SendStmt:
 				blocks[fn] = true
@@ -92,6 +79,8 @@ func blockingSummaries(p *Pass) map[*types.Func]bool {
 				if !selectHasDefault(n) {
 					blocks[fn] = true
 				}
+				inspectCases(n, visit)
+				return false
 			case *ast.CallExpr:
 				callee := calleeFunc(p.TypesInfo, n)
 				if callee == nil {
@@ -105,7 +94,8 @@ func blockingSummaries(p *Pass) map[*types.Func]bool {
 				}
 			}
 			return true
-		})
+		}
+		ast.Inspect(fd.Body, visit)
 	}
 	// Propagate to a fixpoint (the call graphs here are tiny).
 	for changed := true; changed; {
@@ -174,40 +164,27 @@ func blockingWatchlist(fn *types.Func) string {
 
 // ----------------------------------------------------- held-lock scanner —
 
-type heldLock struct {
-	key   string // rendered lock expression, e.g. "c.mu"
-	class string // type-qualified class, e.g. "Client.mu", for ordering
-	read  bool   // RLock
-}
-
-type orderPair struct{ first, second string }
-
 // checkHeldLocks scans one function body in source order, tracking which
-// mutexes are held, flagging blocking operations under a lock and
-// recording acquisition-order pairs.
-func checkHeldLocks(p *Pass, body *ast.BlockStmt, blocks map[*types.Func]bool, orders map[orderPair]token.Pos) {
-	var held []heldLock
-	heldDesc := func() string {
-		keys := make([]string, len(held))
-		for i, h := range held {
-			keys[i] = h.key
-		}
-		return strings.Join(keys, ", ")
-	}
+// mutexes are held (by rendered lock expression, e.g. "c.mu") and flagging
+// blocking operations under a lock.
+func checkHeldLocks(p *Pass, body *ast.BlockStmt, blocks map[*types.Func]bool) {
+	var held []string
+	heldDesc := func() string { return strings.Join(held, ", ") }
 	unlock := func(key string) {
 		for i := len(held) - 1; i >= 0; i-- {
-			if held[i].key == key {
-				held = append(held[:i], held[i+1:]...)
+			if held[i] == key {
+				held = slices.Delete(held, i, i+1)
 				return
 			}
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// A literal's body runs at call time, not here; scan it as its
 			// own critical-section universe.
-			checkHeldLocks(p, n.Body, blocks, orders)
+			checkHeldLocks(p, n.Body, blocks)
 			return false
 		case *ast.DeferStmt:
 			// A deferred Unlock runs at function exit, so the lock stays in
@@ -227,18 +204,13 @@ func checkHeldLocks(p *Pass, body *ast.BlockStmt, blocks map[*types.Func]bool, o
 			if len(held) > 0 && !selectHasDefault(n) {
 				p.Reportf(n.Pos(), "blocking select while holding %s", heldDesc())
 			}
+			inspectCases(n, visit)
+			return false
 		case *ast.CallExpr:
-			key, class, kind := mutexOp(p, n)
+			key, kind := mutexOp(p, n)
 			switch kind {
-			case "lock", "rlock":
-				for _, h := range held {
-					if h.key == key {
-						p.Reportf(n.Pos(), "%s locked again while already held (self-deadlock)", key)
-					} else if h.class != class && h.class != "" && class != "" {
-						orders[orderPair{h.class, class}] = n.Pos()
-					}
-				}
-				held = append(held, heldLock{key: key, class: class, read: kind == "rlock"})
+			case "lock":
+				held = append(held, key)
 				return false
 			case "unlock":
 				unlock(key)
@@ -258,23 +230,24 @@ func checkHeldLocks(p *Pass, body *ast.BlockStmt, blocks map[*types.Func]bool, o
 			}
 		}
 		return true
-	})
+	}
+	ast.Inspect(body, visit)
 }
 
 // mutexOp classifies a call as a mutex operation on a sync.Mutex/RWMutex
-// and returns the lock's rendered key and class.
-func mutexOp(p *Pass, call *ast.CallExpr) (key, class, kind string) {
+// and returns the lock's rendered key.
+func mutexOp(p *Pass, call *ast.CallExpr) (key, kind string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", "", ""
+		return "", ""
 	}
 	fn, _ := p.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if fn == nil || funcPkgPath(fn) != "sync" {
-		return "", "", ""
+		return "", ""
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
-		return "", "", ""
+		return "", ""
 	}
 	rt := recv.Type()
 	if ptr, okp := rt.(*types.Pointer); okp {
@@ -282,43 +255,30 @@ func mutexOp(p *Pass, call *ast.CallExpr) (key, class, kind string) {
 	}
 	named, okn := rt.(*types.Named)
 	if !okn || (named.Obj().Name() != "Mutex" && named.Obj().Name() != "RWMutex") {
-		return "", "", ""
+		return "", ""
 	}
-	key = types.ExprString(sel.X)
-	class = lockClass(p, sel.X)
 	switch fn.Name() {
-	case "Lock":
-		return key, class, "lock"
-	case "RLock":
-		return key, class, "rlock"
+	case "Lock", "RLock", "TryLock", "TryRLock": // a successful try holds the lock
+		return types.ExprString(sel.X), "lock"
 	case "Unlock", "RUnlock":
-		return key, class, "unlock"
-	case "TryLock", "TryRLock":
-		return key, class, "lock" // a successful try holds the lock
+		return types.ExprString(sel.X), "unlock"
 	}
-	return "", "", ""
+	return "", ""
 }
 
-// lockClass renders the type-qualified class of a lock expression: for a
-// field selector x.mu it is "<TypeOf(x)>.mu"; for anything else "" (local
-// and global locks have no cross-function class identity worth ordering).
-func lockClass(p *Pass, e ast.Expr) string {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return ""
+// inspectCases walks s's cases but not their send and receive arrows, which
+// block or not with the select as a whole; the arrows' operands are walked.
+func inspectCases(s *ast.SelectStmt, visit func(ast.Node) bool) {
+	for _, c := range s.Body.List {
+		var arrow ast.Node = c.(*ast.CommClause).Comm // a send is its own arrow
+		switch comm := arrow.(type) {
+		case *ast.ExprStmt:
+			arrow = ast.Unparen(comm.X)
+		case *ast.AssignStmt:
+			arrow = ast.Unparen(comm.Rhs[0])
+		}
+		ast.Inspect(c, func(n ast.Node) bool { return n == arrow || visit(n) })
 	}
-	t := p.TypesInfo.Types[sel.X].Type
-	if t == nil {
-		return ""
-	}
-	if ptr, okp := t.(*types.Pointer); okp {
-		t = ptr.Elem()
-	}
-	named, okn := t.(*types.Named)
-	if !okn {
-		return ""
-	}
-	return named.Obj().Name() + "." + sel.Sel.Name
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {
@@ -328,31 +288,4 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// reportOrderInversions reports every pair of lock classes acquired in
-// both orders within the package.
-func reportOrderInversions(p *Pass, orders map[orderPair]token.Pos) {
-	var pairs []orderPair
-	for pr := range orders {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.first != b.first {
-			return a.first < b.first
-		}
-		return a.second < b.second
-	})
-	for _, pr := range pairs {
-		rev := orderPair{pr.second, pr.first}
-		if _, inverted := orders[rev]; !inverted {
-			continue
-		}
-		if pr.first > pr.second {
-			continue // report each inverted pair once, from its lexical min
-		}
-		p.Reportf(orders[pr], "lock order inversion: %s is acquired while %s is held here, and the opposite order occurs at %s",
-			pr.second, pr.first, p.Fset.Position(orders[rev]))
-	}
 }

@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"locind/internal/lint"
-	"locind/internal/lint/linttest"
 )
 
 func TestLockflow(t *testing.T) {
-	linttest.Run(t, "testdata/lockflow", lint.Lockflow,
+	runFixtures(t, "testdata/lockflow", lint.Lockflow,
 		"locind/internal/lockfix", "locind/internal/lockdirty")
 }

@@ -1,8 +1,7 @@
-// Package reliable is the package-allow showcase: a directive above the
-// package clause is promoted to package scope, so every ctxflow finding in
-// the package is suppressed with one stated reason.
+// Package reliable is the package-allow showcase: one //lint:package-allow
+// suppresses every ctxflow finding in the package with one stated reason.
 //
-//lint:allow ctxflow fixture retry loops are bounded by attempt count, not deadline
+//lint:package-allow ctxflow fixture retry loops are bounded by attempt count, not deadline
 package reliable
 
 import "net"

@@ -1,17 +1,8 @@
 // Package cmdfix stands in for a cmd/ binary: outside locind/internal/ the
-// wall-clock rule does not apply (a CLI may timestamp its output), but the
-// global-generator rule still does.
+// wall-clock rule does not apply (a CLI may timestamp its output).
 package cmdfix
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Stamp may read the host clock: this is not a simulation package.
 func Stamp() int64 { return time.Now().UnixNano() }
-
-// Roll still may not use hidden global state, even in a binary.
-func Roll() int {
-	return rand.Intn(6) // want `rand\.Intn draws from global process-wide state`
-}

@@ -1,7 +1,7 @@
 // Package obs is a fixture stub standing in for the real
 // locind/internal/obs, proving the obs idiom itself is determinism-clean:
-// metric handles do no clock reads and no RNG draws, and span durations
-// come only from an injected clock.
+// metric handles read no clock, and span durations come only from an
+// injected clock.
 package obs
 
 import "time"
@@ -36,28 +36,4 @@ func (t *Tracer) Start(name string) uint64 {
 		return 0
 	}
 	return uint64(len(name)) + 1
-}
-
-// TraceContext mimics the propagated trace identity.
-type TraceContext struct {
-	TraceID uint64
-	SpanID  uint64
-}
-
-// Span mimics the recorded span handle.
-type Span struct{ id uint64 }
-
-// ID returns the span's identifier (zero on nil, like the real no-op).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// SameTrace is the tree-assembly comparison the obs package is exempt for:
-// matching spans into one causal tree is the single legitimate consumer of
-// trace-identity equality, so the analyzer must stay quiet on this line.
-func SameTrace(a, b TraceContext) bool {
-	return a.TraceID == b.TraceID
 }

@@ -5,7 +5,6 @@ package simfix
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -16,28 +15,14 @@ func Tick() int64 {
 	return time.Now().UnixNano() // want `time\.Now reads the wall clock in a simulation package`
 }
 
-// Jitter draws from the hidden process-wide generator, so no seed can
-// replay it.
-func Jitter() float64 {
-	return rand.Float64() // want `rand\.Float64 draws from global process-wide state`
-}
-
-// Degrees is the PreferentialAttachment regression shape: the RNG draw is
-// consumed in map iteration order and the result slice records that order,
-// so every run grows a different graph from the same seed.
-func Degrees(deg map[int]int, rng *rand.Rand) []int {
-	var out []int
-	for n := range deg {
-		out = append(out, n+rng.Intn(3)) // want `append inside range over map` `RNG draw inside range over map`
+// Degrees is the PreferentialAttachment regression shape: the
+// degree-sampling pool grows in map iteration order, so the seeded draws
+// that index it pick different nodes and every run grows a different graph.
+func Degrees(targets map[int]bool, pool []int) []int {
+	for t := range targets {
+		pool = append(pool, t) // want `append inside range over map`
 	}
-	return out
-}
-
-// Publish streams map entries to a consumer, which observes random order.
-func Publish(deg map[int]int, ch chan<- int) {
-	for n := range deg {
-		ch <- n // want `channel send inside range over map`
-	}
+	return pool
 }
 
 // Point is one curve sample, standing in for stats.Point.

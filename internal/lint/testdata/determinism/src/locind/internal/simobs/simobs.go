@@ -12,7 +12,7 @@ import (
 )
 
 // Step advances one simulation tick, counting into nil-safe obs handles
-// and tracing the step. No clock, no RNG: the analyzer stays quiet.
+// and tracing the step. No clock: the analyzer stays quiet.
 func Step(events *obs.Counter, tr *obs.Tracer, n int) int {
 	id := tr.Start("step")
 	for i := 0; i < n; i++ {
@@ -25,30 +25,4 @@ func Step(events *obs.Counter, tr *obs.Tracer, n int) int {
 // clock is exactly what the obs design forbids.
 func Stamp() int64 {
 	return time.Now().UnixNano() // want `time\.Now reads the wall clock in a simulation package`
-}
-
-// Forward passes the propagated trace context along unexamined — the
-// correct propagation idiom: carry it, encode it, hand it to the tracer,
-// never decide anything with it. The analyzer stays quiet.
-func Forward(tc obs.TraceContext, deliver func(obs.TraceContext)) {
-	deliver(tc)
-}
-
-// PickReplica keys a routing decision on the propagated trace identity:
-// with tracing off the IDs are zero and a different replica wins, so the
-// instrumented and bare runs diverge.
-func PickReplica(tc obs.TraceContext, n uint64) uint64 {
-	if tc.SpanID > n { // want `decision keyed on trace identity TraceContext\.SpanID`
-		return 0
-	}
-	return 1
-}
-
-// FirstSpan orders work by span identity, the same leak through the span
-// handle.
-func FirstSpan(a, b *obs.Span) *obs.Span {
-	if a.ID() < b.ID() { // want `decision keyed on trace identity Span\.ID\(\)`
-		return a
-	}
-	return b
 }

@@ -1,6 +1,6 @@
 // Package lockfix is the clean arm of the lockflow fixtures: short
-// critical sections, blocking work done after release, and a lock order
-// that is the same at every acquisition site.
+// critical sections, blocking work done after release, a select that cannot
+// park, and a helper that does no blocking work.
 package lockfix
 
 import (
@@ -10,8 +10,9 @@ import (
 
 // Reg guards a map with a narrowly scoped mutex.
 type Reg struct {
-	mu   sync.Mutex
-	vals map[string]int
+	mu    sync.Mutex
+	vals  map[string]int
+	ready chan int
 }
 
 // Get holds the lock only around the map read.
@@ -27,30 +28,47 @@ func (r *Reg) Get(k string) int {
 func (r *Reg) Set(k string, v int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.store(k, v)
+}
+
+// store is called under the lock and blocks on nothing.
+func (r *Reg) store(k string, v int) {
 	if r.vals == nil {
 		r.vals = make(map[string]int)
 	}
 	r.vals[k] = v
 }
 
-// Pair takes its two locks in the same order everywhere.
-type Pair struct {
-	a, b sync.Mutex
-	n    int
+// TryPop polls the channel under the lock: the default case means the
+// select never parks.
+func (r *Reg) TryPop() (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	select {
+	case v := <-r.ready:
+		return v, true
+	default:
+		return 0, false
+	}
 }
 
-func (p *Pair) Inc() {
-	p.a.Lock()
-	p.b.Lock()
-	p.n++
-	p.b.Unlock()
-	p.a.Unlock()
+// Drain polls through a helper under the lock: a select with a default case
+// does not make its function a blocking one.
+func (r *Reg) Drain() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for r.poll() {
+		n++
+	}
+	return n
 }
 
-func (p *Pair) Dec() {
-	p.a.Lock()
-	p.b.Lock()
-	p.n--
-	p.b.Unlock()
-	p.a.Unlock()
+func (r *Reg) poll() bool {
+	select {
+	case <-r.ready:
+		return true
+	default:
+		return false
+	}
 }

@@ -16,7 +16,7 @@ func moduleInternal(path string) bool {
 
 // isTestFile reports whether the file at pos is a _test.go file. Normal
 // loads never include test files (go list GoFiles excludes them), but
-// linttest fixtures may, and the error-hygiene rules do not apply to tests.
+// the fixture harness may, and the error-hygiene rules do not apply to tests.
 func isTestFile(p *Pass, f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
@@ -103,51 +103,4 @@ func typeString(info *types.Info, e ast.Expr) string {
 // isErrorType reports whether t is exactly the predeclared error type.
 func isErrorType(t types.Type) bool {
 	return t != nil && t.String() == "error"
-}
-
-// obsPkgPath is the observability package whose trace identifiers carry the
-// special obligation policed by traceIdentity: they exist only when tracing
-// is attached, so no simulation result may depend on them.
-const obsPkgPath = "locind/internal/obs"
-
-// traceIdentity reports the first trace-identity read found inside expr
-// ("" if none): a TraceContext ID field or a Span.ID call from the obs
-// package. Span IDs are deterministic, but they exist only when a tracer is
-// attached — any value derived from one couples results to whether
-// observability is enabled, breaking the obs-on == obs-off invariant.
-func traceIdentity(p *Pass, expr ast.Expr) string {
-	found := ""
-	ast.Inspect(expr, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if (n.Sel.Name == "TraceID" || n.Sel.Name == "SpanID") &&
-				isObsType(p.TypesInfo.Types[n.X].Type, "TraceContext") {
-				found = "TraceContext." + n.Sel.Name
-			}
-		case *ast.CallExpr:
-			fn := calleeFunc(p.TypesInfo, n)
-			if fn == nil || fn.Name() != "ID" {
-				return true
-			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isObsType(recv.Type(), "Span") {
-				found = "Span.ID()"
-			}
-		}
-		return found == ""
-	})
-	return found
-}
-
-// isObsType reports whether t (possibly behind a pointer) is the named type
-// declared in the obs package.
-func isObsType(t types.Type, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == obsPkgPath
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -10,7 +11,9 @@ import (
 // FuzzDirectiveParsers throws arbitrary comment text at the two directive
 // parsers and checks their structural invariants: no panics, positive
 // matches only on genuine prefixes, and notes round-tripping through
-// whitespace trimming.
+// whitespace trimming. Placed above the package clause and above a function,
+// the text must register only known checks, and only a //lint:package-allow
+// reaches package scope.
 func FuzzDirectiveParsers(f *testing.F) {
 	f.Add("//lint:zeroalloc per event")
 	f.Add("//lint:zeroalloc")
@@ -20,6 +23,9 @@ func FuzzDirectiveParsers(f *testing.F) {
 	f.Add("//lint:package-allow lockflow\ttab separated")
 	f.Add("// plain comment mentioning //lint:zeroalloc mid-text")
 	f.Add("//lint:")
+	f.Add("//lint:allow all every rule waived")
+	f.Add("lint:allow errflow x")
+	f.Add("//lint:allow\nerrflow x")
 	f.Fuzz(func(t *testing.T, text string) {
 		note, ok := ParseZeroalloc(text)
 		if ok {
@@ -50,14 +56,52 @@ func FuzzDirectiveParsers(f *testing.F) {
 			}
 		}
 
-		// A fuzzed comment embedded in a real file must never panic the
-		// syntax-level annotation scanner, and any annotation it finds must
-		// name the only function in the file.
+		// A fuzzed comment embedded in a real file, on line 1 above the
+		// package clause and on line 4 above the only function, must never
+		// panic the syntax-level annotation scanner, and any annotation it
+		// finds must name that function.
 		line := strings.NewReplacer("\n", " ", "\r", " ").Replace(text)
-		src := "package p\n\n//" + line + "\nfunc F() {}\n"
-		file, err := parser.ParseFile(token.NewFileSet(), "fuzz.go", src, parser.ParseComments|parser.SkipObjectResolution)
+		if !strings.HasPrefix(line, "//") {
+			line = "//" + line
+		}
+		embedded, _, _ := cutDirective(line) // the kind collectAllows sees, not text's
+		src := line + "\npackage p\n\n" + line + "\nfunc F() {}\n"
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "fuzz.go", src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return // not every mangled comment yields a parseable file
+		}
+		ai, malformed := collectAllows(&Package{Path: "p", Fset: fset, Files: []*ast.File{file}})
+		inSuite := func(check string) bool {
+			for _, a := range All() {
+				if a.Name == check {
+					return true
+				}
+			}
+			return false
+		}
+		for _, d := range malformed {
+			if d.Check != directiveCheck {
+				t.Fatalf("malformed directive reported as %q: %v", d.Check, d)
+			}
+		}
+		if len(ai.pkg) > 0 && embedded != "package-allow" {
+			t.Fatalf("%q reached package scope without //lint:package-allow: %v", text, ai.pkg)
+		}
+		for check := range ai.pkg {
+			if !inSuite(check) {
+				t.Fatalf("%q registered unknown check %q", text, check)
+			}
+		}
+		for check := range ai.files["fuzz.go"] {
+			if !inSuite(check) || embedded != "file-allow" {
+				t.Fatalf("%q registered file suppression %q", text, check)
+			}
+		}
+		for key := range ai.lines {
+			if !inSuite(key.check) || embedded != "allow" || key.line != 1 && key.line != 2 && key.line != 4 && key.line != 5 {
+				t.Fatalf("%q registered line suppression %+v", text, key)
+			}
 		}
 		for _, af := range ZeroallocFuncs(file) {
 			if af.Symbol != "F" {
