@@ -153,12 +153,23 @@ func run(args []string, o runOpts) error {
 		s.World = w
 		return err
 	}
+	// The content timelines are generated in a phase of their own before
+	// the first entry that reads them, so no entry's row carries their cost.
+	timelines := false
 	var series []expt.CSV
 	for _, e := range sel {
 		if e.World {
 			if err := buildWorld(); err != nil {
 				return err
 			}
+		}
+		if e.Timelines && !timelines {
+			span := tracer.Start("timelines")
+			ph := profiler.Begin("timelines")
+			s.World.Timelines()
+			ph.End()
+			span.End()
+			timelines = true
 		}
 		span := tracer.Start("experiment", "name", e.Name)
 		ph := profiler.Begin(e.Name)

@@ -7,6 +7,7 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/lint/allocguard"
+	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
@@ -70,6 +71,33 @@ func allocGuardHarness() map[string]func(t *testing.T) float64 {
 				allocs += replayAllocs(t, func(tls []cdn.Timeline) int {
 					return ContentUpdateStatsPerRouter(routers, tls)[2].BestPort.Events
 				})
+			}
+			return allocs
+		},
+		"AggregateabilityPerRouter": func(t *testing.T) float64 {
+			// Doubling every name's addresses must cost no allocation: the
+			// tables are sized by names and routers.
+			fibs := []*bgp.FIB{guardRouter(), fakeRouter(map[string]int{"0.0.0.0/0": 4, "0.0.4.0/22": 6})}
+			sets := func(perName int) map[names.Name][]netaddr.Addr {
+				out := map[names.Name][]netaddr.Addr{}
+				for i, n := range []names.Name{"", "com", "a.com", "b.a.com", "c.b.a.com", "org", "x.org"} {
+					for j := 0; j < perName; j++ {
+						out[n] = append(out[n], netaddr.Addr(1000*i+37*j))
+					}
+				}
+				return out
+			}
+			small, large := sets(64), sets(128)
+			var allocs float64
+			for _, routers := range []Routers{Each{fibs[0], fibs[1]}, bgp.NewFIBSet(fibs)} {
+				count := func(sets map[names.Name][]netaddr.Addr) float64 {
+					return testing.AllocsPerRun(10, func() {
+						if got := AggregateabilityPerRouter(routers, sets); len(got) != 2 {
+							t.Fatalf("%d columns, want 2", len(got))
+						}
+					})
+				}
+				allocs += count(large) - count(small)
 			}
 			return allocs
 		},

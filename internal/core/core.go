@@ -10,6 +10,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 
 	"locind/internal/bgp"
 	"locind/internal/cdn"
@@ -155,31 +156,6 @@ func (t *MoveTable) Stats(r PortLookup) []UpdateStats {
 	return out
 }
 
-// BestPortOf implements best(FIB(R, d, t)): the output port of the
-// minimum-cost address, where cost is (AS-path length of the selected
-// route, next-hop AS, address) — a deterministic "closest copy first"
-// order. The boolean is false when no address has a route.
-func BestPortOf(r RouteLookup, addrs []netaddr.Addr) (int, bool) {
-	best := -1
-	bestLen := 0
-	var bestAddr netaddr.Addr
-	found := false
-	for _, a := range addrs {
-		rt, ok := r.RouteFor(a)
-		if !ok {
-			continue
-		}
-		l := rt.PathLen()
-		if !found ||
-			l < bestLen ||
-			(l == bestLen && rt.NextHop < best) ||
-			(l == bestLen && rt.NextHop == best && a < bestAddr) {
-			best, bestLen, bestAddr, found = rt.NextHop, l, a, true
-		}
-	}
-	return best, found
-}
-
 // StrategyStats bundles the per-strategy totals of one fused replay.
 type StrategyStats struct {
 	BestPort UpdateStats
@@ -314,10 +290,16 @@ func (m *multiEval) load(tl *cdn.Timeline) {
 	}
 }
 
-// advance leaves every router's port set and best port for the set after,
-// in BestPortOf's order — whose last tie-break, the address, never decides
-// the port: two routes tied on (path length, next hop) leave through the
-// same one.
+// closer implements the order of best(FIB(R, d, t)): a route of AS-path
+// length l via port p beats the best so far (bestLen via best) if its path is
+// shorter, or as long through a lower next hop — "closest copy first". The
+// order's last tie-break, the address, never decides the port: two routes
+// tied on (path length, next hop) leave through the same one.
+func closer(l int32, p int, bestLen int32, best int) bool {
+	return l < bestLen || (l == bestLen && p < best)
+}
+
+// advance leaves every router's port set and best port for the set after.
 func (m *multiEval) advance(after []netaddr.Addr) {
 	for k := range m.rs {
 		clear(m.rs[k].ports)
@@ -332,7 +314,7 @@ func (m *multiEval) advance(after []netaddr.Addr) {
 			}
 			s := &m.rs[k]
 			s.ports[e.bit>>6] |= 1 << (e.bit & 63)
-			if !s.bestOK || e.pathLen < s.bestLen || (e.pathLen == s.bestLen && e.port < s.best) {
+			if !s.bestOK || closer(e.pathLen, e.port, s.bestLen, s.best) {
 				s.best, s.bestLen, s.bestOK = e.port, e.pathLen, true
 			}
 		}
@@ -393,22 +375,98 @@ func ContentUpdateStatsAllFused(r RouteLookup, tls []cdn.Timeline) StrategyStats
 	return ContentUpdateStatsPerRouter(Each{r}, tls)[0]
 }
 
-// BestPortTable builds the complete name-forwarding table of §3.3.2 under
-// best-port forwarding: every name mapped to its single best output port.
-// Names whose addresses have no route are omitted.
-func BestPortTable(r RouteLookup, sets map[names.Name][]netaddr.Addr) map[names.Name]int {
-	out := make(map[names.Name]int, len(sets))
-	for n, addrs := range sets {
-		if p, ok := BestPortOf(r, addrs); ok {
-			out[n] = p
+// AggregateabilityPerRouter computes Figure 12's column: the §3.3.2
+// aggregateability |complete| / |LPM| of the best-port name table at every
+// router of rs (1 where a router routes no name). A name's port at a router
+// is its closest address's; the name is in the complete table iff some
+// address has a route. A routed name stays in the LPM table iff none of its
+// proper suffixes is routed there, or the nearest that is has another port.
+// That is len(names.BuildLPMTable) of the complete table without the trie:
+// by induction on depth, a subsumed ancestor resolves to its own port, so a
+// name resolves to its nearest routed ancestor's. The names are sorted and
+// their suffix chains found once for every router, and each address is
+// resolved once for all of them, in one RoutesFor.
+//
+//lint:zeroalloc per address, after the per-call name, suffix and port tables
+func AggregateabilityPerRouter(rs Routers, sets map[names.Name][]netaddr.Addr) []float64 {
+	ns := make([]names.Name, 0, len(sets))
+	for n := range sets {
+		ns = append(ns, n)
+	}
+	slices.Sort(ns)
+	// up[cut[i]:cut[i+1]] holds the rows of ns[i]'s proper suffixes in ns,
+	// nearest first.
+	var up []int32
+	cut := make([]int, 1, len(ns)+1)
+	for _, n := range ns {
+		up = appendSuffixRows(up, ns, n)
+		cut = append(cut, len(up))
+	}
+	nr := rs.Len()
+	routes, ok := make([]bgp.Route, nr), make([]bool, nr)
+	// Row i of best is ns[i]'s best route at every router; pathLen < 0 means
+	// no address of it has one.
+	type bestRoute struct {
+		port    int
+		pathLen int32
+	}
+	best := make([]bestRoute, len(ns)*nr)
+	for i, n := range ns {
+		row := best[i*nr : i*nr+nr]
+		for k := range row {
+			row[k].pathLen = -1
+		}
+		for _, a := range sets[n] {
+			rs.RoutesFor(a, routes, ok)
+			for k, rt := range routes {
+				l := int32(rt.PathLen())
+				if ok[k] && (row[k].pathLen < 0 || closer(l, rt.NextHop, row[k].pathLen, row[k].port)) {
+					row[k] = bestRoute{rt.NextHop, l}
+				}
+			}
+		}
+	}
+	out := make([]float64, nr)
+	for k := range out {
+		complete, lpm := 0, 0
+		for i := range ns {
+			b := best[i*nr+k]
+			if b.pathLen < 0 {
+				continue
+			}
+			complete++
+			lpm++
+			for _, j := range up[cut[i]:cut[i+1]] {
+				if anc := best[int(j)*nr+k]; anc.pathLen >= 0 {
+					if anc.port == b.port {
+						lpm-- // subsumed
+					}
+					break
+				}
+			}
+		}
+		out[k] = 1
+		if complete > 0 {
+			out[k] = float64(complete) / float64(lpm)
 		}
 	}
 	return out
 }
 
-// AggregateabilityBestPort computes the §3.3.2 aggregateability metric (the
-// ratio of complete to LPM table size) at router r under best-port
-// forwarding — Figure 12's per-collector quantity.
-func AggregateabilityBestPort(r RouteLookup, sets map[names.Name][]netaddr.Addr) float64 {
-	return names.Aggregateability(BestPortTable(r, sets))
+// appendSuffixRows appends the rows in sorted ns of n's proper suffixes,
+// nearest first: what follows each dot, then the root "". A trailing dot's
+// empty suffix is the root too, as in names.Trie, where an empty Name
+// reaches only the root.
+func appendSuffixRows(up []int32, ns []names.Name, n names.Name) []int32 {
+	for s := string(n); s != ""; {
+		if dot := strings.IndexByte(s, '.'); dot >= 0 {
+			s = s[dot+1:]
+		} else {
+			s = ""
+		}
+		if j, found := slices.BinarySearch(ns, names.Name(s)); found {
+			up = append(up, int32(j))
+		}
+	}
+	return up
 }

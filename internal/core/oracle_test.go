@@ -394,3 +394,40 @@ func TestMoveTableMatchesPerEventReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateabilityPerRouterMatchesTrie holds Figure 12's one-pass count
+// to the collector-at-a-time trie path (names.Aggregateability of
+// BestPortTable) on every collector of three seeded quick worlds, for the
+// hour-0 popular and unpopular tables, through the FIBs as one bgp.FIBSet
+// and one at a time.
+func TestAggregateabilityPerRouterMatchesTrie(t *testing.T) {
+	for _, seed := range []int64{20140817, 7, 424242} {
+		cfg := expt.QuickConfig()
+		cfg.Seed = seed
+		w, err := expt.BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := slices.Concat(w.RouteViews, w.RIPE)
+		fibs, each := make([]*bgp.FIB, len(cols)), make(core.Each, len(cols))
+		for i, c := range cols {
+			fibs[i], each[i] = c.FIB, c.FIB
+		}
+		popular, unpopular := w.TimelinesByClass()
+		for _, pool := range []struct {
+			class string
+			tls   []cdn.Timeline
+		}{{"popular", popular}, {"unpopular", unpopular}} {
+			sets := cdn.CompleteTable(pool.tls, 0)
+			viaSet := core.AggregateabilityPerRouter(bgp.NewFIBSet(fibs), sets)
+			viaEach := core.AggregateabilityPerRouter(each, sets)
+			for i, c := range cols {
+				oracle := core.AggregateabilityBestPort(c.FIB, sets)
+				if viaSet[i] != oracle || viaEach[i] != oracle {
+					t.Fatalf("seed %d %s %s: FIB set %v, one at a time %v, trie oracle %v",
+						seed, c.Name, pool.class, viaSet[i], viaEach[i], oracle)
+				}
+			}
+		}
+	}
+}

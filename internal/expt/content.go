@@ -67,10 +67,7 @@ type Fig11bcResult struct {
 // timeline, never crossing a shard boundary), so the totals are
 // bit-identical at every parallelism degree.
 func fusedPerCollector(w *World, tls []cdn.Timeline) []core.StrategyStats {
-	fibs := make([]*bgp.FIB, len(w.RouteViews))
-	for ci, c := range w.RouteViews {
-		fibs[ci] = c.FIB
-	}
+	fibs := routeViewsFIBs(w)
 	set := bgp.NewFIBSet(fibs)
 	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
 	partial := make([][]core.StrategyStats, len(shards))
@@ -85,6 +82,15 @@ func fusedPerCollector(w *World, tls []cdn.Timeline) []core.StrategyStats {
 		w.Cfg.Obs.collectorDone()
 	}
 	return tot
+}
+
+// routeViewsFIBs lists the RouteViews collectors' FIBs in collector order.
+func routeViewsFIBs(w *World) []*bgp.FIB {
+	fibs := make([]*bgp.FIB, len(w.RouteViews))
+	for ci, c := range w.RouteViews {
+		fibs[ci] = c.FIB
+	}
+	return fibs
 }
 
 // RunFig11bc computes Figure 11(b) or 11(c) depending on class; both
@@ -172,25 +178,24 @@ type Fig12Result struct {
 }
 
 // RunFig12 computes Figure 12: best-port FIB aggregateability for popular
-// names per collector, evaluated on the hour-0 snapshot of the sweep. It
-// fans out over the collectors, which share the read-only FIBs and name
-// sets; results land in collector order.
+// names per collector, evaluated on the hour-0 snapshot of the sweep. The
+// collectors' FIBs resolve each address as one set, so one pass over the
+// names serves them all; the long tail is measured at the first collector.
 func RunFig12(w *World) Fig12Result {
 	popular, unpopular := w.TimelinesByClass()
 	popSets := cdn.CompleteTable(popular, 0)
 	unpopSets := cdn.CompleteTable(unpopular, 0)
 	res := Fig12Result{Names: len(popSets)}
-	aggs := par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) float64 {
-		return core.AggregateabilityBestPort(w.RouteViews[i].FIB, popSets)
-	})
+	fibs := routeViewsFIBs(w)
+	aggs := core.AggregateabilityPerRouter(bgp.NewFIBSet(fibs), popSets)
 	for i, c := range w.RouteViews {
 		res.Routers = append(res.Routers, struct {
 			Name             string
 			Aggregateability float64
 		}{c.Name, aggs[i]})
 	}
-	if len(w.RouteViews) > 0 {
-		res.UnpopularAgg = core.AggregateabilityBestPort(w.RouteViews[0].FIB, unpopSets)
+	if len(fibs) > 0 {
+		res.UnpopularAgg = core.AggregateabilityPerRouter(bgp.NewFIBSet(fibs[:1]), unpopSets)[0]
 	}
 	return res
 }

@@ -15,6 +15,9 @@ type Experiment struct {
 	Help string // one line for locind's usage
 	// World reports whether Run reads Session.World.
 	World bool
+	// Timelines reports whether Run reads the world's content timelines,
+	// which World.Timelines generates on first use.
+	Timelines bool
 	// OptIn keeps the entry out of "all".
 	OptIn bool
 	Run   func(*Session) (Output, error)
@@ -129,21 +132,21 @@ var Experiments = []Experiment{
 			r := RunFig10(s.World)
 			return Output{r.Render(), []CSV{curves("fig10.csv", map[string][]stats.Point{"latency_ms": r.LatencyCDF})}}, nil
 		}},
-	{Name: "fig11a", Help: "popular content mobility events per day", World: true,
+	{Name: "fig11a", Help: "popular content mobility events per day", World: true, Timelines: true,
 		Run: func(s *Session) (Output, error) {
 			r := RunFig11a(s.World)
 			return Output{r.Render(), []CSV{curves("fig11a.csv", map[string][]stats.Point{"events_per_day": r.CDF})}}, nil
 		}},
-	{Name: "fig11b", Help: "popular content update rate per collector", World: true,
+	{Name: "fig11b", Help: "popular content update rate per collector", World: true, Timelines: true,
 		Run: func(s *Session) (Output, error) { return fig11bc(s, cdn.Popular, "fig11b"), nil }},
-	{Name: "fig11c", Help: "unpopular content update rate per collector", World: true,
+	{Name: "fig11c", Help: "unpopular content update rate per collector", World: true, Timelines: true,
 		Run: func(s *Session) (Output, error) { return fig11bc(s, cdn.Unpopular, "fig11c"), nil }},
-	{Name: "fig12", Help: "FIB aggregateability of popular names", World: true,
+	{Name: "fig12", Help: "FIB aggregateability of popular names", World: true, Timelines: true,
 		Run: func(s *Session) (Output, error) {
 			r := RunFig12(s.World)
 			return Output{r.Render(), []CSV{aggregateability(r)}}, nil
 		}},
-	{Name: "ablate", Help: "forwarding-strategy, collector-feed and intradomain-renumbering ablations", World: true,
+	{Name: "ablate", Help: "forwarding-strategy, collector-feed and intradomain-renumbering ablations", World: true, Timelines: true,
 		Run: func(s *Session) (Output, error) {
 			abl := RunStrategyAblation(s.World)
 			sweep, err := RunSessionSweep(s.World, []int{2, 4, 8, 16, 24, 36})

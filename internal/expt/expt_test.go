@@ -86,6 +86,33 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// An entry reads the content timelines iff it says so: locind generates
+// them in a phase of their own before the first entry that does, so an
+// entry that read them unannounced would carry their cost in its own row,
+// and one that announced them needlessly would make a device-only run pay
+// for them. Each entry runs on a fresh world, whose timelines nothing has
+// asked for yet.
+func TestTimelinesFlagMatchesWhatEntriesRead(t *testing.T) {
+	for _, e := range Experiments {
+		if !e.World {
+			if e.Timelines {
+				t.Errorf("%s reads timelines but no world", e.Name)
+			}
+			continue
+		}
+		w, err := BuildWorld(QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(&Session{Cfg: w.Cfg, Quick: true, World: w}); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if read := w.timelines != nil; read != e.Timelines {
+			t.Errorf("%s: Timelines is %v, but running it generated timelines: %v", e.Name, e.Timelines, read)
+		}
+	}
+}
+
 func TestBuildWorld(t *testing.T) {
 	w := quickWorld(t)
 	if len(w.RouteViews) != 12 || len(w.RIPE) != 13 {
