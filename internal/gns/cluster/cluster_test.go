@@ -121,6 +121,89 @@ func TestStorePutSupersedes(t *testing.T) {
 	}
 }
 
+// putOracle is Store.Put as it was before a dominating history skipped the
+// merge: whatever supersedes is merged with the stored history, and a
+// concurrent loser's history is absorbed.
+func putOracle(recs map[string]VRecord, rec VRecord) bool {
+	cur, ok := recs[rec.Name]
+	if !ok {
+		recs[rec.Name] = rec
+		return true
+	}
+	if rec.VV.Supersedes(cur.VV) {
+		merged := rec
+		merged.VV = rec.VV.Merge(cur.VV)
+		recs[rec.Name] = merged
+		return true
+	}
+	if cur.VV.Compare(rec.VV) == Concurrent {
+		cur.VV = cur.VV.Merge(rec.VV)
+		recs[rec.Name] = cur
+	}
+	return false
+}
+
+// TestStorePutMatchesMergingOracle: for every causal relation between the
+// incoming and the stored history, Put installs and reports what the
+// always-merging oracle does; a strictly dominating history is stored as
+// the very slice that arrived.
+func TestStorePutMatchesMergingOracle(t *testing.T) {
+	a1 := []netaddr.Addr{netaddr.MustParseAddr("10.0.0.1")}
+	a2 := []netaddr.Addr{netaddr.MustParseAddr("10.0.0.2")}
+	mustVV := func(s string) VV {
+		v, err := ParseVV(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name      string
+		stored    string // "" = nothing stored
+		incoming  string
+		installed bool
+		verbatim  bool // the incoming VV slice itself is stored
+		want      string
+	}{
+		{"first put", "", "1:1", true, true, "1:1"},
+		{"after, same origin", "1:1", "1:2", true, true, "1:2"},
+		{"after, new origin", "1:3", "1:3,2:1", true, true, "1:3,2:1"},
+		{"after, every origin", "1:1,2:1", "1:2,2:5", true, true, "1:2,2:5"},
+		{"equal", "1:2,2:1", "1:2,2:1", false, false, "1:2,2:1"},
+		{"before", "1:2,2:1", "1:1", false, false, "1:2,2:1"},
+		{"concurrent winner by sum", "1:1", "2:2", true, false, "1:1,2:2"},
+		{"concurrent winner by encoding", "1:2,3:1", "2:1,3:2", true, false, "1:2,2:1,3:2"},
+		{"concurrent loser by encoding", "2:1,3:2", "1:2,3:1", false, false, "1:2,2:1,3:2"},
+		{"concurrent loser absorbs", "2:2,3:1", "1:3", false, false, "1:3,2:2,3:1"},
+		{"concurrent winner, disjoint", "5:1", "1:1,9:1", true, false, "1:1,5:1,9:1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStore(0)
+			oracle := map[string]VRecord{}
+			if tc.stored != "" {
+				old := VRecord{Name: "n", Addrs: a1, VV: mustVV(tc.stored)}
+				st.Put(old)
+				putOracle(oracle, old)
+			}
+			in := VRecord{Name: "n", Addrs: a2, VV: mustVV(tc.incoming)}
+			installed := st.Put(in)
+			wantInstalled := putOracle(oracle, VRecord{Name: in.Name, Addrs: in.Addrs, VV: mustVV(tc.incoming)})
+			got, _ := st.Get("n")
+			want := oracle["n"]
+			if installed != wantInstalled || installed != tc.installed {
+				t.Fatalf("Put installed = %v, oracle %v, table %v", installed, wantInstalled, tc.installed)
+			}
+			if got.VV.Encode() != want.VV.Encode() || got.VV.Encode() != tc.want || got.Addrs[0] != want.Addrs[0] {
+				t.Fatalf("stored %v %s; oracle stored %v %s; table wants %s",
+					got.Addrs, got.VV.Encode(), want.Addrs, want.VV.Encode(), tc.want)
+			}
+			if verbatim := &got.VV[0] == &in.VV[0]; verbatim != tc.verbatim {
+				t.Fatalf("stored the incoming VV slice itself: %v, want %v", verbatim, tc.verbatim)
+			}
+		})
+	}
+}
+
 // startCluster boots a fault-free cluster and a fast-timeout client for it.
 func startCluster(t *testing.T, shards, replicas int, seed int64) (*Cluster, *Client, context.CancelFunc) {
 	t.Helper()

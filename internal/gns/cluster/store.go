@@ -44,7 +44,9 @@ func NewStore(origin uint64) *Store {
 // Put installs rec if its history supersedes the stored one, reporting
 // whether it was installed. The stored record after Put carries the merged
 // history either way, so a replica that has seen both sides of a
-// divergence never regresses below either.
+// divergence never regresses below either. A history that strictly extends
+// the stored one is already that merge (for canonical version vectors, as
+// ParseVV and Bump return them), so it is stored as it arrives.
 func (s *Store) Put(rec VRecord) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -53,15 +55,19 @@ func (s *Store) Put(rec VRecord) bool {
 		s.recs[rec.Name] = rec
 		return true
 	}
-	if rec.VV.Supersedes(cur.VV) {
-		merged := rec
-		merged.VV = rec.VV.Merge(cur.VV)
-		s.recs[rec.Name] = merged
+	switch rec.VV.Compare(cur.VV) {
+	case After:
+		s.recs[rec.Name] = rec
 		return true
-	}
-	// The stored record stays authoritative but absorbs the incoming
-	// history, so a later concurrent write cannot flip the tiebreak back.
-	if cur.VV.Compare(rec.VV) == Concurrent {
+	case Concurrent:
+		if rec.VV.winsTiebreak(cur.VV) {
+			rec.VV = rec.VV.Merge(cur.VV)
+			s.recs[rec.Name] = rec
+			return true
+		}
+		// The stored record stays authoritative but absorbs the incoming
+		// history, so a later concurrent write cannot flip the tiebreak
+		// back.
 		cur.VV = cur.VV.Merge(rec.VV)
 		s.recs[rec.Name] = cur
 	}

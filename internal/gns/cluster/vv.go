@@ -11,8 +11,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -29,6 +30,9 @@ type VVEntry struct {
 	Origin uint64
 	Ctr    uint64
 }
+
+// byOrigin orders entries by origin, the order a VV keeps them in.
+func byOrigin(a, b VVEntry) int { return cmp.Compare(a.Origin, b.Origin) }
 
 // Get returns origin's counter (0 when absent).
 func (v VV) Get(origin uint64) uint64 {
@@ -53,7 +57,7 @@ func (v VV) Bump(origin uint64) VV {
 	}
 	if !bumped {
 		out = append(out, VVEntry{Origin: origin, Ctr: 1})
-		sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+		slices.SortFunc(out, byOrigin)
 	}
 	return out
 }
@@ -120,7 +124,7 @@ func (v VV) Merge(o VV) VV {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+	slices.SortFunc(out, byOrigin)
 	return out
 }
 
@@ -191,7 +195,7 @@ func ParseVV(s string) (VV, error) {
 		out = append(out, VVEntry{Origin: origin, Ctr: ctr})
 	}
 	if !ascending {
-		sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
+		slices.SortFunc(out, byOrigin)
 		for i := 1; i < len(out); i++ {
 			if out[i].Origin == out[i-1].Origin {
 				return nil, fmt.Errorf("cluster: vv origin %d listed twice", out[i].Origin)

@@ -59,6 +59,19 @@ func TestVVMergeIsJoin(t *testing.T) {
 	}
 }
 
+// BenchmarkVVMerge joins two diverged three-writer histories, the shape a
+// concurrent put or a repair round merges.
+func BenchmarkVVMerge(b *testing.B) {
+	x := VV{{Origin: 1, Ctr: 9}, {Origin: 4, Ctr: 2}, {Origin: 7, Ctr: 5}}
+	y := VV{{Origin: 2, Ctr: 3}, {Origin: 4, Ctr: 6}, {Origin: 9, Ctr: 1}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m := x.Merge(y); len(m) != 5 {
+			b.Fatalf("merge = %s", m.Encode())
+		}
+	}
+}
+
 func TestVVEncodeParseRoundTrip(t *testing.T) {
 	for _, v := range []VV{
 		nil,

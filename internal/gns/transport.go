@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"locind/internal/reliable"
 )
@@ -58,12 +59,19 @@ type Transport struct {
 // server has already authoritatively rejected. The attempt count made is
 // returned alongside.
 //
+// p.PerAttempt is applied here as the socket deadline, not by p.Do: each
+// attempt's deadline is the earlier of ctx's and PerAttempt from the
+// attempt's start, and it bounds the dial, the write and every read, with
+// no context or timer per attempt.
+//
 // Exchange is the transport leg of the cluster client; req.Trace should
 // already carry the caller's span context.
 func (t *Transport) Exchange(ctx context.Context, addr string, req Request, p reliable.Policy) (Response, int, error) {
+	perAttempt := p.PerAttempt
+	p.PerAttempt = 0
 	var resp Response
 	attempts, err := p.Do(ctx, func(ctx context.Context) error {
-		r, err := t.attempt(ctx, addr, &req)
+		r, err := t.attempt(ctx, attemptDeadline(ctx, perAttempt), addr, &req)
 		if err != nil {
 			return err
 		}
@@ -85,6 +93,19 @@ func (t *Transport) Exchange(ctx context.Context, addr string, req Request, p re
 	return resp, attempts, nil
 }
 
+// attemptDeadline is the deadline of an attempt starting now: ctx's, or
+// perAttempt from now when that is earlier. Zero means no deadline.
+func attemptDeadline(ctx context.Context, perAttempt time.Duration) time.Time {
+	dl, _ := ctx.Deadline()
+	if perAttempt > 0 {
+		//lint:allow determinism a socket deadline is wall-clock by net.Conn's API, and the context.WithTimeout it replaces read the same clock
+		if own := time.Now().Add(perAttempt); dl.IsZero() || own.Before(dl) {
+			dl = own
+		}
+	}
+	return dl
+}
+
 // Exchange is Transport.Exchange on a Transport of its own that lives for
 // the one call: every attempt dials, and the socket is closed on return.
 func Exchange(ctx context.Context, addr string, req Request, p reliable.Policy) (Response, int, error) {
@@ -93,9 +114,9 @@ func Exchange(ctx context.Context, addr string, req Request, p reliable.Policy) 
 	return t.Exchange(ctx, addr, req, p)
 }
 
-// attempt makes one round trip and decides the socket's fate by how it
-// went.
-func (t *Transport) attempt(ctx context.Context, addr string, req *Request) (Response, error) {
+// attempt makes one round trip, bounded by dl (zero: unbounded), and
+// decides the socket's fate by how it went.
+func (t *Transport) attempt(ctx context.Context, dl time.Time, addr string, req *Request) (Response, error) {
 	bp := datagramBufs.Get().(*[]byte)
 	defer datagramBufs.Put(bp)
 	req.ID = t.lastID.Add(1)
@@ -104,11 +125,11 @@ func (t *Transport) attempt(ctx context.Context, addr string, req *Request) (Res
 		// The server would reject it unread; so would a retry.
 		return Response{}, reliable.Permanent(fmt.Errorf("%w: request exceeds %d bytes", ErrBadRequest, maxDatagram))
 	}
-	conn, err := t.get(ctx, addr)
+	conn, err := t.get(ctx, dl, addr)
 	if err != nil {
 		return Response{}, err
 	}
-	resp, err := t.roundTrip(ctx, conn, out, *bp, req.ID)
+	resp, err := t.roundTrip(conn, dl, out, *bp, req.ID)
 	if err != nil {
 		conn.Close() //nolint:errcheck // the attempt's own error is the one to report
 		return Response{}, err
@@ -118,12 +139,11 @@ func (t *Transport) attempt(ctx context.Context, addr string, req *Request) (Res
 }
 
 // roundTrip writes out and reads into buf until the reply carrying id
-// arrives or the attempt's deadline passes. out may alias buf: the request
-// is on the wire before the first read overwrites it.
-func (t *Transport) roundTrip(ctx context.Context, conn net.Conn, out, buf []byte, id uint64) (Response, error) {
-	// A context without a deadline yields the zero time, which clears
-	// whatever deadline the socket's previous attempt left behind.
-	dl, _ := ctx.Deadline()
+// arrives or dl passes. out may alias buf: the request is on the wire
+// before the first read overwrites it.
+func (t *Transport) roundTrip(conn net.Conn, dl time.Time, out, buf []byte, id uint64) (Response, error) {
+	// A zero dl clears whatever deadline the socket's previous attempt
+	// left behind.
 	if err := conn.SetDeadline(dl); err != nil {
 		return Response{}, err
 	}
@@ -147,8 +167,8 @@ func (t *Transport) roundTrip(ctx context.Context, conn net.Conn, out, buf []byt
 }
 
 // get returns a connected socket to addr: the most recently used idle one,
-// else a fresh dial.
-func (t *Transport) get(ctx context.Context, addr string) (net.Conn, error) {
+// else a fresh dial bounded by ctx and dl.
+func (t *Transport) get(ctx context.Context, dl time.Time, addr string) (net.Conn, error) {
 	t.mu.Lock()
 	closed := t.closed
 	var conn net.Conn
@@ -162,7 +182,7 @@ func (t *Transport) get(ctx context.Context, addr string) (net.Conn, error) {
 	case conn != nil:
 		return conn, nil
 	}
-	var d net.Dialer
+	d := net.Dialer{Deadline: dl}
 	return d.DialContext(ctx, "udp", addr)
 }
 

@@ -177,6 +177,66 @@ func TestTransportClearsDeadlineBetweenAttempts(t *testing.T) {
 	}
 }
 
+// TestTransportCallerDeadlineBeatsPerAttempt: an attempt's deadline is the
+// earlier of the caller's and PerAttempt from the attempt's start, so a
+// caller deadline well inside PerAttempt ends the wait for a held-back
+// reply, and the socket it timed out on is closed, not pooled.
+func TestTransportCallerDeadlineBeatsPerAttempt(t *testing.T) {
+	release := make(chan struct{})
+	srv := startStub(t, func(req Request, from net.Addr, send func(Response)) {
+		<-release
+		echo(req, from, send)
+	})
+	defer close(release)
+	var tr Transport
+	defer tr.Close()
+	const callerTimeout, perAttempt = 50 * time.Millisecond, 10 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), callerTimeout)
+	defer cancel()
+	start := time.Now()
+	_, attempts, err := tr.Exchange(ctx, srv.addr(), Request{Op: "vget", Name: "x"},
+		reliable.Policy{MaxAttempts: 1, PerAttempt: perAttempt})
+	elapsed := time.Since(start)
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() || attempts != 1 {
+		t.Fatalf("held-back reply: %d attempts, err = %v; want one attempt ending in a timeout", attempts, err)
+	}
+	if elapsed > perAttempt/2 {
+		t.Fatalf("attempt took %v; the caller's %v deadline should end it, not PerAttempt's %v", elapsed, callerTimeout, perAttempt)
+	}
+	if n := tr.IdleSockets(srv.addr()); n != 0 {
+		t.Fatalf("%d idle sockets after a timeout; the socket must be closed", n)
+	}
+}
+
+// TestTransportColdDialBoundedByAttemptDeadline: with no idle socket, an
+// attempt dials, and the dial shares the attempt's deadline. A deadline
+// already past when the dial starts fails the dial itself, so nothing is
+// written.
+func TestTransportColdDialBoundedByAttemptDeadline(t *testing.T) {
+	requests := 0
+	srv := startStub(t, func(req Request, from net.Addr, send func(Response)) { requests++; echo(req, from, send) })
+	var tr Transport
+	defer tr.Close()
+	_, attempts, err := tr.Exchange(context.Background(), srv.addr(), Request{Op: "vget", Name: "x"},
+		reliable.Policy{MaxAttempts: 1, PerAttempt: time.Nanosecond})
+	var oerr *net.OpError
+	if !errors.As(err, &oerr) || oerr.Op != "dial" || !oerr.Timeout() || attempts != 1 {
+		t.Fatalf("cold dial past its deadline: %d attempts, err = %v; want one attempt failing its dial with a timeout", attempts, err)
+	}
+	if n := tr.IdleSockets(srv.addr()); n != 0 {
+		t.Fatalf("%d idle sockets after a failed dial", n)
+	}
+	// The next attempt, with time to spare, dials and is answered.
+	if resp, _, err := tr.Exchange(context.Background(), srv.addr(), Request{Op: "vget", Name: "y"}, oneAttempt); err != nil || resp.Name != "y" {
+		t.Fatalf("exchange after the failed dial: %+v, %v", resp, err)
+	}
+	<-closeAndWait(srv)
+	if requests != 1 {
+		t.Fatalf("server saw %d requests, want only the one after the failed dial", requests)
+	}
+}
+
 // TestTransportClose: Close closes every idle socket, and a closed
 // Transport fails an exchange without dialling or retrying.
 func TestTransportClose(t *testing.T) {

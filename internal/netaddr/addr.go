@@ -9,7 +9,6 @@ package netaddr
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -22,24 +21,46 @@ func MakeAddr(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseAddr parses a dotted-quad IPv4 address such as "22.33.44.55".
+// ParseAddr parses a dotted-quad IPv4 address such as "22.33.44.55": four
+// fields of one to three ASCII digits, each at most 255, joined by single
+// dots. Nothing else is accepted: no sign, no space. A leading zero is
+// decimal, never octal: "010" is 10.
+//
+//lint:zeroalloc per call on a well-formed address; only an error allocates
 func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, fmt.Errorf("netaddr: %q is not a dotted-quad IPv4 address", s)
 	}
 	var v uint32
-	for _, p := range parts {
-		if p == "" || len(p) > 3 {
-			return 0, fmt.Errorf("netaddr: bad octet %q in %q", p, s)
-		}
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 {
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ".")
+		n, ok := decimal(p, 255)
+		if !ok || len(p) > 3 {
 			return 0, fmt.Errorf("netaddr: bad octet %q in %q", p, s)
 		}
 		v = v<<8 | uint32(n)
 	}
 	return Addr(v), nil
+}
+
+// decimal parses p, one or more ASCII digits, as a decimal number no
+// greater than limit.
+func decimal(p string, limit int) (int, bool) {
+	if p == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n > limit {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // MustParseAddr is ParseAddr that panics on error; for tests and literals.
@@ -89,7 +110,8 @@ func MakePrefix(addr Addr, bits int) Prefix {
 }
 
 // ParsePrefix parses CIDR notation such as "22.33.44.0/24". A bare address is
-// treated as a /32.
+// treated as a /32. The length is ASCII digits only, at most 32; leading
+// zeros are decimal, as in ParseAddr.
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
@@ -103,8 +125,8 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
+	bits, ok := decimal(s[slash+1:], 32)
+	if !ok {
 		return Prefix{}, fmt.Errorf("netaddr: bad prefix length in %q", s)
 	}
 	return MakePrefix(a, bits), nil

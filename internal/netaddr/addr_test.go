@@ -23,6 +23,20 @@ func TestParseAddr(t *testing.T) {
 		{"", 0, false},
 		{"1..2.3", 0, false},
 		{"1.2.3.1234", 0, false},
+		// Digits only: strconv.Atoi's sign is not part of an octet.
+		{"+1.2.3.4", 0, false},
+		{"1.2.3.-0", 0, false},
+		{"1.2.3.+4", 0, false},
+		{" 1.2.3.4", 0, false},
+		{"1.2.3.4 ", 0, false},
+		{"1.2.3.4.", 0, false},
+		{".1.2.3.4", 0, false},
+		{"1.2.3.0x1", 0, false},
+		{"1.2.3.0001", 0, false},
+		// A leading zero is decimal, never octal.
+		{"010.0.0.1", MakeAddr(10, 0, 0, 1), true},
+		{"1.2.3.00", MakeAddr(1, 2, 3, 0), true},
+		{"001.002.003.255", MakeAddr(1, 2, 3, 255), true},
 	}
 	for _, c := range cases {
 		got, err := ParseAddr(c.in)
@@ -87,10 +101,17 @@ func TestParsePrefix(t *testing.T) {
 	if r.Bits() != 32 {
 		t.Errorf("bare address Bits = %d, want 32", r.Bits())
 	}
-	for _, bad := range []string{"1.2.3.0/33", "1.2.3.0/-1", "1.2.3.0/x", "x/24"} {
+	for _, bad := range []string{
+		"1.2.3.0/33", "1.2.3.0/-1", "1.2.3.0/x", "x/24",
+		"1.2.3.0/+24", "1.2.3.0/-0", "+1.2.3.0/24", "1.2.3.0/", "1.2.3.0/ 24", "1.2.3.0/24/8",
+	} {
 		if _, err := ParsePrefix(bad); err == nil {
 			t.Errorf("ParsePrefix(%q) succeeded, want error", bad)
 		}
+	}
+	// Leading zeros in the length are decimal too.
+	if p := MustParsePrefix("10.0.0.0/008"); p.Bits() != 8 {
+		t.Errorf("ParsePrefix(10.0.0.0/008) Bits = %d, want 8", p.Bits())
 	}
 }
 

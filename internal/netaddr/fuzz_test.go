@@ -1,9 +1,61 @@
 package netaddr
 
 import (
+	"net/netip"
 	"sort"
 	"testing"
 )
+
+// FuzzParseAddr holds ParseAddr to net/netip's IPv4 parser. On input with
+// no leading zero (which netip refuses and ParseAddr reads as decimal) the
+// two accept exactly the same strings with the same value, and such input
+// is already canonical: String gives it back. Whatever ParseAddr accepts,
+// leading zeros included, reparses from String to the same address.
+func FuzzParseAddr(f *testing.F) {
+	for _, s := range []string{
+		"22.33.44.55", "0.0.0.0", "255.255.255.255", "1.2.3.256", "1.2.3",
+		"1.2.3.4.5", "1..2.3", "+1.2.3.4", "1.2.3.-0", "010.0.0.1", "1.2.3.4%eth0",
+		"::ffff:1.2.3.4", "::1", "1.2.3.0x1", " 1.2.3.4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := ParseAddr(s)
+		if err == nil {
+			if back, err := ParseAddr(a.String()); err != nil || back != a {
+				t.Fatalf("ParseAddr(%q) = %v, which reparses as %v, %v", s, a, back, err)
+			}
+		}
+		if hasLeadingZero(s) {
+			return
+		}
+		ip, nerr := netip.ParseAddr(s)
+		want := nerr == nil && ip.Is4()
+		if (err == nil) != want {
+			t.Fatalf("ParseAddr(%q) error %v; netip.ParseAddr gives %v, %v", s, err, ip, nerr)
+		}
+		if !want {
+			return
+		}
+		if b := ip.As4(); a != MakeAddr(b[0], b[1], b[2], b[3]) {
+			t.Fatalf("ParseAddr(%q) = %v, netip reads %v", s, a, ip)
+		}
+		if a.String() != s {
+			t.Fatalf("ParseAddr(%q) = %v: canonical input does not round-trip", s, a)
+		}
+	})
+}
+
+// hasLeadingZero reports whether some dot-separated field of s starts with
+// a zero followed by another digit.
+func hasLeadingZero(s string) bool {
+	for i := 0; i+1 < len(s); i++ {
+		if s[i] == '0' && (i == 0 || s[i-1] == '.') && '0' <= s[i+1] && s[i+1] <= '9' {
+			return true
+		}
+	}
+	return false
+}
 
 // FuzzLPMLookup drives the radix trie with an arbitrary insert/remove/grow
 // script and cross-checks every lookup against a naive linear scan over a
