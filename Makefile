@@ -27,9 +27,10 @@ lint:
 	$(GO) run ./cmd/lintlocind ./...
 
 # examples runs every program under examples/ to the end; `go build ./...`
-# only compiles them.
+# only compiles them. A program is a directory with a main.go, which leaves
+# out examples/testdata.
 examples:
-	for e in examples/*/; do $(GO) run "./$$e" > /dev/null || exit 1; done
+	for m in examples/*/main.go; do $(GO) run "./$${m%/main.go}" > /dev/null || exit 1; done
 
 # bench runs the repository benchmark (BENCHMARK.json): five closed-loop
 # workloads, four gated end-to-end metrics each, results in bench/out/. Its

@@ -14,11 +14,10 @@ import (
 // Fig11aResult is the content-mobility extent of Figure 11(a): the CDF over
 // popular names of mobility events per day.
 type Fig11aResult struct {
-	PerDay   stats.Summary
-	CDF      []stats.Point
-	Names    int
-	Days     int
-	BoundMax float64 // the hourly-sampling ceiling (24/day)
+	PerDay stats.Summary
+	CDF    []stats.Point
+	Names  int
+	Days   int
 }
 
 // RunFig11a computes Figure 11(a) over the popular timelines.
@@ -30,11 +29,10 @@ func RunFig11a(w *World) Fig11aResult {
 		perDay = append(perDay, float64(popular[i].EventCount())/float64(days))
 	}
 	return Fig11aResult{
-		PerDay:   stats.Summarize(perDay),
-		CDF:      stats.NewCDF(perDay).Points(40),
-		Names:    len(popular),
-		Days:     days,
-		BoundMax: 24,
+		PerDay: stats.Summarize(perDay),
+		CDF:    stats.NewCDF(perDay).Points(40),
+		Names:  len(popular),
+		Days:   days,
 	}
 }
 
@@ -57,24 +55,25 @@ type Fig11bcResult struct {
 	Flooding []RouterRate
 }
 
-// fusedPerCollector replays tls against every RouteViews collector's FIB
-// and returns one fused total per collector. The work fans out over
-// timeline shards, each walked once for all collectors, whose FIBs resolve
-// an address as one set (one prefix walk for all that share an index);
-// shards are oversubscribed (par.ShardsFor) because timeline weight is
-// heavy-tailed. The tasks share nothing but the read-only set. Per-shard
-// partials are integer totals summed in shard order (union state is per
-// timeline, never crossing a shard boundary), so the totals are
-// bit-identical at every parallelism degree.
-func fusedPerCollector(w *World, tls []cdn.Timeline) []core.StrategyStats {
-	fibs := routeViewsFIBs(w)
-	set := bgp.NewFIBSet(fibs)
+// fusedPerCollector replays the class's pool at every RouteViews collector:
+// the one grid of fused totals that Figures 11(b)/(c) and the ablation
+// project. It fans out over timeline shards, each walked once for all
+// collectors, whose FIBs resolve an address as one set (one prefix walk for
+// all that share an index); shards are oversubscribed (par.ShardsFor)
+// because timeline weight is heavy-tailed. The tasks share nothing but the
+// read-only set. Per-shard partials are integer totals summed in shard order
+// (union state is per timeline, never crossing a shard boundary), so the
+// totals are bit-identical at every parallelism degree.
+func fusedPerCollector(w *World, class cdn.Class) []core.StrategyStats {
+	popular, unpopular := w.TimelinesByClass()
+	tls := [...][]cdn.Timeline{cdn.Popular: popular, cdn.Unpopular: unpopular}[class]
+	set := bgp.NewFIBSet(routeViewsFIBs(w))
 	shards := par.ShardsFor(len(tls), w.Cfg.Parallel)
 	partial := make([][]core.StrategyStats, len(shards))
 	par.ForEach(w.Cfg.Parallel, len(shards), func(si int) {
 		partial[si] = core.ContentUpdateStatsPerRouter(set, tls[shards[si][0]:shards[si][1]])
 	})
-	tot := make([]core.StrategyStats, len(fibs))
+	tot := make([]core.StrategyStats, len(w.RouteViews))
 	for ci := range tot {
 		for _, p := range partial {
 			tot[ci].Add(p[ci])
@@ -93,28 +92,20 @@ func routeViewsFIBs(w *World) []*bgp.FIB {
 	return fibs
 }
 
-// RunFig11bc computes Figure 11(b) or 11(c) depending on class; both
-// strategies come out of fusedPerCollector's single walk.
+// RunFig11bc computes Figure 11(b) or 11(c), depending on class.
 func RunFig11bc(w *World, class cdn.Class) Fig11bcResult {
-	popular, unpopular := w.TimelinesByClass()
-	tls := popular
-	if class == cdn.Unpopular {
-		tls = unpopular
-	}
-	cols := w.RouteViews
-	tots := fusedPerCollector(w, tls)
-	res := Fig11bcResult{Class: class}
-	res.BestPort = make([]RouterRate, len(cols))
-	res.Flooding = make([]RouterRate, len(cols))
-	if len(tots) > 0 {
-		res.Events = tots[0].BestPort.Events // every collector rode the same walks
-	}
-	for ci, c := range cols {
-		rr := RouterRate{Name: c.Name, NextHopDegree: c.FIB.NextHopDegree(), Sessions: len(c.Sessions)}
-		rr.Rate = tots[ci].BestPort.Rate()
-		res.BestPort[ci] = rr
-		rr.Rate = tots[ci].Flooding.Rate()
-		res.Flooding[ci] = rr
+	return fig11bcOf(w, class, fusedPerCollector(w, class))
+}
+
+// fig11bcOf projects the class's grid onto per-collector rates.
+func fig11bcOf(w *World, class cdn.Class, grid []core.StrategyStats) Fig11bcResult {
+	n := len(w.RouteViews)
+	res := Fig11bcResult{Class: class, BestPort: make([]RouterRate, n), Flooding: make([]RouterRate, n)}
+	for ci, c := range w.RouteViews {
+		res.Events = grid[ci].BestPort.Events // every collector rode the same walks
+		rr := routerRate(c, grid[ci].BestPort.Rate())
+		res.BestPort[ci], res.Flooding[ci] = rr, rr
+		res.Flooding[ci].Rate = grid[ci].Flooding.Rate()
 	}
 	w.Cfg.Obs.rows(len(res.BestPort) + len(res.Flooding))
 	return res
@@ -231,28 +222,28 @@ type AblationResult struct {
 
 // RunStrategyAblation evaluates all three strategies at the most-impacted
 // RouteViews collector (highest controlled-flooding rate, first on ties).
-// fusedPerCollector yields all three strategy totals per collector at once,
-// so finding the argmax triggers no further replay.
 func RunStrategyAblation(w *World) AblationResult {
-	popular, _ := w.TimelinesByClass()
-	cols := w.RouteViews
-	sets := fusedPerCollector(w, popular)
+	return ablationOf(w, fusedPerCollector(w, cdn.Popular))
+}
+
+// ablationOf projects the popular grid onto its flooding argmax; the grid
+// holds all three strategies' totals, so this replays nothing.
+func ablationOf(w *World, grid []core.StrategyStats) AblationResult {
 	best := -1
-	for i := range sets {
-		if best < 0 || sets[i].Flooding.Rate() > sets[best].Flooding.Rate() {
+	for i := range grid {
+		if best < 0 || grid[i].Flooding.Rate() > grid[best].Flooding.Rate() {
 			best = i
 		}
 	}
 	if best < 0 {
 		return AblationResult{}
 	}
-	s := sets[best]
 	return AblationResult{
-		Collector: cols[best].Name,
-		Events:    s.Flooding.Events,
-		BestPort:  s.BestPort.Rate(),
-		Flooding:  s.Flooding.Rate(),
-		Union:     s.Union.Rate(),
+		Collector: w.RouteViews[best].Name,
+		Events:    grid[best].Flooding.Events,
+		BestPort:  grid[best].BestPort.Rate(),
+		Flooding:  grid[best].Flooding.Rate(),
+		Union:     grid[best].Union.Rate(),
 	}
 }
 

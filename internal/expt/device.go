@@ -113,6 +113,11 @@ type RouterRate struct {
 	Sessions      int
 }
 
+// routerRate is collector c's bar at the given rate.
+func routerRate(c *bgp.Collector, rate float64) RouterRate {
+	return RouterRate{Name: c.Name, Rate: rate, NextHopDegree: c.FIB.NextHopDegree(), Sessions: len(c.Sessions)}
+}
+
 // Fig8Result is the per-collector device update rate of Figure 8.
 type Fig8Result struct {
 	Routers []RouterRate
@@ -127,15 +132,9 @@ func RunFig8(w *World) Fig8Result {
 	moves := core.NewMoveTable(events)
 	res := Fig8Result{Events: len(events)}
 	res.Routers = par.Map(w.Cfg.Parallel, len(w.RouteViews), func(i int) RouterRate {
+		defer w.Cfg.Obs.collectorDone()
 		c := w.RouteViews[i]
-		s := moves.Stats(w.Cfg.memo(c.FIB))[0]
-		w.Cfg.Obs.collectorDone()
-		return RouterRate{
-			Name:          c.Name,
-			Rate:          s.Rate(),
-			NextHopDegree: c.FIB.NextHopDegree(),
-			Sessions:      len(c.Sessions),
-		}
+		return routerRate(c, moves.Stats(w.Cfg.memo(c.FIB))[0].Rate())
 	})
 	w.Cfg.Obs.rows(len(res.Routers))
 	return res

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"locind/internal/cdn"
+	"locind/internal/core"
 	"locind/internal/stats"
 )
 
@@ -37,7 +38,7 @@ type CSV struct {
 }
 
 // Session is the run state of one invocation: what every entry reads, plus
-// the results one entry hands another, each computed once.
+// the results more than one entry reads, each computed once.
 type Session struct {
 	Cfg   Config
 	Quick bool
@@ -45,8 +46,9 @@ type Session struct {
 	World  *World
 	GNSObs *GNSClusterObs
 
-	f8 *Fig8Result
-	f9 *Fig9Result
+	f8    *Fig8Result
+	f9    *Fig9Result
+	grids [2][]core.StrategyStats // by cdn.Class
 }
 
 // fig8 runs RunFig8 on the session's world once; envelope reads it too.
@@ -65,6 +67,14 @@ func (s *Session) fig9() Fig9Result {
 		s.f9 = &r
 	}
 	return *s.f9
+}
+
+// grid runs fusedPerCollector once per pool; fig11b, fig11c and ablate read it.
+func (s *Session) grid(class cdn.Class) []core.StrategyStats {
+	if s.grids[class] == nil {
+		s.grids[class] = fusedPerCollector(s.World, class)
+	}
+	return s.grids[class]
 }
 
 // all names every entry but the opt-in ones.
@@ -148,7 +158,7 @@ var Experiments = []Experiment{
 		}},
 	{Name: "ablate", Help: "forwarding-strategy, collector-feed and intradomain-renumbering ablations", World: true, Timelines: true,
 		Run: func(s *Session) (Output, error) {
-			abl := RunStrategyAblation(s.World)
+			abl := ablationOf(s.World, s.grid(cdn.Popular))
 			sweep, err := RunSessionSweep(s.World, []int{2, 4, 8, 16, 24, 36})
 			if err != nil {
 				return Output{}, err
@@ -207,7 +217,7 @@ func text(rs ...interface{ Render() string }) Output {
 
 // fig11bc renders Figure 11(b) or 11(c) and its two bar series.
 func fig11bc(s *Session, class cdn.Class, name string) Output {
-	r := RunFig11bc(s.World, class)
+	r := fig11bcOf(s.World, class, s.grid(class))
 	return Output{r.Render(), []CSV{
 		bars(name+"_flooding.csv", r.Flooding),
 		bars(name+"_bestport.csv", r.BestPort),

@@ -37,11 +37,16 @@ func quickWorld(t *testing.T) *World {
 // every series in table order.
 func runTable(t *testing.T, w *World) (map[string]Output, []CSV) {
 	t.Helper()
-	sel, err := Select([]string{"all"})
+	return runEntries(t, &Session{Cfg: w.Cfg, Quick: true, World: w}, "all")
+}
+
+// runEntries is runTable for the entries Select picks from names, in s.
+func runEntries(t *testing.T, s *Session, names ...string) (map[string]Output, []CSV) {
+	t.Helper()
+	sel, err := Select(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Session{Cfg: w.Cfg, Quick: true, World: w}
 	outs := map[string]Output{}
 	var series []CSV
 	for _, e := range sel {

@@ -12,8 +12,8 @@ import (
 // never steer.
 type Metrics struct {
 	// CollectorsDone counts collectors a driver has finished: a device
-	// driver's one by one as each replay ends, a content driver's all at
-	// once when it has finished (it walks every collector together).
+	// driver's one by one as each replay ends, a content pool's all at once
+	// when its grid is filled, which is once per pool per session.
 	CollectorsDone *obs.Counter
 	// Rows counts result rows produced (scrape deltas give rows/sec).
 	Rows *obs.Counter
@@ -25,7 +25,7 @@ type Metrics struct {
 // yields all-nil handles.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		CollectorsDone: reg.Counter("locind_expt_collectors_done_total", "collectors finished by a driver: device drivers as each replay ends, content drivers all at once when the driver has finished"),
+		CollectorsDone: reg.Counter("locind_expt_collectors_done_total", "collectors finished by a driver: device drivers as each replay ends, content collectors all at once when a pool's grid is filled, once per pool per session"),
 		Rows:           reg.Counter("locind_expt_rows_total", "result rows produced"),
 		Memo:           core.NewMemoMetrics(reg),
 	}

@@ -50,9 +50,10 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 
 	// And the observed run actually observed something: one unit per
 	// collector per driver run that counts them — fig8 twice (alone above,
-	// then once for both fig8 and envelope), the 25 of sensitivity, fig11b,
-	// fig11c and the strategy ablation.
-	wantDone := int64(6*len(w.RouteViews) + len(w.RIPE))
+	// then once for both fig8 and envelope), the 25 of sensitivity, and one
+	// content grid per pool (fig11b fills the popular grid that ablate
+	// reads, so the popular pool is replayed once).
+	wantDone := int64(5*len(w.RouteViews) + len(w.RIPE))
 	if m.CollectorsDone.Value() != wantDone {
 		t.Fatalf("collectors done = %d, want %d", m.CollectorsDone.Value(), wantDone)
 	}
