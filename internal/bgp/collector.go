@@ -182,22 +182,22 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 	for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
 		c.RIB.attr(attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel})
 	}
-	// Every announced prefix lands in the RIB with at most one candidate per
-	// session, so one slab holds all its candidates. A prefix's candidates
-	// are written back to back, in session order, and entered in the map once
-	// as a capacity-clipped sub-slice: a later RIB.Add on that prefix must
-	// reallocate, not run into the next prefix's candidates. pt announces
-	// each prefix once.
-	cands := make([]cand, 0, len(all)*len(c.Sessions))
-	routes := make([]Route, 0, len(all))
+	// The prefixes of one origin have the same candidates, at most one per
+	// session, so one slab holds one run of them per origin. A run is written
+	// back to back, in session order, and entered in the map for every prefix
+	// of its origin as one capacity-clipped sub-slice: a later RIB.Add on one
+	// of those prefixes must reallocate, not run into the next run or show up
+	// in its sibling's candidates.
+	cands := make([]cand, 0, (len(runs)-1)*len(c.Sessions))
+	entries := make([]entry, 0, len(all))
 	for k := 0; k+1 < len(runs); k++ {
-		// The prefixes of one origin have the same candidates: write them
-		// once, picking the best as they go by, and copy the run for each
-		// further prefix. A path has an element, so bestLen 0 means none yet.
+		// Pick the best as the candidates go by. A path has an element, so
+		// bestLen 0 means none yet.
 		base := int32(k * paths.stride)
 		first := len(cands)
 		var best Session
-		var bestPath, bestLen int32
+		var sel cand
+		var bestLen int32
 		for si, s := range c.Sessions {
 			path := base + peerOf[si]
 			n := paths.off[path+1] - paths.off[path]
@@ -208,30 +208,24 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 			// Better with LocalPref equal: class, path length, MED, peer.
 			if bestLen == 0 || s.Rel < best.Rel || s.Rel == best.Rel && (n < bestLen ||
 				n == bestLen && (s.MED < best.MED || s.MED == best.MED && s.PeerAS < best.PeerAS)) {
-				best, bestPath, bestLen = s, path, n
+				best, sel, bestLen = s, cands[len(cands)-1], n
 			}
 		}
 		per := len(cands) - first
 		if per == 0 {
 			continue
 		}
-		sel := Route{NextHop: best.PeerAS, MED: best.MED, ASPath: paths.at(bestPath), Rel: best.Rel}
-		for i, po := range all[runs[k]:runs[k+1]] {
-			if i > 0 {
-				cands = append(cands, cands[first:first+per]...)
-			}
-			end := len(cands)
-			c.RIB.byPrefix[po.Prefix] = cands[end-per : end : end]
-			sel.Prefix = po.Prefix
-			routes = append(routes, sel)
+		for _, po := range all[runs[k]:runs[k+1]] {
+			c.RIB.byPrefix[po.Prefix] = cands[first : first+per : first+per]
+			entries = append(entries, entry{po.Prefix, sel})
 		}
 	}
-	// Routes follow the plan's order and skip only unreachable origins, so a
-	// column with a route per slot of idx is slot for slot idx's.
-	if len(routes) == idx.Len() {
-		c.FIB = &FIB{idx: idx, routes: routes, shared: true}
+	// Entries follow the plan's order and skip only unreachable origins, so a
+	// column with an entry per slot of idx is slot for slot idx's.
+	if len(entries) == idx.Len() {
+		c.FIB = &FIB{idx: idx, entries: entries, rib: c.RIB, shared: true}
 	} else {
-		c.FIB = ownFIB(routes)
+		c.FIB = ownFIB(c.RIB, entries)
 	}
 }
 

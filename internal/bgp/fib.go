@@ -7,15 +7,25 @@ import (
 )
 
 // FIB is a forwarding table: prefix -> selected best route, with output
-// ports identified by next-hop AS (the paper's §6.2.2 proxy). It is a route
-// column over a prefix index: idx maps each prefix to its slot in routes.
-// The FIBs FillCollectors builds over one address plan share one index and
-// keep a column each (DESIGN.md §5); any other FIB owns its index. The zero
-// value is an empty FIB.
+// ports identified by next-hop AS (the paper's §6.2.2 proxy). It is a column
+// of 16-byte entries over a prefix index: idx maps each prefix to its slot in
+// entries, and an entry names its route as a candidate of one store, rib —
+// the collector's RIB for FillCollectors, the deriving RIB for DeriveFIB, a
+// private NewRIB that the first Insert makes for the zero FIB. The FIBs
+// FillCollectors builds over one address plan share one index and keep a
+// column each (DESIGN.md §5); any other FIB owns its index. The zero value
+// is an empty FIB.
 type FIB struct {
-	idx    *netaddr.Trie[int32] // nil until the first Insert
-	routes []Route              // one per prefix of idx, by slot
-	shared bool                 // other FIBs read idx too: copy it before adding a prefix
+	idx     *netaddr.Trie[int32] // nil until the first Insert
+	entries []entry              // one per prefix of idx, by slot
+	rib     *RIB                 // the store the entries name; nil until the first Insert
+	shared  bool                 // other FIBs read idx too: copy it before adding a prefix
+}
+
+// entry is one forwarding entry: its prefix and the selected candidate.
+type entry struct {
+	prefix netaddr.Prefix
+	c      cand
 }
 
 // indexOf maps prefix(i) to slot i for every i < n.
@@ -28,10 +38,11 @@ func indexOf(n int, prefix func(i int) netaddr.Prefix) *netaddr.Trie[int32] {
 	return idx
 }
 
-// ownFIB returns the FIB whose slot i is routes[i], on an index of its own;
-// the routes' prefixes are distinct.
-func ownFIB(routes []Route) *FIB {
-	return &FIB{idx: indexOf(len(routes), func(i int) netaddr.Prefix { return routes[i].Prefix }), routes: routes}
+// ownFIB returns the FIB whose slot i is entries[i], read through rib, on an
+// index of its own; the entries' prefixes are distinct.
+func ownFIB(rib *RIB, entries []entry) *FIB {
+	idx := indexOf(len(entries), func(i int) netaddr.Prefix { return entries[i].prefix })
+	return &FIB{idx: idx, entries: entries, rib: rib}
 }
 
 // lookup is idx's longest-prefix match for a; a nil index holds nothing.
@@ -42,69 +53,84 @@ func lookup(idx *netaddr.Trie[int32], a netaddr.Addr) (int32, bool) {
 	return idx.Lookup(a)
 }
 
-// DeriveFIB computes the forwarding table: the best route's next-hop AS per
-// prefix, on an index of its own with its slots in prefix order.
+// DeriveFIB computes the forwarding table: the best candidate per prefix,
+// read through r, on an index of its own with its slots in prefix order.
 // FillCollectors fills its FIBs as it writes the candidates; this is for
 // RIBs that were loaded or fed.
 func (r *RIB) DeriveFIB() *FIB {
 	ps := r.Prefixes()
-	routes := make([]Route, len(ps))
+	entries := make([]entry, len(ps))
 	for i, p := range ps {
-		routes[i] = r.best(p, r.byPrefix[p])
+		entries[i] = entry{p, r.best(p, r.byPrefix[p])}
 	}
-	return ownFIB(routes)
+	return ownFIB(r, entries)
 }
 
-// Insert adds or replaces the forwarding entry for p. Either way it writes
-// this FIB's column only; a prefix new to a shared index is added to a copy
-// of it, which this FIB then owns.
+// Insert adds or replaces p's forwarding entry, which answers rt with p as
+// its prefix. It writes this FIB's column, and rt's attribute set and path
+// into its store's own tables, never a store candidate; a prefix new to a
+// shared index goes into a copy of it, which this FIB then owns.
 func (f *FIB) Insert(p netaddr.Prefix, rt Route) {
 	if f.idx == nil {
-		f.idx = &netaddr.Trie[int32]{}
+		f.idx, f.rib = &netaddr.Trie[int32]{}, NewRIB()
 	}
+	e := entry{p, f.rib.intern(rt)}
 	if slot, ok := f.idx.Get(p); ok {
-		f.routes[slot] = rt
+		f.entries[slot] = e
 		return
 	}
 	if f.shared {
 		f.idx, f.shared = f.idx.Clone(), false
 	}
-	f.idx.Insert(p, int32(len(f.routes)))
-	f.routes = append(f.routes, rt)
+	f.idx.Insert(p, int32(len(f.entries)))
+	f.entries = append(f.entries, e)
 }
 
 // Len returns the number of forwarding entries.
-func (f *FIB) Len() int { return len(f.routes) }
+func (f *FIB) Len() int { return len(f.entries) }
 
 // Port returns the output port (next-hop AS) for address a via
 // longest-prefix matching.
+//
+//lint:zeroalloc per address; the device drivers resolve every move's two ends through it
 func (f *FIB) Port(a netaddr.Addr) (int, bool) {
 	slot, ok := lookup(f.idx, a)
 	if !ok {
 		return -1, false
 	}
-	return f.routes[slot].NextHop, true
+	return f.rib.attrs[f.entries[slot].c.attr].NextHop, true
 }
 
 // RouteFor returns the selected route whose prefix is the longest match for
 // address a.
+//
+//lint:zeroalloc per address; the route is built from the store's tables, its path a view of them
 func (f *FIB) RouteFor(a netaddr.Addr) (Route, bool) {
 	slot, ok := lookup(f.idx, a)
 	if !ok {
 		return Route{}, false
 	}
-	return f.routes[slot], true
+	e := f.entries[slot]
+	return f.rib.route(e.prefix, e.c), true
 }
 
 // NextHopDegree counts the distinct output ports in use — the quantity the
 // paper invokes to explain why the Georgia collector sees a much lower
-// update rate than the Oregon collectors.
+// update rate than the Oregon collectors — from the attribute sets the
+// column names, each read once.
 func (f *FIB) NextHopDegree() int {
-	seen := map[int]bool{}
-	for _, rt := range f.routes {
-		seen[rt.NextHop] = true
+	if f.rib == nil {
+		return 0
 	}
-	return len(seen)
+	named, hops := make([]bool, len(f.rib.attrs)), make([]int, 0, len(f.rib.attrs))
+	for _, e := range f.entries {
+		if !named[e.c.attr] {
+			named[e.c.attr] = true
+			hops = append(hops, f.rib.attrs[e.c.attr].NextHop)
+		}
+	}
+	slices.Sort(hops)
+	return len(slices.Compact(hops))
 }
 
 // Walk visits every forwarding entry in prefix order.
@@ -112,11 +138,11 @@ func (f *FIB) Walk(fn func(netaddr.Prefix, Route) bool) {
 	if f.idx == nil {
 		return
 	}
-	f.idx.Walk(func(p netaddr.Prefix, slot int32) bool { return fn(p, f.routes[slot]) })
+	f.idx.Walk(func(p netaddr.Prefix, slot int32) bool { return fn(p, f.rib.route(p, f.entries[slot].c)) })
 }
 
 // FIBSet resolves an address at several FIBs at once: one walk of each
-// distinct prefix index among them, then one slot read per FIB, where asking
+// distinct prefix index among them, then one entry read per FIB, where asking
 // each FIB would walk its index once per FIB. The set groups its FIBs by
 // index when it is made, so it is made after their last Insert.
 type FIBSet struct {
@@ -149,19 +175,22 @@ func NewFIBSet(fibs []*FIB) *FIBSet {
 // Len returns the number of FIBs in the set.
 func (s *FIBSet) Len() int { return len(s.fibs) }
 
-// RoutesFor writes what fibs[k].RouteFor(a) returns to out[k] and ok[k], for
-// every k.
+// RoutesFor writes the next hop and the AS-path length of the route
+// fibs[k].RouteFor(a) returns to hop[k] and pathLen[k], and whether it
+// returns one to ok[k], for every k; the kernel reads nothing else of a route.
 //
 //lint:zeroalloc per address; the content kernel resolves every timeline address through it
-func (s *FIBSet) RoutesFor(a netaddr.Addr, out []Route, ok []bool) {
+func (s *FIBSet) RoutesFor(a netaddr.Addr, hop, pathLen []int, ok []bool) {
 	for _, g := range s.groups {
 		slot, found := lookup(g.idx, a)
 		for _, k := range g.members {
-			var rt Route
+			var h, l int
 			if found {
-				rt = s.fibs[k].routes[slot]
+				f := s.fibs[k]
+				c := f.entries[slot].c
+				h, l = f.rib.attrs[c.attr].NextHop, f.rib.pathLen(c)
 			}
-			out[k], ok[k] = rt, found
+			hop[k], pathLen[k], ok[k] = h, l, found
 		}
 	}
 }

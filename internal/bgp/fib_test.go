@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -35,6 +36,9 @@ func answers(f *FIB, addrs []netaddr.Addr) []Route {
 // and a prefix outside the plan, both new to it — and requires that FIB to
 // answer with its writes and every sibling to answer, walk and count as it
 // did before. Replacing leaves the index shared; adding copies it first.
+// The FIB reads its entries through its collector's RIB, and an Insert
+// stores its route's attributes and path there too: the RIB must dump the
+// same bytes after the Inserts as before.
 func TestInsertOnSharedIndexStaysPrivate(t *testing.T) {
 	g, pt := testInternet(t, 20140817)
 	cols, err := BuildCollectors(g, pt, RouteViewsSpecs(), rand.New(rand.NewSource(5)))
@@ -48,6 +52,7 @@ func TestInsertOnSharedIndexStaysPrivate(t *testing.T) {
 	}
 	f := cols[0].FIB
 	addrs := probeAddrs(f)
+	dump := dumpBytes(t, cols[0])
 	type snapshot struct {
 		walk []fibEntry
 		ans  []Route
@@ -105,6 +110,9 @@ func TestInsertOnSharedIndexStaysPrivate(t *testing.T) {
 	}
 	if f.Len() != before[0].n+2 {
 		t.Errorf("Len %d after two new prefixes, want %d", f.Len(), before[0].n+2)
+	}
+	if !bytes.Equal(dumpBytes(t, cols[0]), dump) {
+		t.Fatalf("Inserts into %s's FIB changed its RIB dump", cols[0].Name)
 	}
 	walk := fibEntries(f)
 	if len(walk) != f.Len() {
@@ -166,34 +174,56 @@ func TestCollectorMissingAnOriginOwnsItsIndex(t *testing.T) {
 }
 
 // checkSet requires set.RoutesFor to answer every address of addrs at
-// fibs[k] as fibs[k].RouteFor does, into buffers holding stale answers.
+// fibs[k] with the next hop and path length of what fibs[k].RouteFor
+// returns, into buffers holding stale answers.
 func checkSet(t *testing.T, set *FIBSet, fibs []*FIB, addrs []netaddr.Addr) {
 	t.Helper()
-	out, ok := make([]Route, len(fibs)), make([]bool, len(fibs))
+	hop, pathLen, ok := make([]int, len(fibs)), make([]int, len(fibs)), make([]bool, len(fibs))
 	for _, a := range addrs {
-		set.RoutesFor(a, out, ok)
+		set.RoutesFor(a, hop, pathLen, ok)
 		for k, f := range fibs {
 			want, wok := f.RouteFor(a)
-			if ok[k] != wok || !reflect.DeepEqual(out[k], want) {
-				t.Fatalf("%v at FIB %d of %d: set says %v %v, RouteFor %v %v", a, k, len(fibs), out[k], ok[k], want, wok)
+			if ok[k] != wok || hop[k] != want.NextHop || pathLen[k] != want.PathLen() {
+				t.Fatalf("%v at FIB %d of %d: set says hop %d length %d %v, RouteFor %v %v", a, k, len(fibs), hop[k], pathLen[k], ok[k], want, wok)
 			}
 		}
 	}
 }
 
-// FuzzFIBSet builds one to three FIBs over a random prefix list — all but a
-// last one of several on one shared index, that one on its own index over a
-// subset — applies a random Insert script, and requires the set over them
-// to answer as each FIB's RouteFor, and each FIB to answer as a linear scan
-// of its own prefixes (and to walk them in order).
+// columnFIB returns the FIB that answers routes[i] at slot i of idx — or, for
+// a nil idx, on an index of its own — read through rib as a batch-built FIB
+// reads its collector's RIB: each route is added to rib as a candidate, and
+// the column names it.
+func columnFIB(rib *RIB, idx *netaddr.Trie[int32], routes []Route) *FIB {
+	entries := make([]entry, len(routes))
+	for i, rt := range routes {
+		rib.Add(rt)
+		cs := rib.byPrefix[rt.Prefix]
+		entries[i] = entry{rt.Prefix, cs[len(cs)-1]}
+	}
+	if idx == nil {
+		return ownFIB(rib, entries)
+	}
+	return &FIB{idx: idx, entries: entries, rib: rib, shared: true}
+}
+
+// FuzzFIBSet builds one to three FIBs over a random prefix list, each read
+// through a RIB of its own as a batch-built FIB reads its collector's — all
+// but a last one of several on one shared index, that one on its own index
+// over a subset — applies a random script of Inserts into the FIBs and Adds
+// into the RIBs behind them, and requires the set over them to answer each
+// FIB's next hop and path length as its RouteFor does, and each FIB to answer
+// as a linear scan of the prefixes inserted into it (and to walk them in
+// order): an Add to its RIB changes no answer of the FIB.
 //
 // Encoding: byte 0 gives the FIB count (1 + b%3) and the prefix count
 // (1 + (b>>2)%16); byte 1 is the private FIB's subset mask, prefix i kept
 // when bit i%8 is set; then five bytes per prefix (four octets, a length
-// mod 33); then six bytes per Insert (a FIB selector, four octets, a
-// length). The committed corpus (testdata/fuzz/FuzzFIBSet) has a prefix
-// listed twice, a default route, an Insert onto a sibling's prefix and an
-// Insert of a prefix the shared index lacks.
+// mod 33); then six bytes per op (a selector, four octets, a length): an
+// Insert into FIB selector%count below 128, an Add into its RIB from 128
+// up. The committed corpus (testdata/fuzz/FuzzFIBSet) has a prefix listed
+// twice, a default route, an Insert onto a sibling's prefix, an Insert of a
+// prefix the shared index lacks and an Add onto a prefix the FIBs hold.
 func FuzzFIBSet(f *testing.F) {
 	f.Add([]byte{
 		0x04, 0x01,
@@ -216,11 +246,11 @@ func FuzzFIBSet(f *testing.F) {
 			}
 		}
 		mkRoute := func(p netaddr.Prefix, hop int) Route {
-			return Route{Prefix: p, NextHop: hop, ASPath: make([]int, 1+hop%5)}
+			return Route{Prefix: p, NextHop: hop, MED: hop % 3, ASPath: make([]int, 1+hop%5)}
 		}
 		// models[k] is what FIB k must hold.
 		models := make([]map[netaddr.Prefix]Route, nFIB)
-		fibs := make([]*FIB, nFIB)
+		fibs, ribs := make([]*FIB, nFIB), make([]*RIB, nFIB)
 		idx := indexOf(len(plan), func(i int) netaddr.Prefix { return plan[i] })
 		for k := range fibs {
 			models[k] = map[netaddr.Prefix]Route{}
@@ -233,18 +263,23 @@ func FuzzFIBSet(f *testing.F) {
 				routes = append(routes, rt)
 				models[k][p] = rt
 			}
+			ribs[k] = NewRIB()
 			if k < nFIB-1 || nFIB == 1 {
-				fibs[k] = &FIB{idx: idx, routes: routes, shared: true}
+				fibs[k] = columnFIB(ribs[k], idx, routes)
 			} else {
-				fibs[k] = ownFIB(routes)
+				fibs[k] = columnFIB(ribs[k], nil, routes)
 			}
 		}
 		for op := 0; len(data) >= 6; data, op = data[6:], op+1 {
 			k := int(data[0]) % nFIB
 			p := netaddr.MakePrefix(netaddr.MakeAddr(data[1], data[2], data[3], data[4]), int(data[5])%33)
 			rt := mkRoute(p, 100000+op)
-			fibs[k].Insert(p, rt)
-			models[k][p] = rt
+			if data[0] < 128 {
+				fibs[k].Insert(p, rt)
+				models[k][p] = rt
+			} else {
+				ribs[k].Add(rt)
+			}
 			plan = append(plan, p)
 		}
 		addrs := []netaddr.Addr{0, netaddr.MustParseAddr("255.255.255.255")}
@@ -283,4 +318,47 @@ func FuzzFIBSet(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nextHopDegreeByRoute is NextHopDegree as it was, one map entry per route's
+// next hop, kept as its oracle.
+func nextHopDegreeByRoute(f *FIB) int {
+	seen := map[int]bool{}
+	f.Walk(func(_ netaddr.Prefix, rt Route) bool {
+		seen[rt.NextHop] = true
+		return true
+	})
+	return len(seen)
+}
+
+// TestNextHopDegreeMatchesByRouteOracle holds NextHopDegree, which counts
+// the next hops of the attribute sets a column names, to a count over its
+// routes: on all 25 collectors of three internets, and on an Insert-built
+// FIB whose column names two attribute sets with one next hop at different
+// MEDs and whose store keeps an attribute set that a replaced entry named.
+func TestNextHopDegreeMatchesByRouteOracle(t *testing.T) {
+	specs := append(RouteViewsSpecs(), RIPESpecs()...)
+	for _, seed := range []int64{20140817, 7, 424242} {
+		g, pt := testInternet(t, seed)
+		cols, err := BuildCollectors(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cols {
+			if got, want := c.FIB.NextHopDegree(), nextHopDegreeByRoute(c.FIB); got != want {
+				t.Fatalf("seed %d: %s: NextHopDegree %d, the routes have %d next hops", seed, c.Name, got, want)
+			}
+		}
+	}
+	f := &FIB{}
+	if got := f.NextHopDegree(); got != 0 {
+		t.Fatalf("empty FIB: NextHopDegree %d", got)
+	}
+	f.Insert(netaddr.MustParsePrefix("10.0.0.0/8"), Route{NextHop: 5, MED: 0, ASPath: []int{5, 9}})
+	f.Insert(netaddr.MustParsePrefix("11.0.0.0/8"), Route{NextHop: 5, MED: 1, ASPath: []int{5, 9}})
+	f.Insert(netaddr.MustParsePrefix("12.0.0.0/8"), Route{NextHop: 4, ASPath: []int{4}})
+	f.Insert(netaddr.MustParsePrefix("12.0.0.0/8"), Route{NextHop: 3, ASPath: []int{3}})
+	if got, want := f.NextHopDegree(), nextHopDegreeByRoute(f); got != want || want != 2 {
+		t.Fatalf("Insert-built FIB: NextHopDegree %d, the routes have %d next hops, want 2", got, want)
+	}
 }

@@ -42,11 +42,11 @@ func sameRoute(a, b bgp.Route) bool {
 // TestFIBSetOnEveryCollector holds the FIB set to the per-FIB answers on all
 // 25 RouteViews and RIPE collectors of three seeded quick worlds, at every
 // address the evaluation asks about and at random ones: the set over all 25
-// FIBs (one shared index, so one walk per address) must answer each as its
-// RouteFor and as a FIB that DeriveFIB rebuilds from its RIB on an index of
-// its own; a mixed set — two FIBs on the shared index, one rebuilt on an
-// index of its own — must answer each member as its own RouteFor, in two
-// walks.
+// FIBs (one shared index, so one walk per address) must answer each with the
+// next hop and path length of its RouteFor, which must return the route a
+// FIB that DeriveFIB rebuilds from its RIB on an index of its own selects; a
+// mixed set — two FIBs on the shared index, one rebuilt on an index of its
+// own — must answer each member as its own RouteFor, in two walks.
 func TestFIBSetOnEveryCollector(t *testing.T) {
 	for _, seed := range []int64{20140817, 7, 424242} {
 		cfg := expt.QuickConfig()
@@ -82,23 +82,23 @@ func TestFIBSetOnEveryCollector(t *testing.T) {
 			t.Fatalf("seed %d: the mixed set makes %d index walks per address, want 2", seed, n)
 		}
 		addrs := worldAddrs(w, rand.New(rand.NewSource(seed)))
-		out, ok := make([]bgp.Route, len(fibs)), make([]bool, len(fibs))
-		mout, mok := make([]bgp.Route, len(mixedFIBs)), make([]bool, len(mixedFIBs))
+		hop, plen, ok := make([]int, len(fibs)), make([]int, len(fibs)), make([]bool, len(fibs))
+		mhop, mplen, mok := make([]int, len(mixedFIBs)), make([]int, len(mixedFIBs)), make([]bool, len(mixedFIBs))
 		for _, a := range addrs {
-			set.RoutesFor(a, out, ok)
+			set.RoutesFor(a, hop, plen, ok)
 			for i, c := range cols {
 				want, wok := c.FIB.RouteFor(a)
-				if ok[i] != wok || !sameRoute(out[i], want) {
-					t.Fatalf("seed %d %s at %v: set %v %v, RouteFor %v %v", seed, c.Name, a, out[i], ok[i], want, wok)
+				if ok[i] != wok || hop[i] != want.NextHop || plen[i] != want.PathLen() {
+					t.Fatalf("seed %d %s at %v: set hop %d length %d %v, RouteFor %v %v", seed, c.Name, a, hop[i], plen[i], ok[i], want, wok)
 				}
-				if d, dok := derived[i].RouteFor(a); ok[i] != dok || !sameRoute(out[i], d) {
-					t.Fatalf("seed %d %s at %v: set %v %v, DeriveFIB %v %v", seed, c.Name, a, out[i], ok[i], d, dok)
+				if d, dok := derived[i].RouteFor(a); dok != wok || !sameRoute(d, want) {
+					t.Fatalf("seed %d %s at %v: RouteFor %v %v, DeriveFIB %v %v", seed, c.Name, a, want, wok, d, dok)
 				}
 			}
-			mixed.RoutesFor(a, mout, mok)
+			mixed.RoutesFor(a, mhop, mplen, mok)
 			for k, f := range mixedFIBs {
-				if want, wok := f.RouteFor(a); mok[k] != wok || !sameRoute(mout[k], want) {
-					t.Fatalf("seed %d mixed set member %d at %v: %v %v, RouteFor %v %v", seed, k, a, mout[k], mok[k], want, wok)
+				if want, wok := f.RouteFor(a); mok[k] != wok || mhop[k] != want.NextHop || mplen[k] != want.PathLen() {
+					t.Fatalf("seed %d mixed set member %d at %v: hop %d length %d %v, RouteFor %v %v", seed, k, a, mhop[k], mplen[k], mok[k], want, wok)
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -82,7 +83,7 @@ func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
 	if len(cs) == 0 {
 		return Route{}, false
 	}
-	return r.best(p, cs), true
+	return r.route(p, r.best(p, cs)), true
 }
 
 type fibEntry struct {
@@ -194,9 +195,10 @@ func TestBuildCollectorsSameAtAnyGOMAXPROCS(t *testing.T) {
 // TestFillCollectorsAloneOrTogether draws all 25 collectors as
 // BuildCollectors does, then fills them three ways — each alone, in two
 // uneven groups, and all in one call — and requires every collector's RIB
-// dump bytes and FIB to be BuildCollectors' own. A collector's tables do not
-// depend on which others share its route pass: what lets the session sweep
-// fill all its collectors in one call, where it built each one alone.
+// dump bytes and FIB (its index and its routes) to be BuildCollectors' own.
+// A collector's tables do not depend on which others share its route pass:
+// what lets the session sweep fill all its collectors in one call, where it
+// built each one alone.
 func TestFillCollectorsAloneOrTogether(t *testing.T) {
 	specs := append(RouteViewsSpecs(), RIPESpecs()...)
 	for _, seed := range []int64{20140817, 7, 424242} {
@@ -236,7 +238,10 @@ func TestFillCollectorsAloneOrTogether(t *testing.T) {
 				if !bytes.Equal(dumpBytes(t, c), dumpBytes(t, w)) {
 					t.Fatalf("seed %d, %s: %s: RIB dump differs from BuildCollectors'", seed, split.name, w.Name)
 				}
-				if !reflect.DeepEqual(c.FIB, w.FIB) {
+				// The store behind a FIB is its RIB, whose path table holds the
+				// paths of the fill's peers: the index node for node and the
+				// routes the walk builds are what must not differ.
+				if !reflect.DeepEqual(c.FIB.idx, w.FIB.idx) || !reflect.DeepEqual(fibEntries(c.FIB), fibEntries(w.FIB)) {
 					t.Fatalf("seed %d, %s: %s: FIB differs from BuildCollectors'", seed, split.name, w.Name)
 				}
 			}
@@ -253,13 +258,17 @@ func dumpBytes(t *testing.T, c *Collector) []byte {
 	return b.Bytes()
 }
 
-// TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone adds a second route for
-// one prefix of a batch-built RIB — every prefix in turn — and requires
-// every other prefix's candidates to stay as they were. The batch build
-// packs all candidates of a collector into one slab; a sub-slice left with
-// spare capacity would let the append write over the next prefix's first
-// candidate. The other collector of the build — which reads the same path
-// table — must dump the same bytes and walk the same FIB as before.
+// TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone adds a route for one
+// prefix of a batch-built RIB and requires every other prefix's candidates
+// to stay as they were — first for the /16 of one origin alone, whose /24
+// shares its run of candidates, then for every prefix in turn, each with a
+// route of its own. The batch build packs one run per origin into one slab
+// and enters it for each prefix of the origin; a run left with spare
+// capacity would let the append write over the next origin's first
+// candidate, or show one prefix's route in its sibling's. The RIB's own FIB,
+// which reads its entries through the RIB, must walk as before. The other
+// collector of the build — which reads the same path table — must dump the
+// same bytes and walk the same FIB as before.
 func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 	g, pt := testInternet(t, 4)
 	cols, err := BuildCollectors(g, pt, RouteViewsSpecs()[:2], rand.New(rand.NewSource(8)))
@@ -267,19 +276,37 @@ func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rib, other := cols[0].RIB, cols[1]
-	otherDump, otherFIB := dumpBytes(t, other), fibEntries(other.FIB)
+	ownWalk, otherDump, otherFIB := fibEntries(cols[0].FIB), dumpBytes(t, other), fibEntries(other.FIB)
 	before := map[netaddr.Prefix][]Route{}
 	for _, p := range rib.Prefixes() {
 		before[p] = rib.Routes(p)
 	}
-	for _, p := range rib.Prefixes() {
-		rib.Add(Route{Prefix: p, NextHop: -7, ASPath: []int{-7}, Rel: asgraph.RelProvider})
+	added := map[netaddr.Prefix][]Route{}
+	add := func(p netaddr.Prefix, hop int) {
+		rt := Route{Prefix: p, NextHop: hop, ASPath: []int{hop}, Rel: asgraph.RelProvider}
+		rib.Add(rt)
+		added[p] = append(added[p], rt)
 	}
-	for p, want := range before {
-		got := rib.Routes(p)
-		if len(got) != len(want)+1 || !reflect.DeepEqual(got[:len(want)], want) || got[len(want)].NextHop != -7 {
-			t.Fatalf("candidates of %v changed under Add on other prefixes:\n got %v\nwant %v + the added route", p, got, want)
+	check := func(step string) {
+		t.Helper()
+		for p, want := range before {
+			if got := rib.Routes(p); !reflect.DeepEqual(got, append(slices.Clone(want), added[p]...)) {
+				t.Fatalf("after %s: candidates of %v are\n %v\nwant %v + %v", step, p, got, want, added[p])
+			}
 		}
+	}
+	p16, p24 := pt.All()[6].Prefix, pt.All()[7].Prefix // AS 3's, not the last origin
+	if p16.Bits() != 16 || p24.Bits() != 24 || !p16.Contains(p24.Addr()) {
+		t.Fatalf("plan entries 6 and 7 are %v and %v, want one origin's /16 and /24", p16, p24)
+	}
+	add(p16, -6)
+	check("an Add on the /16 of " + p16.String())
+	for i, p := range rib.Prefixes() {
+		add(p, -7-i)
+	}
+	check("an Add on every prefix")
+	if !reflect.DeepEqual(fibEntries(cols[0].FIB), ownWalk) {
+		t.Fatalf("%s: FIB walk changed under writes to its RIB", cols[0].Name)
 	}
 	if !bytes.Equal(dumpBytes(t, other), otherDump) {
 		t.Fatalf("%s: dump changed under writes to %s's RIB", other.Name, cols[0].Name)

@@ -153,13 +153,26 @@ func (r *RIB) attr(a attrSet) int32 {
 	return i
 }
 
-// Add inserts a candidate route. Its attribute set and path go into the RIB's
-// own tables, never into the path table it shares with other collectors.
-func (r *RIB) Add(rt Route) {
+// pathLen is route(p, c).PathLen() without the route; no candidate names an
+// empty path of the shared table.
+func (r *RIB) pathLen(c cand) int {
+	if c.path >= 0 {
+		return int(r.shared.off[c.path+1]-r.shared.off[c.path]) - 1
+	}
+	return max(len(r.own[^c.path])-1, 0)
+}
+
+// intern stores rt's attribute set and path in the RIB's own tables, never in
+// the path table it shares with other collectors, and returns the candidate
+// that names them.
+func (r *RIB) intern(rt Route) cand {
 	c := cand{attr: r.attr(attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel}), path: ^int32(len(r.own))}
 	r.own = append(r.own, rt.ASPath)
-	r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], c)
+	return c
 }
+
+// Add inserts a candidate route.
+func (r *RIB) Add(rt Route) { r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], r.intern(rt)) }
 
 // NumPrefixes returns the number of distinct prefixes with at least one
 // route.
@@ -174,12 +187,13 @@ func (r *RIB) NumRoutes() int {
 	return total
 }
 
-// best runs the decision process over cs, the non-empty candidates of p.
-func (r *RIB) best(p netaddr.Prefix, cs []cand) Route {
-	best := r.route(p, cs[0])
+// best runs the decision process over cs, the non-empty candidates of p, and
+// returns the one it selects.
+func (r *RIB) best(p netaddr.Prefix, cs []cand) cand {
+	best, bestRt := cs[0], r.route(p, cs[0])
 	for _, c := range cs[1:] {
-		if rt := r.route(p, c); Better(rt, best) {
-			best = rt
+		if rt := r.route(p, c); Better(rt, bestRt) {
+			best, bestRt = c, rt
 		}
 	}
 	return best

@@ -33,13 +33,14 @@ type RouteLookup interface {
 }
 
 // Routers resolves an address at a fixed list of routers at once, the way
-// the content kernel asks its questions: RoutesFor writes router k's
-// selected route for a to out[k] and whether it has one to ok[k], for every
-// k < Len(). bgp.FIBSet answers from one walk per shared prefix index; Each
-// asks each router in turn.
+// the content kernel asks its questions: RoutesFor writes the next hop and
+// the AS-path length of router k's selected route for a to hop[k] and
+// pathLen[k], and whether it has one to ok[k], for every k < Len(). That is
+// all the kernel reads of a route. bgp.FIBSet answers from one walk per
+// shared prefix index; Each asks each router in turn.
 type Routers interface {
 	Len() int
-	RoutesFor(a netaddr.Addr, out []bgp.Route, ok []bool)
+	RoutesFor(a netaddr.Addr, hop, pathLen []int, ok []bool)
 }
 
 // Each is the Routers that asks each RouteLookup in turn.
@@ -49,9 +50,10 @@ type Each []RouteLookup
 func (rs Each) Len() int { return len(rs) }
 
 // RoutesFor asks every router for a's route.
-func (rs Each) RoutesFor(a netaddr.Addr, out []bgp.Route, ok []bool) {
+func (rs Each) RoutesFor(a netaddr.Addr, hop, pathLen []int, ok []bool) {
 	for k, r := range rs {
-		out[k], ok[k] = r.RouteFor(a)
+		rt, found := r.RouteFor(a)
+		hop[k], pathLen[k], ok[k] = rt.NextHop, rt.PathLen(), found
 	}
 }
 
@@ -209,21 +211,22 @@ type routerEval struct {
 	stats              *StrategyStats
 }
 
-// resolve is what the router's route rt for an address contributes (ok
-// false: it has none), interning the port on first sight.
-func (s *routerEval) resolve(rt bgp.Route, ok bool) resolved {
+// resolve is what the router's route for an address, via port with an AS
+// path of length pathLen, contributes (ok false: it has none), interning the
+// port on first sight.
+func (s *routerEval) resolve(port, pathLen int, ok bool) resolved {
 	if !ok {
 		return resolved{bit: -1}
 	}
-	b, seen := s.bit[rt.NextHop]
+	b, seen := s.bit[port]
 	if !seen {
 		b = int32(len(s.bit))
-		s.bit[rt.NextHop] = b
+		s.bit[port] = b
 		if int(b>>6) == len(s.ports) {
 			s.ports, s.prev, s.union = append(s.ports, 0), append(s.prev, 0), append(s.union, 0)
 		}
 	}
-	return resolved{port: rt.NextHop, pathLen: int32(rt.PathLen()), bit: b}
+	return resolved{port: port, pathLen: int32(pathLen), bit: b}
 }
 
 // count scores one event from the current and previous port sets — or, for
@@ -255,15 +258,15 @@ func (s *routerEval) count(initial bool) {
 // addrs[i]'s resolution at every router, so the routers are asked about an
 // address once per timeline however often it leaves and comes back. Both
 // are sized in one step per timeline from the timeline's own length, so the
-// table never grows inside a walk. routes and ok take one address's answers
-// from every router.
+// table never grows inside a walk. hops, lens and ok take one address's
+// answers from every router.
 type multiEval struct {
-	routers Routers
-	rs      []routerEval
-	addrs   []netaddr.Addr
-	res     []resolved
-	routes  []bgp.Route
-	ok      []bool
+	routers    Routers
+	rs         []routerEval
+	addrs      []netaddr.Addr
+	res        []resolved
+	hops, lens []int
+	ok         []bool
 }
 
 // load rebuilds the table for tl, resolving each of its addresses at every
@@ -283,9 +286,9 @@ func (m *multiEval) load(tl *cdn.Timeline) {
 	m.addrs = slices.Compact(m.addrs)
 	m.res = slices.Grow(m.res[:0], len(m.addrs)*len(m.rs))
 	for _, a := range m.addrs {
-		m.routers.RoutesFor(a, m.routes, m.ok)
+		m.routers.RoutesFor(a, m.hops, m.lens, m.ok)
 		for k := range m.rs {
-			m.res = append(m.res, m.rs[k].resolve(m.routes[k], m.ok[k]))
+			m.res = append(m.res, m.rs[k].resolve(m.hops[k], m.lens[k], m.ok[k]))
 		}
 	}
 }
@@ -358,7 +361,7 @@ func (m *multiEval) replay(tl *cdn.Timeline) {
 func ContentUpdateStatsPerRouter(routers Routers, tls []cdn.Timeline) []StrategyStats {
 	n := routers.Len()
 	out := make([]StrategyStats, n)
-	m := multiEval{routers: routers, rs: make([]routerEval, n), routes: make([]bgp.Route, n), ok: make([]bool, n)}
+	m := multiEval{routers: routers, rs: make([]routerEval, n), hops: make([]int, n), lens: make([]int, n), ok: make([]bool, n)}
 	for k := range m.rs {
 		m.rs[k] = routerEval{bit: map[int]int32{}, stats: &out[k]}
 	}
@@ -403,7 +406,7 @@ func AggregateabilityPerRouter(rs Routers, sets map[names.Name][]netaddr.Addr) [
 		cut = append(cut, len(up))
 	}
 	nr := rs.Len()
-	routes, ok := make([]bgp.Route, nr), make([]bool, nr)
+	hops, lens, ok := make([]int, nr), make([]int, nr), make([]bool, nr)
 	// Row i of best is ns[i]'s best route at every router; pathLen < 0 means
 	// no address of it has one.
 	type bestRoute struct {
@@ -417,11 +420,11 @@ func AggregateabilityPerRouter(rs Routers, sets map[names.Name][]netaddr.Addr) [
 			row[k].pathLen = -1
 		}
 		for _, a := range sets[n] {
-			rs.RoutesFor(a, routes, ok)
-			for k, rt := range routes {
-				l := int32(rt.PathLen())
-				if ok[k] && (row[k].pathLen < 0 || closer(l, rt.NextHop, row[k].pathLen, row[k].port)) {
-					row[k] = bestRoute{rt.NextHop, l}
+			rs.RoutesFor(a, hops, lens, ok)
+			for k, hop := range hops {
+				l := int32(lens[k])
+				if ok[k] && (row[k].pathLen < 0 || closer(l, hop, row[k].pathLen, row[k].port)) {
+					row[k] = bestRoute{hop, l}
 				}
 			}
 		}
