@@ -37,6 +37,12 @@ func tinyInternet(t *testing.T) *Graph {
 	return g
 }
 
+// classOf and nextHopOf read x's route through the table's read path, the
+// one PathLen and AppendPath take.
+func classOf(rt *RouteTable, x int) RouteClass { c, _, _ := rt.route(x); return c }
+
+func nextHopOf(rt *RouteTable, x int) int32 { _, _, p := rt.route(x); return p }
+
 func TestRelOf(t *testing.T) {
 	g := tinyInternet(t)
 	if r, ok := g.RelOf(0, 2); !ok || r != RelCustomer {
@@ -83,29 +89,29 @@ func TestRoutesToClasses(t *testing.T) {
 	rt := g.RoutesTo(6)
 
 	// The destination itself.
-	if rt.class[6] != ClassSelf || rt.PathLen(6) != 0 || rt.parent[6] != 6 {
-		t.Fatalf("dest route wrong: %v %d %d", rt.class[6], rt.PathLen(6), rt.parent[6])
+	if classOf(rt, 6) != ClassSelf || rt.PathLen(6) != 0 || nextHopOf(rt, 6) != 6 {
+		t.Fatalf("dest route wrong: %v %d %d", classOf(rt, 6), rt.PathLen(6), nextHopOf(rt, 6))
 	}
 	// 2 hears 6 as a customer route.
-	if rt.class[2] != ClassCustomer || rt.PathLen(2) != 1 {
-		t.Fatalf("AS2: %v len %d", rt.class[2], rt.PathLen(2))
+	if classOf(rt, 2) != ClassCustomer || rt.PathLen(2) != 1 {
+		t.Fatalf("AS2: %v len %d", classOf(rt, 2), rt.PathLen(2))
 	}
 	// 0 hears it up the chain: customer route of length 2.
-	if rt.class[0] != ClassCustomer || rt.PathLen(0) != 2 {
-		t.Fatalf("AS0: %v len %d", rt.class[0], rt.PathLen(0))
+	if classOf(rt, 0) != ClassCustomer || rt.PathLen(0) != 2 {
+		t.Fatalf("AS0: %v len %d", classOf(rt, 0), rt.PathLen(0))
 	}
 	// 1 hears from peer 0 (customer route at 0 is exported to peers).
-	if rt.class[1] != ClassPeer || rt.PathLen(1) != 3 {
-		t.Fatalf("AS1: %v len %d", rt.class[1], rt.PathLen(1))
+	if classOf(rt, 1) != ClassPeer || rt.PathLen(1) != 3 {
+		t.Fatalf("AS1: %v len %d", classOf(rt, 1), rt.PathLen(1))
 	}
 	// 3 hears only from its provider 0 (peer 4 has a provider route, not
 	// exportable to a peer).
-	if rt.class[3] != ClassProvider || rt.PathLen(3) != 3 {
-		t.Fatalf("AS3: %v len %d", rt.class[3], rt.PathLen(3))
+	if classOf(rt, 3) != ClassProvider || rt.PathLen(3) != 3 {
+		t.Fatalf("AS3: %v len %d", classOf(rt, 3), rt.PathLen(3))
 	}
 	// 5 must go up to 1, across the peering to 0, then down: provider route.
-	if rt.class[5] != ClassProvider || rt.PathLen(5) != 4 {
-		t.Fatalf("AS5: %v len %d", rt.class[5], rt.PathLen(5))
+	if classOf(rt, 5) != ClassProvider || rt.PathLen(5) != 4 {
+		t.Fatalf("AS5: %v len %d", classOf(rt, 5), rt.PathLen(5))
 	}
 	// All paths must be valley-free.
 	for x := 0; x < g.N(); x++ {
@@ -167,8 +173,8 @@ func TestRoutesToPrefersCustomerOverShorterPeer(t *testing.T) {
 	g.AddC2P(2, 1)  //nolint:errcheck
 	g.AddPeer(0, 2) //nolint:errcheck
 	rt := g.RoutesTo(2)
-	if rt.class[0] != ClassCustomer || rt.PathLen(0) != 2 {
-		t.Fatalf("AS0 selected %v len %d; want customer len 2", rt.class[0], rt.PathLen(0))
+	if classOf(rt, 0) != ClassCustomer || rt.PathLen(0) != 2 {
+		t.Fatalf("AS0 selected %v len %d; want customer len 2", classOf(rt, 0), rt.PathLen(0))
 	}
 }
 
@@ -181,8 +187,8 @@ func TestRoutesToTieBreakLowestNextHop(t *testing.T) {
 	g.AddC2P(3, 1) //nolint:errcheck
 	g.AddC2P(3, 2) //nolint:errcheck
 	rt := g.RoutesTo(3)
-	if rt.parent[0] != 1 {
-		t.Fatalf("tie-break chose %d, want 1", rt.parent[0])
+	if nextHopOf(rt, 0) != 1 {
+		t.Fatalf("tie-break chose %d, want 1", nextHopOf(rt, 0))
 	}
 }
 

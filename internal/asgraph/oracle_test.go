@@ -3,7 +3,6 @@ package asgraph
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -195,11 +194,18 @@ func oracleGraphs(t *testing.T) []*Graph {
 	return gs
 }
 
-func sameRoutes(a, b *RouteTable) bool {
-	return a.Dest == b.Dest &&
-		slices.Equal(a.class, b.class) &&
-		slices.Equal(a.dist, b.dist) &&
-		slices.Equal(a.parent, b.parent)
+// sameRoutes reports whether got's read path selects, for every AS, the
+// class, length and next hop the oracle table want holds in its arrays.
+func sameRoutes(got, want *RouteTable) bool {
+	if got.Dest != want.Dest || len(got.class) != len(want.class) {
+		return false
+	}
+	for x := range want.class {
+		if c, d, p := got.route(x); c != want.class[x] || d != want.dist[x] || p != want.parent[x] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRoutesToMatchesHeapOracle compares class, dist and parent of every AS

@@ -69,16 +69,26 @@ func (r *RIB) DeriveFIB() *FIB {
 // Insert adds or replaces p's forwarding entry, which answers rt with p as
 // its prefix. It writes this FIB's column, and rt's attribute set and path
 // into its store's own tables, never a store candidate; a prefix new to a
-// shared index goes into a copy of it, which this FIB then owns.
+// shared index goes into a copy of it, which this FIB then owns. A
+// replacement reuses the path slot an earlier Insert of p minted, so a
+// stream of replacements grows the store by no more than one slot a prefix.
 func (f *FIB) Insert(p netaddr.Prefix, rt Route) {
 	if f.idx == nil {
 		f.idx, f.rib = &netaddr.Trie[int32]{}, NewRIB()
 	}
-	e := entry{p, f.rib.intern(rt)}
 	if slot, ok := f.idx.Get(p); ok {
-		f.entries[slot] = e
+		// An own slot that no candidate of p names is one this FIB's Insert
+		// minted: nothing else reads it.
+		old := f.entries[slot].c
+		if old.path < 0 && !slices.ContainsFunc(f.rib.byPrefix[p], func(c cand) bool { return c.path == old.path }) {
+			f.rib.own[^old.path] = rt.ASPath
+			f.entries[slot].c.attr = f.rib.attr(attrOf(rt))
+			return
+		}
+		f.entries[slot] = entry{p, f.rib.intern(rt)}
 		return
 	}
+	e := entry{p, f.rib.intern(rt)}
 	if f.shared {
 		f.idx, f.shared = f.idx.Clone(), false
 	}

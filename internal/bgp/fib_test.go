@@ -125,6 +125,51 @@ func TestInsertOnSharedIndexStaysPrivate(t *testing.T) {
 	}
 }
 
+// TestInsertReplacementsReuseTheirSlot replaces one prefix's route 10 000
+// times, on a zero FIB and on a batch-built collector FIB, cycling through
+// three next hops and fresh paths. The store behind each FIB may gain one
+// own path slot for the first replacement and none after it; the
+// collector's RIB dumps the same bytes throughout, and RouteFor answers
+// the last route inserted.
+func TestInsertReplacementsReuseTheirSlot(t *testing.T) {
+	g, pt := testInternet(t, 20140817)
+	cols, err := BuildCollectors(g, pt, RouteViewsSpecs(), rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pt.All()[14].Prefix
+	var zero FIB
+	zero.Insert(p, Route{Prefix: p, NextHop: 1, ASPath: []int{1, 7}})
+	for _, tc := range []struct {
+		name string
+		f    *FIB
+		dump func() []byte
+	}{
+		{"zero FIB", &zero, func() []byte { return nil }},
+		{cols[0].Name + "'s FIB", cols[0].FIB, func() []byte { return dumpBytes(t, cols[0]) }},
+	} {
+		f, dump := tc.f, tc.dump()
+		own, attrs := len(f.rib.own), len(f.rib.attrs)
+		var last Route
+		for i := 0; i < 10000; i++ {
+			last = Route{Prefix: p, NextHop: 90000 + i%3, ASPath: []int{90000 + i%3, i, 7}}
+			f.Insert(p, last)
+		}
+		if grew := len(f.rib.own) - own; grew > 1 {
+			t.Errorf("%s: 10000 replacements added %d own path slots, want at most 1", tc.name, grew)
+		}
+		if grew := len(f.rib.attrs) - attrs; grew > 3 {
+			t.Errorf("%s: 10000 replacements over 3 next hops added %d attribute sets", tc.name, grew)
+		}
+		if got, ok := f.RouteFor(p.Nth(4000)); !ok || !reflect.DeepEqual(got, last) {
+			t.Errorf("%s: RouteFor = %v, %v; want the last insert %v", tc.name, got, ok, last)
+		}
+		if !bytes.Equal(tc.dump(), dump) {
+			t.Errorf("%s: replacements changed the RIB dump", tc.name)
+		}
+	}
+}
+
 // TestCollectorMissingAnOriginOwnsItsIndex fills two collectors over three
 // ASes in a peering chain 0 — 1 — 2. A peer route is not re-exported to a
 // peer, so AS 0 has no route to AS 2: the collector fed by AS 1 routes the

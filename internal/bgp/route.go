@@ -87,6 +87,9 @@ type attrSet struct {
 	Rel                     asgraph.Rel
 }
 
+// attrOf is rt's attribute set.
+func attrOf(rt Route) attrSet { return attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel} }
+
 // pathTable is the AS-path store the collectors of one BuildCollectors call
 // share. The paths of one origin lie back to back in one exactly-sized chunk:
 // path i is chunks[i/stride][off[i]:off[i+1]], empty where the peer has no
@@ -166,7 +169,7 @@ func (r *RIB) pathLen(c cand) int {
 // the path table it shares with other collectors, and returns the candidate
 // that names them.
 func (r *RIB) intern(rt Route) cand {
-	c := cand{attr: r.attr(attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel}), path: ^int32(len(r.own))}
+	c := cand{attr: r.attr(attrOf(rt)), path: ^int32(len(r.own))}
 	r.own = append(r.own, rt.ASPath)
 	return c
 }
