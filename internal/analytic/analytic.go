@@ -135,7 +135,7 @@ func ExactNameBasedTransitOnly(g *topology.Graph) Result {
 	total := 0.0
 	for k := 0; k < n; k++ {
 		notK := float64(n-1) / float64(n)
-		total += notK*notK - same[k]/float64(n*n)
+		total += float64(notK*notK) - same[k]/float64(n*n) // rounded before the subtraction: no fused multiply-add on any target
 	}
 	return Result{Stretch: 0, UpdateCost: total / float64(n)}
 }
@@ -155,7 +155,7 @@ func portSquares(g *topology.Graph) (all, transit []float64) {
 			counts[next[l][k]+1]++
 		}
 		for i, c := range counts {
-			sq := float64(c) * float64(c)
+			sq := float64(c * c)
 			all[k] += sq
 			if i > 0 {
 				transit[k] += sq

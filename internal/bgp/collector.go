@@ -164,8 +164,8 @@ func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
 	})
 	// Phase 2, over collectors: one worker builds one collector's RIB and FIB
 	// from start to finish and only reads the finished path table and the
-	// plan's prefix index, which every collector routing the whole plan
-	// shares: slot i is all[i].
+	// plan's prefix index, which every RIB, and the FIB of every collector
+	// routing the whole plan, shares: slot i is all[i].
 	idx := indexOf(len(all), func(i int) netaddr.Prefix { return all[i].Prefix })
 	par.ForEach(0, len(cols), func(ci int) {
 		cols[ci].fill(all, runs, paths, peerOf[ci], idx)
@@ -174,20 +174,17 @@ func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
 
 // fill builds c's RIB and FIB over the prefix plan all, cut into origin runs,
 // from the finished path table; peerOf[si] is session si's peer in it. The
-// FIB reads idx, all's index, when c has a route to every origin; otherwise
-// it indexes its own prefixes.
+// RIB reads idx, all's index; so does the FIB when c has a route to every
+// origin, and otherwise it indexes its own prefixes.
 func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerOf []int32, idx *netaddr.Trie[int32]) {
-	c.RIB = NewRIBSized(len(all))
-	c.RIB.shared = paths
+	c.RIB = &RIB{idx: idx, sharedIdx: true, spans: make([]span, len(all)), attrIdx: map[attrSet]int32{}, shared: paths}
 	for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
 		c.RIB.attr(attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel})
 	}
 	// The prefixes of one origin have the same candidates, at most one per
-	// session, so one slab holds one run of them per origin. A run is written
-	// back to back, in session order, and entered in the map for every prefix
-	// of its origin as one capacity-clipped sub-slice: a later RIB.Add on one
-	// of those prefixes must reallocate, not run into the next run or show up
-	// in its sibling's candidates.
+	// session, so the slab holds one run of them per origin. A run is written
+	// back to back, in session order, and every prefix of its origin spans
+	// it; an unreachable origin's slots keep the empty span.
 	cands := make([]cand, 0, (len(runs)-1)*len(c.Sessions))
 	entries := make([]entry, 0, len(all))
 	for k := 0; k+1 < len(runs); k++ {
@@ -211,15 +208,16 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 				best, sel, bestLen = s, cands[len(cands)-1], n
 			}
 		}
-		per := len(cands) - first
-		if per == 0 {
+		if len(cands) == first {
 			continue
 		}
-		for _, po := range all[runs[k]:runs[k+1]] {
-			c.RIB.byPrefix[po.Prefix] = cands[first : first+per : first+per]
-			entries = append(entries, entry{po.Prefix, sel})
+		run := span{int32(first), int32(len(cands))}
+		for i := runs[k]; i < runs[k+1]; i++ {
+			c.RIB.spans[i] = run
+			entries = append(entries, entry{all[i].Prefix, sel})
 		}
 	}
+	c.RIB.cands = cands
 	// Entries follow the plan's order and skip only unreachable origins, so a
 	// column with an entry per slot of idx is slot for slot idx's.
 	if len(entries) == idx.Len() {

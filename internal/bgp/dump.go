@@ -28,9 +28,9 @@ func WriteRIB(w io.Writer, name string, rib *RIB) error {
 	fmt.Fprintf(bw, "# locind-rib v1 name=%s prefixes=%d routes=%d\n",
 		name, rib.NumPrefixes(), rib.NumRoutes())
 	var line []byte // one route's line, reused
-	for _, p := range rib.Prefixes() {
+	rib.walk(func(p netaddr.Prefix, cs []cand) {
 		prefix := p.String()
-		for _, c := range rib.byPrefix[p] {
+		for _, c := range cs {
 			rt := rib.route(p, c)
 			line = append(line[:0], prefix...)
 			for _, v := range [...]int{rt.NextHop, rt.LocalPref, rt.MED} {
@@ -45,7 +45,7 @@ func WriteRIB(w io.Writer, name string, rib *RIB) error {
 			}
 			bw.Write(append(line, '\n'))
 		}
-	}
+	})
 	return bw.Flush()
 }
 

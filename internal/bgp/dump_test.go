@@ -93,7 +93,9 @@ func TestReadRIBErrors(t *testing.T) {
 
 // FuzzReadRIB holds ReadRIB to checkDump on arbitrary bytes. The committed
 // corpus (testdata/fuzz/FuzzReadRIB) has negative numbers, an AS above 2³¹,
-// two routes from one next hop for one prefix and a comment between routes.
+// two routes from one next hop for one prefix, a comment between routes and
+// prefixes whose lines interleave (A B A C B A), so an Add lands on a run
+// that no longer ends the candidate slab.
 func FuzzReadRIB(f *testing.F) {
 	f.Add([]byte("# locind-rib v1 name=x prefixes=1 routes=2\n0.42.0.0/16|17|0|1|peer|17 204 298\n0.42.0.0/16|9|0|0|customer|9 298\n"))
 	f.Fuzz(func(t *testing.T, data []byte) { checkDump(t, data) })
@@ -125,6 +127,7 @@ func checkDump(t *testing.T, data []byte) bool {
 		return false
 	}
 	want := map[netaddr.Prefix][]Route{}
+	lines := 0
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -137,9 +140,10 @@ func checkDump(t *testing.T, data []byte) bool {
 			t.Fatalf("ReadRIB accepted a dump whose line %q does not parse: %v", line, err)
 		}
 		want[rt.Prefix] = append(want[rt.Prefix], rt)
+		lines++
 	}
-	if rib.NumPrefixes() != len(want) {
-		t.Fatalf("%d prefixes stored, %d in the dump", rib.NumPrefixes(), len(want))
+	if rib.NumPrefixes() != len(want) || rib.NumRoutes() != lines {
+		t.Fatalf("%d prefixes and %d routes stored, %d and %d in the dump", rib.NumPrefixes(), rib.NumRoutes(), len(want), lines)
 	}
 	selected := map[netaddr.Prefix]Route{}
 	for _, e := range fibEntries(rib.DeriveFIB()) {

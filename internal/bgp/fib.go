@@ -58,11 +58,8 @@ func lookup(idx *netaddr.Trie[int32], a netaddr.Addr) (int32, bool) {
 // FillCollectors fills its FIBs as it writes the candidates; this is for
 // RIBs that were loaded or fed.
 func (r *RIB) DeriveFIB() *FIB {
-	ps := r.Prefixes()
-	entries := make([]entry, len(ps))
-	for i, p := range ps {
-		entries[i] = entry{p, r.best(p, r.byPrefix[p])}
-	}
+	entries := make([]entry, 0, r.NumPrefixes())
+	r.walk(func(p netaddr.Prefix, cs []cand) { entries = append(entries, entry{p, r.best(p, cs)}) })
 	return ownFIB(r, entries)
 }
 
@@ -80,7 +77,7 @@ func (f *FIB) Insert(p netaddr.Prefix, rt Route) {
 		// An own slot that no candidate of p names is one this FIB's Insert
 		// minted: nothing else reads it.
 		old := f.entries[slot].c
-		if old.path < 0 && !slices.ContainsFunc(f.rib.byPrefix[p], func(c cand) bool { return c.path == old.path }) {
+		if old.path < 0 && !slices.ContainsFunc(f.rib.candsOf(p), func(c cand) bool { return c.path == old.path }) {
 			f.rib.own[^old.path] = rt.ASPath
 			f.entries[slot].c.attr = f.rib.attr(attrOf(rt))
 			return

@@ -202,6 +202,11 @@ func TestCollectorMissingAnOriginOwnsItsIndex(t *testing.T) {
 	if partial.FIB.Len() != 4 || partial.FIB.idx.Len() != 4 {
 		t.Fatalf("partial collector: %d routes over %d indexed prefixes, want 4 and 4", partial.FIB.Len(), partial.FIB.idx.Len())
 	}
+	// Its RIB reads the plan's index, AS 2's two slots empty.
+	if partial.RIB.idx != full.FIB.idx || partial.RIB.NumPrefixes() != 4 || partial.RIB.NumRoutes() != 4 {
+		t.Fatalf("partial collector's RIB: %d prefixes, %d routes, want 4 and 4 over the plan's index",
+			partial.RIB.NumPrefixes(), partial.RIB.NumRoutes())
+	}
 	derived := partial.RIB.DeriveFIB()
 	addrs := probeAddrs(full.FIB)
 	if !reflect.DeepEqual(answers(partial.FIB, addrs), answers(derived, addrs)) ||
@@ -243,7 +248,7 @@ func columnFIB(rib *RIB, idx *netaddr.Trie[int32], routes []Route) *FIB {
 	entries := make([]entry, len(routes))
 	for i, rt := range routes {
 		rib.Add(rt)
-		cs := rib.byPrefix[rt.Prefix]
+		cs := rib.candsOf(rt.Prefix)
 		entries[i] = entry{rt.Prefix, cs[len(cs)-1]}
 	}
 	if idx == nil {

@@ -66,20 +66,28 @@ func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng
 // Routes returns the candidate routes for prefix p in the order they were
 // added (nil if none). The slice is materialised for the caller and is its
 // own; each ASPath is a view of the RIB's path store and must not be modified.
-// Routes and Best live here because only the comparisons in this package's
-// tests read a RIB prefix by prefix: production goes through WriteRIB and
-// the FIB.
+// Routes, Prefixes and Best live here because only the comparisons in this
+// package's tests read a RIB prefix by prefix: production goes through
+// WriteRIB and the FIB.
 func (r *RIB) Routes(p netaddr.Prefix) []Route {
 	var rs []Route
-	for _, c := range r.byPrefix[p] {
+	for _, c := range r.candsOf(p) {
 		rs = append(rs, r.route(p, c))
 	}
 	return rs
 }
 
+// Prefixes returns every prefix with a route, in Compare order: the
+// index's walk order.
+func (r *RIB) Prefixes() []netaddr.Prefix {
+	ps := make([]netaddr.Prefix, 0, r.NumPrefixes())
+	r.walk(func(p netaddr.Prefix, _ []cand) { ps = append(ps, p) })
+	return ps
+}
+
 // Best runs the decision process over the candidates for p.
 func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
-	cs := r.byPrefix[p]
+	cs := r.candsOf(p)
 	if len(cs) == 0 {
 		return Route{}, false
 	}
@@ -263,12 +271,14 @@ func dumpBytes(t *testing.T, c *Collector) []byte {
 // to stay as they were — first for the /16 of one origin alone, whose /24
 // shares its run of candidates, then for every prefix in turn, each with a
 // route of its own. The batch build packs one run per origin into one slab
-// and enters it for each prefix of the origin; a run left with spare
-// capacity would let the append write over the next origin's first
-// candidate, or show one prefix's route in its sibling's. The RIB's own FIB,
-// which reads its entries through the RIB, must walk as before. The other
-// collector of the build — which reads the same path table — must dump the
-// same bytes and walk the same FIB as before.
+// and spans it from each prefix of the origin; an Add appended in place to a
+// run that does not end the slab would write over the next origin's first
+// candidate, or show one prefix's route in its sibling's. Last comes a
+// prefix the plan lacks, which goes into a copy of the plan's index. The
+// RIB's own FIB, which reads its entries through the RIB, must walk as
+// before. The other collector of the build — which reads the same path table
+// and the same prefix index — must dump the same bytes, walk the same FIB
+// and index as many prefixes as before.
 func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 	g, pt := testInternet(t, 4)
 	cols, err := BuildCollectors(g, pt, RouteViewsSpecs()[:2], rand.New(rand.NewSource(8)))
@@ -276,7 +286,11 @@ func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rib, other := cols[0].RIB, cols[1]
+	if rib.idx != other.RIB.idx || rib.idx != other.FIB.idx {
+		t.Fatalf("%s and %s do not read the fill's one prefix index", cols[0].Name, other.Name)
+	}
 	ownWalk, otherDump, otherFIB := fibEntries(cols[0].FIB), dumpBytes(t, other), fibEntries(other.FIB)
+	otherLen := other.RIB.idx.Len()
 	before := map[netaddr.Prefix][]Route{}
 	for _, p := range rib.Prefixes() {
 		before[p] = rib.Routes(p)
@@ -305,6 +319,17 @@ func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
 		add(p, -7-i)
 	}
 	check("an Add on every prefix")
+	p8 := netaddr.MustParsePrefix("250.0.0.0/8")
+	n := rib.NumPrefixes()
+	add(p8, -5)
+	check("an Add of " + p8.String() + ", new to the plan")
+	if got := rib.Routes(p8); !reflect.DeepEqual(got, added[p8]) || rib.NumPrefixes() != n+1 {
+		t.Fatalf("after an Add of %v: its candidates are %v over %d prefixes, want %v over %d", p8, got, rib.NumPrefixes(), added[p8], n+1)
+	}
+	if l := other.RIB.idx.Len(); l != otherLen || other.FIB.idx.Len() != otherLen {
+		t.Fatalf("%s: its RIB and FIB index %d and %d prefixes after %s's Add of a new one, want %d",
+			other.Name, l, other.FIB.idx.Len(), cols[0].Name, otherLen)
+	}
 	if !reflect.DeepEqual(fibEntries(cols[0].FIB), ownWalk) {
 		t.Fatalf("%s: FIB walk changed under writes to its RIB", cols[0].Name)
 	}

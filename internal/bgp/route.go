@@ -8,7 +8,6 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
 
 	"locind/internal/asgraph"
 	"locind/internal/netaddr"
@@ -69,13 +68,25 @@ func Better(a, b Route) bool {
 // RIB is a routing information base: for each prefix, the set of candidate
 // routes heard from the collector's sessions. A candidate is stored as two
 // indices (DESIGN.md §5); Route is what the accessors materialise from them.
+// The candidates live in one slab: idx maps a prefix to its slot, and the
+// slot's span is its run of the slab. The RIBs FillCollectors builds over one
+// address plan share the plan's index (slot i is the plan's prefix i, both
+// prefixes of an origin span the origin's one run, and an unreachable
+// origin's slots span nothing); a RIB that Adds a prefix new to a shared
+// index copies it first.
 type RIB struct {
-	byPrefix map[netaddr.Prefix][]cand
-	attrs    []attrSet // this RIB's own; one entry per session after a batch build
-	attrIdx  map[attrSet]int32
-	shared   *pathTable // the batch build's paths; other collectors read it, Add never writes it
-	own      [][]int    // paths that arrived through Add; candidates name slot k as ^k
+	idx       *netaddr.Trie[int32] // prefix -> slot
+	spans     []span               // slot -> cands[lo:hi]; empty for a prefix with no route
+	cands     []cand
+	sharedIdx bool      // other RIBs and FIBs read idx too: copy it before adding a prefix
+	attrs     []attrSet // this RIB's own; one entry per session after a batch build
+	attrIdx   map[attrSet]int32
+	shared    *pathTable // the batch build's paths; other collectors read it, Add never writes it
+	own       [][]int    // paths that arrived through Add; candidates name slot k as ^k
 }
+
+// span is one slot's run of the candidate slab, cands[lo:hi].
+type span struct{ lo, hi int32 }
 
 // cand is a stored candidate route. Only the indices are narrow: the tables
 // keep int fields, because a dump may carry any integer.
@@ -124,13 +135,7 @@ func (t *pathTable) at(i int32) []int {
 }
 
 // NewRIB returns an empty RIB.
-func NewRIB() *RIB { return NewRIBSized(0) }
-
-// NewRIBSized returns an empty RIB pre-sized for about n prefixes, sparing
-// bulk loaders the incremental map growth of NewRIB.
-func NewRIBSized(n int) *RIB {
-	return &RIB{byPrefix: make(map[netaddr.Prefix][]cand, n), attrIdx: map[attrSet]int32{}}
-}
+func NewRIB() *RIB { return &RIB{idx: &netaddr.Trie[int32]{}, attrIdx: map[attrSet]int32{}} }
 
 // route materialises a stored candidate of prefix p. Its ASPath is a view of
 // the shared table or the slice Add was given, so this allocates nothing.
@@ -174,18 +179,70 @@ func (r *RIB) intern(rt Route) cand {
 	return c
 }
 
-// Add inserts a candidate route.
-func (r *RIB) Add(rt Route) { r.byPrefix[rt.Prefix] = append(r.byPrefix[rt.Prefix], r.intern(rt)) }
+// Add inserts a candidate route after the others of its prefix. A prefix new
+// to the index gets a slot. The route goes in place when the prefix's run
+// ends the slab (it always does while routes come grouped by prefix, as a
+// dump's do); otherwise the run moves to the slab's end first, so no other
+// slot's run sees the write.
+func (r *RIB) Add(rt Route) {
+	c := r.intern(rt)
+	slot, ok := r.idx.Get(rt.Prefix)
+	if !ok {
+		if r.sharedIdx {
+			r.idx, r.sharedIdx = r.idx.Clone(), false
+		}
+		slot = int32(len(r.spans))
+		r.idx.Insert(rt.Prefix, slot)
+		r.spans = append(r.spans, span{int32(len(r.cands)), int32(len(r.cands))})
+	}
+	s := &r.spans[slot]
+	if int(s.hi) != len(r.cands) {
+		lo := int32(len(r.cands))
+		r.cands = append(r.cands, r.cands[s.lo:s.hi]...)
+		*s = span{lo, int32(len(r.cands))}
+	}
+	r.cands = append(r.cands, c)
+	s.hi++
+}
+
+// candsOf returns p's candidates, nil if it has none.
+func (r *RIB) candsOf(p netaddr.Prefix) []cand {
+	slot, ok := r.idx.Get(p)
+	if !ok {
+		return nil
+	}
+	s := r.spans[slot]
+	return r.cands[s.lo:s.hi]
+}
+
+// walk calls fn with every prefix that has a route and its candidates, in
+// prefix (Compare) order: the index's walk is.
+func (r *RIB) walk(fn func(p netaddr.Prefix, cs []cand)) {
+	r.idx.Walk(func(p netaddr.Prefix, slot int32) bool {
+		if s := r.spans[slot]; s.hi > s.lo {
+			fn(p, r.cands[s.lo:s.hi])
+		}
+		return true
+	})
+}
 
 // NumPrefixes returns the number of distinct prefixes with at least one
 // route.
-func (r *RIB) NumPrefixes() int { return len(r.byPrefix) }
+func (r *RIB) NumPrefixes() int {
+	n := 0
+	for _, s := range r.spans {
+		if s.hi > s.lo {
+			n++
+		}
+	}
+	return n
+}
 
 // NumRoutes returns the total number of candidate routes.
 func (r *RIB) NumRoutes() int {
 	total := 0
-	for _, cs := range r.byPrefix {
-		total += len(cs)
+	for _, s := range r.spans {
+		total += int(s.hi - s.lo)
 	}
 	return total
 }
@@ -200,14 +257,4 @@ func (r *RIB) best(p netaddr.Prefix, cs []cand) cand {
 		}
 	}
 	return best
-}
-
-// Prefixes returns all prefixes in deterministic (Compare) order.
-func (r *RIB) Prefixes() []netaddr.Prefix {
-	ps := make([]netaddr.Prefix, 0, len(r.byPrefix))
-	for p := range r.byPrefix {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
-	return ps
 }

@@ -35,16 +35,19 @@ func LinkLatency(g *asgraph.Graph, a, b int) float64 {
 	h.Write(buf[:])
 	jitter := float64(h.Sum32()%1000) / 1000 // [0, 1)
 
-	base := 8.0 + 14.0*jitter // access links: 8-22 ms
+	// Each product is rounded with float64(...) before the add, so targets
+	// that fuse multiply-adds (arm64, ppc64le, s390x, riscv64) give the
+	// delays amd64 gives.
+	base := 8.0 + float64(14.0*jitter) // access links: 8-22 ms
 	ta, tb := g.Tier(a), g.Tier(b)
 	if ta <= 2 && tb <= 2 {
-		base = 12.0 + 18.0*jitter // transit interconnects: 12-30 ms
+		base = 12.0 + float64(18.0*jitter) // transit interconnects: 12-30 ms
 	}
 	if ta == 1 && tb == 1 {
-		base = 25.0 + 30.0*jitter // backbone spans: 25-55 ms
+		base = 25.0 + float64(30.0*jitter) // backbone spans: 25-55 ms
 	}
 	if g.Region(a) != g.Region(b) {
-		base += 50.0 + 60.0*jitter // long-haul crossing
+		base += 50.0 + float64(60.0*jitter) // long-haul crossing
 	}
 	return base
 }

@@ -331,7 +331,8 @@ func fillProfile(prof *userProfile, pools *accessPools, pt *bgp.PrefixTable, cfg
 	prof.work = Location{}
 	prof.cellAS = pools.cellular[region][rng.Intn(len(pools.cellular[region]))]
 	prof.cellBase = uint64(rng.Intn(256)) << 8 // one /24 inside the carrier block
-	prof.bounceRate = math.Exp(cfg.BounceMu + cfg.BounceSigma*rng.NormFloat64())
+	// The product is rounded before the add (see simulateDayInto).
+	prof.bounceRate = math.Exp(cfg.BounceMu + float64(cfg.BounceSigma*rng.NormFloat64()))
 	prof.wakeJitter = rng.Float64()
 	switch x := rng.Float64(); {
 	case x < cfg.HomebodyFrac:
@@ -387,7 +388,11 @@ func (cs *cellState) attach(prof *userProfile, pt *bgp.PrefixTable, day int, reu
 // allocate-per-day formulation, so generated traces are byte-for-byte
 // unchanged.
 func simulateDayInto(buf []Visit, prof *userProfile, pt *bgp.PrefixTable, cfg DeviceConfig, day int, cell *cellState, rng *rand.Rand, segScratch *[]daySeg) []Visit {
-	base := float64(day) * 24
+	// Every product here is rounded with float64(...) before it is added, so
+	// targets that fuse multiply-adds (arm64, ppc64le, s390x, riscv64) lay
+	// out the same day as amd64; day*24 is an exact int product, which
+	// nothing can fuse into base+prev below.
+	base := float64(day * 24)
 	weekend := day%7 >= 5
 	cellLoc := func() Location {
 		addr := cell.attach(prof, pt, day, cfg.CellSessionReuse, rng)
@@ -397,10 +402,10 @@ func simulateDayInto(buf []Visit, prof *userProfile, pt *bgp.PrefixTable, cfg De
 	segs := (*segScratch)[:0]
 	switch {
 	case prof.class == classCommuter && !weekend:
-		leave := 7.8 + prof.wakeJitter + 0.5*rng.NormFloat64()
-		arrive := leave + 0.4 + 0.3*rng.Float64()
-		depart := 16.0 + 1.2*rng.Float64()
-		arriveHome := depart + 0.4 + 0.3*rng.Float64()
+		leave := 7.8 + prof.wakeJitter + float64(0.5*rng.NormFloat64())
+		arrive := leave + 0.4 + float64(0.3*rng.Float64())
+		depart := 16.0 + float64(1.2*rng.Float64())
+		arriveHome := depart + 0.4 + float64(0.3*rng.Float64())
 		// A short commute with the screen off may never attach to cellular.
 		if rng.Float64() < cfg.CommuteCellProb {
 			segs = append(segs, daySeg{prof.home, clampHour(leave)}, daySeg{cellLoc(), clampHour(arrive)})
@@ -417,10 +422,10 @@ func simulateDayInto(buf []Visit, prof *userProfile, pt *bgp.PrefixTable, cfg De
 	case prof.class == classHomebody:
 		segs = append(segs, daySeg{prof.home, 24})
 		if rng.Float64() < 0.25 { // the occasional errand
-			out := 10 + 6*rng.Float64()
+			out := 10 + float64(6*rng.Float64())
 			segs = append(segs[:0],
 				daySeg{prof.home, clampHour(out)},
-				daySeg{cellLoc(), clampHour(out + 0.5 + rng.Float64())},
+				daySeg{cellLoc(), clampHour(out + 0.5 + float64(rng.Float64()))},
 				daySeg{prof.home, 24},
 			)
 		}
@@ -430,11 +435,11 @@ func simulateDayInto(buf []Visit, prof *userProfile, pt *bgp.PrefixTable, cfg De
 		// home WiFi overnight. High IP churn, low AS churn — the mechanism
 		// behind the paper's >10-IPs-a-day users.
 		wake := 7 + 2*prof.wakeJitter
-		sleep := 20.5 + 3*rng.Float64()
+		sleep := 20.5 + float64(3*rng.Float64())
 		segs = append(segs, daySeg{prof.home, clampHour(wake)})
 		t := wake
 		for t < sleep {
-			next := t + cfg.CellChurnHours*(0.3+1.4*rng.Float64())
+			next := t + float64(cfg.CellChurnHours*(0.3+float64(1.4*rng.Float64())))
 			if next > sleep {
 				next = sleep
 			}
@@ -448,9 +453,9 @@ func simulateDayInto(buf []Visit, prof *userProfile, pt *bgp.PrefixTable, cfg De
 		// Casual user or commuter weekend: home with outings.
 		segs = append(segs, daySeg{prof.home, 24})
 		if rng.Float64() < 0.55 {
-			out := 9 + 8*rng.Float64()
+			out := 9 + float64(8*rng.Float64())
 			venue := prof.otherWiFis[rng.Intn(len(prof.otherWiFis))]
-			back := out + 1 + 2.5*rng.Float64()
+			back := out + 1 + float64(2.5*rng.Float64())
 			if rng.Float64() < 0.5 {
 				segs = append(segs[:0],
 					daySeg{prof.home, clampHour(out)},
@@ -477,8 +482,8 @@ func simulateDayInto(buf []Visit, prof *userProfile, pt *bgp.PrefixTable, cfg De
 		nBounce = maxBounce
 	}
 	for b := 0; b < nBounce; b++ {
-		at := 1 + 22*rng.Float64()
-		dur := 0.05 + 0.3*rng.Float64()
+		at := 1 + float64(22*rng.Float64())
+		dur := 0.05 + float64(0.3*rng.Float64())
 		segs = insertBounce(segs, at, dur, cellLoc())
 	}
 	*segScratch = segs[:0]
@@ -566,7 +571,7 @@ func poisson(mean float64, rng *rand.Rand) int {
 		return 0
 	}
 	if mean > 30 {
-		v := int(math.Round(mean + math.Sqrt(mean)*rng.NormFloat64()))
+		v := int(math.Round(mean + float64(math.Sqrt(mean)*rng.NormFloat64()))) // no fused multiply-add (see simulateDayInto)
 		if v < 0 {
 			v = 0
 		}

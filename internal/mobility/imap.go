@@ -33,7 +33,7 @@ func IMAPMoveEvents(dt *DeviceTrace, checksPerHour float64, rng *rand.Rand) []Mo
 		n := poisson(checksPerHour*(end-start), rng)
 		times := make([]float64, n)
 		for i := range times {
-			times[i] = start + rng.Float64()*(end-start)
+			times[i] = start + float64(rng.Float64()*(end-start)) // no fused multiply-add (see simulateDayInto)
 		}
 		sort.Float64s(times)
 

@@ -177,7 +177,9 @@ func (p Prefix) Nth(i uint64) Addr {
 }
 
 // Compare orders prefixes first by network address, then by length (shorter
-// first). It returns -1, 0, or +1.
+// first). It returns -1, 0, or +1. Trie.Walk visits prefixes in this order.
+//
+//lint:allow reach bgp's tests (bgp_test.go, fib_test.go) hold the RIB's and the FIB's index walks to this order through it
 func (p Prefix) Compare(q Prefix) int {
 	switch {
 	case p.addr < q.addr:
