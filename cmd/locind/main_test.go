@@ -236,16 +236,19 @@ const manifestPath = "testdata/manifest.txt"
 //
 //	go test ./cmd/locind -run TestOutputManifest -update
 //
-// Go may fuse multiply-adds on arm64, ppc64 and s390x but not on amd64 or
-// 386, so the manifest is only checked on the GOARCHes its header names
-// (CI runs it on both); -update keeps that list.
+// The header labels each arch. A "run" arch is one CI runs this test on
+// (amd64, GOARCH=386, and amd64 under GODEBUG=cpu.fma=off, which takes the
+// other path of the runtime's FMA dispatch). A "statically checked" arch
+// is one where CI's -gcflags=-S step finds no fused multiply-add on an
+// output path, but nothing runs the output; the test skips there. -update
+// keeps both lists.
 func TestOutputManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four quick runs")
 	}
-	arches, want := readManifest(t)
-	if !slices.Contains(arches, runtime.GOARCH) && !*update {
-		t.Skipf("manifest holds on %s; floating-point contraction may differ on %s", strings.Join(arches, " "), runtime.GOARCH)
+	hdr, want := readManifest(t)
+	if !hdr.runs(runtime.GOARCH) && !*update {
+		t.Skipf("manifest is run on %s; %s is not among them", strings.Join(hdr.run, " "), runtime.GOARCH)
 	}
 	// The first run is held to the manifest, every later run to the first
 	// run, whose files stay on disk so a difference can name its line.
@@ -268,7 +271,7 @@ func TestOutputManifest(t *testing.T) {
 			}
 			sums := digests(t, out)
 			if first == "" && *update {
-				writeManifest(t, arches, sums)
+				writeManifest(t, hdr, sums)
 				ref = sums
 			}
 			for _, f := range sortedKeys(ref, sums) {
@@ -290,13 +293,30 @@ func TestOutputManifest(t *testing.T) {
 	}
 }
 
-// readManifest reads the GOARCH line and the "sha256  name" lines.
-func readManifest(t *testing.T) (arches []string, sums map[string]string) {
+// manifestHeader is the manifest's arch labels: run holds "arch" or
+// "arch,GODEBUG-setting" words, static plain arch names.
+type manifestHeader struct{ run, static []string }
+
+// runs reports whether some run label names arch.
+func (h manifestHeader) runs(arch string) bool {
+	return slices.ContainsFunc(h.run, func(label string) bool {
+		a, _, _ := strings.Cut(label, ",")
+		return a == arch
+	})
+}
+
+const (
+	runPrefix    = "run "
+	staticPrefix = "statically-checked "
+)
+
+// readManifest reads the arch labels and the "sha256  name" lines.
+func readManifest(t *testing.T) (hdr manifestHeader, sums map[string]string) {
 	t.Helper()
 	f, err := os.Open(manifestPath)
 	if err != nil {
 		if *update {
-			return []string{runtime.GOARCH}, nil
+			return manifestHeader{run: []string{runtime.GOARCH}}, nil
 		}
 		t.Fatal(err)
 	}
@@ -307,8 +327,10 @@ func readManifest(t *testing.T) (arches []string, sums map[string]string) {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "#") || line == "":
-		case strings.HasPrefix(line, "goarch "):
-			arches = strings.Fields(strings.TrimPrefix(line, "goarch "))
+		case strings.HasPrefix(line, runPrefix):
+			hdr.run = strings.Fields(strings.TrimPrefix(line, runPrefix))
+		case strings.HasPrefix(line, staticPrefix):
+			hdr.static = strings.Fields(strings.TrimPrefix(line, staticPrefix))
 		default:
 			sum, name, ok := strings.Cut(line, "  ")
 			if !ok {
@@ -320,20 +342,25 @@ func readManifest(t *testing.T) (arches []string, sums map[string]string) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return arches, sums
+	return hdr, sums
 }
 
-// writeManifest writes sums under a header naming arches, plus this GOARCH
-// if the list lacks it.
-func writeManifest(t *testing.T, arches []string, sums map[string]string) {
+// writeManifest writes sums under hdr's arch labels, plus this GOARCH as a
+// run arch if no run label names it.
+func writeManifest(t *testing.T, hdr manifestHeader, sums map[string]string) {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("# sha256 of `locind -quick -out DIR all`: stdout, then each file in DIR.\n")
 	b.WriteString("# Regenerate: go test ./cmd/locind -run TestOutputManifest -update\n")
-	if !slices.Contains(arches, runtime.GOARCH) {
-		arches = append(arches, runtime.GOARCH)
+	b.WriteString("# run: CI runs this test there (arch,GODEBUG: under that setting).\n")
+	b.WriteString("# statically-checked: CI finds no fused multiply-add on an output path there; not run.\n")
+	if !hdr.runs(runtime.GOARCH) {
+		hdr.run = append(hdr.run, runtime.GOARCH)
 	}
-	fmt.Fprintf(&b, "goarch %s\n", strings.Join(arches, " "))
+	fmt.Fprintf(&b, "%s%s\n", runPrefix, strings.Join(hdr.run, " "))
+	if len(hdr.static) > 0 {
+		fmt.Fprintf(&b, "%s%s\n", staticPrefix, strings.Join(hdr.static, " "))
+	}
 	for _, name := range sortedKeys(sums) {
 		fmt.Fprintf(&b, "%s  %s\n", sums[name], name)
 	}

@@ -1,13 +1,13 @@
 package cdn
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 
 	"locind/internal/names"
 	"locind/internal/netaddr"
 	"locind/internal/par"
+	"locind/internal/stats"
 )
 
 // Event is one content mobility event: at the given hour, the address set
@@ -199,7 +199,8 @@ type siteState struct {
 	originActive []netaddr.Addr // currently published origin addresses
 	originAS     []int          // the AS each active origin address lives in
 	originSpare  []netaddr.Addr
-	edgeActive   map[int]netaddr.Addr // edge AS -> published VIP
+	edgeAS       []int          // active edge ASes, ascending
+	edgeVIP      []netaddr.Addr // the VIP each active edge AS publishes
 	edgeGen      map[int]int
 	lbRate       float64
 	edgeRate     float64
@@ -215,9 +216,9 @@ func (d *Deployment) Timelines(hours int, rng *rand.Rand) []Timeline {
 
 // TimelinesParallel is Timelines fanned out across parallel workers (0 =
 // GOMAXPROCS). One child seed per site is drawn from rng up front, in site
-// order, and each site is then simulated with its own rand.Rand built from
-// that seed — so the trace is a pure function of rng's starting state and
-// bit-identical at every parallelism degree, including 1.
+// order, and each site is then simulated on its own splitmix64 stream
+// seeded with it — so the trace is a pure function of rng's starting state
+// and bit-identical at every parallelism degree, including 1.
 func (d *Deployment) TimelinesParallel(hours int, rng *rand.Rand, parallel int) []Timeline {
 	seeds := make([]int64, len(d.Sites))
 	for i := range seeds {
@@ -225,7 +226,9 @@ func (d *Deployment) TimelinesParallel(hours int, rng *rand.Rand, parallel int) 
 	}
 	out := make([]Timeline, len(d.Sites))
 	par.ForEach(parallel, len(d.Sites), func(i int) {
-		out[i] = d.simulateSite(d.Sites[i], hours, rand.New(rand.NewSource(seeds[i])))
+		src := &stats.SplitMix64{}
+		src.Seed(seeds[i])
+		out[i] = d.simulateSite(d.Sites[i], hours, rand.New(src))
 	})
 	return out
 }
@@ -253,21 +256,23 @@ func (b *eventBuilder) add(hour int, removed, added []netaddr.Addr) {
 }
 
 // finish materializes the Event slice; Removed/Added are full-capacity
-// subslices of the slab, nil when empty (matching the per-event append
-// construction this replaces).
+// subslices of an exact-size copy of the slab (the timeline is retained for
+// the whole run, the append-grown slab's slack with it), nil when empty
+// (matching the per-event append construction this replaces).
 func (b *eventBuilder) finish() []Event {
 	if len(b.recs) == 0 {
 		return nil
 	}
+	slab := slices.Clone(b.slab)
 	evs := make([]Event, len(b.recs))
 	for i, r := range b.recs {
 		e := &evs[i]
 		e.Hour = r.hour
 		if r.remHi > r.remLo {
-			e.Removed = b.slab[r.remLo:r.remHi:r.remHi]
+			e.Removed = slab[r.remLo:r.remHi:r.remHi]
 		}
 		if r.addHi > r.remHi {
-			e.Added = b.slab[r.remHi:r.addHi:r.addHi]
+			e.Added = slab[r.remHi:r.addHi:r.addHi]
 		}
 	}
 	return evs
@@ -275,10 +280,7 @@ func (b *eventBuilder) finish() []Event {
 
 func (d *Deployment) simulateSite(site Site, hours int, rng *rand.Rand) Timeline {
 	cfg := d.cfg
-	st := &siteState{
-		edgeActive: map[int]netaddr.Addr{},
-		edgeGen:    map[int]int{},
-	}
+	st := &siteState{edgeGen: map[int]int{}}
 
 	// Origin pool: OriginPool candidate addresses in the origin AS, a
 	// random few of them published at a time (DNS round robin).
@@ -317,14 +319,14 @@ func (d *Deployment) simulateSite(site Site, hours int, rng *rand.Rand) Timeline
 		}
 		for _, idx := range rng.Perm(len(d.EdgePool))[:k] {
 			as := d.EdgePool[idx]
-			st.edgeActive[as] = d.edgeAddr(site.Name, as, 0)
+			st.setEdge(as, d.edgeAddr(site.Name, as, 0))
 		}
 	}
 
 	// Per-site churn rates.
 	if site.Class == Popular {
-		st.lbRate = clamp01(cfg.LBRotMedian * math.Exp(cfg.LBRotSigma*rng.NormFloat64()))
-		st.edgeRate = clamp01(cfg.EdgeChurnMedian * math.Exp(cfg.EdgeChurnSigma*rng.NormFloat64()))
+		st.lbRate = clamp01(cfg.LBRotMedian * stats.Exp(cfg.LBRotSigma*rng.NormFloat64()))
+		st.edgeRate = clamp01(cfg.EdgeChurnMedian * stats.Exp(cfg.EdgeChurnSigma*rng.NormFloat64()))
 	} else {
 		st.renumber = cfg.UnpopRenumber
 		st.rehost = cfg.UnpopRehost
@@ -348,16 +350,17 @@ func (d *Deployment) simulateSite(site Site, hours int, rng *rand.Rand) Timeline
 				st.originActive[ai], st.originSpare[si] = st.originSpare[si], st.originActive[ai]
 			}
 			// CDN edge churn: retire one edge cluster, light up another.
-			if site.CDN && rng.Float64() < st.edgeRate && len(st.edgeActive) > 0 {
-				actives := sortedKeys(st.edgeActive)
-				victim := actives[rng.Intn(len(actives))]
+			if site.CDN && rng.Float64() < st.edgeRate && len(st.edgeAS) > 0 {
+				victim := rng.Intn(len(st.edgeAS))
 				replacement := d.EdgePool[rng.Intn(len(d.EdgePool))]
-				if _, dup := st.edgeActive[replacement]; !dup && replacement != victim {
-					removed = append(removed, st.edgeActive[victim])
-					delete(st.edgeActive, victim)
+				// The victim is active, so an inactive replacement differs.
+				if _, dup := slices.BinarySearch(st.edgeAS, replacement); !dup {
+					removed = append(removed, st.edgeVIP[victim])
+					st.edgeAS = slices.Delete(st.edgeAS, victim, victim+1)
+					st.edgeVIP = slices.Delete(st.edgeVIP, victim, victim+1)
 					st.edgeGen[replacement]++
 					a := d.edgeAddr(site.Name, replacement, st.edgeGen[replacement])
-					st.edgeActive[replacement] = a
+					st.setEdge(replacement, a)
 					added = append(added, a)
 				}
 			}
@@ -397,23 +400,24 @@ func (d *Deployment) simulateSite(site Site, hours int, rng *rand.Rand) Timeline
 	return tl
 }
 
-func (st *siteState) snapshot() []netaddr.Addr {
-	out := make([]netaddr.Addr, 0, len(st.originActive)+len(st.edgeActive))
-	out = append(out, st.originActive...)
-	for _, a := range st.edgeActive {
-		out = append(out, a)
+// setEdge publishes vip for edge AS as, keeping edgeAS ascending; an AS
+// already active gets the new VIP in place.
+func (st *siteState) setEdge(as int, vip netaddr.Addr) {
+	i, found := slices.BinarySearch(st.edgeAS, as)
+	if found {
+		st.edgeVIP[i] = vip
+		return
 	}
-	slices.Sort(out)
-	return out
+	st.edgeAS = slices.Insert(st.edgeAS, i, as)
+	st.edgeVIP = slices.Insert(st.edgeVIP, i, vip)
 }
 
-func sortedKeys(m map[int]netaddr.Addr) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
+func (st *siteState) snapshot() []netaddr.Addr {
+	out := make([]netaddr.Addr, 0, len(st.originActive)+len(st.edgeVIP))
+	out = append(out, st.originActive...)
+	out = append(out, st.edgeVIP...)
+	slices.Sort(out)
+	return out
 }
 
 func clamp01(x float64) float64 {

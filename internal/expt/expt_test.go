@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/mobility"
+	"locind/internal/names"
 )
 
 var (
@@ -30,6 +32,23 @@ func quickWorld(t *testing.T) *World {
 		t.Fatal(worldErr)
 	}
 	return world
+}
+
+// tinyWorld builds a fresh world with a two-day sweep of 30 domains, for
+// tests that need their own World's lazy timeline state.
+func tinyWorld(t *testing.T) *World {
+	t.Helper()
+	cfg := QuickConfig()
+	cfg.Device.Users = 20
+	cfg.Device.Days = 2
+	cfg.CDN.PopularDomains = 15
+	cfg.CDN.UnpopularDomains = 15
+	cfg.ContentDays = 2
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // runTable runs every entry of "all" in one fresh session over w, as
@@ -141,6 +160,50 @@ func TestBuildWorld(t *testing.T) {
 	}
 	if len(pop)+len(unpop) != len(tl1) {
 		t.Fatal("class split loses timelines")
+	}
+}
+
+// TestTimelinesByClassKeepsSiteOrder interleaves the deployment's classes
+// (cdn.Generate lists every popular site first) so that the split has to
+// move timelines, then checks each class comes back whole and in site order.
+func TestTimelinesByClassKeepsSiteOrder(t *testing.T) {
+	w := tinyWorld(t)
+	var want [2][]names.Name // by cdn.Class
+	var pop, unpop []cdn.Site
+	for _, s := range w.Deployment.Sites {
+		if s.Class == cdn.Popular {
+			pop = append(pop, s)
+		} else {
+			unpop = append(unpop, s)
+		}
+	}
+	var mixed []cdn.Site
+	for i := 0; i < len(pop) || i < len(unpop); i++ {
+		for _, class := range [][]cdn.Site{unpop, pop} {
+			if i < len(class) {
+				mixed = append(mixed, class[i])
+				want[class[i].Class] = append(want[class[i].Class], class[i].Name)
+			}
+		}
+	}
+	w.Deployment.Sites = mixed
+
+	popular, unpopular := w.TimelinesByClass()
+	for class, tls := range [][]cdn.Timeline{popular, unpopular} {
+		var got []names.Name
+		for _, tl := range tls {
+			got = append(got, tl.Site.Name)
+		}
+		if !slices.Equal(got, want[class]) {
+			i := 0
+			for i < len(got) && i < len(want[class]) && got[i] == want[class][i] {
+				i++
+			}
+			t.Errorf("%s: %d timelines, want its %d sites in order; they part at index %d", cdn.Class(class), len(got), len(want[class]), i)
+		}
+	}
+	if cap(popular) != len(popular) {
+		t.Errorf("popular has capacity %d beyond its %d timelines: an append would overwrite unpopular", cap(popular), len(popular))
 	}
 }
 

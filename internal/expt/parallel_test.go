@@ -173,16 +173,7 @@ func TestFig11bcMatchesUnmemoizedReference(t *testing.T) {
 // TestTimelinesConcurrentOnce races many callers at the lazy sweep and
 // checks exactly one generation happened (run under -race in CI).
 func TestTimelinesConcurrentOnce(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Device.Users = 20
-	cfg.Device.Days = 2
-	cfg.CDN.PopularDomains = 15
-	cfg.CDN.UnpopularDomains = 15
-	cfg.ContentDays = 2
-	w, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := tinyWorld(t)
 	const callers = 8
 	got := make([]*cdn.Timeline, callers)
 	var wg sync.WaitGroup

@@ -7,8 +7,10 @@
 package expt
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"locind/internal/asgraph"
@@ -101,7 +103,8 @@ type World struct {
 	Deployment *cdn.Deployment
 
 	timelinesOnce sync.Once
-	timelines     []cdn.Timeline
+	timelines     []cdn.Timeline // popular sites first, each class in site order
+	nPopular      int            // timelines[:nPopular] are the popular sites
 }
 
 // BuildWorld synthesizes a World from cfg.
@@ -147,24 +150,30 @@ func BuildWorld(cfg Config) (*World, error) {
 }
 
 // Timelines generates (once) and returns the content timelines for the
-// configured measurement window. It is safe to call from concurrent
-// drivers: the sync.Once guarantees the sweep is generated exactly once.
+// configured measurement window: the popular sites first, then the
+// unpopular ones, each class in site order. It is safe to call from
+// concurrent drivers: the sync.Once guarantees the sweep is generated
+// exactly once.
 func (w *World) Timelines() []cdn.Timeline {
 	w.timelinesOnce.Do(func() {
 		rng := rand.New(rand.NewSource(w.Cfg.Seed + 5))
-		w.timelines = w.Deployment.TimelinesParallel(24*w.Cfg.ContentDays, rng, w.Cfg.Parallel)
+		tls := w.Deployment.TimelinesParallel(24*w.Cfg.ContentDays, rng, w.Cfg.Parallel)
+		slices.SortStableFunc(tls, func(a, b cdn.Timeline) int { return cmp.Compare(a.Site.Class, b.Site.Class) })
+		w.timelines = tls
+		for w.nPopular < len(tls) && tls[w.nPopular].Site.Class == cdn.Popular {
+			w.nPopular++
+		}
 	})
 	return w.timelines
 }
 
-// TimelinesByClass splits the timelines into popular and unpopular sets.
+// TimelinesByClass splits the timelines into popular and unpopular sets,
+// each in site order. Both alias Timelines' slice: callers must not write
+// through them, and popular's capacity ends at its length, so an append to
+// it copies.
+//
+//lint:zeroalloc once the timelines are generated
 func (w *World) TimelinesByClass() (popular, unpopular []cdn.Timeline) {
-	for _, tl := range w.Timelines() {
-		if tl.Site.Class == cdn.Popular {
-			popular = append(popular, tl)
-		} else {
-			unpopular = append(unpopular, tl)
-		}
-	}
-	return popular, unpopular
+	tls, n := w.Timelines(), w.nPopular
+	return tls[:n:n], tls[n:]
 }

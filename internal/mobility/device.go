@@ -22,6 +22,7 @@ import (
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
+	"locind/internal/stats"
 )
 
 // NetType is the access technology of a connectivity event.
@@ -332,7 +333,7 @@ func fillProfile(prof *userProfile, pools *accessPools, pt *bgp.PrefixTable, cfg
 	prof.cellAS = pools.cellular[region][rng.Intn(len(pools.cellular[region]))]
 	prof.cellBase = uint64(rng.Intn(256)) << 8 // one /24 inside the carrier block
 	// The product is rounded before the add (see simulateDayInto).
-	prof.bounceRate = math.Exp(cfg.BounceMu + float64(cfg.BounceSigma*rng.NormFloat64()))
+	prof.bounceRate = stats.Exp(cfg.BounceMu + float64(cfg.BounceSigma*rng.NormFloat64()))
 	prof.wakeJitter = rng.Float64()
 	switch x := rng.Float64(); {
 	case x < cfg.HomebodyFrac:
@@ -577,7 +578,7 @@ func poisson(mean float64, rng *rand.Rand) int {
 		}
 		return v
 	}
-	l := math.Exp(-mean)
+	l := stats.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {

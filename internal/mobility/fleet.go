@@ -22,42 +22,16 @@ import (
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
+	"locind/internal/stats"
 )
-
-// splitSource is an 8-byte splitmix64 rand.Source64. rand.NewSource's
-// default source carries a ~5 KiB state table — far too heavy to derive per
-// user-day — while splitmix64 reseeds by assigning one word.
-type splitSource struct{ state uint64 }
-
-// Seed implements rand.Source.
-func (s *splitSource) Seed(v int64) { s.state = uint64(v) }
-
-// Uint64 implements rand.Source64 (splitmix64).
-func (s *splitSource) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Int63 implements rand.Source.
-func (s *splitSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// mix64 is the splitmix64 finalizer, used to fold seed coordinates.
-func mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // deriveSeed mixes the fleet seed with a user index and a stream tag into
 // one well-spread 64-bit state. stream is either a day number or the
 // profile tag (^uint64(0), which no day reaches).
 func deriveSeed(seed int64, user, stream uint64) uint64 {
-	h := mix64(uint64(seed) + 0x9e3779b97f4a7c15)
-	h = mix64(h ^ (user + 0x9e3779b97f4a7c15))
-	return mix64(h ^ (stream + 0x9e3779b97f4a7c15))
+	h := stats.Mix64(uint64(seed) + 0x9e3779b97f4a7c15)
+	h = stats.Mix64(h ^ (user + 0x9e3779b97f4a7c15))
+	return stats.Mix64(h ^ (stream + 0x9e3779b97f4a7c15))
 }
 
 // profileStream is the stream tag reserved for profile regeneration.
@@ -77,7 +51,7 @@ type UserState struct {
 // derived-seed rng, the regenerated profile, and the day-schedule segments.
 // It is not safe for concurrent use; give each shard its own.
 type DayScratch struct {
-	src  splitSource
+	src  stats.SplitMix64
 	rng  *rand.Rand
 	prof userProfile
 	segs []daySeg
@@ -123,14 +97,14 @@ func NewFleetGen(g *asgraph.Graph, pt *bgp.PrefixTable, cfg DeviceConfig, seed i
 func (f *FleetGen) Day(user, day int, st *UserState, buf []Visit, sc *DayScratch) []Visit {
 	// Regenerate the user's stable profile from its own stream, then
 	// overlay the evolved home address.
-	sc.src.state = deriveSeed(f.seed, uint64(user), profileStream)
+	sc.src.Seed(int64(deriveSeed(f.seed, uint64(user), profileStream)))
 	fillProfile(&sc.prof, f.pools, f.pt, f.cfg, sc.rng)
 	if st.homeSet {
 		sc.prof.home = locIn(f.pt, sc.prof.home.AS, st.homeAddr, WiFi)
 	}
 
 	// The day's own stream: DHCP turnover first, then the schedule.
-	sc.src.state = deriveSeed(f.seed, uint64(user), uint64(day))
+	sc.src.Seed(int64(deriveSeed(f.seed, uint64(user), uint64(day))))
 	if day > 0 && sc.rng.Float64() < f.cfg.HomeDHCPDaily {
 		sc.prof.home = locIn(f.pt, sc.prof.home.AS, randomHostIn(f.pt, sc.prof.home.AS, sc.rng), WiFi)
 	}

@@ -1,6 +1,8 @@
 // Package stats provides the small set of statistics used throughout the
 // evaluation: empirical CDFs, quantiles, moments, Pearson correlation, and
-// fixed-width text rendering of distributions for experiment output.
+// fixed-width text rendering of distributions for experiment output. It also
+// holds what the workload generators draw through: an 8-byte random source
+// and an exponential whose bits do not depend on the host.
 package stats
 
 import (
