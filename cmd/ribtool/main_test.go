@@ -105,11 +105,11 @@ func capture(t *testing.T, fn func()) string {
 	return string(<-done)
 }
 
-// TestStatsAndBestAgreeWithTheCollector writes a batch-built collector's
-// dump, loads it the way the tool does (ReadRIB → the interning store →
-// DeriveFIB) and requires `stats` and `best` to report what the collector's
-// own RIB and fused-built FIB hold.
-func TestStatsAndBestAgreeWithTheCollector(t *testing.T) {
+// collectorDump builds a collector on a quick-sized internet and writes its
+// RIB dump to a file, returning the collector, the address plan and the
+// dump's path.
+func collectorDump(t *testing.T) (*bgp.Collector, *asgraph.Graph, *bgp.PrefixTable, string) {
+	t.Helper()
 	cfg := asgraph.DefaultSynthConfig()
 	cfg.Tier2 = 80
 	cfg.Stubs = 700
@@ -137,6 +137,15 @@ func TestStatsAndBestAgreeWithTheCollector(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return c, g, pt, path
+}
+
+// TestStatsAndBestAgreeWithTheCollector writes a batch-built collector's
+// dump, loads it the way the tool does (ReadRIB → NewRIB → DeriveFIB) and
+// requires `stats` and `best` to report what the collector's own RIB and
+// fused-built FIB hold.
+func TestStatsAndBestAgreeWithTheCollector(t *testing.T) {
+	c, g, pt, path := collectorDump(t)
 	rib, err := loadRIB(path)
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +182,79 @@ func TestStatsAndBestAgreeWithTheCollector(t *testing.T) {
 		}
 		if got := capture(t, func() { best(rib, a.String()) }); got != want.String()+"\n" {
 			t.Errorf("best %v = %q, the collector selects %q", a, got, want.String())
+		}
+	}
+}
+
+// TestInterleavedDumpReadsTheSame deals a collector dump's route lines out
+// across prefixes at random, each prefix's lines kept in their order, and
+// requires the dealt dump to load into a RIB that writes the same bytes, and
+// `stats` and `best` to print what they print for the dump as written.
+func TestInterleavedDumpReadsTheSame(t *testing.T) {
+	_, g, pt, path := collectorDump(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	rows := map[string][]string{}
+	var live []string
+	for _, l := range lines[1:] {
+		p, _, _ := strings.Cut(l, "|")
+		if rows[p] == nil {
+			live = append(live, p)
+		}
+		rows[p] = append(rows[p], l)
+	}
+	dealt := []string{lines[0]}
+	rng := rand.New(rand.NewSource(1))
+	for len(live) > 0 {
+		i := rng.Intn(len(live))
+		p := live[i]
+		dealt = append(dealt, rows[p][0])
+		if rows[p] = rows[p][1:]; len(rows[p]) == 0 {
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	breaks := 0
+	for i := 2; i < len(dealt); i++ {
+		if a, _, _ := strings.Cut(dealt[i-1], "|"); !strings.HasPrefix(dealt[i], a+"|") {
+			breaks++
+		}
+	}
+	if breaks < len(lines)/2 {
+		t.Fatalf("dealing %d lines left %d prefix changes between neighbours", len(lines)-1, breaks)
+	}
+	dealtPath := filepath.Join(t.TempDir(), "dealt.txt")
+	if err := os.WriteFile(dealtPath, []byte(strings.Join(dealt, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	written, err := loadRIB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := loadRIB(dealtPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wb, rb bytes.Buffer
+	if err := bgp.WriteRIB(&wb, "x", written); err != nil {
+		t.Fatal(err)
+	}
+	if err := bgp.WriteRIB(&rb, "x", read); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb.Bytes(), rb.Bytes()) {
+		t.Fatal("the dealt dump writes other bytes than the dump as written")
+	}
+	if w, r := capture(t, func() { stats(written) }), capture(t, func() { stats(read) }); w != r {
+		t.Fatalf("stats of the dealt dump:\n%s\nof the dump as written:\n%s", r, w)
+	}
+	for as := 0; as < g.N(); as += 97 {
+		a := pt.AddrIn(as, 9).String()
+		if w, r := capture(t, func() { best(written, a) }), capture(t, func() { best(read, a) }); w != r {
+			t.Errorf("best %s: %q for the dealt dump, %q for the dump as written", a, r, w)
 		}
 	}
 }

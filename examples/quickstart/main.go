@@ -20,12 +20,12 @@ import (
 
 func main() {
 	// Router R's FIB, exactly as in Figure 2: the /24 and the /16 forward
-	// to different output ports (next-hop ASes 5 and 3).
-	fib := &bgp.FIB{}
-	fib.Insert(netaddr.MustParsePrefix("22.33.44.0/24"),
-		bgp.Route{NextHop: 5, ASPath: []int{5, 9}})
-	fib.Insert(netaddr.MustParsePrefix("22.33.0.0/16"),
-		bgp.Route{NextHop: 3, ASPath: []int{3, 7, 9}})
+	// to different output ports (next-hop ASes 5 and 3). It is derived from
+	// a RIB as ribtool derives one from a dump.
+	fib := bgp.NewRIB([]bgp.Route{
+		{Prefix: netaddr.MustParsePrefix("22.33.44.0/24"), NextHop: 5, ASPath: []int{5, 9}},
+		{Prefix: netaddr.MustParsePrefix("22.33.0.0/16"), NextHop: 3, ASPath: []int{3, 7, 9}},
+	}).DeriveFIB()
 
 	from := netaddr.MustParseAddr("22.33.44.55")
 	to := netaddr.MustParseAddr("22.33.88.55")

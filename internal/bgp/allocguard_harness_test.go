@@ -11,8 +11,8 @@ import (
 func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 
 // harnessFIBs returns FIBs of every kind the evaluation reads — two columns
-// on one shared index and one on its own, each read through a RIB it was
-// added to, and a collector's FIB read through the path table of its fill —
+// on one shared index and one on its own, each read through the RIB of its
+// rows, and a collector's FIB read through the path table of its fill —
 // and addresses that each of them routes or does not.
 func harnessFIBs(t *testing.T) ([]*FIB, []netaddr.Addr) {
 	plan := []netaddr.Prefix{
@@ -41,9 +41,9 @@ func harnessFIBs(t *testing.T) ([]*FIB, []netaddr.Addr) {
 	filled := &Collector{Sessions: []Session{{PeerAS: 1, Rel: asgraph.RelPeer}}}
 	FillCollectors(g, pt, []*Collector{filled})
 	fibs := []*FIB{
-		columnFIB(NewRIB(), idx, column(10)),
-		columnFIB(NewRIB(), nil, column(20)[1:]),
-		columnFIB(NewRIB(), idx, column(30)),
+		columnFIB(idx, plan, column(10)),
+		columnFIB(idx, plan, column(20)[1:]),
+		columnFIB(idx, plan, column(30)),
 		filled.FIB,
 	}
 	addrs := []netaddr.Addr{

@@ -58,11 +58,12 @@ func TestRoutePathLenOrigin(t *testing.T) {
 }
 
 func TestRIBBestAndFIB(t *testing.T) {
-	rib := NewRIB()
 	p := netaddr.MustParsePrefix("10.0.0.0/16")
-	rib.Add(route("10.0.0.0/16", 7, 0, 0, asgraph.RelProvider, 7, 12))
-	rib.Add(route("10.0.0.0/16", 5, 0, 0, asgraph.RelPeer, 5, 9, 12))
-	rib.Add(route("10.0.0.0/16", 3, 0, 0, asgraph.RelPeer, 3, 8, 11, 12))
+	rib := NewRIB([]Route{
+		route("10.0.0.0/16", 7, 0, 0, asgraph.RelProvider, 7, 12),
+		route("10.0.0.0/16", 5, 0, 0, asgraph.RelPeer, 5, 9, 12),
+		route("10.0.0.0/16", 3, 0, 0, asgraph.RelPeer, 3, 8, 11, 12),
+	})
 	best, ok := rib.Best(p)
 	if !ok || best.NextHop != 5 {
 		t.Fatalf("Best = %+v, %v; want next hop 5 (peer, shortest)", best, ok)
@@ -98,10 +99,11 @@ func TestRIBBestAndFIB(t *testing.T) {
 }
 
 func TestRIBPrefixesSorted(t *testing.T) {
-	rib := NewRIB()
-	rib.Add(route("30.0.0.0/8", 1, 0, 0, asgraph.RelPeer, 1, 2))
-	rib.Add(route("10.0.0.0/8", 1, 0, 0, asgraph.RelPeer, 1, 2))
-	rib.Add(route("20.0.0.0/8", 1, 0, 0, asgraph.RelPeer, 1, 2))
+	rib := NewRIB([]Route{
+		route("30.0.0.0/8", 1, 0, 0, asgraph.RelPeer, 1, 2),
+		route("10.0.0.0/8", 1, 0, 0, asgraph.RelPeer, 1, 2),
+		route("20.0.0.0/8", 1, 0, 0, asgraph.RelPeer, 1, 2),
+	})
 	ps := rib.Prefixes()
 	for i := 1; i < len(ps); i++ {
 		if ps[i-1].Compare(ps[i]) >= 0 {
@@ -112,9 +114,10 @@ func TestRIBPrefixesSorted(t *testing.T) {
 
 func TestFIBLongestPrefixDisplacement(t *testing.T) {
 	// Figure 2 at the FIB level: a /24 and /16 with different ports.
-	fib := &FIB{}
-	fib.Insert(netaddr.MustParsePrefix("22.33.44.0/24"), Route{NextHop: 5})
-	fib.Insert(netaddr.MustParsePrefix("22.33.0.0/16"), Route{NextHop: 3})
+	fib := NewRIB([]Route{
+		route("22.33.44.0/24", 5, 0, 0, asgraph.RelPeer),
+		route("22.33.0.0/16", 3, 0, 0, asgraph.RelPeer),
+	}).DeriveFIB()
 	p1, _ := fib.Port(netaddr.MustParseAddr("22.33.44.55"))
 	p2, _ := fib.Port(netaddr.MustParseAddr("22.33.88.55"))
 	if p1 != 5 || p2 != 3 {

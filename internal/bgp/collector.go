@@ -177,9 +177,9 @@ func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
 // RIB reads idx, all's index; so does the FIB when c has a route to every
 // origin, and otherwise it indexes its own prefixes.
 func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerOf []int32, idx *netaddr.Trie[int32]) {
-	c.RIB = &RIB{idx: idx, sharedIdx: true, spans: make([]span, len(all)), attrIdx: map[attrSet]int32{}, shared: paths}
-	for _, s := range c.Sessions { // distinct peers: session si gets attribute set si
-		c.RIB.attr(attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel})
+	c.RIB = &RIB{idx: idx, spans: make([]span, len(all)), attrs: make([]attrSet, len(c.Sessions)), paths: paths}
+	for si, s := range c.Sessions { // session si gets attribute set si
+		c.RIB.attrs[si] = attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel}
 	}
 	// The prefixes of one origin have the same candidates, at most one per
 	// session, so the slab holds one run of them per origin. A run is written
@@ -221,7 +221,7 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 	// Entries follow the plan's order and skip only unreachable origins, so a
 	// column with an entry per slot of idx is slot for slot idx's.
 	if len(entries) == idx.Len() {
-		c.FIB = &FIB{idx: idx, entries: entries, rib: c.RIB, shared: true}
+		c.FIB = &FIB{idx: idx, entries: entries, rib: c.RIB}
 	} else {
 		c.FIB = ownFIB(c.RIB, entries)
 	}

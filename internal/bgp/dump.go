@@ -49,10 +49,11 @@ func WriteRIB(w io.Writer, name string, rib *RIB) error {
 	return bw.Flush()
 }
 
-// ReadRIB parses a dump produced by WriteRIB. It tolerates comments and
-// blank lines and validates every field.
+// ReadRIB parses a dump produced by WriteRIB, then builds its RIB with
+// NewRIB, so the lines of one prefix may be anywhere in the dump. It
+// tolerates comments and blank lines and validates every field.
 func ReadRIB(r io.Reader) (*RIB, error) {
-	rib := NewRIB()
+	var routes []Route
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	lineNo := 0
@@ -66,12 +67,12 @@ func ReadRIB(r io.Reader) (*RIB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bgp: line %d: %w", lineNo, err)
 		}
-		rib.Add(rt)
+		routes = append(routes, rt)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("bgp: reading dump: %w", err)
 	}
-	return rib, nil
+	return NewRIB(routes), nil
 }
 
 func parseRouteLine(line string) (Route, error) {

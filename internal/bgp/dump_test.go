@@ -94,8 +94,8 @@ func TestReadRIBErrors(t *testing.T) {
 // FuzzReadRIB holds ReadRIB to checkDump on arbitrary bytes. The committed
 // corpus (testdata/fuzz/FuzzReadRIB) has negative numbers, an AS above 2³¹,
 // two routes from one next hop for one prefix, a comment between routes and
-// prefixes whose lines interleave (A B A C B A), so an Add lands on a run
-// that no longer ends the candidate slab.
+// prefixes whose lines interleave (A B A C B A), which NewRIB must group
+// into a slab of exactly the six rows.
 func FuzzReadRIB(f *testing.F) {
 	f.Add([]byte("# locind-rib v1 name=x prefixes=1 routes=2\n0.42.0.0/16|17|0|1|peer|17 204 298\n0.42.0.0/16|9|0|0|customer|9 298\n"))
 	f.Fuzz(func(t *testing.T, data []byte) { checkDump(t, data) })
@@ -119,8 +119,9 @@ func TestReadRIBMegabyteLine(t *testing.T) {
 // (1) the store hands back, prefix by prefix and in line order, exactly what
 // parseRouteLine made of each line — every field, every path element — so
 // interning attribute sets and paths loses nothing, whatever integers the
-// dump carries; (2) Best and DeriveFIB select what Better selects over those
-// lines; (3) WriteRIB's output reads back and writes the same bytes again.
+// dump carries, in a candidate slab of exactly one entry per line; (2) Best
+// and DeriveFIB select what Better selects over those lines; (3) WriteRIB's
+// output reads back and writes the same bytes again.
 func checkDump(t *testing.T, data []byte) bool {
 	rib, err := ReadRIB(bytes.NewReader(data))
 	if err != nil {
@@ -144,6 +145,9 @@ func checkDump(t *testing.T, data []byte) bool {
 	}
 	if rib.NumPrefixes() != len(want) || rib.NumRoutes() != lines {
 		t.Fatalf("%d prefixes and %d routes stored, %d and %d in the dump", rib.NumPrefixes(), rib.NumRoutes(), len(want), lines)
+	}
+	if !exactSlab(rib, lines) {
+		t.Fatalf("%d lines in a candidate slab of length %d, capacity %d", lines, len(rib.cands), cap(rib.cands))
 	}
 	selected := map[netaddr.Prefix]Route{}
 	for _, e := range fibEntries(rib.DeriveFIB()) {

@@ -10,16 +10,14 @@ import (
 // ports identified by next-hop AS (the paper's §6.2.2 proxy). It is a column
 // of 16-byte entries over a prefix index: idx maps each prefix to its slot in
 // entries, and an entry names its route as a candidate of one store, rib —
-// the collector's RIB for FillCollectors, the deriving RIB for DeriveFIB, a
-// private NewRIB that the first Insert makes for the zero FIB. The FIBs
-// FillCollectors builds over one address plan share one index and keep a
-// column each (DESIGN.md §5); any other FIB owns its index. The zero value
-// is an empty FIB.
+// the collector's RIB for FillCollectors, the deriving RIB for DeriveFIB.
+// The FIBs FillCollectors builds over one address plan share one index and
+// keep a column each (DESIGN.md §5); any other FIB owns its index. A FIB is
+// not changed once built. The zero value is an empty FIB.
 type FIB struct {
-	idx     *netaddr.Trie[int32] // nil until the first Insert
+	idx     *netaddr.Trie[int32] // nil for the zero FIB
 	entries []entry              // one per prefix of idx, by slot
-	rib     *RIB                 // the store the entries name; nil until the first Insert
-	shared  bool                 // other FIBs read idx too: copy it before adding a prefix
+	rib     *RIB                 // the store the entries name; nil for the zero FIB
 }
 
 // entry is one forwarding entry: its prefix and the selected candidate.
@@ -56,41 +54,11 @@ func lookup(idx *netaddr.Trie[int32], a netaddr.Addr) (int32, bool) {
 // DeriveFIB computes the forwarding table: the best candidate per prefix,
 // read through r, on an index of its own with its slots in prefix order.
 // FillCollectors fills its FIBs as it writes the candidates; this is for
-// RIBs that were loaded or fed.
+// RIBs that NewRIB built.
 func (r *RIB) DeriveFIB() *FIB {
 	entries := make([]entry, 0, r.NumPrefixes())
 	r.walk(func(p netaddr.Prefix, cs []cand) { entries = append(entries, entry{p, r.best(p, cs)}) })
 	return ownFIB(r, entries)
-}
-
-// Insert adds or replaces p's forwarding entry, which answers rt with p as
-// its prefix. It writes this FIB's column, and rt's attribute set and path
-// into its store's own tables, never a store candidate; a prefix new to a
-// shared index goes into a copy of it, which this FIB then owns. A
-// replacement reuses the path slot an earlier Insert of p minted, so a
-// stream of replacements grows the store by no more than one slot a prefix.
-func (f *FIB) Insert(p netaddr.Prefix, rt Route) {
-	if f.idx == nil {
-		f.idx, f.rib = &netaddr.Trie[int32]{}, NewRIB()
-	}
-	if slot, ok := f.idx.Get(p); ok {
-		// An own slot that no candidate of p names is one this FIB's Insert
-		// minted: nothing else reads it.
-		old := f.entries[slot].c
-		if old.path < 0 && !slices.ContainsFunc(f.rib.candsOf(p), func(c cand) bool { return c.path == old.path }) {
-			f.rib.own[^old.path] = rt.ASPath
-			f.entries[slot].c.attr = f.rib.attr(attrOf(rt))
-			return
-		}
-		f.entries[slot] = entry{p, f.rib.intern(rt)}
-		return
-	}
-	e := entry{p, f.rib.intern(rt)}
-	if f.shared {
-		f.idx, f.shared = f.idx.Clone(), false
-	}
-	f.idx.Insert(p, int32(len(f.entries)))
-	f.entries = append(f.entries, e)
 }
 
 // Len returns the number of forwarding entries.
@@ -150,8 +118,7 @@ func (f *FIB) Walk(fn func(netaddr.Prefix, Route) bool) {
 
 // FIBSet resolves an address at several FIBs at once: one walk of each
 // distinct prefix index among them, then one entry read per FIB, where asking
-// each FIB would walk its index once per FIB. The set groups its FIBs by
-// index when it is made, so it is made after their last Insert.
+// each FIB would walk its index once per FIB.
 type FIBSet struct {
 	fibs   []*FIB
 	groups []fibGroup

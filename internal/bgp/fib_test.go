@@ -1,9 +1,9 @@
 package bgp
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,145 +31,6 @@ func answers(f *FIB, addrs []netaddr.Addr) []Route {
 	return out
 }
 
-// TestInsertOnSharedIndexStaysPrivate writes to one FIB of a batch build —
-// a replaced route for a prefix of the shared index, then a more-specific
-// and a prefix outside the plan, both new to it — and requires that FIB to
-// answer with its writes and every sibling to answer, walk and count as it
-// did before. Replacing leaves the index shared; adding copies it first.
-// The FIB reads its entries through its collector's RIB, and an Insert
-// stores its route's attributes and path there too: the RIB must dump the
-// same bytes after the Inserts as before.
-func TestInsertOnSharedIndexStaysPrivate(t *testing.T) {
-	g, pt := testInternet(t, 20140817)
-	cols, err := BuildCollectors(g, pt, RouteViewsSpecs(), rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cols[1:] {
-		if !c.FIB.shared || c.FIB.idx != cols[0].FIB.idx {
-			t.Fatalf("%s does not read the fill's shared index", c.Name)
-		}
-	}
-	f := cols[0].FIB
-	addrs := probeAddrs(f)
-	dump := dumpBytes(t, cols[0])
-	type snapshot struct {
-		walk []fibEntry
-		ans  []Route
-		n    int
-	}
-	before := make([]snapshot, len(cols))
-	for i, c := range cols {
-		before[i] = snapshot{fibEntries(c.FIB), answers(c.FIB, addrs), c.FIB.Len()}
-	}
-	siblingsUnchanged := func(step string) {
-		t.Helper()
-		for i, c := range cols[1:] {
-			now := snapshot{fibEntries(c.FIB), answers(c.FIB, addrs), c.FIB.Len()}
-			if !reflect.DeepEqual(now, before[i+1]) {
-				t.Fatalf("after %s on %s, sibling %s answers differently", step, cols[0].Name, c.Name)
-			}
-		}
-	}
-
-	// Replace: the /16 of AS 7 gets another next hop, in f's column only.
-	p16 := pt.All()[14].Prefix
-	if p16.Bits() != 16 {
-		t.Fatalf("plan entry 14 is %v, want AS 7's /16", p16)
-	}
-	replaced := Route{Prefix: p16, NextHop: 99999, ASPath: []int{99999, 7}}
-	f.Insert(p16, replaced)
-	if !f.shared || f.idx != cols[1].FIB.idx {
-		t.Fatal("replacing a route copied the shared index")
-	}
-	if got, _ := f.RouteFor(p16.Nth(4000)); !reflect.DeepEqual(got, replaced) {
-		t.Fatalf("after replace, RouteFor = %v, want %v", got, replaced)
-	}
-	if f.Len() != before[0].n {
-		t.Fatalf("replace changed Len from %d to %d", before[0].n, f.Len())
-	}
-	siblingsUnchanged("replace")
-
-	// Add: a /17 under that /16 and a /8 outside the plan.
-	p17 := netaddr.MakePrefix(p16.Nth(1<<15), 17)
-	p8 := netaddr.MustParsePrefix("250.0.0.0/8")
-	f.Insert(p17, Route{Prefix: p17, NextHop: 88888, ASPath: []int{88888, 7}})
-	if f.shared || f.idx == cols[1].FIB.idx {
-		t.Fatal("adding a prefix did not copy the shared index")
-	}
-	f.Insert(p8, Route{Prefix: p8, NextHop: 77777, ASPath: []int{77777}})
-	siblingsUnchanged("insert")
-	for a, want := range map[netaddr.Addr]int{
-		p16.Nth(4000):                      99999,
-		p17.Nth(3):                         88888,
-		netaddr.MustParseAddr("250.1.2.3"): 77777,
-	} {
-		if got, ok := f.Port(a); !ok || got != want {
-			t.Errorf("%v: port %d, %v; want %d", a, got, ok, want)
-		}
-	}
-	if f.Len() != before[0].n+2 {
-		t.Errorf("Len %d after two new prefixes, want %d", f.Len(), before[0].n+2)
-	}
-	if !bytes.Equal(dumpBytes(t, cols[0]), dump) {
-		t.Fatalf("Inserts into %s's FIB changed its RIB dump", cols[0].Name)
-	}
-	walk := fibEntries(f)
-	if len(walk) != f.Len() {
-		t.Fatalf("Walk visits %d entries, Len is %d", len(walk), f.Len())
-	}
-	for i := 1; i < len(walk); i++ {
-		if walk[i-1].Prefix.Compare(walk[i].Prefix) >= 0 {
-			t.Fatalf("Walk out of prefix order at %v, %v", walk[i-1].Prefix, walk[i].Prefix)
-		}
-	}
-}
-
-// TestInsertReplacementsReuseTheirSlot replaces one prefix's route 10 000
-// times, on a zero FIB and on a batch-built collector FIB, cycling through
-// three next hops and fresh paths. The store behind each FIB may gain one
-// own path slot for the first replacement and none after it; the
-// collector's RIB dumps the same bytes throughout, and RouteFor answers
-// the last route inserted.
-func TestInsertReplacementsReuseTheirSlot(t *testing.T) {
-	g, pt := testInternet(t, 20140817)
-	cols, err := BuildCollectors(g, pt, RouteViewsSpecs(), rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pt.All()[14].Prefix
-	var zero FIB
-	zero.Insert(p, Route{Prefix: p, NextHop: 1, ASPath: []int{1, 7}})
-	for _, tc := range []struct {
-		name string
-		f    *FIB
-		dump func() []byte
-	}{
-		{"zero FIB", &zero, func() []byte { return nil }},
-		{cols[0].Name + "'s FIB", cols[0].FIB, func() []byte { return dumpBytes(t, cols[0]) }},
-	} {
-		f, dump := tc.f, tc.dump()
-		own, attrs := len(f.rib.own), len(f.rib.attrs)
-		var last Route
-		for i := 0; i < 10000; i++ {
-			last = Route{Prefix: p, NextHop: 90000 + i%3, ASPath: []int{90000 + i%3, i, 7}}
-			f.Insert(p, last)
-		}
-		if grew := len(f.rib.own) - own; grew > 1 {
-			t.Errorf("%s: 10000 replacements added %d own path slots, want at most 1", tc.name, grew)
-		}
-		if grew := len(f.rib.attrs) - attrs; grew > 3 {
-			t.Errorf("%s: 10000 replacements over 3 next hops added %d attribute sets", tc.name, grew)
-		}
-		if got, ok := f.RouteFor(p.Nth(4000)); !ok || !reflect.DeepEqual(got, last) {
-			t.Errorf("%s: RouteFor = %v, %v; want the last insert %v", tc.name, got, ok, last)
-		}
-		if !bytes.Equal(tc.dump(), dump) {
-			t.Errorf("%s: replacements changed the RIB dump", tc.name)
-		}
-	}
-}
-
 // TestCollectorMissingAnOriginOwnsItsIndex fills two collectors over three
 // ASes in a peering chain 0 — 1 — 2. A peer route is not re-exported to a
 // peer, so AS 0 has no route to AS 2: the collector fed by AS 1 routes the
@@ -193,10 +54,10 @@ func TestCollectorMissingAnOriginOwnsItsIndex(t *testing.T) {
 	full := &Collector{Name: "full", Sessions: []Session{{PeerAS: 1, Rel: asgraph.RelPeer}}}
 	partial := &Collector{Name: "partial", Sessions: []Session{{PeerAS: 0, Rel: asgraph.RelPeer}}}
 	FillCollectors(g, pt, []*Collector{full, partial})
-	if !full.FIB.shared || full.FIB.Len() != pt.NumPrefixes() {
-		t.Fatalf("full collector: shared %v, %d of %d prefixes", full.FIB.shared, full.FIB.Len(), pt.NumPrefixes())
+	if full.FIB.idx != full.RIB.idx || full.FIB.Len() != pt.NumPrefixes() {
+		t.Fatalf("full collector: %d of %d prefixes, reading the plan's index: %v", full.FIB.Len(), pt.NumPrefixes(), full.FIB.idx == full.RIB.idx)
 	}
-	if partial.FIB.shared || partial.FIB.idx == full.FIB.idx {
+	if partial.FIB.idx == full.FIB.idx {
 		t.Fatal("the collector missing AS 2 reads the plan's index")
 	}
 	if partial.FIB.Len() != 4 || partial.FIB.idx.Len() != 4 {
@@ -240,40 +101,48 @@ func checkSet(t *testing.T, set *FIBSet, fibs []*FIB, addrs []netaddr.Addr) {
 	}
 }
 
-// columnFIB returns the FIB that answers routes[i] at slot i of idx — or, for
-// a nil idx, on an index of its own — read through rib as a batch-built FIB
-// reads its collector's RIB: each route is added to rib as a candidate, and
-// the column names it.
-func columnFIB(rib *RIB, idx *netaddr.Trie[int32], routes []Route) *FIB {
-	entries := make([]entry, len(routes))
-	for i, rt := range routes {
-		rib.Add(rt)
-		cs := rib.candsOf(rt.Prefix)
-		entries[i] = entry{rt.Prefix, cs[len(cs)-1]}
+// columnFIB returns the FIB of rows, read through NewRIB(rows) as a
+// batch-built FIB reads its collector's RIB. When the rows' prefixes are
+// exactly plan's, it is a column on idx, plan's index, slot i selecting
+// plan[i]'s best candidate; otherwise it owns its index, as fill decides
+// for a collector that misses an origin, and is DeriveFIB's.
+func columnFIB(idx *netaddr.Trie[int32], plan []netaddr.Prefix, rows []Route) *FIB {
+	rib := NewRIB(rows)
+	sel := map[netaddr.Prefix]cand{}
+	rib.walk(func(p netaddr.Prefix, cs []cand) { sel[p] = rib.best(p, cs) })
+	if len(sel) != len(plan) {
+		return rib.DeriveFIB()
 	}
-	if idx == nil {
-		return ownFIB(rib, entries)
+	entries := make([]entry, len(plan))
+	for i, p := range plan {
+		c, ok := sel[p]
+		if !ok {
+			return rib.DeriveFIB()
+		}
+		entries[i] = entry{p, c}
 	}
-	return &FIB{idx: idx, entries: entries, rib: rib, shared: true}
+	return &FIB{idx: idx, entries: entries, rib: rib}
 }
 
-// FuzzFIBSet builds one to three FIBs over a random prefix list, each read
-// through a RIB of its own as a batch-built FIB reads its collector's — all
-// but a last one of several on one shared index, that one on its own index
-// over a subset — applies a random script of Inserts into the FIBs and Adds
-// into the RIBs behind them, and requires the set over them to answer each
-// FIB's next hop and path length as its RouteFor does, and each FIB to answer
-// as a linear scan of the prefixes inserted into it (and to walk them in
-// order): an Add to its RIB changes no answer of the FIB.
+// FuzzFIBSet builds one to three FIBs over a random prefix list, each from
+// rows of its own through NewRIB, and requires the set over them to answer
+// each FIB's next hop and path length as its RouteFor does, and each FIB to
+// answer as a linear scan of the best of its rows per prefix (and to walk
+// those prefixes in order). Every FIB but a last one of several starts with
+// one row per prefix of the list, that one with a subset; then a script of
+// ops adds rows. A FIB whose rows cover exactly the list reads the list's
+// shared index, any other owns its index.
 //
 // Encoding: byte 0 gives the FIB count (1 + b%3) and the prefix count
-// (1 + (b>>2)%16); byte 1 is the private FIB's subset mask, prefix i kept
+// (1 + (b>>2)%16); byte 1 is the last FIB's subset mask, prefix i kept
 // when bit i%8 is set; then five bytes per prefix (four octets, a length
-// mod 33); then six bytes per op (a selector, four octets, a length): an
-// Insert into FIB selector%count below 128, an Add into its RIB from 128
-// up. The committed corpus (testdata/fuzz/FuzzFIBSet) has a prefix listed
-// twice, a default route, an Insert onto a sibling's prefix, an Insert of a
-// prefix the shared index lacks and an Add onto a prefix the FIBs hold.
+// mod 33); then six bytes per op (a selector, four octets, a length): one
+// more row for FIB selector%count, whose model for the prefix is Better
+// over its rows in order. The committed corpus (testdata/fuzz/FuzzFIBSet),
+// written when an op below 128 replaced a FIB's route and one from 128 up
+// added a candidate, has a prefix listed twice, a default route, a row onto
+// a sibling's prefix, a row for a prefix the shared index lacks and rows
+// onto prefixes the FIBs hold.
 func FuzzFIBSet(f *testing.F) {
 	f.Add([]byte{
 		0x04, 0x01,
@@ -298,42 +167,36 @@ func FuzzFIBSet(f *testing.F) {
 		mkRoute := func(p netaddr.Prefix, hop int) Route {
 			return Route{Prefix: p, NextHop: hop, MED: hop % 3, ASPath: make([]int, 1+hop%5)}
 		}
-		// models[k] is what FIB k must hold.
-		models := make([]map[netaddr.Prefix]Route, nFIB)
-		fibs, ribs := make([]*FIB, nFIB), make([]*RIB, nFIB)
-		idx := indexOf(len(plan), func(i int) netaddr.Prefix { return plan[i] })
-		for k := range fibs {
+		// rows[k] is FIB k's input, models[k] what it must hold.
+		rows, models := make([][]Route, nFIB), make([]map[netaddr.Prefix]Route, nFIB)
+		add := func(k int, rt Route) {
+			rows[k] = append(rows[k], rt)
+			if best, ok := models[k][rt.Prefix]; !ok || Better(rt, best) {
+				models[k][rt.Prefix] = rt
+			}
+		}
+		for k := range rows {
 			models[k] = map[netaddr.Prefix]Route{}
-			var routes []Route
 			for i, p := range plan {
 				if k == nFIB-1 && nFIB > 1 && mask&(1<<(i%8)) == 0 {
 					continue
 				}
-				rt := mkRoute(p, 1000*k+i)
-				routes = append(routes, rt)
-				models[k][p] = rt
-			}
-			ribs[k] = NewRIB()
-			if k < nFIB-1 || nFIB == 1 {
-				fibs[k] = columnFIB(ribs[k], idx, routes)
-			} else {
-				fibs[k] = columnFIB(ribs[k], nil, routes)
+				add(k, mkRoute(p, 1000*k+i))
 			}
 		}
+		addrPlan := slices.Clone(plan)
 		for op := 0; len(data) >= 6; data, op = data[6:], op+1 {
-			k := int(data[0]) % nFIB
 			p := netaddr.MakePrefix(netaddr.MakeAddr(data[1], data[2], data[3], data[4]), int(data[5])%33)
-			rt := mkRoute(p, 100000+op)
-			if data[0] < 128 {
-				fibs[k].Insert(p, rt)
-				models[k][p] = rt
-			} else {
-				ribs[k].Add(rt)
-			}
-			plan = append(plan, p)
+			add(int(data[0])%nFIB, mkRoute(p, 100000+op))
+			addrPlan = append(addrPlan, p)
+		}
+		idx := indexOf(len(plan), func(i int) netaddr.Prefix { return plan[i] })
+		fibs := make([]*FIB, nFIB)
+		for k := range fibs {
+			fibs[k] = columnFIB(idx, plan, rows[k])
 		}
 		addrs := []netaddr.Addr{0, netaddr.MustParseAddr("255.255.255.255")}
-		for _, p := range plan {
+		for _, p := range addrPlan {
 			last := p.Nth(p.NumAddrs() - 1)
 			addrs = append(addrs, p.Addr(), last, p.Addr()^1, last+1)
 		}
@@ -383,9 +246,9 @@ func nextHopDegreeByRoute(f *FIB) int {
 
 // TestNextHopDegreeMatchesByRouteOracle holds NextHopDegree, which counts
 // the next hops of the attribute sets a column names, to a count over its
-// routes: on all 25 collectors of three internets, and on an Insert-built
-// FIB whose column names two attribute sets with one next hop at different
-// MEDs and whose store keeps an attribute set that a replaced entry named.
+// routes: on all 25 collectors of three internets, and on a derived FIB
+// whose column names two attribute sets with one next hop at different MEDs
+// and whose store keeps an attribute set that only a losing candidate names.
 func TestNextHopDegreeMatchesByRouteOracle(t *testing.T) {
 	specs := append(RouteViewsSpecs(), RIPESpecs()...)
 	for _, seed := range []int64{20140817, 7, 424242} {
@@ -400,15 +263,16 @@ func TestNextHopDegreeMatchesByRouteOracle(t *testing.T) {
 			}
 		}
 	}
-	f := &FIB{}
-	if got := f.NextHopDegree(); got != 0 {
+	if got := (&FIB{}).NextHopDegree(); got != 0 {
 		t.Fatalf("empty FIB: NextHopDegree %d", got)
 	}
-	f.Insert(netaddr.MustParsePrefix("10.0.0.0/8"), Route{NextHop: 5, MED: 0, ASPath: []int{5, 9}})
-	f.Insert(netaddr.MustParsePrefix("11.0.0.0/8"), Route{NextHop: 5, MED: 1, ASPath: []int{5, 9}})
-	f.Insert(netaddr.MustParsePrefix("12.0.0.0/8"), Route{NextHop: 4, ASPath: []int{4}})
-	f.Insert(netaddr.MustParsePrefix("12.0.0.0/8"), Route{NextHop: 3, ASPath: []int{3}})
+	f := NewRIB([]Route{
+		route("10.0.0.0/8", 5, 0, 0, asgraph.RelCustomer, 5, 9),
+		route("11.0.0.0/8", 5, 0, 1, asgraph.RelCustomer, 5, 9),
+		route("12.0.0.0/8", 4, 0, 0, asgraph.RelCustomer, 4),
+		route("12.0.0.0/8", 3, 0, 0, asgraph.RelCustomer, 3),
+	}).DeriveFIB()
 	if got, want := f.NextHopDegree(), nextHopDegreeByRoute(f); got != want || want != 2 {
-		t.Fatalf("Insert-built FIB: NextHopDegree %d, the routes have %d next hops, want 2", got, want)
+		t.Fatalf("derived FIB: NextHopDegree %d, the routes have %d next hops, want 2", got, want)
 	}
 }

@@ -65,18 +65,15 @@ func TestFIBSetOnEveryCollector(t *testing.T) {
 			t.Fatalf("seed %d: the %d collectors make %d index walks per address, want 1", seed, len(cols), n)
 		}
 		// DeriveFIB lays out its slots in prefix order, which is the plan's
-		// order too: the private member takes its entries in reverse, so
-		// that no slot of it is the shared index's.
+		// order too: the private member is derived from a collector's
+		// selected routes less the first, so that each slot of it is one off
+		// the shared index's.
 		var entries []bgp.Route
 		derived[5].Walk(func(_ netaddr.Prefix, rt bgp.Route) bool {
 			entries = append(entries, rt)
 			return true
 		})
-		reversed := &bgp.FIB{}
-		for i := len(entries) - 1; i >= 0; i-- {
-			reversed.Insert(entries[i].Prefix, entries[i])
-		}
-		mixedFIBs := []*bgp.FIB{fibs[0], reversed, fibs[11]}
+		mixedFIBs := []*bgp.FIB{fibs[0], bgp.NewRIB(entries[1:]).DeriveFIB(), fibs[11]}
 		mixed := bgp.NewFIBSet(mixedFIBs)
 		if n := bgp.IndexWalks(mixed); n != 2 {
 			t.Fatalf("seed %d: the mixed set makes %d index walks per address, want 2", seed, n)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -13,40 +12,41 @@ import (
 )
 
 // buildCollectorsByRoute is the build BuildCollectors replaced, kept as its
-// oracle: collector → session → prefix, one public RIB.Add per route, a
-// fresh RoutesTo and a fresh path per (origin, session), the FIB derived
-// afterwards. It draws from rng exactly as BuildCollectors does. Because it
-// goes through Add, the one test below holds the batch store (session
-// attribute table, shared path table, fused best selection) and the
-// interning store (attribute map, own paths, DeriveFIB) to the same answer.
-func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, error) {
+// oracle: origin → collector → session → prefix, a fresh RoutesTo and a fresh
+// path per (origin, session), each collector's rows handed to the public
+// NewRIB and the FIB derived afterwards. An origin's /16 and /24 rows
+// alternate, so NewRIB groups interleaved rows. It draws from rng exactly as
+// BuildCollectors does. The one test below holds the batch store (session
+// attribute table, shared path table, fused best selection) and NewRIB
+// (attribute map, one path chunk, DeriveFIB) to the same answer.
+func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng *rand.Rand) ([]*Collector, [][]Route, error) {
 	cols := make([]*Collector, 0, len(specs))
 	for _, spec := range specs {
 		c, err := NewCollector(g, spec, rng)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		c.RIB = NewRIB()
 		cols = append(cols, c)
 	}
 	byOrigin := map[int][]PrefixOrigin{}
 	for _, po := range pt.All() {
 		byOrigin[po.Origin] = append(byOrigin[po.Origin], po)
 	}
+	rows := make([][]Route, len(cols))
 	for origin := 0; origin < g.N(); origin++ {
 		pos := byOrigin[origin]
 		if len(pos) == 0 {
 			continue
 		}
 		rt := g.RoutesTo(origin)
-		for _, c := range cols {
+		for ci, c := range cols {
 			for _, s := range c.Sessions {
 				path := rt.Path(s.PeerAS)
 				if path == nil {
 					continue
 				}
 				for _, po := range pos {
-					c.RIB.Add(Route{
+					rows[ci] = append(rows[ci], Route{
 						Prefix:  po.Prefix,
 						NextHop: s.PeerAS,
 						MED:     s.MED,
@@ -57,23 +57,50 @@ func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng
 			}
 		}
 	}
-	for _, c := range cols {
+	for ci, c := range cols {
+		c.RIB = NewRIB(rows[ci])
 		c.FIB = c.RIB.DeriveFIB()
 	}
-	return cols, nil
+	return cols, rows, nil
+}
+
+// candsOf returns p's candidates, nil if it has none: a walk of the index up
+// to p, which only tests need.
+func (r *RIB) candsOf(p netaddr.Prefix) []cand {
+	var cs []cand
+	r.idx.Walk(func(q netaddr.Prefix, slot int32) bool {
+		if q == p {
+			s := r.spans[slot]
+			cs = r.cands[s.lo:s.hi]
+		}
+		return q.Compare(p) < 0
+	})
+	return cs
 }
 
 // Routes returns the candidate routes for prefix p in the order they were
-// added (nil if none). The slice is materialised for the caller and is its
+// given (nil if none). The slice is materialised for the caller and is its
 // own; each ASPath is a view of the RIB's path store and must not be modified.
-// Routes, Prefixes and Best live here because only the comparisons in this
-// package's tests read a RIB prefix by prefix: production goes through
-// WriteRIB and the FIB.
+// Routes, Prefixes, Best and candidates live here because only the
+// comparisons in this package's tests read a RIB prefix by prefix:
+// production goes through WriteRIB and the FIB.
 func (r *RIB) Routes(p netaddr.Prefix) []Route {
 	var rs []Route
 	for _, c := range r.candsOf(p) {
 		rs = append(rs, r.route(p, c))
 	}
+	return rs
+}
+
+// candidates returns every candidate route of r: prefix by prefix in Compare
+// order, each prefix's in their stored order.
+func (r *RIB) candidates() []Route {
+	var rs []Route
+	r.walk(func(p netaddr.Prefix, cs []cand) {
+		for _, c := range cs {
+			rs = append(rs, r.route(p, c))
+		}
+	})
 	return rs
 }
 
@@ -94,6 +121,10 @@ func (r *RIB) Best(p netaddr.Prefix) (Route, bool) {
 	return r.route(p, r.best(p, cs)), true
 }
 
+// exactSlab reports whether r's candidate slab holds exactly rows
+// candidates, with no spare capacity.
+func exactSlab(r *RIB, rows int) bool { return len(r.cands) == rows && cap(r.cands) == rows }
+
 type fibEntry struct {
 	Prefix netaddr.Prefix
 	Route  Route
@@ -111,7 +142,8 @@ func fibEntries(f *FIB) []fibEntry {
 // TestBuildCollectorsMatchesByRouteOracle builds all 25 collectors both
 // ways on three internets and requires the same sessions, the same
 // candidates in the same order for every prefix, the same FIB walk, and a
-// byte-identical RIB dump.
+// byte-identical RIB dump. Each oracle RIB's slab must be exactly its
+// interleaved rows.
 func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 	specs := append(RouteViewsSpecs(), RIPESpecs()...)
 	for _, seed := range []int64{20140817, 7, 424242} {
@@ -120,7 +152,7 @@ func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := buildCollectorsByRoute(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+		want, rows, err := buildCollectorsByRoute(g, pt, specs, rand.New(rand.NewSource(seed+100)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,14 +161,19 @@ func TestBuildCollectorsMatchesByRouteOracle(t *testing.T) {
 			if c.Name != w.Name || c.HostAS != w.HostAS || !reflect.DeepEqual(c.Sessions, w.Sessions) {
 				t.Fatalf("seed %d: collector %s: identity or sessions differ from the oracle", seed, w.Name)
 			}
+			if !exactSlab(w.RIB, len(rows[i])) {
+				t.Fatalf("seed %d: %s: %d rows in a slab of length %d, capacity %d", seed, w.Name, len(rows[i]), len(w.RIB.cands), cap(w.RIB.cands))
+			}
 			if c.RIB.NumPrefixes() != w.RIB.NumPrefixes() {
 				t.Fatalf("seed %d: %s: %d RIB prefixes, oracle has %d", seed, w.Name, c.RIB.NumPrefixes(), w.RIB.NumPrefixes())
 			}
-			for _, p := range w.RIB.Prefixes() {
-				if !reflect.DeepEqual(c.RIB.Routes(p), w.RIB.Routes(p)) {
-					t.Fatalf("seed %d: %s: candidates for %v differ from the oracle\n got %v\nwant %v",
-						seed, w.Name, p, c.RIB.Routes(p), w.RIB.Routes(p))
+			if gc, wc := c.RIB.candidates(), w.RIB.candidates(); !reflect.DeepEqual(gc, wc) {
+				for j := range wc {
+					if j >= len(gc) || !reflect.DeepEqual(gc[j], wc[j]) {
+						t.Fatalf("seed %d: %s: candidate %d of %d differs from the oracle's %v", seed, w.Name, j, len(wc), wc[j])
+					}
 				}
+				t.Fatalf("seed %d: %s: %d candidates, the oracle has %d", seed, w.Name, len(gc), len(wc))
 			}
 			if !reflect.DeepEqual(fibEntries(c.FIB), fibEntries(w.FIB)) {
 				t.Fatalf("seed %d: %s: FIB walk differs from the oracle", seed, w.Name)
@@ -170,22 +207,20 @@ func TestBuildCollectorsSameAtAnyGOMAXPROCS(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range got {
-				for _, e := range fibEntries(c.FIB) {
-					if best, _ := c.RIB.Best(e.Prefix); !reflect.DeepEqual(e.Route, best) {
-						t.Fatalf("seed %d, GOMAXPROCS %d: %s forwards %v by %v, its candidates select %v", seed, procs, c.Name, e.Prefix, e.Route, best)
-					}
+				if !reflect.DeepEqual(fibEntries(c.FIB), fibEntries(c.RIB.DeriveFIB())) {
+					t.Fatalf("seed %d, GOMAXPROCS %d: %s forwards otherwise than its candidates select", seed, procs, c.Name)
 				}
 			}
 			if want == nil {
 				want = got
 				continue
 			}
-			if !reflect.DeepEqual(got[0].RIB.shared, want[0].RIB.shared) {
+			if !reflect.DeepEqual(got[0].RIB.paths, want[0].RIB.paths) {
 				t.Fatalf("seed %d: path table at GOMAXPROCS %d differs from GOMAXPROCS 1", seed, procs)
 			}
 			for i, w := range want {
 				c := got[i]
-				if c.RIB.shared != got[0].RIB.shared {
+				if c.RIB.paths != got[0].RIB.paths {
 					t.Fatalf("seed %d, GOMAXPROCS %d: %s reads a path table of its own", seed, procs, c.Name)
 				}
 				if !bytes.Equal(dumpBytes(t, c), dumpBytes(t, w)) {
@@ -264,87 +299,4 @@ func dumpBytes(t *testing.T, c *Collector) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
-}
-
-// TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone adds a route for one
-// prefix of a batch-built RIB and requires every other prefix's candidates
-// to stay as they were — first for the /16 of one origin alone, whose /24
-// shares its run of candidates, then for every prefix in turn, each with a
-// route of its own. The batch build packs one run per origin into one slab
-// and spans it from each prefix of the origin; an Add appended in place to a
-// run that does not end the slab would write over the next origin's first
-// candidate, or show one prefix's route in its sibling's. Last comes a
-// prefix the plan lacks, which goes into a copy of the plan's index. The
-// RIB's own FIB, which reads its entries through the RIB, must walk as
-// before. The other collector of the build — which reads the same path table
-// and the same prefix index — must dump the same bytes, walk the same FIB
-// and index as many prefixes as before.
-func TestRIBAddOnBatchBuiltRIBLeavesNeighboursAlone(t *testing.T) {
-	g, pt := testInternet(t, 4)
-	cols, err := BuildCollectors(g, pt, RouteViewsSpecs()[:2], rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rib, other := cols[0].RIB, cols[1]
-	if rib.idx != other.RIB.idx || rib.idx != other.FIB.idx {
-		t.Fatalf("%s and %s do not read the fill's one prefix index", cols[0].Name, other.Name)
-	}
-	ownWalk, otherDump, otherFIB := fibEntries(cols[0].FIB), dumpBytes(t, other), fibEntries(other.FIB)
-	otherLen := other.RIB.idx.Len()
-	before := map[netaddr.Prefix][]Route{}
-	for _, p := range rib.Prefixes() {
-		before[p] = rib.Routes(p)
-	}
-	added := map[netaddr.Prefix][]Route{}
-	add := func(p netaddr.Prefix, hop int) {
-		rt := Route{Prefix: p, NextHop: hop, ASPath: []int{hop}, Rel: asgraph.RelProvider}
-		rib.Add(rt)
-		added[p] = append(added[p], rt)
-	}
-	check := func(step string) {
-		t.Helper()
-		for p, want := range before {
-			if got := rib.Routes(p); !reflect.DeepEqual(got, append(slices.Clone(want), added[p]...)) {
-				t.Fatalf("after %s: candidates of %v are\n %v\nwant %v + %v", step, p, got, want, added[p])
-			}
-		}
-	}
-	p16, p24 := pt.All()[6].Prefix, pt.All()[7].Prefix // AS 3's, not the last origin
-	if p16.Bits() != 16 || p24.Bits() != 24 || !p16.Contains(p24.Addr()) {
-		t.Fatalf("plan entries 6 and 7 are %v and %v, want one origin's /16 and /24", p16, p24)
-	}
-	add(p16, -6)
-	check("an Add on the /16 of " + p16.String())
-	for i, p := range rib.Prefixes() {
-		add(p, -7-i)
-	}
-	check("an Add on every prefix")
-	p8 := netaddr.MustParsePrefix("250.0.0.0/8")
-	n := rib.NumPrefixes()
-	add(p8, -5)
-	check("an Add of " + p8.String() + ", new to the plan")
-	if got := rib.Routes(p8); !reflect.DeepEqual(got, added[p8]) || rib.NumPrefixes() != n+1 {
-		t.Fatalf("after an Add of %v: its candidates are %v over %d prefixes, want %v over %d", p8, got, rib.NumPrefixes(), added[p8], n+1)
-	}
-	if l := other.RIB.idx.Len(); l != otherLen || other.FIB.idx.Len() != otherLen {
-		t.Fatalf("%s: its RIB and FIB index %d and %d prefixes after %s's Add of a new one, want %d",
-			other.Name, l, other.FIB.idx.Len(), cols[0].Name, otherLen)
-	}
-	if !reflect.DeepEqual(fibEntries(cols[0].FIB), ownWalk) {
-		t.Fatalf("%s: FIB walk changed under writes to its RIB", cols[0].Name)
-	}
-	if !bytes.Equal(dumpBytes(t, other), otherDump) {
-		t.Fatalf("%s: dump changed under writes to %s's RIB", other.Name, cols[0].Name)
-	}
-	if !reflect.DeepEqual(fibEntries(other.FIB), otherFIB) {
-		t.Fatalf("%s: FIB walk changed under writes to %s's RIB", other.Name, cols[0].Name)
-	}
-	// The other collector can take writes of its own without seeing these.
-	for _, p := range other.RIB.Prefixes()[:3] {
-		n := len(other.RIB.Routes(p))
-		other.RIB.Add(Route{Prefix: p, NextHop: -8, ASPath: []int{-8}, Rel: asgraph.RelProvider})
-		if got := other.RIB.Routes(p); len(got) != n+1 || !reflect.DeepEqual(got[n].ASPath, []int{-8}) {
-			t.Fatalf("%s: Add after the neighbour's writes stored %v", other.Name, got)
-		}
-	}
 }

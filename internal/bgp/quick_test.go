@@ -3,6 +3,7 @@ package bgp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -77,19 +78,18 @@ func TestBetterIsStrictTotalOrder(t *testing.T) {
 
 // Property: RIB.Best returns a route no other candidate beats, and
 // DeriveFIB's entry for each prefix is that best route's next hop,
-// independent of insertion order.
+// independent of the routes' order.
 func TestBestIsUndominated(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rib := NewRIB()
 		prefix := netaddr.MustParsePrefix("10.1.0.0/16")
 		count := int(n%12) + 1
 		routes := make([]Route, count)
 		for i := range routes {
 			routes[i] = randRoute(rng)
 			routes[i].Prefix = prefix
-			rib.Add(routes[i])
 		}
+		rib := NewRIB(routes)
 		best, ok := rib.Best(prefix)
 		if !ok {
 			return false
@@ -104,12 +104,9 @@ func TestBestIsUndominated(t *testing.T) {
 		if !ok || port != best.NextHop {
 			return false
 		}
-		// Insertion order must not matter.
-		rib2 := NewRIB()
-		for i := len(routes) - 1; i >= 0; i-- {
-			rib2.Add(routes[i])
-		}
-		best2, _ := rib2.Best(prefix)
+		// The order of the routes must not matter.
+		slices.Reverse(routes)
+		best2, _ := NewRIB(routes).Best(prefix)
 		return rankKey(best) == rankKey(best2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

@@ -8,6 +8,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 
 	"locind/internal/asgraph"
 	"locind/internal/netaddr"
@@ -72,17 +73,14 @@ func Better(a, b Route) bool {
 // slot's span is its run of the slab. The RIBs FillCollectors builds over one
 // address plan share the plan's index (slot i is the plan's prefix i, both
 // prefixes of an origin span the origin's one run, and an unreachable
-// origin's slots span nothing); a RIB that Adds a prefix new to a shared
-// index copies it first.
+// origin's slots span nothing); NewRIB builds any other. A RIB is not
+// changed once built.
 type RIB struct {
-	idx       *netaddr.Trie[int32] // prefix -> slot
-	spans     []span               // slot -> cands[lo:hi]; empty for a prefix with no route
-	cands     []cand
-	sharedIdx bool      // other RIBs and FIBs read idx too: copy it before adding a prefix
-	attrs     []attrSet // this RIB's own; one entry per session after a batch build
-	attrIdx   map[attrSet]int32
-	shared    *pathTable // the batch build's paths; other collectors read it, Add never writes it
-	own       [][]int    // paths that arrived through Add; candidates name slot k as ^k
+	idx   *netaddr.Trie[int32] // prefix -> slot
+	spans []span               // slot -> cands[lo:hi]; empty for a prefix with no route
+	cands []cand
+	attrs []attrSet  // one entry per session after a batch build
+	paths *pathTable // for a batch build, shared with the other collectors of the build
 }
 
 // span is one slot's run of the candidate slab, cands[lo:hi].
@@ -101,11 +99,12 @@ type attrSet struct {
 // attrOf is rt's attribute set.
 func attrOf(rt Route) attrSet { return attrSet{rt.NextHop, rt.LocalPref, rt.MED, rt.Rel} }
 
-// pathTable is the AS-path store the collectors of one BuildCollectors call
-// share. The paths of one origin lie back to back in one exactly-sized chunk:
-// path i is chunks[i/stride][off[i]:off[i+1]], empty where the peer has no
-// route. A chunk is never grown once a slice of it is out, so a Route that
-// outlives the build pins its origin's chunk and nothing else.
+// pathTable is an AS-path store: the collectors of one BuildCollectors call
+// share one, and NewRIB makes one of a single chunk. The paths of one origin
+// lie back to back in one exactly-sized chunk: path i is
+// chunks[i/stride][off[i]:off[i+1]], empty where the peer has no route. A
+// chunk is never grown once a slice of it is out, so a Route that outlives
+// the build pins its origin's chunk and nothing else.
 type pathTable struct {
 	stride int // offsets per chunk: one per peer, plus the chunk's end
 	off    []int32
@@ -134,85 +133,53 @@ func (t *pathTable) at(i int32) []int {
 	return t.chunks[int(i)/t.stride][lo:hi:hi]
 }
 
-// NewRIB returns an empty RIB.
-func NewRIB() *RIB { return &RIB{idx: &netaddr.Trie[int32]{}, attrIdx: map[attrSet]int32{}} }
+// NewRIB builds the RIB whose candidates are routes: grouped by prefix, each
+// prefix's in their order in routes, with slots in prefix order. The paths
+// are copied back to back into one chunk, and equal attribute sets are
+// stored once.
+func NewRIB(routes []Route) *RIB {
+	rs := slices.Clone(routes)
+	slices.SortStableFunc(rs, func(a, b Route) int { return a.Prefix.Compare(b.Prefix) })
+	need := 0
+	for _, rt := range rs {
+		need += len(rt.ASPath)
+	}
+	r := &RIB{cands: make([]cand, len(rs)), paths: &pathTable{stride: len(rs) + 1, off: make([]int32, len(rs)+1)}}
+	chunk := make([]int, 0, need)
+	var prefixes []netaddr.Prefix
+	attrIdx := map[attrSet]int32{}
+	for i, rt := range rs {
+		if i == 0 || rt.Prefix != rs[i-1].Prefix {
+			prefixes = append(prefixes, rt.Prefix)
+			r.spans = append(r.spans, span{int32(i), int32(i)})
+		}
+		r.spans[len(r.spans)-1].hi++
+		at := attrOf(rt)
+		a, ok := attrIdx[at]
+		if !ok {
+			a = int32(len(r.attrs))
+			attrIdx[at] = a
+			r.attrs = append(r.attrs, at)
+		}
+		r.cands[i] = cand{attr: a, path: int32(i)}
+		chunk = append(chunk, rt.ASPath...)
+		r.paths.off[i+1] = int32(len(chunk))
+	}
+	r.paths.chunks = [][]int{chunk}
+	r.idx = indexOf(len(prefixes), func(i int) netaddr.Prefix { return prefixes[i] })
+	return r
+}
 
 // route materialises a stored candidate of prefix p. Its ASPath is a view of
-// the shared table or the slice Add was given, so this allocates nothing.
+// the path table, so this allocates nothing.
 func (r *RIB) route(p netaddr.Prefix, c cand) Route {
 	a := r.attrs[c.attr]
-	rt := Route{Prefix: p, NextHop: a.NextHop, LocalPref: a.LocalPref, MED: a.MED, Rel: a.Rel}
-	if c.path < 0 {
-		rt.ASPath = r.own[^c.path]
-	} else {
-		rt.ASPath = r.shared.at(c.path)
-	}
-	return rt
+	return Route{Prefix: p, NextHop: a.NextHop, LocalPref: a.LocalPref, MED: a.MED, Rel: a.Rel, ASPath: r.paths.at(c.path)}
 }
 
-// attr interns a in the RIB's attribute table.
-func (r *RIB) attr(a attrSet) int32 {
-	i, ok := r.attrIdx[a]
-	if !ok {
-		i = int32(len(r.attrs))
-		r.attrs = append(r.attrs, a)
-		r.attrIdx[a] = i
-	}
-	return i
-}
-
-// pathLen is route(p, c).PathLen() without the route; no candidate names an
-// empty path of the shared table.
+// pathLen is route(p, c).PathLen() without the route.
 func (r *RIB) pathLen(c cand) int {
-	if c.path >= 0 {
-		return int(r.shared.off[c.path+1]-r.shared.off[c.path]) - 1
-	}
-	return max(len(r.own[^c.path])-1, 0)
-}
-
-// intern stores rt's attribute set and path in the RIB's own tables, never in
-// the path table it shares with other collectors, and returns the candidate
-// that names them.
-func (r *RIB) intern(rt Route) cand {
-	c := cand{attr: r.attr(attrOf(rt)), path: ^int32(len(r.own))}
-	r.own = append(r.own, rt.ASPath)
-	return c
-}
-
-// Add inserts a candidate route after the others of its prefix. A prefix new
-// to the index gets a slot. The route goes in place when the prefix's run
-// ends the slab (it always does while routes come grouped by prefix, as a
-// dump's do); otherwise the run moves to the slab's end first, so no other
-// slot's run sees the write.
-func (r *RIB) Add(rt Route) {
-	c := r.intern(rt)
-	slot, ok := r.idx.Get(rt.Prefix)
-	if !ok {
-		if r.sharedIdx {
-			r.idx, r.sharedIdx = r.idx.Clone(), false
-		}
-		slot = int32(len(r.spans))
-		r.idx.Insert(rt.Prefix, slot)
-		r.spans = append(r.spans, span{int32(len(r.cands)), int32(len(r.cands))})
-	}
-	s := &r.spans[slot]
-	if int(s.hi) != len(r.cands) {
-		lo := int32(len(r.cands))
-		r.cands = append(r.cands, r.cands[s.lo:s.hi]...)
-		*s = span{lo, int32(len(r.cands))}
-	}
-	r.cands = append(r.cands, c)
-	s.hi++
-}
-
-// candsOf returns p's candidates, nil if it has none.
-func (r *RIB) candsOf(p netaddr.Prefix) []cand {
-	slot, ok := r.idx.Get(p)
-	if !ok {
-		return nil
-	}
-	s := r.spans[slot]
-	return r.cands[s.lo:s.hi]
+	return max(int(r.paths.off[c.path+1]-r.paths.off[c.path])-1, 0)
 }
 
 // walk calls fn with every prefix that has a route and its candidates, in

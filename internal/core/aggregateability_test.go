@@ -74,7 +74,7 @@ func TestAggregateabilityPerRouterRandomNames(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		fibs := make([]*bgp.FIB, 1+rng.Intn(3))
 		for k := range fibs {
-			fibs[k] = &bgp.FIB{}
+			var routes []bgp.Route
 			for i := 0; i < 4; i++ {
 				if rng.Intn(4) == 0 {
 					continue // a prefix this router has no route for
@@ -83,8 +83,9 @@ func TestAggregateabilityPerRouterRandomNames(t *testing.T) {
 				port := rng.Intn(3)
 				path := make([]int, 1+rng.Intn(3))
 				path[0] = port
-				fibs[k].Insert(p, bgp.Route{Prefix: p, NextHop: port, ASPath: path})
+				routes = append(routes, bgp.Route{Prefix: p, NextHop: port, ASPath: path})
 			}
+			fibs[k] = bgp.NewRIB(routes).DeriveFIB()
 		}
 		sets := map[names.Name][]netaddr.Addr{}
 		for i := rng.Intn(30); i >= 0; i-- {

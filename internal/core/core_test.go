@@ -13,12 +13,11 @@ import (
 
 // fakeRouter is a hand-built FIB for unit tests.
 func fakeRouter(entries map[string]int) *bgp.FIB {
-	f := &bgp.FIB{}
+	var routes []bgp.Route
 	for p, port := range entries {
-		prefix := netaddr.MustParsePrefix(p)
-		f.Insert(prefix, bgp.Route{Prefix: prefix, NextHop: port, ASPath: []int{port, 999}})
+		routes = append(routes, bgp.Route{Prefix: netaddr.MustParsePrefix(p), NextHop: port, ASPath: []int{port, 999}})
 	}
-	return f
+	return bgp.NewRIB(routes).DeriveFIB()
 }
 
 // fakeRouterWithLens builds a FIB whose routes have chosen AS-path lengths.
@@ -26,14 +25,13 @@ func fakeRouterWithLens(entries map[string]struct {
 	Port int
 	Len  int
 }) *bgp.FIB {
-	f := &bgp.FIB{}
+	var routes []bgp.Route
 	for p, e := range entries {
-		prefix := netaddr.MustParsePrefix(p)
 		path := make([]int, e.Len+1)
 		path[0] = e.Port
-		f.Insert(prefix, bgp.Route{Prefix: prefix, NextHop: e.Port, ASPath: path})
+		routes = append(routes, bgp.Route{Prefix: netaddr.MustParsePrefix(p), NextHop: e.Port, ASPath: path})
 	}
-	return f
+	return bgp.NewRIB(routes).DeriveFIB()
 }
 
 func TestDisplacedPaperExample(t *testing.T) {

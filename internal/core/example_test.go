@@ -11,9 +11,10 @@ import (
 
 // The §3.1 displacement test on the Figure 2 router.
 func ExampleDisplaced() {
-	fib := &bgp.FIB{}
-	fib.Insert(netaddr.MustParsePrefix("22.33.44.0/24"), bgp.Route{NextHop: 5, ASPath: []int{5, 9}})
-	fib.Insert(netaddr.MustParsePrefix("22.33.0.0/16"), bgp.Route{NextHop: 3, ASPath: []int{3, 9}})
+	fib := bgp.NewRIB([]bgp.Route{
+		{Prefix: netaddr.MustParsePrefix("22.33.44.0/24"), NextHop: 5, ASPath: []int{5, 9}},
+		{Prefix: netaddr.MustParsePrefix("22.33.0.0/16"), NextHop: 3, ASPath: []int{3, 9}},
+	}).DeriveFIB()
 
 	fmt.Println(core.Displaced(fib,
 		netaddr.MustParseAddr("22.33.44.55"), netaddr.MustParseAddr("22.33.88.55")))
@@ -27,9 +28,10 @@ func ExampleDisplaced() {
 // The §3.3.1 update-cost definitions: losing a far replica updates
 // controlled flooding but not best-port.
 func ExampleContentUpdated() {
-	fib := &bgp.FIB{}
-	fib.Insert(netaddr.MustParsePrefix("10.0.0.0/16"), bgp.Route{NextHop: 1, ASPath: []int{1, 9}})
-	fib.Insert(netaddr.MustParsePrefix("20.0.0.0/16"), bgp.Route{NextHop: 2, ASPath: []int{2, 8, 9}})
+	fib := bgp.NewRIB([]bgp.Route{
+		{Prefix: netaddr.MustParsePrefix("10.0.0.0/16"), NextHop: 1, ASPath: []int{1, 9}},
+		{Prefix: netaddr.MustParsePrefix("20.0.0.0/16"), NextHop: 2, ASPath: []int{2, 8, 9}},
+	}).DeriveFIB()
 
 	near := netaddr.MustParseAddr("10.0.0.1")
 	far := netaddr.MustParseAddr("20.0.0.1")

@@ -20,9 +20,9 @@ type fibAndAddrs struct {
 
 // Generate implements quick.Generator.
 func (fibAndAddrs) Generate(rng *rand.Rand, _ int) reflect.Value {
-	fib := &bgp.FIB{}
 	nPrefixes := 2 + rng.Intn(8)
 	prefixes := make([]netaddr.Prefix, 0, nPrefixes)
+	routes := make([]bgp.Route, 0, nPrefixes)
 	for i := 0; i < nPrefixes; i++ {
 		p := netaddr.MakePrefix(netaddr.MakeAddr(byte(10+i), 0, 0, 0), 16)
 		prefixes = append(prefixes, p)
@@ -30,8 +30,9 @@ func (fibAndAddrs) Generate(rng *rand.Rand, _ int) reflect.Value {
 		path := make([]int, pathLen+1)
 		port := rng.Intn(5)
 		path[0] = port
-		fib.Insert(p, bgp.Route{Prefix: p, NextHop: port, ASPath: path})
+		routes = append(routes, bgp.Route{Prefix: p, NextHop: port, ASPath: path})
 	}
+	fib := bgp.NewRIB(routes).DeriveFIB()
 	draw := func() []netaddr.Addr {
 		n := rng.Intn(6)
 		out := make([]netaddr.Addr, 0, n)

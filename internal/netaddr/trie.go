@@ -1,7 +1,5 @@
 package netaddr
 
-import "slices"
-
 // Trie is a binary radix trie mapping IPv4 prefixes to values of type V. It
 // supports exact insertion/removal, longest-prefix-match lookup, and ordered
 // walks. The zero value is an empty trie ready for use.
@@ -105,22 +103,6 @@ func (t *Trie[V]) find(p Prefix) (int32, bool) {
 		}
 	}
 	return n, true
-}
-
-// Get returns the value stored for exactly p, with no longest-prefix
-// fallback.
-func (t *Trie[V]) Get(p Prefix) (V, bool) {
-	n, ok := t.find(p)
-	if !ok || t.nodes[n].val == 0 {
-		var zero V
-		return zero, false
-	}
-	return t.vals[t.nodes[n].val-1], true
-}
-
-// Clone returns a copy of t that shares no storage with it.
-func (t *Trie[V]) Clone() *Trie[V] {
-	return &Trie[V]{nodes: slices.Clone(t.nodes), vals: slices.Clone(t.vals), free: slices.Clone(t.free)}
 }
 
 // Remove deletes the exact prefix p, reporting whether it was present. The
