@@ -19,9 +19,10 @@ race:
 # lint gates what CI's Vet and Lint steps gate. go vet comes first: its
 # copylocks pass is the one check that no lock is copied by value.
 # lintlocind's reach check holds the rule DESIGN.md §7 states: a declaration
-# in a non-test file exists because a binary reaches it, or because another
-# package's tests need it and cannot get it any other way. A package nothing
-# links is a package with no reachable declaration, so it is caught there too.
+# in a non-test file exists because a binary outside examples/ reaches it, or
+# because another package's tests need it and cannot get it any other way; an
+# example only uses what such a binary keeps. A package nothing links is a
+# package with no reachable declaration, so it is caught there too.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lintlocind ./...

@@ -2,15 +2,16 @@
 //
 // It synthesizes the content namespace (popular domains with subdomains and
 // CDN delegation, plus the unpopular long tail), simulates three weeks of
-// hourly Addrs(d, t) timelines, and prints Figures 11(a)-(c) and 12 along
-// with the §3.3.3 forwarding-strategy ablation.
+// hourly Addrs(d, t) timelines, and runs locind's fig11a, fig11b, fig11c,
+// fig12 and ablate entries: Figures 11(a)-(c) and 12, the §3.3.3
+// forwarding-strategy ablation, the collector-feed sweep and the
+// intradomain-renumbering ablation.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	"locind/internal/cdn"
 	"locind/internal/expt"
 )
 
@@ -23,12 +24,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Println(expt.RunFig11a(w).Render())
-	popular := expt.RunFig11bc(w, cdn.Popular)
-	fmt.Println(popular.Render())
-	fmt.Println(expt.RunFig11bc(w, cdn.Unpopular).Render())
-	fmt.Println(expt.RunFig12(w).Render())
-	fmt.Println(expt.RunStrategyAblation(w).Render())
+	// The content half of locind's table, on one session over the world: the
+	// popular pool is replayed once for fig11b and ablate together.
+	sel, err := expt.Select([]string{"fig11a", "fig11b", "fig11c", "fig12", "ablate"})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "contentmobility:", err)
+		os.Exit(1)
+	}
+	s := &expt.Session{Cfg: cfg, Quick: true, World: w}
+	for _, e := range sel {
+		out, err := e.Run(s)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "contentmobility:", err)
+			os.Exit(1)
+		}
+		fmt.Println(out.Text)
+	}
 
 	fmt.Println("Conclusion (paper finding 3): popular content's address flux rarely moves")
 	fmt.Println("the closest copy, so best-port forwarding sees a far lower update rate than")

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -127,11 +126,14 @@ func columnFIB(idx *netaddr.Trie[int32], plan []netaddr.Prefix, rows []Route) *F
 // FuzzFIBSet builds one to three FIBs over a random prefix list, each from
 // rows of its own through NewRIB, and requires the set over them to answer
 // each FIB's next hop and path length as its RouteFor does, and each FIB to
-// answer as a linear scan of the best of its rows per prefix (and to walk
-// those prefixes in order). Every FIB but a last one of several starts with
-// one row per prefix of the list, that one with a subset; then a script of
-// ops adds rows. A FIB whose rows cover exactly the list reads the list's
-// shared index, any other owns its index.
+// answer with the best of its rows for the longest of its prefixes holding
+// the address (and to walk those prefixes in order). The model finds that
+// prefix by an exact probe at each length the FIB's prefixes have, longest
+// first: at most 33 probes an address, however many rows the input adds.
+// Every FIB but a last one of several starts with one row per prefix of the
+// list, that one with a subset; then a script of ops adds rows. A FIB whose
+// rows cover exactly the list reads the list's shared index, any other owns
+// its index.
 //
 // Encoding: byte 0 gives the FIB count (1 + b%3) and the prefix count
 // (1 + (b>>2)%16); byte 1 is the last FIB's subset mask, prefix i kept
@@ -202,24 +204,31 @@ func FuzzFIBSet(f *testing.F) {
 		}
 		checkSet(t, NewFIBSet(fibs), fibs, addrs)
 		for k, fib := range fibs {
+			// FIB k's prefixes in order, drawn from rows[k] rather than
+			// from a map, whose order would change the sort's calls, and
+			// so the coverage the fuzzer keeps, from run to run; and 32
+			// less each of their lengths, so the longest sorts first.
+			ps, short := make([]netaddr.Prefix, len(rows[k])), make([]int, len(rows[k]))
+			for i, rt := range rows[k] {
+				ps[i], short[i] = rt.Prefix, 32-rt.Prefix.Bits()
+			}
+			slices.SortFunc(ps, netaddr.Prefix.Compare)
+			ps = slices.Compact(ps)
+			slices.Sort(short)
+			short = slices.Compact(short)
 			for _, a := range addrs {
 				var want Route
-				bits := -1
-				for p, rt := range models[k] {
-					if p.Contains(a) && p.Bits() > bits {
-						want, bits = rt, p.Bits()
+				found := false
+				for _, l := range short {
+					if want, found = models[k][netaddr.MakePrefix(a, 32-l)]; found {
+						break
 					}
 				}
 				got, ok := fib.RouteFor(a)
-				if ok != (bits >= 0) || !reflect.DeepEqual(got, want) {
-					t.Fatalf("FIB %d at %v: RouteFor %v %v, linear scan %v %v", k, a, got, ok, want, bits >= 0)
+				if ok != found || !reflect.DeepEqual(got, want) {
+					t.Fatalf("FIB %d at %v: RouteFor %v %v, model %v %v", k, a, got, ok, want, found)
 				}
 			}
-			var ps []netaddr.Prefix
-			for p := range models[k] {
-				ps = append(ps, p)
-			}
-			sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
 			walk := fibEntries(fib)
 			if len(walk) != len(ps) || fib.Len() != len(ps) {
 				t.Fatalf("FIB %d: Walk visits %d, Len %d, model holds %d", k, len(walk), fib.Len(), len(ps))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"locind/internal/lint/allocguard"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
@@ -27,7 +26,7 @@ func guardTimelines(count, events int) []Timeline {
 	tls := make([]Timeline, count)
 	for i := range tls {
 		tls[i] = syntheticTimeline(events)
-		tls[i].Site.Name = names.Name(fmt.Sprintf("site-%d.guard.test", i))
+		tls[i].Site.Name = Name(fmt.Sprintf("site-%d.guard.test", i))
 	}
 	return tls
 }

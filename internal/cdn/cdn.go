@@ -14,7 +14,6 @@ import (
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
@@ -109,11 +108,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// Name is a domain-style hierarchical name such as "travel.yahoo.com", whose
+// parent is what follows its first dot; the empty Name is the root.
+type Name string
+
 // Site is one named content principal (an enterprise domain or one of its
 // subdomains) together with its hosting arrangement.
 type Site struct {
-	Name   names.Name
-	Parent names.Name // enterprise domain ("" when Name is the domain itself)
+	Name   Name
+	Parent Name // enterprise domain ("" when Name is the domain itself)
 	Class  Class
 	CDN    bool
 
@@ -200,18 +203,18 @@ func Generate(g *asgraph.Graph, pt *bgp.PrefixTable, cfg Config, rng *rand.Rand)
 
 	d := &Deployment{EdgePool: edges, cfg: cfg, pt: pt}
 	addDomain := func(idx int, class Class) {
-		var domain names.Name
+		var domain Name
 		cdnFrac := cfg.PopularCDNFrac
 		nSub := 0
 		if class == Popular {
-			domain = names.Name(fmt.Sprintf("pop%03d.com", idx))
+			domain = Name(fmt.Sprintf("pop%03d.com", idx))
 			// Geometric-ish subdomain count with the configured mean.
 			nSub = int(math.Round(rng.ExpFloat64() * cfg.SubdomainMeanPopular))
 			if nSub > 6*int(cfg.SubdomainMeanPopular) {
 				nSub = 6 * int(cfg.SubdomainMeanPopular)
 			}
 		} else {
-			domain = names.Name(fmt.Sprintf("tail%03d.org", idx))
+			domain = Name(fmt.Sprintf("tail%03d.org", idx))
 			cdnFrac = cfg.UnpopularCDNFrac
 			if cfg.SubdomainMaxUnpopular > 0 {
 				nSub = rng.Intn(cfg.SubdomainMaxUnpopular + 1)
@@ -223,7 +226,7 @@ func Generate(g *asgraph.Graph, pt *bgp.PrefixTable, cfg Config, rng *rand.Rand)
 		if class == Unpopular && rng.Float64() < 0.3 {
 			replica = hosting[rng.Intn(len(hosting))]
 		}
-		mk := func(n names.Name, parent names.Name) Site {
+		mk := func(n Name, parent Name) Site {
 			s := Site{Name: n, Parent: parent, Class: class, OriginAS: origin, ReplicaAS: replica}
 			// Subdomains of a CDN-delegated domain are usually (not
 			// always) CNAME-aliased into the CDN; the apex often is not.
@@ -238,7 +241,7 @@ func Generate(g *asgraph.Graph, pt *bgp.PrefixTable, cfg Config, rng *rand.Rand)
 		}
 		d.Sites = append(d.Sites, mk(domain, ""))
 		for s := 0; s < nSub; s++ {
-			sub := names.Join(fmt.Sprintf("s%02d", s), domain)
+			sub := Name(fmt.Sprintf("s%02d", s)) + "." + domain
 			d.Sites = append(d.Sites, mk(sub, domain))
 		}
 	}
@@ -272,7 +275,7 @@ func fnvBytes(h uint64, bs []byte) uint64 {
 // is FNV-1a over "site|edgeAS|generation", byte-identical to the previous
 // fnv.New64a/Fprintf formulation (pinned by TestEdgeAddrMatchesFNVReference)
 // but allocation-free.
-func (d *Deployment) edgeAddr(site names.Name, edgeAS int, generation int) netaddr.Addr {
+func (d *Deployment) edgeAddr(site Name, edgeAS int, generation int) netaddr.Addr {
 	var buf [20]byte
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(site); i++ {

@@ -10,7 +10,6 @@ import (
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 	"locind/internal/stats"
 )
@@ -231,12 +230,12 @@ func syntheticTimeline(events int) Timeline {
 // in every fixture would silently change.
 func TestEdgeAddrMatchesFNVReference(t *testing.T) {
 	d := genDeployment(t, 3)
-	ref := func(site names.Name, edgeAS, generation int) netaddr.Addr {
+	ref := func(site Name, edgeAS, generation int) netaddr.Addr {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%s|%d|%d", site, edgeAS, generation)
 		return d.pt.AddrIn(edgeAS, h.Sum64()%(1<<16))
 	}
-	for _, site := range []names.Name{d.Sites[0].Name, d.Sites[len(d.Sites)-1].Name, "a.b.example.test", ""} {
+	for _, site := range []Name{d.Sites[0].Name, d.Sites[len(d.Sites)-1].Name, "a.b.example.test", ""} {
 		for _, as := range []int{d.Sites[0].OriginAS, d.EdgePool[0], d.EdgePool[len(d.EdgePool)-1]} {
 			for _, gen := range []int{0, 1, 7, 1003, 2048} {
 				if got, want := d.edgeAddr(site, as, gen), ref(site, as, gen); got != want {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"locind/internal/names"
 	"locind/internal/netaddr"
 	"locind/internal/par"
 	"locind/internal/stats"
@@ -437,8 +436,8 @@ func clamp01(x float64) float64 {
 // allocation per name (the retained set) plus the pre-sized map.
 //
 //lint:zeroalloc per replayed event; the per-name retained sets and the output map are the contract
-func CompleteTable(tls []Timeline, hour int) map[names.Name][]netaddr.Addr {
-	out := make(map[names.Name][]netaddr.Addr, len(tls))
+func CompleteTable(tls []Timeline, hour int) map[Name][]netaddr.Addr {
+	out := make(map[Name][]netaddr.Addr, len(tls))
 	var w setWalker
 	for i := range tls {
 		w.runTo(&tls[i], hour)

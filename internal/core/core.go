@@ -15,7 +15,6 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/mobility"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
@@ -55,17 +54,6 @@ func (rs Each) RoutesFor(a netaddr.Addr, hop, pathLen []int, ok []bool) {
 		rt, found := r.RouteFor(a)
 		hop[k], pathLen[k], ok[k] = rt.NextHop, rt.PathLen(), found
 	}
-}
-
-// Displaced implements §3.1: a mobility event from one address to another
-// displaces the endpoint with respect to a router iff the two addresses'
-// longest-prefix matches point to different output ports. Events where
-// either address has no route are not displacements (the paper's RIBs cover
-// the full address space, so this arises only in truncated test tables).
-func Displaced(r PortLookup, from, to netaddr.Addr) bool {
-	p1, ok1 := r.Port(from)
-	p2, ok2 := r.Port(to)
-	return ok1 && ok2 && p1 != p2
 }
 
 // UpdateStats aggregates update-cost measurements at one router.
@@ -126,8 +114,10 @@ func NewMoveTable(groups ...[]mobility.MoveEvent) *MoveTable {
 
 // Stats measures, per group, the fraction of events that induce a
 // forwarding update at router r — the quantity plotted per collector in
-// Figure 8 — by Displaced's rule. It asks r about each distinct address
-// once; an event then costs two row reads and integer compares.
+// Figure 8. By §3.1 an event does iff both its ends are routed and their
+// longest-prefix matches point to different output ports. It asks r about
+// each distinct address once; an event then costs two row reads and integer
+// compares.
 func (t *MoveTable) Stats(r PortLookup) []UpdateStats {
 	row := make([]int32, len(t.addrs)) // interned port, -1 for no route
 	ports := map[int]int32{}
@@ -384,15 +374,15 @@ func ContentUpdateStatsAllFused(r RouteLookup, tls []cdn.Timeline) StrategyStats
 // is its closest address's; the name is in the complete table iff some
 // address has a route. A routed name stays in the LPM table iff none of its
 // proper suffixes is routed there, or the nearest that is has another port.
-// That is len(names.BuildLPMTable) of the complete table without the trie:
-// by induction on depth, a subsumed ancestor resolves to its own port, so a
-// name resolves to its nearest routed ancestor's. The names are sorted and
+// That is the size of the LPM table the test oracle builds in a name trie,
+// without the trie: by induction on depth, a subsumed ancestor resolves to
+// its own port, so a name resolves to its nearest routed ancestor's. The names are sorted and
 // their suffix chains found once for every router, and each address is
 // resolved once for all of them, in one RoutesFor.
 //
 //lint:zeroalloc per address, after the per-call name, suffix and port tables
-func AggregateabilityPerRouter(rs Routers, sets map[names.Name][]netaddr.Addr) []float64 {
-	ns := make([]names.Name, 0, len(sets))
+func AggregateabilityPerRouter(rs Routers, sets map[cdn.Name][]netaddr.Addr) []float64 {
+	ns := make([]cdn.Name, 0, len(sets))
 	for n := range sets {
 		ns = append(ns, n)
 	}
@@ -458,16 +448,16 @@ func AggregateabilityPerRouter(rs Routers, sets map[names.Name][]netaddr.Addr) [
 
 // appendSuffixRows appends the rows in sorted ns of n's proper suffixes,
 // nearest first: what follows each dot, then the root "". A trailing dot's
-// empty suffix is the root too, as in names.Trie, where an empty Name
-// reaches only the root.
-func appendSuffixRows(up []int32, ns []names.Name, n names.Name) []int32 {
+// empty suffix is the root too, as in the test oracle's name trie, where an
+// empty Name reaches only the root.
+func appendSuffixRows(up []int32, ns []cdn.Name, n cdn.Name) []int32 {
 	for s := string(n); s != ""; {
 		if dot := strings.IndexByte(s, '.'); dot >= 0 {
 			s = s[dot+1:]
 		} else {
 			s = ""
 		}
-		if j, found := slices.BinarySearch(ns, names.Name(s)); found {
+		if j, found := slices.BinarySearch(ns, cdn.Name(s)); found {
 			up = append(up, int32(j))
 		}
 	}

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"locind/internal/asgraph"
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/mobility"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
@@ -41,16 +41,21 @@ func TestDisplacedPaperExample(t *testing.T) {
 		"22.33.44.0/24": 5,
 		"22.33.0.0/16":  3,
 	})
-	if !Displaced(r, netaddr.MustParseAddr("22.33.44.55"), netaddr.MustParseAddr("22.33.88.55")) {
-		t.Fatal("paper example must displace")
+	move := func(from, to string) []mobility.MoveEvent {
+		return []mobility.MoveEvent{{
+			From: mobility.Location{Addr: netaddr.MustParseAddr(from)},
+			To:   mobility.Location{Addr: netaddr.MustParseAddr(to)},
+		}}
 	}
-	// Movement within the /24 does not displace.
-	if Displaced(r, netaddr.MustParseAddr("22.33.44.55"), netaddr.MustParseAddr("22.33.44.99")) {
-		t.Fatal("intra-prefix move must not displace")
-	}
-	// Missing routes never displace.
-	if Displaced(r, netaddr.MustParseAddr("99.0.0.1"), netaddr.MustParseAddr("22.33.44.1")) {
-		t.Fatal("unrouted source must not displace")
+	got := NewMoveTable(
+		move("22.33.44.55", "22.33.88.55"),
+		move("22.33.44.55", "22.33.44.99"), // within the /24
+		move("99.0.0.1", "22.33.44.1"),     // from an unrouted address
+		move("22.33.44.1", "99.0.0.1"),     // to one
+	).Stats(r)
+	want := []UpdateStats{{1, 1}, {1, 0}, {1, 0}, {1, 0}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Stats = %v, want %v: only the move across the prefixes displaces", got, want)
 	}
 }
 
@@ -243,7 +248,7 @@ func TestTablesAndAggregateability(t *testing.T) {
 	a10 := []netaddr.Addr{netaddr.MustParseAddr("10.0.0.1")}
 	a20 := []netaddr.Addr{netaddr.MustParseAddr("20.0.0.1")}
 	both := []netaddr.Addr{a10[0], a20[0]}
-	sets := map[names.Name][]netaddr.Addr{
+	sets := map[cdn.Name][]netaddr.Addr{
 		"yahoo.com":        a10,
 		"travel.yahoo.com": a10,                                 // same port: subsumed
 		"sports.yahoo.com": a20,                                 // different port: kept

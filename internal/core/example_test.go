@@ -6,23 +6,33 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/core"
+	"locind/internal/mobility"
 	"locind/internal/netaddr"
 )
 
-// The §3.1 displacement test on the Figure 2 router.
-func ExampleDisplaced() {
+// The §3.1 displacement test on the Figure 2 router: one group holding a
+// move across the /24 and /16, one holding a move within the /24.
+func ExampleMoveTable_Stats() {
 	fib := bgp.NewRIB([]bgp.Route{
 		{Prefix: netaddr.MustParsePrefix("22.33.44.0/24"), NextHop: 5, ASPath: []int{5, 9}},
 		{Prefix: netaddr.MustParsePrefix("22.33.0.0/16"), NextHop: 3, ASPath: []int{3, 9}},
 	}).DeriveFIB()
+	move := func(from, to string) []mobility.MoveEvent {
+		return []mobility.MoveEvent{{
+			From: mobility.Location{Addr: netaddr.MustParseAddr(from)},
+			To:   mobility.Location{Addr: netaddr.MustParseAddr(to)},
+		}}
+	}
 
-	fmt.Println(core.Displaced(fib,
-		netaddr.MustParseAddr("22.33.44.55"), netaddr.MustParseAddr("22.33.88.55")))
-	fmt.Println(core.Displaced(fib,
-		netaddr.MustParseAddr("22.33.44.55"), netaddr.MustParseAddr("22.33.44.99")))
+	for _, s := range core.NewMoveTable(
+		move("22.33.44.55", "22.33.88.55"),
+		move("22.33.44.55", "22.33.44.99"),
+	).Stats(fib) {
+		fmt.Printf("%d of %d displaced\n", s.Updates, s.Events)
+	}
 	// Output:
-	// true
-	// false
+	// 1 of 1 displaced
+	// 0 of 1 displaced
 }
 
 // The §3.3.1 update-cost definitions: losing a far replica updates

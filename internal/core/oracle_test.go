@@ -396,8 +396,8 @@ func TestMoveTableMatchesPerEventReplay(t *testing.T) {
 }
 
 // TestAggregateabilityPerRouterMatchesTrie holds Figure 12's one-pass count
-// to the collector-at-a-time trie path (names.Aggregateability of
-// BestPortTable) on every collector of three seeded quick worlds, for the
+// to the collector-at-a-time trie path (Aggregateability of BestPortTable,
+// in bestport_oracle_test.go) on every collector of three seeded quick worlds, for the
 // hour-0 popular and unpopular tables, through the FIBs as one bgp.FIBSet
 // and one at a time.
 func TestAggregateabilityPerRouterMatchesTrie(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"locind/internal/bgp"
+	"locind/internal/mobility"
 	"locind/internal/netaddr"
 )
 
@@ -104,18 +105,20 @@ func TestContentUpdatedLaws(t *testing.T) {
 	}
 }
 
-// Property: the displacement test is irreflexive and symmetric (ports
-// either differ or they do not, regardless of direction).
+// Property: MoveTable's displacement test is irreflexive and symmetric
+// (ports either differ or they do not, regardless of direction).
 func TestDisplacedLaws(t *testing.T) {
 	f := func(fa fibAndAddrs) bool {
 		if len(fa.before) == 0 || len(fa.after) == 0 {
 			return true
 		}
-		a, b := fa.before[0], fa.after[0]
-		if Displaced(fa.fib, a, a) {
-			return false
-		}
-		return Displaced(fa.fib, a, b) == Displaced(fa.fib, b, a)
+		a, b := mobility.Location{Addr: fa.before[0]}, mobility.Location{Addr: fa.after[0]}
+		s := NewMoveTable(
+			[]mobility.MoveEvent{{From: a, To: a}},
+			[]mobility.MoveEvent{{From: a, To: b}},
+			[]mobility.MoveEvent{{From: b, To: a}},
+		).Stats(fa.fib)
+		return s[0].Updates == 0 && s[1] == s[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"locind/internal/bgp"
 	"locind/internal/cdn"
 	"locind/internal/mobility"
-	"locind/internal/names"
 )
 
 var (
@@ -168,7 +167,7 @@ func TestBuildWorld(t *testing.T) {
 // move timelines, then checks each class comes back whole and in site order.
 func TestTimelinesByClassKeepsSiteOrder(t *testing.T) {
 	w := tinyWorld(t)
-	var want [2][]names.Name // by cdn.Class
+	var want [2][]cdn.Name // by cdn.Class
 	var pop, unpop []cdn.Site
 	for _, s := range w.Deployment.Sites {
 		if s.Class == cdn.Popular {
@@ -190,7 +189,7 @@ func TestTimelinesByClassKeepsSiteOrder(t *testing.T) {
 
 	popular, unpopular := w.TimelinesByClass()
 	for class, tls := range [][]cdn.Timeline{popular, unpopular} {
-		var got []names.Name
+		var got []cdn.Name
 		for _, tl := range tls {
 			got = append(got, tl.Site.Name)
 		}

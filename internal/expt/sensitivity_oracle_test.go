@@ -15,13 +15,16 @@ import (
 )
 
 // deviceUpdateStats is core.DeviceUpdateStats, the per-event replay that
-// core.MoveTable replaced, verbatim but for package qualifiers: it asks r
-// about both ends of every event. The oracles in this package count with it.
+// core.MoveTable replaced, verbatim but for package qualifiers and the
+// §3.1 displacement test written out: it asks r about both ends of every
+// event. The oracles in this package count with it.
 func deviceUpdateStats(r core.PortLookup, events []mobility.MoveEvent) core.UpdateStats {
 	var s core.UpdateStats
 	for _, e := range events {
 		s.Events++
-		if core.Displaced(r, e.From.Addr, e.To.Addr) {
+		p1, ok1 := r.Port(e.From.Addr)
+		p2, ok2 := r.Port(e.To.Addr)
+		if ok1 && ok2 && p1 != p2 {
 			s.Updates++
 		}
 	}

@@ -23,8 +23,8 @@
 //	             context.Context
 //	lockflow     locks held across blocking operations (the cluster.Client
 //	             convoy)
-//	reach        declarations no cmd/, examples/ or bench binary can reach:
-//	             code kept alive by its own tests alone, and packages that
+//	reach        declarations no cmd/ or bench binary can reach: code kept
+//	             alive by tests or examples alone, and packages that
 //	             nothing links (the one whole-program check)
 //
 // Findings are suppressed with `//lint:allow <check> <reason>` comments; see

@@ -5,24 +5,28 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
+	"strings"
 )
 
 // Reach reports every package-level declaration — function, method, type,
 // variable, constant — in a non-test file that no binary can reach, and every
 // package no binary links. It is a conservative walk over go/types. The roots
-// are main and init of each main package loaded, plus the init functions and
-// package-level initialisers of everything those import. A declaration is
-// reached when reached code names it. A method is also reached when its type
-// is and the type satisfies an interface one of whose methods of that name is
-// called in reached code or declared by a standard-library package the module
-// imports (which may call it where the walk cannot see: sort.Interface,
-// error, http.Handler). With no main package loaded, or with one that imports
-// an internal package left out of the load, there is nothing to judge. A declaration under //lint:allow reach is a finding and then a root:
-// what only it calls needs no directive of its own, and a kept type keeps its
-// methods. A //lint:allow reach that covers no finding is itself a finding.
+// are main and init of each main package loaded outside examples/ (an example
+// is checked by running it: it is neither a root nor judged), plus the init
+// functions and package-level initialisers of everything those import. A
+// declaration is reached when reached code names it. A method is also reached
+// when its type is and the type satisfies an interface one of whose methods of
+// that name is called in reached code or declared by a standard-library
+// package the module imports (which may call it where the walk cannot see:
+// sort.Interface, error, http.Handler). With no main package loaded, or with
+// one that imports an internal package left out of the load, there is nothing
+// to judge. A declaration under //lint:allow reach is a finding and then a
+// root: what only it calls needs no directive of its own, and a kept type
+// keeps its methods. A //lint:allow reach that covers no finding is itself a
+// finding.
 var Reach = &Analyzer{
 	Name:   "reach",
-	Doc:    "declarations no cmd/, examples/ or bench binary can reach",
+	Doc:    "declarations no binary outside examples/ (cmd/, bench) can reach",
 	RunAll: runReach,
 }
 
@@ -67,8 +71,9 @@ func runReach(passes []*Pass) {
 			link(imp)
 		}
 	}
+	example := func(p *Pass) bool { return strings.Contains("/"+p.Pkg.Path()+"/", "/examples/") }
 	for _, p := range passes {
-		if p.Pkg.Name() == "main" {
+		if p.Pkg.Name() == "main" && !example(p) {
 			link(p.Pkg)
 		}
 	}
@@ -82,8 +87,8 @@ func runReach(passes []*Pass) {
 	}
 
 	for _, p := range passes {
-		if len(p.Files) == 0 {
-			continue // a directory of _test.go files only: no production declaration
+		if len(p.Files) == 0 || example(p) {
+			continue // a directory of _test.go files only, or an example: no production declaration
 		}
 		if !linked[p.Pkg] {
 			p.Reportf(p.Files[0].Package, "package %s is linked by no binary", p.Pkg.Path())

@@ -8,5 +8,5 @@ import (
 
 func TestReach(t *testing.T) {
 	runFixtures(t, "testdata/reach", lint.Reach,
-		"locind/cmd/reachcmd", "locind/internal/reachfix", "locind/internal/reachorphan")
+		"locind/cmd/reachcmd", "locind/examples/reachex", "locind/internal/reachfix", "locind/internal/reachorphan")
 }

@@ -117,6 +117,10 @@ func init() { register("reachfix") }
 
 func register(name string) { registered = append(registered, name) }
 
+// OnlyExamples is called from locind/examples/reachex alone: an example
+// teaches what a binary keeps, and keeps nothing itself.
+func OnlyExamples() {} // want `OnlyExamples is reachable from no binary`
+
 // onlyTests is called from reachfix_test.go alone, by an init and by a test:
 // neither is a root.
 func onlyTests() {} // want `onlyTests is reachable from no binary`

@@ -64,6 +64,8 @@ func decimal(p string, limit int) (int, bool) {
 }
 
 // MustParseAddr is ParseAddr that panics on error; for tests and literals.
+//
+//lint:allow reach the tests of bgp, core, gns, cluster, intradomain, vantage and cmd/gnsd parse their address literals with it, and a helper in each would outweigh it
 func MustParseAddr(s string) Addr {
 	a, err := ParseAddr(s)
 	if err != nil {
@@ -133,6 +135,8 @@ func ParsePrefix(s string) (Prefix, error) {
 }
 
 // MustParsePrefix is ParsePrefix that panics on error.
+//
+//lint:allow reach the tests of bgp and core build their FIBs from prefix literals with it (fakeRouter, the FIB fixtures), and a helper in each would outweigh it
 func MustParsePrefix(s string) Prefix {
 	p, err := ParsePrefix(s)
 	if err != nil {

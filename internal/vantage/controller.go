@@ -14,8 +14,8 @@ import (
 	"strconv"
 	"sync"
 
+	"locind/internal/cdn"
 	"locind/internal/ingest"
-	"locind/internal/names"
 	"locind/internal/netaddr"
 )
 
@@ -48,7 +48,7 @@ type Controller struct {
 	ingest.Handler[Upload]
 
 	mu         sync.Mutex
-	merged     map[names.Name]map[int]map[netaddr.Addr]bool
+	merged     map[cdn.Name]map[int]map[netaddr.Addr]bool
 	reports    int
 	committed  map[string]map[int]bool // node -> its committed days
 	dupCommits int
@@ -57,7 +57,7 @@ type Controller struct {
 // NewController builds a controller with an empty union.
 func NewController() *Controller {
 	c := &Controller{
-		merged:    map[names.Name]map[int]map[netaddr.Addr]bool{},
+		merged:    map[cdn.Name]map[int]map[netaddr.Addr]bool{},
 		committed: map[string]map[int]bool{},
 	}
 	c.Handler = ingest.Handler[Upload]{
@@ -90,7 +90,7 @@ func (c *Controller) Commit(_ http.Header, up *Upload) error {
 	}
 	days[up.Day] = true
 	for i, rep := range up.Reports {
-		name := names.Name(rep.Name)
+		name := cdn.Name(rep.Name)
 		byHour := c.merged[name]
 		if byHour == nil {
 			byHour = map[int]map[netaddr.Addr]bool{}
@@ -149,7 +149,7 @@ func (c *Controller) NodeCount() int {
 
 // MergedSet returns the union address set observed for a name at an hour,
 // sorted ascending.
-func (c *Controller) MergedSet(name names.Name, hour int) []netaddr.Addr {
+func (c *Controller) MergedSet(name cdn.Name, hour int) []netaddr.Addr {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set := c.merged[name][hour]

@@ -5,7 +5,7 @@ import (
 	"net/http"
 	"testing"
 
-	"locind/internal/names"
+	"locind/internal/cdn"
 	"locind/internal/netaddr"
 )
 
@@ -46,7 +46,7 @@ func FuzzReportUpload(f *testing.F) {
 			t.Fatalf("accepted %d reports, committed %d", len(up.Reports), reports)
 		}
 		for _, rep := range up.Reports {
-			merged := c.MergedSet(names.Name(rep.Name), rep.Hour)
+			merged := c.MergedSet(cdn.Name(rep.Name), rep.Hour)
 			for _, s := range rep.Addrs {
 				a, err := netaddr.ParseAddr(s)
 				if err != nil {
