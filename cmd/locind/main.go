@@ -138,6 +138,16 @@ func run(args []string, o runOpts) error {
 		}
 	}
 
+	// step runs fn as one phase of the run: a trace span and a profiler
+	// phase, opened together and ended together.
+	step := func(phase, span string, fn func() error, labels ...string) error {
+		sp := tracer.Start(span, labels...)
+		ph := profiler.Begin(phase)
+		err := fn()
+		ph.End()
+		sp.End()
+		return err
+	}
 	s := &expt.Session{Cfg: cfg, Quick: quick, GNSObs: gnsObs}
 	buildWorld := func() error {
 		if s.World != nil {
@@ -145,13 +155,10 @@ func run(args []string, o runOpts) error {
 		}
 		fmt.Fprintf(os.Stderr, "building world (seed %d, %d ASes, %d users)...\n",
 			cfg.Seed, cfg.AS.Tier1+cfg.AS.Tier2+cfg.AS.Stubs, cfg.Device.Users)
-		span := tracer.Start("build-world")
-		ph := profiler.Begin("build-world")
-		w, err := expt.BuildWorld(cfg)
-		ph.End()
-		span.End()
-		s.World = w
-		return err
+		return step("build-world", "build-world", func() (err error) {
+			s.World, err = expt.BuildWorld(cfg)
+			return err
+		})
 	}
 	// The content timelines are generated in a phase of their own before
 	// the first entry that reads them, so no entry's row carries their cost.
@@ -164,19 +171,14 @@ func run(args []string, o runOpts) error {
 			}
 		}
 		if e.Timelines && !timelines {
-			span := tracer.Start("timelines")
-			ph := profiler.Begin("timelines")
-			s.World.Timelines()
-			ph.End()
-			span.End()
+			step("timelines", "timelines", func() error { s.World.Timelines(); return nil })
 			timelines = true
 		}
-		span := tracer.Start("experiment", "name", e.Name)
-		ph := profiler.Begin(e.Name)
-		res, err := e.Run(s)
-		ph.End()
-		span.End()
-		if err != nil {
+		var res expt.Output
+		if err := step(e.Name, "experiment", func() (err error) {
+			res, err = e.Run(s)
+			return err
+		}, "name", e.Name); err != nil {
 			return err
 		}
 		fmt.Println(res.Text)
@@ -189,10 +191,7 @@ func run(args []string, o runOpts) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "exporting raw data to %s...\n", out)
-	ph := profiler.Begin("export")
-	err = expt.ExportAll(s.World, out, series)
-	ph.End()
-	return err
+	return step("export", "export", func() error { return expt.ExportAll(s.World, out, series) })
 }
 
 // writeReport renders the profiler's phase record into dir as RUNREPORT.md

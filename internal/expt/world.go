@@ -52,7 +52,7 @@ type Config struct {
 	IMAPDays  int
 
 	// Obs, when non-nil, attaches observability counters to the drivers
-	// (progress, rows, memo hit rates). Purely additive: results are
+	// (progress, rows, memo lookups). Purely additive: results are
 	// byte-identical with Obs set or nil.
 	Obs *Metrics
 }

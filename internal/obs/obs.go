@@ -23,7 +23,7 @@
 //
 // Metric naming follows the Prometheus convention, scoped by subsystem:
 // locind_<subsystem>_<noun>_<unit>, e.g. locind_gns_requests_total,
-// locind_memo_hits_total, locind_par_queue_depth. Counters end in _total;
+// locind_expt_rows_total, locind_par_queue_depth. Counters end in _total;
 // durations are seconds; label sets are fixed at registration.
 package obs
 

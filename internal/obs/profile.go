@@ -15,7 +15,7 @@ import (
 // wall time (from an injected clock, zero without one), runtime.MemStats
 // allocation deltas, a goroutine high-water mark sampled at the phase
 // boundaries, and the delta of every integer counter in the attached
-// Registry (memo hits/misses, retries, injected faults, rows, ...).
+// Registry (retries, injected faults, rows, ...).
 //
 // The PR-4 contract extends to profiling: every method is nil-safe, the
 // profiler only reads — it never steers — and its artifact is
@@ -42,20 +42,9 @@ type PhaseStats struct {
 	// phase boundaries (the max of the begin and end samples).
 	GoroutineHigh int `json:"goroutine_high"`
 	// Counters holds the non-zero deltas of every integer series in the
-	// attached registry across the phase — memo hits/misses, retry and
-	// fault counters, rows. Deterministic for a fixed seed.
+	// attached registry across the phase — retry and fault counters,
+	// rows. Deterministic for a fixed seed.
 	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// MemoHitRate derives the route-memo hit rate of the phase from its
-// counter deltas (-1 when the phase did no memo lookups).
-func (ps PhaseStats) MemoHitRate() float64 {
-	hits := ps.Counters["locind_memo_hits_total"]
-	misses := ps.Counters["locind_memo_misses_total"]
-	if hits+misses == 0 {
-		return -1
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 // NewProfiler builds a profiler reading counter deltas from reg (which may
@@ -202,16 +191,12 @@ func (p *Profiler) WriteReport(b *strings.Builder) {
 		b.WriteString("(no phases recorded)\n")
 		return
 	}
-	b.WriteString("| phase | wall | alloc | mallocs | goroutines (hwm) | memo hit rate |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|\n")
+	b.WriteString("| phase | wall | alloc | mallocs | goroutines (hwm) |\n")
+	b.WriteString("|---|---:|---:|---:|---:|\n")
 	for _, ps := range phases {
-		rate := "-"
-		if r := ps.MemoHitRate(); r >= 0 {
-			rate = fmt.Sprintf("%.3f", r)
-		}
-		fmt.Fprintf(b, "| %s | %v | %s | %d | %d | %s |\n",
+		fmt.Fprintf(b, "| %s | %v | %s | %d | %d |\n",
 			ps.Name, ps.Wall.Round(time.Millisecond), formatBytes(ps.AllocBytes),
-			ps.Mallocs, ps.GoroutineHigh, rate)
+			ps.Mallocs, ps.GoroutineHigh)
 	}
 	for _, ps := range phases {
 		if len(ps.Counters) == 0 {

@@ -36,11 +36,8 @@ func TestProfilerPhasesAndCounterDeltas(t *testing.T) {
 	if _, ok := phases[1].Counters["locind_rows_total"]; ok {
 		t.Fatal("fig8 must not see build-world's counter increments")
 	}
-	if r := phases[1].MemoHitRate(); r != 0.75 {
-		t.Fatalf("fig8 memo hit rate = %v, want 0.75", r)
-	}
-	if r := phases[0].MemoHitRate(); r != -1 {
-		t.Fatalf("phase without memo traffic must report -1, got %v", r)
+	if h, m := phases[1].Counters["locind_memo_hits_total"], phases[1].Counters["locind_memo_misses_total"]; h != 30 || m != 10 {
+		t.Fatalf("fig8 memo deltas = %d hits, %d misses, want 30, 10", h, m)
 	}
 	for _, ps := range phases {
 		if ps.Wall <= 0 {
