@@ -74,7 +74,7 @@ func run(shards, replicas int, seed int64, obsAddr string) error {
 			return err
 		}
 		defer ln.Close()
-		go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: sm.Tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
+		go ingest.Serve(ln, obs.NewHandler(smp, sm.Tracer)) //nolint:errcheck // Accept's error once ln closes
 		fmt.Fprintf(os.Stderr, "gnsd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", ln.Addr())
 	}
 

@@ -92,7 +92,6 @@ func run(args []string, o runOpts) error {
 	var tracer *obs.Tracer
 	var profiler *obs.Profiler
 	var smp *obs.Sampler
-	var gnsObs *expt.GNSClusterObs
 	if obsAddr != "" || o.report != "" {
 		reg := obs.NewRegistry()
 		cfg.Obs = expt.NewMetrics(reg)
@@ -103,7 +102,6 @@ func run(args []string, o runOpts) error {
 		// values, so experiment output stays byte-identical (DESIGN.md §12).
 		smp = obs.NewSampler(reg, 0)
 		smp.Pre(obs.RuntimeSampler(reg))
-		gnsObs = &expt.GNSClusterObs{Registry: reg, Sampler: smp}
 		sampCtx, sampStop := context.WithCancel(context.Background())
 		defer sampStop()
 		go smp.Run(sampCtx)
@@ -115,7 +113,7 @@ func run(args []string, o runOpts) error {
 				return err
 			}
 			defer ln.Close()
-			go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
+			go ingest.Serve(ln, obs.NewHandler(smp, tracer)) //nolint:errcheck // Accept's error once ln closes
 			defer func() {
 				if obsLinger > 0 {
 					fmt.Fprintf(os.Stderr, "obs: lingering %v on http://%s\n", obsLinger, ln.Addr())
@@ -148,7 +146,7 @@ func run(args []string, o runOpts) error {
 		sp.End()
 		return err
 	}
-	s := &expt.Session{Cfg: cfg, Quick: quick, GNSObs: gnsObs}
+	s := &expt.Session{Cfg: cfg, Quick: quick, GNSObs: smp}
 	buildWorld := func() error {
 		if s.World != nil {
 			return nil

@@ -74,12 +74,11 @@ func main() {
 	var err error
 	if *soak || *soakQuick {
 		cfg := engine.SoakConfig{
-			Devices:  *soakDevices,
-			Days:     *soakDays,
-			Seed:     *seed,
-			Shards:   *soakShards,
-			Registry: reg,
-			Out:      os.Stdout,
+			Devices: *soakDevices,
+			Days:    *soakDays,
+			Seed:    *seed,
+			Shards:  *soakShards,
+			Out:     os.Stdout,
 		}
 		if *soakQuick {
 			cfg.Devices = 2000
@@ -100,9 +99,9 @@ func main() {
 	}
 }
 
-// serveObs exposes /metrics, /debug/pprof, and (sampler permitting) the
-// /debug/timeseries + /debug/dash pair when requested.
-func serveObs(obsAddr string, reg *obs.Registry, tracer *obs.Tracer, smp *obs.Sampler) (func(), error) {
+// serveObs exposes /metrics, /debug/pprof and the /debug/timeseries +
+// /debug/dash pair of smp when requested.
+func serveObs(obsAddr string, tracer *obs.Tracer, smp *obs.Sampler) (func(), error) {
 	if obsAddr == "" {
 		return func() {}, nil
 	}
@@ -110,7 +109,7 @@ func serveObs(obsAddr string, reg *obs.Registry, tracer *obs.Tracer, smp *obs.Sa
 	if err != nil {
 		return nil, err
 	}
-	go ingest.Serve(ln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once ln closes
+	go ingest.Serve(ln, obs.NewHandler(smp, tracer)) //nolint:errcheck // Accept's error once ln closes
 	fmt.Printf("nomadd: introspection on http://%s/metrics (dashboard: /debug/dash)\n", ln.Addr())
 	return func() { ln.Close() }, nil
 }
@@ -135,7 +134,7 @@ func writeFinalMetrics(reg *obs.Registry) {
 func runSoak(ctx context.Context, cfg engine.SoakConfig, reg *obs.Registry, obsAddr, seriesPath string, linger time.Duration) error {
 	smp := obs.NewSampler(reg, 0)
 	cfg.Sampler = smp
-	closeObs, err := serveObs(obsAddr, reg, nil, smp)
+	closeObs, err := serveObs(obsAddr, nil, smp)
 	if err != nil {
 		return err
 	}
@@ -218,7 +217,7 @@ func runFleet(ctx context.Context, addr string, users, days int, seed int64, obs
 	sampCtx, sampStop := context.WithCancel(ctx)
 	defer sampStop()
 	go smp.Run(sampCtx)
-	closeObs, err := serveObs(obsAddr, reg, tracer, smp)
+	closeObs, err := serveObs(obsAddr, tracer, smp)
 	if err != nil {
 		return err
 	}

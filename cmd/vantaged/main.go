@@ -93,7 +93,7 @@ func run(addr string, nodes, domains, days int, seed int64, obsAddr string) erro
 			return err
 		}
 		defer oln.Close()
-		go ingest.Serve(oln, obs.NewHandler(obs.HandlerOpts{Reg: reg, Tracer: tracer, Sampler: smp})) //nolint:errcheck // Accept's error once oln closes
+		go ingest.Serve(oln, obs.NewHandler(smp, tracer)) //nolint:errcheck // Accept's error once oln closes
 		fmt.Printf("vantaged: introspection on http://%s/metrics (dashboard: /debug/dash)\n", oln.Addr())
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"locind/internal/bgp"
 	"locind/internal/netaddr"
@@ -36,16 +35,14 @@ type memoStripe struct {
 // Memo is safe for concurrent use; parallel workers sharing one router
 // simply share its cache. A racing pair of first lookups both consult the
 // underlying table and store the same value, so results never depend on
-// scheduling. Because the lookup is pure, neither does eviction: a capped
-// memo recomputes what it dropped and returns identical answers.
+// scheduling. The memo is unbounded: it lives as long as the evaluation
+// that built it.
 type Memo struct {
 	r       RouteLookup
 	stripes [memoStripes]memoStripe
-	limit   int64        // approximate entry cap; 0 = unbounded
-	size    atomic.Int64 // entries stored across all stripes
 
 	// nil-safe obs handles; unobserved memos pay one predictable branch.
-	hits, misses, evictions *obs.Counter
+	hits, misses *obs.Counter
 }
 
 type memoEntry struct {
@@ -55,33 +52,28 @@ type memoEntry struct {
 
 // MemoMetrics aggregates cache behaviour across every memo sharing it.
 type MemoMetrics struct {
-	Hits      *obs.Counter
-	Misses    *obs.Counter
-	Evictions *obs.Counter
+	Hits   *obs.Counter
+	Misses *obs.Counter
 }
 
 // NewMemoMetrics registers the memo counter families on reg. A nil
 // registry yields all-nil handles.
 func NewMemoMetrics(reg *obs.Registry) *MemoMetrics {
 	return &MemoMetrics{
-		Hits:      reg.Counter("locind_memo_hits_total", "route memo cache hits"),
-		Misses:    reg.Counter("locind_memo_misses_total", "route memo cache misses"),
-		Evictions: reg.Counter("locind_memo_evictions_total", "route memo entries dropped by epoch flushes"),
+		Hits:   reg.Counter("locind_memo_hits_total", "route memo cache hits"),
+		Misses: reg.Counter("locind_memo_misses_total", "route memo cache misses"),
 	}
 }
 
-// NewMemo wraps r in a fresh unbounded, unobserved cache.
-func NewMemo(r RouteLookup) *Memo { return NewMemoObserved(r, 0, nil) }
+// NewMemo wraps r in a fresh unobserved cache.
+func NewMemo(r RouteLookup) *Memo { return NewMemoObserved(r, nil) }
 
-// NewMemoObserved wraps r with an approximate entry cap and obs counters.
-// A limit of 0 means unbounded; when the cap is crossed the stripe that
-// received the overflowing insert is flushed in one map swap (O(1) beyond
-// the garbage it frees, no per-entry bookkeeping) and the dropped entries
-// are counted as evictions. ms may be nil.
-func NewMemoObserved(r RouteLookup, limit int, ms *MemoMetrics) *Memo {
-	m := &Memo{r: r, limit: int64(limit)}
+// NewMemoObserved wraps r in a fresh cache that counts its hits and misses
+// into ms. ms may be nil.
+func NewMemoObserved(r RouteLookup, ms *MemoMetrics) *Memo {
+	m := &Memo{r: r}
 	if ms != nil {
-		m.hits, m.misses, m.evictions = ms.Hits, ms.Misses, ms.Evictions
+		m.hits, m.misses = ms.Hits, ms.Misses
 	}
 	return m
 }
@@ -124,26 +116,7 @@ func (m *Memo) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
 			s.m = make(map[netaddr.Addr]memoEntry)
 		}
 		s.m[a] = memoEntry{rt: rt, ok: ok}
-		if m.limit > 0 {
-			m.size.Add(1)
-		}
 	}
 	s.mu.Unlock()
-	if m.limit > 0 && m.size.Load() > m.limit {
-		// Epoch flush of the overflowing stripe: drop its map wholesale.
-		// Concurrent lookups racing into the flushed stripe simply miss —
-		// the underlying lookup is pure, so nothing observable changes;
-		// the cap and the eviction count are approximate by design. The
-		// global size counter (rather than a per-stripe one) is what makes
-		// tiny caps behave: a cap of 4 must evict even when the working
-		// set happens to spread across many stripes.
-		s.mu.Lock()
-		if n := int64(len(s.m)); n > 0 {
-			s.m = nil
-			m.size.Add(-n)
-			m.evictions.Add(n)
-		}
-		s.mu.Unlock()
-	}
 	return rt, ok
 }

@@ -71,45 +71,13 @@ func TestMemoObserved(t *testing.T) {
 		"20.0.0.0/16": 2,
 	})
 	ms := NewMemoMetrics(obs.NewRegistry())
-	m := NewMemoObserved(r, 0, ms)
+	m := NewMemoObserved(r, ms)
 	a := netaddr.MustParseAddr("10.0.0.1")
 	m.Port(a)
 	m.Port(a)
 	m.Port(netaddr.MustParseAddr("20.0.0.1"))
 	if ms.Misses.Value() != 2 || ms.Hits.Value() != 1 {
 		t.Fatalf("hits=%d misses=%d", ms.Hits.Value(), ms.Misses.Value())
-	}
-	if ms.Evictions.Value() != 0 {
-		t.Fatalf("unbounded memo evicted %d", ms.Evictions.Value())
-	}
-}
-
-// A capped memo flushes whole epochs when it overflows, counts the drops,
-// and — the lookup being pure — keeps answering exactly like an unbounded
-// one.
-func TestMemoCappedEvictsAndStaysCorrect(t *testing.T) {
-	routes := map[string]int{}
-	for i := 0; i < 8; i++ {
-		routes[netaddr.MakeAddr(10, byte(i), 0, 0).String()+"/16"] = i + 1
-	}
-	r := fakeRouter(routes)
-	ms := NewMemoMetrics(obs.NewRegistry())
-	m := NewMemoObserved(r, 4, ms)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 8; i++ {
-			a := netaddr.MakeAddr(10, byte(i), 0, 1)
-			wp, wok := r.Port(a)
-			gp, gok := m.Port(a)
-			if wp != gp || wok != gok {
-				t.Fatalf("round %d: Port(%s) = (%d,%v), want (%d,%v)", round, a, gp, gok, wp, wok)
-			}
-		}
-	}
-	if ms.Evictions.Value() == 0 {
-		t.Fatal("8 distinct keys through a cap of 4 must have flushed")
-	}
-	if ms.Misses.Value() <= 8 {
-		t.Fatalf("flushes must force recomputation; misses = %d", ms.Misses.Value())
 	}
 }
 
@@ -192,7 +160,7 @@ func TestFusedMatchesSeparateWalks(t *testing.T) {
 	// memo's counters. The timelines share addresses, so a resolution table
 	// that outlived its timeline would ask fewer times.
 	ms := NewMemoMetrics(obs.NewRegistry())
-	ContentUpdateStatsAllFused(NewMemoObserved(r, 0, ms), tls)
+	ContentUpdateStatsAllFused(NewMemoObserved(r, ms), tls)
 	if asked := ms.Hits.Value() + ms.Misses.Value(); asked != 10 {
 		t.Fatalf("fused walk asked the router %d times, want 10: one RouteFor per distinct address per timeline", asked)
 	}

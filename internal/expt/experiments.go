@@ -7,6 +7,7 @@ import (
 
 	"locind/internal/cdn"
 	"locind/internal/core"
+	"locind/internal/obs"
 	"locind/internal/stats"
 )
 
@@ -43,8 +44,10 @@ type Session struct {
 	Cfg   Config
 	Quick bool
 	// World must be set before an entry with World runs.
-	World  *World
-	GNSObs *GNSClusterObs
+	World *World
+	// GNSObs, when non-nil, is the sampler the gns-cluster soak registers
+	// its metrics with and ticks.
+	GNSObs *obs.Sampler
 
 	f8    *Fig8Result
 	f9    *Fig9Result

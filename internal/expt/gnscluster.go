@@ -49,14 +49,6 @@ type GNSClusterResult struct {
 	ChecksOK     bool
 }
 
-// GNSClusterObs carries optional observability wiring into the soak: a
-// registry to register the cluster metrics on (e.g. the one behind gnsd's
-// -obs.addr) and a sampler to drive. Either field may be nil.
-type GNSClusterObs struct {
-	Registry *obs.Registry
-	Sampler  *obs.Sampler
-}
-
 // gnsClusterScale fixes the load shape at either CI scale or the full
 // soak: the issue's >=1M distinct names.
 func gnsClusterScale(quick bool) (names, shards, replicas int) {
@@ -69,13 +61,13 @@ func gnsClusterScale(quick bool) (names, shards, replicas int) {
 // RunGNSClusterObserved boots the cluster on loopback under seeded
 // per-datagram faults, runs the chaos schedule, and verifies convergence
 // against the in-memory fault-free reference. Observability is wired
-// through when o is non-nil: the cluster metrics land on o.Registry and
-// o.Sampler is ticked at fixed points in the schedule (per phase, and every
+// through when smp is non-nil: the cluster metrics land on smp's registry
+// and smp is ticked at fixed points in the schedule (per phase, and every
 // few hundred names inside the sweeps), so the dashboard's per-replica
 // series fill in while the soak runs. Sampling is schedule-driven, not
 // clock-driven: the same seed takes the same number of ticks, and the
 // soak's digest output is byte-identical with observability on or off.
-func RunGNSClusterObserved(seed int64, quick bool, o *GNSClusterObs) (GNSClusterResult, error) {
+func RunGNSClusterObserved(seed int64, quick bool, smp *obs.Sampler) (GNSClusterResult, error) {
 	names, shards, replicas := gnsClusterScale(quick)
 	res := GNSClusterResult{Seed: seed, Names: names, Shards: shards, Replicas: replicas}
 
@@ -95,18 +87,10 @@ func RunGNSClusterObserved(seed int64, quick bool, o *GNSClusterObs) (GNSCluster
 	}
 	defer c.Close()
 
-	if o == nil {
-		o = &GNSClusterObs{}
-	}
-	reg := o.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	smp := o.Sampler
 	if smp == nil {
-		smp = obs.NewSampler(reg, 0)
+		smp = obs.NewSampler(obs.NewRegistry(), 0)
 	}
-	m := cluster.NewClientMetrics(reg)
+	m := cluster.NewClientMetrics(smp.Registry())
 	cl := cluster.NewClient(c.Addrs(), cluster.ClientConfig{
 		Origin: 1,
 		// Demand-driven cooldown sized to the run: a dead replica is probed

@@ -31,16 +31,15 @@ func normalizeTimingNoise(r GNSClusterResult) GNSClusterResult {
 
 // TestGNSClusterObservedDoesNotPerturbResults: the quick cluster soak
 // renders byte-identical output (timing-noise counters normalized)
-// whether the caller wires an external registry+sampler or not, the
-// per-replica series the dashboard groups on actually fill in, and the
-// series checks hold.
+// whether the caller wires an external sampler or not, the per-replica
+// series the dashboard groups on actually fill in, and the series checks
+// hold on series that were sampled.
 func TestGNSClusterObservedDoesNotPerturbResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick soak (20k names over loopback UDP); skipped in -short")
 	}
-	reg := obs.NewRegistry()
-	smp := obs.NewSampler(reg, 0)
-	obsRes, err := RunGNSClusterObserved(7, true, &GNSClusterObs{Registry: reg, Sampler: smp})
+	smp := obs.NewSampler(obs.NewRegistry(), 0)
+	obsRes, err := RunGNSClusterObserved(7, true, smp)
 	if err != nil {
 		t.Fatalf("observed soak: %v", err)
 	}
@@ -60,6 +59,13 @@ func TestGNSClusterObservedDoesNotPerturbResults(t *testing.T) {
 	}
 	if !obsRes.ChecksOK || len(obsRes.SeriesChecks) == 0 {
 		t.Fatalf("series checks: %+v", obsRes.SeriesChecks)
+	}
+	// A check on a series the sampler never saw passes vacuously, so each
+	// one must have read samples.
+	for _, c := range obsRes.SeriesChecks {
+		if len(smp.Values(c.Series, nil)) == 0 {
+			t.Fatalf("check %s passed on %s, a series with no samples", c.Name, c.Series)
+		}
 	}
 	dump := smp.Dump() // what /debug/timeseries would have served
 	replicaSeries := 0

@@ -110,3 +110,19 @@ func TestDesignIndexesEveryExperiment(t *testing.T) {
 		}
 	}
 }
+
+// designMaxLines is DESIGN.md's ceiling: the file maps the paper onto the
+// code as it stands, and history belongs in CHANGES.md.
+const designMaxLines = 900
+
+// TestDesignStaysUnderItsCeiling fails when DESIGN.md grows past
+// designMaxLines lines.
+func TestDesignStaysUnderItsCeiling(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n > designMaxLines {
+		t.Fatalf("DESIGN.md is %d lines, over its ceiling of %d: move history to CHANGES.md", n, designMaxLines)
+	}
+}

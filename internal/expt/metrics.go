@@ -48,5 +48,5 @@ func (c Config) memo(r core.RouteLookup) *core.Memo {
 	if c.Obs == nil {
 		return core.NewMemo(r)
 	}
-	return core.NewMemoObserved(r, 0, c.Obs.Memo)
+	return core.NewMemoObserved(r, c.Obs.Memo)
 }

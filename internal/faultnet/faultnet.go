@@ -45,9 +45,8 @@ type Stats struct {
 	Reset      int
 	Stalled    int
 	// Partitioned counts datagrams swallowed by a Partition cut. Unlike
-	// the probabilistic faults above these consume no random variates, so
-	// imposing or healing a partition never shifts the seeded fault
-	// stream of the other kinds.
+	// the probabilistic faults above a cut consumes no random variates; a
+	// read swallowed by one draws none at all (see PacketConn).
 	Partitioned int
 }
 

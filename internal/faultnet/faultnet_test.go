@@ -21,7 +21,7 @@ func udpPair(t *testing.T, env *Env, send, recv PacketFaults) (*PacketConn, net.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	wrapped := WrapPacketConn(srv, env, send, recv)
+	wrapped := WrapPacketConn(srv, env, send, recv, nil)
 	cli, err := net.Dial("udp", srv.LocalAddr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestPacketDeterministicTrace(t *testing.T) {
 		defer srv.Close()
 		wrapped := WrapPacketConn(srv, env, PacketFaults{
 			Drop: 0.3, Dup: 0.2, Delay: 0.3, DelayMax: 10 * time.Millisecond,
-		}, PacketFaults{})
+		}, PacketFaults{}, nil)
 		peer, err := net.ResolveUDPAddr("udp", "127.0.0.1:9") // discard port; never read
 		if err != nil {
 			t.Fatal(err)

@@ -74,12 +74,19 @@ type queuedPacket struct {
 	addr net.Addr
 }
 
-// PacketConn wraps a net.PacketConn with per-direction fault injection. Send
-// faults apply to WriteTo, receive faults to ReadFrom.
+// PacketConn is the one faultnet wrapper of a datagram socket: per-direction
+// probabilistic faults drawn from its Env and, when it has a Partition,
+// unconditional cuts. The two meet in a fixed order. A datagram read from
+// across a cut is swallowed before any receive fault is drawn for it, so it
+// consumes no variates. A written datagram draws its send faults first and
+// meets the cut after, so a duplicated write into a cut is swallowed, and
+// counted, twice.
 type PacketConn struct {
-	inner      net.PacketConn
+	net.PacketConn
 	env        *Env
 	send, recv PacketFaults // fixed at wrap time
+	part       *Partition   // nil: no cuts
+	self       string       // LocalAddr at wrap time, the conn's identity in part
 
 	mu      sync.Mutex
 	pending []queuedPacket // receive-side duplicates
@@ -87,29 +94,45 @@ type PacketConn struct {
 
 // WrapPacketConn wraps pc so datagrams written through it suffer send
 // faults and datagrams read through it suffer recv faults, with randomness
-// and waits owned by env.
-func WrapPacketConn(pc net.PacketConn, env *Env, send, recv PacketFaults) *PacketConn {
-	return &PacketConn{inner: pc, env: env, send: send, recv: recv}
+// and waits owned by env. A non-nil part cuts datagrams to and from the
+// addresses it isolates.
+func WrapPacketConn(pc net.PacketConn, env *Env, send, recv PacketFaults, part *Partition) *PacketConn {
+	return &PacketConn{PacketConn: pc, env: env, send: send, recv: recv, part: part, self: pc.LocalAddr().String()}
 }
 
-// WriteTo applies send-direction faults, then forwards to the inner conn.
-// Dropped datagrams still report success, as a lossy network would.
+// cut reports whether a datagram exchanged with peer crosses a live
+// isolation, and counts it if so. The peer's address is rendered only
+// while some isolation is live: a healthy cluster pays one atomic load.
+func (c *PacketConn) cut(peer net.Addr) bool {
+	if c.part == nil || peer == nil || c.part.live.Load() == 0 || !c.part.Blocked(c.self, peer.String()) {
+		return false
+	}
+	c.part.swallow()
+	return true
+}
+
+// WriteTo applies send-direction faults, then the cut, then forwards to
+// the inner conn. Dropped and cut datagrams still report success, as a
+// lossy network would.
 func (c *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	if !c.send.enabled() {
-		return c.inner.WriteTo(p, addr)
+	copies := 1
+	if c.send.enabled() {
+		d := c.env.decidePacket(c.send, "send", len(p))
+		if d.drop {
+			return len(p), nil
+		}
+		if d.delay > 0 {
+			c.env.doSleep(d.delay)
+		}
+		if d.dup {
+			copies = 2
+		}
 	}
-	d := c.env.decidePacket(c.send, "send", len(p))
-	if d.drop {
-		return len(p), nil
-	}
-	if d.delay > 0 {
-		c.env.doSleep(d.delay)
-	}
-	if _, err := c.inner.WriteTo(p, addr); err != nil {
-		return 0, err
-	}
-	if d.dup {
-		if _, err := c.inner.WriteTo(p, addr); err != nil {
+	for range copies {
+		if c.cut(addr) {
+			continue
+		}
+		if _, err := c.PacketConn.WriteTo(p, addr); err != nil {
 			return 0, err
 		}
 	}
@@ -117,7 +140,8 @@ func (c *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 }
 
 // ReadFrom delivers a queued duplicate first, then reads from the inner
-// conn applying receive-direction faults.
+// conn, swallowing datagrams from across a cut and applying
+// receive-direction faults to the rest.
 func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	for {
 		c.mu.Lock()
@@ -129,9 +153,12 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		}
 		c.mu.Unlock()
 
-		n, addr, err := c.inner.ReadFrom(p)
+		n, addr, err := c.PacketConn.ReadFrom(p)
 		if err != nil {
 			return n, addr, err
+		}
+		if c.cut(addr) {
+			continue
 		}
 		if !c.recv.enabled() {
 			return n, addr, nil
@@ -151,18 +178,3 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		return n, addr, nil
 	}
 }
-
-// Close closes the inner conn. A queued duplicate not yet read is lost.
-func (c *PacketConn) Close() error { return c.inner.Close() }
-
-// LocalAddr returns the inner conn's address.
-func (c *PacketConn) LocalAddr() net.Addr { return c.inner.LocalAddr() }
-
-// SetDeadline forwards to the inner conn.
-func (c *PacketConn) SetDeadline(t time.Time) error { return c.inner.SetDeadline(t) }
-
-// SetReadDeadline forwards to the inner conn.
-func (c *PacketConn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadline(t) }
-
-// SetWriteDeadline forwards to the inner conn.
-func (c *PacketConn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }

@@ -23,7 +23,7 @@ func TestPartitionBlockedSemantics(t *testing.T) {
 	}
 }
 
-func TestPartitionedConnSwallowsCutTraffic(t *testing.T) {
+func TestPartitionWrapPacketConnSwallowsCutTraffic(t *testing.T) {
 	env := NewEnv(7)
 	p := env.NewPartition()
 
@@ -100,6 +100,54 @@ func TestPartitionedConnSwallowsCutTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv("three")
+}
+
+// TestPacketConnCutOrder pins where a cut sits among the probabilistic
+// faults of one wrapper: before the receive draw, after the send draw.
+func TestPacketConnCutOrder(t *testing.T) {
+	env := NewEnv(5)
+	p := env.NewPartition()
+	raw, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close() //nolint:errcheck // test teardown
+	c := WrapPacketConn(raw, env, PacketFaults{Dup: 1}, PacketFaults{Drop: 1}, p)
+	defer c.Close() //nolint:errcheck // test teardown
+	p.Isolate(peer.LocalAddr().String())
+
+	// Receive: the peer's datagram is swallowed by the cut, so no drop is
+	// ever drawn for it.
+	if _, err := peer.WriteTo([]byte("in"), c.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.ReadFrom(make([]byte, 64)); err == nil {
+		t.Fatal("read across a cut delivered a datagram")
+	}
+	if st := env.Stats(); st.Partitioned != 1 || st.Dropped != 0 {
+		t.Fatalf("after a cut read: Partitioned=%d Dropped=%d, want 1 and 0", st.Partitioned, st.Dropped)
+	}
+	if trace := strings.Join(env.Trace(), "\n"); strings.Contains(trace, "recv drop") {
+		t.Fatalf("a cut datagram drew a receive fault:\n%s", trace)
+	}
+
+	// Send: the duplicate is drawn first, then both copies meet the cut.
+	if _, err := c.WriteTo([]byte("out"), peer.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.Stats().Partitioned; got != 3 {
+		t.Fatalf("Partitioned=%d after a duplicated write into the cut, want 3", got)
+	}
+	if trace := strings.Join(env.Trace(), "\n"); !strings.Contains(trace, "send dup") {
+		t.Fatalf("the send draw did not precede the cut:\n%s", trace)
+	}
 }
 
 func TestPartitionControlEventsTraced(t *testing.T) {

@@ -61,7 +61,7 @@ func runChaosScenario(t *testing.T, faults faultnet.PacketFaults, envSeed, jitte
 	fm := faultnet.NewMetrics(reg)
 	env.SetMetrics(fm)
 	sm := NewServerMetrics(reg)
-	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faults, faults), sm)
+	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faults, faults, nil), sm)
 	defer srv.Close()
 
 	c := newWireClient(srv.Addr())

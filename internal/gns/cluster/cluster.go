@@ -110,13 +110,11 @@ func Start(ctx context.Context, cfg Config, env *faultnet.Env, sm *gns.ServerMet
 				c.Close()
 				return nil, err
 			}
-			// Partition innermost: cut datagrams never reach the
-			// probabilistic fault layer, so imposing a partition does not
-			// shift the seeded fault stream.
-			var conn net.PacketConn = c.part.WrapPacketConn(pc)
-			if cfg.Faults != (faultnet.PacketFaults{}) {
-				conn = faultnet.WrapPacketConn(conn, env, cfg.Faults, cfg.Faults)
-			}
+			// One wrapper carries both the seeded faults and the cuts: a
+			// datagram read from across a cut is swallowed before any
+			// receive fault is drawn for it, while a write draws its send
+			// faults first and meets the cut after.
+			conn := faultnet.WrapPacketConn(pc, env, cfg.Faults, cfg.Faults, c.part)
 			store := NewStore(0)
 			node := &Node{
 				Shard:   s,

@@ -57,7 +57,7 @@ func TestChaosLookupCausalTree(t *testing.T) {
 	sm := NewServerMetrics(nil)
 	sm.Tracer = tr
 	faults := faultnet.PacketFaults{Drop: 0.4}
-	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faults, faults), sm)
+	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faults, faults, nil), sm)
 	defer srv.Close()
 
 	c := newWireClient(srv.Addr())

@@ -74,7 +74,7 @@ func TestTransportDiscardsDuplicatedReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := faultnet.NewEnv(1)
-	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faultnet.PacketFaults{Dup: 1}, faultnet.PacketFaults{}), nil)
+	srv := ServePacketConnObserved(context.Background(), svc, faultnet.WrapPacketConn(pc, env, faultnet.PacketFaults{Dup: 1}, faultnet.PacketFaults{}, nil), nil)
 	defer srv.Close()
 
 	names := [2]string{"alice.phone", "bob.laptop"}

@@ -35,13 +35,11 @@ type SoakConfig struct {
 	Seed    int64
 	// Shards is the engine count (0 = one per core, capped at Devices).
 	Shards int
-	// Registry, when non-nil, receives the engine and faultnet metric
-	// families (e.g. for -obs.addr export); nil keeps them private.
-	Registry *obs.Registry
-	// Sampler, when non-nil, is the time-series sampler the soak drives
-	// (it must be built over Registry). nomadd passes the sampler it has
-	// already mounted on /debug/dash, so the live dashboard and the soak's
-	// flatness evidence read the same rings. Nil builds a private one.
+	// Sampler, when non-nil, is the time-series sampler the soak drives,
+	// and its registry receives the engine and faultnet metric families.
+	// nomadd passes the sampler it has already mounted on /debug/dash, so
+	// the live dashboard and the soak's flatness evidence read the same
+	// rings. Nil builds a private one over a private registry.
 	Sampler *obs.Sampler
 	// Out receives the human/grep-able report lines; nil discards them.
 	Out io.Writer
@@ -154,14 +152,11 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 		shards = cfg.Devices
 	}
 
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	smp := cfg.Sampler
 	if smp == nil {
-		smp = obs.NewSampler(reg, 0)
+		smp = obs.NewSampler(obs.NewRegistry(), 0)
 	}
+	reg := smp.Registry()
 	prof := obs.NewProfiler(reg)
 	begin := time.Now()                                            //lint:allow determinism wall-clock phase timing is reporting, never simulation state
 	prof.SetNow(func() time.Duration { return time.Since(begin) }) //lint:allow determinism same: profiler phase walls

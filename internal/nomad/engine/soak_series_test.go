@@ -70,8 +70,8 @@ func TestSoakChecksFixtureVerdicts(t *testing.T) {
 }
 
 // TestSoakSamplerDoesNotPerturbResults: the deterministic soak evidence is
-// byte-identical whether the caller wires a registry+sampler (dash on) or
-// leaves observability off entirely — the standing obs invariant, extended
+// byte-identical whether the caller wires a sampler (dash on) or leaves
+// observability off entirely — the standing obs invariant, extended
 // to the time-series layer.
 func TestSoakSamplerDoesNotPerturbResults(t *testing.T) {
 	if testing.Short() {
@@ -82,9 +82,7 @@ func TestSoakSamplerDoesNotPerturbResults(t *testing.T) {
 		cfg := SoakConfig{Devices: 250, Days: 2, Seed: 11, Shards: 4, Out: &buf}
 		var smp *obs.Sampler
 		if observed {
-			reg := obs.NewRegistry()
-			smp = obs.NewSampler(reg, 0)
-			cfg.Registry = reg
+			smp = obs.NewSampler(obs.NewRegistry(), 0)
 			cfg.Sampler = smp
 		}
 		rep, err := RunSoak(context.Background(), cfg)
@@ -112,6 +110,13 @@ func TestSoakSamplerDoesNotPerturbResults(t *testing.T) {
 	}
 	if !names[SoakHeapCheck] || !names[SoakQueueCheck] {
 		t.Fatalf("SeriesChecks missing soak checks: %+v", repOn.SeriesChecks)
+	}
+	// A check on a series the sampler never saw passes vacuously, so each
+	// one must have read samples.
+	for _, c := range repOn.SeriesChecks {
+		if len(smp.Values(c.Series, nil)) == 0 {
+			t.Fatalf("check %s passed on %s, a series with no samples", c.Name, c.Series)
+		}
 	}
 	// The external sampler saw per-shard series (the dashboard's food).
 	dump := smp.Dump()

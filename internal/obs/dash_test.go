@@ -21,7 +21,7 @@ func sampledHandler(t *testing.T) (http.Handler, *Sampler, *Gauge) {
 		g1.Set(int64(200 + i))
 		s.Tick()
 	}
-	return NewHandler(HandlerOpts{Reg: r, Sampler: s}), s, g0
+	return NewHandler(s, nil), s, g0
 }
 
 func dashGet(t *testing.T, h http.Handler, path string) (*http.Response, string) {
@@ -52,7 +52,7 @@ func TestTimeseriesEndpoint(t *testing.T) {
 }
 
 func TestTimeseriesWithoutSampler404s(t *testing.T) {
-	h := NewHandler(HandlerOpts{Reg: NewRegistry()})
+	h := NewHandler(nil, nil)
 	for _, path := range []string{"/debug/timeseries", "/debug/dash"} {
 		res, body := dashGet(t, h, path)
 		if res.StatusCode != http.StatusNotFound {

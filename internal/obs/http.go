@@ -7,32 +7,24 @@ import (
 	"strings"
 )
 
-// HandlerOpts selects which introspection surfaces NewHandler mounts; any
-// nil field simply leaves its endpoints in the explanatory-404 state.
-type HandlerOpts struct {
-	Reg     *Registry
-	Tracer  *Tracer
-	Sampler *Sampler
-}
-
 // NewHandler mounts the introspection surface on a private mux:
 //
-//	/metrics           Prometheus text exposition of Reg
+//	/metrics           Prometheus text exposition of smp's registry
 //	/debug/pprof/*     the standard runtime profiles
-//	/debug/traces      Tracer's retained spans as JSON; ?format=chrome
+//	/debug/traces      tr's retained spans as JSON; ?format=chrome
 //	                   renders Chrome trace_event JSON (404 when nil)
-//	/debug/timeseries  Sampler's ring-buffer series + check verdicts as
+//	/debug/timeseries  smp's ring-buffer series + check verdicts as
 //	                   JSON (404 when nil)
 //	/debug/dash        self-contained HTML dashboard with inline SVG
 //	                   sparklines; ?by=<label> groups per shard/replica
-//	                   (404 when Sampler is nil)
+//	                   (404 when smp is nil)
 //	/healthz           200 "ok" — or 503 "degraded" listing the failing
 //	                   series checks when the sampler has any
 //
 // Nothing registers on http.DefaultServeMux, so tests can mount several
 // handlers in one process.
-func NewHandler(o HandlerOpts) http.Handler {
-	reg, tr, sampler := o.Reg, o.Tracer, o.Sampler
+func NewHandler(smp *Sampler, tr *Tracer) http.Handler {
+	reg := smp.Registry()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var b strings.Builder
@@ -62,11 +54,11 @@ func NewHandler(o HandlerOpts) http.Handler {
 		w.Write([]byte(b.String())) //nolint:errcheck
 	})
 	mux.HandleFunc("/debug/timeseries", func(w http.ResponseWriter, _ *http.Request) {
-		if sampler == nil {
+		if smp == nil {
 			http.Error(w, "time-series sampling disabled (no sampler attached)", http.StatusNotFound)
 			return
 		}
-		out, err := sampler.Dump().JSON()
+		out, err := smp.Dump().JSON()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -75,12 +67,12 @@ func NewHandler(o HandlerOpts) http.Handler {
 		w.Write(out) //nolint:errcheck
 	})
 	mux.HandleFunc("/debug/dash", func(w http.ResponseWriter, r *http.Request) {
-		if sampler == nil {
+		if smp == nil {
 			http.Error(w, "time-series sampling disabled (no sampler attached)", http.StatusNotFound)
 			return
 		}
 		var b strings.Builder
-		WriteDash(&b, sampler, r.URL.Query().Get("by"))
+		WriteDash(&b, smp, r.URL.Query().Get("by"))
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write([]byte(b.String())) //nolint:errcheck
 	})
@@ -88,7 +80,7 @@ func NewHandler(o HandlerOpts) http.Handler {
 		// Failing series checks degrade health: a soak whose heap series
 		// stopped being flat should trip the operator's probe, not wait for
 		// the end-of-run report.
-		if ok, failed := sampler.Healthy(); !ok {
+		if ok, failed := smp.Healthy(); !ok {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			var b strings.Builder
 			b.WriteString("degraded\n")

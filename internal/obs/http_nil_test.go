@@ -7,7 +7,7 @@ import (
 )
 
 func TestHandlerNilSourcesReturn404(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Reg: NewRegistry()}))
+	srv := httptest.NewServer(NewHandler(NewSampler(NewRegistry(), 0), nil))
 	defer srv.Close()
 	base := srv.URL
 
@@ -35,7 +35,7 @@ func TestHandlerChromeFormat(t *testing.T) {
 	req := tr.Start("request")
 	req.Child("attempt").End()
 	req.End()
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Reg: NewRegistry(), Tracer: tr}))
+	srv := httptest.NewServer(NewHandler(nil, tr))
 	defer srv.Close()
 
 	code, body := get(t, srv.URL+"/debug/traces?format=chrome")

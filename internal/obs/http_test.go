@@ -28,7 +28,7 @@ func TestIntrospectionEndpoint(t *testing.T) {
 	tr := NewTracer(1, 16)
 	tr.Start("probe").End()
 
-	srv := httptest.NewServer(NewHandler(HandlerOpts{Reg: reg, Tracer: tr}))
+	srv := httptest.NewServer(NewHandler(NewSampler(reg, 0), tr))
 	defer srv.Close()
 	base := srv.URL
 

@@ -82,6 +82,16 @@ func NewSampler(reg *Registry, capacity int) *Sampler {
 	return &Sampler{reg: reg, capacity: capacity, byKey: map[string]*Series{}}
 }
 
+// Registry returns the registry s samples: the one place its metrics
+// register, so every check it binds reads a series it can sample. Nil for
+// a nil sampler.
+func (s *Sampler) Registry() *Registry {
+	if s == nil {
+		return nil
+	}
+	return s.reg
+}
+
 // Pre registers a hook run at the start of every tick, before sampling —
 // the place to refresh derived gauges (runtime heap, per-shard rollups,
 // event rates) so the same tick that computes them also records them.

@@ -16,29 +16,12 @@ type Series struct {
 	pairs []labelPair
 	key   string // name{labels} — the exposition identity
 
-	buf  []float64
-	next int
-	full bool
+	ring[float64] // push is the sampler's per-tick hot path
 }
 
 // newSeries builds a ring of the given capacity for one registry series.
 func newSeries(name string, pairs []labelPair, key string, capacity int) *Series {
-	return &Series{name: name, pairs: pairs, key: key, buf: make([]float64, 0, capacity)}
-}
-
-// push appends one sample, overwriting the oldest once the ring is full.
-// This is the sampler's per-tick hot path and must stay allocation-free:
-// the backing array is sized once at construction and only indexed here.
-func (s *Series) push(v float64) {
-	if !s.full && len(s.buf) < cap(s.buf) {
-		s.buf = s.buf[:len(s.buf)+1]
-	}
-	s.buf[s.next] = v
-	s.next++
-	if s.next == cap(s.buf) {
-		s.next = 0
-		s.full = true
-	}
+	return &Series{name: name, pairs: pairs, key: key, ring: ring[float64]{buf: make([]float64, 0, capacity)}}
 }
 
 // Values appends the retained samples, oldest first, onto dst and returns
@@ -47,11 +30,34 @@ func (s *Series) Values(dst []float64) []float64 {
 	if s == nil {
 		return dst
 	}
-	if !s.full {
-		return append(dst, s.buf...)
+	return s.appendTo(dst)
+}
+
+// ring is a fixed-capacity buffer that overwrites its oldest element once
+// full: the retention of both a Series and a Tracer. Its capacity is
+// cap(buf), at least 1, fixed when it is built.
+type ring[T any] struct {
+	buf  []T // grows to cap(buf), then only indexed
+	next int // write cursor; len(buf) until the ring fills
+}
+
+// push appends v, overwriting the oldest element once the ring is full.
+// The backing array is sized once at construction, so push never
+// allocates.
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = r.buf[:len(r.buf)+1]
 	}
-	dst = append(dst, s.buf[s.next:]...)
-	return append(dst, s.buf[:s.next]...)
+	r.buf[r.next] = v
+	if r.next++; r.next == cap(r.buf) {
+		r.next = 0
+	}
+}
+
+// appendTo appends the retained elements, oldest first, onto dst. Before
+// the ring fills, next is len(buf) and the first half is empty.
+func (r *ring[T]) appendTo(dst []T) []T {
+	return append(append(dst, r.buf[r.next:]...), r.buf[:r.next]...)
 }
 
 // QuarterMedians splits samples into the four overlapping quarter windows

@@ -24,14 +24,11 @@ import (
 // mutex-guarded (tracing is per-request/per-experiment, not per-lookup,
 // so it is never on a zero-allocation hot path).
 type Tracer struct {
-	mu   sync.Mutex
-	seed uint64
-	seq  uint64
-	cap  int
-	now  func() time.Duration
-	ring []SpanRecord
-	next int // ring write cursor
-	full bool
+	mu    sync.Mutex
+	seed  uint64
+	seq   uint64
+	now   func() time.Duration
+	spans ring[SpanRecord]
 }
 
 // SpanRecord is one finished (or still-open) span.
@@ -114,7 +111,7 @@ func NewTracer(seed int64, capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 4096
 	}
-	return &Tracer{seed: uint64(seed), cap: capacity, ring: make([]SpanRecord, 0, capacity)}
+	return &Tracer{seed: uint64(seed), spans: ring[SpanRecord]{buf: make([]SpanRecord, 0, capacity)}}
 }
 
 // SetNow installs a monotonic clock used for span start/duration stamps.
@@ -238,29 +235,17 @@ func (s *Span) End() {
 	if t.now != nil {
 		rec.Dur = t.now() - s.start
 	}
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, rec)
-	} else {
-		t.ring[t.next] = rec
-		t.full = true
-	}
-	t.next = (t.next + 1) % t.cap
+	t.spans.push(rec)
 }
 
-// Spans returns the retained spans, oldest first.
+// Spans returns the retained spans, oldest first; nil before the first.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return append([]SpanRecord(nil), t.ring...)
-	}
-	out := make([]SpanRecord, 0, t.cap)
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.spans.appendTo(nil)
 }
 
 // WriteJSON renders the retained spans as a JSON array into b — the

@@ -182,11 +182,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // of loc/ID resolution. It is safe for concurrent use.
 //
 // The zero value is unbounded. Bound gives it a capacity with epoch-flush
-// eviction (the core.Memo idiom): crossing the cap drops the whole map in
-// one O(1) swap rather than tracking per-entry recency, which is the right
-// trade for a fallback cache — a flushed entry is repopulated by the next
-// successful fetch, and million-name runs cannot grow the map without
-// limit.
+// eviction: crossing the cap drops the whole map in one O(1) swap rather
+// than tracking per-entry recency, which is the right trade for a fallback
+// cache — a flushed entry is repopulated by the next successful fetch, and
+// million-name runs cannot grow the map without limit.
 type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
 	m        map[K]V
