@@ -61,12 +61,13 @@ func gnsClusterScale(quick bool) (names, shards, replicas int) {
 // RunGNSClusterObserved boots the cluster on loopback under seeded
 // per-datagram faults, runs the chaos schedule, and verifies convergence
 // against the in-memory fault-free reference. Observability is wired
-// through when smp is non-nil: the cluster metrics land on smp's registry
-// and smp is ticked at fixed points in the schedule (per phase, and every
-// few hundred names inside the sweeps), so the dashboard's per-replica
-// series fill in while the soak runs. Sampling is schedule-driven, not
-// clock-driven: the same seed takes the same number of ticks, and the
-// soak's digest output is byte-identical with observability on or off.
+// through when smp is non-nil: the client, replica-server and
+// injected-fault metrics land on smp's registry and smp is ticked at fixed
+// points in the schedule (per phase, and every few hundred names inside
+// the sweeps), so the dashboard's per-replica series fill in while the
+// soak runs. Sampling is schedule-driven, not clock-driven: the same seed
+// takes the same number of ticks, and the soak's digest output is
+// byte-identical with observability on or off.
 func RunGNSClusterObserved(seed int64, quick bool, smp *obs.Sampler) (GNSClusterResult, error) {
 	names, shards, replicas := gnsClusterScale(quick)
 	res := GNSClusterResult{Seed: seed, Names: names, Shards: shards, Replicas: replicas}
@@ -81,15 +82,16 @@ func RunGNSClusterObserved(seed int64, quick bool, smp *obs.Sampler) (GNSCluster
 		// at soak scale timeout burn — not throughput — is the budget.
 		Faults: faultnet.PacketFaults{Drop: 0.0002},
 	}
-	c, err := cluster.Start(ctx, cfg, env, nil)
+	if smp == nil {
+		smp = obs.NewSampler(obs.NewRegistry(), 0)
+	}
+	env.SetMetrics(faultnet.NewMetrics(smp.Registry()))
+	c, err := cluster.Start(ctx, cfg, env, gns.NewServerMetrics(smp.Registry()))
 	if err != nil {
 		return res, err
 	}
 	defer c.Close()
 
-	if smp == nil {
-		smp = obs.NewSampler(obs.NewRegistry(), 0)
-	}
 	m := cluster.NewClientMetrics(smp.Registry())
 	cl := cluster.NewClient(c.Addrs(), cluster.ClientConfig{
 		Origin: 1,

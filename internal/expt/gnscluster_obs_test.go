@@ -1,9 +1,11 @@
 package expt
 
 import (
+	"strings"
 	"testing"
 
 	"locind/internal/faultnet"
+	"locind/internal/gns"
 	"locind/internal/obs"
 )
 
@@ -79,5 +81,26 @@ func TestGNSClusterObservedDoesNotPerturbResults(t *testing.T) {
 	}
 	if dump.Ticks == 0 {
 		t.Fatal("sampler never ticked")
+	}
+
+	// What stdout reports, /metrics exports: the replica servers' families,
+	// and injected-fault counters equal to the printed tallies.
+	var expo strings.Builder
+	smp.Registry().WritePrometheus(&expo)
+	for _, fam := range []string{
+		"locind_faultnet_injected_total",
+		"locind_gns_requests_total", "locind_gns_lookups_total", "locind_gns_updates_total",
+		"locind_gns_errors_total", "locind_gns_inflight_requests", "locind_gns_request_seconds",
+	} {
+		if !strings.Contains(expo.String(), "# TYPE "+fam+" ") {
+			t.Errorf("/metrics has no %s family", fam)
+		}
+	}
+	fm := faultnet.NewMetrics(smp.Registry()) // fetches the run's handles
+	if got, want := [2]int64{fm.Dropped.Value(), fm.Partitioned.Value()}, [2]int64{int64(obsRes.Net.Dropped), int64(obsRes.Net.Partitioned)}; got != want || want[1] == 0 {
+		t.Errorf("exported dropped/partitioned %v, printed %v", got, want)
+	}
+	if sm := gns.NewServerMetrics(smp.Registry()); sm.Lookups.Value() == 0 || sm.Updates.Value() == 0 {
+		t.Errorf("replicas exported %d lookups and %d updates", sm.Lookups.Value(), sm.Updates.Value())
 	}
 }

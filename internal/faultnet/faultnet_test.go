@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +179,93 @@ func TestPacketDeterministicTrace(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// TestPacketAdaptersReplayTheAddrPortTrace: ReadFrom and WriteTo are
+// adapters over ReadFromUDPAddrPort and WriteToUDPAddrPort, so one seed and
+// one datagram sequence give one Env trace through either API, cuts
+// included. The WriteTo side uses a 16-byte IPv4 *net.UDPAddr, the form
+// net.IPv4 builds: it must reach, and be cut as, the same peer as its
+// AddrPort.
+func TestPacketAdaptersReplayTheAddrPortTrace(t *testing.T) {
+	run := func(addrPort bool) ([]string, Stats) {
+		env := NewEnv(42)
+		env.SetSleep(func(time.Duration) {})
+		part := env.NewPartition()
+		listen := func() *net.UDPConn {
+			pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { pc.Close() })
+			return pc
+		}
+		faults := PacketFaults{Drop: 0.3, Dup: 0.2, Delay: 0.3, DelayMax: 10 * time.Millisecond}
+		c, peer := WrapPacketConn(listen(), env, faults, faults, part), listen()
+		peerAP := netip.MustParseAddrPort(peer.LocalAddr().String())
+		peerUDP := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(peerAP.Port())}
+		for i := range 100 {
+			switch i {
+			case 60:
+				part.Isolate(peerAP.String())
+			case 80:
+				part.HealAll()
+			}
+			msg := fmt.Appendf(nil, "msg-%03d", i)
+			var err error
+			if addrPort {
+				_, err = c.WriteToUDPAddrPort(msg, peerAP)
+			} else {
+				_, err = c.WriteTo(msg, peerUDP)
+			}
+			if err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		self := netip.MustParseAddrPort(c.LocalAddr().String())
+		for i := range 50 {
+			if _, err := peer.WriteToUDPAddrPort(fmt.Appendf(nil, "in-%03d", i), self); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 64)
+		for {
+			var from string
+			var err error
+			if addrPort {
+				var ap netip.AddrPort
+				_, ap, err = c.ReadFromUDPAddrPort(buf)
+				from = ap.String()
+			} else {
+				var a net.Addr
+				if _, a, err = c.ReadFrom(buf); err == nil {
+					from = a.String()
+				}
+			}
+			if err != nil {
+				break
+			}
+			if from != peerAP.String() {
+				t.Fatalf("read from %s, want %s", from, peerAP)
+			}
+		}
+		trace := env.Trace()
+		for i, line := range trace {
+			trace[i] = strings.ReplaceAll(line, peerAP.String(), "PEER")
+		}
+		return trace, env.Stats()
+	}
+	viaAddrPort, statsAddrPort := run(true)
+	viaAdapters, statsAdapters := run(false)
+	if statsAddrPort != statsAdapters || statsAddrPort.Partitioned == 0 || statsAddrPort.Dropped == 0 {
+		t.Fatalf("stats through AddrPort %+v, through the adapters %+v", statsAddrPort, statsAdapters)
+	}
+	if a, b := strings.Join(viaAddrPort, "\n"), strings.Join(viaAdapters, "\n"); a != b {
+		t.Fatalf("traces differ:\nAddrPort:\n%s\nadapters:\n%s", a, b)
 	}
 }
 

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -68,10 +69,18 @@ func (e *Env) decidePacket(f PacketFaults, dir string, n int) packetDecision {
 	return d
 }
 
-// queuedPacket is a received duplicate waiting for the next ReadFrom.
+// queuedPacket is a received duplicate waiting for the next read.
 type queuedPacket struct {
 	data []byte
-	addr net.Addr
+	addr netip.AddrPort
+}
+
+// addrPortConn is the inner socket a PacketConn wraps: a datagram socket
+// that moves peers as netip.AddrPort, as *net.UDPConn does.
+type addrPortConn interface {
+	net.PacketConn
+	ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(p []byte, addr netip.AddrPort) (int, error)
 }
 
 // PacketConn is the one faultnet wrapper of a datagram socket: per-direction
@@ -81,8 +90,13 @@ type queuedPacket struct {
 // consumes no variates. A written datagram draws its send faults first and
 // meets the cut after, so a duplicated write into a cut is swallowed, and
 // counted, twice.
+//
+// The faults live in ReadFromUDPAddrPort and WriteToUDPAddrPort; ReadFrom
+// and WriteTo are adapters over them, and the wrapper overrides every
+// method of the inner socket that moves a datagram, so none passes one
+// around the faults.
 type PacketConn struct {
-	net.PacketConn
+	addrPortConn
 	env        *Env
 	send, recv PacketFaults // fixed at wrap time
 	part       *Partition   // nil: no cuts
@@ -97,24 +111,74 @@ type PacketConn struct {
 // and waits owned by env. A non-nil part cuts datagrams to and from the
 // addresses it isolates.
 func WrapPacketConn(pc net.PacketConn, env *Env, send, recv PacketFaults, part *Partition) *PacketConn {
-	return &PacketConn{PacketConn: pc, env: env, send: send, recv: recv, part: part, self: pc.LocalAddr().String()}
+	inner, ok := pc.(addrPortConn)
+	if !ok {
+		inner = addrPortShim{pc}
+	}
+	return &PacketConn{addrPortConn: inner, env: env, send: send, recv: recv, part: part, self: pc.LocalAddr().String()}
+}
+
+// addrPortShim adds the AddrPort methods to a net.PacketConn that lacks
+// them, converting the peer at each call. Every socket a cluster node
+// listens on is a *net.UDPConn and needs none; the one socket that takes
+// the shim is the benchmark's stub, wrapped by Partition.WrapPacketConn to
+// time the wrapper alone.
+type addrPortShim struct{ net.PacketConn }
+
+func (s addrPortShim) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
+	n, addr, err := s.ReadFrom(p)
+	return n, addrPortOf(addr), err
+}
+
+func (s addrPortShim) WriteToUDPAddrPort(p []byte, addr netip.AddrPort) (int, error) {
+	return s.WriteTo(p, net.UDPAddrFromAddrPort(addr))
+}
+
+// addrPortOf converts a *net.UDPAddr to its AddrPort, IPv4 unmapped: a
+// 16-byte IPv4 address would otherwise be written to an IPv4 socket as
+// "non-IPv4 address" and render as [::ffff:a.b.c.d] in a cut. Any other
+// net.Addr is the zero AddrPort.
+func addrPortOf(addr net.Addr) netip.AddrPort {
+	ua, ok := addr.(*net.UDPAddr)
+	if !ok {
+		return netip.AddrPort{}
+	}
+	ap := ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // cut reports whether a datagram exchanged with peer crosses a live
 // isolation, and counts it if so. The peer's address is rendered only
 // while some isolation is live: a healthy cluster pays one atomic load.
-func (c *PacketConn) cut(peer net.Addr) bool {
-	if c.part == nil || peer == nil || c.part.live.Load() == 0 || !c.part.Blocked(c.self, peer.String()) {
+func (c *PacketConn) cut(peer netip.AddrPort) bool {
+	if c.part == nil || !peer.IsValid() || c.part.live.Load() == 0 || !c.part.Blocked(c.self, peer.String()) {
 		return false
 	}
 	c.part.swallow()
 	return true
 }
 
-// WriteTo applies send-direction faults, then the cut, then forwards to
-// the inner conn. Dropped and cut datagrams still report success, as a
-// lossy network would.
+// WriteTo is WriteToUDPAddrPort for a *net.UDPAddr peer. Any other addr
+// still draws its send faults, then fails at the inner socket.
 func (c *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	return c.WriteToUDPAddrPort(p, addrPortOf(addr))
+}
+
+// ReadFrom is ReadFromUDPAddrPort with the peer as a *net.UDPAddr.
+func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+	n, ap, err := c.ReadFromUDPAddrPort(p)
+	if err != nil {
+		return n, nil, err
+	}
+	return n, net.UDPAddrFromAddrPort(ap), nil
+}
+
+// WriteToUDPAddrPort applies send-direction faults, then the cut, then
+// forwards to the inner conn. Dropped and cut datagrams still report
+// success, as a lossy network would.
+//
+//lint:zeroalloc per datagram with no send fault enabled and no isolation live
+func (c *PacketConn) WriteToUDPAddrPort(p []byte, addr netip.AddrPort) (int, error) {
 	copies := 1
 	if c.send.enabled() {
 		d := c.env.decidePacket(c.send, "send", len(p))
@@ -132,17 +196,20 @@ func (c *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 		if c.cut(addr) {
 			continue
 		}
-		if _, err := c.PacketConn.WriteTo(p, addr); err != nil {
+		if _, err := c.addrPortConn.WriteToUDPAddrPort(p, addr); err != nil {
 			return 0, err
 		}
 	}
 	return len(p), nil
 }
 
-// ReadFrom delivers a queued duplicate first, then reads from the inner
-// conn, swallowing datagrams from across a cut and applying
-// receive-direction faults to the rest.
-func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+// ReadFromUDPAddrPort delivers a queued duplicate first, then reads from
+// the inner conn, swallowing datagrams from across a cut and applying
+// receive-direction faults to the rest. An IPv4 peer comes back unmapped
+// whatever the socket's family, so it renders, and is cut, as a.b.c.d:port.
+//
+//lint:zeroalloc per datagram with no receive fault enabled and no isolation live
+func (c *PacketConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 	for {
 		c.mu.Lock()
 		if len(c.pending) > 0 {
@@ -153,10 +220,11 @@ func (c *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		}
 		c.mu.Unlock()
 
-		n, addr, err := c.PacketConn.ReadFrom(p)
+		n, addr, err := c.addrPortConn.ReadFromUDPAddrPort(p)
 		if err != nil {
 			return n, addr, err
 		}
+		addr = netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
 		if c.cut(addr) {
 			continue
 		}

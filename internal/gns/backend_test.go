@@ -67,13 +67,16 @@ func serveLoopback(t *testing.T, svc OpHandler) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServePacketConnObserved(context.Background(), svc, pc, nil)
+	srv := ServePacketConnObserved(context.Background(), svc, pc.(*net.UDPConn), nil)
 	t.Cleanup(func() { srv.Close() }) //nolint:errcheck // nothing left to lose once the test is over
 	return srv
 }
 
-// Addr returns the bound address.
-func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
+// Addr returns the bound address. Every test server's socket has one, a
+// *net.UDPConn or a faultnet wrapper of it; the serve loop never asks.
+func (s *Server) Addr() string {
+	return s.conn.(interface{ LocalAddr() net.Addr }).LocalAddr().String()
+}
 
 // wireClient is the least caller a Server can have — one Transport under
 // one reliable.Policy, counting attempts — for the same tests. The

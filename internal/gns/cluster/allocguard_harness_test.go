@@ -11,9 +11,9 @@ func TestAllocGuard(t *testing.T) { allocguard.Check(t, allocGuardHarness()) }
 
 // allocGuardHarness maps each //lint:zeroalloc symbol in this package to
 // its measurement, consumed by TestAllocGuard. The placement
-// hashes run once or more on every operation and have no buffer to warm:
-// each must be allocation-free from the first call, at every shard and
-// replica count up to the stack bound.
+// hashes and the version-vector comparator run once or more on every
+// operation and have no buffer to warm: each must be allocation-free from
+// the first call, at every shard and replica count up to the stack bound.
 func allocGuardHarness() map[string]func(t *testing.T) float64 {
 	names := make([]string, 64)
 	for i := range names {
@@ -35,6 +35,15 @@ func allocGuardHarness() map[string]func(t *testing.T) float64 {
 					if c.nameLock(name) == nil {
 						t.Fatal("nameLock returned no stripe")
 					}
+				}
+			})
+		},
+		"VV.encodes": func(t *testing.T) float64 {
+			vv := VV{{Origin: 1, Ctr: 2}, {Origin: 7, Ctr: 123456}, {Origin: 1 << 40, Ctr: 1<<64 - 1}}
+			match, near := vv.Encode(), vv.Encode()+",9:1"
+			return testing.AllocsPerRun(100, func() {
+				if !vv.encodes(match) || vv.encodes(near) {
+					t.Fatal("encodes disagrees with Encode")
 				}
 			})
 		},

@@ -252,7 +252,7 @@ func TestHedgedLookupTraceTree(t *testing.T) {
 	// Attach the tracer only now: the trace holds exactly one lookup.
 	tracer := obs.NewTracer(1, 256)
 	cl.Tracer = tracer
-	primary := replicaOrder(name, 3)[0]
+	primary := orderOf(name, 3)[0]
 	c.KillReplica(0, primary)
 	if _, err := cl.Lookup(ctx, name); err != nil {
 		t.Fatal(err)

@@ -202,9 +202,15 @@ func majority(r int) int { return r/2 + 1 }
 
 // replicaOrder returns the shard's replica indices in name's rendezvous
 // preference order: every client computes the same stable primary for a
-// name, and read load spreads across replicas name by name.
-func replicaOrder(name string, replicas int) []int {
-	order := make([]int, replicas)
+// name, and read load spreads across replicas name by name. The order is
+// ranked into buf, a caller's stack array, when it fits.
+func replicaOrder(name string, replicas int, buf *[stackReplicas]int) []int {
+	var order []int
+	if replicas <= len(buf) {
+		order = buf[:replicas]
+	} else {
+		order = make([]int, replicas) // oversize sets only, as in orderReplicas
+	}
 	orderReplicas(name, order)
 	return order
 }
@@ -317,7 +323,8 @@ func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) 
 		req.Addrs = append(req.Addrs, a.String())
 	}
 
-	order := replicaOrder(name, len(replicas))
+	var orderBuf [stackReplicas]int
+	order := replicaOrder(name, len(replicas), &orderBuf)
 	var lastErr error
 	staleExhausted := false
 	for round := 0; round < 3; round++ {
@@ -340,6 +347,10 @@ func (c *Client) Update(ctx context.Context, name string, addrs []netaddr.Addr) 
 				continue
 			}
 			br.Success()
+			if resp.VV == req.VV {
+				acks++ // the replica holds exactly the history sent
+				continue
+			}
 			svv, perr := ParseVV(resp.VV)
 			if perr != nil {
 				lastErr = perr
@@ -399,7 +410,8 @@ func (c *Client) Lookup(ctx context.Context, name string) (gns.Record, error) {
 	req := gns.Request{Op: "vget", Name: name}
 	var notFound, lastErr error
 	legs, answered := 0, false
-	for _, r := range replicaOrder(name, len(replicas)) {
+	var orderBuf [stackReplicas]int
+	for _, r := range replicaOrder(name, len(replicas), &orderBuf) {
 		br := c.breakers[shard][r]
 		if !br.Allow() {
 			m.BreakerRejects.Inc()
@@ -438,10 +450,15 @@ func (c *Client) Lookup(ctx context.Context, name string) (gns.Record, error) {
 			lastErr = aerr
 			continue
 		}
-		vv, perr := ParseVV(resp.VV)
-		if perr != nil {
-			lastErr = perr
-			continue
+		// The common answer is the history this client already holds:
+		// keep that one rather than parse a copy.
+		vv := cached.vv
+		if !vv.encodes(resp.VV) {
+			var perr error
+			if vv, perr = ParseVV(resp.VV); perr != nil {
+				lastErr = perr
+				continue
+			}
 		}
 		rec := gns.Record{Name: resp.Name, Addrs: addrs, Version: resp.Version}
 		if hasCached && vv.Compare(cached.vv) == Before {

@@ -49,7 +49,7 @@ func TestShardOfPlacement(t *testing.T) {
 func TestReplicaOrderStablePermutation(t *testing.T) {
 	const r = 5
 	seen := map[int]bool{}
-	order := replicaOrder("some-name", r)
+	order := orderOf("some-name", r)
 	for _, idx := range order {
 		if idx < 0 || idx >= r || seen[idx] {
 			t.Fatalf("replicaOrder not a permutation: %v", order)
@@ -57,7 +57,7 @@ func TestReplicaOrderStablePermutation(t *testing.T) {
 		seen[idx] = true
 	}
 	for i := 0; i < 10; i++ {
-		again := replicaOrder("some-name", r)
+		again := orderOf("some-name", r)
 		for j := range order {
 			if again[j] != order[j] {
 				t.Fatalf("replicaOrder unstable: %v vs %v", order, again)
@@ -67,7 +67,7 @@ func TestReplicaOrderStablePermutation(t *testing.T) {
 	// Different names should not all share a primary.
 	primaries := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		primaries[replicaOrder(fmt.Sprintf("n%d", i), r)[0]] = true
+		primaries[orderOf(fmt.Sprintf("n%d", i), r)[0]] = true
 	}
 	if len(primaries) < 2 {
 		t.Fatalf("every name chose the same primary: %v", primaries)
@@ -338,7 +338,7 @@ func TestClusterHedgedLookupFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	primary := replicaOrder(name, 3)[0]
+	primary := orderOf(name, 3)[0]
 	c.KillReplica(0, primary)
 
 	rec, err := cl.Lookup(ctx, name)
@@ -363,7 +363,7 @@ func TestClusterBreakerSkipsDeadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	primary := replicaOrder(name, 3)[0]
+	primary := orderOf(name, 3)[0]
 	c.KillReplica(0, primary)
 
 	// First lookup eats the hedge-delay timeout and opens the breaker.
@@ -442,7 +442,7 @@ func TestClusterReadYourWrites(t *testing.T) {
 
 	// One replica misses the second write, then becomes the only one
 	// reachable: its answer lags the client's committed floor.
-	order := replicaOrder(name, 3)
+	order := orderOf(name, 3)
 	lagging := order[0]
 	c.KillReplica(0, lagging)
 	if _, err := cl.Update(ctx, name, v2); err != nil {
@@ -557,7 +557,7 @@ func stubReplica(t *testing.T, resp gns.Response) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := gns.ServePacketConnObserved(context.Background(), stubBackend{resp}, pc, nil)
+	srv := gns.ServePacketConnObserved(context.Background(), stubBackend{resp}, pc.(*net.UDPConn), nil)
 	t.Cleanup(func() { srv.Close() })
 	return pc.LocalAddr().String()
 }
@@ -589,7 +589,7 @@ func TestClusterLookupRejectsUnparsableAddress(t *testing.T) {
 
 	// With a healthy replica last in the name's order, behind two bad ones,
 	// the lookup hedges its way to it.
-	order := replicaOrder("n", 3)
+	order := orderOf("n", 3)
 	grid := make([]string, 3)
 	grid[order[0]], grid[order[1]], grid[order[2]] = bad, bad, ok
 	cl2 := NewClient([][]string{grid}, ClientConfig{Origin: 1})
@@ -730,5 +730,30 @@ func TestReplicaRefusesWritesThatSkipTheQuorum(t *testing.T) {
 	rec, err := fresh.Lookup(ctx, name)
 	if err != nil || len(rec.Addrs) != 1 || rec.Addrs[0] != committed {
 		t.Fatalf("fresh client reads %+v, %v; want the committed %v", rec, err, committed)
+	}
+}
+
+// TestReplicaAcksTheStoredHistoryCanonically: a vput is acknowledged with
+// the canonical encoding of the history the replica holds after it. A
+// request spelled that way is echoed; any other spelling of the same
+// history — origins out of order, a leading zero, a zero counter — and a
+// write the stored history already supersedes are encoded afresh.
+func TestReplicaAcksTheStoredHistoryCanonically(t *testing.T) {
+	c, _, _ := startCluster(t, 1, 1, 1)
+	ctx := context.Background()
+	policy := reliable.Policy{MaxAttempts: 1, PerAttempt: time.Second}
+	for _, tc := range []struct{ sent, acked string }{
+		{"2:1,1:1", "1:1,2:1"},
+		{"1:1,2:1", "1:1,2:1"},
+		{"01:1,2:1", "1:1,2:1"},
+		{"1:1,2:1,3:0", "1:1,2:1"},
+		{"1:1,2:100", "1:1,2:100"},
+		{"2:1", "1:1,2:100"},
+	} {
+		req := gns.Request{Op: "vput", Name: "echo.test", Addrs: []string{"10.0.0.1"}, VV: tc.sent}
+		resp, _, err := gns.Exchange(ctx, c.Node(0, 0).Addr(), req, policy)
+		if err != nil || resp.VV != tc.acked {
+			t.Errorf("vput %q acked %q, %v; want %q", tc.sent, resp.VV, err, tc.acked)
+		}
 	}
 }

@@ -148,9 +148,15 @@ func (s *Store) HandleOp(req gns.Request) (gns.Response, bool) {
 		s.Put(VRecord{Name: req.Name, Addrs: addrs, VV: vv})
 		// Acknowledge with the now-stored history: on the fast path the
 		// one just put, after a lost-ack retry the merged superset —
-		// either way the client learns what the replica holds.
+		// either way the client learns what the replica holds. When that
+		// is what the request spelled, its own string is echoed; anything
+		// else, a non-canonical spelling included, is encoded afresh.
 		stored, _ := s.Get(req.Name)
-		return gns.Response{OK: true, Name: req.Name, Version: stored.VV.Sum(), VV: stored.VV.Encode()}, true
+		ack := req.VV
+		if !stored.VV.encodes(ack) {
+			ack = stored.VV.Encode()
+		}
+		return gns.Response{OK: true, Name: req.Name, Version: stored.VV.Sum(), VV: ack}, true
 	}
 	return gns.Response{}, false
 }

@@ -142,20 +142,59 @@ func (v VV) Sum() uint64 {
 // Encode renders v in its canonical wire form "origin:ctr,origin:ctr"
 // (origins ascending), "" for the empty history. Canonical means equal
 // vectors encode to equal strings, so state digests can compare encodings.
+// The digits are appended into a stack buffer, so the string is the one
+// allocation.
 func (v VV) Encode() string {
 	if len(v) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	var stack [64]byte
+	b := stack[:0]
 	for i, e := range v {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatUint(e.Origin, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(e.Ctr, 10))
+		b = strconv.AppendUint(b, e.Origin, 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, e.Ctr, 10)
 	}
-	return b.String()
+	return string(b)
+}
+
+// encodes reports whether s is v's canonical encoding, v.Encode() == s,
+// without building the encoding: the check a replica's ack and a lookup's
+// answer take before parsing a history the reader already holds.
+//
+//lint:zeroalloc per call
+func (v VV) encodes(s string) bool {
+	var digits [20]byte
+	for i, e := range v {
+		if i > 0 {
+			if s == "" || s[0] != ',' {
+				return false
+			}
+			s = s[1:]
+		}
+		var ok bool
+		if s, ok = cutDigits(s, strconv.AppendUint(digits[:0], e.Origin, 10)); !ok {
+			return false
+		}
+		if s == "" || s[0] != ':' {
+			return false
+		}
+		if s, ok = cutDigits(s[1:], strconv.AppendUint(digits[:0], e.Ctr, 10)); !ok {
+			return false
+		}
+	}
+	return s == ""
+}
+
+// cutDigits strips the prefix d from s, reporting whether s began with it.
+func cutDigits(s string, d []byte) (string, bool) {
+	if len(s) < len(d) || s[:len(d)] != string(d) {
+		return s, false
+	}
+	return s[len(d):], true
 }
 
 // ParseVV decodes the Encode form. The empty string is the empty history.

@@ -149,12 +149,19 @@ func TestParseVVCanonicalises(t *testing.T) {
 
 // FuzzParseVV: ParseVV never panics, and what it accepts is canonical:
 // origins strictly ascending, no zero counters, and Encode of it parses
-// back to the same vector and the same bytes.
+// back to the same vector and the same bytes. encodes agrees with Encode
+// on every input, the spellings ParseVV accepts but Encode never writes
+// among them.
 func FuzzParseVV(f *testing.F) {
-	for _, s := range []string{"", "1:1", "1:2,4294967296:1", "3:1,1:2", "1:0", "1:1,1:2", "18446744073709551615:18446744073709551615", "1:1,", "a:b", "1:18446744073709551616"} {
+	for _, s := range []string{"", "1:1", "1:2,4294967296:1", "3:1,1:2", "1:0", "1:1,1:2", "18446744073709551615:18446744073709551615", "1:1,", "a:b", "1:18446744073709551616",
+		"01:1", "1:0,2:1", "1:1,2:1,3:0", "100:250,7001:99999"} {
 		f.Add(s)
 	}
+	one := VV{{Origin: 1, Ctr: 1}}
 	f.Fuzz(func(t *testing.T, s string) {
+		if one.encodes(s) != (s == "1:1") {
+			t.Fatalf("%v.encodes(%q) = %v", one, s, one.encodes(s))
+		}
 		vv, err := ParseVV(s)
 		if err != nil {
 			return
@@ -168,6 +175,10 @@ func FuzzParseVV(f *testing.F) {
 		back, err := ParseVV(enc)
 		if err != nil || back.Compare(vv) != Equal || back.Encode() != enc {
 			t.Fatalf("ParseVV(%q) encodes to %q, which parses to %v (%v)", s, enc, back, err)
+		}
+		if !vv.encodes(enc) || vv.encodes(s) != (s == enc) {
+			t.Fatalf("ParseVV(%q) = %v, Encode %q: encodes(Encode()) = %v, encodes(input) = %v",
+				s, vv, enc, vv.encodes(enc), vv.encodes(s))
 		}
 	})
 }

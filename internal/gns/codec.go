@@ -139,6 +139,19 @@ func (d *wireDecoder) str(what string) string {
 	return string(d.take(int(d.uint(2, what)), what))
 }
 
+// op reads a request's op. The two a replica serves are returned as
+// shared constants, not copied out of every datagram.
+func (d *wireDecoder) op() string {
+	b := d.take(int(d.uint(2, "op")), "op")
+	switch string(b) {
+	case "vget":
+		return "vget"
+	case "vput":
+		return "vput"
+	}
+	return string(b)
+}
+
 // strs reads a list. Each element takes at least the two bytes of its
 // length, so a count over half the bytes left is refused before anything is
 // allocated for it: no datagram makes the decoder hold more than a constant
@@ -172,7 +185,7 @@ func (d *wireDecoder) finish() error {
 func decodeRequest(data []byte, r *Request) error {
 	d := wireDecoder{buf: data}
 	*r = Request{ID: d.header(kindRequest)}
-	r.Op = d.str("op")
+	r.Op = d.op()
 	r.Name = d.str("name")
 	r.Addrs = d.strs("addrs")
 	r.VV = d.str("vv")

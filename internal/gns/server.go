@@ -3,7 +3,7 @@ package gns
 import (
 	"context"
 	"fmt"
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -18,12 +18,21 @@ type OpHandler interface {
 	HandleOp(req Request) (resp Response, handled bool)
 }
 
+// PacketConn is the datagram socket a Server reads requests from and
+// answers on. Peers move as netip.AddrPort, so a request costs no boxed
+// address. *net.UDPConn and *faultnet.PacketConn both satisfy it.
+type PacketConn interface {
+	ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(p []byte, addr netip.AddrPort) (int, error)
+	Close() error
+}
+
 // Server exposes an OpHandler over UDP, one datagram per request/response —
-// the same interaction pattern as DNS. The transport is any
-// net.PacketConn, so chaos tests interpose a faultnet wrapper.
+// the same interaction pattern as DNS. The transport is any PacketConn, so
+// chaos tests interpose a faultnet wrapper.
 type Server struct {
 	svc     OpHandler
-	conn    net.PacketConn
+	conn    PacketConn
 	done    chan struct{}
 	metrics *ServerMetrics
 
@@ -36,7 +45,7 @@ type Server struct {
 // attached; m may be nil for an unobserved server. It returns at once;
 // handling proceeds in the background until Close is called or ctx is
 // cancelled, which shuts the server down as if Close had been called.
-func ServePacketConnObserved(ctx context.Context, svc OpHandler, conn net.PacketConn, m *ServerMetrics) *Server {
+func ServePacketConnObserved(ctx context.Context, svc OpHandler, conn PacketConn, m *ServerMetrics) *Server {
 	s := &Server{svc: svc, conn: conn, done: make(chan struct{}), metrics: m}
 	go s.loop()
 	go func() {
@@ -72,7 +81,7 @@ func (s *Server) loop() {
 	var out []byte // reply encoding, reused from one datagram to the next
 	m := s.m()
 	for {
-		n, peer, err := s.conn.ReadFrom(buf)
+		n, peer, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
@@ -96,7 +105,7 @@ func (s *Server) loop() {
 		}
 		m.Inflight.Add(-1)
 		out = appendResponse(out[:0], &resp)
-		s.conn.WriteTo(out, peer) //nolint:errcheck // lost replies look like drops; the client retries
+		s.conn.WriteToUDPAddrPort(out, peer) //nolint:errcheck // lost replies look like drops; the client retries
 	}
 }
 
