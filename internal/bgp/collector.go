@@ -26,7 +26,9 @@ type Session struct {
 }
 
 // Collector is a RouteViews/RIPE-like route collector: a host AS, its
-// sessions, and the RIB/FIB assembled from the feeds.
+// sessions, and the RIB/FIB assembled from the feeds. FillCollectors writes
+// the FIB whole; the RIB's candidate slab, which only a dump reads, is
+// written the first time something reads it.
 type Collector struct {
 	Name     string
 	Region   asgraph.Region
@@ -162,10 +164,10 @@ func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
 			paths.fill(k, &rt, peers)
 		}
 	})
-	// Phase 2, over collectors: one worker builds one collector's RIB and FIB
-	// from start to finish and only reads the finished path table and the
-	// plan's prefix index, which every RIB, and the FIB of every collector
-	// routing the whole plan, shares: slot i is all[i].
+	// Phase 2, over collectors: one worker builds one collector's FIB column
+	// and attribute table from start to finish and only reads the finished
+	// path table and the plan's prefix index, which every RIB, and the FIB of
+	// every collector routing the whole plan, shares: slot i is all[i].
 	idx := indexOf(len(all), func(i int) netaddr.Prefix { return all[i].Prefix })
 	par.ForEach(0, len(cols), func(ci int) {
 		cols[ci].fill(all, runs, paths, peerOf[ci], idx)
@@ -175,23 +177,18 @@ func FillCollectors(g *asgraph.Graph, pt *PrefixTable, cols []*Collector) {
 // fill builds c's RIB and FIB over the prefix plan all, cut into origin runs,
 // from the finished path table; peerOf[si] is session si's peer in it. The
 // RIB reads idx, all's index; so does the FIB when c has a route to every
-// origin, and otherwise it indexes its own prefixes.
+// origin, and otherwise it indexes its own prefixes. Only the FIB column is
+// written here: the RIB keeps the plan and writes its slab on first read.
 func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerOf []int32, idx *netaddr.Trie[int32]) {
-	c.RIB = &RIB{idx: idx, spans: make([]span, len(all)), attrs: make([]attrSet, len(c.Sessions)), paths: paths}
+	c.RIB = &RIB{idx: idx, attrs: make([]attrSet, len(c.Sessions)), paths: paths, plan: &batchPlan{runs: runs, peerOf: peerOf}}
 	for si, s := range c.Sessions { // session si gets attribute set si
 		c.RIB.attrs[si] = attrSet{NextHop: s.PeerAS, MED: s.MED, Rel: s.Rel}
 	}
-	// The prefixes of one origin have the same candidates, at most one per
-	// session, so the slab holds one run of them per origin. A run is written
-	// back to back, in session order, and every prefix of its origin spans
-	// it; an unreachable origin's slots keep the empty span.
-	cands := make([]cand, 0, (len(runs)-1)*len(c.Sessions))
 	entries := make([]entry, 0, len(all))
 	for k := 0; k+1 < len(runs); k++ {
 		// Pick the best as the candidates go by. A path has an element, so
 		// bestLen 0 means none yet.
 		base := int32(k * paths.stride)
-		first := len(cands)
 		var best Session
 		var sel cand
 		var bestLen int32
@@ -201,23 +198,19 @@ func (c *Collector) fill(all []PrefixOrigin, runs []int, paths *pathTable, peerO
 			if n == 0 {
 				continue // the peer has no route to this origin
 			}
-			cands = append(cands, cand{attr: int32(si), path: path})
 			// Better with LocalPref equal: class, path length, MED, peer.
 			if bestLen == 0 || s.Rel < best.Rel || s.Rel == best.Rel && (n < bestLen ||
 				n == bestLen && (s.MED < best.MED || s.MED == best.MED && s.PeerAS < best.PeerAS)) {
-				best, sel, bestLen = s, cands[len(cands)-1], n
+				best, sel, bestLen = s, cand{attr: int32(si), path: path}, n
 			}
 		}
-		if len(cands) == first {
+		if bestLen == 0 {
 			continue
 		}
-		run := span{int32(first), int32(len(cands))}
 		for i := runs[k]; i < runs[k+1]; i++ {
-			c.RIB.spans[i] = run
 			entries = append(entries, entry{all[i].Prefix, sel})
 		}
 	}
-	c.RIB.cands = cands
 	// Entries follow the plan's order and skip only unreachable origins, so a
 	// column with an entry per slot of idx is slot for slot idx's.
 	if len(entries) == idx.Len() {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -67,6 +68,7 @@ func buildCollectorsByRoute(g *asgraph.Graph, pt *PrefixTable, specs []Spec, rng
 // candsOf returns p's candidates, nil if it has none: a walk of the index up
 // to p, which only tests need.
 func (r *RIB) candsOf(p netaddr.Prefix) []cand {
+	r.ready()
 	var cs []cand
 	r.idx.Walk(func(q netaddr.Prefix, slot int32) bool {
 		if q == p {
@@ -288,6 +290,64 @@ func TestFillCollectorsAloneOrTogether(t *testing.T) {
 					t.Fatalf("seed %d, %s: %s: FIB differs from BuildCollectors'", seed, split.name, w.Name)
 				}
 			}
+		}
+	}
+}
+
+// TestBatchRIBWritesItsSlabOnFirstRead builds all 25 collectors and requires
+// that no RIB holds a candidate slab or spans before something reads it.
+// Then one fresh collector's first read is a walk, which must see the
+// oracle's candidates; and eight goroutines at once dump and count another
+// fresh collector, half counting first: every dump must be the oracle's
+// bytes and every count its routes. Under -race this is the test that shows
+// the slab is written once, before any reader sees it.
+func TestBatchRIBWritesItsSlabOnFirstRead(t *testing.T) {
+	specs := append(RouteViewsSpecs(), RIPESpecs()...)
+	const seed = 20140817
+	g, pt := testInternet(t, seed)
+	got, err := BuildCollectors(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range got {
+		if c.RIB.cands != nil || c.RIB.spans != nil {
+			t.Fatalf("%s: the RIB holds %d candidates and %d spans before any read", c.Name, len(c.RIB.cands), len(c.RIB.spans))
+		}
+	}
+	want, _, err := buildCollectorsByRoute(g, pt, specs, rand.New(rand.NewSource(seed+100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gc, wc := got[1].RIB.candidates(), want[1].RIB.candidates(); !reflect.DeepEqual(gc, wc) {
+		t.Fatalf("%s: a first read by walk sees %d candidates, the oracle has %d", want[1].Name, len(gc), len(wc))
+	}
+	c, wantDump, wantRoutes := got[0], dumpBytes(t, want[0]), want[0].RIB.NumRoutes()
+	dumps := make([]bytes.Buffer, 8)
+	routes, errs := make([]int, len(dumps)), make([]error, len(dumps))
+	var wg sync.WaitGroup
+	for i := range dumps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				routes[i] = c.RIB.NumRoutes()
+			}
+			errs[i] = WriteRIB(&dumps[i], c.Name, c.RIB)
+			if i%2 == 1 {
+				routes[i] = c.RIB.NumRoutes()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range dumps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(dumps[i].Bytes(), wantDump) {
+			t.Fatalf("%s: reader %d dumped other bytes than the oracle", c.Name, i)
+		}
+		if routes[i] != wantRoutes {
+			t.Fatalf("%s: reader %d counted %d routes, the oracle has %d", c.Name, i, routes[i], wantRoutes)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package bgp
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"locind/internal/asgraph"
 	"locind/internal/netaddr"
@@ -73,14 +74,60 @@ func Better(a, b Route) bool {
 // slot's span is its run of the slab. The RIBs FillCollectors builds over one
 // address plan share the plan's index (slot i is the plan's prefix i, both
 // prefixes of an origin span the origin's one run, and an unreachable
-// origin's slots span nothing); NewRIB builds any other. A RIB is not
-// changed once built.
+// origin's slots span nothing); NewRIB builds any other. A RIB that NewRIB
+// built is complete; a batch RIB keeps its plan and writes its slab and spans
+// once, on first read, and is not changed after.
 type RIB struct {
 	idx   *netaddr.Trie[int32] // prefix -> slot
 	spans []span               // slot -> cands[lo:hi]; empty for a prefix with no route
 	cands []cand
 	attrs []attrSet  // one entry per session after a batch build
 	paths *pathTable // for a batch build, shared with the other collectors of the build
+	plan  *batchPlan // for a batch build, what ready writes the slab from
+	once  sync.Once  // guards the batch slab's one write
+}
+
+// batchPlan is what a batch RIB's slab is written from: the plan's origin
+// runs (run k is slots runs[k]:runs[k+1]), which every RIB of the fill
+// shares, and peerOf[si], session si's peer in the path table.
+type batchPlan struct {
+	runs   []int
+	peerOf []int32
+}
+
+// ready writes a batch RIB's slab and spans, once; every reader of either
+// calls it first. The prefixes of one origin have the same candidates, at
+// most one per session, so the slab holds one run of them per origin. A run
+// is written back to back, in session order, and every prefix of its origin
+// spans it; an unreachable origin's slots keep the empty span.
+func (r *RIB) ready() {
+	r.once.Do(func() {
+		p := r.plan
+		if p == nil {
+			return
+		}
+		r.spans = make([]span, p.runs[len(p.runs)-1])
+		cands := make([]cand, 0, (len(p.runs)-1)*len(r.attrs))
+		for k := 0; k+1 < len(p.runs); k++ {
+			base := int32(k * r.paths.stride)
+			first := len(cands)
+			for si := range r.attrs {
+				path := base + p.peerOf[si]
+				if r.paths.off[path+1] == r.paths.off[path] {
+					continue // the peer has no route to this origin
+				}
+				cands = append(cands, cand{attr: int32(si), path: path})
+			}
+			if len(cands) == first {
+				continue
+			}
+			run := span{int32(first), int32(len(cands))}
+			for i := p.runs[k]; i < p.runs[k+1]; i++ {
+				r.spans[i] = run
+			}
+		}
+		r.cands = cands
+	})
 }
 
 // span is one slot's run of the candidate slab, cands[lo:hi].
@@ -185,6 +232,7 @@ func (r *RIB) pathLen(c cand) int {
 // walk calls fn with every prefix that has a route and its candidates, in
 // prefix (Compare) order: the index's walk is.
 func (r *RIB) walk(fn func(p netaddr.Prefix, cs []cand)) {
+	r.ready()
 	r.idx.Walk(func(p netaddr.Prefix, slot int32) bool {
 		if s := r.spans[slot]; s.hi > s.lo {
 			fn(p, r.cands[s.lo:s.hi])
@@ -196,6 +244,7 @@ func (r *RIB) walk(fn func(p netaddr.Prefix, cs []cand)) {
 // NumPrefixes returns the number of distinct prefixes with at least one
 // route.
 func (r *RIB) NumPrefixes() int {
+	r.ready()
 	n := 0
 	for _, s := range r.spans {
 		if s.hi > s.lo {
@@ -207,6 +256,7 @@ func (r *RIB) NumPrefixes() int {
 
 // NumRoutes returns the total number of candidate routes.
 func (r *RIB) NumRoutes() int {
+	r.ready()
 	total := 0
 	for _, s := range r.spans {
 		total += int(s.hi - s.lo)
