@@ -76,7 +76,7 @@ func run() error {
 	defer client.Close()
 	for _, e := range events {
 		name := fmt.Sprintf("device-%d", e.User)
-		if _, err := client.Update(ctx, name, []netaddr.Addr{e.To.Addr}); err != nil {
+		if _, err := client.Update(ctx, name, []netaddr.Addr{e.To}); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,7 @@ func main() {
 	to := netaddr.MustParseAddr("22.33.88.55")
 	within := netaddr.MustParseAddr("22.33.44.99")
 	move := func(a, b netaddr.Addr) []mobility.MoveEvent {
-		return []mobility.MoveEvent{{From: mobility.Location{Addr: a}, To: mobility.Location{Addr: b}}}
+		return []mobility.MoveEvent{{From: a, To: b}}
 	}
 	moves := core.NewMoveTable(move(from, to), move(from, within)).Stats(fib)
 	fmt.Printf("device mobility %v -> %v displaces at R: %v\n",

@@ -24,7 +24,7 @@ func worldAddrs(w *expt.World, rng *rand.Rand) []netaddr.Addr {
 		}
 	}
 	for _, e := range w.Devices.MoveEvents() {
-		addrs = append(addrs, e.From.Addr, e.To.Addr)
+		addrs = append(addrs, e.From, e.To)
 	}
 	for i := 0; i < 2000; i++ {
 		inPlan := netaddr.Addr(uint32(rng.Intn(w.Graph.N()))<<16 | uint32(rng.Intn(1<<16)))

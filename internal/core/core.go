@@ -96,7 +96,7 @@ func NewMoveTable(groups ...[]mobility.MoveEvent) *MoveTable {
 	t.addrs = make([]netaddr.Addr, 0, t.cuts[len(groups)])
 	for _, g := range groups {
 		for _, e := range g {
-			t.addrs = append(t.addrs, e.From.Addr, e.To.Addr)
+			t.addrs = append(t.addrs, e.From, e.To)
 		}
 	}
 	slices.Sort(t.addrs)
@@ -104,8 +104,8 @@ func NewMoveTable(groups ...[]mobility.MoveEvent) *MoveTable {
 	t.ends = make([]int32, 0, t.cuts[len(groups)])
 	for _, g := range groups {
 		for _, e := range g {
-			from, _ := slices.BinarySearch(t.addrs, e.From.Addr)
-			to, _ := slices.BinarySearch(t.addrs, e.To.Addr)
+			from, _ := slices.BinarySearch(t.addrs, e.From)
+			to, _ := slices.BinarySearch(t.addrs, e.To)
 			t.ends = append(t.ends, int32(from), int32(to))
 		}
 	}

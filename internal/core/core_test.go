@@ -43,8 +43,8 @@ func TestDisplacedPaperExample(t *testing.T) {
 	})
 	move := func(from, to string) []mobility.MoveEvent {
 		return []mobility.MoveEvent{{
-			From: mobility.Location{Addr: netaddr.MustParseAddr(from)},
-			To:   mobility.Location{Addr: netaddr.MustParseAddr(to)},
+			From: netaddr.MustParseAddr(from),
+			To:   netaddr.MustParseAddr(to),
 		}}
 	}
 	got := NewMoveTable(
@@ -79,8 +79,8 @@ func TestDeviceUpdateStats(t *testing.T) {
 	})
 	mk := func(from, to string) mobility.MoveEvent {
 		return mobility.MoveEvent{
-			From: mobility.Location{Addr: netaddr.MustParseAddr(from)},
-			To:   mobility.Location{Addr: netaddr.MustParseAddr(to)},
+			From: netaddr.MustParseAddr(from),
+			To:   netaddr.MustParseAddr(to),
 		}
 	}
 	evs := []mobility.MoveEvent{

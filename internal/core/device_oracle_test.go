@@ -16,7 +16,7 @@ func DeviceUpdateStats(r PortLookup, events []mobility.MoveEvent) UpdateStats {
 	var s UpdateStats
 	for _, e := range events {
 		s.Events++
-		if displaced(r, e.From.Addr, e.To.Addr) {
+		if displaced(r, e.From, e.To) {
 			s.Updates++
 		}
 	}

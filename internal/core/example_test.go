@@ -19,8 +19,8 @@ func ExampleMoveTable_Stats() {
 	}).DeriveFIB()
 	move := func(from, to string) []mobility.MoveEvent {
 		return []mobility.MoveEvent{{
-			From: mobility.Location{Addr: netaddr.MustParseAddr(from)},
-			To:   mobility.Location{Addr: netaddr.MustParseAddr(to)},
+			From: netaddr.MustParseAddr(from),
+			To:   netaddr.MustParseAddr(to),
 		}}
 	}
 

@@ -220,14 +220,14 @@ func FuzzMoveTable(f *testing.F) {
 			}
 			g := int(ctl) % len(groups)
 			groups[g] = append(groups[g], mobility.MoveEvent{
-				From: mobility.Location{Addr: from},
-				To:   mobility.Location{Addr: to},
+				From: from,
+				To:   to,
 			})
 		}
 		distinct := map[netaddr.Addr]bool{}
 		for _, g := range groups {
 			for _, e := range g {
-				distinct[e.From.Addr], distinct[e.To.Addr] = true, true
+				distinct[e.From], distinct[e.To] = true, true
 			}
 		}
 		moves := NewMoveTable(groups...)

@@ -318,8 +318,8 @@ func TestMemoDeviceStatsIdentical(t *testing.T) {
 	})
 	mk := func(from, to string) mobility.MoveEvent {
 		return mobility.MoveEvent{
-			From: mobility.Location{Addr: netaddr.MustParseAddr(from)},
-			To:   mobility.Location{Addr: netaddr.MustParseAddr(to)},
+			From: netaddr.MustParseAddr(from),
+			To:   netaddr.MustParseAddr(to),
 		}
 	}
 	evs := []mobility.MoveEvent{

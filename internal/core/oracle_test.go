@@ -365,7 +365,7 @@ func TestMoveTableMatchesPerEventReplay(t *testing.T) {
 		distinct := map[netaddr.Addr]bool{}
 		for _, g := range groups {
 			for _, e := range g {
-				distinct[e.From.Addr], distinct[e.To.Addr] = true, true
+				distinct[e.From], distinct[e.To] = true, true
 			}
 		}
 		moves := core.NewMoveTable(groups...)

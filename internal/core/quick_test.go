@@ -112,7 +112,7 @@ func TestDisplacedLaws(t *testing.T) {
 		if len(fa.before) == 0 || len(fa.after) == 0 {
 			return true
 		}
-		a, b := mobility.Location{Addr: fa.before[0]}, mobility.Location{Addr: fa.after[0]}
+		a, b := fa.before[0], fa.after[0]
 		s := NewMoveTable(
 			[]mobility.MoveEvent{{From: a, To: a}},
 			[]mobility.MoveEvent{{From: a, To: b}},

@@ -33,7 +33,7 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 	RunFig8(w)
 	ends := map[netaddr.Addr]bool{}
 	for _, e := range w.Devices.MoveEvents() {
-		ends[e.From.Addr], ends[e.To.Addr] = true, true
+		ends[e.From], ends[e.To] = true, true
 	}
 	distinct := int64(len(ends))
 	if hits, misses := m.Memo.Hits.Value(), m.Memo.Misses.Value(); hits != 0 || misses != int64(len(w.RouteViews))*distinct {

@@ -22,8 +22,8 @@ func deviceUpdateStats(r core.PortLookup, events []mobility.MoveEvent) core.Upda
 	var s core.UpdateStats
 	for _, e := range events {
 		s.Events++
-		p1, ok1 := r.Port(e.From.Addr)
-		p2, ok2 := r.Port(e.To.Addr)
+		p1, ok1 := r.Port(e.From)
+		p2, ok2 := r.Port(e.To)
 		if ok1 && ok2 && p1 != p2 {
 			s.Updates++
 		}

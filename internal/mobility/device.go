@@ -89,35 +89,48 @@ func (dt *DeviceTrace) Day(user, day int, st *UserState, buf []Visit, sc *DayScr
 	return buf
 }
 
-// MoveEvent is a single address transition: the device left From and
-// attached at To. These are the mobility events whose update cost §6.2
-// evaluates against router FIBs.
+// MoveEvent is a single address transition: a user, the day of the move,
+// and two addresses — the device left From and attached at To. These are
+// the mobility events whose update cost §6.2 evaluates against router FIBs.
 type MoveEvent struct {
 	User     int
 	Day      int
-	From, To Location
+	From, To netaddr.Addr
 }
 
 // MoveEvents flattens the trace into the chronological list of address
 // transitions per user (visits whose address differs from the previous
-// visit's address).
+// visit's address). It counts the transitions first and fills one slice of
+// exactly that length.
 func (dt *DeviceTrace) MoveEvents() []MoveEvent {
-	var out []MoveEvent
-	for _, u := range dt.Users {
+	n := 0
+	for ui := range dt.Users {
+		n += addrChanges(dt.Users[ui].Visits)
+	}
+	out := make([]MoveEvent, 0, n)
+	for ui := range dt.Users {
+		u := &dt.Users[ui]
 		for i := 1; i < len(u.Visits); i++ {
-			prev, cur := u.Visits[i-1], u.Visits[i]
+			prev, cur := &u.Visits[i-1], &u.Visits[i]
 			if prev.Loc.Addr == cur.Loc.Addr {
 				continue
 			}
-			out = append(out, MoveEvent{
-				User: u.ID,
-				Day:  cur.Day(),
-				From: prev.Loc,
-				To:   cur.Loc,
-			})
+			out = append(out, MoveEvent{User: u.ID, Day: cur.Day(), From: prev.Loc.Addr, To: cur.Loc.Addr})
 		}
 	}
 	return out
+}
+
+// addrChanges counts the visits whose address differs from the previous
+// visit's: the moves MoveEvents lists for these visits.
+func addrChanges(vs []Visit) int {
+	n := 0
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1].Loc.Addr != vs[i].Loc.Addr {
+			n++
+		}
+	}
+	return n
 }
 
 // DeviceConfig parameterizes device-trace generation.

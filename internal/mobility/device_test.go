@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locind/internal/asgraph"
@@ -193,7 +194,7 @@ func TestMoveEvents(t *testing.T) {
 		t.Fatal("no mobility events")
 	}
 	for _, e := range evs {
-		if e.From.Addr == e.To.Addr {
+		if e.From == e.To {
 			t.Fatal("event with identical endpoints")
 		}
 		if e.Day < 0 || e.Day >= dt.Days {
@@ -316,7 +317,7 @@ func TestIMAPMoveEvents(t *testing.T) {
 		t.Fatalf("IMAP events %d exceed device events %d", len(evs), len(direct))
 	}
 	for _, e := range evs {
-		if e.From.Addr == e.To.Addr {
+		if e.From == e.To {
 			t.Fatal("no-op IMAP event")
 		}
 	}
@@ -386,14 +387,14 @@ func TestDayStatsInvariants(t *testing.T) {
 				t.Fatalf("user %d day %d: dwell fractions broken: %+v", u.ID, d, s)
 			}
 			sum := 0.0
-			for _, f := range s.ASDwell {
-				sum += f
+			for _, a := range s.ASDwell {
+				sum += a.Frac
 			}
 			if sum < 0.999 || sum > 1.001 {
 				t.Fatalf("user %d day %d: AS dwell sums to %v", u.ID, d, sum)
 			}
-			if _, ok := s.ASDwell[s.DominantAS]; !ok {
-				t.Fatalf("user %d day %d: dominant AS missing from dwell map", u.ID, d)
+			if !slices.ContainsFunc(s.ASDwell, func(a ASFrac) bool { return a.AS == s.DominantAS }) {
+				t.Fatalf("user %d day %d: dominant AS missing from dwell list", u.ID, d)
 			}
 		}
 	}

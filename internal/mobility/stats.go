@@ -1,7 +1,8 @@
 package mobility
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"locind/internal/netaddr"
 )
@@ -24,20 +25,60 @@ type DayStats struct {
 	DominantPrefixFrac float64
 	DominantASFrac     float64
 
-	// DominantAS is the AS where the user spent the most time; TimeAwayFromAS
-	// maps each visited AS to the fraction of the day spent there, which the
-	// stretch analysis (§6.3) uses to weight AS-hop displacement.
+	// DominantAS is the AS where the user spent the most time (the lowest
+	// such AS on a tie). ASDwell holds one entry per AS visited that day,
+	// sorted by AS, with the fraction of the day's observed time spent
+	// there; the stretch analysis (§6.3) uses it to weight AS-hop
+	// displacement.
 	DominantAS int
-	ASDwell    map[int]float64
+	ASDwell    []ASFrac
+}
+
+// ASFrac is one AS of a user-day and the fraction of the day spent there.
+type ASFrac struct {
+	AS   int
+	Frac float64
+}
+
+// dwell is the time a user-day spent at one location key.
+type dwell[K comparable] struct {
+	key K
+	t   float64
+}
+
+// addDwell adds t to k's entry in ds, appending the entry on k's first
+// visit. A day has few distinct keys, so a linear scan is all it takes.
+func addDwell[K comparable](ds []dwell[K], k K, t float64) []dwell[K] {
+	for i := range ds {
+		if ds[i].key == k {
+			ds[i].t += t
+			return ds
+		}
+	}
+	return append(ds, dwell[K]{k, t})
+}
+
+// maxDwell is the largest time in ds, 0 for none.
+func maxDwell[K comparable](ds []dwell[K]) float64 {
+	m := 0.0
+	for _, d := range ds {
+		if d.t > m {
+			m = d.t
+		}
+	}
+	return m
 }
 
 // DayStats computes statistics for one day of a user trace. Days with no
-// visits return the zero DayStats (DominantAS -1).
+// visits return the zero DayStats (DominantAS -1). It sums the day's dwell
+// per address, prefix and AS on the stack for up to 16 distinct keys each,
+// so ASDwell is its one allocation.
 func (ut *UserTrace) DayStats(day int) DayStats {
 	s := DayStats{DominantAS: -1}
-	ipTime := map[netaddr.Addr]float64{}
-	pfxTime := map[netaddr.Prefix]float64{}
-	asTime := map[int]float64{}
+	var ipBuf [16]dwell[netaddr.Addr]
+	var pfxBuf [16]dwell[netaddr.Prefix]
+	var asBuf [16]dwell[int]
+	ipTime, pfxTime, asTime := ipBuf[:0], pfxBuf[:0], asBuf[:0]
 	total := 0.0
 	var prev *Visit
 	for i := range ut.Visits {
@@ -49,9 +90,9 @@ func (ut *UserTrace) DayStats(day int) DayStats {
 			prev = v
 			continue
 		}
-		ipTime[v.Loc.Addr] += v.Dur
-		pfxTime[v.Loc.Prefix] += v.Dur
-		asTime[v.Loc.AS] += v.Dur
+		ipTime = addDwell(ipTime, v.Loc.Addr, v.Dur)
+		pfxTime = addDwell(pfxTime, v.Loc.Prefix, v.Dur)
+		asTime = addDwell(asTime, v.Loc.AS, v.Dur)
 		total += v.Dur
 		if prev != nil {
 			if prev.Loc.Addr != v.Loc.Addr {
@@ -72,28 +113,19 @@ func (ut *UserTrace) DayStats(day int) DayStats {
 	if total <= 0 {
 		return s
 	}
-	maxIP, maxPfx, maxAS := 0.0, 0.0, 0.0
-	for _, t := range ipTime {
-		if t > maxIP {
-			maxIP = t
+	slices.SortFunc(asTime, func(a, b dwell[int]) int { return cmp.Compare(a.key, b.key) })
+	maxAS := 0.0
+	s.ASDwell = make([]ASFrac, len(asTime))
+	for i, d := range asTime {
+		s.ASDwell[i] = ASFrac{d.key, d.t / total}
+		// Visiting in AS order, a strict > leaves a tie to the lowest AS.
+		if d.t > maxAS {
+			maxAS = d.t
+			s.DominantAS = d.key
 		}
 	}
-	for _, t := range pfxTime {
-		if t > maxPfx {
-			maxPfx = t
-		}
-	}
-	s.ASDwell = make(map[int]float64, len(asTime))
-	for as, t := range asTime {
-		s.ASDwell[as] = t / total
-		// The lowest AS wins a tie, whatever order the map yields them in.
-		if t > maxAS || (t == maxAS && as < s.DominantAS) {
-			maxAS = t
-			s.DominantAS = as
-		}
-	}
-	s.DominantIPFrac = maxIP / total
-	s.DominantPrefixFrac = maxPfx / total
+	s.DominantIPFrac = maxDwell(ipTime) / total
+	s.DominantPrefixFrac = maxDwell(pfxTime) / total
 	s.DominantASFrac = maxAS / total
 	return s
 }
@@ -187,20 +219,15 @@ func (dt *DeviceTrace) DominantDisplacements() []DominantPair {
 			if s.DominantAS < 0 {
 				continue
 			}
-			ases := make([]int, 0, len(s.ASDwell))
-			for as := range s.ASDwell {
-				ases = append(ases, as)
-			}
-			sort.Ints(ases)
-			for _, as := range ases {
-				if as == s.DominantAS {
+			for _, a := range s.ASDwell {
+				if a.AS == s.DominantAS {
 					continue
 				}
 				out = append(out, DominantPair{
 					User:       u.ID,
 					DominantAS: s.DominantAS,
-					VisitedAS:  as,
-					DwellFrac:  s.ASDwell[as],
+					VisitedAS:  a.AS,
+					DwellFrac:  a.Frac,
 				})
 			}
 		}
